@@ -23,7 +23,7 @@ use croesus_bench::contention::{run_ms_ia, run_ms_sr, run_released_pooled, Conte
 use croesus_store::{Key, KvStore, LockManager, LockMode, LockPolicy, TxnId, Value};
 use croesus_txn::{ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet};
 use croesus_wal::{
-    FileStorage, PipelineConfig, StageFlags, StageRecord, SyncCoalescer, Wal, WalConfig, WriteImage,
+    FileStorage, FlushDriver, StageFlags, StageRecord, SyncCoalescer, Wal, WalConfig, WriteImage,
 };
 
 /// Criterion `ns/iter` numbers recorded during PR 1 (median of 3
@@ -151,16 +151,13 @@ fn wal_stage(txn: u64) -> StageRecord {
 fn wal_file_pipelined_commits_per_sec(dir: &std::path::Path, group: usize, n: u64) -> f64 {
     let storage = FileStorage::create(dir.join(format!("perf-pipelined-{group}.wal")))
         .expect("temp dir is writable");
-    let wal = Wal::with_storage_pipelined(
+    let wal = Wal::with_storage(
         Box::new(storage),
         WalConfig {
             group_commit: group,
             checkpoint_every: 0,
         },
-        PipelineConfig {
-            coalescer: None,
-            manual_flusher: false,
-        },
+        FlushDriver::Thread { coalescer: None },
     );
     let start = Instant::now();
     for txn in 1..=n {
@@ -185,15 +182,14 @@ fn coalesced_fleet_commits_per_sec(
         .map(|i| {
             let storage = FileStorage::create(dir.join(format!("fleet-{edges}-{i}.wal")))
                 .expect("temp dir is writable");
-            Arc::new(Wal::with_storage_pipelined(
+            Arc::new(Wal::with_storage(
                 Box::new(storage),
                 WalConfig {
                     group_commit: 64,
                     checkpoint_every: 0,
                 },
-                PipelineConfig {
+                FlushDriver::Thread {
                     coalescer: Some(Arc::clone(&coalescer)),
-                    manual_flusher: false,
                 },
             ))
         })

@@ -226,23 +226,14 @@ impl Deployment {
             state,
             ..
         } = rec;
-        let wal = match self.durability.pipeline_config(self.coalescer.clone()) {
-            None => Wal::resume(
-                storage,
-                self.durability.wal_config(),
-                state,
-                &store,
-                shipper,
-            ),
-            Some(pipe) => Wal::resume_pipelined(
-                storage,
-                self.durability.wal_config(),
-                pipe,
-                state,
-                &store,
-                shipper,
-            ),
-        }
+        let wal = Wal::resume(
+            storage,
+            self.durability.wal_config(),
+            self.durability.flush_driver(self.coalescer.clone()),
+            state,
+            &store,
+            shipper,
+        )
         .expect("resuming the write-ahead log must succeed");
         let eobs = self.edge_obs(i);
         wal.set_obs(eobs.clone());
@@ -547,31 +538,35 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::Croesus;
+    use crate::system::{durable_modes, Croesus, CroesusBuilder};
     use croesus_sim::FaultPlan;
-    use croesus_wal::DurabilityMode;
 
-    fn fleet(dir: &std::path::Path) -> crate::system::CroesusBuilder {
-        Croesus::builder()
-            .frames(30)
-            .edges(3)
-            .durability(DurabilityMode::Strict {
-                dir: dir.to_path_buf(),
-            })
-            .failover(true)
-            .heartbeat_timeout(3)
+    /// The fleet under test, once per durability mode: what the failure
+    /// detector, the fence and the replica do must not depend on the
+    /// edge's flush policy.
+    fn fleets(dir: &std::path::Path) -> impl Iterator<Item = CroesusBuilder> {
+        durable_modes(dir).into_iter().map(|mode| {
+            Croesus::builder()
+                .frames(30)
+                .edges(3)
+                .durability(mode)
+                .failover(true)
+                .heartbeat_timeout(3)
+        })
     }
 
     #[test]
     fn fault_free_fleet_processes_everything() {
         let dir = croesus_wal::scratch_dir("fleet-clean");
-        let r = fleet(&dir).build().run_fleet();
-        assert_eq!(r.frames_processed, 30);
-        assert_eq!(r.frames_dropped, 0);
-        assert!(r.takeovers.is_empty());
-        assert_eq!(r.apologies_owed, 0);
-        assert!(r.settled_entries > 0, "per-frame settling fired");
-        assert!(r.transactions_committed > 0);
+        for fleet in fleets(&dir) {
+            let r = fleet.build().run_fleet();
+            assert_eq!(r.frames_processed, 30);
+            assert_eq!(r.frames_dropped, 0);
+            assert!(r.takeovers.is_empty());
+            assert_eq!(r.apologies_owed, 0);
+            assert!(r.settled_entries > 0, "per-frame settling fired");
+            assert!(r.transactions_committed > 0);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -579,18 +574,20 @@ mod tests {
     fn killed_edge_fails_over_exactly_at_the_timeout() {
         let dir = croesus_wal::scratch_dir("fleet-kill");
         let plan = FaultPlan::new().at(6, 1, FaultKind::Kill);
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert_eq!(r.takeovers.len(), 1);
-        let t = &r.takeovers[0];
-        assert_eq!(t.edge, 1);
-        assert_eq!(
-            t.detected_at,
-            6 + 3,
-            "last beat at frame 5, declared dead once the silence exceeds the timeout"
-        );
-        // Frame 7 (the only frame routed to edge 1 during the gap) dropped.
-        assert_eq!(r.frames_dropped, 1);
-        assert_eq!(r.frames_processed, 29);
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert_eq!(r.takeovers.len(), 1);
+            let t = &r.takeovers[0];
+            assert_eq!(t.edge, 1);
+            assert_eq!(
+                t.detected_at,
+                6 + 3,
+                "last beat at frame 5, declared dead once the silence exceeds the timeout"
+            );
+            // Frame 7 (the only frame routed to edge 1 during the gap) dropped.
+            assert_eq!(r.frames_dropped, 1);
+            assert_eq!(r.frames_processed, 29);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -606,11 +603,13 @@ mod tests {
         let plan = FaultPlan::new()
             .at(6, 1, FaultKind::Kill)
             .at(9, 1, FaultKind::Resurrect);
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert_eq!(r.takeovers.len(), 1, "the detector wins the tie");
-        assert_eq!(r.takeovers[0].detected_at, 9);
-        assert_eq!(r.fenced_wakeups, 1, "the late riser is fenced out");
-        assert_eq!(r.in_place_restarts, 0);
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert_eq!(r.takeovers.len(), 1, "the detector wins the tie");
+            assert_eq!(r.takeovers[0].detected_at, 9);
+            assert_eq!(r.fenced_wakeups, 1, "the late riser is fenced out");
+            assert_eq!(r.in_place_restarts, 0);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -623,10 +622,12 @@ mod tests {
         let plan = FaultPlan::new()
             .at(6, 1, FaultKind::Kill)
             .at(8, 1, FaultKind::Resurrect);
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert!(r.takeovers.is_empty(), "silence == timeout is still alive");
-        assert_eq!(r.fenced_wakeups, 0);
-        assert_eq!(r.in_place_restarts, 1);
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert!(r.takeovers.is_empty(), "silence == timeout is still alive");
+            assert_eq!(r.fenced_wakeups, 0);
+            assert_eq!(r.in_place_restarts, 1);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -634,10 +635,12 @@ mod tests {
     fn short_stall_recovers_without_failover() {
         let dir = croesus_wal::scratch_dir("fleet-stall");
         let plan = FaultPlan::new().at(5, 2, FaultKind::Stall { frames: 2 });
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert!(r.takeovers.is_empty(), "woke before the detector fired");
-        assert_eq!(r.fenced_wakeups, 0);
-        assert_eq!(r.frames_dropped, 1, "frame 5 (5 % 3 == 2) was missed");
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert!(r.takeovers.is_empty(), "woke before the detector fired");
+            assert_eq!(r.fenced_wakeups, 0);
+            assert_eq!(r.frames_dropped, 1, "frame 5 (5 % 3 == 2) was missed");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -645,9 +648,11 @@ mod tests {
     fn long_stall_is_deposed_and_fenced() {
         let dir = croesus_wal::scratch_dir("fleet-long-stall");
         let plan = FaultPlan::new().at(5, 0, FaultKind::Stall { frames: 10 });
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert_eq!(r.takeovers.len(), 1, "a stall past the timeout is death");
-        assert_eq!(r.fenced_wakeups, 1, "the frozen original must not rejoin");
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert_eq!(r.takeovers.len(), 1, "a stall past the timeout is death");
+            assert_eq!(r.fenced_wakeups, 1, "the frozen original must not rejoin");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -655,13 +660,15 @@ mod tests {
     fn partition_degrades_instead_of_failing_over() {
         let dir = croesus_wal::scratch_dir("fleet-partition");
         let plan = FaultPlan::new().at(3, 0, FaultKind::Partition { frames: 12 });
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert!(
-            r.takeovers.is_empty(),
-            "a partitioned edge is alive and authoritative — never deposed"
-        );
-        assert_eq!(r.frames_dropped, 0, "full availability throughout");
-        assert!(r.degraded_frames > 0, "validated frames finalized locally");
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert!(
+                r.takeovers.is_empty(),
+                "a partitioned edge is alive and authoritative — never deposed"
+            );
+            assert_eq!(r.frames_dropped, 0, "full availability throughout");
+            assert!(r.degraded_frames > 0, "validated frames finalized locally");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -671,13 +678,19 @@ mod tests {
         let plan = FaultPlan::new()
             .at(6, 1, FaultKind::Kill)
             .at(8, 1, FaultKind::Resurrect);
-        let r = fleet(&dir)
-            .heartbeat_timeout(5)
-            .faults(plan)
-            .build()
-            .run_fleet();
-        assert!(r.takeovers.is_empty(), "back before the detector fired");
-        assert_eq!(r.in_place_restarts, 1);
+        for fleet in fleets(&dir) {
+            let obs = croesus_obs::Obs::shared();
+            let r = fleet
+                .heartbeat_timeout(5)
+                .faults(plan.clone())
+                .observe(Arc::clone(&obs))
+                .build()
+                .run_fleet();
+            assert!(r.takeovers.is_empty(), "back before the detector fired");
+            assert_eq!(r.in_place_restarts, 1);
+            // The resumed writer's LSN space starts over mid-stream.
+            croesus_obs::check_obs(&obs).expect("an in-place restart obeys the contract");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -687,10 +700,12 @@ mod tests {
         let plan = FaultPlan::new()
             .at(6, 1, FaultKind::Kill)
             .at(15, 1, FaultKind::Resurrect);
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert_eq!(r.takeovers.len(), 1);
-        assert_eq!(r.in_place_restarts, 0);
-        assert_eq!(r.fenced_wakeups, 1, "the zombie stays out");
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert_eq!(r.takeovers.len(), 1);
+            assert_eq!(r.in_place_restarts, 0);
+            assert_eq!(r.fenced_wakeups, 1, "the zombie stays out");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -698,10 +713,12 @@ mod tests {
     fn corrupt_shipment_is_rejected_and_refetched() {
         let dir = croesus_wal::scratch_dir("fleet-corrupt");
         let plan = FaultPlan::new().at(4, 0, FaultKind::CorruptShipment);
-        let r = fleet(&dir).faults(plan).build().run_fleet();
-        assert!(r.rejected_batches >= 1);
-        assert!(r.takeovers.is_empty());
-        assert_eq!(r.frames_processed, 30, "damage in flight costs nothing");
+        for fleet in fleets(&dir) {
+            let r = fleet.faults(plan.clone()).build().run_fleet();
+            assert!(r.rejected_batches >= 1);
+            assert!(r.takeovers.is_empty());
+            assert_eq!(r.frames_processed, 30, "damage in flight costs nothing");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -710,9 +727,11 @@ mod tests {
         let dir_a = croesus_wal::scratch_dir("fleet-det-a");
         let dir_b = croesus_wal::scratch_dir("fleet-det-b");
         let plan = FaultPlan::seeded(99, 30, 3, 0.08);
-        let a = fleet(&dir_a).faults(plan.clone()).build().run_fleet();
-        let b = fleet(&dir_b).faults(plan).build().run_fleet();
-        assert_eq!(a, b, "a chaos run is a pure function of (config, plan)");
+        for (a, b) in fleets(&dir_a).zip(fleets(&dir_b)) {
+            let a = a.faults(plan.clone()).build().run_fleet();
+            let b = b.faults(plan.clone()).build().run_fleet();
+            assert_eq!(a, b, "a chaos run is a pure function of (config, plan)");
+        }
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
     }

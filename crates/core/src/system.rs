@@ -132,22 +132,6 @@ fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// The default durability mode: disabled (byte-identical with the
-/// pre-durability pipeline) unless the `CROESUS_WAL_PIPELINED`
-/// environment variable turns the pipelined writer on — which is how CI
-/// runs the whole tier-1 suite over the pipelined WAL without touching
-/// any test. An explicit [`CroesusBuilder::durability`] call always
-/// wins over the knob, so tests that pin a mode (including `Disabled`)
-/// keep it.
-fn default_durability() -> DurabilityMode {
-    match std::env::var("CROESUS_WAL_PIPELINED") {
-        Ok(v) if !v.is_empty() && v != "0" => {
-            DurabilityMode::pipelined(croesus_wal::scratch_dir("pipelined-env"))
-        }
-        _ => DurabilityMode::Disabled,
-    }
-}
-
 impl Default for CroesusBuilder {
     fn default() -> Self {
         CroesusBuilder {
@@ -156,7 +140,7 @@ impl Default for CroesusBuilder {
             mode: DeploymentMode::MultiStage,
             edges: 1,
             workers: default_workers(),
-            durability: default_durability(),
+            durability: DurabilityMode::Disabled,
             faults: FaultPlan::new(),
             failover: false,
             heartbeat_timeout: 3,
@@ -838,6 +822,17 @@ impl Deployment {
     }
 }
 
+/// Every enabled durability mode over `dir`: the deployment-level
+/// durability tests (here and in `fleet.rs`) hold under each flush policy.
+#[cfg(test)]
+pub(crate) fn durable_modes(dir: &std::path::Path) -> [DurabilityMode; 3] {
+    [
+        DurabilityMode::Strict { dir: dir.into() },
+        DurabilityMode::group_commit(dir),
+        DurabilityMode::pipelined(dir),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,62 +940,82 @@ mod tests {
     fn durability_does_not_perturb_the_pipeline() {
         let dir = croesus_wal::scratch_dir("system-durability");
         let off = quick().build().run();
-        let on = quick()
-            .durability(DurabilityMode::group_commit(&dir))
-            .build()
-            .run();
-        assert_eq!(off.f_score, on.f_score);
-        assert_eq!(off.bytes_sent, on.bytes_sent);
-        assert_eq!(off.transactions_committed, on.transactions_committed);
-        assert_eq!(off.corrections, on.corrections);
-        // The log replays to a fully-finalized edge: every initially
-        // committed transaction finally committed, so recovery owes no
-        // apologies after a clean run.
-        let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
-        assert!(rec.frames > 0, "the WAL saw the run");
-        assert!(rec.unfinalized.is_empty());
-        assert!(rec.apologies_owed().is_empty());
-        assert!(!rec.torn_tail);
+        for mode in durable_modes(&dir) {
+            let on = quick().durability(mode.clone()).build().run();
+            assert_eq!(off.f_score, on.f_score, "{mode:?}");
+            assert_eq!(off.bytes_sent, on.bytes_sent, "{mode:?}");
+            assert_eq!(off.transactions_committed, on.transactions_committed);
+            assert_eq!(off.corrections, on.corrections, "{mode:?}");
+            // The log replays to a fully-finalized edge: every initially
+            // committed transaction finally committed, so recovery owes no
+            // apologies after a clean run.
+            let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
+            assert!(rec.frames > 0, "{mode:?}: the WAL saw the run");
+            assert!(rec.unfinalized.is_empty(), "{mode:?}");
+            assert!(rec.apologies_owed().is_empty(), "{mode:?}");
+            assert!(!rec.torn_tail, "{mode:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_protocol_logs_through_the_same_hook() {
+        let dir = croesus_wal::scratch_dir("system-durability-proto");
         for kind in ProtocolKind::ALL {
-            let dir = croesus_wal::scratch_dir("system-durability-proto");
-            let m = quick()
-                .protocol(kind)
-                .durability(DurabilityMode::Strict { dir: dir.clone() })
-                .build()
-                .run();
-            assert!(m.transactions_committed > 0, "{kind}");
-            let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
-            assert!(rec.frames > 0, "{kind}: stages were logged");
-            assert!(rec.unfinalized.is_empty(), "{kind}: clean run");
-            std::fs::remove_dir_all(&dir).unwrap();
+            for mode in durable_modes(&dir) {
+                let m = quick()
+                    .protocol(kind)
+                    .durability(mode.clone())
+                    .build()
+                    .run();
+                assert!(m.transactions_committed > 0, "{kind} {mode:?}");
+                let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
+                assert!(rec.frames > 0, "{kind} {mode:?}: stages were logged");
+                assert!(rec.unfinalized.is_empty(), "{kind} {mode:?}: clean run");
+            }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn multi_edge_deployment_logs_one_wal_per_edge() {
         let dir = croesus_wal::scratch_dir("system-durability-edges");
-        let mode = DurabilityMode::group_commit(&dir);
-        let m = quick().edges(3).durability(mode.clone()).build().run();
-        assert!(m.transactions_committed > 0);
-        let mut edges_with_frames = 0;
-        for i in 0..3 {
-            let path = mode.edge_log_path(i).unwrap();
-            assert!(path.exists(), "edge {i} has its own log");
-            let rec = croesus_txn::recovery::recover_edge_file(&path).unwrap();
-            assert!(rec.unfinalized.is_empty(), "edge {i}");
-            if rec.frames > 0 {
-                edges_with_frames += 1;
+        for mode in durable_modes(&dir) {
+            let m = quick().edges(3).durability(mode.clone()).build().run();
+            assert!(m.transactions_committed > 0);
+            let mut edges_with_frames = 0;
+            for i in 0..3 {
+                let path = mode.edge_log_path(i).unwrap();
+                assert!(path.exists(), "{mode:?}: edge {i} has its own log");
+                let rec = croesus_txn::recovery::recover_edge_file(&path).unwrap();
+                assert!(rec.unfinalized.is_empty(), "{mode:?}: edge {i}");
+                if rec.frames > 0 {
+                    edges_with_frames += 1;
+                }
+            }
+            assert!(
+                edges_with_frames >= 2,
+                "{mode:?}: round-robin routing reaches multiple edges"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `workers(1)` is the thread-free path, and the inline durability
+    /// modes keep it so: the commit point that fills a group lands it on
+    /// its own thread. Only `Pipelined` owns a flusher.
+    #[test]
+    fn inline_durability_modes_spawn_no_thread() {
+        let dir = croesus_wal::scratch_dir("system-thread-free");
+        for mode in durable_modes(&dir) {
+            let d = quick().workers(1).durability(mode.clone()).build();
+            let bank = evaluation_bank();
+            for edge in d.build_edges(&bank, true) {
+                let wal = edge.protocol().core().wal().expect("durability is on");
+                let pipelined = matches!(mode, DurabilityMode::Pipelined { .. });
+                assert_eq!(wal.owns_flusher_thread(), pipelined, "{mode:?}");
             }
         }
-        assert!(
-            edges_with_frames >= 2,
-            "round-robin routing reaches multiple edges"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1056,12 +1071,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "failover requires durability")]
     fn failover_without_durability_is_rejected() {
-        // Pin Disabled explicitly: under CROESUS_WAL_PIPELINED=1 the
-        // builder *default* is pipelined, which would satisfy failover.
-        let _ = Croesus::builder()
-            .durability(DurabilityMode::Disabled)
-            .failover(true)
-            .build();
+        let _ = Croesus::builder().failover(true).build();
     }
 
     #[test]
@@ -1077,17 +1087,16 @@ mod tests {
         // WAL shadow both). With per-frame settling, a clean run ends with
         // zero tracked entries — the log replays to an empty registry.
         let dir = croesus_wal::scratch_dir("system-settle");
-        quick()
-            .durability(DurabilityMode::group_commit(&dir))
-            .build()
-            .run();
-        let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
-        assert_eq!(
-            rec.apologies.tracked_count(),
-            0,
-            "the final settle dropped every retractable entry"
-        );
-        assert!(rec.unfinalized.is_empty());
+        for mode in durable_modes(&dir) {
+            quick().durability(mode.clone()).build().run();
+            let rec = croesus_txn::recovery::recover_edge_file(dir.join("edge-0.wal")).unwrap();
+            assert_eq!(
+                rec.apologies.tracked_count(),
+                0,
+                "{mode:?}: the final settle dropped every retractable entry"
+            );
+            assert!(rec.unfinalized.is_empty(), "{mode:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -271,7 +271,7 @@ mod tests {
         ))
         .unwrap();
         let mut cuts = 0;
-        sweep(&probe.all_bytes(), |cut| {
+        sweep(&wal.epoch_bytes(&probe), |cut| {
             cuts += 1;
             if cut.frames == 1 {
                 assert_eq!(cut.oracle.expected_unfinalized(), BTreeSet::from([1]));
@@ -287,7 +287,7 @@ mod tests {
         let (wal, probe) = Wal::in_memory(WalConfig::strict());
         wal.append_stage(stage(3, "k", 1, StageFlags::COMMIT_POINT))
             .unwrap();
-        let err = sweep(&probe.all_bytes(), |cut| {
+        let err = sweep(&wal.epoch_bytes(&probe), |cut| {
             if cut.frames == 1 {
                 Err("scenario invariant failed".into())
             } else {

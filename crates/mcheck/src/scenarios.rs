@@ -30,7 +30,7 @@ use croesus_txn::{
     MultiStageProtocolExt, Participant, PartitionParticipant, ProtocolKind, RwSet, StageCtx,
     StagedExecutor, TpcOutcome, TsplExecutor, TxnError, TxnHandle,
 };
-use croesus_wal::{LogShipper, MemStorage, PipelineConfig, Wal, WalConfig};
+use croesus_wal::{FlushDriver, LogShipper, MemStorage, Wal, WalConfig};
 
 use crate::crash::{sweep, CrashCut};
 use crate::explore::Scenario;
@@ -127,7 +127,8 @@ pub struct ProtoWorld {
     pub locks: Arc<LockManager>,
     /// Its WAL (strict sync: every append is durable on return).
     pub wal: Arc<Wal>,
-    /// The WAL's backing storage — `all_bytes()` is the crash-sweep input.
+    /// The WAL's backing storage — `wal.epoch_bytes(&probe)` is the
+    /// crash-sweep input.
     pub probe: MemStorage,
     /// History recorder for the serializability checks.
     pub history: HistoryRecorder,
@@ -293,7 +294,7 @@ impl Scenario for ProtocolScenario {
             k.as_str().hash(&mut h);
             format!("{:?}", v.value).hash(&mut h);
         }
-        world.probe.all_bytes().hash(&mut h);
+        world.wal.epoch_bytes(&world.probe).hash(&mut h);
         world.locks.locked_keys().hash(&mut h);
         format!("{:?}", world.history.events()).hash(&mut h);
         for a in world.acks.lock().iter() {
@@ -344,7 +345,7 @@ impl Scenario for ProtocolScenario {
             .wal
             .flush()
             .map_err(|e| format!("final flush failed: {e}"))?;
-        let log = world.probe.all_bytes();
+        let log = world.wal.epoch_bytes(&world.probe);
         let acks = world.acks.lock().clone();
         let kind = self.kind;
         let extra = self.extra_crash_check.clone();
@@ -882,7 +883,7 @@ impl Scenario for TpcCoordinatorCrash {
 
     fn fingerprint(&self, world: &TpcWorld) -> u64 {
         let mut h = DefaultHasher::new();
-        world.probe.all_bytes().hash(&mut h);
+        world.wal.epoch_bytes(&world.probe).hash(&mut h);
         for p in world.pm.partitions() {
             p.locks.locked_keys().hash(&mut h);
             let mut snapshot = p.store.snapshot();
@@ -908,7 +909,7 @@ impl Scenario for TpcCoordinatorCrash {
             .wal
             .flush()
             .map_err(|e| format!("final flush failed: {e}"))?;
-        let log = world.probe.all_bytes();
+        let log = world.wal.epoch_bytes(&world.probe);
         let raced = world.raced.lock().expect("racing task finished");
         sweep(&log, |cut| {
             // The racing txn's acked commit implies its durable decision:
@@ -993,15 +994,15 @@ impl Scenario for TpcCoordinatorCrash {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined WAL: appender / flusher / shipper interleavings
+// The WAL's buffer pipeline: appender / step / shipper interleavings
 // ---------------------------------------------------------------------------
 
-/// The world of the pipelined-WAL scenario: one pipelined writer whose
-/// flusher is a *virtual task* (manual mode — no thread), its shared
+/// The world of the WAL-pipeline scenario: one writer whose sealed
+/// buffers are landed by virtual tasks (never a thread), its shared
 /// in-memory device probe, its shipper, and the observations the monitor
-/// and appender record for [`WalPipelineScenario::check`].
+/// and appenders record for [`WalPipelineScenario::check`].
 pub struct WalPipelineWorld {
-    /// The pipelined writer under test.
+    /// The writer under test.
     pub wal: Wal,
     /// Shared handle on the writer's device: `durable()` is what a crash
     /// would keep right now.
@@ -1010,11 +1011,14 @@ pub struct WalPipelineWorld {
     pub shipper: Arc<LogShipper>,
     /// `(requested LSN, boundary at ack)` for every `flush_lsn` return.
     pub acks: Mutex<Vec<(u64, u64)>>,
-    /// `last_flushed_lsn` samples, in observation order (appender and
-    /// monitor both contribute).
+    /// `last_flushed_lsn` samples, in observation order (appenders and
+    /// monitor all contribute).
     pub boundaries: Mutex<Vec<u64>>,
     /// First shipped-⊆-durable breach the monitor observed, if any.
     pub ship_breach: Mutex<Option<String>>,
+    /// The writer's event stream, checked against the ordering contract
+    /// at the end of every schedule.
+    pub obs: EdgeObs,
 }
 
 impl WalPipelineWorld {
@@ -1034,36 +1038,67 @@ impl WalPipelineWorld {
             }
         }
     }
+
+    /// Log one group-1 commit point per `(txn, key)` — each seals a
+    /// buffer — then ack each with `flush_lsn`.
+    fn append_and_ack(&self, commits: &[(u64, &'static str)]) {
+        let lsns: Vec<u64> = commits
+            .iter()
+            .map(|&(txn, key)| {
+                let record = WalPipelineScenario::commit_record(txn, key, txn as i64);
+                self.wal.append_stage(record).unwrap()
+            })
+            .collect();
+        for lsn in lsns {
+            self.wal.flush_lsn(lsn).unwrap();
+            let boundary = self.wal.last_flushed_lsn();
+            self.acks.lock().push((lsn, boundary));
+            self.boundaries.lock().push(boundary);
+        }
+    }
 }
 
-/// The pipelined double-buffered WAL under the model checker.
+/// The WAL's seal → `step` → boundary pipeline under the model checker,
+/// once per way of driving `step` without a thread, plus a **monitor**
+/// sampling the boundary and the shipped-vs-durable byte counts between
+/// explicit yield points:
 ///
-/// Three virtual tasks share one writer: an **appender** logging two
-/// commit points (group 1, so each seals a buffer — the second append's
-/// seal exercises the LSN-boundary backpressure wait) and acking each
-/// with `flush_lsn`; the **flusher**, running `flusher_step` until
-/// shutdown — under the scheduler it parks on `wal.buffer.drain` like
-/// the real thread; and a **monitor** sampling the boundary and the
-/// shipped-vs-durable byte counts between explicit yield points. Every
-/// interleaving of the `wal.buffer.*` yield, block and progress points
-/// is explored. Invariants: no deadlock, `last_flushed_lsn` is monotone,
-/// no `flush_lsn` ack below its requested LSN, shipped ⊆ durable at
-/// every observation, and the final shipped image equals the durable
-/// bytes.
+/// * [`FlushDriver::Manual`] — an **appender** logging two commit points
+///   (the second append's seal exercises the LSN-boundary backpressure
+///   wait) and a **flusher** task running `flusher_step` until shutdown,
+///   parking on `wal.buffer.drain` like the real thread.
+/// * [`FlushDriver::Inline`] — **two appenders**, one commit point each.
+///   Whoever seals first lands its buffer with the storage checked out
+///   while the other appends, fills its own group and must wait out the
+///   flight before landing (or finding itself already covered) — the
+///   interleaving a single writer mutex never had.
+///
+/// Every interleaving of the `wal.buffer.*` yield, block and progress
+/// points is explored. Invariants: no deadlock, `last_flushed_lsn` is
+/// monotone, no `flush_lsn` ack below its requested LSN, shipped ⊆
+/// durable at every observation, the final shipped image equals the
+/// durable bytes, and the event stream obeys the ordering contract.
 ///
 /// With `mutate` set, the writer publishes each buffer *before* its
 /// sync ([`Wal::mutate_publish_before_sync`]) — the deliberately wrong
 /// order the shipping contract forbids. The checker must catch it with
 /// a replayable trace (the mutation self-test).
 pub struct WalPipelineScenario {
+    /// Who lands sealed buffers: `Manual` or `Inline`.
+    pub driver: FlushDriver,
     /// Publish sealed buffers before their sync (the planted bug).
     pub mutate: bool,
 }
 
-/// The canonical instance; `mutate` plants the publish-before-sync bug.
+/// The canonical instance per driver; `mutate` plants the
+/// publish-before-sync bug.
 #[must_use]
-pub fn wal_pipeline(mutate: bool) -> WalPipelineScenario {
-    WalPipelineScenario { mutate }
+pub fn wal_pipeline(driver: FlushDriver, mutate: bool) -> WalPipelineScenario {
+    assert!(
+        !matches!(driver, FlushDriver::Thread { .. }),
+        "the checker schedules virtual tasks, not threads"
+    );
+    WalPipelineScenario { driver, mutate }
 }
 
 impl WalPipelineScenario {
@@ -1083,29 +1118,33 @@ impl WalPipelineScenario {
             }],
         }
     }
+
+    fn inline(&self) -> bool {
+        matches!(self.driver, FlushDriver::Inline)
+    }
 }
 
 impl Scenario for WalPipelineScenario {
     type World = WalPipelineWorld;
 
     fn name(&self) -> String {
-        if self.mutate {
-            "wal/pipeline-publish-before-sync".into()
-        } else {
-            "wal/pipeline".into()
-        }
+        format!(
+            "wal/pipeline-{}{}",
+            if self.inline() { "inline" } else { "manual" },
+            if self.mutate {
+                "-publish-before-sync"
+            } else {
+                ""
+            }
+        )
     }
 
     fn build(&self) -> Arc<WalPipelineWorld> {
-        let (wal, probe) = Wal::pipelined_in_memory(
-            WalConfig::group(1),
-            PipelineConfig {
-                coalescer: None,
-                manual_flusher: true,
-            },
-        );
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(1), self.driver.clone());
         let shipper = Arc::new(LogShipper::new());
         wal.attach_shipper(Arc::clone(&shipper));
+        let obs = EdgeObs::standalone(0);
+        wal.set_obs(obs.clone());
         if self.mutate {
             wal.mutate_publish_before_sync();
         }
@@ -1116,41 +1155,34 @@ impl Scenario for WalPipelineScenario {
             acks: Mutex::new(Vec::new()),
             boundaries: Mutex::new(Vec::new()),
             ship_breach: Mutex::new(None),
+            obs,
         })
     }
 
     fn tasks(&self, world: &Arc<WalPipelineWorld>) -> Vec<TaskFn> {
-        let appender = {
+        let task = |f: fn(&WalPipelineWorld)| {
             let w = Arc::clone(world);
-            Box::new(move || {
-                let l1 = w.wal.append_stage(Self::commit_record(1, "a", 1)).unwrap();
-                // Group 1: the first commit sealed a buffer; this second
-                // append's seal waits on the previous buffer's boundary
-                // (`wal.buffer.backpressure`) — the double-buffer bound.
-                let l2 = w.wal.append_stage(Self::commit_record(2, "b", 2)).unwrap();
-                for lsn in [l1, l2] {
-                    w.wal.flush_lsn(lsn).unwrap();
-                    let boundary = w.wal.last_flushed_lsn();
-                    w.acks.lock().push((lsn, boundary));
-                    w.boundaries.lock().push(boundary);
-                }
-                w.wal.shutdown_flusher();
-            }) as TaskFn
+            Box::new(move || f(&w)) as TaskFn
         };
-        let flusher = {
-            let w = Arc::clone(world);
-            Box::new(move || while w.wal.flusher_step().expect("pipeline io") {}) as TaskFn
-        };
-        let monitor = {
-            let w = Arc::clone(world);
-            Box::new(move || {
-                for _ in 0..3 {
-                    w.sample();
-                    croesus_store::sched::yield_point("mcheck.wal.monitor");
-                }
+        let monitor = task(|w| {
+            for _ in 0..3 {
                 w.sample();
-            }) as TaskFn
-        };
+                croesus_store::sched::yield_point("mcheck.wal.monitor");
+            }
+            w.sample();
+        });
+        if self.inline() {
+            return vec![
+                task(|w| w.append_and_ack(&[(1, "a")])),
+                task(|w| w.append_and_ack(&[(2, "b")])),
+                monitor,
+            ];
+        }
+        let appender = task(|w| {
+            w.append_and_ack(&[(1, "a"), (2, "b")]);
+            w.wal.shutdown_flusher();
+        });
+        let flusher = task(|w| while w.wal.flusher_step().expect("pipeline io") {});
         vec![appender, flusher, monitor]
     }
 
@@ -1159,6 +1191,7 @@ impl Scenario for WalPipelineScenario {
         world.acks.lock().hash(&mut h);
         world.boundaries.lock().hash(&mut h);
         world.shipper.shipped_len().hash(&mut h);
+        world.wal.epoch_bytes(&world.probe).hash(&mut h);
         world.probe.durable().len().hash(&mut h);
         world.ship_breach.lock().is_some().hash(&mut h);
         h.finish()
@@ -1169,7 +1202,8 @@ impl Scenario for WalPipelineScenario {
             RunEnd::Panic { message } => return Err(format!("task panic: {message}")),
             RunEnd::Deadlock { blocked } => {
                 return Err(format!(
-                    "the pipeline must never deadlock — shutdown wakes the                      flusher and every boundary waiter: {blocked:?}"
+                    "the pipeline must never deadlock — every landed buffer and \
+                     the shutdown wake every waiter: {blocked:?}"
                 ));
             }
             RunEnd::Complete => {}
@@ -1177,21 +1211,23 @@ impl Scenario for WalPipelineScenario {
         if let Some(breach) = world.ship_breach.lock().as_ref() {
             return Err(breach.clone());
         }
-        let boundaries = world.boundaries.lock();
-        // Monotone within each observer; the appender's and the monitor's
-        // samples interleave arbitrarily, but a *drop* between any two
-        // appender-side observations would still surface here because the
-        // vec is push-ordered per task and the boundary never decreases
-        // globally: check the global sequence pairwise per observer is
-        // subsumed by checking no sample undercuts a previous ack.
+        // One task runs at a time and every sample is taken and pushed
+        // without a yield in between, so the push order is the global
+        // observation order.
+        if let Some(w) = world.boundaries.lock().windows(2).find(|w| w[1] < w[0]) {
+            return Err(format!(
+                "last_flushed_lsn went backwards: {} then {}",
+                w[0], w[1]
+            ));
+        }
         for (requested, at_ack) in world.acks.lock().iter() {
             if at_ack < requested {
                 return Err(format!(
-                    "flush_lsn({requested}) acked at boundary {at_ack} —                      an ack below the flushed boundary"
+                    "flush_lsn({requested}) acked at boundary {at_ack} — \
+                     an ack below the flushed boundary"
                 ));
             }
         }
-        drop(boundaries);
         let shipped = world.shipper.image();
         let durable = world.probe.durable();
         if shipped != durable {
@@ -1202,7 +1238,15 @@ impl Scenario for WalPipelineScenario {
             ));
         }
         if world.wal.last_flushed_lsn() != world.wal.latest_lsn() {
-            return Err("shutdown completed with an unflushed acked tail".into());
+            return Err("the run completed with an unflushed acked tail".into());
+        }
+        // The mutation breaks the contract's `shipped-subset-durable` rule
+        // in *every* schedule's trace; the self-test is about the monitor
+        // catching it through an interleaving, so only clean runs are
+        // held to the trace.
+        if !self.mutate {
+            croesus_obs::check_stream(&world.obs.events(), world.obs.dropped() > 0)
+                .map_err(|v| format!("event-ordering contract: {v}"))?;
         }
         Ok(())
     }

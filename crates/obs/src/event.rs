@@ -50,19 +50,19 @@ pub enum EventKind {
     FinalCommit,
     /// Bytes were appended to the WAL buffer (not yet durable).
     WalAppend {
-        /// Byte offset of the append tail within the current epoch.
+        /// Global LSN of the append tail (a byte count that never resets,
+        /// not even at a checkpoint).
         lsn: u64,
     },
     /// The WAL was fsynced up to `lsn` within `epoch`.
     WalSync {
-        /// Durable byte offset within the epoch (the pipelined writer
-        /// reports its global monotone LSN instead).
+        /// The durable boundary: global LSN of the last synced byte.
         lsn: u64,
-        /// Checkpoint epoch the offset is relative to.
+        /// Checkpoint epoch the sync landed in.
         epoch: u64,
     },
-    /// The pipelined writer sealed its active buffer onto the flusher
-    /// queue; appends continue into the next buffer.
+    /// The writer sealed its active buffer onto the queue `step` lands
+    /// from; appends continue into the next buffer.
     WalBufferSeal {
         /// Global LSN of the last sealed byte.
         lsn: u64,

@@ -14,8 +14,8 @@
 //! | `initial-before-final` | `FinalCommit` only after `InitialCommit` |
 //! | `terminal-event-last` | no lifecycle event for a txn after its `FinalCommit` |
 //! | `shipped-subset-durable` | `ShipPublish(lsn, epoch)` only after `WalSync(lsn', epoch)` with `lsn' ≥ lsn` |
-//! | `buffer-seal-monotone` | per-edge `WalBufferSeal` LSNs never go backwards (the pipelined writer's global LSN space) |
-//! | `seal-covers-appends` | a `WalBufferSeal(lsn)` seals everything appended: `lsn ≥` every `WalAppend` LSN seen so far |
+//! | `buffer-seal-monotone` | per-edge `WalBufferSeal` LSNs never go backwards within one writer (LSNs are global and never reset at a checkpoint; a `WalAppend` at or below the previous one can only be a writer restarted after a crash, whose LSN space starts over) |
+//! | `seal-covers-appends` | a `WalBufferSeal(lsn)` seals everything appended: `lsn ≥` every `WalAppend` LSN that writer emitted so far |
 //! | `coalesced-window-nonempty` | every `WalCoalescedSync` window covers ≥ 1 request |
 //! | `retract-implies-apology` | every `Retract` is followed by an `Apology` for the same txn |
 //! | `takeover-sequence` | `HeartbeatMiss` precedes `TakeoverStart`; `Fence`/`TakeoverEnd` only inside an open takeover |
@@ -90,9 +90,9 @@ struct EdgeState {
     last_frame: u64,
     /// Highest synced lsn per WAL epoch.
     synced: HashMap<u64, u64>,
-    /// Highest `WalAppend` lsn seen (global in pipelined mode).
+    /// Last `WalAppend` lsn of the current writer incarnation.
     max_append: u64,
-    /// Highest `WalBufferSeal` lsn seen.
+    /// Highest `WalBufferSeal` lsn of the current writer incarnation.
     max_seal: u64,
     /// Heartbeat misses since the last completed takeover.
     misses: u64,
@@ -140,10 +140,14 @@ pub fn check_stream(events: &[Event], pre_window: bool) -> Result<OrderingReport
 
         match event.kind {
             EventKind::WalAppend { lsn } => {
-                // Legacy-mode appends reset with the epoch; only track
-                // the high-water mark forward (seal rules only apply to
-                // the pipelined writer's monotone LSNs anyway).
-                edge.max_append = edge.max_append.max(lsn);
+                // Within one writer LSNs strictly increase (appends are
+                // emitted under its state lock), so an append at or below
+                // the last one is a writer resumed in place after a
+                // crash: the seal rules track it from scratch.
+                if lsn <= edge.max_append {
+                    edge.max_seal = 0;
+                }
+                edge.max_append = lsn;
             }
             EventKind::WalBufferSeal { lsn } => {
                 if lsn < edge.max_seal {
@@ -609,6 +613,16 @@ mod tests {
         ];
         let err = check_stream(&events, false).expect_err("seal went backwards");
         assert_eq!(err.invariant, "buffer-seal-monotone");
+
+        // ...except across an in-place restart: the resumed writer's LSN
+        // space starts over, which its first append announces.
+        let events = vec![
+            ev(0, None, EventKind::WalAppend { lsn: 80 }),
+            ev(1, None, EventKind::WalBufferSeal { lsn: 80 }),
+            ev(2, None, EventKind::WalAppend { lsn: 30 }),
+            ev(3, None, EventKind::WalBufferSeal { lsn: 30 }),
+        ];
+        check_stream(&events, false).expect("a restarted writer seals from scratch");
 
         // An empty coalesced window is a bookkeeping bug.
         let events = vec![ev(0, None, EventKind::WalCoalescedSync { requests: 0 })];

@@ -134,7 +134,7 @@ pub struct ExecutorCore {
     apologies: Arc<ApologyManager>,
     wal: Option<Arc<Wal>>,
     /// High-water mark of the LSNs this core's commit points were acked
-    /// at (0 until the first logged stage). Under the pipelined WAL this
+    /// at (0 until the first logged stage). LSNs are global, so this
     /// is the boundary a client-visible ack is durable at-or-below.
     acked_lsn: AtomicU64,
     obs: EdgeObs,

@@ -17,15 +17,21 @@
 //! * [`record`] — one frame per record: a whole executed [`StageRecord`]
 //!   (write images + commit metadata), a [`RetractRecord`], a 2PC
 //!   coordinator decision, or a [`CheckpointRecord`].
-//! * [`writer`] — the [`Wal`] appender: group commit
-//!   ([`WalConfig::group_commit`] commit points per durable sync),
-//!   scheduled checkpoints that atomically truncate the log.
+//! * [`writer`] — the [`Wal`] appender: one LSN-boundary writer (active
+//!   buffer → seal every [`WalConfig::group_commit`] commit points → one
+//!   sync per sealed buffer → `last_flushed_lsn`), landed by a
+//!   [`FlushDriver`]; scheduled checkpoints that atomically truncate the
+//!   log.
 //! * [`mod@recover`] — replay: [`recover()`](recover::recover) rebuilds a
 //!   [`KvStore`](croesus_store::KvStore) from the valid prefix and
 //!   reports the [`unfinalized`](RecoveryReport::unfinalized)
 //!   transactions the edge owes apologies for.
+//! * [`coalesce`] — one sync window per storage device, shared by the
+//!   flusher threads of every edge on it.
+//! * [`ship`] — the durable image published for a cloud replica to tail.
 //! * [`mode`] — [`DurabilityMode`], the deployment-level switch
-//!   (`Croesus::builder().durability(..)`; off by default).
+//!   (`Croesus::builder().durability(..)`; off by default): a group size
+//!   and a flush driver over the same writer.
 //!
 //! Commit points are **per protocol**: MS-IA and the staged discipline
 //! log one at every stage (their stages are client-visible commits);
@@ -94,4 +100,4 @@ pub use record::{CheckpointRecord, RetractRecord, StageFlags, StageRecord, WalRe
 pub use recover::{recover, recover_file, RecoveredEntry, RecoveryReport, RecoveryState};
 pub use ship::{LogShipper, ShipBatch, ShipCursor, ShipFetch};
 pub use storage::{scratch_dir, FileStorage, MemStorage, Storage};
-pub use writer::{PipelineConfig, Wal, WalConfig, WalStats};
+pub use writer::{FlushDriver, Wal, WalConfig, WalStats};

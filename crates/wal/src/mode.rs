@@ -1,7 +1,8 @@
 //! Deployment-level durability selection.
 //!
 //! [`DurabilityMode`] is what `Croesus::builder().durability(..)` takes:
-//! it names a directory and a flush discipline, and the builder opens one
+//! it names a directory and a flush policy over the one writer — a group
+//! size ([`WalConfig`]) and a [`FlushDriver`] — and the builder opens one
 //! log per edge node (`edge-<i>.wal`) — per-edge logs because each edge
 //! owns its partition of the data (§4.5) and recovers independently.
 
@@ -10,7 +11,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::coalesce::SyncCoalescer;
-use crate::writer::{PipelineConfig, Wal, WalConfig};
+use crate::storage::FileStorage;
+use crate::writer::{FlushDriver, Wal, WalConfig};
 
 /// How (and whether) a deployment logs transactions durably.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -19,7 +21,8 @@ pub enum DurabilityMode {
     /// system. The default.
     #[default]
     Disabled,
-    /// Log with group commit: one durable sync per `group` commit points.
+    /// Log with group commit: one durable sync per `group` commit points,
+    /// paid inline by the commit point that fills the group.
     GroupCommit {
         /// Directory holding the per-edge log files.
         dir: PathBuf,
@@ -31,17 +34,10 @@ pub enum DurabilityMode {
         /// Directory holding the per-edge log files.
         dir: PathBuf,
     },
-    /// Log without syncing on commit: durable only at checkpoints and
-    /// explicit flushes (the largest loss window, the fewest syncs).
-    Buffered {
-        /// Directory holding the per-edge log files.
-        dir: PathBuf,
-    },
-    /// Pipelined double-buffered logging: appends receive global
-    /// monotone LSNs and land in an active buffer; every `group` commit
-    /// points the buffer seals onto a dedicated flusher, which syncs it
-    /// while new appends keep going. Group-commit loss window, without
-    /// the inline sync stall.
+    /// Group commit with the sync moved off the commit path: every
+    /// `group` commit points the buffer seals onto a dedicated flusher
+    /// thread, which syncs it while new appends keep going. Group-commit
+    /// loss window, without the inline sync stall.
     Pipelined {
         /// Directory holding the per-edge log files.
         dir: PathBuf,
@@ -74,12 +70,6 @@ impl DurabilityMode {
         }
     }
 
-    /// Whether this mode runs the pipelined writer.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        matches!(self, DurabilityMode::Pipelined { .. })
-    }
-
     /// A shared per-device sync window for this deployment, when the
     /// mode asks for one. The builder calls this once and threads the
     /// same `Arc` through every [`DurabilityMode::open_edge_wal_with`].
@@ -106,7 +96,6 @@ impl DurabilityMode {
             DurabilityMode::Disabled => return None,
             DurabilityMode::GroupCommit { dir, .. }
             | DurabilityMode::Strict { dir }
-            | DurabilityMode::Buffered { dir }
             | DurabilityMode::Pipelined { dir, .. } => dir,
         };
         Some(dir.join(format!("edge-{edge}.wal")))
@@ -119,39 +108,24 @@ impl DurabilityMode {
             DurabilityMode::Disabled => WalConfig::default(),
             DurabilityMode::Strict { .. } => WalConfig::strict(),
             DurabilityMode::GroupCommit { group, .. } => WalConfig::group(*group),
-            DurabilityMode::Buffered { .. } => WalConfig {
-                group_commit: usize::MAX,
-                ..WalConfig::default()
-            },
             DurabilityMode::Pipelined { group, .. } => WalConfig::group(*group),
         }
     }
 
-    /// The pipeline tuning this mode implies (`None` for the
-    /// synchronous modes). The coalescer is deployment-shared state the
-    /// caller owns; see [`DurabilityMode::device_coalescer`].
+    /// Who lands sealed buffers under this mode. The coalescer is
+    /// deployment-shared state the caller owns; see
+    /// [`DurabilityMode::device_coalescer`].
     #[must_use]
-    pub fn pipeline_config(&self, coalescer: Option<Arc<SyncCoalescer>>) -> Option<PipelineConfig> {
+    pub fn flush_driver(&self, coalescer: Option<Arc<SyncCoalescer>>) -> FlushDriver {
         match self {
-            DurabilityMode::Pipelined { .. } => Some(PipelineConfig {
-                coalescer,
-                manual_flusher: false,
-            }),
-            _ => None,
+            DurabilityMode::Pipelined { .. } => FlushDriver::Thread { coalescer },
+            _ => FlushDriver::Inline,
         }
     }
 
     /// Open a fresh log for edge `i` (truncating a previous one — recover
-    /// from it first if its contents matter). `Ok(None)` when disabled.
-    /// Pipelined deployments that coalesce should prefer
-    /// [`DurabilityMode::open_edge_wal_with`] so every edge shares one
-    /// window; this entry point gives each edge a private one.
-    pub fn open_edge_wal(&self, edge: usize) -> io::Result<Option<Wal>> {
-        self.open_edge_wal_with(edge, self.device_coalescer())
-    }
-
-    /// [`open_edge_wal`](DurabilityMode::open_edge_wal) with the
-    /// deployment's shared device coalescer threaded through.
+    /// from it first if its contents matter), threading the deployment's
+    /// shared device coalescer through. `Ok(None)` when disabled.
     pub fn open_edge_wal_with(
         &self,
         edge: usize,
@@ -160,17 +134,11 @@ impl DurabilityMode {
         let Some(path) = self.edge_log_path(edge) else {
             return Ok(None);
         };
-        match self.pipeline_config(coalescer) {
-            None => Ok(Some(Wal::create(path, self.wal_config())?)),
-            Some(pipe) => {
-                let storage = crate::storage::FileStorage::create(&path)?;
-                Ok(Some(Wal::with_storage_pipelined(
-                    Box::new(storage),
-                    self.wal_config(),
-                    pipe,
-                )))
-            }
-        }
+        Ok(Some(Wal::with_storage(
+            Box::new(FileStorage::create(path)?),
+            self.wal_config(),
+            self.flush_driver(coalescer),
+        )))
     }
 }
 
@@ -183,7 +151,7 @@ mod tests {
         let mode = DurabilityMode::default();
         assert!(!mode.is_enabled());
         assert_eq!(mode.edge_log_path(0), None);
-        assert!(mode.open_edge_wal(0).unwrap().is_none());
+        assert!(mode.open_edge_wal_with(0, None).unwrap().is_none());
     }
 
     #[test]
@@ -202,12 +170,14 @@ mod tests {
             .group_commit,
             16
         );
-        assert_eq!(
-            DurabilityMode::Buffered { dir: dir.clone() }
-                .wal_config()
-                .group_commit,
-            usize::MAX
-        );
+        assert!(matches!(
+            DurabilityMode::pipelined(&dir).flush_driver(None),
+            FlushDriver::Thread { coalescer: None }
+        ));
+        assert!(matches!(
+            DurabilityMode::group_commit(&dir).flush_driver(None),
+            FlushDriver::Inline
+        ));
         assert_eq!(
             DurabilityMode::group_commit(&dir).edge_log_path(3),
             Some(dir.join("edge-3.wal"))
@@ -218,7 +188,7 @@ mod tests {
     fn open_edge_wal_creates_the_file() {
         let dir = crate::storage::scratch_dir("mode-test");
         let mode = DurabilityMode::Strict { dir: dir.clone() };
-        let wal = mode.open_edge_wal(2).unwrap().unwrap();
+        let wal = mode.open_edge_wal_with(2, None).unwrap().unwrap();
         wal.flush().unwrap();
         assert!(dir.join("edge-2.wal").exists());
         std::fs::remove_dir_all(&dir).unwrap();

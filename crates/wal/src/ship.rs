@@ -12,8 +12,9 @@
 //!   grows, so a cursor is a plain byte offset; a checkpoint truncates
 //!   the log and **bumps the epoch**, telling the replica to discard its
 //!   copy and re-tail from the checkpoint frame (a *restart batch*).
-//! * The writer publishes inside its sync paths, under the writer mutex —
-//!   so `shipped ⊆ durable` always, and after each publish
+//! * The writer's only publish site, in every durability mode, is the
+//!   post-sync section that advances `last_flushed_lsn` (under its state
+//!   lock) — so `shipped ⊆ durable` always, and after each publish
 //!   `shipped == durable`. The replica can lag; it can never run ahead of
 //!   what a crash would preserve.
 //!
@@ -82,7 +83,8 @@ impl LogShipper {
     }
 
     /// Append newly-durable frame bytes to the current epoch's image.
-    /// Called by the writer inside its sync paths, under the writer mutex.
+    /// Called by the writer strictly after the sync that made `bytes`
+    /// durable, under its state lock.
     pub fn publish(&self, bytes: &[u8]) {
         if bytes.is_empty() {
             return;

@@ -144,8 +144,9 @@ struct MemDevice {
 /// In-memory storage with an explicit durability boundary. Cloning the
 /// handle shares the device, so a test can keep one handle while the WAL
 /// owns the other, then read [`MemStorage::durable`] (what a crash would
-/// preserve) or [`MemStorage::all_bytes`] (what a lucky crash — or an OS
-/// that flushed on its own — could have preserved) at any point.
+/// preserve) at any point. The writer hands the device only whole sealed
+/// buffers, right before syncing them, so the "every appended byte" view
+/// lives on the writer: [`Wal::epoch_bytes`](crate::Wal::epoch_bytes).
 #[derive(Clone, Default)]
 pub struct MemStorage {
     device: Arc<Mutex<MemDevice>>,
@@ -162,15 +163,6 @@ impl MemStorage {
     #[must_use]
     pub fn durable(&self) -> Vec<u8> {
         self.device.lock().durable.clone()
-    }
-
-    /// Every appended byte, synced or not.
-    #[must_use]
-    pub fn all_bytes(&self) -> Vec<u8> {
-        let d = self.device.lock();
-        let mut out = d.durable.clone();
-        out.extend_from_slice(&d.buffered);
-        out
     }
 
     /// Bytes appended since the last sync.
@@ -228,7 +220,6 @@ mod tests {
         let mut s = probe.clone();
         s.append(b"aaa").unwrap();
         assert_eq!(probe.durable(), b"");
-        assert_eq!(probe.all_bytes(), b"aaa");
         assert_eq!(probe.unsynced_len(), 3);
         s.sync().unwrap();
         assert_eq!(probe.durable(), b"aaa");

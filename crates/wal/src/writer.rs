@@ -1,37 +1,44 @@
-//! The append-side of the log: group commit, checkpoint scheduling,
-//! truncation.
+//! The append side of the log: one LSN-boundary writer, landed by a
+//! per-mode flush driver; checkpoint scheduling and truncation.
 //!
-//! # Group commit
+//! # One writer
 //!
-//! Every record is appended (buffered) immediately, but the
-//! fsync-equivalent [`Storage::sync`] runs only when
-//! [`WalConfig::group_commit`] commit points have accumulated — one
-//! durable flush amortized over a batch of transactions, the classic
-//! group-commit trade: bounded loss window (the unsynced tail) for an
-//! order-of-magnitude fewer syncs. `group_commit = 1` is strict mode
-//! (sync at every commit point); `usize::MAX` never syncs on commit and
-//! relies on checkpoints / [`Wal::flush`].
+//! Every record is framed into an in-memory *active buffer* and gets a
+//! **global, never-resetting byte LSN**. Every
+//! [`WalConfig::group_commit`] commit points the buffer is *sealed* onto
+//! a queue; one `step` lands the oldest sealed buffer — append + the
+//! fsync-equivalent [`Storage::sync`], state unlocked — and then, in one
+//! state-lock section, advances `last_flushed_lsn`, publishes the landed
+//! bytes to the shipper and wakes waiters. That section is the only
+//! publish site, so shipped ⊆ durable by construction. The one
+//! durability primitive is [`Wal::flush_lsn`]; whatever is not yet
+//! landed is the loss window. A durability mode is only a
+//! [`FlushDriver`] — who calls `step`, and what the commit point that
+//! fills a group waits for:
+//!
+//! | driver | the group-filling commit point | `step` runs on |
+//! |---|---|---|
+//! | `Inline` (Strict = group 1, GroupCommit) | seals, lands its own LSN, returns | the committing thread |
+//! | `Thread` (Pipelined) | waits out the *previous* buffer, seals, returns | a flusher thread |
+//! | `Manual` (harnesses) | seals, returns | [`Wal::flusher_step`] callers |
 //!
 //! # Checkpoints
 //!
-//! The writer mirrors its own log through the shared
-//! [`RecoveryState`] machine *with a shadow store attached* — the exact
-//! committed state a from-genesis replay of the log would produce,
-//! maintained incrementally under the writer mutex (cheap: the shadow
-//! store's `Arc<Value>`s alias the live store's allocations). A
-//! checkpoint is therefore a pure serialization of writer-internal
-//! state, written as one record that *replaces* the log
-//! ([`Storage::reset`]) — truncation and checkpoint are the same atomic
-//! step, and it is consistent even while other threads are mid-stage on
-//! the live store (their uncommitted writes exist only there, never in
-//! the shadow). [`Wal::maybe_checkpoint`] runs one every
-//! [`WalConfig::checkpoint_every`] commit points; the executors call it
-//! from the commit path.
+//! The writer mirrors its own log through the shared [`RecoveryState`]
+//! machine *with a shadow store attached* — the committed state a replay
+//! of the log would produce, maintained under the writer mutex (cheap:
+//! the shadow's `Arc<Value>`s alias the live store's). A checkpoint is
+//! therefore a pure serialization of writer-internal state, written as
+//! one record that *replaces* the log ([`Storage::reset`]) — truncation
+//! and checkpoint are one atomic step, consistent even while other
+//! threads are mid-stage on the live store. It restarts the on-device
+//! epoch, not the LSN space. [`Wal::maybe_checkpoint`] runs one every
+//! [`WalConfig::checkpoint_every`] commit points, from the commit path.
 
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
@@ -46,15 +53,15 @@ use crate::recover::RecoveryState;
 use crate::ship::LogShipper;
 use crate::storage::{FileStorage, MemStorage, Storage};
 
-/// Message used when the std pipeline mutexes are poisoned — only a
-/// panicking flusher could poison them, and that already aborts the run.
+/// Message used when the std state mutex is poisoned — only a panicking
+/// `step` could poison it, and that already aborts the run.
 const PIPE_LOCK: &str = "wal pipeline lock";
 
 /// Writer tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalConfig {
-    /// Commit points per durable sync (1 = strict, `usize::MAX` = only
-    /// explicit flushes and checkpoints).
+    /// Commit points per sealed buffer, i.e. per durable sync (1 =
+    /// strict).
     pub group_commit: usize,
     /// Commit points between automatic checkpoints (0 = never).
     pub checkpoint_every: u64,
@@ -105,75 +112,69 @@ pub struct WalStats {
     pub bytes_appended: u64,
 }
 
-/// Tuning for the pipelined (double-buffered) writer.
-///
-/// In pipelined mode appends land in an in-memory *active buffer* and
-/// receive a global monotone LSN; every [`WalConfig::group_commit`]
-/// commit points the active buffer is *sealed* and handed to a dedicated
-/// flusher, which lands it (append + fsync-equivalent) while new appends
-/// keep filling the next buffer. Commit points therefore wait on an LSN
-/// boundary at most one buffer behind — never on the whole log.
+/// Who lands sealed buffers — the whole difference between durability
+/// modes (see the module table).
 #[derive(Clone, Default)]
-pub struct PipelineConfig {
-    /// Shared per-device sync window, when several edges' logs live on
-    /// one storage device. `None` syncs alone.
-    pub coalescer: Option<Arc<SyncCoalescer>>,
-    /// Skip spawning the dedicated flusher thread. Harness mode: the
-    /// test or model checker drives [`Wal::flusher_step`] itself (the
-    /// mcheck scenario runs it as a virtual task), and seal-time
-    /// backpressure is disabled outside the checker so a single-threaded
-    /// harness can interleave appends and flushes freely.
-    pub manual_flusher: bool,
+pub enum FlushDriver {
+    /// The commit point that fills a group seals the buffer and lands it
+    /// on its own thread before returning. No thread is spawned.
+    #[default]
+    Inline,
+    /// A dedicated flusher thread lands buffers while appends keep
+    /// filling the next one; a group-filling commit point waits only for
+    /// the *previous* buffer's boundary (double buffering).
+    Thread {
+        /// Shared per-device sync window, when several edges' logs live
+        /// on one storage device. `None` syncs alone.
+        coalescer: Option<Arc<SyncCoalescer>>,
+    },
+    /// Nothing lands by itself: the harness calls [`Wal::flusher_step`]
+    /// (the model checker runs it as a virtual task; the crash sweeps cut
+    /// the device at exact buffer boundaries). Outside the checker
+    /// [`Wal::flush_lsn`] pumps inline instead of waiting.
+    Manual,
 }
 
-/// One sealed buffer travelling from the appenders to the flusher.
-struct SealedBuf {
-    bytes: Vec<u8>,
-    /// Global LSN of the last byte in this buffer; landing the buffer
-    /// advances `last_flushed_lsn` to exactly here.
-    up_to_lsn: u64,
-}
-
-/// Everything the appenders and the flusher exchange. One plain mutex:
+/// Everything the appenders and `step` exchange. One plain mutex:
 /// appenders touch it briefly (extend the active buffer, bump counters),
-/// the flusher holds it only outside I/O — the fsync itself runs with
-/// the state unlocked, which is the whole point of the pipeline.
+/// `step` holds it only outside I/O — the sync itself runs with the
+/// state unlocked, so appends keep landing in the next buffer.
+#[derive(Default)]
 struct PipeState {
-    /// The log device. `None` while the flusher has it checked out for
-    /// I/O (appenders never touch storage in pipelined mode).
+    /// The log device. `None` while a `step` has it checked out to land
+    /// the front sealed buffer (appenders never touch storage).
     storage: Option<Box<dyn Storage>>,
     /// Bytes appended since the last seal.
     active: Vec<u8>,
     /// Commit points in the active buffer.
     active_commits: usize,
-    /// Sealed buffers awaiting the flusher.
-    sealed: VecDeque<SealedBuf>,
+    /// Sealed buffers not yet landed, oldest first; they land in order,
+    /// so landing one advances `last_flushed_lsn` by its length. While
+    /// the storage is checked out, the front one is mid-I/O (shared with
+    /// that `step`).
+    sealed: VecDeque<Arc<Vec<u8>>>,
     /// Global LSN of the last appended byte. Never resets — epochs
     /// re-frame the on-device log, not the LSN space.
     latest_lsn: u64,
-    /// Global LSN of the last *sealed* byte.
-    sealed_lsn: u64,
     /// Global durable boundary: everything at or below is synced (or
     /// folded into a durable checkpoint). Monotone.
     last_flushed_lsn: u64,
-    /// A buffer is checked out and mid-I/O on the flusher.
-    flushing: bool,
     /// Accepting no more work; the flusher drains `sealed` and exits.
     shutdown: bool,
-    /// Durable syncs performed by the flusher (merged into [`WalStats`]).
+    /// Durable syncs performed (reported through [`WalStats`]).
     syncs: u64,
     /// Checkpoint epoch (the on-device log restarted this many times).
     epoch: u64,
     /// Bytes landed in the current epoch's on-device log.
     epoch_len: u64,
-    /// Shipping endpoint; published to *only* in the flusher's post-sync
-    /// path and the checkpoint's epoch restart — shipped ⊆ durable.
+    /// Shipping endpoint; published to *only* in `step`'s post-sync
+    /// section and the checkpoint's epoch restart — shipped ⊆ durable.
     shipper: Option<Arc<LogShipper>>,
-    /// Observability stream (mirrors `WalInner::obs`). Pipelined events
-    /// carry global LSNs.
+    /// Observability stream (disabled by default). Events carry global
+    /// LSNs and the checkpoint epoch.
     obs: EdgeObs,
-    /// A flusher I/O failure is sticky: appends and boundary waits fail
-    /// fast instead of acking commits that can never become durable.
+    /// An I/O failure is sticky: appends and boundary waits fail fast
+    /// instead of acking commits that can never become durable.
     io_error: Option<(io::ErrorKind, String)>,
     /// Model-checker mutation: publish a buffer *before* syncing it,
     /// violating shipped ⊆ durable. Exists so `tests/mcheck.rs` can
@@ -182,24 +183,48 @@ struct PipeState {
     publish_before_sync: bool,
 }
 
-/// The pipelined half of a [`Wal`], shared with the flusher thread.
-struct PipelineShared {
+/// The buffer/boundary half of a [`Wal`], shared with the flusher thread.
+struct Shared {
     state: StdMutex<PipeState>,
     /// Signals the flusher: a buffer was sealed (or shutdown was set).
     work_cv: Condvar,
-    /// Signals boundary waiters: `last_flushed_lsn` advanced.
+    /// Signals boundary waiters: `last_flushed_lsn` advanced, or a
+    /// checked-out buffer came back.
     boundary_cv: Condvar,
-    coalescer: Option<Arc<SyncCoalescer>>,
-    /// A dedicated flusher thread exists (i.e. not harness mode).
-    has_flusher: bool,
+    driver: FlushDriver,
 }
 
-impl PipelineShared {
-    /// Whether seal-time backpressure applies: something else is driving
-    /// the flusher, so waiting for the previous buffer's boundary cannot
-    /// deadlock. True for the thread, and for mcheck's virtual task.
-    fn backpressure(&self) -> bool {
-        self.has_flusher || crate::sched::active()
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().expect(PIPE_LOCK)
+    }
+
+    /// Park until `cv` is signalled (under the model checker: until the
+    /// next `progress`). Spurious returns are fine — callers re-check.
+    fn wait<'a>(
+        &'a self,
+        cv: &Condvar,
+        state: MutexGuard<'a, PipeState>,
+        label: &'static str,
+    ) -> MutexGuard<'a, PipeState> {
+        if crate::sched::active() {
+            drop(state);
+            crate::sched::block_point(label);
+            self.lock()
+        } else {
+            cv.wait(state).expect(PIPE_LOCK)
+        }
+    }
+
+    /// Whether someone other than the caller lands sealed buffers, so
+    /// waiting for a boundary cannot deadlock: the flusher thread, or
+    /// mcheck's virtual flusher task.
+    fn driven_elsewhere(&self) -> bool {
+        match self.driver {
+            FlushDriver::Inline => false,
+            FlushDriver::Thread { .. } => true,
+            FlushDriver::Manual => crate::sched::active(),
+        }
     }
 
     fn io_error_locked(state: &PipeState) -> io::Result<()> {
@@ -209,20 +234,16 @@ impl PipelineShared {
         }
     }
 
-    /// Seal the active buffer onto the flusher queue. Caller holds the
-    /// state lock; returns whether anything was sealed so the caller can
-    /// mark scheduler progress *after* unlocking.
+    /// Seal the active buffer onto the queue. Caller holds the state
+    /// lock; returns whether anything was sealed so the caller can mark
+    /// scheduler progress *after* unlocking.
     fn seal_locked(&self, state: &mut PipeState) -> bool {
         if state.active.is_empty() {
             return false;
         }
         let bytes = std::mem::take(&mut state.active);
         state.active_commits = 0;
-        state.sealed_lsn = state.latest_lsn;
-        state.sealed.push_back(SealedBuf {
-            bytes,
-            up_to_lsn: state.latest_lsn,
-        });
+        state.sealed.push_back(Arc::new(bytes));
         state.obs.emit(EventKind::WalBufferSeal {
             lsn: state.latest_lsn,
         });
@@ -230,24 +251,23 @@ impl PipelineShared {
         true
     }
 
-    /// Commit-point seal: apply backpressure (wait for the *previous*
-    /// buffer's LSN boundary — double buffering bounds the pipeline at
-    /// one in-flight buffer), then seal. `group` is re-checked under the
-    /// lock because a racing commit may have sealed first.
-    fn seal_for_commit(&self, group: usize) -> io::Result<()> {
-        let mut state = self.state.lock().expect(PIPE_LOCK);
+    /// The commit point at `lsn` filled its group. Inline: it pays for
+    /// the group — seal and land up to its own LSN on this thread. With a
+    /// flusher: apply backpressure (wait for the *previous* buffer's
+    /// boundary — double buffering bounds the pipeline at one in-flight
+    /// buffer), then seal; `group` is re-checked under the lock because a
+    /// racing commit may have sealed first.
+    fn seal_for_commit(&self, lsn: u64, group: usize) -> io::Result<()> {
+        if matches!(self.driver, FlushDriver::Inline) {
+            return self.flush_lsn(lsn);
+        }
+        let mut state = self.lock();
         if state.active_commits < group {
             return Ok(()); // someone else sealed this group already
         }
-        if self.backpressure() {
-            while state.last_flushed_lsn < state.sealed_lsn && state.io_error.is_none() {
-                if crate::sched::active() {
-                    drop(state);
-                    crate::sched::block_point("wal.buffer.backpressure");
-                    state = self.state.lock().expect(PIPE_LOCK);
-                } else {
-                    state = self.boundary_cv.wait(state).expect(PIPE_LOCK);
-                }
+        if self.driven_elsewhere() {
+            while !state.sealed.is_empty() && state.io_error.is_none() {
+                state = self.wait(&self.boundary_cv, state, "wal.buffer.backpressure");
             }
         }
         Self::io_error_locked(&state)?;
@@ -259,85 +279,67 @@ impl PipelineShared {
         Ok(())
     }
 
-    /// Wait until the durable boundary covers `lsn`, sealing the active
-    /// buffer first when `lsn` still sits inside it. Returns immediately
-    /// when `lsn ≤ last_flushed_lsn`. In harness mode outside the model
-    /// checker there is nobody to wait for, so the caller's thread pumps
-    /// the flusher inline instead of blocking.
+    /// Wait until the durable boundary covers `lsn` (clamped to the log
+    /// tip), sealing the active buffer first when `lsn` still sits inside
+    /// it. Returns immediately when `lsn ≤ last_flushed_lsn`. When nobody
+    /// else drives `step`, the caller lands buffers itself — unless
+    /// another appender has one in flight, which it waits out.
     fn flush_lsn(&self, lsn: u64) -> io::Result<()> {
-        crate::sched::yield_point("wal.buffer.flush_lsn");
-        if !self.has_flusher && !crate::sched::active() {
-            loop {
-                {
-                    let mut state = self.state.lock().expect(PIPE_LOCK);
-                    if state.last_flushed_lsn >= lsn {
-                        return Ok(());
-                    }
-                    PipelineShared::io_error_locked(&state)?;
-                    if lsn > state.sealed_lsn {
-                        self.seal_locked(&mut state);
-                    }
-                }
-                self.step(true)?;
-            }
-        }
-        let mut state = self.state.lock().expect(PIPE_LOCK);
+        let mut state = self.lock();
         loop {
-            if state.last_flushed_lsn >= lsn {
+            if state.last_flushed_lsn >= lsn.min(state.latest_lsn) {
                 return Ok(());
             }
             Self::io_error_locked(&state)?;
-            if lsn > state.sealed_lsn && self.seal_locked(&mut state) {
+            let sealed_lsn = state.latest_lsn - state.active.len() as u64;
+            if lsn > sealed_lsn && self.seal_locked(&mut state) {
                 drop(state);
                 crate::sched::progress("wal.buffer.sealed");
-                state = self.state.lock().expect(PIPE_LOCK);
-                continue;
-            }
-            if crate::sched::active() {
-                drop(state);
-                crate::sched::block_point("wal.buffer.boundary");
-                state = self.state.lock().expect(PIPE_LOCK);
+                state = self.lock();
+            } else if state.storage.is_none() || self.driven_elsewhere() {
+                state = self.wait(&self.boundary_cv, state, "wal.buffer.boundary");
             } else {
-                state = self.boundary_cv.wait(state).expect(PIPE_LOCK);
+                drop(state);
+                self.step(false)?;
+                state = self.lock();
             }
         }
     }
 
-    /// One flusher iteration: wait for a sealed buffer, land it (append +
-    /// sync, through the device coalescer when present), advance
-    /// `last_flushed_lsn`, and publish the landed bytes — publication
-    /// lives *here*, strictly after the sync, which is the structural
-    /// form of the shipped ⊆ durable contract. Returns `Ok(false)` once
-    /// shut down and drained.
+    /// Land the oldest sealed buffer: append + sync (through the device
+    /// coalescer when present), then advance `last_flushed_lsn` and
+    /// publish the landed bytes — publication lives *here*, strictly
+    /// after the sync and in the same state-lock section as the boundary
+    /// advance, which is the structural form of the shipped ⊆ durable
+    /// contract. With nothing to land (or another `step` mid-I/O) it
+    /// waits if `wait_for_work`, else returns `Ok(false)`; also
+    /// `Ok(false)` once shut down and drained.
     fn step(&self, wait_for_work: bool) -> io::Result<bool> {
-        crate::sched::yield_point("wal.buffer.flusher");
         #[cfg_attr(not(feature = "mcheck"), allow(unused_mut))]
         let mut pre_published = false;
-        let (mut storage, buf, obs_enabled) = {
-            let mut state = self.state.lock().expect(PIPE_LOCK);
+        let (mut storage, buf, lsn, obs_enabled) = {
+            let mut state = self.lock();
             loop {
-                if let Some(buf) = state.sealed.pop_front() {
-                    let storage = state.storage.take().expect("storage checked in");
-                    state.flushing = true;
+                let busy = state.storage.is_none();
+                if let Some(buf) = state.sealed.front().filter(|_| !busy).cloned() {
+                    let storage = state.storage.take().expect("not checked out");
+                    let lsn = state.last_flushed_lsn + buf.len() as u64;
                     #[cfg(feature = "mcheck")]
                     if state.publish_before_sync {
                         // The deliberately wrong order the self-test hunts.
-                        Self::publish_locked(&mut state, &buf);
+                        Self::publish_locked(&mut state, &buf, lsn);
                         pre_published = true;
                     }
-                    let enabled = state.obs.is_enabled();
-                    break (storage, buf, enabled);
+                    break (storage, buf, lsn, state.obs.is_enabled());
                 }
-                if state.shutdown || !wait_for_work {
+                if !wait_for_work || (state.shutdown && !busy) {
                     return Ok(false);
                 }
-                if crate::sched::active() {
-                    drop(state);
-                    crate::sched::block_point("wal.buffer.drain");
-                    state = self.state.lock().expect(PIPE_LOCK);
+                state = if busy {
+                    self.wait(&self.boundary_cv, state, "wal.buffer.boundary")
                 } else {
-                    state = self.work_cv.wait(state).expect(PIPE_LOCK);
-                }
+                    self.wait(&self.work_cv, state, "wal.buffer.drain")
+                };
             }
         };
         // The I/O runs with the state unlocked: appends keep landing in
@@ -345,34 +347,29 @@ impl PipelineShared {
         crate::sched::yield_point("wal.buffer.sync");
         let timer = obs_enabled.then(std::time::Instant::now);
         let mut windows_led = Vec::new();
-        let io_result = match storage.append(&buf.bytes) {
+        let io_result = match storage.append(&buf) {
             Err(e) => Err(e),
-            Ok(()) => {
-                if let Some(coalescer) = &self.coalescer {
+            Ok(()) => match &self.driver {
+                FlushDriver::Thread {
+                    coalescer: Some(coalescer),
+                } => {
                     let (returned, outcome) = coalescer.sync(storage);
                     storage = returned;
                     windows_led = outcome.windows_led;
                     outcome.result
-                } else {
-                    storage.sync()
                 }
-            }
+                _ => storage.sync(),
+            },
         };
-        let mut state = self.state.lock().expect(PIPE_LOCK);
+        let mut state = self.lock();
         state.storage = Some(storage);
-        state.flushing = false;
-        match io_result {
-            Err(e) => {
-                state.io_error = Some((e.kind(), e.to_string()));
-                drop(state);
-                self.boundary_cv.notify_all();
-                crate::sched::progress("wal.buffer.flushed");
-                Err(e)
-            }
+        match &io_result {
+            Err(e) => state.io_error = Some((e.kind(), e.to_string())),
             Ok(()) => {
-                state.last_flushed_lsn = buf.up_to_lsn;
+                state.sealed.pop_front();
+                state.last_flushed_lsn = lsn;
                 state.syncs += 1;
-                state.epoch_len += buf.bytes.len() as u64;
+                state.epoch_len += buf.len() as u64;
                 if let Some(t0) = timer {
                     state.obs.record_duration(HistKind::WalSyncMs, t0.elapsed());
                 }
@@ -381,362 +378,203 @@ impl PipelineShared {
                         requests: window as u64,
                     });
                 }
-                state.obs.emit(EventKind::WalSync {
-                    lsn: buf.up_to_lsn,
-                    epoch: state.epoch,
-                });
+                let epoch = state.epoch;
+                state.obs.emit(EventKind::WalSync { lsn, epoch });
                 if !pre_published {
-                    Self::publish_locked(&mut state, &buf);
+                    Self::publish_locked(&mut state, &buf, lsn);
                 }
-                drop(state);
-                self.boundary_cv.notify_all();
-                crate::sched::progress("wal.buffer.flushed");
-                Ok(true)
             }
         }
+        drop(state);
+        self.boundary_cv.notify_all();
+        crate::sched::progress("wal.buffer.flushed");
+        io_result.map(|()| true)
     }
 
     /// Publish one landed buffer to the shipper (caller holds the state
     /// lock, making the publish atomic with the boundary advance — a
     /// checkpoint can never slide an epoch bump between them).
-    fn publish_locked(state: &mut PipeState, buf: &SealedBuf) {
+    fn publish_locked(state: &mut PipeState, buf: &[u8], lsn: u64) {
         if let Some(shipper) = &state.shipper {
-            shipper.publish(&buf.bytes);
-            state.obs.emit(EventKind::ShipPublish {
-                lsn: buf.up_to_lsn,
-                epoch: state.epoch,
-            });
+            shipper.publish(buf);
+            let epoch = state.epoch;
+            state.obs.emit(EventKind::ShipPublish { lsn, epoch });
         }
     }
 }
 
+/// What the writer mutex orders: the shadow of the log, so that log
+/// order == shadow order.
+#[derive(Default)]
 struct WalInner {
-    storage: Box<dyn Storage>,
-    config: WalConfig,
     shadow: RecoveryState,
     /// The committed state at the log tip — what replaying the log now
     /// would rebuild. Values alias the live store's `Arc`s.
     shadow_store: KvStore,
-    unsynced_commits: usize,
     commits_since_checkpoint: u64,
-    /// Bytes of the current epoch's log known durable (legacy modes
-    /// only; the pipelined boundary lives in `PipeState`). Lets
-    /// `flush_lsn` answer at-or-below-the-boundary requests without I/O.
-    flushed_len: u64,
+    /// `syncs` is kept by `step` in [`PipeState`]; see [`Wal::stats`].
     stats: WalStats,
-    /// Cloud replication endpoint, when shipping is on. Published to only
-    /// inside the sync paths, so the shipped image is exactly the durable
-    /// image — a replica can lag but never run ahead of a crash.
-    shipper: Option<Arc<LogShipper>>,
-    /// Frame bytes appended since the last sync — the batch the next sync
-    /// publishes.
-    unshipped: Vec<u8>,
-    /// Observability stream (disabled by default). Events use the log
-    /// length as the LSN and the checkpoint epoch as the epoch, so the
-    /// ordering contract's shipped ⊆ durable check is byte-exact.
-    obs: EdgeObs,
-    /// Checkpoint epoch: bumped at every truncation (mirrors the
-    /// shipper's epoch when one is attached).
-    epoch: u64,
 }
 
 impl WalInner {
-    /// Make everything appended durable and publish it to the shipper.
-    /// The single exit through which bytes become both synced and shipped.
-    fn sync_and_publish(&mut self) -> io::Result<()> {
-        let timer = self.obs.is_enabled().then(std::time::Instant::now);
-        self.storage.sync()?;
-        self.stats.syncs += 1;
-        self.unsynced_commits = 0;
-        let lsn = self.storage.len();
-        self.flushed_len = lsn;
-        if let Some(t0) = timer {
-            self.obs.record_duration(HistKind::WalSyncMs, t0.elapsed());
-        }
-        self.obs.emit(EventKind::WalSync {
-            lsn,
-            epoch: self.epoch,
-        });
-        if let Some(shipper) = &self.shipper {
-            shipper.publish(&self.unshipped);
-            if !self.unshipped.is_empty() {
-                self.obs.emit(EventKind::ShipPublish {
-                    lsn,
-                    epoch: self.epoch,
-                });
-            }
-        }
-        self.unshipped.clear();
-        Ok(())
+    /// The framed checkpoint record serializing the shadow state.
+    fn checkpoint_frame(&self) -> Vec<u8> {
+        let cp = self.shadow.to_checkpoint(&self.shadow_store);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        framed
     }
 }
 
 /// A per-edge write-ahead log. Thread-safe; share via `Arc`.
 pub struct Wal {
+    config: WalConfig,
     inner: Mutex<WalInner>,
-    /// `Some` in pipelined mode. The legacy (synchronous) modes never
-    /// touch it and stay byte-identical with the pre-pipeline writer; in
-    /// pipelined mode the real storage lives inside, and `inner.storage`
-    /// is an empty placeholder device nothing writes to.
-    pipeline: Option<Arc<PipelineShared>>,
-    /// The dedicated flusher thread, joined on drop.
+    shared: Arc<Shared>,
+    /// The dedicated flusher thread ([`FlushDriver::Thread`] only),
+    /// joined on drop.
     flusher: Option<JoinHandle<()>>,
 }
 
 impl Wal {
-    /// A log over any storage backend.
+    /// A log over any storage backend, landed by `driver`.
     #[must_use]
-    pub fn with_storage(storage: Box<dyn Storage>, config: WalConfig) -> Self {
-        Wal {
-            inner: Mutex::new(WalInner {
-                storage,
-                config,
-                shadow: RecoveryState::new(),
-                shadow_store: KvStore::new(),
-                unsynced_commits: 0,
-                commits_since_checkpoint: 0,
-                flushed_len: 0,
-                stats: WalStats::default(),
-                shipper: None,
-                unshipped: Vec::new(),
-                obs: EdgeObs::disabled(),
-                epoch: 0,
-            }),
-            pipeline: None,
-            flusher: None,
-        }
-    }
-
-    /// A *pipelined* log over any storage backend: appends receive
-    /// global monotone LSNs, buffers seal every
-    /// [`WalConfig::group_commit`] commit points, and a dedicated
-    /// flusher lands them while new appends keep going. See
-    /// [`PipelineConfig`].
-    #[must_use]
-    pub fn with_storage_pipelined(
-        storage: Box<dyn Storage>,
-        config: WalConfig,
-        pipe: PipelineConfig,
-    ) -> Self {
-        let mut wal = Wal::with_storage(Box::new(MemStorage::new()), config);
-        let shared = Arc::new(PipelineShared {
+    pub fn with_storage(storage: Box<dyn Storage>, config: WalConfig, driver: FlushDriver) -> Self {
+        let shared = Arc::new(Shared {
             state: StdMutex::new(PipeState {
                 storage: Some(storage),
-                active: Vec::new(),
-                active_commits: 0,
-                sealed: VecDeque::new(),
-                latest_lsn: 0,
-                sealed_lsn: 0,
-                last_flushed_lsn: 0,
-                flushing: false,
-                shutdown: false,
-                syncs: 0,
-                epoch: 0,
-                epoch_len: 0,
-                shipper: None,
-                obs: EdgeObs::disabled(),
-                io_error: None,
-                #[cfg(feature = "mcheck")]
-                publish_before_sync: false,
+                ..PipeState::default()
             }),
             work_cv: Condvar::new(),
             boundary_cv: Condvar::new(),
-            coalescer: pipe.coalescer,
-            has_flusher: !pipe.manual_flusher,
+            driver,
         });
-        if !pipe.manual_flusher {
-            let for_thread = Arc::clone(&shared);
-            wal.flusher = Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || {
-                        // An Err is sticky in the state; waiters fail
-                        // fast, so the thread just stops pumping.
-                        while matches!(for_thread.step(true), Ok(true)) {}
-                    })
-                    .expect("spawn wal flusher"),
-            );
+        let flusher = matches!(shared.driver, FlushDriver::Thread { .. }).then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("wal-flusher".into())
+                .spawn(move || {
+                    // An Err is sticky in the state; waiters fail fast,
+                    // so the thread just stops pumping.
+                    while matches!(shared.step(true), Ok(true)) {}
+                })
+                .expect("spawn wal flusher")
+        });
+        Wal {
+            config,
+            inner: Mutex::new(WalInner::default()),
+            shared,
+            flusher,
         }
-        wal.pipeline = Some(shared);
-        wal
     }
 
-    /// A fresh pipelined in-memory log; the [`MemStorage`] handle shares
-    /// the device, for crash simulation at buffer-seal and post-sync
-    /// boundaries.
+    /// A fresh file-backed log at `path`, landed inline (truncates an
+    /// existing file — recover from it *first* via
+    /// [`crate::recover_file`]).
+    pub fn create(path: impl AsRef<Path>, config: WalConfig) -> io::Result<Self> {
+        Ok(Wal::with_storage(
+            Box::new(FileStorage::create(path.as_ref())?),
+            config,
+            FlushDriver::Inline,
+        ))
+    }
+
+    /// A fresh in-memory log landed inline; the returned [`MemStorage`]
+    /// handle shares the device, for crash simulation.
     #[must_use]
-    pub fn pipelined_in_memory(config: WalConfig, pipe: PipelineConfig) -> (Self, MemStorage) {
+    pub fn in_memory(config: WalConfig) -> (Self, MemStorage) {
+        Wal::in_memory_with(config, FlushDriver::Inline)
+    }
+
+    /// [`in_memory`](Wal::in_memory) under any driver.
+    #[must_use]
+    pub fn in_memory_with(config: WalConfig, driver: FlushDriver) -> (Self, MemStorage) {
         let probe = MemStorage::new();
-        let wal = Wal::with_storage_pipelined(Box::new(probe.clone()), config, pipe);
+        let wal = Wal::with_storage(Box::new(probe.clone()), config, driver);
         (wal, probe)
     }
 
-    /// Whether this writer runs the pipelined path.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline.is_some()
+    /// Rebuild a writer over recovered state: the log restarts as a single
+    /// durable checkpoint frame at epoch 1 serializing `state` (as
+    /// recovered — see [`RecoveryReport::state`](crate::RecoveryReport))
+    /// over `store` (the recovered committed store); `storage` is
+    /// truncated to it, so recover from it *first*. Writes the recovered
+    /// transactions never committed are abandoned first: their owners
+    /// died with their locks, so they can never finish, and their stale
+    /// pre-images must not overlay future checkpoints. With a shipper,
+    /// the replica's tail restarts at the new epoch.
+    pub fn resume(
+        storage: Box<dyn Storage>,
+        config: WalConfig,
+        driver: FlushDriver,
+        mut state: RecoveryState,
+        store: &KvStore,
+        shipper: Option<Arc<LogShipper>>,
+    ) -> io::Result<Self> {
+        state.abandon_pending();
+        let wal = Wal::with_storage(storage, config, driver);
+        {
+            let mut inner = wal.inner.lock();
+            inner.shadow = state;
+            for (key, versioned) in store.snapshot() {
+                inner.shadow_store.put(key, versioned.value);
+            }
+            inner.stats.checkpoints = 1;
+            let framed = inner.checkpoint_frame();
+            let mut pstate = wal.shared.lock();
+            let storage = pstate.storage.as_mut().expect("no step has run yet");
+            storage.reset(&framed)?;
+            pstate.syncs = 1;
+            pstate.epoch = 1;
+            pstate.epoch_len = framed.len() as u64;
+            if let Some(shipper) = &shipper {
+                shipper.restart_epoch(&framed);
+            }
+            pstate.shipper = shipper;
+        }
+        Ok(wal)
     }
 
-    /// Attach an observability stream: appends, syncs and publishes are
-    /// emitted as typed events, and sync latency feeds the per-edge
-    /// histogram. Safe to call at any point; the default is disabled.
+    /// Whether this writer owns a flusher thread (only under
+    /// [`FlushDriver::Thread`]).
+    #[must_use]
+    pub fn owns_flusher_thread(&self) -> bool {
+        self.flusher.is_some()
+    }
+
+    /// Attach an observability stream: appends, seals, syncs and
+    /// publishes are emitted as typed events, and sync latency feeds the
+    /// per-edge histogram. Safe to call at any point; the default is
+    /// disabled.
     pub fn set_obs(&self, obs: EdgeObs) {
-        if let Some(shared) = &self.pipeline {
-            shared.state.lock().expect(PIPE_LOCK).obs = obs.clone();
-        }
-        self.inner.lock().obs = obs;
+        self.shared.lock().obs = obs;
     }
 
     /// Attach a cloud shipping endpoint. Must happen before the first
     /// append — the writer cannot read already-written bytes back out of
     /// its storage to backfill the replica.
     pub fn attach_shipper(&self, shipper: Arc<LogShipper>) {
-        let mut inner = self.inner.lock();
-        if let Some(shared) = &self.pipeline {
-            let mut state = shared.state.lock().expect(PIPE_LOCK);
-            assert!(
-                state.latest_lsn == 0,
-                "attach the shipper before the first append"
-            );
-            state.shipper = Some(Arc::clone(&shipper));
-        } else {
-            assert!(
-                inner.storage.is_empty(),
-                "attach the shipper before the first append"
-            );
+        let mut state = self.shared.lock();
+        let fresh = state.latest_lsn == 0 && state.epoch_len == 0;
+        if fresh {
+            state.shipper = Some(shipper);
         }
-        inner.shipper = Some(shipper);
+        drop(state); // a panic under the guard would poison the writer
+        assert!(fresh, "attach the shipper before the first append");
     }
 
-    /// The attached shipping endpoint, if any.
-    #[must_use]
-    pub fn shipper(&self) -> Option<Arc<LogShipper>> {
-        self.inner.lock().shipper.clone()
-    }
-
-    /// Rebuild a writer over recovered state: the log restarts as a single
-    /// checkpoint frame serializing `state` (as recovered — see
-    /// [`RecoveryReport::state`](crate::RecoveryReport)) over `store` (the
-    /// recovered committed store). Writes the recovered transactions never
-    /// committed are abandoned first: their owners died with their locks,
-    /// so they can never finish, and their stale pre-images must not
-    /// overlay future checkpoints. With a shipper, the replica's tail
-    /// restarts at the new epoch.
-    pub fn resume(
-        storage: Box<dyn Storage>,
-        config: WalConfig,
-        mut state: RecoveryState,
-        store: &KvStore,
-        shipper: Option<Arc<LogShipper>>,
-    ) -> io::Result<Self> {
-        state.abandon_pending();
-        let shadow_store = KvStore::new();
-        for (key, versioned) in store.snapshot() {
-            shadow_store.put(key, versioned.value);
-        }
-        let cp = state.to_checkpoint(&shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        let wal = Wal::with_storage(storage, config);
-        {
-            let mut inner = wal.inner.lock();
-            inner.storage.reset(&framed)?;
-            inner.shadow = state;
-            inner.shadow_store = shadow_store;
-            inner.stats.checkpoints += 1;
-            inner.stats.syncs += 1;
-            inner.flushed_len = framed.len() as u64;
-            inner.epoch = 1;
-            if let Some(shipper) = &shipper {
-                shipper.restart_epoch(&framed);
-            }
-            inner.shipper = shipper;
-        }
-        Ok(wal)
-    }
-
-    /// [`resume`](Wal::resume), pipelined: the recovered log restarts as
-    /// a single durable checkpoint frame at epoch 1, and new appends go
-    /// through the buffer/flusher pipeline.
-    pub fn resume_pipelined(
-        mut storage: Box<dyn Storage>,
-        config: WalConfig,
-        pipe: PipelineConfig,
-        mut state: RecoveryState,
-        store: &KvStore,
-        shipper: Option<Arc<LogShipper>>,
-    ) -> io::Result<Self> {
-        state.abandon_pending();
-        let shadow_store = KvStore::new();
-        for (key, versioned) in store.snapshot() {
-            shadow_store.put(key, versioned.value);
-        }
-        let cp = state.to_checkpoint(&shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        storage.reset(&framed)?;
-        if let Some(shipper) = &shipper {
-            shipper.restart_epoch(&framed);
-        }
-        let wal = Wal::with_storage_pipelined(storage, config, pipe);
-        {
-            let mut inner = wal.inner.lock();
-            inner.shadow = state;
-            inner.shadow_store = shadow_store;
-            inner.stats.checkpoints += 1;
-            inner.shipper = shipper.clone();
-        }
-        {
-            let shared = wal.pipeline.as_ref().expect("pipelined constructor");
-            let mut pstate = shared.state.lock().expect(PIPE_LOCK);
-            pstate.epoch = 1;
-            pstate.epoch_len = framed.len() as u64;
-            pstate.syncs = 1;
-            pstate.shipper = shipper;
-        }
-        Ok(wal)
-    }
-
-    /// [`resume`](Wal::resume) over a file (truncating whatever is there —
-    /// recover from it *first*).
-    pub fn resume_file(
-        path: impl AsRef<Path>,
-        config: WalConfig,
-        state: RecoveryState,
-        store: &KvStore,
-        shipper: Option<Arc<LogShipper>>,
-    ) -> io::Result<Self> {
-        Wal::resume(
-            Box::new(FileStorage::create(path.as_ref())?),
-            config,
-            state,
-            store,
-            shipper,
-        )
-    }
-
-    /// A fresh file-backed log at `path` (truncates an existing file —
-    /// recover from it *first* via [`crate::recover_file`]).
-    pub fn create(path: impl AsRef<Path>, config: WalConfig) -> io::Result<Self> {
-        Ok(Wal::with_storage(
-            Box::new(FileStorage::create(path.as_ref())?),
-            config,
-        ))
-    }
-
-    /// A fresh in-memory log; the returned [`MemStorage`] handle shares
-    /// the device, for crash simulation.
-    #[must_use]
-    pub fn in_memory(config: WalConfig) -> (Self, MemStorage) {
-        let probe = MemStorage::new();
-        let wal = Wal::with_storage(Box::new(probe.clone()), config);
-        (wal, probe)
-    }
-
-    fn append_record(inner: &mut WalInner, record: &WalRecord) -> io::Result<()> {
+    /// Frame `record` into the active buffer and fold it into the shadow,
+    /// both under the writer mutex (log order == shadow order); storage
+    /// is never touched on this path. Returns the record's LSN and, for a
+    /// commit point, whether it filled its group.
+    fn append(
+        &self,
+        inner: &mut WalInner,
+        record: &WalRecord,
+        commit_point: bool,
+    ) -> io::Result<(u64, bool)> {
         let mut framed = Vec::with_capacity(64);
         write_frame(&mut framed, &record.encode());
-        inner.storage.append(&framed)?;
         // Split-borrow: fold into the shadow state *and* shadow store.
         let WalInner {
             shadow,
@@ -746,100 +584,35 @@ impl Wal {
         shadow.apply(record, Some(shadow_store));
         inner.stats.records += 1;
         inner.stats.bytes_appended += framed.len() as u64;
-        inner.unshipped.extend_from_slice(&framed);
-        inner.obs.emit(EventKind::WalAppend {
-            lsn: inner.storage.len(),
-        });
-        Ok(())
-    }
-
-    /// Pipelined append: the shadow fold and counters stay under the
-    /// writer mutex (log order == shadow order), but the bytes land in
-    /// the active buffer and the record gets a global monotone LSN —
-    /// storage is never touched on this path.
-    fn append_record_pipelined(
-        shared: &PipelineShared,
-        inner: &mut WalInner,
-        record: &WalRecord,
-    ) -> io::Result<u64> {
-        let mut framed = Vec::with_capacity(64);
-        write_frame(&mut framed, &record.encode());
-        let WalInner {
-            shadow,
-            shadow_store,
-            ..
-        } = inner;
-        shadow.apply(record, Some(shadow_store));
-        inner.stats.records += 1;
-        inner.stats.bytes_appended += framed.len() as u64;
-        let mut state = shared.state.lock().expect(PIPE_LOCK);
-        PipelineShared::io_error_locked(&state)?;
+        let mut state = self.shared.lock();
+        Shared::io_error_locked(&state)?;
         state.active.extend_from_slice(&framed);
         state.latest_lsn += framed.len() as u64;
         let lsn = state.latest_lsn;
         state.obs.emit(EventKind::WalAppend { lsn });
-        Ok(lsn)
-    }
-
-    /// Append one record through whichever path this writer runs,
-    /// returning its LSN (global in pipelined mode, the epoch-relative
-    /// log length in the synchronous modes).
-    fn append_any(&self, inner: &mut WalInner, record: &WalRecord) -> io::Result<u64> {
-        match &self.pipeline {
-            None => {
-                Self::append_record(inner, record)?;
-                Ok(inner.storage.len())
-            }
-            Some(shared) => Self::append_record_pipelined(shared, inner, record),
+        if commit_point {
+            inner.stats.commit_points += 1;
+            inner.commits_since_checkpoint += 1;
+            state.active_commits += 1;
         }
+        let filled = commit_point && state.active_commits >= self.config.group_commit;
+        Ok((lsn, filled))
     }
 
-    fn commit_point(inner: &mut WalInner) -> io::Result<()> {
-        inner.stats.commit_points += 1;
-        inner.commits_since_checkpoint += 1;
-        inner.unsynced_commits += 1;
-        if inner.unsynced_commits >= inner.config.group_commit {
-            inner.sync_and_publish()?;
-        }
-        Ok(())
-    }
-
-    /// Log one executed stage, returning its LSN. If the record is a
-    /// commit point, the group policy decides what this call pays: the
-    /// synchronous modes may sync inline; the pipelined mode at most
-    /// seals the buffer and waits on the *previous* buffer's LSN
-    /// boundary while this one syncs in the background.
+    /// Log one executed stage, returning its LSN. If the record is the
+    /// commit point that fills a group, the [`FlushDriver`] decides what
+    /// this call pays: inline it seals and lands the group before
+    /// returning; with a flusher it at most waits on the *previous*
+    /// buffer's LSN boundary while this one syncs in the background.
     pub fn append_stage(&self, record: StageRecord) -> io::Result<u64> {
         crate::sched::yield_point("wal.append_stage");
-        let is_commit = record.flags.commit_point();
-        let (lsn, seal_group) = {
-            let mut inner = self.inner.lock();
-            let lsn = self.append_any(&mut inner, &WalRecord::Stage(record))?;
-            let mut seal_group = None;
-            if is_commit {
-                match &self.pipeline {
-                    None => Self::commit_point(&mut inner)?,
-                    Some(shared) => {
-                        inner.stats.commit_points += 1;
-                        inner.commits_since_checkpoint += 1;
-                        let group = inner.config.group_commit;
-                        let mut state = shared.state.lock().expect(PIPE_LOCK);
-                        state.active_commits += 1;
-                        if state.active_commits >= group {
-                            seal_group = Some(group);
-                        }
-                    }
-                }
-            }
-            (lsn, seal_group)
-        };
-        if let Some(group) = seal_group {
-            // Outside the writer mutex: the backpressure wait must not
-            // block other appenders' non-sealing commits.
-            self.pipeline
-                .as_ref()
-                .expect("seal only set in pipelined mode")
-                .seal_for_commit(group)?;
+        let commit_point = record.flags.commit_point();
+        let record = WalRecord::Stage(record);
+        let (lsn, filled) = self.append(&mut self.inner.lock(), &record, commit_point)?;
+        if filled {
+            // Outside the writer mutex: landing (or the backpressure
+            // wait) must not block other appenders.
+            self.shared.seal_for_commit(lsn, self.config.group_commit)?;
         }
         Ok(lsn)
     }
@@ -853,7 +626,7 @@ impl Wal {
         crate::sched::yield_point("wal.append_retracts");
         let mut inner = self.inner.lock();
         for r in retracts {
-            self.append_any(&mut inner, &WalRecord::Retract(r))?;
+            self.append(&mut inner, &WalRecord::Retract(r), false)?;
         }
         Ok(())
     }
@@ -861,19 +634,12 @@ impl Wal {
     /// Log a 2PC coordinator decision and make it durable *before*
     /// returning — the decision must be durable before any participant
     /// enters phase 2, or a coordinator crash leaves them in doubt
-    /// forever. The pipelined mode waits on the decision's own LSN
-    /// boundary instead of draining the whole log.
+    /// forever. Waits on the decision's own LSN boundary.
     pub fn append_tpc_decision(&self, txn: TxnId, commit: bool) -> io::Result<()> {
         crate::sched::yield_point("wal.append_tpc_decision");
-        let lsn = {
-            let mut inner = self.inner.lock();
-            let lsn = self.append_any(&mut inner, &WalRecord::TpcDecision { txn, commit })?;
-            match &self.pipeline {
-                None => return inner.sync_and_publish(),
-                Some(_) => lsn,
-            }
-        };
-        self.flush_lsn(lsn)
+        let record = WalRecord::TpcDecision { txn, commit };
+        let (lsn, _) = self.append(&mut self.inner.lock(), &record, false)?;
+        self.shared.flush_lsn(lsn)
     }
 
     /// Log the completion of a 2PC transaction's phase 2: every
@@ -882,8 +648,7 @@ impl Wal {
     /// idempotent phase 2 under presumed abort.
     pub fn append_tpc_end(&self, txn: TxnId) -> io::Result<()> {
         crate::sched::yield_point("wal.append_tpc_end");
-        let mut inner = self.inner.lock();
-        self.append_any(&mut inner, &WalRecord::TpcEnd { txn })?;
+        self.append(&mut self.inner.lock(), &WalRecord::TpcEnd { txn }, false)?;
         Ok(())
     }
 
@@ -893,8 +658,7 @@ impl Wal {
     /// next sync — a lost settle only means some entries get re-dropped
     /// by the next one.
     pub fn append_settle(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        self.append_any(&mut inner, &WalRecord::Settle)?;
+        self.append(&mut self.inner.lock(), &WalRecord::Settle, false)?;
         Ok(())
     }
 
@@ -920,78 +684,44 @@ impl Wal {
 
     /// Force the durable boundary forward over everything appended.
     pub fn flush(&self) -> io::Result<()> {
-        match &self.pipeline {
-            None => self.inner.lock().sync_and_publish(),
-            Some(shared) => {
-                let target = shared.state.lock().expect(PIPE_LOCK).latest_lsn;
-                shared.flush_lsn(target)
-            }
-        }
+        self.flush_lsn(self.latest_lsn())
     }
 
     /// Wait until the durable boundary covers `lsn` (as returned by
     /// [`Wal::append_stage`]). Returns immediately at or below
-    /// `last_flushed_lsn`; past it, the pipelined mode seals as needed
-    /// and waits for the flusher to land the covering buffer, while the
-    /// synchronous modes fall back to a full sync.
+    /// `last_flushed_lsn`; past it, seals as needed and waits for — or,
+    /// with no flusher, runs — the `step` that lands the covering buffer.
     pub fn flush_lsn(&self, lsn: u64) -> io::Result<()> {
-        match &self.pipeline {
-            Some(shared) => shared.flush_lsn(lsn),
-            None => {
-                let mut inner = self.inner.lock();
-                if lsn <= inner.flushed_len {
-                    Ok(())
-                } else {
-                    inner.sync_and_publish()
-                }
-            }
-        }
+        crate::sched::yield_point("wal.buffer.flush_lsn");
+        self.shared.flush_lsn(lsn)
     }
 
-    /// The global LSN of the last appended byte (pipelined mode; the
-    /// synchronous modes report the epoch-relative log length).
+    /// The global LSN of the last appended byte.
     #[must_use]
     pub fn latest_lsn(&self) -> u64 {
-        match &self.pipeline {
-            Some(shared) => shared.state.lock().expect(PIPE_LOCK).latest_lsn,
-            None => self.inner.lock().storage.len(),
-        }
+        self.shared.lock().latest_lsn
     }
 
     /// The durable LSN boundary: everything at or below survives a
     /// crash (directly, or folded into a durable checkpoint).
     #[must_use]
     pub fn last_flushed_lsn(&self) -> u64 {
-        match &self.pipeline {
-            Some(shared) => shared.state.lock().expect(PIPE_LOCK).last_flushed_lsn,
-            None => self.inner.lock().flushed_len,
-        }
+        self.shared.lock().last_flushed_lsn
     }
 
-    /// Drive one flusher iteration by hand (harness mode — see
-    /// [`PipelineConfig::manual_flusher`]): the crash sweep uses it to
-    /// cut the device at exact buffer boundaries, and the model checker
-    /// runs it as a virtual task. Returns `Ok(false)` once shut down and
-    /// drained.
+    /// Land one sealed buffer by hand ([`FlushDriver::Manual`]): the
+    /// crash sweep uses it to cut the device at exact buffer boundaries,
+    /// and the model checker runs it as a virtual task (where it parks
+    /// until there is work). Returns `Ok(false)` with nothing to land.
     pub fn flusher_step(&self) -> io::Result<bool> {
-        self.pipeline
-            .as_ref()
-            .expect("flusher_step is a pipelined-mode API")
-            .step(crate::sched::active())
+        crate::sched::yield_point("wal.buffer.flusher");
+        self.shared.step(crate::sched::active())
     }
 
-    /// Seal the active buffer onto the flusher queue without waiting
-    /// for any boundary (harness mode companion to
-    /// [`Wal::flusher_step`]).
+    /// Seal the active buffer onto the queue without waiting for any
+    /// boundary (harness companion to [`Wal::flusher_step`]).
     pub fn seal_active(&self) {
-        let shared = self
-            .pipeline
-            .as_ref()
-            .expect("seal_active is a pipelined-mode API");
-        let sealed = {
-            let mut state = shared.state.lock().expect(PIPE_LOCK);
-            shared.seal_locked(&mut state)
-        };
+        let sealed = self.shared.seal_locked(&mut self.shared.lock());
         if sealed {
             crate::sched::progress("wal.buffer.sealed");
         }
@@ -999,103 +729,50 @@ impl Wal {
 
     /// Stop accepting flusher work after the queue drains: pending
     /// sealed buffers still land, the unsealed active tail is the loss
-    /// window (exactly like dropping a synchronous writer with an
-    /// unsynced tail). Idempotent; `Drop` calls it too.
+    /// window. Idempotent; `Drop` calls it too — where a poisoned state
+    /// lock (a `step` that panicked) must not panic again.
     pub fn shutdown_flusher(&self) {
-        if let Some(shared) = &self.pipeline {
-            shared.state.lock().expect(PIPE_LOCK).shutdown = true;
-            shared.work_cv.notify_all();
-            crate::sched::progress("wal.buffer.shutdown");
+        if let Ok(mut state) = self.shared.state.lock() {
+            state.shutdown = true;
         }
+        self.shared.work_cv.notify_all();
+        crate::sched::progress("wal.buffer.shutdown");
     }
 
-    /// Model-checker mutation hook: make the flusher publish each buffer
+    /// Model-checker mutation hook: make `step` publish each buffer
     /// *before* syncing it. This plants the exact bug class the shipping
     /// contract forbids; `tests/mcheck.rs` proves the checker finds it.
     #[cfg(feature = "mcheck")]
     pub fn mutate_publish_before_sync(&self) {
-        self.pipeline
-            .as_ref()
-            .expect("mutation targets the pipelined writer")
-            .state
-            .lock()
-            .expect(PIPE_LOCK)
-            .publish_before_sync = true;
-    }
-
-    /// Whether enough commit points accumulated for an automatic
-    /// checkpoint.
-    #[must_use]
-    pub fn wants_checkpoint(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.config.checkpoint_every > 0
-            && inner.commits_since_checkpoint >= inner.config.checkpoint_every
+        self.shared.lock().publish_before_sync = true;
     }
 
     /// Take a checkpoint now: serialize the shadow store + replay state
     /// into one record and truncate the log to it (atomically, synced).
     /// Consistent under concurrency — the snapshot comes from the
     /// writer's own shadow of the log, never from the live store.
+    ///
+    /// The writer mutex fences appenders; the in-flight buffer — if any
+    /// — is waited out, and then the truncation, the epoch bump, the
+    /// boundary advance and the shipper restart all happen under the
+    /// state lock, atomically with respect to `step`. Unlanded buffers
+    /// are discarded: their effects live inside the checkpoint, so the
+    /// boundary jumps *forward* to `latest_lsn` and every waiter wakes
+    /// durable.
     pub fn checkpoint(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        if let Some(shared) = &self.pipeline {
-            return Self::checkpoint_pipelined(shared, &mut inner);
+        let framed = inner.checkpoint_frame();
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        while state.storage.is_none() {
+            state = shared.wait(&shared.boundary_cv, state, "wal.buffer.checkpoint");
         }
-        let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        inner.storage.reset(&framed)?;
-        inner.stats.checkpoints += 1;
-        inner.stats.syncs += 1;
-        inner.commits_since_checkpoint = 0;
-        inner.unsynced_commits = 0;
-        // The truncation rewrote history: unsynced bytes are gone (their
-        // effects live inside the checkpoint), and the replica must
-        // re-tail from the new epoch's single frame.
-        inner.unshipped.clear();
-        inner.flushed_len = framed.len() as u64;
-        inner.epoch += 1;
-        let lsn = inner.storage.len();
-        let epoch = inner.epoch;
-        inner.obs.emit(EventKind::WalSync { lsn, epoch });
-        if let Some(shipper) = &inner.shipper {
-            shipper.restart_epoch(&framed);
-            inner.obs.emit(EventKind::ShipPublish { lsn, epoch });
-        }
-        Ok(())
-    }
-
-    /// The pipelined checkpoint. The writer mutex (held by the caller)
-    /// fences appenders; the in-flight buffer — if any — is waited out,
-    /// and then the truncation, the epoch bump, the boundary advance and
-    /// the shipper restart all happen under the state lock, atomically
-    /// with respect to the flusher. Sealed-but-unflushed buffers are
-    /// discarded exactly like the synchronous writer's unsynced tail:
-    /// their effects live inside the checkpoint, so the boundary jumps
-    /// *forward* to `latest_lsn` and every waiter wakes durable.
-    fn checkpoint_pipelined(shared: &PipelineShared, inner: &mut WalInner) -> io::Result<()> {
-        let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        let mut state = shared.state.lock().expect(PIPE_LOCK);
-        while state.flushing {
-            if crate::sched::active() {
-                drop(state);
-                crate::sched::block_point("wal.buffer.checkpoint");
-                state = shared.state.lock().expect(PIPE_LOCK);
-            } else {
-                state = shared.boundary_cv.wait(state).expect(PIPE_LOCK);
-            }
-        }
-        PipelineShared::io_error_locked(&state)?;
-        let mut storage = state.storage.take().expect("not flushing");
-        let reset = storage.reset(&framed);
-        state.storage = Some(storage);
-        reset?;
+        Shared::io_error_locked(&state)?;
+        let storage = state.storage.as_mut().expect("checked in");
+        storage.reset(&framed)?;
         state.sealed.clear();
         state.active.clear();
         state.active_commits = 0;
-        state.sealed_lsn = state.latest_lsn;
         state.last_flushed_lsn = state.latest_lsn;
         state.syncs += 1;
         state.epoch += 1;
@@ -1115,38 +792,52 @@ impl Wal {
         Ok(())
     }
 
-    /// Checkpoint if the schedule says so (call from the commit path).
+    /// Checkpoint if [`WalConfig::checkpoint_every`] commit points
+    /// accumulated since the last one (call from the commit path).
     pub fn maybe_checkpoint(&self) -> io::Result<bool> {
-        if self.wants_checkpoint() {
+        let every = self.config.checkpoint_every;
+        let due = every > 0 && self.inner.lock().commits_since_checkpoint >= every;
+        if due {
             self.checkpoint()?;
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        Ok(due)
     }
 
     /// Counters so far.
     #[must_use]
     pub fn stats(&self) -> WalStats {
-        let mut stats = self.inner.lock().stats;
-        if let Some(shared) = &self.pipeline {
-            stats.syncs += shared.state.lock().expect(PIPE_LOCK).syncs;
+        let inner = self.inner.lock();
+        WalStats {
+            syncs: self.shared.lock().syncs,
+            ..inner.stats
         }
-        stats
     }
 
-    /// Bytes appended to the current log (post-truncation), including
-    /// buffered-but-unflushed bytes in pipelined mode.
+    /// Bytes in the current log (post-truncation), landed or not.
     #[must_use]
     pub fn log_len(&self) -> u64 {
-        match &self.pipeline {
-            None => self.inner.lock().storage.len(),
-            Some(shared) => {
-                let state = shared.state.lock().expect(PIPE_LOCK);
-                let pending: usize = state.sealed.iter().map(|b| b.bytes.len()).sum();
-                state.epoch_len + pending as u64 + state.active.len() as u64
-            }
+        let state = self.shared.lock();
+        state.epoch_len + (state.latest_lsn - state.last_flushed_lsn)
+    }
+
+    /// Harness view of "every appended byte" of the current epoch — what
+    /// a crash that lost nothing would leave on `device` (the probe this
+    /// writer was built over): its durable bytes, then the sealed
+    /// buffers (in flight or queued), then the active buffer. Crash
+    /// sweeps cut this string at every frame boundary.
+    #[must_use]
+    pub fn epoch_bytes(&self, device: &MemStorage) -> Vec<u8> {
+        let state = self.shared.lock();
+        let mut out = device.durable();
+        // A `step` between its sync and its state update has the device
+        // one buffer ahead of `epoch_len`; that buffer is still in
+        // `sealed`.
+        out.truncate(state.epoch_len as usize);
+        for buf in &state.sealed {
+            out.extend_from_slice(buf);
         }
+        out.extend_from_slice(&state.active);
+        out
     }
 }
 
@@ -1165,6 +856,7 @@ mod tests {
     use crate::record::{StageFlags, WriteImage};
     use crate::recover::recover;
     use croesus_store::{Key, Value};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn stage_record(txn: u64, stage: u32, flags: u8, key: &str, post: i64) -> StageRecord {
@@ -1197,14 +889,19 @@ mod tests {
         let stats = wal.stats();
         assert_eq!(stats.commit_points, 8);
         assert_eq!(stats.syncs, 2, "4-commit groups → 2 syncs for 8 commits");
-        assert_eq!(probe.unsynced_len(), 0);
+        assert_eq!(wal.last_flushed_lsn(), wal.latest_lsn());
+        assert_eq!(probe.durable().len() as u64, wal.latest_lsn());
     }
 
     #[test]
     fn strict_mode_syncs_every_commit() {
         let (wal, _) = Wal::in_memory(WalConfig::strict());
         for i in 0..5u64 {
-            wal.append_stage(stage_record(i, 0, CP, "k", 0)).unwrap();
+            let lsn = wal.append_stage(stage_record(i, 0, CP, "k", 0)).unwrap();
+            assert!(
+                wal.last_flushed_lsn() >= lsn,
+                "a strict commit point is durable at return"
+            );
         }
         assert_eq!(wal.stats().syncs, 5);
     }
@@ -1230,10 +927,10 @@ mod tests {
 
     #[test]
     fn non_commit_records_do_not_trigger_sync() {
-        let (wal, probe) = Wal::in_memory(WalConfig::strict());
+        let (wal, _) = Wal::in_memory(WalConfig::strict());
         wal.append_stage(stage_record(1, 0, 0, "a", 1)).unwrap(); // MS-SR early stage
         assert_eq!(wal.stats().syncs, 0);
-        assert!(probe.unsynced_len() > 0);
+        assert!(wal.last_flushed_lsn() < wal.latest_lsn());
     }
 
     #[test]
@@ -1360,52 +1057,115 @@ mod tests {
 
     #[test]
     fn resume_restarts_the_log_as_a_checkpoint_and_continues() {
-        // A crash after one unfinalized commit, then a resumed writer over
-        // the recovered state.
-        let (wal, probe) = Wal::in_memory(WalConfig::strict());
-        wal.append_stage(stage_record(1, 0, CP | REG, "a", 1))
-            .unwrap();
-        wal.append_stage(stage_record(9, 0, 0, "held", 5)).unwrap(); // MS-SR mid-flight
-        wal.flush().unwrap(); // the mid-flight record reaches the disk...
-        let r = recover(&probe.durable()); // ...then the process dies
-        assert_eq!(r.unfinalized, vec![TxnId(1)]);
+        let thread = FlushDriver::Thread { coalescer: None };
+        for driver in [FlushDriver::Inline, FlushDriver::Manual, thread] {
+            // A crash after one unfinalized commit, then a resumed writer
+            // over the recovered state.
+            let (wal, probe) = Wal::in_memory_with(WalConfig::strict(), driver.clone());
+            wal.append_stage(stage_record(1, 0, CP | REG, "a", 1))
+                .unwrap();
+            wal.append_stage(stage_record(9, 0, 0, "held", 5)).unwrap(); // MS-SR mid-flight
+            wal.flush().unwrap(); // the mid-flight record reaches the disk...
+            let r = recover(&probe.durable()); // ...then the process dies
+            assert_eq!(r.unfinalized, vec![TxnId(1)]);
 
-        let shipper = Arc::new(LogShipper::new());
-        let probe2 = MemStorage::new();
-        let resumed = Wal::resume(
-            Box::new(probe2.clone()),
-            WalConfig::strict(),
-            r.state,
-            &r.store,
-            Some(Arc::clone(&shipper)),
-        )
-        .unwrap();
-        assert_eq!(shipper.image(), probe2.durable());
-        // New work continues against the resumed log.
-        resumed
-            .append_stage(stage_record(1, 1, CP | FIN, "a", 2))
+            let shipper = Arc::new(LogShipper::new());
+            let probe2 = MemStorage::new();
+            let resumed = Wal::resume(
+                Box::new(probe2.clone()),
+                WalConfig::strict(),
+                driver,
+                r.state,
+                &r.store,
+                Some(Arc::clone(&shipper)),
+            )
             .unwrap();
-        let r2 = recover(&probe2.durable());
-        assert_eq!(r2.store.get(&"a".into()).as_deref(), Some(&Value::Int(2)));
-        assert!(r2.unfinalized.is_empty(), "txn 1 finalized after resume");
-        assert!(
-            !r2.store.contains(&"held".into()),
-            "the dead mid-flight write never reappears"
-        );
-        assert_eq!(r2.next_txn, 10, "the id high-water mark survived resume");
+            assert_eq!(shipper.image(), probe2.durable());
+            assert_eq!(shipper.epoch(), 1, "resume = epoch restart for shippers");
+            assert_eq!(resumed.stats().checkpoints, 1);
+            // New work continues against the resumed log.
+            resumed
+                .append_stage(stage_record(1, 1, CP | FIN, "a", 2))
+                .unwrap();
+            resumed.flush().unwrap();
+            assert_eq!(shipper.image(), probe2.durable());
+            let r2 = recover(&probe2.durable());
+            assert_eq!(r2.store.get(&"a".into()).as_deref(), Some(&Value::Int(2)));
+            assert!(r2.unfinalized.is_empty(), "txn 1 finalized after resume");
+            assert!(
+                !r2.store.contains(&"held".into()),
+                "the dead mid-flight write never reappears"
+            );
+            assert_eq!(r2.next_txn, 10, "the id high-water mark survived resume");
+        }
     }
 
-    fn manual() -> PipelineConfig {
-        PipelineConfig {
-            coalescer: None,
-            manual_flusher: true,
+    /// A device whose syncs fail while `fail` is set.
+    struct FailingSync {
+        device: MemStorage,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl Storage for FailingSync {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.device.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(io::Error::other("injected sync failure"));
+            }
+            self.device.sync()
+        }
+        fn reset(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.device.reset(bytes)
+        }
+        fn len(&self) -> u64 {
+            self.device.len()
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_writer_under_every_driver() {
+        let thread = FlushDriver::Thread { coalescer: None };
+        for driver in [FlushDriver::Inline, FlushDriver::Manual, thread] {
+            let fail = Arc::new(AtomicBool::new(true));
+            let storage = FailingSync {
+                device: MemStorage::new(),
+                fail: Arc::clone(&fail),
+            };
+            let wal = Wal::with_storage(Box::new(storage), WalConfig::group(64), driver);
+            let shipper = Arc::new(LogShipper::new());
+            wal.attach_shipper(Arc::clone(&shipper));
+            let lsn = wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
+            assert!(wal.flush_lsn(lsn).is_err(), "the ack must fail");
+            // The device recovers, but pages may have been dropped: the
+            // writer must stay poisoned rather than retry-and-succeed.
+            fail.store(false, Ordering::SeqCst);
+            assert!(wal.flush().is_err());
+            assert!(wal.append_stage(stage_record(2, 0, CP, "b", 2)).is_err());
+            assert_eq!(wal.last_flushed_lsn(), 0, "nothing was ever acked");
+            assert_eq!(shipper.shipped_len(), 0, "nothing was ever published");
+        }
+    }
+
+    #[test]
+    fn the_commit_that_fills_a_group_is_durable_at_return() {
+        let (wal, probe) = Wal::in_memory(WalConfig::group(3));
+        assert!(!wal.owns_flusher_thread(), "inline modes are thread-free");
+        for i in 1..=6u64 {
+            let lsn = wal.append_stage(stage_record(i, 0, CP, "k", 0)).unwrap();
+            if i % 3 == 0 {
+                assert_eq!(wal.last_flushed_lsn(), lsn);
+                assert_eq!(probe.durable().len() as u64, lsn);
+            } else {
+                assert!(wal.last_flushed_lsn() < lsn, "inside the loss window");
+            }
         }
     }
 
     #[test]
     fn pipelined_manual_boundary_advances_monotonically() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(2), manual());
-        assert!(wal.is_pipelined());
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(2), FlushDriver::Manual);
         let l1 = wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
         // One commit in a group of two: nothing sealed, nothing durable.
         assert_eq!(wal.last_flushed_lsn(), 0);
@@ -1427,7 +1187,7 @@ mod tests {
 
     #[test]
     fn pipelined_flush_lsn_returns_at_boundary_not_tail() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(2), manual());
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(2), FlushDriver::Manual);
         wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
         let sealed = wal.append_stage(stage_record(2, 0, CP, "b", 2)).unwrap();
         wal.flusher_step().unwrap();
@@ -1447,7 +1207,7 @@ mod tests {
 
     #[test]
     fn pipelined_publishes_only_after_the_sync() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(2), manual());
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(2), FlushDriver::Manual);
         let shipper = Arc::new(LogShipper::new());
         wal.attach_shipper(Arc::clone(&shipper));
         wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
@@ -1464,7 +1224,7 @@ mod tests {
 
     #[test]
     fn pipelined_checkpoint_discards_queue_and_restarts_epoch() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(2), manual());
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(2), FlushDriver::Manual);
         let shipper = Arc::new(LogShipper::new());
         wal.attach_shipper(Arc::clone(&shipper));
         wal.append_stage(stage_record(1, 0, CP | REG, "a", 1))
@@ -1502,13 +1262,8 @@ mod tests {
 
     #[test]
     fn pipelined_spawned_flusher_drains_on_flush_and_drop() {
-        let (wal, probe) = Wal::pipelined_in_memory(
-            WalConfig::group(4),
-            PipelineConfig {
-                coalescer: None,
-                manual_flusher: false,
-            },
-        );
+        let (wal, probe) =
+            Wal::in_memory_with(WalConfig::group(4), FlushDriver::Thread { coalescer: None });
         for i in 0..32u64 {
             wal.append_stage(stage_record(i, 0, CP, "k", i as i64))
                 .unwrap();
@@ -1531,11 +1286,10 @@ mod tests {
         let coalescer = Arc::new(crate::coalesce::SyncCoalescer::new());
         let wals: Vec<_> = (0..4)
             .map(|_| {
-                let (wal, probe) = Wal::pipelined_in_memory(
+                let (wal, probe) = Wal::in_memory_with(
                     WalConfig::group(1),
-                    PipelineConfig {
+                    FlushDriver::Thread {
                         coalescer: Some(Arc::clone(&coalescer)),
-                        manual_flusher: false,
                     },
                 );
                 (Arc::new(wal), probe)
@@ -1568,7 +1322,7 @@ mod tests {
 
     #[test]
     fn pipelined_tpc_decision_is_durable_at_return() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(64), manual());
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(64), FlushDriver::Manual);
         wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
         wal.append_tpc_decision(TxnId(1), true).unwrap();
         // The decision waits on its own LSN boundary: everything up to and
@@ -1576,38 +1330,5 @@ mod tests {
         assert_eq!(wal.last_flushed_lsn(), wal.latest_lsn());
         let r = recover(&probe.durable());
         assert!(r.store.contains(&"a".into()));
-    }
-
-    #[test]
-    fn pipelined_resume_restarts_log_and_epoch() {
-        let (wal, probe) = Wal::pipelined_in_memory(WalConfig::group(2), manual());
-        wal.append_stage(stage_record(1, 0, CP | REG, "a", 1))
-            .unwrap();
-        wal.flush().unwrap();
-        let r = recover(&probe.durable());
-        assert_eq!(r.unfinalized, vec![TxnId(1)]);
-
-        let shipper = Arc::new(LogShipper::new());
-        let probe2 = MemStorage::new();
-        let resumed = Wal::resume_pipelined(
-            Box::new(probe2.clone()),
-            WalConfig::group(2),
-            manual(),
-            r.state,
-            &r.store,
-            Some(Arc::clone(&shipper)),
-        )
-        .unwrap();
-        assert!(resumed.is_pipelined());
-        assert_eq!(shipper.image(), probe2.durable());
-        assert_eq!(shipper.epoch(), 1, "resume = epoch restart for shippers");
-        resumed
-            .append_stage(stage_record(1, 1, CP | FIN, "a", 2))
-            .unwrap();
-        resumed.flush().unwrap();
-        let r2 = recover(&probe2.durable());
-        assert_eq!(r2.store.get(&"a".into()).as_deref(), Some(&Value::Int(2)));
-        assert!(r2.unfinalized.is_empty());
-        assert_eq!(shipper.image(), probe2.durable());
     }
 }

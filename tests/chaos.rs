@@ -23,6 +23,7 @@
 //!    transactions.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
@@ -43,18 +44,28 @@ const FRAMES: u64 = 40;
 const EDGES: usize = 3;
 const TIMEOUT: u64 = 3;
 
+/// Every enabled durability mode: the fleet invariants are the flush
+/// policy's too — a group-commit or pipelined edge loses a longer
+/// unsynced tail to a kill, never an acked-durable byte.
+const MODES: [fn(&Path) -> DurabilityMode; 3] = [
+    |dir| DurabilityMode::Strict { dir: dir.into() },
+    |dir| DurabilityMode::group_commit(dir),
+    |dir| DurabilityMode::pipelined(dir),
+];
+
 #[test]
 fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
     for kind in ProtocolKind::ALL {
-        for seed in [11u64, 23] {
+        for (seed, mode) in [11u64, 23].into_iter().flat_map(|s| MODES.map(|m| (s, m))) {
             let plan = FaultPlan::seeded(seed, FRAMES, EDGES, 0.06);
             let dir = scratch_dir(&format!("chaos-fleet-{kind}-{seed}"));
+            let mode = mode(&dir);
             let obs = Obs::shared();
             let r = Croesus::builder()
                 .protocol(kind)
                 .frames(FRAMES)
                 .edges(EDGES)
-                .durability(DurabilityMode::Strict { dir: dir.clone() })
+                .durability(mode.clone())
                 .failover(true)
                 .heartbeat_timeout(TIMEOUT)
                 .faults(plan.clone())
@@ -67,7 +78,7 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
             assert_eq!(
                 r.frames_processed + r.frames_dropped,
                 FRAMES,
-                "{kind} seed {seed}: every frame accounted for"
+                "{kind} seed {seed} {mode:?}: every frame accounted for"
             );
 
             // Every takeover traces back to a kill or an over-long stall
@@ -82,7 +93,7 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
                 });
                 assert!(
                     explained,
-                    "{kind} seed {seed}: takeover of edge {} at frame {} has no \
+                    "{kind} seed {seed} {mode:?}: takeover of edge {} at frame {} has no \
                      matching kill/stall within the timeout window: {:?}",
                     t.edge,
                     t.detected_at,
@@ -98,7 +109,10 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
             // the failed edge's own stream. On failure, dump the last
             // events per edge — the flight recorder.
             if let Err(v) = check_stream(&r.timeline, obs.dropped() > 0) {
-                panic!("{kind} seed {seed}: {v}\n{}", r.flight_recorder(12));
+                panic!(
+                    "{kind} seed {seed} {mode:?}: {v}\n{}",
+                    r.flight_recorder(12)
+                );
             }
             let count = |edge: usize, want: fn(&EventKind) -> bool| {
                 r.timeline
@@ -112,7 +126,7 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
                 let ends = count(t.edge, |k| matches!(k, EventKind::TakeoverEnd { .. }));
                 assert!(
                     misses >= starts && starts == ends && starts >= 1,
-                    "{kind} seed {seed}: takeover of edge {} unexplained \
+                    "{kind} seed {seed} {mode:?}: takeover of edge {} unexplained \
                      ({misses} misses, {starts} starts, {ends} ends)\n{}",
                     t.edge,
                     r.flight_recorder(12)
@@ -126,7 +140,7 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
             assert_eq!(
                 total_starts,
                 r.takeovers.len(),
-                "{kind} seed {seed}: one TakeoverStart per reported takeover\n{}",
+                "{kind} seed {seed} {mode:?}: one TakeoverStart per reported takeover\n{}",
                 r.flight_recorder(12)
             );
 
@@ -135,7 +149,7 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
             let takeover_retractions: u64 = r.takeovers.iter().map(|t| t.retractions as u64).sum();
             assert!(
                 r.apologies_owed >= takeover_retractions,
-                "{kind} seed {seed}: {} takeover retractions but only {} apologies owed",
+                "{kind} seed {seed} {mode:?}: {} takeover retractions but only {} apologies owed",
                 takeover_retractions,
                 r.apologies_owed
             );

@@ -20,7 +20,7 @@ use croesus::store::{KvStore, LockManager, TxnId, Value};
 use croesus::txn::{
     recovery::recover_edge, ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet,
 };
-use croesus::wal::{recover, FrameReader, MemStorage, PipelineConfig, Wal, WalConfig, WalRecord};
+use croesus::wal::{recover, FlushDriver, FrameReader, MemStorage, Wal, WalConfig, WalRecord};
 
 /// SplitMix64 — the test's own deterministic stream.
 struct Rng(u64);
@@ -131,11 +131,12 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
         _ => WalConfig::group(64),
     };
     let (wal, probe): (Wal, MemStorage) = Wal::in_memory(group);
+    let wal = Arc::new(wal);
     let core = ExecutorCore::new(
         Arc::new(KvStore::new()),
         Arc::new(LockManager::new(kind.default_lock_policy())),
     )
-    .with_wal(Arc::new(wal));
+    .with_wal(Arc::clone(&wal));
     let protocol = kind.build(core);
 
     let n_txns = 6 + rng.below(6);
@@ -203,9 +204,10 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
                 .expect("final stages cannot abort");
         }
     }
-    // No flush: `all_bytes` is the every-byte-made-it view; the boundary
+    // No flush: `epoch_bytes` is the every-byte-made-it view (durable,
+    // then whatever still sits in the writer's buffers); the boundary
     // sweep below is the crash simulation.
-    probe.all_bytes()
+    wal.epoch_bytes(&probe)
 }
 
 fn check_every_boundary(log: &[u8]) {
@@ -291,13 +293,7 @@ struct PipelinedRun {
 fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     let mut rng = Rng(seed ^ 0xD1CE);
     let group = WalConfig::group([1, 2, 3][rng.below(3) as usize]);
-    let (wal, probe) = Wal::pipelined_in_memory(
-        group,
-        PipelineConfig {
-            coalescer: None,
-            manual_flusher: true,
-        },
-    );
+    let (wal, probe) = Wal::in_memory_with(group, FlushDriver::Manual);
     let wal = Arc::new(wal);
     let core = ExecutorCore::new(
         Arc::new(KvStore::new()),
@@ -401,7 +397,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     }
     // Drain the pipeline: the final log is every appended byte.
     wal.flush().expect("in-memory pipeline io");
-    run.log = probe.all_bytes();
+    run.log = wal.epoch_bytes(&probe);
     assert_eq!(
         probe.durable(),
         run.log,
@@ -581,4 +577,50 @@ fn crash_mid_chain_cascades_through_finalized_dependents() {
     assert!(!rec.store.contains(&"b".into()));
     assert!(!rec.store.contains(&"c".into()));
     assert_eq!(rec.apologies_owed().len(), 2, "both users get apologies");
+}
+
+/// LSNs are global under every flush driver: strictly increasing across
+/// checkpoints, so the high-water mark a core acked its commit points at
+/// stays comparable with the writer's durable boundary. (Epoch-relative
+/// LSNs restart at every checkpoint: this workload then acks up to 1069
+/// against a final boundary of 565.)
+#[test]
+fn lsns_increase_across_checkpoints_and_acks_stay_below_the_boundary() {
+    let thread = FlushDriver::Thread { coalescer: None };
+    for (group, driver) in [
+        (1, FlushDriver::Inline),
+        (4, FlushDriver::Inline),
+        (4, thread),
+    ] {
+        let config = WalConfig {
+            group_commit: group,
+            checkpoint_every: 16,
+        };
+        let (wal, _probe) = Wal::in_memory_with(config, driver);
+        let wal = Arc::new(wal);
+        let core = ExecutorCore::new(
+            Arc::new(KvStore::new()),
+            Arc::new(LockManager::new(ProtocolKind::MsIa.default_lock_policy())),
+        )
+        .with_wal(Arc::clone(&wal));
+        let p = ProtocolKind::MsIa.build(core);
+
+        let rw = RwSet::new().write("k");
+        let mut last_lsn = 0;
+        for txn in 0..20u64 {
+            let h = p.begin(TxnId(txn), &[rw.clone(), rw.clone()]);
+            let (_, h) = p.stage(h, &rw, |ctx| ctx.write("k", txn as i64)).unwrap();
+            assert!(wal.latest_lsn() > last_lsn, "group {group}, txn {txn}");
+            last_lsn = wal.latest_lsn();
+            p.stage(h.unwrap(), &rw, |ctx| ctx.write("k", -(txn as i64)))
+                .unwrap();
+            assert!(wal.latest_lsn() > last_lsn, "group {group}, txn {txn}");
+            last_lsn = wal.latest_lsn();
+            assert_eq!(p.core().acked_lsn(), last_lsn, "every stage is a commit");
+        }
+        assert_eq!(wal.stats().checkpoints, 2, "40 commits, one per 16");
+        wal.flush().unwrap();
+        assert_eq!(wal.last_flushed_lsn(), wal.latest_lsn());
+        assert!(p.core().acked_lsn() <= wal.last_flushed_lsn());
+    }
 }

@@ -11,6 +11,7 @@ use croesus_mcheck::{
     two_txn_two_stage, wal_pipeline, wave_queue, Config, TpcCoordinatorCrash,
 };
 use croesus_txn::ProtocolKind;
+use croesus_wal::FlushDriver;
 
 fn assert_clean_and_exhaustive(report: &croesus_mcheck::Report) {
     assert!(
@@ -154,40 +155,49 @@ fn mutation_self_test_checker_catches_the_broken_commit_point() {
 
 #[test]
 fn wal_pipeline_is_exhaustively_clean() {
-    // Appender, flusher and monitor racing through every `wal.buffer.*`
-    // scheduler point: the boundary stays monotone, no flush_lsn acks
-    // below it, shipped ⊆ durable at every observation, and shutdown
-    // drains the pipeline in every interleaving.
-    let report = explore(&wal_pipeline(false), &Config::default());
-    assert_clean_and_exhaustive(&report);
+    // Appenders, whoever lands the buffers (a flusher task under the
+    // manual driver; the appenders themselves, racing for the storage,
+    // under the inline one) and a monitor racing through every
+    // `wal.buffer.*` scheduler point: the boundary stays monotone, no
+    // flush_lsn acks below it, shipped ⊆ durable at every observation,
+    // the trace obeys the ordering contract, and the pipeline drains in
+    // every interleaving.
+    for driver in [FlushDriver::Manual, FlushDriver::Inline] {
+        let report = explore(&wal_pipeline(driver, false), &Config::default());
+        assert_clean_and_exhaustive(&report);
+        assert_eq!(report.deadlocks, 0, "{}", report.name);
+    }
 }
 
 #[test]
 fn wal_pipeline_mutation_self_test_catches_publish_before_sync() {
-    // The planted bug: sealed buffers published to the shipper *before*
-    // their device sync. Some interleaving must let the monitor observe
-    // shipped bytes the device would lose in a crash...
-    let scenario = wal_pipeline(true);
-    let report = explore(&scenario, &Config::default());
-    assert!(
-        !report.violations.is_empty(),
-        "the checker missed the publish-before-sync mutation \
-         ({} schedules explored)",
-        report.schedules
-    );
-    let violation = &report.violations[0];
-    assert!(
-        violation.message.contains("shipping contract breach"),
-        "unexpected violation kind: {}",
-        violation.message
-    );
-    // ...and the counterexample trace must be replayable, byte for byte.
-    let shown = violation.trace.to_string();
-    assert!(shown.contains("decisions=["), "trace must display: {shown}");
-    let (_end, check) = replay(&scenario, &violation.trace);
-    let replayed = check.expect_err("replaying the counterexample trace must reproduce it");
-    assert_eq!(
-        replayed, violation.message,
-        "replay diverged from the recorded violation"
-    );
+    for driver in [FlushDriver::Manual, FlushDriver::Inline] {
+        // The planted bug: sealed buffers published to the shipper
+        // *before* their device sync. Some interleaving must let the
+        // monitor observe shipped bytes the device would lose in a crash...
+        let scenario = wal_pipeline(driver, true);
+        let report = explore(&scenario, &Config::default());
+        assert!(
+            !report.violations.is_empty(),
+            "{}: the checker missed the publish-before-sync mutation \
+             ({} schedules explored)",
+            report.name,
+            report.schedules
+        );
+        let violation = &report.violations[0];
+        assert!(
+            violation.message.contains("shipping contract breach"),
+            "unexpected violation kind: {}",
+            violation.message
+        );
+        // ...and the counterexample trace must be replayable, byte for byte.
+        let shown = violation.trace.to_string();
+        assert!(shown.contains("decisions=["), "trace must display: {shown}");
+        let (_end, check) = replay(&scenario, &violation.trace);
+        let replayed = check.expect_err("replaying the counterexample trace must reproduce it");
+        assert_eq!(
+            replayed, violation.message,
+            "replay diverged from the recorded violation"
+        );
+    }
 }

@@ -15,8 +15,8 @@ use croesus::core::{ReplicaTailer, TailPoll};
 use croesus::store::TxnId;
 use croesus::wal::frame::write_frame;
 use croesus::wal::{
-    FrameReader, LogShipper, MemStorage, PipelineConfig, StageFlags, StageRecord, TailState, Wal,
-    WalConfig, WalRecord,
+    FlushDriver, FrameReader, LogShipper, MemStorage, StageFlags, StageRecord, TailState, Wal,
+    WalConfig, WalRecord, WalStats,
 };
 use std::sync::Arc;
 
@@ -149,16 +149,17 @@ proptest! {
     }
 }
 
-/// One step of the *pipelined* shipping dialogue: the publication source
-/// is a real pipelined writer (publish rides the flusher's post-sync
-/// path), not hand-called `publish`.
+/// One step of the shipping dialogue whose publication source is a real
+/// writer (publish rides `step`'s post-sync section), not hand-called
+/// `publish`.
 #[derive(Clone, Debug)]
 enum PipeEv {
-    /// Log one commit-point stage (lands in the active buffer).
+    /// Log one commit-point stage (lands in the active buffer; under an
+    /// inline driver the one that fills the group seals and lands it).
     Commit(i64),
-    /// Seal the active buffer onto the flusher queue (unsynced!).
+    /// Seal the active buffer onto the queue (unsynced!).
     Seal,
-    /// One flusher step: sync + publish of the oldest sealed buffer.
+    /// One `step`: sync + publish of the oldest sealed buffer.
     Step,
     /// Drain the whole pipeline (`Wal::flush`).
     FlushAll,
@@ -189,6 +190,19 @@ fn arb_pipe_event() -> impl Strategy<Value = PipeEv> {
     ]
 }
 
+/// Every way of driving the one writer, as `(group, driver)`. Manual at
+/// group 64 leaves publish timing entirely to the dialogue's
+/// Seal/Step/FlushAll events; the inline groups and the flusher thread
+/// also land buffers on their own schedule.
+fn drivers() -> [(usize, FlushDriver); 4] {
+    [
+        (64, FlushDriver::Manual),
+        (1, FlushDriver::Inline),
+        (3, FlushDriver::Inline),
+        (2, FlushDriver::Thread { coalescer: None }),
+    ]
+}
+
 fn commit_stage(txn: u64, val: i64) -> StageRecord {
     StageRecord {
         txn: TxnId(txn),
@@ -205,18 +219,50 @@ fn commit_stage(txn: u64, val: i64) -> StageRecord {
     }
 }
 
+/// The writer-side events of a dialogue through one driver: what ends up
+/// durable and shipped after the final flush, and the counters that must
+/// not depend on who lands the buffers (`syncs` does).
+fn drive_writer(
+    events: &[PipeEv],
+    group: usize,
+    driver: FlushDriver,
+) -> (Vec<u8>, Vec<u8>, u64, WalStats) {
+    let (wal, probe) = Wal::in_memory_with(WalConfig::group(group), driver);
+    let shipper = Arc::new(LogShipper::new());
+    wal.attach_shipper(Arc::clone(&shipper));
+    let mut txn = 0u64;
+    for ev in events {
+        match ev {
+            PipeEv::Commit(val) => {
+                txn += 1;
+                wal.append_stage(commit_stage(txn, *val)).unwrap();
+            }
+            PipeEv::FlushAll => wal.flush().unwrap(),
+            PipeEv::Checkpoint => wal.checkpoint().unwrap(),
+            _ => {}
+        }
+    }
+    wal.flush().unwrap();
+    let stats = WalStats {
+        syncs: 0,
+        ..wal.stats()
+    };
+    (probe.durable(), shipper.image(), shipper.epoch(), stats)
+}
+
 proptest! {
     #[test]
     fn pipelined_publish_timing_holds_the_shipping_contract(
-        events in prop::collection::vec(arb_pipe_event(), 1..40)
+        events in prop::collection::vec(arb_pipe_event(), 1..40),
+        pick in 0usize..4,
     ) {
-        // Group 64 so *only* the dialogue's explicit Seal/Step/FlushAll
-        // events move bytes through the pipeline — publish timing is
-        // entirely under the test's control.
-        let (wal, probe): (Wal, MemStorage) = Wal::pipelined_in_memory(
-            WalConfig::group(64),
-            PipelineConfig { coalescer: None, manual_flusher: true },
-        );
+        let (group, driver) = drivers()[pick].clone();
+        // A flusher thread lands buffers concurrently with this thread's
+        // reads: between its sync and its publish the device is ahead of
+        // the shipper, so equality is only observable once it is idle.
+        let threaded = matches!(driver, FlushDriver::Thread { .. });
+        let (wal, probe): (Wal, MemStorage) =
+            Wal::in_memory_with(WalConfig::group(group), driver);
         let shipper = Arc::new(LogShipper::new());
         wal.attach_shipper(Arc::clone(&shipper));
         let mut tailer = ReplicaTailer::new(Arc::clone(&shipper));
@@ -249,9 +295,9 @@ proptest! {
                                 // Epoch bump ⇒ full re-tail, never append.
                                 prop_assert!(restarted, "cross-epoch batch must restart");
                             }
-                            if restarted {
+                            if restarted && !threaded {
                                 prop_assert_eq!(tailer.log(), shipper.image().as_slice());
-                            } else {
+                            } else if !restarted {
                                 prop_assert_eq!(cursor.epoch, cursor_before.epoch);
                                 prop_assert!(tailer.log().starts_with(&log_before));
                                 prop_assert_eq!(tailer.log().len(), log_before.len() + bytes);
@@ -259,6 +305,9 @@ proptest! {
                             prop_assert_eq!(cursor.offset, tailer.log().len());
                         }
                         TailPoll::Offline => prop_assert!(shipper.is_offline()),
+                        TailPoll::UpToDate if threaded => {
+                            prop_assert!(cursor_before.offset <= shipper.shipped_len());
+                        }
                         TailPoll::UpToDate => {
                             prop_assert_eq!(cursor_before.offset, shipper.shipped_len());
                         }
@@ -266,20 +315,29 @@ proptest! {
                     prop_assert!(parses_cleanly(tailer.log()));
                 }
             }
-            // The structural core of the refactor: publication lives in
-            // the flusher's post-sync path, so at every step of every
+            // The structural core of the one writer: publication lives in
+            // `step`'s post-sync section, so at every step of every
             // dialogue the shipped image IS the durable bytes — sealed
             // or in-flight buffers are never visible to the replica.
-            prop_assert_eq!(
-                shipper.image(),
-                probe.durable(),
-                "shipped image diverged from the durable device"
-            );
+            // (Shipped is read first: the device can only be ahead.)
+            let shipped = shipper.image();
+            let durable = probe.durable();
+            if threaded && !matches!(ev, PipeEv::FlushAll | PipeEv::Checkpoint) {
+                prop_assert!(
+                    durable.starts_with(&shipped),
+                    "the flusher shipped bytes the device does not hold"
+                );
+            } else {
+                prop_assert_eq!(
+                    &shipped,
+                    &durable,
+                    "shipped image diverged from the durable device"
+                );
+            }
             // And the replica can lag but never run ahead of it.
             if tailer.cursor().epoch == shipper.epoch() {
-                let image = shipper.image();
-                prop_assert!(tailer.cursor().offset <= image.len());
-                prop_assert_eq!(tailer.log(), &image[..tailer.cursor().offset]);
+                prop_assert!(tailer.cursor().offset <= shipped.len());
+                prop_assert_eq!(tailer.log(), &shipped[..tailer.cursor().offset]);
             }
         }
 
@@ -296,5 +354,22 @@ proptest! {
         }
         prop_assert_eq!(tailer.log(), probe.durable().as_slice());
         prop_assert_eq!(tailer.cursor().epoch, shipper.epoch());
+    }
+
+    // One writer: the same record / flush / checkpoint sequence leaves
+    // the same durable log, the same shipped image and epoch and the same
+    // counters whichever driver landed the buffers. Only the number of
+    // syncs it took is the driver's own.
+    #[test]
+    fn every_driver_lands_the_same_log(
+        events in prop::collection::vec(arb_pipe_event(), 1..40),
+    ) {
+        let [(group, manual), others @ ..] = drivers();
+        let reference = drive_writer(&events, group, manual);
+        prop_assert_eq!(&reference.0, &reference.1, "shipped == durable after flush");
+        for (group, driver) in others {
+            let got = drive_writer(&events, group, driver);
+            prop_assert_eq!(&got, &reference, "group {}", group);
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! Golden pins for the legacy (synchronous) durability modes.
+//! Golden pins for the inline durability modes.
 //!
-//! The PR 10 pipelined writer must leave `DurabilityMode::Strict` and
-//! `GroupCommit` *byte-identical*: same `WalStats`, same durable bytes,
-//! same shipped image, same checkpoint/truncation behaviour. These tests
-//! drive a fixed workload through the writer and pin everything to
-//! values captured on the pre-refactor writer — any drift in the
-//! synchronous paths fails loudly here, independent of the behavioural
-//! test suites.
+//! `DurabilityMode::Strict` and `GroupCommit` must stay *byte-identical*
+//! with the synchronous writer they were first implemented by: same
+//! `WalStats`, same durable bytes, same shipped image, same
+//! checkpoint/truncation behaviour. These tests drive a fixed workload
+//! through the writer and pin everything to values captured on that
+//! writer — any drift in what the inline flush driver lands, syncs or
+//! ships fails loudly here, independent of the behavioural test suites.
 
 use std::sync::Arc;
 

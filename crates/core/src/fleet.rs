@@ -722,6 +722,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Two whole chaos reports as literals, captured at the commit before
+    /// the fleet loop became the shared per-frame driver: a chaos run is a
+    /// pure function of `(config, plan)`, so every field is pinned (the
+    /// run is unobserved — `timeline` stays empty).
+    #[test]
+    fn pins_whole_fleet_reports() {
+        let takeover = |edge, detected_at, retractions| Takeover {
+            edge,
+            detected_at,
+            retractions,
+        };
+        let pins = [
+            (
+                11,
+                FleetReport {
+                    frames_processed: 37,
+                    frames_dropped: 3,
+                    transactions_committed: 137,
+                    takeovers: vec![takeover(0, 6, 0), takeover(1, 7, 0), takeover(2, 7, 0)],
+                    fenced_wakeups: 4,
+                    settled_entries: 233,
+                    ..FleetReport::default()
+                },
+            ),
+            (
+                99,
+                FleetReport {
+                    frames_processed: 36,
+                    frames_dropped: 4,
+                    transactions_committed: 132,
+                    takeovers: vec![takeover(1, 6, 0), takeover(0, 23, 0), takeover(2, 32, 6)],
+                    fenced_wakeups: 4,
+                    settled_entries: 228,
+                    apologies_owed: 6,
+                    ..FleetReport::default()
+                },
+            ),
+        ];
+        let dir = croesus_wal::scratch_dir("fleet-pins");
+        for (seed, pinned) in pins {
+            let r = Croesus::builder()
+                .frames(40)
+                .edges(3)
+                .durability(croesus_wal::DurabilityMode::group_commit(&dir))
+                .failover(true)
+                .heartbeat_timeout(3)
+                .faults(FaultPlan::seeded(seed, 40, 3, 0.08))
+                .build()
+                .run_fleet();
+            assert_eq!(r, pinned, "seed {seed}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn chaos_runs_are_deterministic() {
         let dir_a = croesus_wal::scratch_dir("fleet-det-a");

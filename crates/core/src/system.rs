@@ -1062,6 +1062,165 @@ mod tests {
         assert!(four.label.contains("4 edges"), "{}", four.label);
     }
 
+    /// Every deterministic (simulated-clock) field of [`RunMetrics`], pinned
+    /// per mode and validation policy: the values were captured at the
+    /// commit *before* the four frame loops became one, so any drift here
+    /// is a behaviour change of the shared driver. `breakdown.edge_link_ms`
+    /// and `cloud_link_ms` pin the `"links"` RNG draw order. The wall-clock
+    /// fields (`*_txn_ms`, the commit means and quantiles) are not pinned.
+    #[test]
+    fn pins_every_simulated_run_metric_per_mode() {
+        // (f_score, precision, recall, bandwidth_utilization,
+        //  transfer_dollars, edge_link_ms, edge_detect_ms, cloud_link_ms,
+        //  cloud_detect_ms) and (bytes_sent, transactions_committed,
+        //  cloud_timeouts, correct, corrected, erroneous, missed).
+        type Pin = (&'static str, Deployment, &'static str, [f64; 9], [u64; 7]);
+        let cfg = CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
+            .with_frames(60);
+        let forced = cfg.clone().with_validation(ValidationPolicy::ForcedBu(0.5));
+        let pins: [Pin; 6] = [
+            (
+                "multistage",
+                Croesus::multistage(&cfg),
+                "croesus v2 (0.3,0.7)",
+                [
+                    0.922_779_922_779_922_8,
+                    1.0,
+                    0.856_630_824_372_759_8,
+                    0.833_333_333_333_333_4,
+                    0.000_674_999_999_999_999_4,
+                    10.982_683_333_333_33,
+                    186.471_65,
+                    148.819_78,
+                    1_113.790_46,
+                ],
+                [7_500_000, 284, 0, 212, 56, 16, 195],
+            ),
+            (
+                "edge-only",
+                Croesus::edge_only(&cfg),
+                "edge-only v2",
+                [
+                    0.464_379_947_229_551_45,
+                    0.88,
+                    0.315_412_186_379_928_3,
+                    0.0,
+                    0.0,
+                    10.980_950_000_000_004,
+                    186.471_65,
+                    0.0,
+                    0.0,
+                ],
+                [0, 212, 0, 0, 0, 0, 0],
+            ),
+            (
+                "cloud-only",
+                Croesus::cloud_only(&cfg),
+                "cloud-only v2",
+                [
+                    1.0,
+                    1.0,
+                    1.0,
+                    1.0,
+                    0.000_809_999_999_999_998_9,
+                    11.070_600_000_000_002,
+                    0.0,
+                    148.316_566_666_666_7,
+                    1_120.555_833_333_333_6,
+                ],
+                [9_000_000, 506, 0, 0, 0, 0, 0],
+            ),
+            (
+                "forced bu=0.5",
+                Croesus::multistage(&forced),
+                "croesus v2 bu=50%",
+                [
+                    0.787_368_421_052_631_6,
+                    0.954_081_632_653_061_2,
+                    0.670_250_896_057_347_7,
+                    0.5,
+                    0.000_405_000_000_000_000_03,
+                    11.029_616_666_666_664,
+                    186.471_65,
+                    148.058,
+                    1_117.797_433_333_333_4,
+                ],
+                [4_500_000, 299, 0, 244, 43, 12, 106],
+            ),
+            (
+                "cloud loss 0.5",
+                Croesus::multistage(&cfg.clone().with_cloud_loss(0.5)),
+                "croesus v2 (0.3,0.7)",
+                [
+                    0.712_694_877_505_567_9,
+                    0.941_176_470_588_235_3,
+                    0.573_476_702_508_960_5,
+                    0.833_333_333_333_333_4,
+                    0.000_674_999_999_999_999_4,
+                    10.835_766_666_666_67,
+                    186.471_65,
+                    1_688.409_919_999_999_8,
+                    509.548_839_999_999_87,
+                ],
+                [7_500_000, 284, 27, 252, 24, 8, 87],
+            ),
+            (
+                "3 edges, MS-SR",
+                Croesus::builder()
+                    .config(cfg.clone())
+                    .edges(3)
+                    .protocol(ProtocolKind::MsSr)
+                    .build(),
+                "croesus v2 (0.3,0.7) [MS-SR] [3 edges]",
+                [
+                    0.922_779_922_779_922_8,
+                    1.0,
+                    0.856_630_824_372_759_8,
+                    0.833_333_333_333_333_4,
+                    0.000_674_999_999_999_999_4,
+                    10.982_683_333_333_33,
+                    186.471_65,
+                    148.819_78,
+                    1_113.790_46,
+                ],
+                [7_500_000, 271, 0, 202, 53, 16, 205],
+            ),
+        ];
+        for (name, deployment, label, floats, counts) in pins {
+            let m = deployment.run();
+            let (b, c) = (m.breakdown, m.corrections);
+            assert_eq!(m.label, label, "{name}");
+            assert_eq!(
+                [
+                    m.f_score,
+                    m.precision,
+                    m.recall,
+                    m.bandwidth_utilization,
+                    m.transfer_dollars,
+                    b.edge_link_ms,
+                    b.edge_detect_ms,
+                    b.cloud_link_ms,
+                    b.cloud_detect_ms,
+                ],
+                floats,
+                "{name}"
+            );
+            assert_eq!(
+                [
+                    m.bytes_sent,
+                    m.transactions_committed,
+                    m.cloud_timeouts,
+                    c.correct,
+                    c.corrected,
+                    c.erroneous,
+                    c.missed,
+                ],
+                counts,
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one edge")]
     fn zero_edges_panics() {

@@ -1,9 +1,15 @@
-//! The fault-injected edge fleet: failure detection, WAL-shipping
-//! failover, and degradation.
+//! The edge fleet: the one frame loop every deployment runs, and the
+//! failure model that attaches to it.
 //!
-//! [`Deployment::run_fleet`] drives the multi-stage pipeline across the
-//! edge fleet while a [`FaultPlan`](croesus_sim::FaultPlan) kills, stalls,
-//! partitions and resurrects individual edges. The pieces:
+//! `Deployment::drive` is the single per-frame driver: the execution
+//! pattern of Figure 1 over one seat (`EdgeSlot`) per edge, with the
+//! deployment mode read in one place (the frame policy).
+//! [`Deployment::run`] and [`Deployment::run_fleet`] are thin wrappers over
+//! it. Only `run_fleet` attaches the failure model — detection, WAL-shipping
+//! failover and degradation, while a [`FaultPlan`](croesus_sim::FaultPlan)
+//! kills, stalls, partitions and resurrects individual edges. Per frame:
+//! clock → detect → faults → beats → route → frame → settle → tail. The
+//! pieces:
 //!
 //! * **Heartbeats** — every serving edge beats once per frame (failure
 //!   detection is frame-synchronous, like everything else in the
@@ -28,23 +34,26 @@
 //!   *not* a failover trigger: validated frames finalize locally
 //!   (degraded accuracy, full availability) until the uplink heals.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use croesus_detect::{Detection, ModelProfile, SimulatedModel};
+use croesus_detect::{score_against, Detection, ModelProfile, SimulatedModel};
+use croesus_net::BandwidthMeter;
 use croesus_obs::{EdgeObs, Event, EventKind, HistKind};
-use croesus_sim::{FaultEvent, FaultInjector, FaultKind};
+use croesus_sim::{DetRng, FaultEvent, FaultInjector, FaultKind, SimDuration};
 use croesus_store::{KvStore, LockManager};
 use croesus_txn::recovery::{recover_edge_file, RecoveredEdge};
-use croesus_txn::ExecutorCore;
+use croesus_txn::{ExecutorCore, ProtocolKind};
+use croesus_video::{Frame, LabelClass};
 use croesus_wal::{FileStorage, LogShipper, MemStorage, Storage, Wal};
 
 use crate::bank::TransactionsBank;
+use crate::baseline::EDGE_BASELINE_CONFIDENCE;
 use crate::cloud::{CloudNode, ReplicaTailer, TailPoll};
 use crate::config::ValidationPolicy;
 use crate::edge::EdgeNode;
+use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::pipeline::evaluation_bank;
-use crate::system::Deployment;
+use crate::system::{Deployment, DeploymentMode};
 
 /// One completed failover.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,13 +142,19 @@ impl FleetReport {
 
 /// One edge's seat in the fleet: the node (if alive), its shipping
 /// endpoint, the cloud's replica tail, and its fault clocks.
-struct EdgeSlot {
+pub(crate) struct EdgeSlot {
     /// The serving node: the original edge, its in-place resurrection, or
     /// (after takeover) the cloud-side replacement. `None` while killed.
-    node: Option<EdgeNode>,
+    pub(crate) node: Option<EdgeNode>,
+    /// The fleet-wide transactions bank every node in this seat runs.
+    bank: Arc<TransactionsBank>,
+    /// Where the edge's WAL publishes its durable bytes — attached to the
+    /// WAL (and tailed) on the [`run_fleet`](Deployment::run_fleet) path
+    /// only; `run()` ships nothing.
     shipper: Arc<LogShipper>,
     tailer: ReplicaTailer,
-    wal_path: PathBuf,
+    /// Last frame the seat's node beat in.
+    last_seen: u64,
     /// Frame until which the node is frozen (misses heartbeats, serves
     /// nothing, loses nothing).
     stalled_until: u64,
@@ -154,107 +169,157 @@ struct EdgeSlot {
 }
 
 impl EdgeSlot {
-    /// Whether the slot serves frames (and beats) at `now`. A failed-over
-    /// slot's replacement ignores the original's stall clock.
-    fn serving(&self, now: u64) -> bool {
-        self.node.is_some() && (self.failed_over || now >= self.stalled_until)
+    /// The node serving frames (and beating) at `now`, if any. A
+    /// failed-over slot's replacement ignores the original's stall clock.
+    fn serving(&self, now: u64) -> Option<&EdgeNode> {
+        let awake = self.failed_over || now >= self.stalled_until;
+        self.node.as_ref().filter(|_| awake)
+    }
+
+    /// Tail the shipped log until it is up to date, the link is down, or
+    /// more than `reject_budget` batches were rejected as damaged (a
+    /// rejected batch does not move the cursor: the next poll refetches).
+    fn tail(&mut self, reject_budget: u32, report: &mut FleetReport) {
+        let mut rejects = 0;
+        loop {
+            match self.tailer.poll() {
+                TailPoll::Advanced { bytes, .. } => {
+                    self.obs.emit(EventKind::ShipAccept {
+                        bytes: bytes as u64,
+                    });
+                }
+                TailPoll::Rejected => {
+                    self.obs.emit(EventKind::ShipReject);
+                    report.rejected_batches += 1;
+                    rejects += 1;
+                    if rejects > reject_budget {
+                        break;
+                    }
+                }
+                TailPoll::UpToDate | TailPoll::Offline => break,
+            }
+        }
     }
 }
 
+/// What a frame's policy decides, given the serving edge, the frame and
+/// the cloud's labels for it: the labels that trigger transactions, the
+/// inference latency the initial commit waited for, and whether the frame
+/// goes up to the cloud.
+type FramePolicy<'a> =
+    Box<dyn Fn(&EdgeNode, &Frame, &[Detection]) -> (Vec<Detection>, SimDuration, bool) + 'a>;
+
+/// The edge model's detections at or above a confidence floor, and the
+/// inference latency.
+fn confident(edge: &EdgeNode, frame: &Frame, floor: f64) -> (Vec<Detection>, SimDuration) {
+    let (detections, latency) = edge.detect(frame);
+    let labels = detections.into_iter().filter(|d| d.confidence >= floor);
+    (labels.collect(), latency)
+}
+
 impl Deployment {
-    fn edge_model(&self) -> SimulatedModel {
-        SimulatedModel::new(ModelProfile::tiny_yolov3(), self.config.seed ^ 0xE)
-            .with_hardware_factor(self.config.setup.edge.hardware_factor())
+    /// The executor core of edge `i` over `store`: the protocol's lock
+    /// policy, the edge's observability stream and (with durability on)
+    /// its write-ahead log.
+    fn core(&self, i: usize, store: Arc<KvStore>, wal: Option<Wal>) -> ExecutorCore {
+        let eobs = self.edge_obs(i);
+        let locks = Arc::new(LockManager::new(self.protocol.default_lock_policy()));
+        let mut core = ExecutorCore::new(store, locks).with_obs(eobs.clone());
+        if let Some(wal) = wal {
+            wal.set_obs(eobs);
+            core = core.with_wal(Arc::new(wal));
+        }
+        core
     }
 
-    fn build_slot(&self, bank: &Arc<TransactionsBank>, i: usize) -> EdgeSlot {
+    /// Edge node `i` over `core` — the one place an [`EdgeNode`] is built,
+    /// whether fresh, restarted in place or standing in at the cloud.
+    fn node(&self, i: usize, bank: &Arc<TransactionsBank>, core: ExecutorCore) -> EdgeNode {
         let cfg = &self.config;
+        // Every edge runs the same deployed model (same seed → identical
+        // detections however frames are routed); only the workload RNG is
+        // salted per edge. Edge 0 keeps the historical seeds so single-edge
+        // runs are byte-identical with the pre-builder pipeline.
         let salt = (i as u64) << 48;
-        let wal = self
-            .durability
-            .open_edge_wal_with(i, self.coalescer.clone())
-            .expect("durability directory must be creatable and writable")
-            .expect("the fleet driver requires durability");
-        let shipper = Arc::new(LogShipper::new());
-        wal.attach_shipper(Arc::clone(&shipper));
-        let eobs = self.edge_obs(i);
-        wal.set_obs(eobs.clone());
-        let core = ExecutorCore::new(
-            Arc::new(KvStore::new()),
-            Arc::new(LockManager::new(self.protocol.default_lock_policy())),
-        )
-        .with_obs(eobs.clone())
-        .with_wal(Arc::new(wal));
-        let node = EdgeNode::with_protocol(
-            self.edge_model(),
+        let mut model = SimulatedModel::new(ModelProfile::tiny_yolov3(), cfg.seed ^ 0xE);
+        // The setup's edge machine class applies to inference latency —
+        // except in the cloud baseline, where detection happens at the
+        // cloud and the edge model is only a datastore placeholder.
+        if self.mode != DeploymentMode::CloudOnly {
+            model = model.with_hardware_factor(cfg.setup.edge.hardware_factor());
+        }
+        let protocol = self.protocol.build(core);
+        EdgeNode::with_protocol(
+            model,
             Arc::clone(bank),
             cfg.overlap_threshold,
             cfg.seed ^ salt,
-            self.protocol.build(core),
+            protocol,
         )
-        .with_worker_pool(croesus_txn::WorkerPool::new(self.workers));
+        .with_worker_pool(croesus_txn::WorkerPool::new(self.workers))
+    }
+
+    /// A fresh seat: the edge owns its own store, lock manager and protocol
+    /// executor (its partition of the data, §4.5). `ship` attaches the
+    /// seat's shipper to the WAL — it must happen before the first append.
+    pub(crate) fn build_slot(
+        &self,
+        bank: &Arc<TransactionsBank>,
+        i: usize,
+        ship: bool,
+    ) -> EdgeSlot {
+        let wal = self
+            .durability
+            .open_edge_wal_with(i, self.coalescer.clone())
+            .expect("durability directory must be creatable and writable");
+        let shipper = Arc::new(LogShipper::new());
+        if let (Some(wal), true) = (&wal, ship) {
+            wal.attach_shipper(Arc::clone(&shipper));
+        }
+        let core = self.core(i, Arc::new(KvStore::new()), wal);
         EdgeSlot {
-            node: Some(node),
+            node: Some(self.node(i, bank, core)),
+            bank: Arc::clone(bank),
             tailer: ReplicaTailer::new(Arc::clone(&shipper)),
             shipper,
-            wal_path: self.durability.edge_log_path(i).expect("durability is on"),
+            last_seen: 0,
             stalled_until: 0,
             partition_until: 0,
             failed_over: false,
-            obs: eobs,
+            obs: self.edge_obs(i),
         }
     }
 
-    /// Stand a node back up over recovered state: the WAL restarts as a
-    /// checkpoint of the recovered world, the apology manager carries the
+    /// Stand the seat's node back up over recovered state: the WAL
+    /// restarts as a checkpoint of the recovered world (publishing to the
+    /// seat's shipper again when `ship`), the apology manager carries the
     /// crash retractions, and transaction ids continue from the log's
-    /// high-water mark. Returns the node and how many transactions the
-    /// recovery retracted.
-    fn revive_node(
+    /// high-water mark. Returns how many transactions the recovery
+    /// retracted.
+    fn revive(
         &self,
         i: usize,
-        bank: &Arc<TransactionsBank>,
+        slot: &mut EdgeSlot,
         rec: RecoveredEdge,
         storage: Box<dyn Storage>,
-        shipper: Option<Arc<LogShipper>>,
-    ) -> (EdgeNode, usize) {
-        let RecoveredEdge {
-            store,
-            apologies,
-            retractions,
-            next_txn,
-            state,
-            ..
-        } = rec;
+        ship: bool,
+    ) -> usize {
         let wal = Wal::resume(
             storage,
             self.durability.wal_config(),
             self.durability.flush_driver(self.coalescer.clone()),
-            state,
-            &store,
-            shipper,
+            rec.state,
+            &rec.store,
+            ship.then(|| Arc::clone(&slot.shipper)),
         )
         .expect("resuming the write-ahead log must succeed");
-        let eobs = self.edge_obs(i);
-        wal.set_obs(eobs.clone());
-        let core = ExecutorCore::new(
-            store,
-            Arc::new(LockManager::new(self.protocol.default_lock_policy())),
-        )
-        .with_obs(eobs)
-        .with_apologies(apologies)
-        .with_wal(Arc::new(wal));
-        let salt = (i as u64) << 48;
-        let node = EdgeNode::with_protocol(
-            self.edge_model(),
-            Arc::clone(bank),
-            self.config.overlap_threshold,
-            self.config.seed ^ salt,
-            self.protocol.build(core),
-        )
-        .with_worker_pool(croesus_txn::WorkerPool::new(self.workers));
-        node.set_txn_start(next_txn);
-        (node, retractions.len())
+        let core = self
+            .core(i, rec.store, Some(wal))
+            .with_apologies(rec.apologies);
+        let node = self.node(i, &slot.bank, core);
+        node.set_txn_start(rec.next_txn);
+        slot.node = Some(node);
+        rec.retractions.len()
     }
 
     /// The cloud takes over a dead edge's partition from its replica.
@@ -264,7 +329,6 @@ impl Deployment {
         now: u64,
         silence_frames: u64,
         slot: &mut EdgeSlot,
-        bank: &Arc<TransactionsBank>,
         report: &mut FleetReport,
     ) {
         slot.obs.emit(EventKind::TakeoverStart);
@@ -273,25 +337,7 @@ impl Deployment {
         // Pull whatever the link still carries; if it is down, the replica
         // serves from what already shipped — a stale-but-valid durable
         // prefix is exactly what a crash would have preserved anyway.
-        let mut rejects = 0;
-        loop {
-            match slot.tailer.poll() {
-                TailPoll::Advanced { bytes, .. } => {
-                    slot.obs.emit(EventKind::ShipAccept {
-                        bytes: bytes as u64,
-                    });
-                }
-                TailPoll::Rejected => {
-                    slot.obs.emit(EventKind::ShipReject);
-                    report.rejected_batches += 1;
-                    rejects += 1;
-                    if rejects > 3 {
-                        break;
-                    }
-                }
-                TailPoll::UpToDate | TailPoll::Offline => break,
-            }
-        }
+        slot.tail(3, report);
         if slot.node.take().is_some() {
             // The node was stalled, not dead: it gets deposed now and
             // fenced when it wakes.
@@ -309,8 +355,7 @@ impl Deployment {
                 }
             }
         }
-        let (node, retractions) = self.revive_node(i, bank, rec, Box::new(MemStorage::new()), None);
-        slot.node = Some(node);
+        let retractions = self.revive(i, slot, rec, Box::new(MemStorage::new()), false);
         slot.failed_over = true;
         slot.obs.emit(EventKind::TakeoverEnd {
             retractions: retractions as u32,
@@ -324,13 +369,7 @@ impl Deployment {
 
     /// A killed edge restarts from its own durable log file (resurrect
     /// before the detector fired). After a takeover it is fenced instead.
-    fn resurrect(
-        &self,
-        i: usize,
-        slot: &mut EdgeSlot,
-        bank: &Arc<TransactionsBank>,
-        report: &mut FleetReport,
-    ) {
+    fn resurrect(&self, i: usize, slot: &mut EdgeSlot, report: &mut FleetReport) {
         if slot.failed_over {
             report.fenced_wakeups += 1;
             slot.obs.emit(EventKind::Fence);
@@ -339,24 +378,17 @@ impl Deployment {
         if slot.node.is_some() {
             return; // scripted resurrect of a live edge: nothing to do
         }
-        let rec = recover_edge_file(&slot.wal_path).expect("the durable log file is readable");
-        let storage: Box<dyn Storage> = Box::new(
-            FileStorage::create(&slot.wal_path).expect("the durable log file is writable"),
-        );
+        let path = self.durability.edge_log_path(i).expect("durability is on");
+        let rec = recover_edge_file(&path).expect("the durable log file is readable");
+        let storage: Box<dyn Storage> =
+            Box::new(FileStorage::create(&path).expect("the durable log file is writable"));
         // Resuming restarts the shipping epoch, so the replica re-tails
         // from the restart checkpoint.
-        let (node, _) = self.revive_node(i, bank, rec, storage, Some(Arc::clone(&slot.shipper)));
-        slot.node = Some(node);
+        self.revive(i, slot, rec, storage, true);
         report.in_place_restarts += 1;
     }
 
-    fn apply_fault(
-        &self,
-        ev: FaultEvent,
-        slot: &mut EdgeSlot,
-        bank: &Arc<TransactionsBank>,
-        report: &mut FleetReport,
-    ) {
+    fn apply_fault(&self, ev: FaultEvent, slot: &mut EdgeSlot, report: &mut FleetReport) {
         match ev.kind {
             // Process death: the node (and its unsynced WAL buffer) is
             // gone; only the synced file — and its shipped image — remain.
@@ -374,116 +406,261 @@ impl Deployment {
             FaultKind::Partition { frames } => {
                 slot.partition_until = slot.partition_until.max(ev.frame + frames);
             }
-            FaultKind::Resurrect => self.resurrect(ev.edge, slot, bank, report),
+            FaultKind::Resurrect => self.resurrect(ev.edge, slot, report),
             FaultKind::CorruptShipment => slot.shipper.corrupt_next_fetch(),
         }
     }
 
-    /// Run the multi-stage pipeline across the fleet under the configured
-    /// [`FaultPlan`](croesus_sim::FaultPlan). Requires durability (the
-    /// builder enforces the failover half of that contract). Fully
-    /// deterministic: the report is a pure function of the configuration
-    /// and the plan.
-    pub fn run_fleet(&self) -> FleetReport {
-        assert!(
-            self.durability.is_enabled(),
-            "the fleet driver requires durability: WAL shipping is the failover substrate"
-        );
+    /// The run's label and its per-frame policy — the one place the
+    /// deployment mode is read.
+    fn policy<'a>(&'a self, query: &'a LabelClass) -> (String, FramePolicy<'a>) {
+        let config = &self.config;
+        let video = config.preset.paper_id();
+        let (mut label, policy): (String, FramePolicy<'a>) = match self.mode {
+            // Figure 1: small-model detection, then the validation policy
+            // decides what the edge acts on and whether the cloud checks it.
+            DeploymentMode::MultiStage => match config.validation {
+                ValidationPolicy::Thresholds(pair) => (
+                    format!("croesus {video} ({:.1},{:.1})", pair.lower, pair.upper),
+                    Box::new(move |edge: &EdgeNode, frame: &Frame, _: &[Detection]| {
+                        let (detections, latency) = edge.detect(frame);
+                        let d = pair.decide_frame(&detections, query);
+                        (d.surviving(), latency, d.send)
+                    }),
+                ),
+                ValidationPolicy::ForcedBu(bu) => (
+                    format!("croesus {video} bu={:.0}%", bu * 100.0),
+                    Box::new(move |edge: &EdgeNode, frame: &Frame, _: &[Detection]| {
+                        let (labels, latency) =
+                            confident(edge, frame, config.low_confidence_filter);
+                        (
+                            labels,
+                            latency,
+                            ValidationPolicy::forced_send(bu, frame.index),
+                        )
+                    }),
+                ),
+            },
+            // The edge-only baseline of §5: single-stage commits with the
+            // edge model's labels, no cloud traffic.
+            DeploymentMode::EdgeOnly => (
+                format!("edge-only {video}"),
+                Box::new(|edge: &EdgeNode, frame: &Frame, _: &[Detection]| {
+                    let (labels, latency) = confident(edge, frame, EDGE_BASELINE_CONFIDENCE);
+                    (labels, latency, false)
+                }),
+            ),
+            // The cloud-only baseline of §5 (optionally with compression /
+            // difference pre-processing at the edge): transactions trigger
+            // only after the accurate labels arrive, and both sections run
+            // back-to-back with the correct input. The edge model never
+            // runs — the data lives at the edge partitions, nothing else.
+            DeploymentMode::CloudOnly => (
+                format!("cloud-only{} {video}", config.codec.label()),
+                Box::new(|_: &EdgeNode, _: &Frame, cloud_labels: &[Detection]| {
+                    (cloud_labels.to_vec(), SimDuration::ZERO, true)
+                }),
+            ),
+        };
+        if self.protocol != ProtocolKind::MsIa {
+            label.push_str(&format!(" [{}]", self.protocol.paper_name()));
+        }
+        if self.edges > 1 {
+            label.push_str(&format!(" [{} edges]", self.edges));
+        }
+        (label, policy)
+    }
+
+    /// The one frame loop — the Croesus execution pattern of Figure 1. For
+    /// every frame: client→edge transfer, the frame policy (detection and
+    /// thresholding), initial transaction sections (initial commit →
+    /// response), then — when the frame goes up and its labels come back —
+    /// edge→cloud transfer, big-model detection, label matching and final
+    /// sections (final commit); every other frame finalizes locally.
+    ///
+    /// `chaos` attaches the failure model: every WAL ships to its replica,
+    /// each frame starts with the fleet prologue (clock → detect → faults →
+    /// beats) and ends with a tail round, and the report carries the
+    /// timeline. Without it those hooks cost one branch each and nothing
+    /// is shipped.
+    pub(crate) fn drive(&self, chaos: bool) -> (RunMetrics, FleetReport) {
         let config = &self.config;
         let video = config.preset.generate(config.num_frames, config.seed);
-        let query = video.query_class().clone();
+        let query: LabelClass = video.query_class().clone();
         let bank = evaluation_bank();
         let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
-        let mut slots: Vec<EdgeSlot> = (0..self.edges).map(|i| self.build_slot(&bank, i)).collect();
+        let topology = config.setup.topology();
+        let mut link_rng = DetRng::new(config.seed).fork_named("links");
+        let (label, policy) = self.policy(&query);
+        // Only the multi-stage pipeline *validates*: its cloud labels can
+        // be lost, and they correct the edge's guesses. The cloud
+        // baseline's trip up is the detection itself.
+        let validating = self.mode == DeploymentMode::MultiStage;
+        let in_query = |labels: &[Detection]| -> Vec<Detection> {
+            let of_query = labels.iter().filter(|l| l.is_class(&query));
+            of_query.cloned().collect()
+        };
+
+        let mut slots: Vec<EdgeSlot> = (0..self.edges)
+            .map(|i| self.build_slot(&bank, i, chaos))
+            .collect();
         let mut injector = FaultInjector::new(self.faults.clone());
-        let mut last_seen = vec![0u64; self.edges];
+        let mut meter = BandwidthMeter::new();
+        let mut collector = MetricsCollector::new();
         let mut report = FleetReport::default();
 
         for frame in video.frames() {
             let now = frame.index;
-            // Advance every stream's sim frame clock first: fault, miss
-            // and takeover events this frame must be stamped with it.
-            for slot in &slots {
-                slot.obs.set_frame(now);
-            }
-            // Failure detection runs FIRST in the frame, on last frame's
-            // heartbeat state — before this frame's faults (a resurrect)
-            // or beats are applied. This is the pinned boundary semantics:
-            // the detector's `silence > heartbeat_timeout` condition is
-            // evaluated like a lease — once an edge's silence exceeds the
-            // timeout, the takeover wins the frame, and a resurrect
-            // arriving at that exact frame is fenced rather than racing
-            // the detector back in. A resurrect one frame earlier (silence
-            // exactly == timeout, not >) still restarts in place. Live
-            // edges see silence == 1 here (they last beat in the previous
-            // frame), which the `timeout >= 1` builder floor makes
-            // harmless.
-            if self.failover {
-                for i in 0..self.edges {
-                    let silence = now.saturating_sub(last_seen[i]);
-                    if !slots[i].failed_over && silence > self.heartbeat_timeout {
-                        self.take_over(i, now, silence, &mut slots[i], &bank, &mut report);
-                        last_seen[i] = now;
+            if chaos {
+                // The failure model's prologue, before the frame is routed.
+                // Advance every stream's sim frame clock first: fault, miss
+                // and takeover events this frame must be stamped with it.
+                for slot in &slots {
+                    slot.obs.set_frame(now);
+                }
+                // Failure detection runs FIRST in the frame, on last frame's
+                // heartbeat state — before this frame's faults (a resurrect)
+                // or beats are applied. This is the pinned boundary semantics:
+                // the detector's `silence > heartbeat_timeout` condition is
+                // evaluated like a lease — once an edge's silence exceeds the
+                // timeout, the takeover wins the frame, and a resurrect
+                // arriving at that exact frame is fenced rather than racing
+                // the detector back in. A resurrect one frame earlier (silence
+                // exactly == timeout, not >) still restarts in place. Live
+                // edges see silence == 1 here (they last beat in the previous
+                // frame), which the `timeout >= 1` builder floor makes
+                // harmless.
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let silence = now.saturating_sub(slot.last_seen);
+                    if self.failover && !slot.failed_over && silence > self.heartbeat_timeout {
+                        self.take_over(i, now, silence, slot, &mut report);
+                        slot.last_seen = now;
                     }
                 }
-            }
-            for ev in injector.take_due(now) {
-                if ev.edge < self.edges {
-                    let slot = &mut slots[ev.edge];
-                    self.apply_fault(ev, slot, &bank, &mut report);
+                for ev in injector.take_due(now) {
+                    if let Some(slot) = slots.get_mut(ev.edge) {
+                        self.apply_fault(ev, slot, &mut report);
+                    }
                 }
-            }
-            for (i, slot) in slots.iter_mut().enumerate() {
-                slot.shipper.set_offline(now < slot.partition_until);
-                if slot.serving(now) {
-                    last_seen[i] = now;
-                } else if !slot.failed_over {
-                    slot.obs.emit(EventKind::HeartbeatMiss);
+                for slot in &mut slots {
+                    slot.shipper.set_offline(now < slot.partition_until);
+                    if slot.serving(now).is_some() {
+                        slot.last_seen = now;
+                    } else if !slot.failed_over {
+                        slot.obs.emit(EventKind::HeartbeatMiss);
+                    }
                 }
             }
 
-            let i = (now as usize) % self.edges;
-            let slot = &mut slots[i];
-            if !slot.serving(now) {
-                report.frames_dropped += 1;
-            } else {
-                let edge = slot.node.as_ref().expect("serving implies a node");
-                let (detections, _) = edge.detect(frame);
-                let (send, surviving): (bool, Vec<Detection>) = match config.validation {
-                    ValidationPolicy::Thresholds(pair) => {
-                        let d = pair.decide_frame(&detections, &query);
-                        (d.send, d.surviving())
-                    }
-                    ValidationPolicy::ForcedBu(bu) => (
-                        ValidationPolicy::forced_send(bu, now),
-                        detections
-                            .into_iter()
-                            .filter(|d| d.confidence >= config.low_confidence_filter)
-                            .collect(),
-                    ),
-                };
-                let initial = edge.run_initial_stage(now, &surviving);
+            let slot = &slots[(now as usize) % self.edges];
+            if let Some(edge) = slot.serving(now) {
+                meter.record_processed();
+                let edge_link = topology
+                    .client_edge
+                    .transfer_latency(frame.bytes, &mut link_rng);
+                // The cloud reference is always computed for scoring; its
+                // latency and bandwidth are only charged when the frame is
+                // actually sent.
+                let (cloud_labels, cloud_detect) = cloud.process(frame);
+                let (labels, edge_detect, goes_up) = policy(edge, frame, &cloud_labels);
+
+                // Initial stage: trigger transactions, commit initial sections.
+                let initial = edge.run_initial_stage(now, &labels);
+                collector.record_transactions(initial.committed);
                 report.transactions_committed += initial.committed;
-                // The replacement node lives at the cloud: its "uplink"
-                // cannot be partitioned away.
+
+                // A partitioned uplink carries nothing and the frame
+                // degrades to a local finalize (the replacement node lives
+                // at the cloud: its "uplink" cannot be partitioned away).
+                // A validated frame's labels can also be lost to a cloud
+                // outage: the frame and its bytes were sent, but it times
+                // out and finalizes locally — not a degraded frame.
                 let partitioned = !slot.failed_over && now < slot.partition_until;
-                if send && !partitioned {
-                    let (cloud_labels, _) = cloud.process(frame);
-                    edge.deliver_cloud_labels(now, &cloud_labels);
-                } else {
-                    edge.finalize_local(now);
-                    if send {
-                        report.degraded_frames += 1;
-                    }
+                let sent = goes_up && !partitioned;
+                let lost = sent && validating && link_rng.bernoulli(config.cloud_loss_rate);
+                let came_back = sent && !lost;
+                if goes_up && partitioned {
+                    report.degraded_frames += 1;
                 }
+
+                // Final stage. After a timeout the multi-stage guarantee
+                // holds — every initially-committed transaction still
+                // finally commits, with the guess retained.
+                let fin = if came_back && validating {
+                    edge.deliver_cloud_labels(now, &cloud_labels)
+                } else {
+                    edge.finalize_local(now)
+                };
+                if validating {
+                    let (correct, corrected, erroneous, missed) = fin.counts;
+                    collector.record_corrections(correct, corrected, erroneous, missed);
+                }
+
+                if sent {
+                    let encoded = config.codec.encode(frame.bytes, now.is_multiple_of(30));
+                    meter.record_sent(
+                        encoded.bytes,
+                        topology.edge_cloud.transfer_cost(encoded.bytes),
+                    );
+                    let (cloud_link, cloud_detect) = if lost {
+                        collector.record_cloud_timeout();
+                        let timeout = SimDuration::from_millis_f64(config.cloud_timeout_ms);
+                        (timeout, SimDuration::ZERO)
+                    } else {
+                        let up = topology
+                            .edge_cloud
+                            .transfer_latency(encoded.bytes, &mut link_rng)
+                            + encoded.encode_latency;
+                        // Labels travel back as a small payload (propagation-bound).
+                        let down = topology.edge_cloud.transfer_latency(2_048, &mut link_rng);
+                        (up + down, cloud_detect)
+                    };
+                    collector.record_validated_frame(
+                        edge_link,
+                        edge_detect,
+                        initial.txn_latency,
+                        cloud_link,
+                        cloud_detect,
+                        fin.txn_latency,
+                    );
+                } else {
+                    collector.record_edge_frame(
+                        edge_link,
+                        edge_detect,
+                        initial.txn_latency,
+                        fin.txn_latency,
+                    );
+                }
+
+                // The client sees the cloud's query labels when they came
+                // back (by the ground-truth convention, cloud output scores
+                // perfectly); otherwise it keeps every label the edge acted
+                // on — nothing was corrected.
+                let cloud_query = in_query(&cloud_labels);
+                let kept = (!came_back).then(|| in_query(&labels));
+                collector.record_accuracy(score_against(
+                    kept.as_ref().unwrap_or(&cloud_query),
+                    &cloud_query,
+                    &query,
+                    config.overlap_threshold,
+                ));
                 report.frames_processed += 1;
+            } else {
+                report.frames_dropped += 1;
             }
 
             for slot in &mut slots {
+                // Settle-and-prune: every frame routed here is fully
+                // finalized, so at quiescence the retractable entries (and
+                // their WAL shadow mirror) are dropped — an unbounded run
+                // no longer accumulates apology state for transactions
+                // that can never be retraction roots again. A no-op on an
+                // edge the frame did not touch: with nothing dropped, no
+                // WAL record is appended.
                 if let Some(edge) = &slot.node {
                     report.settled_entries += edge.settle() as u64;
                 }
-                if !slot.failed_over {
+                if chaos && !slot.failed_over {
                     // Replication lag, sampled before this frame's tail
                     // round: durable-but-unreplicated bytes at the source.
                     if slot.obs.is_enabled() {
@@ -493,28 +670,18 @@ impl Deployment {
                             .saturating_sub(slot.tailer.log().len());
                         slot.obs.record_value(HistKind::ShipLagBytes, lag as u64);
                     }
-                    loop {
-                        match slot.tailer.poll() {
-                            TailPoll::Advanced { bytes, .. } => {
-                                slot.obs.emit(EventKind::ShipAccept {
-                                    bytes: bytes as u64,
-                                });
-                            }
-                            TailPoll::Rejected => {
-                                slot.obs.emit(EventKind::ShipReject);
-                                report.rejected_batches += 1;
-                                break; // next frame's poll refetches
-                            }
-                            TailPoll::UpToDate | TailPoll::Offline => break,
-                        }
-                    }
+                    // Stop at the first reject: next frame's poll refetches.
+                    slot.tail(0, &mut report);
                 }
             }
         }
 
-        // Clean shutdown: flush the surviving WALs, let every replica
-        // catch up (chaos assertions compare them against the files), and
-        // total the apologies the fleet owes.
+        // Clean shutdown: push every surviving WAL's durability boundary
+        // over the group-commit tail (a *crash* is exactly the absence of
+        // this call — the unsynced tail is the loss window group commit
+        // trades away), let every replica catch up (chaos assertions
+        // compare them against the files), and total the apologies the
+        // fleet owes.
         for slot in &mut slots {
             if let Some(edge) = &slot.node {
                 if let Some(wal) = edge.protocol().core().wal() {
@@ -523,15 +690,34 @@ impl Deployment {
                 report.apologies_owed +=
                     edge.protocol().core().apologies().apologies().len() as u64;
             }
-            if !slot.failed_over {
+            if chaos && !slot.failed_over {
                 slot.shipper.set_offline(false);
                 slot.tailer.catch_up();
             }
         }
-        if let Some(obs) = &self.obs {
+        if let (true, Some(obs)) = (chaos, &self.obs) {
             report.timeline = obs.events();
         }
-        report
+        (collector.finish(label, &meter), report)
+    }
+
+    /// Run the multi-stage pipeline across the fleet under the configured
+    /// [`FaultPlan`](croesus_sim::FaultPlan): the frame loop with the
+    /// failure model attached. Requires the multi-stage mode and durability
+    /// (the builder enforces the failover half of that contract). Fully
+    /// deterministic: the report is a pure function of the configuration
+    /// and the plan.
+    pub fn run_fleet(&self) -> FleetReport {
+        assert!(
+            self.mode == DeploymentMode::MultiStage,
+            "the fleet driver runs the multi-stage pipeline only: the paper's baselines \
+             have no failure model (CloudOnly under a partitioned uplink is undefined)"
+        );
+        assert!(
+            self.durability.is_enabled(),
+            "the fleet driver requires durability: WAL shipping is the failover substrate"
+        );
+        self.drive(true).1
     }
 }
 
@@ -559,15 +745,52 @@ mod tests {
     fn fault_free_fleet_processes_everything() {
         let dir = croesus_wal::scratch_dir("fleet-clean");
         for fleet in fleets(&dir) {
-            let r = fleet.build().run_fleet();
+            let r = fleet.clone().build().run_fleet();
             assert_eq!(r.frames_processed, 30);
             assert_eq!(r.frames_dropped, 0);
             assert!(r.takeovers.is_empty());
             assert_eq!(r.apologies_owed, 0);
             assert!(r.settled_entries > 0, "per-frame settling fired");
             assert!(r.transactions_committed > 0);
+            // One frame loop: without faults the fleet path commits exactly
+            // what `run()` commits, under every protocol.
+            for kind in croesus_txn::ProtocolKind::ALL {
+                let deployment = fleet.clone().protocol(kind).build();
+                assert_eq!(
+                    deployment.run_fleet().transactions_committed,
+                    deployment.run().transactions_committed,
+                    "{kind}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `cloud_loss` reaches the fleet path through the shared driver: a
+    /// lost validated frame times out and finalizes locally exactly as in
+    /// `run()`. It is not a degraded frame — that counter is partition-only.
+    #[test]
+    fn fleet_honours_cloud_loss() {
+        let dir = croesus_wal::scratch_dir("fleet-loss");
+        for fleet in fleets(&dir) {
+            let healthy = fleet.clone().build().drive(true);
+            let lossy = fleet.cloud_loss(1.0).build().drive(true);
+            assert_eq!(healthy.0.cloud_timeouts, 0);
+            assert!(lossy.0.cloud_timeouts > 0);
+            assert_eq!(lossy.0.corrections.corrected, 0, "nothing came back");
+            assert_eq!(lossy.1.degraded_frames, 0, "loss is not a partition");
+            assert_ne!(healthy.1, lossy.1, "the report sees the loss");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-stage pipeline only")]
+    fn baseline_fleet_is_rejected() {
+        let _ = Croesus::builder()
+            .mode(DeploymentMode::EdgeOnly)
+            .build()
+            .run_fleet();
     }
 
     #[test]

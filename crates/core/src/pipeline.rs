@@ -1,11 +1,10 @@
 //! The evaluation workload's transactions bank, plus whole-pipeline tests.
 //!
-//! The execution pattern of Figure 1 lives in
-//! [`Deployment`](crate::system::Deployment); build one with
-//! [`Croesus::builder`](crate::system::Croesus::builder) (protocol, mode,
-//! durability and edge-fleet selection included). The deprecated
-//! `run_croesus` shim that used to live here is gone — call
-//! `Croesus::multistage(config).run()` instead.
+//! The execution pattern of Figure 1 is the one frame loop in
+//! [`crate::fleet`], reached through
+//! [`Deployment::run`](crate::system::Deployment::run); build a deployment
+//! with [`Croesus::builder`](crate::system::Croesus::builder) (protocol,
+//! mode, durability and edge-fleet selection included).
 
 use std::sync::Arc;
 

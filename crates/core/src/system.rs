@@ -6,7 +6,8 @@
 //! validation policies and codecs. This module expresses all of them as a
 //! [`CroesusBuilder`] producing a [`Deployment`] whose
 //! [`run`](Deployment::run) yields the [`RunMetrics`] the figures are
-//! built from:
+//! built from. This module only configures; every mode runs the one frame
+//! loop in [`crate::fleet`]:
 //!
 //! ```
 //! use croesus_core::{Croesus, DeploymentMode, ProtocolKind};
@@ -34,22 +35,14 @@
 
 use std::sync::Arc;
 
-use croesus_detect::{score_against, Detection, ModelProfile, SimulatedModel};
-use croesus_net::BandwidthMeter;
 use croesus_obs::{EdgeObs, Obs};
-use croesus_sim::{DetRng, FaultPlan};
-use croesus_store::{KvStore, LockManager};
-use croesus_txn::{ExecutorCore, ProtocolKind};
-use croesus_video::{LabelClass, VideoPreset};
+use croesus_sim::FaultPlan;
+use croesus_txn::ProtocolKind;
+use croesus_video::VideoPreset;
 use croesus_wal::{DurabilityMode, SyncCoalescer};
 
-use crate::bank::TransactionsBank;
-use crate::baseline::EDGE_BASELINE_CONFIDENCE;
-use crate::cloud::CloudNode;
 use crate::config::{CroesusConfig, ValidationPolicy};
-use crate::edge::EdgeNode;
-use crate::metrics::{MetricsCollector, RunMetrics};
-use crate::pipeline::evaluation_bank;
+use crate::metrics::RunMetrics;
 use crate::threshold::ThresholdPair;
 
 /// What the deployment runs: the multi-stage pipeline or one of the §5
@@ -428,397 +421,11 @@ impl Deployment {
             .map_or_else(EdgeObs::disabled, |o| o.edge(i))
     }
 
-    /// Build the edge fleet: each edge owns its own store, lock manager
-    /// and protocol executor (its partition of the data, §4.5).
-    /// `edge_hardware` applies the setup's edge machine class to inference
-    /// latency — false for the cloud baseline, where detection happens at
-    /// the cloud and the edge model is only a datastore placeholder.
-    fn build_edges(&self, bank: &Arc<TransactionsBank>, edge_hardware: bool) -> Vec<EdgeNode> {
-        let cfg = &self.config;
-        (0..self.edges)
-            .map(|i| {
-                // Every edge runs the same deployed model (same seed →
-                // identical detections however frames are routed); only the
-                // workload RNG is salted per edge. Edge 0 keeps the
-                // historical seeds so single-edge runs are byte-identical
-                // with the pre-builder pipeline.
-                let salt = (i as u64) << 48;
-                let mut model = SimulatedModel::new(ModelProfile::tiny_yolov3(), cfg.seed ^ 0xE);
-                if edge_hardware {
-                    model = model.with_hardware_factor(cfg.setup.edge.hardware_factor());
-                }
-                let eobs = self.edge_obs(i);
-                let mut core = ExecutorCore::new(
-                    Arc::new(KvStore::new()),
-                    Arc::new(LockManager::new(self.protocol.default_lock_policy())),
-                )
-                .with_obs(eobs.clone());
-                if let Some(wal) = self
-                    .durability
-                    .open_edge_wal_with(i, self.coalescer.clone())
-                    .expect("durability directory must be creatable and writable")
-                {
-                    wal.set_obs(eobs);
-                    core = core.with_wal(Arc::new(wal));
-                }
-                EdgeNode::with_protocol(
-                    model,
-                    Arc::clone(bank),
-                    cfg.overlap_threshold,
-                    cfg.seed ^ salt,
-                    self.protocol.build(core),
-                )
-                .with_worker_pool(croesus_txn::WorkerPool::new(self.workers))
-            })
-            .collect()
-    }
-
-    /// Clean shutdown: push every edge's WAL durability boundary over the
-    /// group-commit tail. (A *crash* is exactly the absence of this call —
-    /// the unsynced tail is the loss window group commit trades away.)
-    fn flush_wals(edges: &[EdgeNode]) {
-        for edge in edges {
-            if let Some(wal) = edge.protocol().core().wal() {
-                wal.flush().expect("WAL flush at shutdown failed");
-            }
-        }
-    }
-
-    fn label(&self, base: String) -> String {
-        let mut label = base;
-        if self.protocol != ProtocolKind::MsIa {
-            label.push_str(&format!(" [{}]", self.protocol.paper_name()));
-        }
-        if self.edges > 1 {
-            label.push_str(&format!(" [{} edges]", self.edges));
-        }
-        label
-    }
-
     /// Run the deployment over its video; returns the metrics the paper's
-    /// figures are built from.
+    /// figures are built from. The shared frame loop with no failure model
+    /// attached: no WAL shipping, no fault plan, no timeline.
     pub fn run(&self) -> RunMetrics {
-        match self.mode {
-            DeploymentMode::MultiStage => self.run_multistage(),
-            DeploymentMode::EdgeOnly => self.run_edge_only(),
-            DeploymentMode::CloudOnly => self.run_cloud_only(),
-        }
-    }
-
-    /// The Croesus execution pattern of Figure 1. For every frame:
-    /// client→edge transfer, small-model detection, thresholding, initial
-    /// transaction sections (initial commit → response), then — for
-    /// validated frames — edge→cloud transfer, big-model detection, label
-    /// matching and final sections (final commit); unvalidated frames
-    /// finalize locally.
-    fn run_multistage(&self) -> RunMetrics {
-        let config = &self.config;
-        let video = config.preset.generate(config.num_frames, config.seed);
-        let query: LabelClass = video.query_class().clone();
-
-        let bank = evaluation_bank();
-        let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
-        let edges = self.build_edges(&bank, true);
-        let topology = config.setup.topology();
-        let mut link_rng = DetRng::new(config.seed).fork_named("links");
-
-        let mut meter = BandwidthMeter::new();
-        let mut collector = MetricsCollector::new();
-
-        for frame in video.frames() {
-            let edge = &edges[(frame.index as usize) % self.edges];
-            meter.record_processed();
-            let edge_link = topology
-                .client_edge
-                .transfer_latency(frame.bytes, &mut link_rng);
-            let (detections, edge_detect) = edge.detect(frame);
-
-            // Thresholding / validation decision.
-            let (send, surviving, kept_query): (bool, Vec<Detection>, Vec<Detection>) =
-                match config.validation {
-                    ValidationPolicy::Thresholds(pair) => {
-                        let d = pair.decide_frame(&detections, &query);
-                        let kept_query = d
-                            .kept
-                            .iter()
-                            .filter(|l| l.is_class(&query))
-                            .cloned()
-                            .collect();
-                        (d.send, d.surviving(), kept_query)
-                    }
-                    ValidationPolicy::ForcedBu(bu) => {
-                        let surviving: Vec<Detection> = detections
-                            .iter()
-                            .filter(|d| d.confidence >= config.low_confidence_filter)
-                            .cloned()
-                            .collect();
-                        let kept_query = surviving
-                            .iter()
-                            .filter(|l| l.is_class(&query))
-                            .cloned()
-                            .collect();
-                        (
-                            ValidationPolicy::forced_send(bu, frame.index),
-                            surviving,
-                            kept_query,
-                        )
-                    }
-                };
-
-            // Initial stage: trigger transactions, commit initial sections.
-            let initial = edge.run_initial_stage(frame.index, &surviving);
-            collector.record_transactions(initial.committed);
-
-            // The cloud reference is always computed for scoring; its
-            // latency and bandwidth are only charged when the frame is
-            // actually sent.
-            let (cloud_labels, cloud_detect) = cloud.process(frame);
-            let cloud_query: Vec<Detection> = cloud_labels
-                .iter()
-                .filter(|l| l.is_class(&query))
-                .cloned()
-                .collect();
-
-            // A validated frame's labels can be lost to a cloud outage; the
-            // frame then times out and finalizes locally.
-            let lost = send && link_rng.bernoulli(config.cloud_loss_rate);
-
-            let final_labels: Vec<Detection> = if send && !lost {
-                let is_reference = frame.index.is_multiple_of(30);
-                let encoded = config.codec.encode(frame.bytes, is_reference);
-                let up = topology
-                    .edge_cloud
-                    .transfer_latency(encoded.bytes, &mut link_rng)
-                    + encoded.encode_latency;
-                // Labels travel back as a small payload (propagation-bound).
-                let down = topology.edge_cloud.transfer_latency(2_048, &mut link_rng);
-                let fin = edge.deliver_cloud_labels(frame.index, &cloud_labels);
-                meter.record_sent(
-                    encoded.bytes,
-                    topology.edge_cloud.transfer_cost(encoded.bytes),
-                );
-                collector.record_validated_frame(
-                    edge_link,
-                    edge_detect,
-                    initial.txn_latency,
-                    up + down,
-                    cloud_detect,
-                    fin.txn_latency,
-                );
-                let (correct, corrected, erroneous, missed) = fin.counts;
-                collector.record_corrections(correct, corrected, erroneous, missed);
-                cloud_query.clone()
-            } else if lost {
-                // The frame and its bytes were sent, but no labels came
-                // back: after the timeout the edge finalizes with its own
-                // labels. The multi-stage guarantee holds — every
-                // initially-committed transaction still finally commits,
-                // with the guess retained.
-                let is_reference = frame.index.is_multiple_of(30);
-                let encoded = config.codec.encode(frame.bytes, is_reference);
-                meter.record_sent(
-                    encoded.bytes,
-                    topology.edge_cloud.transfer_cost(encoded.bytes),
-                );
-                let fin = edge.finalize_local(frame.index);
-                collector.record_validated_frame(
-                    edge_link,
-                    edge_detect,
-                    initial.txn_latency,
-                    croesus_sim::SimDuration::from_millis_f64(config.cloud_timeout_ms),
-                    croesus_sim::SimDuration::ZERO,
-                    fin.txn_latency,
-                );
-                collector.record_cloud_timeout();
-                let (correct, corrected, erroneous, missed) = fin.counts;
-                collector.record_corrections(correct, corrected, erroneous, missed);
-                // The client keeps every surviving edge label (keep +
-                // validate bands): nothing was corrected.
-                surviving
-                    .iter()
-                    .filter(|l| l.is_class(&query))
-                    .cloned()
-                    .collect()
-            } else {
-                let fin = edge.finalize_local(frame.index);
-                collector.record_edge_frame(
-                    edge_link,
-                    edge_detect,
-                    initial.txn_latency,
-                    fin.txn_latency,
-                );
-                let (correct, corrected, erroneous, missed) = fin.counts;
-                collector.record_corrections(correct, corrected, erroneous, missed);
-                kept_query
-            };
-
-            collector.record_accuracy(score_against(
-                &final_labels,
-                &cloud_query,
-                &query,
-                config.overlap_threshold,
-            ));
-
-            // Settle-and-prune: this frame is fully finalized on its edge,
-            // so at quiescence the retractable entries (and their WAL
-            // shadow mirror) are dropped — an unbounded run no longer
-            // accumulates apology state for transactions that can never be
-            // retraction roots again.
-            edge.settle();
-        }
-
-        let base = match config.validation {
-            ValidationPolicy::Thresholds(pair) => format!(
-                "croesus {} ({:.1},{:.1})",
-                config.preset.paper_id(),
-                pair.lower,
-                pair.upper
-            ),
-            ValidationPolicy::ForcedBu(bu) => {
-                format!("croesus {} bu={:.0}%", config.preset.paper_id(), bu * 100.0)
-            }
-        };
-        Self::flush_wals(&edges);
-        collector.finish(self.label(base), &meter)
-    }
-
-    /// The edge-only baseline of §5: single-stage commits with the edge
-    /// model's labels, no cloud traffic.
-    fn run_edge_only(&self) -> RunMetrics {
-        let config = &self.config;
-        let video = config.preset.generate(config.num_frames, config.seed);
-        let query: LabelClass = video.query_class().clone();
-        let bank = evaluation_bank();
-        let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
-        let edges = self.build_edges(&bank, true);
-        let topology = config.setup.topology();
-        let mut link_rng = DetRng::new(config.seed).fork_named("links");
-
-        let mut meter = BandwidthMeter::new();
-        let mut collector = MetricsCollector::new();
-
-        for frame in video.frames() {
-            let edge = &edges[(frame.index as usize) % self.edges];
-            meter.record_processed();
-            let edge_link = topology
-                .client_edge
-                .transfer_latency(frame.bytes, &mut link_rng);
-            let (detections, edge_detect) = edge.detect(frame);
-            let surviving: Vec<Detection> = detections
-                .into_iter()
-                .filter(|d| d.confidence >= EDGE_BASELINE_CONFIDENCE)
-                .collect();
-            let initial = edge.run_initial_stage(frame.index, &surviving);
-            collector.record_transactions(initial.committed);
-            // Single-stage: finalize immediately with the edge labels.
-            let fin = edge.finalize_local(frame.index);
-            collector.record_edge_frame(
-                edge_link,
-                edge_detect,
-                initial.txn_latency,
-                fin.txn_latency,
-            );
-
-            // Score against the cloud reference (computed, never paid for).
-            let (cloud_labels, _) = cloud.process(frame);
-            let cloud_query: Vec<Detection> = cloud_labels
-                .into_iter()
-                .filter(|l| l.is_class(&query))
-                .collect();
-            let edge_query: Vec<Detection> = surviving
-                .into_iter()
-                .filter(|l| l.is_class(&query))
-                .collect();
-            collector.record_accuracy(score_against(
-                &edge_query,
-                &cloud_query,
-                &query,
-                config.overlap_threshold,
-            ));
-            edge.settle();
-        }
-        Self::flush_wals(&edges);
-        collector.finish(
-            self.label(format!("edge-only {}", config.preset.paper_id())),
-            &meter,
-        )
-    }
-
-    /// The cloud-only baseline of §5 (optionally with compression /
-    /// difference pre-processing at the edge): transactions trigger only
-    /// after the accurate labels arrive.
-    fn run_cloud_only(&self) -> RunMetrics {
-        let config = &self.config;
-        let video = config.preset.generate(config.num_frames, config.seed);
-        let query: LabelClass = video.query_class().clone();
-        let bank = evaluation_bank();
-        let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
-        // The cloud baseline still needs edge datastores for its
-        // transactions: the data lives at the edge partitions. (No
-        // hardware factor — detection happens at the cloud.)
-        let edges = self.build_edges(&bank, false);
-        let topology = config.setup.topology();
-        let mut link_rng = DetRng::new(config.seed).fork_named("links");
-
-        let mut meter = BandwidthMeter::new();
-        let mut collector = MetricsCollector::new();
-
-        for frame in video.frames() {
-            let edge = &edges[(frame.index as usize) % self.edges];
-            meter.record_processed();
-            let edge_link = topology
-                .client_edge
-                .transfer_latency(frame.bytes, &mut link_rng);
-            let is_reference = frame.index.is_multiple_of(30);
-            let encoded = config.codec.encode(frame.bytes, is_reference);
-            let up = topology
-                .edge_cloud
-                .transfer_latency(encoded.bytes, &mut link_rng)
-                + encoded.encode_latency;
-            let down = topology.edge_cloud.transfer_latency(2_048, &mut link_rng);
-            let (cloud_labels, cloud_detect) = cloud.process(frame);
-            meter.record_sent(
-                encoded.bytes,
-                topology.edge_cloud.transfer_cost(encoded.bytes),
-            );
-
-            // Transactions trigger only after the accurate labels arrive;
-            // both sections run back-to-back with the correct input.
-            let cloud_query: Vec<Detection> = cloud_labels
-                .iter()
-                .filter(|l| l.is_class(&query))
-                .cloned()
-                .collect();
-            let initial = edge.run_initial_stage(frame.index, &cloud_labels);
-            collector.record_transactions(initial.committed);
-            let fin = edge.finalize_local(frame.index);
-
-            collector.record_validated_frame(
-                edge_link,
-                croesus_sim::SimDuration::ZERO,
-                initial.txn_latency,
-                up + down,
-                cloud_detect,
-                fin.txn_latency,
-            );
-            // By the ground-truth convention, cloud output scores perfectly.
-            collector.record_accuracy(score_against(
-                &cloud_query,
-                &cloud_query,
-                &query,
-                config.overlap_threshold,
-            ));
-            edge.settle();
-        }
-        Self::flush_wals(&edges);
-        collector.finish(
-            self.label(format!(
-                "cloud-only{} {}",
-                config.codec.label(),
-                config.preset.paper_id()
-            )),
-            &meter,
-        )
+        self.drive(false).0
     }
 }
 
@@ -1009,8 +616,12 @@ mod tests {
         let dir = croesus_wal::scratch_dir("system-thread-free");
         for mode in durable_modes(&dir) {
             let d = quick().workers(1).durability(mode.clone()).build();
-            let bank = evaluation_bank();
-            for edge in d.build_edges(&bank, true) {
+            let bank = crate::pipeline::evaluation_bank();
+            for i in 0..d.num_edges() {
+                let edge = d
+                    .build_slot(&bank, i, false)
+                    .node
+                    .expect("a fresh seat is alive");
                 let wal = edge.protocol().core().wal().expect("durability is on");
                 let pipelined = matches!(mode, DurabilityMode::Pipelined { .. });
                 assert_eq!(wal.owns_flusher_thread(), pipelined, "{mode:?}");

@@ -10,12 +10,11 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p croesus-bench --release --bin obs_bench [-- --quick] [--merge <BENCH_PRn.json>]
+//! cargo run -p croesus-bench --release --bin obs_bench [-- --quick]
 //! ```
 //!
-//! With `--merge <path>` the `"obs"` section is spliced into an existing
-//! perf snapshot written by `perf_json` (and its `"pr"` field is bumped
-//! to 8); without it, the section alone goes to stdout.
+//! The `"obs"` section goes to stdout; nothing is written to disk (the
+//! `BENCH_PR*.json` files are read-only history).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,37 +150,6 @@ fn section(quick: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let merge = args
-        .iter()
-        .position(|a| a == "--merge")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let section = section(quick);
-    match merge {
-        Some(path) => {
-            let base = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let Some(end) = base.rfind('}') else {
-                eprintln!("error: {path} does not look like a JSON object");
-                std::process::exit(1);
-            };
-            let merged = format!("{},\n  {}\n}}\n", base[..end].trim_end(), section)
-                .replacen("\"pr\": 3", "\"pr\": 8", 1)
-                .replacen("\"pr\": 7", "\"pr\": 8", 1);
-            if let Err(e) = std::fs::write(&path, &merged) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("merged obs section into {path}");
-        }
-        None => println!("{{\n  {section}\n}}"),
-    }
+    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    println!("{{\n  {}\n}}", section(quick));
 }

@@ -596,13 +596,15 @@ impl Deployment {
                     collector.record_corrections(correct, corrected, erroneous, missed);
                 }
 
-                if sent {
+                // The trip up and back, charged only to a frame that was
+                // sent: (link, detect), or (timeout, nothing) when lost.
+                let cloud_leg = sent.then(|| {
                     let encoded = config.codec.encode(frame.bytes, now.is_multiple_of(30));
                     meter.record_sent(
                         encoded.bytes,
                         topology.edge_cloud.transfer_cost(encoded.bytes),
                     );
-                    let (cloud_link, cloud_detect) = if lost {
+                    if lost {
                         collector.record_cloud_timeout();
                         let timeout = SimDuration::from_millis_f64(config.cloud_timeout_ms);
                         (timeout, SimDuration::ZERO)
@@ -614,23 +616,15 @@ impl Deployment {
                         // Labels travel back as a small payload (propagation-bound).
                         let down = topology.edge_cloud.transfer_latency(2_048, &mut link_rng);
                         (up + down, cloud_detect)
-                    };
-                    collector.record_validated_frame(
-                        edge_link,
-                        edge_detect,
-                        initial.txn_latency,
-                        cloud_link,
-                        cloud_detect,
-                        fin.txn_latency,
-                    );
-                } else {
-                    collector.record_edge_frame(
-                        edge_link,
-                        edge_detect,
-                        initial.txn_latency,
-                        fin.txn_latency,
-                    );
-                }
+                    }
+                });
+                collector.record_frame(
+                    edge_link,
+                    edge_detect,
+                    initial.txn_latency,
+                    cloud_leg,
+                    fin.txn_latency,
+                );
 
                 // The client sees the cloud's query labels when they came
                 // back (by the ground-truth convention, cloud output scores

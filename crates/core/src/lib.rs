@@ -35,7 +35,6 @@
 
 pub mod bank;
 pub mod baseline;
-pub mod client;
 pub mod cloud;
 pub mod config;
 pub mod edge;
@@ -52,7 +51,6 @@ pub mod workload;
 
 pub use bank::{TransactionsBank, TriggerRule, TxnInstance, TxnTemplate};
 pub use baseline::EDGE_BASELINE_CONFIDENCE;
-pub use client::{AuxInput, Client, FrameResponses};
 pub use cloud::{CloudNode, ReplicaTailer, TailPoll};
 pub use config::{CroesusConfig, ValidationPolicy};
 pub use croesus_sim::{FaultEvent, FaultInjector, FaultKind, FaultPlan};

@@ -5,12 +5,11 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p croesus-mcheck --release --bin mcheck_bench [-- --quick] [--merge <BENCH_PRn.json>]
+//! cargo run -p croesus-mcheck --release --bin mcheck_bench [-- --quick]
 //! ```
 //!
-//! With `--merge <path>` the `"mcheck"` section is spliced into an
-//! existing perf snapshot written by `perf_json` (and its `"pr"` field is
-//! bumped to 7); without it, the section alone goes to stdout.
+//! The `"mcheck"` section goes to stdout; nothing is written to disk (the
+//! `BENCH_PR*.json` files are read-only history).
 
 use croesus_mcheck::{
     explore, ms_sr_block_deadlock, ms_sr_commit_point, retract_self, three_txn_hot_key,
@@ -56,7 +55,7 @@ fn section(reports: &[Report]) -> String {
         .join(",\n");
     format!(
         r#""mcheck": {{
-    "note": "PR 7 deterministic-scheduler model checker: each scenario's schedule count is its explored interleavings (exhaustive=true means the whole space, pruned via state hashing); the instrumentation is behind the mcheck cargo feature, so none of the numbers above this section run any of it",
+    "note": "PR 7 deterministic-scheduler model checker: each scenario's schedule count is its explored interleavings (exhaustive=true means the whole space, pruned via state hashing); the instrumentation is behind the mcheck cargo feature, so no release build of a shipping crate runs any of it",
     "totals": {{
       "schedules": {schedules},
       "decision_points": {decisions},
@@ -72,13 +71,7 @@ fn section(reports: &[Report]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let merge = args
-        .iter()
-        .position(|a| a == "--merge")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let quick = std::env::args().skip(1).any(|a| a == "--quick");
 
     let config = if quick {
         Config::smoke()
@@ -129,31 +122,5 @@ fn main() {
         }
     }
 
-    let section = section(&reports);
-    match merge {
-        Some(path) => {
-            let base = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let Some(end) = base.rfind('}') else {
-                eprintln!("error: {path} does not look like a JSON object");
-                std::process::exit(1);
-            };
-            let merged = format!("{},\n  {}\n}}\n", base[..end].trim_end(), section).replacen(
-                "\"pr\": 3",
-                "\"pr\": 7",
-                1,
-            );
-            if let Err(e) = std::fs::write(&path, &merged) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("merged mcheck section into {path}");
-        }
-        None => println!("{{\n  {section}\n}}"),
-    }
+    println!("{{\n  {}\n}}", section(&reports));
 }

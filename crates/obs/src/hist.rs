@@ -166,6 +166,10 @@ impl AtomicHistogram {
     /// The `q`-quantile (`q` in `[0, 1]`) in *ticks*, with linear
     /// interpolation inside the winning bucket. Returns 0.0 when empty.
     ///
+    /// A one-tick-wide bucket (ticks 0..=31) is **exact**: every occupant
+    /// has the same value, so the quantile is that value, not a point
+    /// between it and the next tick that no sample ever had.
+    ///
     /// The saturating overflow bucket is **not** interpolated: its
     /// occupants are off-scale (anywhere in `[lower, u64::MAX]`), so any
     /// point inside a "nominal width" would be fabricated precision. A
@@ -188,14 +192,13 @@ impl AtomicHistogram {
                 continue;
             }
             if seen + n >= target {
-                if idx == BUCKETS - 1 {
-                    return Self::lower(idx) as f64;
+                let (lo, hi) = (Self::lower(idx), Self::upper(idx));
+                if idx == BUCKETS - 1 || hi - lo == 1 {
+                    return lo as f64;
                 }
                 let into = (target - seen) as f64; // 1..=n
                 let frac = into / n as f64;
-                let lo = Self::lower(idx) as f64;
-                let hi = Self::upper(idx) as f64;
-                return lo + frac * (hi - lo);
+                return lo as f64 + frac * (hi - lo) as f64;
             }
             seen += n;
         }
@@ -416,6 +419,23 @@ mod tests {
         assert!(p50 > lo && p50 <= hi, "p50={p50} not in ({lo}, {hi}]");
         // Halfway through the bucket mass → halfway through its width.
         assert!((p50 - (lo + 0.5 * (hi - lo))).abs() <= (hi - lo) / 2.0);
+    }
+
+    /// Regression: interpolating inside a one-tick-wide bucket reported
+    /// values above the maximum recorded — a takeover detected after 3
+    /// silent frames showed up as 4.0 in `DetectToTakeoverFrames`.
+    #[test]
+    fn exact_buckets_report_the_recorded_value() {
+        for (value, samples) in [(3, 1), (5, 100), (31, 7)] {
+            let h = AtomicHistogram::new();
+            for _ in 0..samples {
+                h.record_value(value);
+            }
+            let q = h.quantiles_value();
+            for got in [q.p50, q.p90, q.p99, q.p999, h.quantile_ticks(1.0)] {
+                assert_eq!(got, value as f64, "{samples} x record_value({value})");
+            }
+        }
     }
 
     #[test]

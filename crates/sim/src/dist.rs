@@ -108,9 +108,10 @@ impl Distribution for Kumaraswamy {
 
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 ///
-/// Used by the contention workloads (hot-spot key selection) in the
-/// transaction experiments. Sampling is by inversion over the precomputed
-/// CDF, O(log n) per draw.
+/// Nothing outside this file uses it yet: the contention workloads draw
+/// hot keys uniformly, and the Zipf/YCSB scenario mix is parked in
+/// ROADMAP.md. Sampling is by inversion over the precomputed CDF,
+/// O(log n) per draw.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,

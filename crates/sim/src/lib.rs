@@ -15,8 +15,8 @@
 //! * [`dist`] — the distributions used across the workspace (normal,
 //!   exponential, Kumaraswamy, Zipf) implemented from first principles on
 //!   top of [`DetRng`].
-//! * [`stats`] — summaries (mean/stddev/percentiles), online accumulation
-//!   and fixed-width histograms for reporting experiment results.
+//! * [`stats`] — online mean/variance accumulation ([`OnlineStats`]) and
+//!   precision/recall counts for reporting experiment results.
 //! * [`fault`] — replayable fault schedules ([`FaultPlan`]) and the
 //!   [`FaultInjector`] that drains them, so chaos runs against the edge
 //!   fleet are as deterministic as the fault-free ones.
@@ -32,5 +32,5 @@ pub use dist::{Distribution, Exponential, Kumaraswamy, Normal, Zipf};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use kernel::{Scheduler, Simulator};
 pub use rng::DetRng;
-pub use stats::{Histogram, OnlineStats, PrecisionRecall, Summary};
+pub use stats::{OnlineStats, PrecisionRecall};
 pub use time::{SimDuration, SimTime};

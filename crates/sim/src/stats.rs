@@ -1,102 +1,8 @@
-//! Summaries, online accumulators and histograms for experiment reporting.
-
-use std::fmt;
+//! Online mean/variance accumulation and precision/recall counts for
+//! experiment reporting. Percentiles are not computed here: the one
+//! place a tail comes from is `croesus_obs::AtomicHistogram`.
 
 use crate::time::SimDuration;
-
-/// A batch summary of a sample: mean, standard deviation, extrema and
-/// percentiles (nearest-rank).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Summary {
-    sorted: Vec<f64>,
-    mean: f64,
-    std: f64,
-}
-
-impl Summary {
-    /// Summarize a slice. NaN values are rejected with a panic — they would
-    /// silently poison orderings. Returns `None` for an empty slice.
-    pub fn from_slice(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        assert!(
-            values.iter().all(|v| !v.is_nan()),
-            "summary input contains NaN"
-        );
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN checked above"));
-        let n = sorted.len() as f64;
-        let mean = sorted.iter().sum::<f64>() / n;
-        let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        Some(Summary {
-            sorted,
-            mean,
-            std: var.sqrt(),
-        })
-    }
-
-    /// Summarize a collection of durations, in milliseconds.
-    pub fn from_durations(values: &[SimDuration]) -> Option<Summary> {
-        let ms: Vec<f64> = values.iter().map(|d| d.as_millis_f64()).collect();
-        Summary::from_slice(&ms)
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.std
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("summary is never empty")
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Nearest-rank percentile, `p` in `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
-        }
-        let rank = (p / 100.0 * (self.sorted.len() - 1) as f64).round() as usize;
-        self.sorted[rank]
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} std={:.3} p50={:.3} p99={:.3} max={:.3}",
-            self.count(),
-            self.mean(),
-            self.std(),
-            self.median(),
-            self.percentile(99.0),
-            self.max()
-        )
-    }
-}
 
 /// Welford online mean/variance accumulator; O(1) memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -195,81 +101,6 @@ impl OnlineStats {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    /// Panics unless `lo < hi` and `buckets > 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Floating point can land exactly on the upper edge.
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(bucket_low_edge, count)` pairs for reporting.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + i as f64 * width, c))
-    }
-}
-
 /// Compute precision, recall, and F-score from counts of true positives,
 /// false positives and false negatives. Degenerate cases return zeros.
 ///
@@ -328,53 +159,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_basics() {
-        let s = Summary::from_slice(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(s.mean(), 2.5);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.median(), 3.0); // nearest-rank of 50% over 4 items
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 4.0);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::from_slice(&[]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn summary_rejects_nan() {
-        Summary::from_slice(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn summary_single_value() {
-        let s = Summary::from_slice(&[7.0]).unwrap();
-        assert_eq!(s.percentile(99.0), 7.0);
-        assert_eq!(s.std(), 0.0);
-    }
-
-    #[test]
-    fn summary_from_durations_in_ms() {
-        let s =
-            Summary::from_durations(&[SimDuration::from_millis(10), SimDuration::from_millis(20)])
-                .unwrap();
-        assert_eq!(s.mean(), 15.0);
-    }
-
-    #[test]
     fn online_matches_batch() {
         let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         let mut o = OnlineStats::new();
         for &v in &values {
             o.push(v);
         }
-        let s = Summary::from_slice(&values).unwrap();
-        assert!((o.mean() - s.mean()).abs() < 1e-12);
-        assert!((o.std() - s.std()).abs() < 1e-12);
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        assert!((o.mean() - mean).abs() < 1e-12);
+        assert!((o.std() - var.sqrt()).abs() < 1e-12);
         assert_eq!(o.min(), Some(1.0));
         assert_eq!(o.max(), Some(9.0));
         assert_eq!(o.count(), 8);
@@ -421,26 +216,6 @@ mod tests {
         let empty = OnlineStats::new();
         a.merge(&empty);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(5.5);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(42.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(5), 1);
-        assert_eq!(h.bucket(9), 1);
-        assert_eq!(h.total(), 6);
-        let edges: Vec<(f64, u64)> = h.iter_edges().collect();
-        assert_eq!(edges.len(), 10);
-        assert_eq!(edges[0], (0.0, 1));
     }
 
     #[test]

@@ -1,35 +1,22 @@
 //! Run every figure/table reproduction harness in sequence.
 //!
-//! Equivalent to running the `fig2`, `fig3`, `fig4`, `fig5`, `fig6a`,
-//! `fig6b`, `fig6c`, `table1` and `table2` binaries one after another;
-//! kept as process invocations so each harness stays independently
-//! runnable and this driver cannot drift from them.
+//! Equivalent to running the nine binaries named in
+//! [`croesus_bench::HARNESSES`] (`fig2` … `fig6c`, `table1`, `table2`) one
+//! after another; kept as process invocations so each harness stays
+//! independently runnable and this driver cannot drift from them.
 
+use croesus_bench::HARNESSES;
 use std::process::Command;
 
 fn main() {
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("bin dir");
-    let harnesses = [
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6a",
-        "fig6b",
-        "fig6c",
-        "table1",
-        "table2",
-        "multistage",
-        "queueing",
-        "feedback",
-    ];
-    for h in harnesses {
+    for h in HARNESSES {
         let path = dir.join(h);
         let status = Command::new(&path)
             .status()
             .unwrap_or_else(|e| panic!("failed to run {h}: {e}"));
         assert!(status.success(), "{h} exited with {status}");
     }
-    println!("\nAll {} harnesses completed.", harnesses.len());
+    println!("\nAll {} harnesses completed.", HARNESSES.len());
 }

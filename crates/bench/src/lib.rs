@@ -5,7 +5,7 @@
 //! library holds the common run configurations and plain-text table
 //! rendering so every harness prints comparable, paper-shaped output.
 
-use croesus_core::{CroesusConfig, RunMetrics, ThresholdPair};
+use croesus_core::{CroesusConfig, ThresholdPair};
 use croesus_video::VideoPreset;
 
 pub mod contention;
@@ -19,6 +19,12 @@ pub const SEED: u64 = 42;
 
 /// The default accuracy floor µ used where the paper does not state one.
 pub const DEFAULT_MU: f64 = 0.80;
+
+/// The figure/table harnesses in `src/bin/`, in the order the `all`
+/// binary runs them.
+pub const HARNESSES: [&str; 9] = [
+    "fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "table1", "table2",
+];
 
 /// Standard config for a Croesus run at a threshold pair.
 pub fn config(preset: VideoPreset, pair: ThresholdPair) -> CroesusConfig {
@@ -88,17 +94,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// One-line summary of a run for the latency-style tables.
-pub fn summary_row(m: &RunMetrics) -> Vec<String> {
-    vec![
-        m.label.clone(),
-        ms(m.initial_commit_ms),
-        ms(m.final_commit_ms),
-        f2(m.f_score),
-        pct(m.bandwidth_utilization),
-    ]
-}
-
 /// Print a section banner.
 pub fn banner(title: &str) {
     println!();
@@ -109,6 +104,7 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn table_accepts_matching_rows() {
@@ -129,6 +125,25 @@ mod tests {
         assert_eq!(ms(123.456), "123.5");
         assert_eq!(pct(0.385), "38.5%");
         assert_eq!(f2(0.8123), "0.81");
+    }
+
+    /// A harness can neither be added without joining `all` nor be
+    /// deleted while still listed.
+    #[test]
+    fn harness_list_matches_the_bin_directory() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let bins: BTreeSet<String> = std::fs::read_dir(&dir)
+            .expect("read src/bin")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        let expected: BTreeSet<String> = HARNESSES
+            .iter()
+            .chain(&["all", "obs_bench"])
+            .map(|h| h.to_string())
+            .collect();
+        assert_eq!(bins, expected);
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl CloudNode {
         }
     }
 
-    /// Create from an explicit model (tests, custom profiles).
-    pub fn with_model(model: SimulatedModel) -> Self {
-        CloudNode { model }
-    }
-
     /// Process a frame: returns the cloud labels and the inference latency.
     pub fn process(&self, frame: &Frame) -> (Vec<Detection>, SimDuration) {
         let labels = self.model.detect(frame);

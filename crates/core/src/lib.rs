@@ -43,8 +43,6 @@ pub mod matching;
 pub mod metrics;
 pub mod optimizer;
 pub mod pipeline;
-pub mod queueing;
-pub mod stages;
 pub mod system;
 pub mod threshold;
 pub mod workload;
@@ -62,10 +60,6 @@ pub use matching::{match_edge_to_cloud, FinalInput, FrameMatch, LabelVerdict};
 pub use metrics::{CorrectionCounts, LatencyBreakdown, MetricsCollector, RunMetrics};
 pub use optimizer::{OptimalThresholds, ThresholdEvaluator, ThresholdOutcome};
 pub use pipeline::evaluation_bank;
-pub use queueing::{run_queueing, QueueingConfig, QueueingMetrics};
-pub use stages::{
-    edge_cloud_chain, edge_fog_cloud_chain, run_stage_chain, ChainMetrics, Stage, StageStats,
-};
 pub use system::{Croesus, CroesusBuilder, Deployment, DeploymentMode};
 pub use threshold::{BandDecision, FrameDecision, ThresholdPair};
 pub use workload::{HotspotWorkload, YcsbWorkload};

@@ -21,13 +21,11 @@
 
 pub mod detection;
 pub mod eval;
-pub mod feedback;
 pub mod model;
 pub mod profile;
 
 pub use detection::Detection;
 pub use eval::DEFAULT_OVERLAP_THRESHOLD;
 pub use eval::{match_detections, score_against, MatchOutcome, Matching};
-pub use feedback::FeedbackModel;
 pub use model::{DetectionModel, OracleModel, SimulatedModel};
 pub use profile::{ConfidenceModel, LatencyProfile, ModelKind, ModelProfile, Vocabulary};

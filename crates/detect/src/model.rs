@@ -80,12 +80,6 @@ impl SimulatedModel {
         }
     }
 
-    /// Replace the vocabulary.
-    pub fn with_vocabulary(mut self, vocabulary: Vocabulary) -> Self {
-        self.vocabulary = vocabulary;
-        self
-    }
-
     /// Scale inference latency by a hardware factor (e.g. 2.2 for a
     /// t3a.small-class edge machine instead of t3a.xlarge).
     pub fn with_hardware_factor(mut self, factor: f64) -> Self {

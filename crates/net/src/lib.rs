@@ -19,7 +19,7 @@ pub mod meter;
 pub mod payload;
 pub mod topology;
 
-pub use link::{FaultableLink, Link};
+pub use link::Link;
 pub use meter::BandwidthMeter;
 pub use payload::PayloadCodec;
 pub use topology::{Colocation, EdgeClass, Setup, Topology};

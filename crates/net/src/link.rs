@@ -56,51 +56,6 @@ impl Link {
     }
 }
 
-/// A [`Link`] that can be administratively cut for a span of frames —
-/// the data-plane half of a network partition.
-///
-/// Time is measured in frame indices (the fleet driver's clock) rather
-/// than [`SimDuration`]s so a cut composes directly with a
-/// `croesus_sim::fault::FaultPlan` partition event. While the link is
-/// down, transfers return `None`: the caller decides what degradation
-/// means (the edge falls back to local finalization; the shipper
-/// reports `Offline`).
-#[derive(Clone, Debug)]
-pub struct FaultableLink {
-    link: Link,
-    /// First frame at which the link is up again; `0` means never cut.
-    up_at: u64,
-}
-
-impl FaultableLink {
-    /// Wrap a link; starts up.
-    pub fn new(link: Link) -> Self {
-        FaultableLink { link, up_at: 0 }
-    }
-
-    /// Cut the link from `now` for `frames` frames. Overlapping cuts
-    /// extend, never shorten, the outage.
-    pub fn cut_for(&mut self, now: u64, frames: u64) {
-        self.up_at = self.up_at.max(now.saturating_add(frames));
-    }
-
-    /// Whether the link carries traffic at frame `now`.
-    pub fn is_up(&self, now: u64) -> bool {
-        now >= self.up_at
-    }
-
-    /// Transfer latency at frame `now`, or `None` while the link is cut.
-    pub fn transfer_latency(&self, bytes: u64, rng: &mut DetRng, now: u64) -> Option<SimDuration> {
-        self.is_up(now)
-            .then(|| self.link.transfer_latency(bytes, rng))
-    }
-
-    /// The wrapped link.
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,27 +111,5 @@ mod tests {
     #[should_panic(expected = "bandwidth")]
     fn zero_bandwidth_panics() {
         Link::new("bad", Normal::new(1.0, 0.0), 0.0, 0.0);
-    }
-
-    #[test]
-    fn faultable_link_drops_traffic_while_cut() {
-        let mut rng = DetRng::new(3);
-        let mut fl = FaultableLink::new(link());
-        assert!(fl.is_up(0));
-        assert!(fl.transfer_latency(1000, &mut rng, 0).is_some());
-        fl.cut_for(2, 3);
-        assert!(!fl.is_up(2));
-        assert!(fl.transfer_latency(1000, &mut rng, 4).is_none());
-        assert!(fl.is_up(5), "back up after the outage span");
-        assert!(fl.transfer_latency(1000, &mut rng, 5).is_some());
-    }
-
-    #[test]
-    fn overlapping_cuts_extend_the_outage() {
-        let mut fl = FaultableLink::new(link());
-        fl.cut_for(0, 10);
-        fl.cut_for(3, 2); // ends at 5 — must not shorten the first cut
-        assert!(!fl.is_up(9));
-        assert!(fl.is_up(10));
     }
 }

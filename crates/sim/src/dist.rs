@@ -1,4 +1,5 @@
-//! Probability distributions used by the simulators.
+//! The two distributions the simulated models sample: [`Normal`] (link
+//! and inference latency) and [`Kumaraswamy`] (detector confidence).
 //!
 //! Implemented directly on top of [`DetRng`] (rather than pulling in
 //! `rand_distr`) so the workspace stays within its approved dependency set
@@ -41,35 +42,6 @@ impl Distribution for Normal {
     }
 }
 
-/// Exponential distribution with the given rate `λ` (mean `1/λ`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Exponential {
-    /// Rate parameter; must be positive.
-    pub rate: f64,
-}
-
-impl Exponential {
-    /// Create an exponential distribution. Panics if `rate <= 0`.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-
-    /// Create from the distribution mean. Panics if `mean <= 0`.
-    pub fn from_mean(mean: f64) -> Self {
-        assert!(mean > 0.0, "mean must be positive");
-        Exponential { rate: 1.0 / mean }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        // Inverse CDF; guard against ln(0).
-        let u = rng.uniform().max(f64::MIN_POSITIVE);
-        -u.ln() / self.rate
-    }
-}
-
 /// Kumaraswamy distribution on `[0, 1]` with shape parameters `a`, `b`.
 ///
 /// A close, cheap stand-in for the Beta distribution with a closed-form
@@ -103,65 +75,6 @@ impl Distribution for Kumaraswamy {
     fn sample(&self, rng: &mut DetRng) -> f64 {
         let u = rng.uniform();
         (1.0 - (1.0 - u).powf(1.0 / self.b)).powf(1.0 / self.a)
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Nothing outside this file uses it yet: the contention workloads draw
-/// hot keys uniformly, and the Zipf/YCSB scenario mix is parked in
-/// ROADMAP.md. Sampling is by inversion over the precomputed CDF,
-/// O(log n) per draw.
-#[derive(Clone, Debug)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Create a Zipf distribution over `1..=n`. Panics if `n == 0` or
-    /// `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s >= 0.0, "Zipf exponent must be non-negative");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for p in &mut cdf {
-            *p /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draw a rank in `[1, n]`.
-    pub fn sample_rank(&self, rng: &mut DetRng) -> usize {
-        let u = rng.uniform();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF contains NaN"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the support is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-}
-
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.sample_rank(rng) as f64
     }
 }
 
@@ -234,23 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut rng = DetRng::new(3);
-        let d = Exponential::from_mean(4.0);
-        let s: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
-        let (mean, _) = moments(&s);
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-        assert!(s.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn exponential_rate_constructor_matches() {
-        let a = Exponential::new(0.25);
-        let b = Exponential::from_mean(4.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn kumaraswamy_support_and_skew() {
         let mut rng = DetRng::new(4);
         let high = Kumaraswamy::new(5.0, 1.5); // mass near 1
@@ -276,36 +172,6 @@ mod tests {
             "empirical {mean} analytic {}",
             d.mean()
         );
-    }
-
-    #[test]
-    fn zipf_rank_bounds_and_skew() {
-        let mut rng = DetRng::new(6);
-        let d = Zipf::new(100, 1.0);
-        let mut counts = [0usize; 100];
-        for _ in 0..50_000 {
-            let r = d.sample_rank(&mut rng);
-            assert!((1..=100).contains(&r));
-            counts[r - 1] += 1;
-        }
-        // Rank 1 should be drawn roughly twice as often as rank 2.
-        let ratio = counts[0] as f64 / counts[1] as f64;
-        assert!((ratio - 2.0).abs() < 0.3, "ratio {ratio}");
-        assert!(counts[0] > counts[50]);
-    }
-
-    #[test]
-    fn zipf_zero_exponent_is_uniform() {
-        let mut rng = DetRng::new(7);
-        let d = Zipf::new(10, 0.0);
-        let mut counts = [0usize; 10];
-        for _ in 0..50_000 {
-            counts[d.sample_rank(&mut rng) - 1] += 1;
-        }
-        for &c in &counts {
-            let p = c as f64 / 50_000.0;
-            assert!((p - 0.1).abs() < 0.02, "p {p}");
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation substrate for Croesus.
+//! Deterministic simulation substrate for Croesus.
 //!
 //! The Croesus paper evaluates a distributed edge-cloud deployment on AWS.
 //! This crate provides the pieces that let the rest of the workspace
@@ -6,15 +6,11 @@
 //!
 //! * [`time`] — a virtual clock ([`SimTime`]) with microsecond resolution
 //!   and a duration type ([`SimDuration`]) with convenient constructors.
-//! * [`kernel`] — a generic discrete-event [`Simulator`] that owns a world
-//!   state and an event queue; handlers mutate the world and schedule
-//!   further events.
 //! * [`rng`] — a seedable, forkable random number generator
 //!   ([`DetRng`]) so every sampled quantity is a pure function of
 //!   `(seed, stream)`.
 //! * [`dist`] — the distributions used across the workspace (normal,
-//!   exponential, Kumaraswamy, Zipf) implemented from first principles on
-//!   top of [`DetRng`].
+//!   Kumaraswamy) implemented from first principles on top of [`DetRng`].
 //! * [`stats`] — online mean/variance accumulation ([`OnlineStats`]) and
 //!   precision/recall counts for reporting experiment results.
 //! * [`fault`] — replayable fault schedules ([`FaultPlan`]) and the
@@ -23,14 +19,12 @@
 
 pub mod dist;
 pub mod fault;
-pub mod kernel;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Distribution, Exponential, Kumaraswamy, Normal, Zipf};
+pub use dist::{Distribution, Kumaraswamy, Normal};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
-pub use kernel::{Scheduler, Simulator};
 pub use rng::DetRng;
 pub use stats::{OnlineStats, PrecisionRecall};
 pub use time::{SimDuration, SimTime};

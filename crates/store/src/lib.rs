@@ -66,13 +66,15 @@ pub mod partition;
 #[cfg(feature = "mcheck")]
 pub mod sched;
 #[cfg(not(feature = "mcheck"))]
-pub(crate) mod sched {
-    //! No-op stand-ins for the model-checker hooks (`mcheck` feature off),
-    //! so call sites stay unconditional and compile to nothing.
+pub mod sched {
+    //! No-op stand-ins for the model-checker hooks (`mcheck` feature off), so
+    //! call sites here, in txn and in wal stay unconditional and compile away.
     #[inline(always)]
     pub fn active() -> bool {
         false
     }
+    #[inline(always)]
+    pub fn yield_point(_label: &'static str) {}
     #[inline(always)]
     pub fn block_point(_label: &'static str) {}
     #[inline(always)]

@@ -66,22 +66,7 @@ pub mod ms_ia;
 pub mod ms_sr;
 pub mod protocol;
 pub mod recovery;
-#[cfg(feature = "mcheck")]
 pub(crate) use croesus_store::sched;
-#[cfg(not(feature = "mcheck"))]
-pub(crate) mod sched {
-    //! No-op stand-ins for the model-checker hooks (`mcheck` feature off).
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-    #[inline(always)]
-    pub fn yield_point(_label: &'static str) {}
-    #[inline(always)]
-    pub fn block_point(_label: &'static str) {}
-    #[inline(always)]
-    pub fn progress(_label: &'static str) {}
-}
 pub mod runtime;
 pub mod sequencer;
 pub mod staged;

@@ -73,22 +73,7 @@ pub mod frame;
 pub mod mode;
 pub mod record;
 pub mod recover;
-#[cfg(feature = "mcheck")]
 pub(crate) use croesus_store::sched;
-#[cfg(not(feature = "mcheck"))]
-pub(crate) mod sched {
-    //! No-op stand-ins for the model-checker hooks (`mcheck` feature off).
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-    #[inline(always)]
-    pub fn yield_point(_label: &'static str) {}
-    #[inline(always)]
-    pub fn block_point(_label: &'static str) {}
-    #[inline(always)]
-    pub fn progress(_label: &'static str) {}
-}
 pub mod ship;
 pub mod storage;
 pub mod writer;

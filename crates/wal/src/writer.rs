@@ -675,13 +675,6 @@ impl Wal {
         self.inner.lock().shadow.tpc_decisions().len()
     }
 
-    /// Registered entries (live or retracted) still mirrored in the shadow
-    /// state — what the settle pass keeps bounded.
-    #[must_use]
-    pub fn shadow_entry_count(&self) -> usize {
-        self.inner.lock().shadow.tracked_entries()
-    }
-
     /// Force the durable boundary forward over everything appended.
     pub fn flush(&self) -> io::Result<()> {
         self.flush_lsn(self.latest_lsn())

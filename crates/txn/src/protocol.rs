@@ -756,7 +756,8 @@ impl<P: MultiStageProtocol + ?Sized> MultiStageProtocolExt for P {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use croesus_store::{LockPolicy, Value};
+    use crate::history::SectionEvent;
+    use croesus_store::{Key, LockMode, LockPolicy, Value};
 
     fn protocol(kind: ProtocolKind) -> Box<dyn MultiStageProtocol> {
         let core = ExecutorCore::new(
@@ -827,6 +828,307 @@ mod tests {
         let h = out.into_next().unwrap();
         let out = p.run_stage(h, &RwSet::new(), &mut |_| Ok(SectionOutput::new()));
         assert!(out.unwrap().is_complete());
+    }
+
+    /// Everything one protocol's stage lifecycle leaves behind over the
+    /// four scenarios of `stage_lifecycle_is_pinned_per_protocol`.
+    #[derive(Debug, PartialEq)]
+    struct Lifecycle {
+        /// The edge stream, executor and WAL events interleaved.
+        events: Vec<(Option<u64>, EventKind)>,
+        /// Every appended stage record as `(txn, stage, flags)`.
+        wal: Vec<(u64, u32, u8)>,
+        /// The history recorder's operation sequence.
+        history: Vec<String>,
+        /// `(begun, commits, aborts)`.
+        stats: (u64, u64, u64),
+        /// `LockManager::locked_keys()` inside every stage body and after
+        /// every `run_stage` call, in order.
+        locked: Vec<usize>,
+        /// Retractable guesses left registered with the apology manager.
+        registered: usize,
+    }
+
+    fn run_lifecycle(kind: ProtocolKind) -> Lifecycle {
+        let obs = EdgeObs::standalone(0);
+        let (wal, device) = Wal::in_memory(croesus_wal::WalConfig::strict());
+        wal.set_obs(obs.clone());
+        let wal = Arc::new(wal);
+        let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
+        let history = HistoryRecorder::new();
+        let p = kind.build(
+            ExecutorCore::new(Arc::new(KvStore::new()), Arc::clone(&locks))
+                .with_history(history.clone())
+                .with_wal(Arc::clone(&wal))
+                .with_obs(obs.clone()),
+        );
+        let mut locked = Vec::new();
+
+        // (i) A 3-stage transaction to completion.
+        let stages = [
+            RwSet::new().write("a"),
+            RwSet::new().read("a").write("b"),
+            RwSet::new().write("c"),
+        ];
+        let mut next = Some(p.begin(TxnId(1), &stages));
+        for (rw, key) in stages.iter().zip(["a", "b", "c"]) {
+            let (_, n) = p
+                .stage(next.take().unwrap(), rw, |ctx| {
+                    locked.push(locks.locked_keys());
+                    if key == "b" {
+                        ctx.read("a")?;
+                    }
+                    ctx.write(key, 1)
+                })
+                .unwrap();
+            locked.push(locks.locked_keys());
+            next = n;
+        }
+        assert!(next.is_none(), "{kind}: three stages complete the txn");
+
+        // (ii) A stage-0 body failure: the write is rolled back.
+        let rw = RwSet::new().write("d");
+        let h = p.begin(TxnId(2), &[rw.clone(), rw.clone()]);
+        let failed: Result<((), _), _> = p.stage(h, &rw, |ctx| {
+            locked.push(locks.locked_keys());
+            ctx.write("d", 1)?;
+            Err(TxnError::Invariant("nope".into()))
+        });
+        assert!(matches!(failed, Err(TxnError::Invariant(_))), "{kind}");
+        assert_eq!(p.store().get(&"d".into()), None, "{kind}: rolled back");
+        locked.push(locks.locked_keys());
+
+        // (iii) A stage-0 lock conflict against a key held from outside.
+        let held = Key::from("e");
+        locks.lock(TxnId(99), &held, LockMode::Exclusive).unwrap();
+        let rw = RwSet::new().write("e");
+        let h = p.begin(TxnId(3), &[rw.clone(), rw.clone()]);
+        let refused = p.stage(h, &rw, |_| -> Result<(), _> {
+            unreachable!("never locked")
+        });
+        assert!(matches!(refused, Err(TxnError::Aborted(_))), "{kind}");
+        locked.push(locks.locked_keys());
+
+        // (iv) The conflict sits on the *later* stage's key: MS-SR aborts
+        // before initial commit, the lock-releasing protocols commit
+        // stage 0 and finish once the key is free.
+        let (first, later) = (RwSet::new().write("f"), RwSet::new().write("e"));
+        let h = p.begin(TxnId(4), &[first.clone(), later.clone()]);
+        let initial = p.stage(h, &first, |ctx| {
+            locked.push(locks.locked_keys());
+            ctx.write("f", 1)
+        });
+        locked.push(locks.locked_keys());
+        locks.release_all(TxnId(99), [&held]);
+        match initial {
+            Ok((_, next)) => {
+                assert_ne!(kind, ProtocolKind::MsSr);
+                let (_, done) = p
+                    .stage(next.unwrap(), &later, |ctx| {
+                        locked.push(locks.locked_keys());
+                        ctx.write("e", 1)
+                    })
+                    .unwrap();
+                assert!(done.is_none(), "{kind}");
+            }
+            Err(e) => {
+                assert_eq!(kind, ProtocolKind::MsSr);
+                assert!(matches!(e, TxnError::Aborted(_)));
+                assert_eq!(p.store().get(&"f".into()), None, "rolled back");
+            }
+        }
+        locked.push(locks.locked_keys());
+
+        let bytes = wal.epoch_bytes(&device);
+        let stats = p.stats().snapshot();
+        Lifecycle {
+            events: obs.events().into_iter().map(|e| (e.txn, e.kind)).collect(),
+            wal: croesus_wal::FrameReader::new(&bytes)
+                .map(|payload| match croesus_wal::WalRecord::decode(payload) {
+                    Ok(croesus_wal::WalRecord::Stage(r)) => (r.txn.0, r.stage, r.flags.0),
+                    other => panic!("{kind}: only stage records are logged here: {other:?}"),
+                })
+                .collect(),
+            history: history
+                .events()
+                .iter()
+                .map(|e| match e {
+                    SectionEvent::Begin { txn, section, .. } => format!("begin {txn} {section}"),
+                    SectionEvent::Read {
+                        txn, section, key, ..
+                    } => format!("read {txn} {section} {key}"),
+                    SectionEvent::Write {
+                        txn, section, key, ..
+                    } => format!("write {txn} {section} {key}"),
+                    SectionEvent::Commit { txn, section, .. } => format!("commit {txn} {section}"),
+                    SectionEvent::Abort { txn, .. } => format!("abort {txn}"),
+                })
+                .collect(),
+            stats: (stats.begun, stats.commits, stats.aborts),
+            locked,
+            registered: p.apologies().tracked_count(),
+        }
+    }
+
+    /// `(txn, kind)` for an executor event, `(None, kind)` for a WAL event.
+    fn t(txn: u64, kind: EventKind) -> (Option<u64>, EventKind) {
+        (Some(txn), kind)
+    }
+
+    fn w(kind: EventKind) -> (Option<u64>, EventKind) {
+        (None, kind)
+    }
+
+    fn lines(history: &[&str]) -> Vec<String> {
+        history.iter().map(|l| (*l).to_string()).collect()
+    }
+
+    /// Algorithm 1: nothing is a commit point (and nothing syncs) before
+    /// the final stage; every declared key is held from the end of
+    /// stage 0's body to final commit; a conflict on a later stage's key
+    /// aborts stage 0 *after* its body ran, with nothing logged.
+    fn ms_sr_lifecycle() -> Lifecycle {
+        use EventKind::*;
+        Lifecycle {
+            events: vec![
+                t(1, TxnBegin { stages: 3 }),
+                t(1, StageStart { stage: 0 }),
+                w(WalAppend { lsn: 59 }),
+                t(1, StageEnd { stage: 0 }),
+                t(1, InitialCommit),
+                t(1, StageStart { stage: 1 }),
+                w(WalAppend { lsn: 123 }),
+                t(1, StageEnd { stage: 1 }),
+                t(1, StageStart { stage: 2 }),
+                w(WalAppend { lsn: 182 }),
+                w(WalBufferSeal { lsn: 182 }),
+                w(WalSync { lsn: 182, epoch: 0 }),
+                t(1, StageEnd { stage: 2 }),
+                t(1, FinalCommit),
+                t(2, TxnBegin { stages: 2 }),
+                t(2, StageStart { stage: 0 }),
+                t(3, TxnBegin { stages: 2 }),
+                t(4, TxnBegin { stages: 2 }),
+                t(4, StageStart { stage: 0 }),
+            ],
+            wal: vec![(1, 0, 0b000), (1, 1, 0b000), (1, 2, 0b011)],
+            history: lines(&[
+                "begin t1 initial",
+                "write t1 initial a",
+                "commit t1 initial",
+                "begin t1 intermediate[0]",
+                "read t1 intermediate[0] a",
+                "write t1 intermediate[0] b",
+                "commit t1 intermediate[0]",
+                "begin t1 final",
+                "write t1 final c",
+                "commit t1 final",
+                "begin t2 initial",
+                "write t2 initial d",
+                "abort t2",
+                "abort t3",
+                "begin t4 initial",
+                "write t4 initial f",
+                "abort t4",
+            ]),
+            stats: (4, 1, 3),
+            // (i) body/after ×3 · (ii) body, after · (iii) after (the
+            // outside holder) · (iv) body, after, then the holder gone.
+            locked: vec![1, 3, 3, 3, 3, 0, 1, 0, 1, 2, 1, 0],
+            registered: 0,
+        }
+    }
+
+    /// Algorithm 2 and the staged discipline: every stage is a synced
+    /// commit point and holds only its own keys, only while it runs; the
+    /// later-stage conflict of scenario (iv) is invisible to stage 0. The
+    /// two differ in one bit — whether the final stage registers too.
+    fn released_lifecycle(final_flags: u8, registered: usize) -> Lifecycle {
+        use EventKind::*;
+        Lifecycle {
+            events: vec![
+                t(1, TxnBegin { stages: 3 }),
+                t(1, StageStart { stage: 0 }),
+                w(WalAppend { lsn: 59 }),
+                w(WalBufferSeal { lsn: 59 }),
+                w(WalSync { lsn: 59, epoch: 0 }),
+                t(1, StageEnd { stage: 0 }),
+                t(1, InitialCommit),
+                t(1, StageStart { stage: 1 }),
+                w(WalAppend { lsn: 123 }),
+                w(WalBufferSeal { lsn: 123 }),
+                w(WalSync { lsn: 123, epoch: 0 }),
+                t(1, StageEnd { stage: 1 }),
+                t(1, StageStart { stage: 2 }),
+                w(WalAppend { lsn: 182 }),
+                w(WalBufferSeal { lsn: 182 }),
+                w(WalSync { lsn: 182, epoch: 0 }),
+                t(1, StageEnd { stage: 2 }),
+                t(1, FinalCommit),
+                t(2, TxnBegin { stages: 2 }),
+                t(2, StageStart { stage: 0 }),
+                t(3, TxnBegin { stages: 2 }),
+                t(4, TxnBegin { stages: 2 }),
+                t(4, StageStart { stage: 0 }),
+                w(WalAppend { lsn: 241 }),
+                w(WalBufferSeal { lsn: 241 }),
+                w(WalSync { lsn: 241, epoch: 0 }),
+                t(4, StageEnd { stage: 0 }),
+                t(4, InitialCommit),
+                t(4, StageStart { stage: 1 }),
+                w(WalAppend { lsn: 300 }),
+                w(WalBufferSeal { lsn: 300 }),
+                w(WalSync { lsn: 300, epoch: 0 }),
+                t(4, StageEnd { stage: 1 }),
+                t(4, FinalCommit),
+            ],
+            wal: vec![
+                (1, 0, 0b101),
+                (1, 1, 0b101),
+                (1, 2, final_flags),
+                (4, 0, 0b101),
+                (4, 1, final_flags),
+            ],
+            history: lines(&[
+                "begin t1 initial",
+                "write t1 initial a",
+                "commit t1 initial",
+                "begin t1 intermediate[0]",
+                "read t1 intermediate[0] a",
+                "write t1 intermediate[0] b",
+                "commit t1 intermediate[0]",
+                "begin t1 final",
+                "write t1 final c",
+                "commit t1 final",
+                "begin t2 initial",
+                "write t2 initial d",
+                "abort t2",
+                "abort t3",
+                "begin t4 initial",
+                "write t4 initial f",
+                "commit t4 initial",
+                "begin t4 final",
+                "write t4 final e",
+                "commit t4 final",
+            ]),
+            stats: (4, 2, 2),
+            // As above, with (iv) running on: stage-1 body, then the end.
+            locked: vec![1, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 1, 0],
+            registered,
+        }
+    }
+
+    #[test]
+    fn stage_lifecycle_is_pinned_per_protocol() {
+        assert_eq!(run_lifecycle(ProtocolKind::MsSr), ms_sr_lifecycle());
+        assert_eq!(
+            run_lifecycle(ProtocolKind::MsIa),
+            released_lifecycle(0b011, 3)
+        );
+        assert_eq!(
+            run_lifecycle(ProtocolKind::Staged),
+            released_lifecycle(0b111, 5)
+        );
     }
 
     #[test]

@@ -162,20 +162,26 @@ impl EdgeNode {
         label: Detection,
         inst: crate::bank::TxnInstance,
     ) -> Option<(SectionOutput, PendingTxn)> {
-        let handle = protocol.begin(txn, &[inst.initial_rw.clone(), inst.final_rw.clone()]);
+        // The declared slice owns both sets: stage 0 borrows the first,
+        // the second moves on into the pending transaction.
+        let stages = [inst.initial_rw, inst.final_rw];
+        let handle = protocol.begin(txn, &stages);
         let mut body = Some(inst.initial);
-        match protocol.run_stage(handle, &inst.initial_rw, &mut |ctx| {
+        match protocol.run_stage(handle, &stages[0], &mut |ctx| {
             (body.take().expect("initial body runs once"))(ctx.section_mut())
         }) {
-            Ok(StageOutcome::Committed { output, next }) => Some((
-                output,
-                PendingTxn {
-                    handle: next,
-                    final_rw: inst.final_rw,
-                    final_body: inst.final_section,
-                    edge_label: label,
-                },
-            )),
+            Ok(StageOutcome::Committed { output, next }) => {
+                let [_, final_rw] = stages;
+                Some((
+                    output,
+                    PendingTxn {
+                        handle: next,
+                        final_rw,
+                        final_body: inst.final_section,
+                        edge_label: label,
+                    },
+                ))
+            }
             Ok(StageOutcome::Complete { .. }) => {
                 unreachable!("two stages were declared")
             }
@@ -325,26 +331,9 @@ impl EdgeNode {
             };
             if let Some(inst) = inst {
                 let txn = self.next_txn();
-                let handle = self
-                    .protocol
-                    .begin(txn, &[inst.initial_rw.clone(), inst.final_rw.clone()]);
-                let mut body = Some(inst.initial);
-                if let Ok(outcome) = self
-                    .protocol
-                    .run_stage(handle, &inst.initial_rw, &mut |ctx| {
-                        (body.take().expect("initial body runs once"))(ctx.section_mut())
-                    })
-                {
-                    let input = FinalInput::correct(label.clone());
-                    self.finalize_one(
-                        PendingTxn {
-                            handle: outcome.into_next().expect("two stages were declared"),
-                            final_rw: inst.final_rw,
-                            final_body: inst.final_section,
-                            edge_label: label,
-                        },
-                        &input,
-                    );
+                if let Some((_, ptxn)) = Self::run_initial_txn(&*self.protocol, txn, label, inst) {
+                    let input = FinalInput::correct(ptxn.edge_label.clone());
+                    self.finalize_one(ptxn, &input);
                     committed += 1;
                 }
             }

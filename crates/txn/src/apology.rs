@@ -205,34 +205,6 @@ impl ApologyManager {
         report
     }
 
-    /// Mark a transaction fully finalized and drop its undo data when no
-    /// later live transaction depends on it. Returns true if pruned.
-    ///
-    /// (A finalized transaction can still be *cascade*-retracted while a
-    /// dependent's final section is outstanding, so pruning is safe only
-    /// when nothing depends on it — the common case once a frame's whole
-    /// transaction set is settled.)
-    pub fn prune_finalized(&self, txn: TxnId) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(idx) = inner.entries.iter().position(|e| e.txn == txn) else {
-            return false;
-        };
-        let seq = inner.entries[idx].seq;
-        let writes = inner.entries[idx].writes.clone();
-        let has_dependent = inner.entries.iter().any(|later| {
-            later.seq > seq
-                && !later.retracted
-                && writes
-                    .iter()
-                    .any(|w| later.reads.contains(w) || later.writes.contains(w))
-        });
-        if has_dependent {
-            return false;
-        }
-        inner.entries.remove(idx);
-        true
-    }
-
     /// Drop every tracked entry — live, retracted and finalized alike —
     /// keeping issued apologies and the sequence counter. Returns how many
     /// entries were dropped.
@@ -260,16 +232,6 @@ impl ApologyManager {
     /// All apologies issued so far.
     pub fn apologies(&self) -> Vec<Apology> {
         self.inner.lock().apologies.clone()
-    }
-
-    /// Number of live (registered, unretracted) entries.
-    pub fn live_count(&self) -> usize {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|e| !e.retracted)
-            .count()
     }
 }
 
@@ -409,18 +371,6 @@ mod tests {
         assert_eq!(first.retracted.len(), 1);
         let second = mgr.retract(TxnId(1), &store, "twice");
         assert!(second.retracted.is_empty());
-    }
-
-    #[test]
-    fn prune_finalized_respects_dependents() {
-        let store = KvStore::new();
-        let mgr = ApologyManager::new();
-        run_initial(&mgr, &store, TxnId(1), &[], &[("a", 1)]);
-        run_initial(&mgr, &store, TxnId(2), &["a"], &[("b", 2)]);
-        assert!(!mgr.prune_finalized(TxnId(1)), "t2 depends on t1");
-        assert!(mgr.prune_finalized(TxnId(2)), "nothing depends on t2");
-        assert!(mgr.prune_finalized(TxnId(1)), "now t1 is free");
-        assert_eq!(mgr.live_count(), 0);
     }
 
     #[test]

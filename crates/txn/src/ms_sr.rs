@@ -25,36 +25,28 @@
 //! held across that gap (that is the point). Because later stages must not
 //! acquire anything new after initial commit, every stage's read/write set
 //! must be covered by the sets declared at [`begin`](TsplExecutor::begin).
+//!
+//! The executor is stateless: what a transaction will lock (the later
+//! stages' pairs, until the end of stage 0) and what it holds (keys and
+//! lock epoch, from there to final commit) ride in its [`TxnHandle`]. A
+//! stage is the shared lifecycle of [`ExecutorCore`] (`execute`,
+//! `commit_stage`, `finish`); this file holds only Algorithm 1's part:
+//! which locks are taken before the body, which after it, that only final
+//! commit is a commit point, and that nothing is released before it.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use croesus_store::{Key, LockMode, TxnId};
 
-use croesus_obs::{EventKind, HistKind};
-use croesus_store::{Key, LockMode, TxnId, UndoLog};
-
-use crate::model::{RwSet, SectionCtx, TxnError};
+use crate::model::{RwSet, TxnError};
 use crate::protocol::{
-    ExecutorCore, MultiStageProtocol, ProtocolKind, StageBody, StageCtx, StageOutcome, TxnHandle,
+    ExecutorCore, MultiStageProtocol, ProtocolKind, StageBody, StageOutcome, TxnHandle,
 };
-
-/// Per-transaction in-flight state: the declared later-stage lock pairs
-/// (acquired at initial commit) and, once stage 0 ran, everything held.
-struct TsplInFlight {
-    /// Union of the lock pairs declared for stages `1..`.
-    later_pairs: Vec<(Key, LockMode)>,
-    /// Deduplicated keys currently held (empty before stage 0 commits).
-    held: Vec<Key>,
-    /// When the first lock was granted (for Fig-6a lock-hold times).
-    lock_epoch: Instant,
-}
 
 /// The Two-Stage 2PL executor (generalized to m stages: all locks are
 /// acquired by the end of stage 0 and held until the final stage commits).
 pub struct TsplExecutor {
     core: ExecutorCore,
-    inflight: Mutex<HashMap<TxnId, TsplInFlight>>,
     /// Mutation self-test flag (mcheck builds only): when set, the final
     /// commit record is logged *after* the locks are released — a seeded
     /// commit-point bug the model checker must be able to catch.
@@ -68,7 +60,6 @@ impl TsplExecutor {
     pub fn from_core(core: ExecutorCore) -> Self {
         TsplExecutor {
             core,
-            inflight: Mutex::new(HashMap::new()),
             #[cfg(feature = "mcheck")]
             mutate_log_final_after_release: std::sync::atomic::AtomicBool::new(false),
         }
@@ -82,47 +73,39 @@ impl TsplExecutor {
             .store(true, std::sync::atomic::Ordering::Relaxed);
     }
 
-    fn remove_inflight(&self, txn: TxnId) -> Option<TsplInFlight> {
-        self.inflight.lock().remove(&txn)
-    }
-
-    /// Release everything the transaction holds (the final-commit path).
-    fn release_held(&self, txn: TxnId) {
-        if let Some(state) = self.remove_inflight(txn) {
-            self.core
-                .stats()
-                .record_lock_hold(state.lock_epoch.elapsed());
-            self.core.locks().release_all(txn, state.held.iter());
+    /// Release what [`TxnHandle::take_held`] took out of a handle and
+    /// record how long it was held. A handle that held nothing (the
+    /// mutation below got there first) releases nothing and records
+    /// nothing.
+    fn release(&self, txn: TxnId, (held, lock_epoch): (Vec<Key>, Option<Instant>)) {
+        if let Some(epoch) = lock_epoch {
+            self.core.stats().record_lock_hold(epoch.elapsed());
+            self.core.locks().release_all(txn, held.iter());
         }
     }
 
     /// Mutation self-test (mcheck builds only): when armed, release the
     /// locks *before* the final commit record is appended — deliberately
     /// breaking MS-SR's "log under locks, then release" discipline so a
-    /// checker run can prove it would catch such a bug. Returns whether
-    /// the early release happened.
+    /// checker run can prove it would catch such a bug.
     #[cfg(feature = "mcheck")]
-    fn maybe_release_before_final_log(&self, handle: &TxnHandle, txn: TxnId) -> bool {
+    fn maybe_release_before_final_log(&self, handle: &mut TxnHandle) {
         use std::sync::atomic::Ordering;
-        if !handle.is_final() || !self.mutate_log_final_after_release.load(Ordering::Relaxed) {
-            return false;
+        if handle.is_final() && self.mutate_log_final_after_release.load(Ordering::Relaxed) {
+            self.release(handle.txn(), handle.take_held());
+            crate::sched::yield_point("ms_sr.mutated.unlogged-window");
         }
-        self.release_held(txn);
-        crate::sched::yield_point("ms_sr.mutated.unlogged-window");
-        true
     }
 
     #[cfg(not(feature = "mcheck"))]
-    fn maybe_release_before_final_log(&self, _handle: &TxnHandle, _txn: TxnId) -> bool {
-        false
-    }
+    fn maybe_release_before_final_log(&self, _handle: &mut TxnHandle) {}
 
     /// Stage 0: lock the initial items, execute, then lock every later
     /// stage's declared items *before* initial commit — the acquisition
     /// order that guarantees later stages cannot abort.
     fn run_initial(
         &self,
-        handle: TxnHandle,
+        mut handle: TxnHandle,
         rw: &RwSet,
         body: StageBody<'_>,
     ) -> Result<StageOutcome, TxnError> {
@@ -131,64 +114,21 @@ impl TsplExecutor {
         let started = Instant::now();
         let initial_pairs = rw.lock_pairs();
         if let Err(e) = core.locks().acquire_all(txn, &initial_pairs, None) {
-            self.remove_inflight(txn);
             core.record_abort(txn);
             return Err(TxnError::Aborted(e));
         }
-        let lock_epoch = Instant::now();
+        handle.lock_epoch = Some(Instant::now());
         crate::sched::yield_point("ms_sr.initial.locked");
-        core.obs()
-            .emit_txn(txn.0, EventKind::StageStart { stage: 0 });
-
-        if let Some(h) = core.history() {
-            h.record_begin(txn, handle.section_kind());
-        }
-        let mut undo = UndoLog::new();
-        let out = {
-            let section = SectionCtx::new(
-                txn,
-                handle.section_kind(),
-                core.store(),
-                rw,
-                &mut undo,
-                core.history(),
-            );
-            let mut ctx = StageCtx::new(
-                section,
-                core.store(),
-                core.apologies(),
-                core.wal().map(|w| &**w),
-                core.obs(),
-            );
-            body(&mut ctx)
-        };
-        let output = match out {
-            Ok(v) => v,
-            Err(e) => {
-                undo.rollback(core.store());
-                core.locks()
-                    .release_all(txn, initial_pairs.iter().map(|(k, _)| k));
-                self.remove_inflight(txn);
-                core.record_abort(txn);
-                return Err(e);
-            }
-        };
+        let (output, undo) = core
+            .execute(&handle, rw, body)
+            .inspect_err(|_| core.abort_locked(txn, &initial_pairs))?;
 
         // Lock the later stages' items *before* initial commit: this is
         // what guarantees the remaining stages cannot abort.
-        let later_pairs = {
-            let map = self.inflight.lock();
-            let state = map
-                .get(&txn)
-                .expect("run_stage without begin — declare the stages first");
-            state.later_pairs.clone()
-        };
+        let later_pairs = std::mem::take(&mut handle.later_pairs);
         if let Err(e) = core.locks().acquire_all(txn, &later_pairs, None) {
             undo.rollback(core.store());
-            core.locks()
-                .release_all(txn, initial_pairs.iter().map(|(k, _)| k));
-            self.remove_inflight(txn);
-            core.record_abort(txn);
+            core.abort_locked(txn, &initial_pairs);
             return Err(TxnError::Aborted(e));
         }
         crate::sched::yield_point("ms_sr.later.locked");
@@ -197,36 +137,17 @@ impl TsplExecutor {
         // writes without the commit-point flag, so replay buffers them —
         // the held locks guarantee no other transaction saw them, and a
         // crash before final commit legitimately un-happens the whole txn.
-        core.log_stage(&handle, rw, &undo, false, false);
-        crate::sched::yield_point("ms_sr.initial.logged");
-
-        // Initial commit: the response may now be exposed to the client.
-        if let Some(h) = core.history() {
-            h.record_commit(txn, handle.section_kind());
-        }
-        core.stats().record_initial_latency(started.elapsed());
-        core.obs().emit_txn(txn.0, EventKind::StageEnd { stage: 0 });
-        core.obs().emit_txn(txn.0, EventKind::InitialCommit);
-        core.obs()
-            .record_duration(HistKind::InitialCommitMs, started.elapsed());
+        core.commit_stage(&handle, rw, &undo, started, false, false);
 
         // Remember everything held, deduplicated, for the final release.
-        let mut held: Vec<Key> = initial_pairs
+        handle.held = initial_pairs
             .into_iter()
             .chain(later_pairs)
             .map(|(k, _)| k)
             .collect();
-        held.sort();
-        held.dedup();
-        if let Some(state) = self.inflight.lock().get_mut(&txn) {
-            state.held = held;
-            state.lock_epoch = lock_epoch;
-        }
-
-        Ok(StageOutcome::Committed {
-            output,
-            next: handle.advance(),
-        })
+        handle.held.sort();
+        handle.held.dedup();
+        Ok(core.finish(handle, output, started))
     }
 
     /// Stages `1..`: every lock is already held; execute under them and
@@ -234,7 +155,7 @@ impl TsplExecutor {
     /// bugs — the protocol guarantees commit, so the body must not fail.
     fn run_held(
         &self,
-        handle: TxnHandle,
+        mut handle: TxnHandle,
         rw: &RwSet,
         body: StageBody<'_>,
     ) -> Result<StageOutcome, TxnError> {
@@ -255,76 +176,22 @@ impl TsplExecutor {
                 ),
             }
         }
-
-        core.obs().emit_txn(
-            txn.0,
-            EventKind::StageStart {
-                stage: handle.stage() as u32,
-            },
-        );
-        if let Some(h) = core.history() {
-            h.record_begin(txn, handle.section_kind());
-        }
-        let mut undo = UndoLog::new();
-        let out = {
-            let section = SectionCtx::new(
-                txn,
-                handle.section_kind(),
-                core.store(),
-                rw,
-                &mut undo,
-                core.history(),
-            );
-            let mut ctx = StageCtx::new(
-                section,
-                core.store(),
-                core.apologies(),
-                core.wal().map(|w| &**w),
-                core.obs(),
-            );
-            body(&mut ctx)
-        };
-        let output = match out {
-            Ok(v) => v,
-            Err(e) => panic!(
-                "stage {} of {txn} failed after initial commit — \
-                 the multi-stage guarantee forbids this: {e}",
-                handle.stage()
-            ),
-        };
-
-        let released_early = self.maybe_release_before_final_log(&handle, txn);
+        let (output, undo) = core.execute(&handle, rw, body)?;
+        self.maybe_release_before_final_log(&mut handle);
 
         // Final commit is MS-SR's one durable commit point; intermediate
         // stages keep buffering (replay applies everything at the final
         // record).
-        core.log_stage(&handle, rw, &undo, handle.is_final(), false);
-        crate::sched::yield_point("ms_sr.held.logged");
+        core.commit_stage(&handle, rw, &undo, started, handle.is_final(), false);
 
-        if let Some(h) = core.history() {
-            h.record_commit(txn, handle.section_kind());
+        // `finish` consumes the handle, and the final commit is recorded
+        // while the locks are still held — so take them out first.
+        let held = handle.is_final().then(|| handle.take_held());
+        let outcome = core.finish(handle, output, started);
+        if let Some(held) = held {
+            self.release(txn, held);
         }
-        core.obs().emit_txn(
-            txn.0,
-            EventKind::StageEnd {
-                stage: handle.stage() as u32,
-            },
-        );
-        if handle.is_final() {
-            core.stats().record_commit();
-            core.obs().emit_txn(txn.0, EventKind::FinalCommit);
-            core.obs()
-                .record_duration(HistKind::FinalCommitMs, started.elapsed());
-            if !released_early {
-                self.release_held(txn);
-            }
-            Ok(StageOutcome::Complete { output })
-        } else {
-            Ok(StageOutcome::Committed {
-                output,
-                next: handle.advance(),
-            })
-        }
+        Ok(outcome)
     }
 }
 
@@ -338,19 +205,12 @@ impl MultiStageProtocol for TsplExecutor {
     }
 
     fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle {
-        let handle = TxnHandle::first(txn, stages.len());
+        let mut handle = TxnHandle::first(txn, stages.len());
         self.core.note_begin(txn, stages.len());
         let later = stages[1..]
             .iter()
             .fold(RwSet::new(), |acc, rw| acc.union(rw));
-        self.inflight.lock().insert(
-            txn,
-            TsplInFlight {
-                later_pairs: later.lock_pairs(),
-                held: Vec::new(),
-                lock_epoch: Instant::now(),
-            },
-        );
+        handle.later_pairs = later.lock_pairs();
         handle
     }
 
@@ -369,7 +229,6 @@ impl MultiStageProtocol for TsplExecutor {
 
     fn abort(&self, handle: TxnHandle) {
         self.core.abort_handle(&handle);
-        self.remove_inflight(handle.txn());
     }
 }
 
@@ -377,7 +236,7 @@ impl MultiStageProtocol for TsplExecutor {
 mod tests {
     use super::*;
     use crate::history::HistoryRecorder;
-    use crate::protocol::MultiStageProtocolExt;
+    use crate::protocol::{MultiStageProtocolExt, StageCtx};
     use croesus_store::{KvStore, LockManager, LockPolicy, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -668,5 +527,62 @@ mod tests {
             .lock(TxnId(2), &"c".into(), croesus_store::LockMode::Exclusive)
             .is_ok());
         assert_eq!(ex.stats().snapshot().commits, 1);
+    }
+
+    #[test]
+    fn aborted_txn_id_can_begin_again() {
+        let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
+        let ex = TsplExecutor::from_core(ExecutorCore::new(
+            Arc::new(KvStore::new()),
+            Arc::clone(&locks),
+        ));
+        let rw = RwSet::new().write("x");
+        let stages = [rw.clone(), RwSet::new().write("y")];
+        ex.abort(ex.begin(TxnId(1), &stages));
+        assert_eq!(locks.locked_keys(), 0, "an unrun handle holds nothing");
+        // The first incarnation left nothing behind for the second to trip on.
+        let h = ex.begin(TxnId(1), &stages);
+        let (_, h) = ex.stage(h, &rw, |ctx| ctx.write("x", 1)).unwrap();
+        assert_eq!(locks.locked_keys(), 2);
+        ex.stage(h.unwrap(), &stages[1], |ctx| ctx.write("y", 2))
+            .unwrap();
+        assert_eq!(locks.locked_keys(), 0);
+        let snap = ex.stats().snapshot();
+        assert_eq!((snap.begun, snap.commits, snap.aborts), (2, 1, 1));
+    }
+
+    #[test]
+    fn the_handle_carries_what_is_held_and_releases_it_once() {
+        let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
+        let ex = TsplExecutor::from_core(ExecutorCore::new(
+            Arc::new(KvStore::new()),
+            Arc::clone(&locks),
+        ));
+        // "a" is declared by two stages: held once, released once.
+        let stages = [
+            RwSet::new().write("a"),
+            RwSet::new().read("a").write("b"),
+            RwSet::new().write("c"),
+        ];
+        let h = ex.begin(TxnId(1), &stages);
+        assert_eq!(h.later_pairs.len(), 3);
+        assert!(h.held.is_empty() && h.lock_epoch.is_none());
+        let (_, h) = ex.stage(h, &stages[0], |ctx| ctx.write("a", 1)).unwrap();
+        let h = h.unwrap();
+        assert_eq!(locks.locked_keys(), 3);
+        assert_eq!(h.held, ["a".into(), "b".into(), "c".into()]);
+        assert!(h.later_pairs.is_empty() && h.lock_epoch.is_some());
+        let (_, h) = ex.stage(h, &stages[1], |ctx| ctx.write("b", 2)).unwrap();
+        let h = h.unwrap();
+        assert_eq!(locks.locked_keys(), 3, "stage 1 releases nothing");
+        assert_eq!(h.held.len(), 3);
+        thread::sleep(std::time::Duration::from_millis(2));
+        let (_, done) = ex.stage(h, &stages[2], |ctx| ctx.write("c", 3)).unwrap();
+        assert!(done.is_none());
+        assert_eq!(locks.locked_keys(), 0);
+        // One sample on a fresh collector: the mean is the max.
+        let snap = ex.stats().snapshot();
+        assert!(snap.max_lock_hold_ms > 0.0);
+        assert_eq!(snap.avg_lock_hold_ms, snap.max_lock_hold_ms);
     }
 }

@@ -11,7 +11,16 @@
 //!
 //! This module makes that claim executable:
 //!
-//! * [`ExecutorCore`] owns the shared state every protocol needs.
+//! * [`ExecutorCore`] owns the shared state every protocol needs, and
+//!   the stage lifecycle every protocol runs: `execute` (events, history,
+//!   undo log, contexts, the body, the one error policy), `commit_stage`
+//!   (WAL record, history commit, `StageEnd`, initial-commit bookkeeping)
+//!   and `finish` (final-commit bookkeeping, or the next handle). An
+//!   executor adds only its lock schedule around those three calls and
+//!   the `commit_point` / `register` flags it passes.
+//! * [`TxnHandle`] is the affine token threaded through the stages; it
+//!   carries the per-transaction protocol state (MS-SR's held locks), so
+//!   no executor keeps a table of in-flight transactions.
 //! * [`MultiStageProtocol`] is the object-safe trait all protocol
 //!   executors implement: [`begin`](MultiStageProtocol::begin) declares a
 //!   transaction and its per-stage read/write sets,
@@ -50,7 +59,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use croesus_obs::{EdgeObs, EventKind, HistKind};
-use croesus_store::{KvStore, LockManager, TxnId, UndoLog};
+use croesus_store::{Key, KvStore, LockManager, LockMode, TxnId, UndoLog};
 use croesus_wal::{RetractRecord, StageFlags, StageRecord, Wal, WriteImage};
 
 use crate::apology::{ApologyManager, RetractionReport};
@@ -250,7 +259,7 @@ impl ExecutorCore {
     /// whether this call pays the sync, and the checkpoint schedule may
     /// fold the log down to a snapshot (the commit path is the documented
     /// quiescent point for checkpoints).
-    pub(crate) fn log_stage(
+    fn log_stage(
         &self,
         handle: &TxnHandle,
         rw: &RwSet,
@@ -328,6 +337,112 @@ impl ExecutorCore {
         self.record_abort(handle.txn());
     }
 
+    /// Abort stage 0 while it holds `pairs`: release them, then record the
+    /// abort. Whatever the body wrote is already rolled back.
+    pub(crate) fn abort_locked(&self, txn: TxnId, pairs: &[(Key, LockMode)]) {
+        self.locks.release_all(txn, pairs.iter().map(|(k, _)| k));
+        self.record_abort(txn);
+    }
+
+    /// Run one stage body under locks the caller already holds: the
+    /// `StageStart` event, the history section, a fresh undo log, the
+    /// contexts, the body — and the one error policy. A failed stage 0
+    /// rolls its writes back and returns the error with the locks still
+    /// held (the caller releases them and records the abort, see
+    /// [`abort_locked`](Self::abort_locked)); a failed later stage panics,
+    /// because earlier stages committed and the transaction must finish.
+    pub(crate) fn execute(
+        &self,
+        handle: &TxnHandle,
+        rw: &RwSet,
+        body: StageBody<'_>,
+    ) -> Result<(SectionOutput, UndoLog), TxnError> {
+        let txn = handle.txn();
+        let kind = handle.section_kind();
+        self.obs.emit_txn(
+            txn.0,
+            EventKind::StageStart {
+                stage: handle.stage() as u32,
+            },
+        );
+        if let Some(h) = &self.history {
+            h.record_begin(txn, kind);
+        }
+        let mut undo = UndoLog::new();
+        let out = {
+            let section = SectionCtx::new(txn, kind, &self.store, rw, &mut undo, self.history());
+            body(&mut StageCtx::new(section, self))
+        };
+        match out {
+            Ok(output) => Ok((output, undo)),
+            Err(e) if handle.stage() == 0 => {
+                undo.rollback(&self.store);
+                Err(e)
+            }
+            Err(e) => panic!(
+                "stage {} of {txn} failed after earlier stages committed — \
+                 the multi-stage guarantee forbids this: {e}",
+                handle.stage()
+            ),
+        }
+    }
+
+    /// Commit an executed stage while its locks are still held: log it
+    /// (`commit_point` and `register` are the two flags the protocols
+    /// differ in), close the history section, emit `StageEnd`, and for
+    /// stage 0 do the initial-commit bookkeeping — from here on the
+    /// response may be exposed to the client.
+    pub(crate) fn commit_stage(
+        &self,
+        handle: &TxnHandle,
+        rw: &RwSet,
+        undo: &UndoLog,
+        started: Instant,
+        commit_point: bool,
+        register: bool,
+    ) {
+        let txn = handle.txn();
+        self.log_stage(handle, rw, undo, commit_point, register);
+        crate::sched::yield_point("txn.stage.logged");
+        if let Some(h) = &self.history {
+            h.record_commit(txn, handle.section_kind());
+        }
+        self.obs.emit_txn(
+            txn.0,
+            EventKind::StageEnd {
+                stage: handle.stage() as u32,
+            },
+        );
+        if handle.stage() == 0 {
+            let latency = started.elapsed();
+            self.stats.record_initial_latency(latency);
+            self.obs.emit_txn(txn.0, EventKind::InitialCommit);
+            self.obs.record_duration(HistKind::InitialCommitMs, latency);
+        }
+    }
+
+    /// Turn a committed stage into its outcome: the final-commit
+    /// bookkeeping after the last stage, the next stage's handle otherwise.
+    pub(crate) fn finish(
+        &self,
+        handle: TxnHandle,
+        output: SectionOutput,
+        started: Instant,
+    ) -> StageOutcome {
+        if handle.is_final() {
+            self.stats.record_commit();
+            self.obs.emit_txn(handle.txn().0, EventKind::FinalCommit);
+            self.obs
+                .record_duration(HistKind::FinalCommitMs, started.elapsed());
+            StageOutcome::Complete { output }
+        } else {
+            StageOutcome::Committed {
+                output,
+                next: handle.advance(),
+            }
+        }
+    }
+
     /// The lock-release stage discipline shared by MS-IA and the staged
     /// executor: acquire the stage's locks (stage 0 may abort; later
     /// stages retry until granted, because committed earlier stages oblige
@@ -346,7 +461,6 @@ impl ExecutorCore {
         register_final_guess: bool,
     ) -> Result<StageOutcome, TxnError> {
         let txn = handle.txn();
-        let kind = handle.section_kind();
         let started = Instant::now();
         let pairs = rw.lock_pairs();
         if handle.stage() == 0 {
@@ -374,89 +488,22 @@ impl ExecutorCore {
         }
         crate::sched::yield_point("txn.stage.locked");
         let lock_epoch = Instant::now();
-        self.obs.emit_txn(
-            txn.0,
-            EventKind::StageStart {
-                stage: handle.stage() as u32,
-            },
-        );
-
-        if let Some(h) = &self.history {
-            h.record_begin(txn, kind);
-        }
-        let mut undo = UndoLog::new();
-        let out = {
-            let section = SectionCtx::new(txn, kind, &self.store, rw, &mut undo, self.history());
-            let mut ctx = StageCtx::new(
-                section,
-                &self.store,
-                &self.apologies,
-                self.wal.as_deref(),
-                &self.obs,
-            );
-            body(&mut ctx)
-        };
-        let output = match out {
-            Ok(v) => v,
-            Err(e) if handle.stage() == 0 => {
-                undo.rollback(&self.store);
-                self.locks.release_all(txn, pairs.iter().map(|(k, _)| k));
-                self.record_abort(txn);
-                return Err(e);
-            }
-            Err(e) => panic!(
-                "stage {} of {txn} failed after earlier stages committed — \
-                 the multi-stage guarantee forbids this: {e}",
-                handle.stage()
-            ),
-        };
+        let (output, undo) = self
+            .execute(&handle, rw, body)
+            .inspect_err(|_| self.abort_locked(txn, &pairs))?;
 
         // Under the lock-releasing disciplines every stage is a durable
         // commit point — stage 0 *is* the initial commit the client sees.
         crate::sched::yield_point("txn.stage.executed");
-        self.log_stage(
-            &handle,
-            rw,
-            &undo,
-            true,
-            !handle.is_final() || register_final_guess,
-        );
-        crate::sched::yield_point("txn.stage.logged");
-
-        if let Some(h) = &self.history {
-            h.record_commit(txn, kind);
-        }
-        self.obs.emit_txn(
-            txn.0,
-            EventKind::StageEnd {
-                stage: handle.stage() as u32,
-            },
-        );
-        if handle.stage() == 0 {
-            let latency = started.elapsed();
-            self.stats.record_initial_latency(latency);
-            self.obs.emit_txn(txn.0, EventKind::InitialCommit);
-            self.obs.record_duration(HistKind::InitialCommitMs, latency);
-        }
-        if !handle.is_final() || register_final_guess {
+        let register = !handle.is_final() || register_final_guess;
+        self.commit_stage(&handle, rw, &undo, started, true, register);
+        if register {
             self.apologies
                 .register(txn, rw.reads.clone(), rw.writes.clone(), undo);
         }
         self.stats.record_lock_hold(lock_epoch.elapsed());
         self.locks.release_all(txn, pairs.iter().map(|(k, _)| k));
-
-        Ok(if handle.is_final() {
-            self.stats.record_commit();
-            let latency = started.elapsed();
-            self.obs.emit_txn(txn.0, EventKind::FinalCommit);
-            self.obs.record_duration(HistKind::FinalCommitMs, latency);
-            StageOutcome::Complete { output }
-        } else {
-            StageOutcome::Committed {
-                output,
-                next: handle.advance(),
-            }
-        })
+        Ok(self.finish(handle, output, started))
     }
 }
 
@@ -466,11 +513,25 @@ impl ExecutorCore {
 /// call consumes one, so the type system enforces stage order: "the final
 /// section of a transaction cannot begin before the initial section"
 /// (§4.1), generalized to m stages.
+///
+/// The handle is also where a protocol keeps what it knows about the
+/// transaction between stages: being linear, it needs no table and no
+/// lock. Only MS-SR keeps anything there (what it will lock, what it
+/// holds) — under the lock-releasing protocols that state stays empty and
+/// never allocates.
 #[derive(Debug)]
 pub struct TxnHandle {
     txn: TxnId,
     stage: usize,
     total: usize,
+    /// MS-SR: union of the lock pairs declared for stages `1..`, taken
+    /// (and then held) at the end of stage 0.
+    pub(crate) later_pairs: Vec<(Key, LockMode)>,
+    /// MS-SR: the deduplicated keys held from initial to final commit.
+    pub(crate) held: Vec<Key>,
+    /// MS-SR: when the first lock was granted (for Fig-6a lock-hold
+    /// times); `None` while — or once again when — nothing is held.
+    pub(crate) lock_epoch: Option<Instant>,
 }
 
 impl TxnHandle {
@@ -486,16 +547,23 @@ impl TxnHandle {
             txn,
             stage: 0,
             total,
+            later_pairs: Vec::new(),
+            held: Vec::new(),
+            lock_epoch: None,
         }
     }
 
     /// The handle for the next stage.
     pub(crate) fn advance(self) -> Self {
         TxnHandle {
-            txn: self.txn,
             stage: self.stage + 1,
-            total: self.total,
+            ..self
         }
+    }
+
+    /// Take what the handle holds out of it, leaving it holding nothing.
+    pub(crate) fn take_held(&mut self) -> (Vec<Key>, Option<Instant>) {
+        (std::mem::take(&mut self.held), self.lock_epoch.take())
     }
 
     /// The transaction this handle belongs to.
@@ -583,27 +651,15 @@ impl StageOutcome {
 /// (§4.4).
 pub struct StageCtx<'a> {
     section: SectionCtx<'a>,
-    store: &'a KvStore,
-    apologies: &'a ApologyManager,
-    wal: Option<&'a Wal>,
-    obs: &'a EdgeObs,
+    core: &'a ExecutorCore,
     reports: Vec<RetractionReport>,
 }
 
 impl<'a> StageCtx<'a> {
-    pub(crate) fn new(
-        section: SectionCtx<'a>,
-        store: &'a KvStore,
-        apologies: &'a ApologyManager,
-        wal: Option<&'a Wal>,
-        obs: &'a EdgeObs,
-    ) -> Self {
+    pub(crate) fn new(section: SectionCtx<'a>, core: &'a ExecutorCore) -> Self {
         StageCtx {
             section,
-            store,
-            apologies,
-            wal,
-            obs,
+            core,
             reports: Vec::new(),
         }
     }
@@ -619,8 +675,9 @@ impl<'a> StageCtx<'a> {
     /// rolled-back entry, in rollback order) so replay repeats them
     /// byte-for-byte; their durability rides this stage's commit flush.
     pub fn retract(&mut self, txn: TxnId, reason: &str) -> RetractionReport {
-        let report = self.apologies.retract(txn, self.store, reason);
-        if let Some(wal) = self.wal {
+        let core = self.core;
+        let report = core.apologies.retract(txn, &core.store, reason);
+        if let Some(wal) = &core.wal {
             wal.append_retracts(report.restores.iter().map(|(txn, restores)| RetractRecord {
                 txn: *txn,
                 restores: restores.clone(),
@@ -628,8 +685,8 @@ impl<'a> StageCtx<'a> {
             .expect("WAL append failed — durability cannot be guaranteed");
         }
         for retracted in &report.retracted {
-            self.obs.emit_txn(retracted.0, EventKind::Retract);
-            self.obs.emit_txn(retracted.0, EventKind::Apology);
+            core.obs.emit_txn(retracted.0, EventKind::Retract);
+            core.obs.emit_txn(retracted.0, EventKind::Apology);
         }
         self.reports.push(report.clone());
         report
@@ -814,6 +871,21 @@ mod tests {
             p.abort(h);
             assert_eq!(p.stats().snapshot().aborts, 1, "{kind}");
             assert_eq!(p.store().len(), 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn lock_releasing_handles_carry_nothing() {
+        for kind in [ProtocolKind::MsIa, ProtocolKind::Staged] {
+            let p = protocol(kind);
+            let rw = RwSet::new().write("x");
+            let empty = |h: &TxnHandle| {
+                h.later_pairs.capacity() == 0 && h.held.capacity() == 0 && h.lock_epoch.is_none()
+            };
+            let h = p.begin(TxnId(1), &[rw.clone(), rw.clone()]);
+            assert!(empty(&h), "{kind}: begin allocates nothing");
+            let (_, h) = p.stage(h, &rw, |ctx| ctx.write("x", 1)).unwrap();
+            assert!(empty(&h.unwrap()), "{kind}: nor does a committed stage");
         }
     }
 

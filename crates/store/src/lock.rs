@@ -14,7 +14,17 @@
 //!   same id (keeping its priority, which guarantees progress).
 //!
 //! Waiting uses per-shard condvars; all policies additionally accept an
-//! optional timeout.
+//! optional timeout. A release notifies its shard's condvar, and that
+//! notify is free unless a waiter is parked there (the vendored
+//! `parking_lot::Condvar` counts its waiters), so an uncontended
+//! grant/release costs one shard-mutex hold per shard and no syscall.
+//!
+//! # Owner sets
+//!
+//! Each shard's table maps a locked key to its `Owners`: the first
+//! holder sits inline and only shared co-holders spill into a `Vec`, so a
+//! sole holder — the uncontended case — allocates nothing. A key with no
+//! holder has no table entry.
 //!
 //! # Batched acquisition
 //!
@@ -25,15 +35,18 @@
 //! and the transaction waits only at the first conflicting key. The global
 //! total order makes concurrent batched acquisition deadlock-free under
 //! `Block` (the same ordered-resources argument as sorted per-key
-//! acquisition), holding the granted prefix preserves wait-die's
-//! priority-based progress for the oldest transaction, and a prior-mode
-//! journal makes failed acquisitions side-effect-free — pre-held locks and
-//! modes survive a failed batch untouched. Compared to per-key acquisition
-//! this takes each shard mutex once per *transaction* instead of once per
-//! *key*, and wakes waiters once per shard batch on release.
-//! [`release_all`](LockManager::release_all) is batched the same way.
+//! acquisition), and holding the granted prefix preserves wait-die's
+//! priority-based progress for the oldest transaction. The shard-sorted
+//! grant list is also the undo record: each entry stores the mode the
+//! transaction held before its grant, so a failed acquisition restores
+//! the granted prefix of the list and pre-held locks and modes survive
+//! untouched. Compared to per-key acquisition this takes each shard mutex
+//! once per *transaction* instead of once per *key*, and wakes waiters
+//! once per shard batch on release. [`release_all`](LockManager::release_all)
+//! is batched the same way; single-key [`acquire`](LockManager::acquire)
+//! runs the same path on a one-entry list.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -102,7 +115,84 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-type LockTable = HashMap<Key, BTreeMap<TxnId, LockMode>, KeyHashBuilder>;
+/// The holders of one locked key. A sole holder sits inline in `first`;
+/// only shared co-holders spill into `rest`. `first` is `None` only for an
+/// empty set, which `LockManager::ungrant` removes from the table.
+struct Owners {
+    first: Option<(TxnId, LockMode)>,
+    rest: Vec<(TxnId, LockMode)>,
+}
+
+impl Owners {
+    fn sole(txn: TxnId, mode: LockMode) -> Self {
+        Owners {
+            first: Some((txn, mode)),
+            rest: Vec::new(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        self.first.iter().chain(&self.rest).copied()
+    }
+
+    fn get(&self, txn: TxnId) -> Option<LockMode> {
+        self.iter().find(|&(o, _)| o == txn).map(|(_, m)| m)
+    }
+
+    fn get_mut(&mut self, txn: TxnId) -> Option<&mut LockMode> {
+        self.first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|(o, _)| *o == txn)
+            .map(|(_, m)| m)
+    }
+
+    /// Whether `txn` can be granted `mode` alongside the current holders.
+    fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
+        match mode {
+            LockMode::Shared => self.iter().all(|(o, m)| o == txn || m == LockMode::Shared),
+            LockMode::Exclusive => self.iter().all(|(o, _)| o == txn),
+        }
+    }
+
+    /// Grant `mode` to `txn` (it must be grantable). Returns the mode `txn`
+    /// held *before* this grant (`None` = not held).
+    fn grant(&mut self, txn: TxnId, mode: LockMode) -> Option<LockMode> {
+        if let Some(held) = self.get_mut(txn) {
+            let prior = *held;
+            // Upgrade persists; downgrade does not overwrite.
+            if mode == LockMode::Exclusive {
+                *held = LockMode::Exclusive;
+            }
+            return Some(prior);
+        }
+        // A set in the table is never empty, so `first` is taken.
+        self.rest.push((txn, mode));
+        None
+    }
+
+    /// Drop `txn` from the set (no-op if absent); returns whether the set
+    /// is now empty.
+    fn remove(&mut self, txn: TxnId) -> bool {
+        if self.first.is_some_and(|(o, _)| o == txn) {
+            self.first = self.rest.pop();
+        } else if let Some(i) = self.rest.iter().position(|&(o, _)| o == txn) {
+            self.rest.swap_remove(i);
+        }
+        self.first.is_none()
+    }
+}
+
+type LockTable = HashMap<Key, Owners, KeyHashBuilder>;
+
+/// A requested lock is held incompatibly by another transaction.
+struct Conflict;
+
+/// One entry of an acquisition's grant list: `(shard, key, requested mode,
+/// prior)`. `prior` is filled in when the entry is granted with the mode
+/// the transaction held before (`None` = not held) — what a rollback
+/// restores.
+type Grant<'a> = (usize, &'a Key, LockMode, Option<LockMode>);
 
 #[derive(Default)]
 struct Shard {
@@ -144,62 +234,51 @@ impl LockManager {
         key.shard_index(self.shards.len())
     }
 
-    /// Whether `txn` can be granted `mode` given current `owners`.
-    fn grantable(owners: &BTreeMap<TxnId, LockMode>, txn: TxnId, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Shared => owners
-                .iter()
-                .all(|(&o, &m)| o == txn || m == LockMode::Shared),
-            LockMode::Exclusive => owners.keys().all(|&o| o == txn),
-        }
-    }
-
-    /// Grant `(key, mode)` to `txn` in `table` (the key must be grantable).
-    /// Returns the mode `txn` held *before* this grant (`None` = not held),
-    /// so a failed multi-key acquisition can restore the exact prior state.
-    fn grant(table: &mut LockTable, txn: TxnId, key: &Key, mode: LockMode) -> Option<LockMode> {
-        let owners = table.entry(key.clone()).or_default();
-        match owners.entry(txn) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let prior = *e.get();
-                // Upgrade persists; downgrade does not overwrite.
-                if mode == LockMode::Exclusive {
-                    *e.get_mut() = LockMode::Exclusive;
-                }
-                Some(prior)
+    /// Grant `(key, mode)` to `txn` in `table` if it is compatible with the
+    /// current holders. `Ok` carries the mode `txn` held *before* this
+    /// grant (`None` = not held), so a failed multi-key acquisition can
+    /// restore the exact prior state; `Err` means the key conflicts.
+    fn grant(
+        table: &mut LockTable,
+        txn: TxnId,
+        key: &Key,
+        mode: LockMode,
+    ) -> Result<Option<LockMode>, Conflict> {
+        match table.get_mut(key) {
+            None => {
+                table.insert(key.clone(), Owners::sole(txn, mode));
+                Ok(None)
             }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(mode);
-                None
-            }
+            Some(owners) if owners.grantable(txn, mode) => Ok(owners.grant(txn, mode)),
+            Some(_) => Err(Conflict),
         }
     }
 
     /// Remove `txn` from `key`'s owner set in `table` (no-op if not held).
     fn ungrant(table: &mut LockTable, txn: TxnId, key: &Key) {
-        if let Some(owners) = table.get_mut(key) {
-            owners.remove(&txn);
-            if owners.is_empty() {
-                table.remove(key);
-            }
+        if table.get_mut(key).is_some_and(|owners| owners.remove(txn)) {
+            table.remove(key);
         }
     }
 
     /// Undo one [`grant`](Self::grant): restore `txn`'s pre-grant state on
     /// `key` — drop the lock if it was not held before, or restore the
-    /// prior mode (undoing an upgrade) if it was.
+    /// prior mode (undoing an upgrade) if it was. A pre-held lock is still
+    /// held: only its own transaction releases it.
     fn restore_grant(table: &mut LockTable, txn: TxnId, key: &Key, prior: Option<LockMode>) {
         match prior {
             None => Self::ungrant(table, txn, key),
             Some(mode) => {
-                table.entry(key.clone()).or_default().insert(txn, mode);
+                if let Some(held) = table.get_mut(key).and_then(|owners| owners.get_mut(txn)) {
+                    *held = mode;
+                }
             }
         }
     }
 
-    /// Acquire every `(key, mode)` pair in `batch` — all of which must live
-    /// in shard `shard_idx`, in ascending key order — under one shard-mutex
-    /// hold per attempt.
+    /// Acquire every entry of `batch` — all of which must live in one
+    /// shard, in ascending key order — under one shard-mutex hold per
+    /// attempt.
     ///
     /// Grants are **incremental in key order** for every policy: each
     /// grantable key is taken (and *held*) immediately and the transaction
@@ -212,55 +291,43 @@ impl LockManager {
     /// priority guarantee: younger contenders die against it instead of
     /// starving the batch.
     ///
-    /// Every grant (with the prior mode it replaced) is appended to
-    /// `journal`; on failure the *caller* restores the journal, so a failed
-    /// acquisition leaves pre-held locks and modes exactly as they were.
-    /// Single-key batches pass `None` — they fail only at the first key,
-    /// with nothing granted.
-    fn acquire_shard_batch<'a>(
+    /// Each grant records the mode it replaced in its entry's `prior`; on
+    /// failure this returns how many entries it granted, and the *caller*
+    /// restores them, so a failed acquisition leaves pre-held locks and
+    /// modes exactly as they were.
+    fn acquire_shard_batch(
         &self,
         txn: TxnId,
-        shard_idx: usize,
-        batch: &[(&'a Key, LockMode)],
+        batch: &mut [Grant<'_>],
         timeout: Option<Duration>,
-        mut journal: Option<&mut Vec<(usize, &'a Key, Option<LockMode>)>>,
-    ) -> Result<(), LockError> {
-        debug_assert!(batch.len() == 1 || journal.is_some());
-        let shard = &self.shards[shard_idx];
+    ) -> Result<(), (LockError, usize)> {
+        let shard = &self.shards[batch[0].0];
         let mut next = 0; // first batch entry not yet granted by this call
         let mut table = shard.table.lock();
         loop {
-            while next < batch.len() {
-                let (key, mode) = batch[next];
-                let grantable = table
-                    .get(key)
-                    .is_none_or(|owners| Self::grantable(owners, txn, mode));
-                if !grantable {
-                    break;
-                }
-                let prior = Self::grant(&mut table, txn, key, mode);
-                if let Some(j) = journal.as_deref_mut() {
-                    j.push((shard_idx, key, prior));
+            while let Some((_, key, mode, prior)) = batch.get_mut(next) {
+                match Self::grant(&mut table, txn, key, *mode) {
+                    Ok(held) => *prior = held,
+                    Err(Conflict) => break,
                 }
                 next += 1;
             }
             if next == batch.len() {
                 return Ok(());
             }
-            // Conflict at batch[next]; the granted prefix stays held and the
-            // journal records it — the caller rolls back on error.
+            // Conflict at batch[next]; the granted prefix stays held and
+            // records its prior modes — the caller rolls back on error.
             match self.policy {
-                LockPolicy::NoWait => return Err(LockError::WouldBlock),
+                LockPolicy::NoWait => return Err((LockError::WouldBlock, next)),
                 LockPolicy::WaitDie => {
                     // Standard wait-die on the blocking key: die if any
                     // conflicting holder is *older* (smaller id); wait only
                     // when every conflicting holder is younger.
-                    let (key, _) = batch[next];
                     let older_holder = table
-                        .get(key)
-                        .is_some_and(|owners| owners.keys().any(|&o| o != txn && o < txn));
+                        .get(batch[next].1)
+                        .is_some_and(|owners| owners.iter().any(|(o, _)| o != txn && o < txn));
                     if older_holder {
-                        return Err(LockError::Die);
+                        return Err((LockError::Die, next));
                     }
                 }
                 LockPolicy::Block => {}
@@ -269,7 +336,7 @@ impl LockManager {
             match timeout {
                 Some(t) => {
                     if shard.released.wait_for(&mut table, t).timed_out() {
-                        return Err(LockError::Timeout);
+                        return Err((LockError::Timeout, next));
                     }
                 }
                 None => {
@@ -288,26 +355,45 @@ impl LockManager {
         }
     }
 
-    /// Restore every journaled grant (reverse order), returning each key to
-    /// its exact pre-call state. One mutex hold + one wakeup per shard
-    /// touched; journal entries are shard-contiguous by construction.
-    fn rollback_journal(&self, txn: TxnId, journal: &[(usize, &Key, Option<LockMode>)]) {
-        let mut end = journal.len();
-        while end > 0 {
-            let shard_idx = journal[end - 1].0;
-            let start = journal[..end]
+    /// Acquire a shard-sorted grant list shard by shard. On failure the
+    /// granted prefix is restored (see [`rollback`](Self::rollback)).
+    fn acquire_sorted(
+        &self,
+        txn: TxnId,
+        grants: &mut [Grant<'_>],
+        timeout: Option<Duration>,
+    ) -> Result<(), LockError> {
+        let mut start = 0;
+        while start < grants.len() {
+            let shard_idx = grants[start].0;
+            let end = grants[start..]
                 .iter()
-                .rposition(|e| e.0 != shard_idx)
-                .map_or(0, |p| p + 1);
-            let shard = &self.shards[shard_idx];
+                .position(|g| g.0 != shard_idx)
+                .map_or(grants.len(), |p| start + p);
+            if let Err((e, granted)) =
+                self.acquire_shard_batch(txn, &mut grants[start..end], timeout)
+            {
+                self.rollback(txn, &grants[..start + granted]);
+                return Err(e);
+            }
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// Restore every grant in `granted` (reverse order), returning each key
+    /// to its exact pre-call state. One mutex hold + one wakeup per shard
+    /// touched; the list is shard-contiguous by construction.
+    fn rollback(&self, txn: TxnId, granted: &[Grant<'_>]) {
+        for batch in granted.chunk_by(|a, b| a.0 == b.0).rev() {
+            let shard = &self.shards[batch[0].0];
             let mut table = shard.table.lock();
-            for &(_, key, prior) in journal[start..end].iter().rev() {
+            for &(_, key, _, prior) in batch.iter().rev() {
                 Self::restore_grant(&mut table, txn, key, prior);
             }
             drop(table);
             shard.released.notify_all();
             crate::sched::progress("store.lock.rollback");
-            end = start;
         }
     }
 
@@ -324,7 +410,8 @@ impl LockManager {
         mode: LockMode,
         timeout: Option<Duration>,
     ) -> Result<(), LockError> {
-        self.acquire_shard_batch(txn, self.shard_index(key), &[(key, mode)], timeout, None)
+        let mut one = [(self.shard_index(key), key, mode, None)];
+        self.acquire_sorted(txn, &mut one, timeout)
     }
 
     /// Convenience: acquire with the policy's default (no timeout).
@@ -347,39 +434,17 @@ impl LockManager {
         keys: &[(Key, LockMode)],
         timeout: Option<Duration>,
     ) -> Result<(), LockError> {
-        match keys.len() {
-            0 => return Ok(()),
-            1 => return self.acquire(txn, &keys[0].0, keys[0].1, timeout),
-            _ => {}
+        if let [(key, mode)] = keys {
+            return self.acquire(txn, key, *mode, timeout);
         }
         // Shard-major, then key order: the global acquisition order that
         // underpins deadlock freedom under Block.
-        let mut sorted: Vec<(usize, &Key, LockMode)> = keys
+        let mut sorted: Vec<Grant<'_>> = keys
             .iter()
-            .map(|(k, m)| (self.shard_index(k), k, *m))
+            .map(|(k, m)| (self.shard_index(k), k, *m, None))
             .collect();
         sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-
-        let mut journal: Vec<(usize, &Key, Option<LockMode>)> = Vec::with_capacity(sorted.len());
-        let mut batch: Vec<(&Key, LockMode)> = Vec::with_capacity(sorted.len());
-        let mut start = 0;
-        while start < sorted.len() {
-            let shard_idx = sorted[start].0;
-            let end = sorted[start..]
-                .iter()
-                .position(|e| e.0 != shard_idx)
-                .map_or(sorted.len(), |p| start + p);
-            batch.clear();
-            batch.extend(sorted[start..end].iter().map(|&(_, k, m)| (k, m)));
-            if let Err(e) =
-                self.acquire_shard_batch(txn, shard_idx, &batch, timeout, Some(&mut journal))
-            {
-                self.rollback_journal(txn, &journal);
-                return Err(e);
-            }
-            start = end;
-        }
-        Ok(())
+        self.acquire_sorted(txn, &mut sorted, timeout)
     }
 
     /// Release `txn`'s lock on `key` (no-op if not held).
@@ -398,22 +463,15 @@ impl LockManager {
         let mut items: Vec<(usize, &Key)> =
             keys.into_iter().map(|k| (self.shard_index(k), k)).collect();
         items.sort_unstable_by_key(|e| e.0);
-        let mut start = 0;
-        while start < items.len() {
-            let shard_idx = items[start].0;
-            let end = items[start..]
-                .iter()
-                .position(|e| e.0 != shard_idx)
-                .map_or(items.len(), |p| start + p);
-            let shard = &self.shards[shard_idx];
+        for batch in items.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[batch[0].0];
             let mut table = shard.table.lock();
-            for &(_, key) in &items[start..end] {
+            for &(_, key) in batch {
                 Self::ungrant(&mut table, txn, key);
             }
             drop(table);
             shard.released.notify_all();
             crate::sched::progress("store.lock.release");
-            start = end;
         }
     }
 
@@ -423,8 +481,7 @@ impl LockManager {
             .table
             .lock()
             .get(key)?
-            .get(&txn)
-            .copied()
+            .get(txn)
     }
 
     /// Number of keys with at least one holder (diagnostics).
@@ -850,11 +907,117 @@ mod tests {
                 Some(Duration::from_millis(5)),
             );
         }
+        // No timed-out waiter is still counted on the key's shard condvar.
+        assert_eq!(lm.shards[lm.shard_index(&k("a"))].released.notify_all(), 0);
         lm.release(TxnId(1), &k("a"));
         // Nothing lingers; a fresh acquisition succeeds instantly.
         assert!(lm.lock(TxnId(3), &k("a"), LockMode::Exclusive).is_ok());
         lm.release(TxnId(3), &k("a"));
         assert_eq!(lm.locked_keys(), 0);
+    }
+
+    /// The holders of `key` that spilled past the inline slot.
+    fn spilled(lm: &LockManager, key: &Key) -> Vec<TxnId> {
+        let table = lm.shards[lm.shard_index(key)].table.lock();
+        table.get(key).map_or_else(Vec::new, |owners| {
+            owners.rest.iter().map(|&(t, _)| t).collect()
+        })
+    }
+
+    #[test]
+    fn shared_co_holders_spill_and_survive_the_inline_holder_leaving() {
+        let lm = LockManager::new(LockPolicy::NoWait);
+        let a = k("a");
+        for t in 1..=3 {
+            lm.lock(TxnId(t), &a, LockMode::Shared).unwrap();
+        }
+        assert_eq!(spilled(&lm, &a), [TxnId(2), TxnId(3)]);
+        // The inline holder leaves first; the spilled two keep their modes.
+        lm.release(TxnId(1), &a);
+        assert_eq!(lm.held_mode(TxnId(1), &a), None);
+        for t in [2, 3] {
+            assert_eq!(lm.held_mode(TxnId(t), &a), Some(LockMode::Shared));
+        }
+        assert_eq!(
+            lm.lock(TxnId(9), &a, LockMode::Exclusive),
+            Err(LockError::WouldBlock)
+        );
+        lm.release(TxnId(3), &a);
+        assert_eq!(lm.held_mode(TxnId(2), &a), Some(LockMode::Shared));
+        assert_eq!(
+            lm.lock(TxnId(9), &a, LockMode::Exclusive),
+            Err(LockError::WouldBlock)
+        );
+        assert_eq!(lm.locked_keys(), 1);
+        lm.release(TxnId(2), &a);
+        assert_eq!(lm.locked_keys(), 0);
+        assert!(lm.lock(TxnId(9), &a, LockMode::Exclusive).is_ok());
+        lm.release(TxnId(9), &a);
+        assert_eq!(lm.locked_keys(), 0);
+    }
+
+    #[test]
+    fn wait_die_dies_against_an_older_spilled_holder() {
+        let lm = LockManager::new(LockPolicy::WaitDie);
+        let a = k("a");
+        // The inline holder is younger than the requester, the older one
+        // sits in the spill list.
+        lm.lock(TxnId(5), &a, LockMode::Shared).unwrap();
+        lm.lock(TxnId(2), &a, LockMode::Shared).unwrap();
+        assert_eq!(spilled(&lm, &a), [TxnId(2)]);
+        assert_eq!(
+            lm.lock(TxnId(3), &a, LockMode::Exclusive),
+            Err(LockError::Die)
+        );
+        assert_eq!(lm.held_mode(TxnId(3), &a), None);
+        assert_eq!(lm.held_mode(TxnId(2), &a), Some(LockMode::Shared));
+        assert_eq!(lm.held_mode(TxnId(5), &a), Some(LockMode::Shared));
+    }
+
+    #[test]
+    fn failed_two_shard_acquire_all_restores_upgrade_and_spilled_mode() {
+        let lm = LockManager::with_shards(LockPolicy::NoWait, 2);
+        let lm_ref = &lm;
+        let in_shard = |shard| {
+            (0..)
+                .map(|i| Key::indexed("two", i))
+                .filter(move |key| lm_ref.shard_index(key) == shard)
+        };
+        let mut first = in_shard(0);
+        let (up, co, fresh) = (
+            first.next().unwrap(),
+            first.next().unwrap(),
+            first.next().unwrap(),
+        );
+        let blocked = in_shard(1).next().unwrap();
+        // `up`: t1 the sole Shared holder (upgraded by the batch).
+        lm.lock(TxnId(1), &up, LockMode::Shared).unwrap();
+        // `co`: t7 inline, t1 a spilled Shared co-holder (re-granted).
+        lm.lock(TxnId(7), &co, LockMode::Shared).unwrap();
+        lm.lock(TxnId(1), &co, LockMode::Shared).unwrap();
+        assert_eq!(spilled(&lm, &co), [TxnId(1)]);
+        // `blocked`: held by t9 in the later shard, so shard 0 is granted
+        // in full before the batch fails.
+        lm.lock(TxnId(9), &blocked, LockMode::Exclusive).unwrap();
+        let pairs = vec![
+            (up.clone(), LockMode::Exclusive),
+            (co.clone(), LockMode::Shared),
+            (fresh.clone(), LockMode::Exclusive),
+            (blocked.clone(), LockMode::Exclusive),
+        ];
+        assert_eq!(
+            lm.acquire_all(TxnId(1), &pairs, None),
+            Err(LockError::WouldBlock)
+        );
+        assert_eq!(lm.held_mode(TxnId(1), &up), Some(LockMode::Shared));
+        assert_eq!(lm.held_mode(TxnId(1), &co), Some(LockMode::Shared));
+        assert_eq!(lm.held_mode(TxnId(7), &co), Some(LockMode::Shared));
+        assert_eq!(spilled(&lm, &co), [TxnId(1)]);
+        assert_eq!(lm.held_mode(TxnId(1), &fresh), None);
+        assert_eq!(lm.held_mode(TxnId(9), &blocked), Some(LockMode::Exclusive));
+        // The upgrade was undone in the table: another reader fits again.
+        assert!(lm.lock(TxnId(3), &up, LockMode::Shared).is_ok());
+        assert_eq!(lm.locked_keys(), 3);
     }
 
     #[test]

@@ -227,7 +227,7 @@ fn no_lost_wakeups_between_single_and_batched_paths() {
             }
         })
     };
-    let singles: Vec<_> = (0..3u64)
+    let mut workers: Vec<_> = (0..3u64)
         .map(|t| {
             let lm = Arc::clone(&lm);
             let keys = keys.clone();
@@ -240,12 +240,90 @@ fn no_lost_wakeups_between_single_and_batched_paths() {
             })
         })
         .collect();
+    workers.push(batcher);
 
-    batcher.join().expect("batcher panicked");
-    for s in singles {
-        s.join().expect("single-key worker panicked");
-    }
+    join_within(workers, Duration::from_secs(60));
     assert_eq!(lm.locked_keys(), 0);
+}
+
+/// Timed single-key retries race a blocking batch's `release_all` on one
+/// shared shard: every expired wait must leave the condvar's waiter count
+/// exact, or a release skips the parked batch and the run hangs (which the
+/// watchdog turns into a failure).
+#[test]
+fn timed_retries_racing_release_all_lose_no_wakeups() {
+    const ROUNDS: usize = 300;
+    let lm = Arc::new(LockManager::with_shards(LockPolicy::Block, 1));
+    let keys: Vec<(Key, LockMode)> = (0..4)
+        .map(|i| (Key::indexed("tw", i), LockMode::Exclusive))
+        .collect();
+    let timeouts = Arc::new(AtomicUsize::new(0));
+
+    let batcher = {
+        let lm = Arc::clone(&lm);
+        let keys = keys.clone();
+        thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                lm.acquire_all(TxnId(1), &keys, None).unwrap();
+                // Hold past the retriers' timeout so their waits expire.
+                thread::sleep(Duration::from_micros(100));
+                lm.release_all(TxnId(1), keys.iter().map(|(k, _)| k));
+            }
+        })
+    };
+    let mut workers: Vec<_> = (0..3u64)
+        .map(|t| {
+            let lm = Arc::clone(&lm);
+            let keys = keys.clone();
+            let timeouts = Arc::clone(&timeouts);
+            thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let (k, mode) = &keys[(round as u64 + t) as usize % keys.len()];
+                    loop {
+                        match lm.acquire(TxnId(10 + t), k, *mode, Some(Duration::from_micros(20))) {
+                            Ok(()) => break,
+                            Err(LockError::Timeout) => {
+                                timeouts.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => panic!("unexpected error under Block: {e}"),
+                        }
+                    }
+                    thread::yield_now();
+                    lm.release(TxnId(10 + t), k);
+                }
+            })
+        })
+        .collect();
+    workers.push(batcher);
+
+    join_within(workers, Duration::from_secs(60));
+    assert_eq!(lm.locked_keys(), 0);
+    // Timing-dependent, so informational only.
+    eprintln!(
+        "timed waits that expired: {}",
+        timeouts.load(Ordering::Relaxed)
+    );
+}
+
+/// Watchdog: poll every worker against a deadline BEFORE joining, so a
+/// lost wakeup fails the test instead of hanging it.
+fn join_within(workers: Vec<thread::JoinHandle<()>>, limit: Duration) {
+    let deadline = Instant::now() + limit;
+    loop {
+        let finished = workers.iter().filter(|w| w.is_finished()).count();
+        if finished == workers.len() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "lost wakeup suspected: {finished}/{} threads finished",
+            workers.len()
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    for w in workers {
+        w.join().expect("worker panicked");
+    }
 }
 
 /// Failed batched acquisition (NoWait) under concurrency must roll back

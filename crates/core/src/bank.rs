@@ -27,8 +27,6 @@ pub type FinalSectionBody =
 /// two section bodies. The final section receives the [`FinalInput`]
 /// produced by label matching.
 pub struct TxnInstance {
-    /// Template name, for reports.
-    pub name: String,
     /// Initial section's declared read/write set.
     pub initial_rw: RwSet,
     /// Final section's (potential) read/write set.
@@ -153,7 +151,6 @@ mod tests {
         }
         fn instantiate(&self, _trigger: &Detection, _rng: &mut DetRng) -> TxnInstance {
             TxnInstance {
-                name: "noop".into(),
                 initial_rw: RwSet::new(),
                 final_rw: RwSet::new(),
                 initial: Box::new(|_| Ok(SectionOutput::new())),
@@ -241,6 +238,7 @@ mod tests {
         let inst = b.rules()[0]
             .template
             .instantiate(&det("building", 0.4), &mut rng);
-        assert_eq!(inst.name, "noop");
+        assert_eq!(inst.initial_rw, RwSet::new());
+        assert_eq!(inst.final_rw, RwSet::new());
     }
 }

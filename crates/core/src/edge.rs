@@ -231,17 +231,16 @@ impl EdgeNode {
                 }
             }
         }
-        // Sequence by merged footprint and execute wave by wave.
-        let rwsets: Vec<RwSet> = instances
-            .iter()
-            .map(|(_, i)| i.initial_rw.union(&i.final_rw))
-            .collect();
+        // Sequence by merged footprint, read in place, and execute wave by
+        // wave.
+        let waves =
+            Sequencer::waves_of(instances.iter().map(|(_, i)| [&i.initial_rw, &i.final_rw]));
         let mut slots: Vec<Option<(Detection, crate::bank::TxnInstance)>> =
             instances.into_iter().map(Some).collect();
         let mut committed = 0u64;
         let mut responses = Vec::new();
         let mut pendings = Vec::new();
-        for wave in Sequencer::waves(&rwsets) {
+        for wave in waves {
             if self.pool.is_inline() || wave.len() == 1 {
                 for idx in wave {
                     let (label, inst) = slots[idx].take().expect("each index runs once");

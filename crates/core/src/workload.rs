@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use croesus_detect::Detection;
 use croesus_sim::DetRng;
-use croesus_store::Key;
+use croesus_store::{Key, Value};
 use croesus_txn::{RwSet, SectionOutput};
 
 use crate::bank::{TxnInstance, TxnTemplate};
@@ -83,44 +83,39 @@ impl TxnTemplate for YcsbWorkload {
             })
             .collect();
 
-        let mut initial_rw = RwSet::new();
-        for k in &insert_keys {
-            initial_rw.writes.push(k.clone());
-        }
-        for k in &read_keys {
-            initial_rw.reads.push(k.clone());
-        }
+        let initial_rw = RwSet {
+            reads: read_keys,
+            writes: insert_keys.clone(),
+        };
         // The final section may rewrite or remove exactly what the initial
         // section inserted.
-        let mut final_rw = RwSet::new();
-        for k in &insert_keys {
-            final_rw.writes.push(k.clone());
-        }
+        let final_rw = RwSet {
+            reads: Vec::new(),
+            writes: insert_keys,
+        };
 
-        let label = trigger.class.name().to_string();
-        let insert_for_initial = insert_keys.clone();
-        let read_for_initial = read_keys;
-        let insert_for_final = insert_keys;
-
+        // The bodies walk the keys their section declared; each write set
+        // stores one value, shared by all of its keys.
+        let label = trigger.class.clone();
         TxnInstance {
-            name: format!("ycsb-a[{label}]"),
             initial_rw,
             final_rw,
             initial: Box::new(move |ctx| {
-                let mut out = SectionOutput::new();
-                for k in &insert_for_initial {
-                    ctx.write(k.clone(), format!("seen:{label}"))?;
+                let declared = ctx.declared();
+                let seen = Arc::new(Value::Str(format!("seen:{label}")));
+                for k in &declared.writes {
+                    ctx.write(k.clone(), Arc::clone(&seen))?;
                 }
-                for k in &read_for_initial {
+                let mut out = SectionOutput::new();
+                for k in &declared.reads {
                     if let Some(v) = ctx.read(k.clone())? {
-                        // Responses leave the store's sharing domain, so
-                        // this clone is the protocol boundary, not hot path.
-                        out.response.push((*v).clone());
+                        out.response.push(v);
                     }
                 }
                 Ok(out)
             }),
             final_section: Box::new(move |ctx, input| {
+                let declared = ctx.declared();
                 match &input.verdict {
                     // Trigger confirmed: terminate, keeping the inserts.
                     LabelVerdict::Correct => {}
@@ -128,14 +123,15 @@ impl TxnTemplate for YcsbWorkload {
                     // under the corrected label (retain as much state as
                     // possible — the merge side of MS-IA).
                     LabelVerdict::Corrected(correct) => {
-                        for k in &insert_for_final {
-                            ctx.write(k.clone(), format!("seen:{}", correct.class))?;
+                        let seen = Arc::new(Value::Str(format!("seen:{}", correct.class)));
+                        for k in &declared.writes {
+                            ctx.write(k.clone(), Arc::clone(&seen))?;
                         }
                     }
                     // Nothing was there: remove the erroneous inserts and
                     // apologize.
                     LabelVerdict::Erroneous => {
-                        for k in &insert_for_final {
+                        for k in &declared.writes {
                             ctx.delete(k.clone())?;
                         }
                     }

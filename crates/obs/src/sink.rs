@@ -137,7 +137,9 @@ impl EdgeInner {
             ring: Mutex::new(Ring {
                 cap,
                 seq: 0,
-                buf: std::collections::VecDeque::new(),
+                // Sized once, up front: growing it while a run emits would
+                // bill the reallocations to the enabled path.
+                buf: std::collections::VecDeque::with_capacity(cap),
                 dropped: 0,
                 counters: [0; EventKind::COUNT],
             }),

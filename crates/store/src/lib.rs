@@ -17,7 +17,8 @@
 //! # The hashing contract
 //!
 //! [`Key`] computes the **FNV-1a hash of its text exactly once, at
-//! construction**, and every consumer reuses it:
+//! construction**, and keeps it inline beside its one shared text
+//! allocation. Every consumer reuses it:
 //!
 //! * `HashMap` probes go through [`value::KeyHashBuilder`], a pass-through
 //!   hasher that forwards the cached hash (finalized with a splitmix64
@@ -45,9 +46,12 @@
 //! * a reader's `Arc<Value>` stays valid (and unchanged) even if the key
 //!   is overwritten or deleted afterwards — it simply keeps the old
 //!   version alive, snapshot-style;
-//! * code that hands values across an ownership boundary (e.g. client
-//!   responses in `SectionOutput`) clones the inner `Value` explicitly at
-//!   that boundary.
+//! * responses alias stored values: a client response (`SectionOutput` in
+//!   `croesus-txn`) holds the `Arc<Value>` its read returned;
+//! * one value may be stored under several keys: writes take any
+//!   [`IntoSharedValue`], so a writer that puts one `Arc<Value>` under a
+//!   whole write set stores one allocation;
+//! * clone a `Value` only when a caller needs one of its own to mutate.
 //!
 //! # Lock batching
 //!
@@ -87,4 +91,4 @@ pub use kv::{KvStore, Versioned};
 pub use lock::{LockError, LockManager, LockMode, LockPolicy, TxnId};
 pub use partition::{Partition, PartitionId, PartitionMap};
 pub use undo::{UndoLog, UndoRecord};
-pub use value::{Key, Value};
+pub use value::{IntoSharedValue, Key, Value};

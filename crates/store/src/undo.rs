@@ -22,13 +22,18 @@ pub struct UndoRecord {
     pub previous: Option<Arc<Value>>,
 }
 
+/// Records an [`UndoLog`] scans for a duplicate key before it indexes
+/// them: below this, comparing inline key hashes beats building a set.
+const SCAN_LIMIT: usize = 16;
+
 /// The undo log of one transaction section.
 #[derive(Clone, Debug, Default)]
 pub struct UndoLog {
     records: Vec<UndoRecord>,
-    /// Keys already recorded — membership reuses the hash cached inside
-    /// [`Key`], so duplicate detection stays O(1) per write instead of a
-    /// linear rescan (O(n²) across a large write set).
+    /// Keys already recorded, built only once the log holds
+    /// [`SCAN_LIMIT`] records (empty, and unallocated, before). Membership
+    /// reuses the hash cached inside [`Key`], so duplicate detection on a
+    /// large write set stays O(1) per write instead of a linear rescan.
     seen: HashSet<Key, KeyHashBuilder>,
 }
 
@@ -42,7 +47,15 @@ impl UndoLog {
     /// this log keeps its pre-image — later writes by the same transaction
     /// would otherwise undo to an intermediate state.
     pub fn record(&mut self, key: Key, previous: Option<Arc<Value>>) {
-        if self.seen.insert(key.clone()) {
+        let fresh = if self.records.len() < SCAN_LIMIT {
+            self.records.iter().all(|r| r.key != key)
+        } else {
+            if self.seen.is_empty() {
+                self.seen.extend(self.records.iter().map(|r| r.key.clone()));
+            }
+            self.seen.insert(key.clone())
+        };
+        if fresh {
             self.records.push(UndoRecord { key, previous });
         }
     }
@@ -197,6 +210,46 @@ mod tests {
         assert_eq!(log.pre_image(&Key::indexed("k", 0)), Some(&None));
         log.rollback(&s);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn repeats_on_both_sides_of_the_scan_limit_keep_the_first_pre_image() {
+        let s = KvStore::new();
+        for i in 0..SCAN_LIMIT as u64 * 2 {
+            s.put(Key::indexed("k", i), Value::Int(i as i64));
+        }
+        let before = s.snapshot();
+        let mut log = UndoLog::new();
+        // Below the limit every key is written twice: repeats hit the scan.
+        for i in 0..SCAN_LIMIT as u64 {
+            log.put(&s, Key::indexed("k", i), Value::Int(-1));
+            log.put(&s, Key::indexed("k", i), Value::Int(-2));
+        }
+        assert_eq!(log.len(), SCAN_LIMIT);
+        // Past it: the same keys again, new keys twice each, a delete and
+        // fresh inserts — repeats now hit the index built from the scan.
+        for i in 0..SCAN_LIMIT as u64 * 2 {
+            log.put(&s, Key::indexed("k", i), Value::Int(-3));
+            log.delete(&s, &Key::indexed("k", i));
+            log.put(&s, Key::indexed("fresh", i), Value::Int(-4));
+            log.put(&s, Key::indexed("fresh", i), Value::Int(-5));
+        }
+        assert_eq!(log.len(), SCAN_LIMIT * 4);
+        for rec in log.records() {
+            let expected = rec
+                .key
+                .as_str()
+                .strip_prefix("k/")
+                .map(|i| Value::Int(i.parse().unwrap()));
+            assert_eq!(rec.previous.as_deref(), expected.as_ref(), "{}", rec.key);
+        }
+        log.rollback(&s);
+        let after = s.snapshot();
+        assert_eq!(after.len(), before.len());
+        for ((k0, v0), (k1, v1)) in before.iter().zip(&after) {
+            assert_eq!(k0, k1);
+            assert_eq!(v0.value, v1.value, "{k0}");
+        }
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Keys and values.
 //!
-//! [`Key`] caches its own FNV-1a hash at construction: the hot path
-//! (shard selection, `HashMap` lookup, partition routing) never re-hashes
-//! the key text. [`Value`]s are stored behind `Arc` so reads are refcount
-//! bumps, not deep clones — see the crate docs for the aliasing rules.
+//! A [`Key`] is `{ hash: u64, text: Arc<str> }`: the FNV-1a hash of its
+//! text, computed once at construction, beside one shared allocation
+//! holding the text. The hot path (shard selection, `HashMap` lookup,
+//! partition routing) never re-hashes the key text, a probe compares the
+//! inline hash before it follows the pointer, and cloning a key allocates
+//! nothing. Every constructor allocates exactly once: [`Key::indexed`]
+//! assembles its text on the stack first.
+//!
+//! [`Value`]s are stored behind `Arc` so reads are refcount bumps, not deep
+//! clones, and one value may be stored under many keys; a write takes
+//! anything [`IntoSharedValue`] — a plain value or an `Arc<Value>` already
+//! shared. See the crate docs for the aliasing rules.
 
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -38,38 +46,44 @@ pub(crate) fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-struct KeyInner {
-    hash: u64,
-    text: Box<str>,
-}
+/// Longest text [`Key::indexed`] builds on the stack before its one
+/// allocation: a 43-byte keyspace, the `/` and all 20 digits of `u64::MAX`.
+const INDEXED_STACK_BYTES: usize = 64;
 
-/// A database key. Interned behind `Arc` — keys are cloned freely into
-/// lock tables, undo logs and read/write sets — with its FNV-1a hash
-/// computed exactly once at construction and reused everywhere:
-/// equality checks, `HashMap` hashing (via [`KeyHashBuilder`] pass-through),
-/// store/lock-manager shard selection and partition routing.
+/// A database key: its FNV-1a hash beside a shared text, 24 bytes in all.
+///
+/// The text is one `Arc<str>` allocation — keys are cloned freely into
+/// lock tables, undo logs and read/write sets, and a clone is a refcount
+/// bump. The hash is computed exactly once at construction and reused
+/// everywhere: equality checks, `HashMap` hashing (via [`KeyHashBuilder`]
+/// pass-through), store/lock-manager shard selection and partition
+/// routing. Because it sits inline, a map probe rejects a wrong key
+/// without dereferencing the text.
 #[derive(Clone)]
-pub struct Key(Arc<KeyInner>);
+pub struct Key {
+    hash: u64,
+    text: Arc<str>,
+}
 
 impl Key {
     /// Create a key from a string.
     pub fn new(s: &str) -> Self {
-        Key(Arc::new(KeyInner {
+        Key {
             hash: fnv1a(s.as_bytes()),
-            text: Box::from(s),
-        }))
+            text: Arc::from(s),
+        }
     }
 
     /// Key text.
     pub fn as_str(&self) -> &str {
-        &self.0.text
+        &self.text
     }
 
     /// The cached FNV-1a hash of the key text. Stable across runs and
     /// processes (unlike `DefaultHasher`), so it is safe to route on.
     #[inline]
     pub fn hash_u64(&self) -> u64 {
-        self.0.hash
+        self.hash
     }
 
     /// Shard index in `[0, n)` for in-process sharded containers. Uses the
@@ -78,31 +92,44 @@ impl Key {
     /// (raw hash modulus).
     #[inline]
     pub(crate) fn shard_index(&self, n: usize) -> usize {
-        ((mix64(self.0.hash) >> 32) % n as u64) as usize
+        ((mix64(self.hash) >> 32) % n as u64) as usize
     }
 
     /// A key in a numbered keyspace, e.g. `Key::indexed("user", 42)` →
     /// `"user/42"`. The workloads use this for YCSB-style key selection.
+    ///
+    /// The text is assembled right to left in a stack buffer and allocated
+    /// once, at its final size; only a keyspace too long for the buffer
+    /// goes through a formatted `String` first.
     pub fn indexed(space: &str, index: u64) -> Self {
-        use std::fmt::Write;
-        let mut text = String::with_capacity(space.len() + 21);
-        text.push_str(space);
-        text.push('/');
-        write!(text, "{index}").expect("writing to a String cannot fail");
-        Key(Arc::new(KeyInner {
-            hash: fnv1a(text.as_bytes()),
-            text: text.into_boxed_str(),
-        }))
+        let mut buf = [0u8; INDEXED_STACK_BYTES];
+        let mut start = buf.len();
+        let mut rest = index;
+        loop {
+            start -= 1;
+            buf[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let Some(space_at) = start.checked_sub(space.len() + 1) else {
+            return Key::from(format!("{space}/{index}"));
+        };
+        buf[space_at..start - 1].copy_from_slice(space.as_bytes());
+        buf[start - 1] = b'/';
+        Key::new(std::str::from_utf8(&buf[space_at..]).expect("a str, a '/' and ASCII digits"))
     }
 }
 
 impl PartialEq for Key {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        // Pointer equality catches the common clone-of-same-key case; the
-        // cached hash rejects almost all unequal keys without a byte scan.
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.0.hash == other.0.hash && self.0.text == other.0.text)
+        // The cached hash rejects almost all unequal keys without touching
+        // the text; pointer equality then catches the common
+        // clone-of-same-key case without a byte scan.
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.text, &other.text) || *self.text == *other.text)
     }
 }
 
@@ -113,7 +140,7 @@ impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Single u64 write: with [`KeyHasher`] this makes map hashing a
         // pass-through of the cached hash instead of a SipHash of the text.
-        state.write_u64(self.0.hash);
+        state.write_u64(self.hash);
     }
 }
 
@@ -127,7 +154,7 @@ impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Lexicographic by text — ordering is a user-visible contract
         // (sorted snapshots, ordered lock acquisition).
-        self.0.text.cmp(&other.0.text)
+        self.text.cmp(&other.text)
     }
 }
 
@@ -139,10 +166,10 @@ impl From<&str> for Key {
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(Arc::new(KeyInner {
+        Key {
             hash: fnv1a(s.as_bytes()),
-            text: s.into_boxed_str(),
-        }))
+            text: Arc::from(s),
+        }
     }
 }
 
@@ -264,6 +291,26 @@ impl From<Vec<u8>> for Value {
     }
 }
 
+/// What a write accepts: anything convertible into a [`Value`], which is
+/// wrapped in a fresh `Arc`, or an `Arc<Value>`, which is stored as is.
+/// Writing one `Arc<Value>` under several keys stores one allocation.
+pub trait IntoSharedValue {
+    /// The value as the store holds it.
+    fn into_shared(self) -> Arc<Value>;
+}
+
+impl<T: Into<Value>> IntoSharedValue for T {
+    fn into_shared(self) -> Arc<Value> {
+        Arc::new(self.into())
+    }
+}
+
+impl IntoSharedValue for Arc<Value> {
+    fn into_shared(self) -> Arc<Value> {
+        self
+    }
+}
+
 // Heterogeneous equality so call sites can compare an `Arc<Value>` read
 // straight against a plain `Value` without unwrapping.
 impl PartialEq<Value> for Arc<Value> {
@@ -320,6 +367,61 @@ mod tests {
             Key::indexed("k", u64::MAX).as_str(),
             format!("k/{}", u64::MAX)
         );
+    }
+
+    #[test]
+    fn every_constructor_of_one_text_builds_the_same_key() {
+        for (space, i) in [("item", 0u64), ("user", 42), ("k", u64::MAX), ("", 7)] {
+            let text = format!("{space}/{i}");
+            let keys = [
+                Key::new(&text),
+                Key::from(text.clone()),
+                Key::indexed(space, i),
+            ];
+            for key in &keys {
+                assert_eq!(key.as_str(), text);
+                assert_eq!(key.hash_u64(), fnv1a(text.as_bytes()));
+                assert_eq!(*key, keys[0]);
+                assert_eq!(key.cmp(&keys[0]), std::cmp::Ordering::Equal);
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_past_the_stack_buffer_matches_the_formatted_key() {
+        for len in [
+            INDEXED_STACK_BYTES - 21,
+            INDEXED_STACK_BYTES - 20,
+            INDEXED_STACK_BYTES,
+            3 * INDEXED_STACK_BYTES,
+        ] {
+            let space = "s".repeat(len);
+            for i in [0u64, 9, 10, 12_345, u64::MAX] {
+                let key = Key::indexed(&space, i);
+                let formatted = Key::from(format!("{space}/{i}"));
+                assert_eq!(key.as_str(), formatted.as_str());
+                assert_eq!(key.hash_u64(), formatted.hash_u64());
+                assert_eq!(key, formatted);
+                assert_eq!(key.cmp(&formatted), std::cmp::Ordering::Equal);
+                // Ordering against a neighbour is the text's ordering.
+                let next = Key::from(format!("{space}/{i}0"));
+                assert!(key < next);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_key_is_a_hash_beside_one_pointer() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn shared_values_are_stored_as_is() {
+        let v = Arc::new(Value::Int(1));
+        assert!(Arc::ptr_eq(&Arc::clone(&v).into_shared(), &v));
+        assert_eq!(7i64.into_shared(), Value::Int(7));
+        assert_eq!("x".into_shared(), Value::from("x"));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! section."
 
 use std::fmt;
+use std::sync::Arc;
 
-use croesus_store::{Key, KvStore, LockError, LockMode, UndoLog, Value};
+use croesus_store::{IntoSharedValue, Key, KvStore, LockError, LockMode, UndoLog, Value};
 
 use crate::history::{HistoryRecorder, SectionKind};
 use croesus_store::TxnId;
@@ -131,8 +132,9 @@ impl std::error::Error for TxnError {}
 /// initial-section responses and final-section responses/apologies back).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SectionOutput {
-    /// Application-level response values.
-    pub response: Vec<Value>,
+    /// Application-level response values. A value read from the store is
+    /// the stored allocation itself, shared — not a copy.
+    pub response: Vec<Arc<Value>>,
 }
 
 impl SectionOutput {
@@ -146,7 +148,7 @@ impl SectionOutput {
     #[must_use]
     pub fn respond(value: impl Into<Value>) -> Self {
         SectionOutput {
-            response: vec![value.into()],
+            response: vec![Arc::new(value.into())],
         }
     }
 }
@@ -200,7 +202,7 @@ impl<'a> SectionCtx<'a> {
     /// Read a key. Errors if the key was not declared as a read or write.
     /// Returns a shared handle to the stored value — a refcount bump, not
     /// a deep clone.
-    pub fn read(&mut self, key: impl Into<Key>) -> Result<Option<std::sync::Arc<Value>>, TxnError> {
+    pub fn read(&mut self, key: impl Into<Key>) -> Result<Option<Arc<Value>>, TxnError> {
         let key = key.into();
         if !self.declared.reads.contains(&key) && !self.declared.writes.contains(&key) {
             return Err(TxnError::UndeclaredAccess(key.to_string()));
@@ -211,8 +213,21 @@ impl<'a> SectionCtx<'a> {
         Ok(self.store.get(&key))
     }
 
-    /// Write a key. Errors if the key was not declared as a write.
-    pub fn write(&mut self, key: impl Into<Key>, value: impl Into<Value>) -> Result<(), TxnError> {
+    /// The read/write set this section declared. The reference outlives
+    /// the context's borrow, so a body can iterate its declared keys while
+    /// it reads and writes them.
+    pub fn declared(&self) -> &'a RwSet {
+        self.declared
+    }
+
+    /// Write a key. Errors if the key was not declared as a write. The
+    /// value is anything [`IntoSharedValue`]: an `Arc<Value>` is stored as
+    /// is, so one value written under several keys is one allocation.
+    pub fn write(
+        &mut self,
+        key: impl Into<Key>,
+        value: impl IntoSharedValue,
+    ) -> Result<(), TxnError> {
         let key = key.into();
         if !self.declared.writes.contains(&key) {
             return Err(TxnError::UndeclaredAccess(key.to_string()));
@@ -220,7 +235,7 @@ impl<'a> SectionCtx<'a> {
         if let Some(h) = self.history {
             h.record_write(self.txn, self.kind, &key);
         }
-        self.undo.put(self.store, key, value.into());
+        self.undo.put(self.store, key, value.into_shared());
         Ok(())
     }
 
@@ -368,6 +383,30 @@ mod tests {
         assert_eq!(ctx.read("w").unwrap().as_deref(), Some(&Value::Int(7)));
         assert_eq!(ctx.section(), SectionKind::Final);
         assert_eq!(ctx.txn(), TxnId(1));
+    }
+
+    #[test]
+    fn a_body_writes_one_shared_value_under_its_declared_keys() {
+        let store = KvStore::new();
+        store.put("r".into(), Value::Int(7));
+        let declared = RwSet::new().write("a").write("b").read("r");
+        let mut undo = UndoLog::new();
+        let mut ctx = SectionCtx::new(
+            TxnId(1),
+            SectionKind::Initial,
+            &store,
+            &declared,
+            &mut undo,
+            None,
+        );
+        let value = Arc::new(Value::from("v"));
+        for k in &ctx.declared().writes {
+            ctx.write(k.clone(), Arc::clone(&value)).unwrap();
+        }
+        let read = ctx.read("r").unwrap().unwrap();
+        assert!(Arc::ptr_eq(&store.get(&"a".into()).unwrap(), &value));
+        assert!(Arc::ptr_eq(&store.get(&"b".into()).unwrap(), &value));
+        assert!(Arc::ptr_eq(&store.get(&"r".into()).unwrap(), &read));
     }
 
     #[test]

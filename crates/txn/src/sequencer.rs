@@ -9,6 +9,14 @@
 //! [`Sequencer::waves`] partitions a batch into *waves*: within a wave no
 //! two transactions conflict, so a wave may run with full concurrency (or
 //! under a lock manager with zero conflicts); waves execute in order.
+//! [`Sequencer::waves_of`] does the same for transactions that declare
+//! several stage sets, sequencing each on the union of its sets without
+//! building it.
+
+use std::collections::HashMap;
+
+use croesus_store::value::KeyHashBuilder;
+use croesus_store::Key;
 
 use crate::model::RwSet;
 use crate::runtime::WorkerPool;
@@ -29,7 +37,8 @@ use crate::runtime::WorkerPool;
 pub struct Sequencer;
 
 impl Sequencer {
-    /// Partition batch indices into conflict-free waves (greedy first-fit).
+    /// Partition batch indices into conflict-free waves (greedy first-fit):
+    /// [`waves_of`](Self::waves_of) with one stage set per transaction.
     ///
     /// Properties:
     /// * every index appears in exactly one wave;
@@ -38,33 +47,52 @@ impl Sequencer {
     ///   (the earlier transaction's wave comes first), preserving the
     ///   batch's intent order.
     pub fn waves(rwsets: &[RwSet]) -> Vec<Vec<usize>> {
+        Self::waves_of(rwsets.iter().map(std::slice::from_ref))
+    }
+
+    /// [`waves`](Self::waves) for transactions declaring several stage
+    /// sets: each transaction's footprint is the union of its sets, read
+    /// in place — the union is never built.
+    ///
+    /// One map per batch keeps, for every declared key, one past the latest
+    /// wave that writes it and one past the latest wave that reads it. A
+    /// transaction goes one wave past the latest wave it conflicts with
+    /// (wave 0 if none), which is exactly where pairwise first-fit puts it,
+    /// at a cost linear in the declared keys.
+    pub fn waves_of<'a, T>(txns: impl IntoIterator<Item = T>) -> Vec<Vec<usize>>
+    where
+        T: IntoIterator<Item = &'a RwSet> + Clone,
+    {
+        let mut latest: HashMap<&'a Key, (usize, usize), KeyHashBuilder> = HashMap::default();
         let mut waves: Vec<Vec<usize>> = Vec::new();
-        for (i, rw) in rwsets.iter().enumerate() {
-            // First-fit: a transaction may only be placed in wave w if it
-            // conflicts with nothing in w AND with nothing in any *later*
-            // wave — otherwise it would run before a conflicting
-            // transaction that precedes it in the batch.
-            let mut placed = false;
-            for w in (0..waves.len()).rev() {
-                let conflicts_here = waves[w].iter().any(|&j| rwsets[j].conflicts_with(rw));
-                if conflicts_here {
-                    // Must go in a wave strictly after w.
-                    if w + 1 < waves.len() {
-                        waves[w + 1].push(i);
-                    } else {
-                        waves.push(vec![i]);
+        for (i, stages) in txns.into_iter().enumerate() {
+            let mut wave = 0;
+            for rw in stages.clone() {
+                for key in &rw.writes {
+                    if let Some(&(written, read)) = latest.get(key) {
+                        wave = wave.max(written).max(read);
                     }
-                    placed = true;
-                    break;
+                }
+                for key in &rw.reads {
+                    if let Some(&(written, _)) = latest.get(key) {
+                        wave = wave.max(written);
+                    }
                 }
             }
-            if !placed {
-                // Conflicts with no earlier transaction: join the first wave.
-                match waves.first_mut() {
-                    Some(w0) => w0.push(i),
-                    None => waves.push(vec![i]),
+            for rw in stages {
+                for key in &rw.writes {
+                    let slot = latest.entry(key).or_default();
+                    slot.0 = slot.0.max(wave + 1);
+                }
+                for key in &rw.reads {
+                    let slot = latest.entry(key).or_default();
+                    slot.1 = slot.1.max(wave + 1);
                 }
             }
+            if wave == waves.len() {
+                waves.push(Vec::new());
+            }
+            waves[wave].push(i);
         }
         waves
     }
@@ -151,6 +179,94 @@ mod tests {
             s = s.write(*w);
         }
         s
+    }
+
+    /// The oracle: pairwise greedy first-fit, re-deriving every conflict
+    /// from the sets. A transaction may only be placed in wave w if it
+    /// conflicts with nothing in w AND with nothing in any *later* wave —
+    /// otherwise it would run before a conflicting transaction that
+    /// precedes it in the batch.
+    fn first_fit(rwsets: &[RwSet]) -> Vec<Vec<usize>> {
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        for (i, rw) in rwsets.iter().enumerate() {
+            let mut placed = false;
+            for w in (0..waves.len()).rev() {
+                let conflicts_here = waves[w].iter().any(|&j| rwsets[j].conflicts_with(rw));
+                if conflicts_here {
+                    // Must go in a wave strictly after w.
+                    if w + 1 < waves.len() {
+                        waves[w + 1].push(i);
+                    } else {
+                        waves.push(vec![i]);
+                    }
+                    placed = true;
+                    break;
+                }
+            }
+            if !placed {
+                // Conflicts with no earlier transaction: join the first wave.
+                match waves.first_mut() {
+                    Some(w0) => w0.push(i),
+                    None => waves.push(vec![i]),
+                }
+            }
+        }
+        waves
+    }
+
+    /// A random stage set: 1–3 operations over at most 8 keys, reads and
+    /// writes mixed.
+    fn random_set(rng: &mut croesus_sim::DetRng) -> RwSet {
+        let mut s = RwSet::new();
+        for _ in 0..(1 + rng.index(3)) {
+            let key = format!("k{}", rng.index(8));
+            if rng.bernoulli(0.5) {
+                s = s.write(key.as_str());
+            } else {
+                s = s.read(key.as_str());
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn waves_of_matches_first_fit_over_each_union() {
+        use croesus_sim::DetRng;
+        for seed in [1u64, 7, 42, 2024] {
+            let mut rng = DetRng::new(seed);
+            for _ in 0..200 {
+                let n = rng.index(25);
+                let txns: Vec<Vec<RwSet>> = (0..n)
+                    .map(|_| {
+                        (0..1 + rng.index(3))
+                            .map(|_| random_set(&mut rng))
+                            .collect()
+                    })
+                    .collect();
+                let unions: Vec<RwSet> = txns
+                    .iter()
+                    .map(|sets| sets.iter().fold(RwSet::new(), |u, s| u.union(s)))
+                    .collect();
+                let waves = Sequencer::waves_of(&txns);
+                assert_eq!(waves, first_fit(&unions), "seed {seed}: {txns:?}");
+                assert_valid_waves(&unions, &waves);
+            }
+        }
+    }
+
+    #[test]
+    fn waves_is_waves_of_over_one_set_transactions() {
+        use croesus_sim::DetRng;
+        for seed in [3u64, 11, 99] {
+            let mut rng = DetRng::new(seed);
+            for _ in 0..200 {
+                let sets: Vec<RwSet> = (0..rng.index(25)).map(|_| random_set(&mut rng)).collect();
+                let one_set: Vec<[&RwSet; 1]> = sets.iter().map(|s| [s]).collect();
+                let waves = Sequencer::waves(&sets);
+                assert_eq!(waves, Sequencer::waves_of(one_set), "seed {seed}");
+                assert_eq!(waves, first_fit(&sets), "seed {seed}");
+            }
+        }
     }
 
     fn assert_valid_waves(rwsets: &[RwSet], waves: &[Vec<usize>]) {

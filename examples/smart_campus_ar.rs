@@ -45,13 +45,12 @@ impl TxnTemplate for DisplayBuildingInfo {
             .write("render/building-info");
         let guessed_initial = guessed.clone();
         TxnInstance {
-            name: self.name().to_string(),
             initial_rw,
             final_rw,
             initial: Box::new(move |ctx| {
                 let info = ctx.read(guessed_initial.as_str())?;
                 Ok(SectionOutput {
-                    response: info.into_iter().map(|v| (*v).clone()).collect(),
+                    response: info.into_iter().collect(),
                 })
             }),
             final_section: Box::new(move |ctx, input: &FinalInput| {
@@ -101,7 +100,6 @@ impl TxnTemplate for ReserveStudyRoom {
         let g1 = guessed.clone();
         let g2 = guessed;
         TxnInstance {
-            name: self.name().to_string(),
             initial_rw,
             final_rw,
             initial: Box::new(move |ctx| {
@@ -203,7 +201,7 @@ fn main() {
     );
 
     let mut pendings = Vec::new();
-    let run_initial = |inst: croesus::core::TxnInstance, pendings: &mut Vec<_>| {
+    let run_initial = |name: &str, inst: croesus::core::TxnInstance, pendings: &mut Vec<_>| {
         let handle = executor.begin(
             TxnId(pendings.len() as u64),
             &[inst.initial_rw.clone(), inst.final_rw.clone()],
@@ -212,7 +210,7 @@ fn main() {
         let (out, pending) = executor
             .stage(handle, &inst.initial_rw, |ctx| initial(ctx.section_mut()))
             .expect("initial section commits");
-        println!("  [initial commit] {} → {:?}", inst.name, out.response);
+        println!("  [initial commit] {name} → {:?}", out.response);
         pendings.push((
             pending.expect("two stages declared"),
             inst.final_rw,
@@ -221,13 +219,13 @@ fn main() {
     };
     for rule in bank.triggered_by_label(&edge_label) {
         let inst = rule.template.instantiate(&edge_label, &mut rng);
-        run_initial(inst, &mut pendings);
+        run_initial(rule.template.name(), inst, &mut pendings);
     }
     let recent = [edge_label.clone()];
     for (rule, label) in bank.triggered_by_aux("click", &recent) {
         let label = label.expect("reservation needs a building label");
         let inst = rule.template.instantiate(label, &mut rng);
-        run_initial(inst, &mut pendings);
+        run_initial(rule.template.name(), inst, &mut pendings);
     }
 
     // The cloud's verdict arrives ~1.2 s later: it was the library. The

@@ -6,11 +6,10 @@
 //! [`UndoLog`] records, per write, the state a key had before the
 //! transaction touched it, so the apology machinery can restore it.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::kv::KvStore;
-use crate::value::{Key, KeyHashBuilder, Value};
+use crate::value::{Key, Value};
 
 /// One undo record: the key and its pre-image (None = key did not exist).
 #[derive(Clone, Debug, PartialEq)]
@@ -22,19 +21,15 @@ pub struct UndoRecord {
     pub previous: Option<Arc<Value>>,
 }
 
-/// Records an [`UndoLog`] scans for a duplicate key before it indexes
-/// them: below this, comparing inline key hashes beats building a set.
-const SCAN_LIMIT: usize = 16;
-
 /// The undo log of one transaction section.
+///
+/// A duplicate write is found by scanning the records, comparing the hash
+/// cached inside each [`Key`] first. Sections write a handful of keys, so
+/// the scan costs no allocation and a few integer compares; a section that
+/// writes `n` distinct keys pays O(n²) compares in total.
 #[derive(Clone, Debug, Default)]
 pub struct UndoLog {
     records: Vec<UndoRecord>,
-    /// Keys already recorded, built only once the log holds
-    /// [`SCAN_LIMIT`] records (empty, and unallocated, before). Membership
-    /// reuses the hash cached inside [`Key`], so duplicate detection on a
-    /// large write set stays O(1) per write instead of a linear rescan.
-    seen: HashSet<Key, KeyHashBuilder>,
 }
 
 impl UndoLog {
@@ -47,15 +42,7 @@ impl UndoLog {
     /// this log keeps its pre-image — later writes by the same transaction
     /// would otherwise undo to an intermediate state.
     pub fn record(&mut self, key: Key, previous: Option<Arc<Value>>) {
-        let fresh = if self.records.len() < SCAN_LIMIT {
-            self.records.iter().all(|r| r.key != key)
-        } else {
-            if self.seen.is_empty() {
-                self.seen.extend(self.records.iter().map(|r| r.key.clone()));
-            }
-            self.seen.insert(key.clone())
-        };
-        if fresh {
+        if self.records.iter().all(|r| r.key != key) {
             self.records.push(UndoRecord { key, previous });
         }
     }
@@ -197,9 +184,8 @@ mod tests {
     }
 
     #[test]
-    fn large_write_sets_dedupe_without_rescans() {
-        // 20k writes over 2k distinct keys: would be ~20M key comparisons
-        // with the old linear scan; the hash set keeps it linear.
+    fn large_write_sets_keep_one_record_per_key() {
+        // 20k writes over 2k distinct keys: ~20M inline-hash compares.
         let s = KvStore::new();
         let mut log = UndoLog::new();
         for i in 0..20_000u64 {
@@ -213,28 +199,29 @@ mod tests {
     }
 
     #[test]
-    fn repeats_on_both_sides_of_the_scan_limit_keep_the_first_pre_image() {
+    fn repeats_early_and_late_in_a_long_log_keep_the_first_pre_image() {
+        const N: usize = 16;
         let s = KvStore::new();
-        for i in 0..SCAN_LIMIT as u64 * 2 {
+        for i in 0..N as u64 * 2 {
             s.put(Key::indexed("k", i), Value::Int(i as i64));
         }
         let before = s.snapshot();
         let mut log = UndoLog::new();
-        // Below the limit every key is written twice: repeats hit the scan.
-        for i in 0..SCAN_LIMIT as u64 {
+        // Every key is written twice while the log is short.
+        for i in 0..N as u64 {
             log.put(&s, Key::indexed("k", i), Value::Int(-1));
             log.put(&s, Key::indexed("k", i), Value::Int(-2));
         }
-        assert_eq!(log.len(), SCAN_LIMIT);
-        // Past it: the same keys again, new keys twice each, a delete and
-        // fresh inserts — repeats now hit the index built from the scan.
-        for i in 0..SCAN_LIMIT as u64 * 2 {
+        assert_eq!(log.len(), N);
+        // Then the same keys again, new keys twice each, a delete and
+        // fresh inserts, while the log grows past them.
+        for i in 0..N as u64 * 2 {
             log.put(&s, Key::indexed("k", i), Value::Int(-3));
             log.delete(&s, &Key::indexed("k", i));
             log.put(&s, Key::indexed("fresh", i), Value::Int(-4));
             log.put(&s, Key::indexed("fresh", i), Value::Int(-5));
         }
-        assert_eq!(log.len(), SCAN_LIMIT * 4);
+        assert_eq!(log.len(), N * 4);
         for rec in log.records() {
             let expected = rec
                 .key

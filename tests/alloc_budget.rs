@@ -10,6 +10,11 @@
 //!
 //! The budgets are a ratchet. A change that lowers the count lowers the
 //! budget with it; a change that must raise it says why in `CHANGES.md`.
+//!
+//! The count includes what std allocates on the run's behalf (map and
+//! vector growth, sort scratch, formatting), so a new toolchain can move it
+//! with no code change. Each budget is therefore the count measured with
+//! rustc 1.95.0 plus [`MARGIN_PERCENT`]; re-measure when the margin is spent.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,11 +80,16 @@ fn count_run(protocol: ProtocolKind) -> (u64, u64) {
     (made, metrics.transactions_committed)
 }
 
-fn assert_within_budget(protocol: ProtocolKind, budget: u64) {
+/// Headroom over the measured count for allocations std makes differently
+/// from one toolchain to the next.
+const MARGIN_PERCENT: u64 = 1;
+
+fn assert_within_budget(protocol: ProtocolKind, measured: u64) {
+    let budget = measured + measured * MARGIN_PERCENT / 100;
     let (made, committed) = count_run(protocol);
     println!(
         "{protocol}: {made} allocations for {committed} committed transactions \
-         ({:.1} per transaction; budget {budget})",
+         ({:.1} per transaction; measured {measured}, budget {budget})",
         made as f64 / committed.max(1) as f64
     );
     assert!(

@@ -7,7 +7,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use croesus_core::{Croesus, CroesusConfig, ProtocolKind, ThresholdPair};
+use croesus_core::{DeploymentMode, ProtocolKind, ThresholdPair};
 use croesus_video::VideoPreset;
 
 fn pipeline(c: &mut Criterion) {
@@ -16,31 +16,25 @@ fn pipeline(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500));
     g.sample_size(10);
 
-    let cfg = CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.4, 0.6))
-        .with_frames(60);
+    let base =
+        croesus_bench::builder(VideoPreset::StreetTraffic, ThresholdPair::new(0.4, 0.6)).frames(60);
     g.bench_function("croesus_60_frames", |b| {
-        b.iter(|| black_box(Croesus::multistage(&cfg).run()))
+        b.iter(|| black_box(base.clone().build().run()))
     });
     // The protocol axis: the same pipeline under MS-SR and staged.
     for kind in [ProtocolKind::MsSr, ProtocolKind::Staged] {
-        let cfg = cfg.clone();
+        let protocol = base.clone().protocol(kind);
         g.bench_function(format!("croesus_60_frames_{kind}"), |b| {
-            b.iter(|| {
-                black_box(
-                    Croesus::builder()
-                        .config(cfg.clone())
-                        .protocol(kind)
-                        .build()
-                        .run(),
-                )
-            })
+            b.iter(|| black_box(protocol.clone().build().run()))
         });
     }
+    let edge_only = base.clone().mode(DeploymentMode::EdgeOnly);
     g.bench_function("edge_only_60_frames", |b| {
-        b.iter(|| black_box(Croesus::edge_only(&cfg).run()))
+        b.iter(|| black_box(edge_only.clone().build().run()))
     });
+    let cloud_only = base.mode(DeploymentMode::CloudOnly);
     g.bench_function("cloud_only_60_frames", |b| {
-        b.iter(|| black_box(Croesus::cloud_only(&cfg).run()))
+        b.iter(|| black_box(cloud_only.clone().build().run()))
     });
     g.finish();
 }

@@ -2,8 +2,8 @@
 //! F-score for four videos under varying bandwidth-utilization
 //! configurations.
 
-use croesus_bench::{banner, config, f2, ms, pct, Table};
-use croesus_core::{Croesus, ThresholdPair, ValidationPolicy};
+use croesus_bench::{banner, builder, f2, ms, pct, Table};
+use croesus_core::{DeploymentMode, ThresholdPair, ValidationPolicy};
 use croesus_video::VideoPreset;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             "F-score",
             "BU",
         ]);
-        let base = config(preset, ThresholdPair::new(0.4, 0.6));
+        let base = builder(preset, ThresholdPair::new(0.4, 0.6));
 
         let mut push = |label: &str, m: &croesus_core::RunMetrics| {
             let b = &m.breakdown;
@@ -47,15 +47,17 @@ fn main() {
             ]);
         };
 
-        let edge = Croesus::edge_only(&base).run();
+        let edge = base.clone().mode(DeploymentMode::EdgeOnly).build().run();
         push("edge (SotA)", &edge);
         for bu in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let m =
-                Croesus::multistage(&base.clone().with_validation(ValidationPolicy::ForcedBu(bu)))
-                    .run();
+            let m = base
+                .clone()
+                .validation(ValidationPolicy::ForcedBu(bu))
+                .build()
+                .run();
             push(&format!("croesus BU={:.0}%", bu * 100.0), &m);
         }
-        let cloud = Croesus::cloud_only(&base).run();
+        let cloud = base.mode(DeploymentMode::CloudOnly).build().run();
         push("cloud (SotA)", &cloud);
         t.print();
     }

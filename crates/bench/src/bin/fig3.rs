@@ -1,8 +1,8 @@
 //! Figure 3: Croesus latency vs accuracy for different threshold pairs
 //! (street traffic, querying vehicles).
 
-use croesus_bench::{banner, config, f2, ms, pct, Table};
-use croesus_core::{Croesus, ThresholdPair};
+use croesus_bench::{banner, builder, f2, ms, pct, Table};
+use croesus_core::ThresholdPair;
 use croesus_video::VideoPreset;
 
 fn main() {
@@ -19,11 +19,9 @@ fn main() {
     ];
     let mut t = Table::new(&["(θL, θU)", "final latency (ms)", "BU", "F-score"]);
     for (lo, hi) in pairs {
-        let m = Croesus::multistage(&config(
-            VideoPreset::StreetTraffic,
-            ThresholdPair::new(lo, hi),
-        ))
-        .run();
+        let m = builder(VideoPreset::StreetTraffic, ThresholdPair::new(lo, hi))
+            .build()
+            .run();
         t.row(vec![
             format!("({lo:.1}, {hi:.1})"),
             ms(m.final_commit_ms),

@@ -1,8 +1,8 @@
 //! Figure 4: latency of Croesus at the optimal thresholds across the four
 //! deployment setups ({small, regular edge} × {same, different location}).
 
-use croesus_bench::{banner, config, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{Croesus, CroesusConfig, ThresholdEvaluator, ThresholdPair, ValidationPolicy};
+use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
+use croesus_core::{ThresholdEvaluator, ThresholdPair};
 use croesus_detect::{ModelProfile, SimulatedModel};
 use croesus_net::Setup;
 use croesus_video::VideoPreset;
@@ -30,10 +30,7 @@ fn main() {
         );
         let mut t = Table::new(&["setup", "initial (ms)", "final (ms)", "F-score", "BU"]);
         for setup in Setup::ALL {
-            let cfg: CroesusConfig = config(preset, pair)
-                .with_setup(setup)
-                .with_validation(ValidationPolicy::Thresholds(pair));
-            let m = Croesus::multistage(&cfg).run();
+            let m = builder(preset, pair).setup(setup).build().run();
             t.row(vec![
                 setup.label(),
                 ms(m.initial_commit_ms),

@@ -2,8 +2,8 @@
 //! communication — applied to the cloud baseline and to Croesus, on the
 //! park video (v1) with the larger YOLOv3-608 cloud model.
 
-use croesus_bench::{banner, config, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{Croesus, ThresholdEvaluator, ThresholdPair};
+use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
+use croesus_core::{DeploymentMode, ThresholdEvaluator, ThresholdPair};
 use croesus_detect::{ModelKind, ModelProfile, SimulatedModel};
 use croesus_net::PayloadCodec;
 use croesus_video::VideoPreset;
@@ -28,10 +28,12 @@ fn main() {
         "BU",
     ]);
     for codec in PayloadCodec::FIG6C {
-        let cfg = config(preset, ThresholdPair::new(0.4, 0.6))
-            .with_cloud_model(ModelKind::YoloV3_608)
-            .with_codec(codec);
-        let m = Croesus::cloud_only(&cfg).run();
+        let m = builder(preset, ThresholdPair::new(0.4, 0.6))
+            .cloud_model(ModelKind::YoloV3_608)
+            .codec(codec)
+            .mode(DeploymentMode::CloudOnly)
+            .build()
+            .run();
         t.row(vec![
             format!("cloud{}", codec.label()),
             ms(m.final_commit_ms),
@@ -41,10 +43,11 @@ fn main() {
         ]);
     }
     for codec in PayloadCodec::FIG6C {
-        let cfg = config(preset, pair)
-            .with_cloud_model(ModelKind::YoloV3_608)
-            .with_codec(codec);
-        let m = Croesus::multistage(&cfg).run();
+        let m = builder(preset, pair)
+            .cloud_model(ModelKind::YoloV3_608)
+            .codec(codec)
+            .build()
+            .run();
         t.row(vec![
             format!("croesus{}", codec.label()),
             ms(m.final_commit_ms),

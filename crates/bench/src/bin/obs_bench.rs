@@ -19,19 +19,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use croesus_core::{Croesus, CroesusConfig, RunMetrics, ThresholdPair};
+use croesus_core::{RunMetrics, ThresholdPair};
 use croesus_obs::{check_obs, EdgeObs, EventKind, Obs, Quantiles};
 use croesus_video::VideoPreset;
 
-fn config(frames: u64) -> CroesusConfig {
-    CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
-        .with_frames(frames)
-        .with_seed(42)
-}
-
 /// One pipeline run; returns wall milliseconds and the metrics.
 fn run_once(frames: u64, obs: Option<&Arc<Obs>>) -> (f64, RunMetrics) {
-    let mut builder = Croesus::builder().config(config(frames));
+    let mut builder =
+        croesus_bench::builder(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
+            .frames(frames);
     if let Some(o) = obs {
         builder = builder.observe(Arc::clone(o));
     }

@@ -5,8 +5,8 @@
 //! convention); Croesus latency shows the final commit with the initial
 //! commit in parentheses, as in the paper.
 
-use croesus_bench::{banner, config, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{Croesus, ThresholdEvaluator, ThresholdPair};
+use croesus_bench::{banner, builder, pct, Table, DEFAULT_MU, FRAMES, SEED};
+use croesus_core::{DeploymentMode, ThresholdEvaluator, ThresholdPair};
 use croesus_detect::{ModelProfile, SimulatedModel};
 use croesus_video::VideoPreset;
 
@@ -30,10 +30,13 @@ fn main() {
         let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
         let opt = ev.brute_force(DEFAULT_MU, 0.1);
 
-        let base = config(preset, opt.pair);
-        let croesus = Croesus::multistage(&base).run();
-        let edge = Croesus::edge_only(&base).run();
-        let cloud = Croesus::cloud_only(&config(preset, ThresholdPair::new(0.4, 0.6))).run();
+        let base = builder(preset, opt.pair);
+        let croesus = base.clone().build().run();
+        let edge = base.mode(DeploymentMode::EdgeOnly).build().run();
+        let cloud = builder(preset, ThresholdPair::new(0.4, 0.6))
+            .mode(DeploymentMode::CloudOnly)
+            .build()
+            .run();
 
         t.row(vec![
             preset.paper_id().to_string(),

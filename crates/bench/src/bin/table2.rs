@@ -5,8 +5,8 @@
 //! Ablation beyond the paper: the edge→cloud transfer cost per 1000
 //! frames (§3.4 motivates thresholding with monetary cost).
 
-use croesus_bench::{banner, config, f2, pct, Table, FRAMES, SEED};
-use croesus_core::{Croesus, ThresholdEvaluator};
+use croesus_bench::{banner, builder, f2, pct, Table, FRAMES, SEED};
+use croesus_core::ThresholdEvaluator;
 use croesus_detect::{ModelKind, ModelProfile, SimulatedModel};
 use croesus_video::VideoPreset;
 
@@ -29,7 +29,7 @@ fn main() {
         let cloud_model = SimulatedModel::new(kind.profile(), SEED ^ 0xC);
         let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
         let opt = ev.brute_force(mu, 0.1);
-        let m = Croesus::multistage(&config(preset, opt.pair).with_cloud_model(kind)).run();
+        let m = builder(preset, opt.pair).cloud_model(kind).build().run();
         let dollars_per_1k = m.transfer_dollars * 1000.0 / FRAMES as f64;
         t.row(vec![
             kind.name().to_string(),

@@ -5,7 +5,7 @@
 //! library holds the common run configurations and plain-text table
 //! rendering so every harness prints comparable, paper-shaped output.
 
-use croesus_core::{CroesusConfig, ThresholdPair};
+use croesus_core::{Croesus, CroesusBuilder, ThresholdPair};
 use croesus_video::VideoPreset;
 
 pub mod contention;
@@ -26,11 +26,14 @@ pub const HARNESSES: [&str; 9] = [
     "fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "table1", "table2",
 ];
 
-/// Standard config for a Croesus run at a threshold pair.
-pub fn config(preset: VideoPreset, pair: ThresholdPair) -> CroesusConfig {
-    CroesusConfig::new(preset, pair)
-        .with_frames(FRAMES)
-        .with_seed(SEED)
+/// The standard Croesus run at a threshold pair: the experiment's frames
+/// and seed over the builder's defaults. Clone it to vary one option.
+pub fn builder(preset: VideoPreset, pair: ThresholdPair) -> CroesusBuilder {
+    Croesus::builder()
+        .preset(preset)
+        .thresholds(pair)
+        .frames(FRAMES)
+        .seed(SEED)
 }
 
 /// A plain-text table printer with right-aligned numeric columns.
@@ -148,7 +151,9 @@ mod tests {
 
     #[test]
     fn config_uses_experiment_defaults() {
-        let c = config(VideoPreset::ParkDog, ThresholdPair::new(0.3, 0.6));
+        let d = builder(VideoPreset::ParkDog, ThresholdPair::new(0.3, 0.6)).build();
+        let c = d.config();
+        assert_eq!(c.preset, VideoPreset::ParkDog);
         assert_eq!(c.num_frames, FRAMES);
         assert_eq!(c.seed, SEED);
     }

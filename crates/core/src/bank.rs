@@ -15,6 +15,7 @@ use croesus_txn::{RwSet, SectionCtx, SectionOutput, TxnError};
 use croesus_video::LabelClass;
 
 use crate::matching::FinalInput;
+use crate::workload::YcsbWorkload;
 
 /// An initial-section body.
 pub type InitialBody = Box<dyn FnOnce(&mut SectionCtx) -> Result<SectionOutput, TxnError> + Send>;
@@ -137,6 +138,17 @@ impl TransactionsBank {
             })
             .collect()
     }
+}
+
+/// The default transactions bank for the evaluation workload: every
+/// detection triggers one YCSB-A-style transaction (§5.1).
+pub fn evaluation_bank() -> Arc<TransactionsBank> {
+    Arc::new(TransactionsBank::new().with_rule(TriggerRule {
+        class_group: "any-detection".into(),
+        classes: vec![],
+        requires_aux: None,
+        template: Arc::new(YcsbWorkload::new()),
+    }))
 }
 
 #[cfg(test)]

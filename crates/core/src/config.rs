@@ -1,4 +1,11 @@
-//! Run configuration.
+//! Run configuration: the plain data a
+//! [`CroesusBuilder`](crate::system::CroesusBuilder) produces and
+//! [`Deployment::config`](crate::system::Deployment::config) returns.
+//!
+//! Nothing here sets an option. The builder is the one vocabulary; its
+//! `Default` holds the paper's defaults, and the fields no setter reaches
+//! (`overlap_threshold`, `low_confidence_filter`, `cloud_timeout_ms`) keep
+//! them.
 
 use croesus_detect::ModelKind;
 use croesus_net::{PayloadCodec, Setup};
@@ -27,7 +34,7 @@ impl ValidationPolicy {
     }
 }
 
-/// Configuration of one Croesus run.
+/// Configuration of one Croesus run, as the builder resolved it.
 #[derive(Clone, Debug)]
 pub struct CroesusConfig {
     /// The video to process.
@@ -61,69 +68,6 @@ pub struct CroesusConfig {
     pub cloud_timeout_ms: f64,
 }
 
-impl CroesusConfig {
-    /// A run with the paper's defaults: YOLOv3-416 cloud model, regular
-    /// edge in California / cloud in Virginia, raw payloads, 10% overlap.
-    pub fn new(preset: VideoPreset, thresholds: ThresholdPair) -> Self {
-        CroesusConfig {
-            preset,
-            num_frames: 300,
-            seed: 42,
-            cloud_model: ModelKind::YoloV3_416,
-            setup: Setup::default_paper(),
-            validation: ValidationPolicy::Thresholds(thresholds),
-            codec: PayloadCodec::raw(),
-            overlap_threshold: 0.10,
-            low_confidence_filter: 0.25,
-            cloud_loss_rate: 0.0,
-            cloud_timeout_ms: 3_000.0,
-        }
-    }
-
-    /// Builder: number of frames.
-    pub fn with_frames(mut self, n: u64) -> Self {
-        self.num_frames = n;
-        self
-    }
-
-    /// Builder: seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder: cloud model.
-    pub fn with_cloud_model(mut self, kind: ModelKind) -> Self {
-        self.cloud_model = kind;
-        self
-    }
-
-    /// Builder: deployment setup.
-    pub fn with_setup(mut self, setup: Setup) -> Self {
-        self.setup = setup;
-        self
-    }
-
-    /// Builder: validation policy.
-    pub fn with_validation(mut self, policy: ValidationPolicy) -> Self {
-        self.validation = policy;
-        self
-    }
-
-    /// Builder: payload codec.
-    pub fn with_codec(mut self, codec: PayloadCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Builder: cloud loss rate (see [`CroesusConfig::cloud_loss_rate`]).
-    pub fn with_cloud_loss(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
-        self.cloud_loss_rate = rate;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,30 +96,5 @@ mod tests {
     fn forced_bu_clamps() {
         assert!(ValidationPolicy::forced_send(1.5, 0));
         assert!(!ValidationPolicy::forced_send(-0.5, 0));
-    }
-
-    #[test]
-    fn defaults_match_paper() {
-        let c = CroesusConfig::new(
-            croesus_video::VideoPreset::StreetTraffic,
-            ThresholdPair::new(0.4, 0.6),
-        );
-        assert_eq!(c.cloud_model, ModelKind::YoloV3_416);
-        assert_eq!(c.overlap_threshold, 0.10);
-        assert_eq!(c.setup, Setup::default_paper());
-    }
-
-    #[test]
-    fn builders_chain() {
-        let c = CroesusConfig::new(
-            croesus_video::VideoPreset::ParkDog,
-            ThresholdPair::new(0.2, 0.3),
-        )
-        .with_frames(50)
-        .with_seed(7)
-        .with_cloud_model(ModelKind::YoloV3_608);
-        assert_eq!(c.num_frames, 50);
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.cloud_model, ModelKind::YoloV3_608);
     }
 }

@@ -46,14 +46,12 @@ use croesus_txn::{ExecutorCore, ProtocolKind};
 use croesus_video::{Frame, LabelClass};
 use croesus_wal::{FileStorage, LogShipper, MemStorage, Storage, Wal};
 
-use crate::bank::TransactionsBank;
-use crate::baseline::EDGE_BASELINE_CONFIDENCE;
+use crate::bank::{evaluation_bank, TransactionsBank};
 use crate::cloud::{CloudNode, ReplicaTailer, TailPoll};
 use crate::config::ValidationPolicy;
 use crate::edge::EdgeNode;
 use crate::metrics::{MetricsCollector, RunMetrics};
-use crate::pipeline::evaluation_bank;
-use crate::system::{Deployment, DeploymentMode};
+use crate::system::{Deployment, DeploymentMode, EDGE_BASELINE_CONFIDENCE};
 
 /// One completed failover.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -334,16 +332,18 @@ impl Deployment {
         slot.obs.emit(EventKind::TakeoverStart);
         slot.obs
             .record_value(HistKind::DetectToTakeoverFrames, silence_frames);
+        if slot.node.take().is_some() {
+            // The node was stalled, not dead: it gets deposed now and
+            // fenced when it wakes. Deposed before the tail, so a pipelined
+            // flusher has landed every sealed buffer, as it would have in
+            // the frames the detector waited, instead of racing the tail.
+            report.fenced_wakeups += 1;
+            slot.obs.emit(EventKind::Fence);
+        }
         // Pull whatever the link still carries; if it is down, the replica
         // serves from what already shipped — a stale-but-valid durable
         // prefix is exactly what a crash would have preserved anyway.
         slot.tail(3, report);
-        if slot.node.take().is_some() {
-            // The node was stalled, not dead: it gets deposed now and
-            // fenced when it wakes.
-            report.fenced_wakeups += 1;
-            slot.obs.emit(EventKind::Fence);
-        }
         let rec = slot.tailer.recover();
         // Recovery's crash retractions, apology-paired in the trace: the
         // in-flight guesses the takeover rolls back.
@@ -719,7 +719,9 @@ impl Deployment {
 mod tests {
     use super::*;
     use crate::system::{durable_modes, Croesus, CroesusBuilder};
+    use crate::threshold::ThresholdPair;
     use croesus_sim::FaultPlan;
+    use croesus_video::VideoPreset;
 
     /// The fleet under test, once per durability mode: what the failure
     /// detector, the fence and the replica do must not depend on the
@@ -1005,5 +1007,203 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// A device whose syncs take a while, so a pipelined flusher is still
+    /// landing a sealed buffer when the detector fires.
+    struct SlowSync(MemStorage);
+
+    impl Storage for SlowSync {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.append(bytes)
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            self.0.sync()
+        }
+
+        fn reset(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.reset(bytes)
+        }
+
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+    }
+
+    /// A stalled pipelined edge is deposed before the replica tails it, so
+    /// the takeover recovers every buffer the edge sealed, not whatever
+    /// its flusher had landed by the time the detector fired.
+    #[test]
+    fn takeover_of_a_stalled_pipelined_edge_recovers_every_sealed_buffer() {
+        use croesus_store::{Key, TxnId, Value};
+        use croesus_wal::{StageFlags, StageRecord, WriteImage};
+
+        let dir = croesus_wal::scratch_dir("fleet-stalled-pipelined");
+        let d = Croesus::builder()
+            .durability(croesus_wal::DurabilityMode::pipelined(&dir))
+            .failover(true)
+            .build();
+        let mut slot = d.build_slot(&evaluation_bank(), 0, true);
+        let fresh = croesus_txn::recovery::recover_edge(&[]);
+        d.revive(
+            0,
+            &mut slot,
+            fresh,
+            Box::new(SlowSync(MemStorage::new())),
+            true,
+        );
+        let key = Key::from("sealed/0");
+        let wal = Arc::clone(slot.node.as_ref().unwrap().protocol().core().wal().unwrap());
+        wal.append_stage(StageRecord {
+            txn: TxnId(1),
+            stage: 0,
+            total: 1,
+            flags: StageFlags(StageFlags::COMMIT_POINT | StageFlags::FINAL),
+            reads: vec![],
+            writes: vec![key.clone()],
+            images: vec![WriteImage {
+                key: key.clone(),
+                pre: None,
+                post: Some(Arc::new(Value::Int(1))),
+            }],
+        })
+        .unwrap();
+        wal.seal_active();
+        drop(wal);
+
+        d.take_over(0, 5, 4, &mut slot, &mut FleetReport::default());
+        let replica = slot.node.as_ref().expect("the replacement serves");
+        assert!(
+            replica.protocol().core().store().contains(&key),
+            "the sealed record reached the replica"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // The Figure 1 pipeline end to end: what validation costs and buys.
+
+    fn pipeline(preset: VideoPreset, pair: ThresholdPair) -> CroesusBuilder {
+        Croesus::builder()
+            .preset(preset)
+            .thresholds(pair)
+            .frames(80)
+    }
+
+    fn quick(preset: VideoPreset, pair: ThresholdPair) -> RunMetrics {
+        pipeline(preset, pair).build().run()
+    }
+
+    #[test]
+    fn run_produces_consistent_metrics() {
+        let m = quick(VideoPreset::StreetTraffic, ThresholdPair::new(0.4, 0.6));
+        assert!(m.f_score > 0.0 && m.f_score <= 1.0);
+        assert!(m.bandwidth_utilization >= 0.0 && m.bandwidth_utilization <= 1.0);
+        assert!(m.initial_commit_ms > 150.0, "edge detect dominates initial");
+        assert!(m.final_commit_ms >= m.initial_commit_ms);
+        assert!(m.transactions_committed > 0);
+    }
+
+    #[test]
+    fn validated_frames_pay_the_cloud_path() {
+        let all = quick(VideoPreset::StreetTraffic, ThresholdPair::new(0.0, 0.9));
+        let none = quick(VideoPreset::StreetTraffic, ThresholdPair::new(0.5, 0.5));
+        assert!(all.bandwidth_utilization > 0.8);
+        assert!(none.bandwidth_utilization < 0.1);
+        assert!(
+            all.final_commit_ms > none.final_commit_ms + 500.0,
+            "cloud path ≈1.2s: {} vs {}",
+            all.final_commit_ms,
+            none.final_commit_ms
+        );
+        assert!(all.f_score > none.f_score);
+    }
+
+    #[test]
+    fn initial_commit_is_real_time_regardless_of_validation() {
+        let all = quick(VideoPreset::StreetTraffic, ThresholdPair::new(0.0, 0.9));
+        // Initial commit stays ~edge-path even when every frame goes to
+        // the cloud — the client "has the illusion of both fast and
+        // accurate detection".
+        assert!(
+            all.initial_commit_ms < 300.0,
+            "initial {}",
+            all.initial_commit_ms
+        );
+    }
+
+    #[test]
+    fn forced_bu_sweep_is_monotone_in_latency() {
+        let base = pipeline(VideoPreset::ParkDog, ThresholdPair::new(0.4, 0.6)).frames(60);
+        let lo = base
+            .clone()
+            .validation(ValidationPolicy::ForcedBu(0.25))
+            .build()
+            .run();
+        let hi = base
+            .validation(ValidationPolicy::ForcedBu(1.0))
+            .build()
+            .run();
+        assert!((lo.bandwidth_utilization - 0.25).abs() < 0.05);
+        assert!(hi.bandwidth_utilization > 0.95);
+        assert!(hi.final_commit_ms > lo.final_commit_ms);
+        assert!(hi.f_score >= lo.f_score);
+    }
+
+    #[test]
+    fn runs_are_reproducible() {
+        let a = quick(VideoPreset::MallSurveillance, ThresholdPair::new(0.3, 0.6));
+        let b = quick(VideoPreset::MallSurveillance, ThresholdPair::new(0.3, 0.6));
+        assert_eq!(a.f_score, b.f_score);
+        assert_eq!(a.bandwidth_utilization, b.bandwidth_utilization);
+        assert_eq!(a.bytes_sent, b.bytes_sent);
+        assert_eq!(a.corrections, b.corrections);
+    }
+
+    #[test]
+    fn no_pending_frames_leak() {
+        // The deployment drains every frame (validated or local).
+        let m = pipeline(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
+            .frames(40)
+            .build()
+            .run();
+        assert!(m.transactions_committed > 0);
+    }
+
+    #[test]
+    fn cloud_loss_degrades_accuracy_but_never_blocks_commits() {
+        let base = pipeline(VideoPreset::MallSurveillance, ThresholdPair::new(0.2, 0.8));
+        let healthy = base.clone().build().run();
+        let lossy = base.cloud_loss(1.0).build().run();
+        assert_eq!(healthy.cloud_timeouts, 0);
+        assert!(lossy.cloud_timeouts > 0);
+        // With total loss, no frame ever gets corrected.
+        assert!(lossy.f_score < healthy.f_score);
+        // The guarantee holds: every transaction still finally committed.
+        assert!(lossy.transactions_committed > 0);
+        // Timeouts dominate latency for validated frames.
+        assert!(lossy.final_commit_ms > healthy.final_commit_ms);
+    }
+
+    #[test]
+    fn partial_cloud_loss_sits_between_extremes() {
+        let base = pipeline(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7));
+        let none = base.clone().build().run();
+        let half = base.clone().cloud_loss(0.5).build().run();
+        let all = base.cloud_loss(1.0).build().run();
+        assert!(half.cloud_timeouts > 0 && half.cloud_timeouts < all.cloud_timeouts);
+        assert!(half.f_score <= none.f_score + 1e-9);
+        assert!(half.f_score >= all.f_score - 1e-9);
+    }
+
+    #[test]
+    fn corrections_happen_on_hard_video_with_validation() {
+        let m = quick(VideoPreset::MallSurveillance, ThresholdPair::new(0.2, 0.8));
+        let c = m.corrections;
+        assert!(
+            c.corrected + c.erroneous + c.missed > 0,
+            "hard video must produce corrections: {c:?}"
+        );
     }
 }

@@ -12,7 +12,10 @@
 //! needed. The [`optimizer`] picks the `(θL, θU)` thresholds that minimize
 //! bandwidth subject to an accuracy floor (the §3.4 formulation).
 //!
-//! The entry point is the [`system`] module's builder:
+//! The entry point is the [`system`] module's builder, the one way to
+//! configure a deployment: every option is a [`CroesusBuilder`] setter,
+//! and [`CroesusConfig`] is the plain data it resolves, read back through
+//! [`Deployment::config`]:
 //!
 //! ```
 //! use croesus_core::{Croesus, DeploymentMode, ProtocolKind, ThresholdPair};
@@ -29,12 +32,11 @@
 //! ```
 //!
 //! [`DeploymentMode::EdgeOnly`] and [`DeploymentMode::CloudOnly`] give the
-//! §5 baselines from the same builder, and
+//! §5 baselines from the same builder (clone it to compare modes), and
 //! [`CroesusBuilder::durability`] switches on per-edge write-ahead
 //! logging with apology-aware crash recovery (`croesus_txn::recovery`).
 
 pub mod bank;
-pub mod baseline;
 pub mod cloud;
 pub mod config;
 pub mod edge;
@@ -42,13 +44,11 @@ pub mod fleet;
 pub mod matching;
 pub mod metrics;
 pub mod optimizer;
-pub mod pipeline;
 pub mod system;
 pub mod threshold;
 pub mod workload;
 
-pub use bank::{TransactionsBank, TriggerRule, TxnInstance, TxnTemplate};
-pub use baseline::EDGE_BASELINE_CONFIDENCE;
+pub use bank::{evaluation_bank, TransactionsBank, TriggerRule, TxnInstance, TxnTemplate};
 pub use cloud::{CloudNode, ReplicaTailer, TailPoll};
 pub use config::{CroesusConfig, ValidationPolicy};
 pub use croesus_sim::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
@@ -59,7 +59,6 @@ pub use fleet::{FleetReport, Takeover};
 pub use matching::{match_edge_to_cloud, FinalInput, FrameMatch, LabelVerdict};
 pub use metrics::{CorrectionCounts, LatencyBreakdown, MetricsCollector, RunMetrics};
 pub use optimizer::{OptimalThresholds, ThresholdEvaluator, ThresholdOutcome};
-pub use pipeline::evaluation_bank;
-pub use system::{Croesus, CroesusBuilder, Deployment, DeploymentMode};
+pub use system::{Croesus, CroesusBuilder, Deployment, DeploymentMode, EDGE_BASELINE_CONFIDENCE};
 pub use threshold::{BandDecision, FrameDecision, ThresholdPair};
 pub use workload::{HotspotWorkload, YcsbWorkload};

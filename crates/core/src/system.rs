@@ -7,22 +7,27 @@
 //! [`CroesusBuilder`] producing a [`Deployment`] whose
 //! [`run`](Deployment::run) yields the [`RunMetrics`] the figures are
 //! built from. This module only configures; every mode runs the one frame
-//! loop in [`crate::fleet`]:
+//! loop in [`crate::fleet`].
+//!
+//! The builder is the one configuration vocabulary: every option is one
+//! of its setters, and [`CroesusConfig`] is only the plain data it
+//! resolves, read back through [`Deployment::config`]. A configuration
+//! shared across runs is a cloned builder:
 //!
 //! ```
 //! use croesus_core::{Croesus, DeploymentMode, ProtocolKind};
 //! use croesus_core::ThresholdPair;
 //! use croesus_video::VideoPreset;
 //!
-//! let metrics = Croesus::builder()
+//! let base = Croesus::builder()
 //!     .preset(VideoPreset::StreetTraffic)
 //!     .thresholds(ThresholdPair::new(0.4, 0.6))
 //!     .protocol(ProtocolKind::MsIa)
-//!     .edges(1)
-//!     .frames(40)
-//!     .build()
-//!     .run();
+//!     .frames(40);
+//! let metrics = base.clone().build().run();
+//! let edge = base.mode(DeploymentMode::EdgeOnly).build().run();
 //! assert!(metrics.transactions_committed > 0);
+//! assert_eq!(edge.bytes_sent, 0, "the edge baseline never calls the cloud");
 //! ```
 //!
 //! Durability is a builder switch too:
@@ -35,6 +40,8 @@
 
 use std::sync::Arc;
 
+use croesus_detect::ModelKind;
+use croesus_net::{PayloadCodec, Setup};
 use croesus_obs::{EdgeObs, Obs};
 use croesus_sim::FaultPlan;
 use croesus_txn::ProtocolKind;
@@ -45,56 +52,46 @@ use crate::config::{CroesusConfig, ValidationPolicy};
 use crate::metrics::RunMetrics;
 use crate::threshold::ThresholdPair;
 
-/// What the deployment runs: the multi-stage pipeline or one of the §5
-/// baselines. Baselines are deployments too — they share the edge node,
-/// the transactions bank and the protocol plumbing, differing only in
-/// which frames travel where.
+/// What the deployment runs: the multi-stage pipeline or one of the
+/// state-of-the-art baselines of §5. Baselines are deployments too — they
+/// share the edge node, the transactions bank and the protocol plumbing,
+/// differing only in which frames travel where — so they run under any
+/// protocol and any edge-fleet size, and accept a
+/// [`codec`](CroesusBuilder::codec) for Figure 6(c)'s hybrid variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeploymentMode {
     /// The Croesus pipeline of Figure 1: edge detection, thresholding,
     /// initial commit, cloud validation, final commit.
     MultiStage,
-    /// "A performance-centric video analytics application" — edge model
-    /// only, single-stage commits, no cloud traffic.
+    /// The edge baseline: "a performance-centric video analytics
+    /// application where a compact model (Tiny YOLOv3) is deployed on the
+    /// edge machine for lower latency." Labels are whatever the edge model
+    /// says above [`EDGE_BASELINE_CONFIDENCE`]; transactions commit in one
+    /// stage and nothing crosses the edge→cloud link.
     EdgeOnly,
-    /// "An accuracy-centric video analytics application" — every frame
-    /// crosses the edge→cloud link and waits for the big model.
+    /// The cloud baseline: "an accuracy-centric video analytics
+    /// application where a computationally expensive model (YOLOv3) is
+    /// deployed on a resourceful cloud machine." Every frame crosses the
+    /// edge→cloud link and waits for the big model; by the paper's
+    /// ground-truth convention its accuracy is 1.0.
     CloudOnly,
 }
+
+/// Default edge-baseline confidence filter: detections below this are
+/// dropped (the conventional 0.5 deployment threshold; Figure 3 shows the
+/// (0.5, 0.5) Croesus pair matching this baseline's accuracy).
+pub const EDGE_BASELINE_CONFIDENCE: f64 = 0.5;
 
 /// The Croesus system. Start with [`Croesus::builder`].
 pub struct Croesus;
 
 impl Croesus {
     /// A builder with the paper's defaults: street-traffic video,
-    /// `(0.4, 0.6)` thresholds, MS-IA, one edge node, multi-stage mode.
+    /// `(0.4, 0.6)` thresholds, 300 frames, seed 42, MS-IA, one edge node
+    /// with one (inline) worker, multi-stage mode, durability off.
     #[must_use]
     pub fn builder() -> CroesusBuilder {
         CroesusBuilder::default()
-    }
-
-    /// The multi-stage pipeline for an existing configuration.
-    #[must_use]
-    pub fn multistage(config: &CroesusConfig) -> Deployment {
-        Croesus::builder().config(config.clone()).build()
-    }
-
-    /// The edge-only baseline for an existing configuration.
-    #[must_use]
-    pub fn edge_only(config: &CroesusConfig) -> Deployment {
-        Croesus::builder()
-            .config(config.clone())
-            .mode(DeploymentMode::EdgeOnly)
-            .build()
-    }
-
-    /// The cloud-only baseline for an existing configuration.
-    #[must_use]
-    pub fn cloud_only(config: &CroesusConfig) -> Deployment {
-        Croesus::builder()
-            .config(config.clone())
-            .mode(DeploymentMode::CloudOnly)
-            .build()
     }
 }
 
@@ -113,26 +110,28 @@ pub struct CroesusBuilder {
     obs: Option<Arc<Obs>>,
 }
 
-/// The default per-edge worker count: 1 (inline, byte-identical with the
-/// historic single-threaded pipeline) unless the `CROESUS_WORKERS`
-/// environment variable overrides it — which is how CI runs the whole
-/// tier-1 suite under a wave-parallel runtime without touching any test.
-fn default_workers() -> usize {
-    std::env::var("CROESUS_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 impl Default for CroesusBuilder {
+    /// The paper's defaults: YOLOv3-416 cloud model, regular edge in
+    /// California / cloud in Virginia, raw payloads, 10% label overlap.
     fn default() -> Self {
         CroesusBuilder {
-            config: CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.4, 0.6)),
+            config: CroesusConfig {
+                preset: VideoPreset::StreetTraffic,
+                num_frames: 300,
+                seed: 42,
+                cloud_model: ModelKind::YoloV3_416,
+                setup: Setup::default_paper(),
+                validation: ValidationPolicy::Thresholds(ThresholdPair::new(0.4, 0.6)),
+                codec: PayloadCodec::raw(),
+                overlap_threshold: 0.10,
+                low_confidence_filter: 0.25,
+                cloud_loss_rate: 0.0,
+                cloud_timeout_ms: 3_000.0,
+            },
             protocol: ProtocolKind::MsIa,
             mode: DeploymentMode::MultiStage,
             edges: 1,
-            workers: default_workers(),
+            workers: 1,
             durability: DurabilityMode::Disabled,
             faults: FaultPlan::new(),
             failover: false,
@@ -197,9 +196,11 @@ impl CroesusBuilder {
         self
     }
 
-    /// Number of frames to generate.
+    /// Number of frames to generate. Panics if `n == 0` — a video needs at
+    /// least one frame, and the scene generator would reject it mid-`run`.
     #[must_use]
     pub fn frames(mut self, n: u64) -> Self {
+        assert!(n >= 1, "a deployment needs at least one frame of video");
         self.config.num_frames = n;
         self
     }
@@ -213,14 +214,14 @@ impl CroesusBuilder {
 
     /// The cloud model.
     #[must_use]
-    pub fn cloud_model(mut self, kind: croesus_detect::ModelKind) -> Self {
+    pub fn cloud_model(mut self, kind: ModelKind) -> Self {
         self.config.cloud_model = kind;
         self
     }
 
     /// Deployment setup (edge machine class and colocation).
     #[must_use]
-    pub fn setup(mut self, setup: croesus_net::Setup) -> Self {
+    pub fn setup(mut self, setup: Setup) -> Self {
         self.config.setup = setup;
         self
     }
@@ -234,7 +235,7 @@ impl CroesusBuilder {
 
     /// Payload encoding for edge→cloud transfers.
     #[must_use]
-    pub fn codec(mut self, codec: croesus_net::PayloadCodec) -> Self {
+    pub fn codec(mut self, codec: PayloadCodec) -> Self {
         self.config.codec = codec;
         self
     }
@@ -281,13 +282,6 @@ impl CroesusBuilder {
     #[must_use]
     pub fn observe(mut self, obs: Arc<Obs>) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Replace the whole run configuration (protocol/mode/edges are kept).
-    #[must_use]
-    pub fn config(mut self, config: CroesusConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -454,7 +448,22 @@ mod tests {
         assert_eq!(d.protocol(), ProtocolKind::MsIa);
         assert_eq!(d.mode(), DeploymentMode::MultiStage);
         assert_eq!(d.num_edges(), 1);
-        assert_eq!(d.config().num_frames, 300);
+        assert_eq!(d.num_workers(), 1, "inline unless asked otherwise");
+        let c = d.config();
+        assert_eq!(c.preset, VideoPreset::StreetTraffic);
+        assert_eq!(c.num_frames, 300);
+        assert_eq!(c.seed, 42);
+        assert_eq!(c.cloud_model, ModelKind::YoloV3_416);
+        assert_eq!(c.setup, Setup::default_paper());
+        assert_eq!(
+            c.validation,
+            ValidationPolicy::Thresholds(ThresholdPair::new(0.4, 0.6))
+        );
+        assert_eq!(c.codec, PayloadCodec::raw());
+        assert_eq!(c.overlap_threshold, 0.10);
+        assert_eq!(c.low_confidence_filter, 0.25);
+        assert_eq!(c.cloud_loss_rate, 0.0);
+        assert_eq!(c.cloud_timeout_ms, 3_000.0);
     }
 
     #[test]
@@ -463,20 +472,17 @@ mod tests {
         // byte-identical with the historical `run_croesus` pipeline. The
         // legacy shim is gone, so the pin is its captured output for this
         // exact configuration (any drift here is a behaviour change).
-        let cfg = CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
-            .with_frames(60);
-        let a = Croesus::multistage(&cfg).run();
+        let cfg = Croesus::builder()
+            .thresholds(ThresholdPair::new(0.3, 0.7))
+            .frames(60);
+        let a = cfg.clone().build().run();
         assert_eq!(a.f_score, 0.922_779_922_779_922_8);
         assert_eq!(a.bytes_sent, 7_500_000);
         assert_eq!(a.transactions_committed, 284);
         assert_eq!(a.bandwidth_utilization, 0.833_333_333_333_333_4);
         assert_eq!(a.label, "croesus v2 (0.3,0.7)");
         // Explicitly disabled durability is the very same code path.
-        let b = Croesus::builder()
-            .config(cfg)
-            .durability(DurabilityMode::Disabled)
-            .build()
-            .run();
+        let b = cfg.durability(DurabilityMode::Disabled).build().run();
         assert_eq!(a.f_score, b.f_score);
         assert_eq!(a.bytes_sent, b.bytes_sent);
         assert_eq!(a.transactions_committed, b.transactions_committed);
@@ -491,21 +497,12 @@ mod tests {
     /// test is the golden byte-identity pin restated.
     #[test]
     fn worker_count_does_not_perturb_the_pipeline() {
-        let cfg = CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
-            .with_frames(60);
+        let cfg = Croesus::builder()
+            .thresholds(ThresholdPair::new(0.3, 0.7))
+            .frames(60);
         for kind in ProtocolKind::ALL {
-            let one = Croesus::builder()
-                .config(cfg.clone())
-                .protocol(kind)
-                .workers(1)
-                .build()
-                .run();
-            let four = Croesus::builder()
-                .config(cfg.clone())
-                .protocol(kind)
-                .workers(4)
-                .build()
-                .run();
+            let one = cfg.clone().protocol(kind).workers(1).build().run();
+            let four = cfg.clone().protocol(kind).workers(4).build().run();
             assert_eq!(one.f_score, four.f_score, "{kind}");
             assert_eq!(one.bytes_sent, four.bytes_sent, "{kind}");
             assert_eq!(
@@ -519,7 +516,7 @@ mod tests {
             );
         }
         // And workers(1) against the golden pins directly (MS-IA default).
-        let pinned = Croesus::builder().config(cfg).workers(1).build().run();
+        let pinned = cfg.workers(1).build().run();
         assert_eq!(pinned.f_score, 0.922_779_922_779_922_8);
         assert_eq!(pinned.bytes_sent, 7_500_000);
         assert_eq!(pinned.transactions_committed, 284);
@@ -616,7 +613,7 @@ mod tests {
         let dir = croesus_wal::scratch_dir("system-thread-free");
         for mode in durable_modes(&dir) {
             let d = quick().workers(1).durability(mode.clone()).build();
-            let bank = crate::pipeline::evaluation_bank();
+            let bank = crate::bank::evaluation_bank();
             for i in 0..d.num_edges() {
                 let edge = d
                     .build_slot(&bank, i, false)
@@ -686,13 +683,14 @@ mod tests {
         //  cloud_detect_ms) and (bytes_sent, transactions_committed,
         //  cloud_timeouts, correct, corrected, erroneous, missed).
         type Pin = (&'static str, Deployment, &'static str, [f64; 9], [u64; 7]);
-        let cfg = CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
-            .with_frames(60);
-        let forced = cfg.clone().with_validation(ValidationPolicy::ForcedBu(0.5));
+        let cfg = Croesus::builder()
+            .thresholds(ThresholdPair::new(0.3, 0.7))
+            .frames(60);
+        let forced = cfg.clone().validation(ValidationPolicy::ForcedBu(0.5));
         let pins: [Pin; 6] = [
             (
                 "multistage",
-                Croesus::multistage(&cfg),
+                cfg.clone().build(),
                 "croesus v2 (0.3,0.7)",
                 [
                     0.922_779_922_779_922_8,
@@ -709,7 +707,7 @@ mod tests {
             ),
             (
                 "edge-only",
-                Croesus::edge_only(&cfg),
+                cfg.clone().mode(DeploymentMode::EdgeOnly).build(),
                 "edge-only v2",
                 [
                     0.464_379_947_229_551_45,
@@ -726,7 +724,7 @@ mod tests {
             ),
             (
                 "cloud-only",
-                Croesus::cloud_only(&cfg),
+                cfg.clone().mode(DeploymentMode::CloudOnly).build(),
                 "cloud-only v2",
                 [
                     1.0,
@@ -743,7 +741,7 @@ mod tests {
             ),
             (
                 "forced bu=0.5",
-                Croesus::multistage(&forced),
+                forced.build(),
                 "croesus v2 bu=50%",
                 [
                     0.787_368_421_052_631_6,
@@ -760,7 +758,7 @@ mod tests {
             ),
             (
                 "cloud loss 0.5",
-                Croesus::multistage(&cfg.clone().with_cloud_loss(0.5)),
+                cfg.clone().cloud_loss(0.5).build(),
                 "croesus v2 (0.3,0.7)",
                 [
                     0.712_694_877_505_567_9,
@@ -777,11 +775,7 @@ mod tests {
             ),
             (
                 "3 edges, MS-SR",
-                Croesus::builder()
-                    .config(cfg.clone())
-                    .edges(3)
-                    .protocol(ProtocolKind::MsSr)
-                    .build(),
+                cfg.edges(3).protocol(ProtocolKind::MsSr).build(),
                 "croesus v2 (0.3,0.7) [MS-SR] [3 edges]",
                 [
                     0.922_779_922_779_922_8,
@@ -838,6 +832,14 @@ mod tests {
         let _ = Croesus::builder().edges(0);
     }
 
+    /// Rejected at the setter, in every mode, instead of inside `run()`'s
+    /// scene generator.
+    #[test]
+    #[should_panic(expected = "at least one frame of video")]
+    fn zero_frames_panics() {
+        let _ = Croesus::builder().frames(0);
+    }
+
     #[test]
     #[should_panic(expected = "failover requires durability")]
     fn failover_without_durability_is_rejected() {
@@ -868,5 +870,73 @@ mod tests {
             assert!(rec.unfinalized.is_empty(), "{mode:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // The §5 baselines: fast-but-inaccurate edge, slow-but-perfect cloud.
+
+    fn baseline(mode: DeploymentMode, preset: VideoPreset) -> RunMetrics {
+        quick().preset(preset).mode(mode).build().run()
+    }
+
+    #[test]
+    fn edge_baseline_is_fast_but_inaccurate() {
+        let m = baseline(DeploymentMode::EdgeOnly, VideoPreset::MallSurveillance);
+        assert!(
+            m.final_commit_ms < 300.0,
+            "edge path only: {}",
+            m.final_commit_ms
+        );
+        assert!(m.f_score < 0.8, "tiny model on a hard video: {}", m.f_score);
+        assert_eq!(m.bandwidth_utilization, 0.0);
+        assert_eq!(m.bytes_sent, 0);
+    }
+
+    #[test]
+    fn cloud_baseline_is_slow_but_perfect() {
+        let m = baseline(DeploymentMode::CloudOnly, VideoPreset::MallSurveillance);
+        assert!(
+            m.final_commit_ms > 1000.0,
+            "cloud path: {}",
+            m.final_commit_ms
+        );
+        assert!((m.f_score - 1.0).abs() < 1e-9);
+        assert!((m.bandwidth_utilization - 1.0).abs() < 1e-9);
+        assert!(m.bytes_sent > 0);
+        assert!(m.transfer_dollars > 0.0);
+    }
+
+    #[test]
+    fn edge_baseline_on_easy_video_is_decent() {
+        let easy = baseline(DeploymentMode::EdgeOnly, VideoPreset::AirportRunway);
+        let hard = baseline(DeploymentMode::EdgeOnly, VideoPreset::MallSurveillance);
+        assert!(
+            easy.f_score > hard.f_score + 0.2,
+            "airport {} vs mall {}",
+            easy.f_score,
+            hard.f_score
+        );
+    }
+
+    #[test]
+    fn compression_reduces_cloud_baseline_latency_slightly() {
+        let raw = baseline(DeploymentMode::CloudOnly, VideoPreset::ParkDog);
+        let compressed = quick()
+            .preset(VideoPreset::ParkDog)
+            .mode(DeploymentMode::CloudOnly)
+            .codec(PayloadCodec::compressed())
+            .build()
+            .run();
+        assert!(compressed.bytes_sent < raw.bytes_sent);
+        // Detection dominates, so the improvement is small (§5.2.5).
+        assert!(compressed.final_commit_ms < raw.final_commit_ms);
+        let gain = raw.final_commit_ms - compressed.final_commit_ms;
+        assert!(gain < 100.0, "small improvement expected, got {gain}");
+    }
+
+    #[test]
+    fn baselines_are_reproducible() {
+        let a = baseline(DeploymentMode::EdgeOnly, VideoPreset::StreetTraffic);
+        let b = baseline(DeploymentMode::EdgeOnly, VideoPreset::StreetTraffic);
+        assert_eq!(a.f_score, b.f_score);
     }
 }

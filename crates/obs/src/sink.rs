@@ -217,8 +217,11 @@ impl EdgeObs {
 
     fn emit_opt(&self, txn: Option<u64>, kind: EventKind) {
         let Some(inner) = &self.inner else { return };
-        let frame = inner.frame.load(Ordering::Relaxed);
         let mut ring = inner.ring.lock();
+        // Read the clock under the ring lock, with the seq: read before it,
+        // a flusher thread could stamp a frame older than an event the
+        // frame loop sequenced while the flusher waited for the lock.
+        let frame = inner.frame.load(Ordering::Relaxed);
         ring.counters[kind.index()] += 1;
         let seq = ring.seq;
         ring.seq += 1;
@@ -451,6 +454,48 @@ mod tests {
         assert_eq!(events[2].frame, 11);
         assert_eq!(events[2].seq, 2);
         assert_eq!(obs.count(EventKind::FinalCommit), 1);
+    }
+
+    /// Flusher threads emitting while the frame loop advances the clock (a
+    /// pipelined WAL's syncs) never stamp an event with a frame older than
+    /// one sequenced before it. The race needs a preemption between the
+    /// clock read and the ring lock, so the test runs several rounds.
+    #[test]
+    fn frame_stamps_never_go_backwards_in_seq_order() {
+        const FRAMES: u64 = 50_000;
+        const FLUSHERS: usize = 3;
+        for _ in 0..8 {
+            let obs = Obs::with_capacity((FLUSHERS + 1) * FRAMES as usize);
+            let edge = obs.edge(0);
+            let start = Arc::new(std::sync::Barrier::new(FLUSHERS + 1));
+            let flushers: Vec<_> = (0..FLUSHERS)
+                .map(|_| {
+                    let (edge, start) = (edge.clone(), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for _ in 0..FRAMES {
+                            edge.emit(EventKind::WalSync { lsn: 0, epoch: 0 });
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for frame in 0..FRAMES {
+                edge.set_frame(frame);
+                edge.emit(EventKind::FrameIngest);
+            }
+            for f in flushers {
+                f.join().unwrap();
+            }
+            let events = edge.events();
+            assert_eq!(events.len(), (FLUSHERS + 1) * FRAMES as usize);
+            if let Some(w) = events.windows(2).find(|w| w[1].frame < w[0].frame) {
+                panic!(
+                    "seq {} stamped frame {} after {}",
+                    w[1].seq, w[1].frame, w[0].frame
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! protocols, and compare against the edge-only and cloud-only baselines —
 //! all through the same builder.
 
-use croesus::core::{Croesus, CroesusConfig, ProtocolKind, ThresholdEvaluator};
+use croesus::core::{Croesus, DeploymentMode, ProtocolKind, ThresholdEvaluator};
 use croesus::detect::{ModelProfile, SimulatedModel};
 use croesus::video::VideoPreset;
 
@@ -44,14 +44,17 @@ fn main() {
         optimal.evaluations
     );
 
-    // 3. Build deployments from one builder: the multi-stage pipeline
-    //    (MS-IA, the paper's default) and both baselines.
-    let config = CroesusConfig::new(preset, optimal.pair)
-        .with_frames(frames)
-        .with_seed(seed);
-    let croesus = Croesus::multistage(&config).run();
-    let edge = Croesus::edge_only(&config).run();
-    let cloud = Croesus::cloud_only(&config).run();
+    // 3. Build deployments from one builder, cloned per run: the
+    //    multi-stage pipeline (MS-IA, the paper's default) and both
+    //    baselines.
+    let base = Croesus::builder()
+        .preset(preset)
+        .thresholds(optimal.pair)
+        .frames(frames)
+        .seed(seed);
+    let croesus = base.clone().build().run();
+    let edge = base.clone().mode(DeploymentMode::EdgeOnly).build().run();
+    let cloud = base.clone().mode(DeploymentMode::CloudOnly).build().run();
 
     println!(
         "\n{:<12} {:>12} {:>12} {:>8} {:>7}",
@@ -70,11 +73,7 @@ fn main() {
 
     // 4. The consistency protocol is a builder axis, not a rewrite: the
     //    same pipeline under MS-SR (locks held across the cloud wait).
-    let ms_sr = Croesus::builder()
-        .config(config.clone())
-        .protocol(ProtocolKind::MsSr)
-        .build()
-        .run();
+    let ms_sr = base.protocol(ProtocolKind::MsSr).build().run();
     println!(
         "\nsame pipeline under MS-SR → F {:.2}, {} transactions ('{}')",
         ms_sr.f_score, ms_sr.transactions_committed, ms_sr.label

@@ -2,8 +2,8 @@
 //! baselines, across the paper's video presets.
 
 use croesus::core::{
-    Croesus, CroesusConfig, ProtocolKind, RunMetrics, ThresholdEvaluator, ThresholdPair,
-    ValidationPolicy,
+    Croesus, CroesusBuilder, DeploymentMode, ProtocolKind, RunMetrics, ThresholdEvaluator,
+    ThresholdPair, ValidationPolicy,
 };
 use croesus::detect::{ModelProfile, SimulatedModel};
 use croesus::net::{Colocation, EdgeClass, Setup};
@@ -11,20 +11,23 @@ use croesus::video::VideoPreset;
 
 const FRAMES: u64 = 120;
 
-fn cfg(preset: VideoPreset, pair: ThresholdPair) -> CroesusConfig {
-    CroesusConfig::new(preset, pair).with_frames(FRAMES)
+fn cfg(preset: VideoPreset, pair: ThresholdPair) -> CroesusBuilder {
+    Croesus::builder()
+        .preset(preset)
+        .thresholds(pair)
+        .frames(FRAMES)
 }
 
-fn run_croesus(config: &CroesusConfig) -> RunMetrics {
-    Croesus::multistage(config).run()
+fn run_croesus(config: CroesusBuilder) -> RunMetrics {
+    config.build().run()
 }
 
-fn run_edge_only(config: &CroesusConfig) -> RunMetrics {
-    Croesus::edge_only(config).run()
+fn run_edge_only(config: CroesusBuilder) -> RunMetrics {
+    config.mode(DeploymentMode::EdgeOnly).build().run()
 }
 
-fn run_cloud_only(config: &CroesusConfig) -> RunMetrics {
-    Croesus::cloud_only(config).run()
+fn run_cloud_only(config: CroesusBuilder) -> RunMetrics {
+    config.mode(DeploymentMode::CloudOnly).build().run()
 }
 
 #[test]
@@ -32,13 +35,9 @@ fn protocol_matrix_agrees_on_accuracy_and_bandwidth() {
     // The unified API's promise: the consistency protocol changes *how*
     // transactions commit, not what the client sees of the video pipeline.
     let base = cfg(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7));
-    let reference = run_croesus(&base);
+    let reference = run_croesus(base.clone());
     for kind in [ProtocolKind::MsSr, ProtocolKind::Staged] {
-        let m = Croesus::builder()
-            .config(base.clone())
-            .protocol(kind)
-            .build()
-            .run();
+        let m = run_croesus(base.clone().protocol(kind));
         assert_eq!(m.f_score, reference.f_score, "{kind}");
         assert_eq!(m.bytes_sent, reference.bytes_sent, "{kind}");
         assert!(m.transactions_committed > 0, "{kind}");
@@ -49,8 +48,8 @@ fn protocol_matrix_agrees_on_accuracy_and_bandwidth() {
 fn croesus_beats_edge_accuracy_on_every_video() {
     for preset in VideoPreset::FIG2 {
         let pair = ThresholdPair::new(0.3, 0.7);
-        let croesus = run_croesus(&cfg(preset, pair));
-        let edge = run_edge_only(&cfg(preset, pair));
+        let croesus = run_croesus(cfg(preset, pair));
+        let edge = run_edge_only(cfg(preset, pair));
         assert!(
             croesus.f_score >= edge.f_score,
             "{preset:?}: croesus {} < edge {}",
@@ -63,8 +62,8 @@ fn croesus_beats_edge_accuracy_on_every_video() {
 #[test]
 fn croesus_initial_commit_matches_edge_latency() {
     for preset in [VideoPreset::StreetTraffic, VideoPreset::MallSurveillance] {
-        let croesus = run_croesus(&cfg(preset, ThresholdPair::new(0.2, 0.8)));
-        let edge = run_edge_only(&cfg(preset, ThresholdPair::new(0.2, 0.8)));
+        let croesus = run_croesus(cfg(preset, ThresholdPair::new(0.2, 0.8)));
+        let edge = run_edge_only(cfg(preset, ThresholdPair::new(0.2, 0.8)));
         let diff = (croesus.initial_commit_ms - edge.initial_commit_ms).abs();
         assert!(
             diff < 30.0,
@@ -77,9 +76,9 @@ fn croesus_initial_commit_matches_edge_latency() {
 fn croesus_final_latency_sits_between_edge_and_cloud() {
     let preset = VideoPreset::StreetTraffic;
     let pair = ThresholdPair::new(0.4, 0.6);
-    let croesus = run_croesus(&cfg(preset, pair));
-    let edge = run_edge_only(&cfg(preset, pair));
-    let cloud = run_cloud_only(&cfg(preset, pair));
+    let croesus = run_croesus(cfg(preset, pair));
+    let edge = run_edge_only(cfg(preset, pair));
+    let cloud = run_cloud_only(cfg(preset, pair));
     assert!(croesus.final_commit_ms > edge.final_commit_ms);
     assert!(croesus.final_commit_ms < cloud.final_commit_ms);
 }
@@ -90,12 +89,8 @@ fn full_bu_croesus_costs_more_than_cloud_baseline() {
     // even higher than state-of-the-art cloud" — it pays both paths.
     let preset = VideoPreset::ParkDog;
     let base = cfg(preset, ThresholdPair::new(0.4, 0.6));
-    let croesus = run_croesus(
-        &base
-            .clone()
-            .with_validation(ValidationPolicy::ForcedBu(1.0)),
-    );
-    let cloud = run_cloud_only(&base);
+    let croesus = run_croesus(base.clone().validation(ValidationPolicy::ForcedBu(1.0)));
+    let cloud = run_cloud_only(base);
     assert!(
         croesus.final_commit_ms > cloud.final_commit_ms,
         "croesus@100% {} vs cloud {}",
@@ -110,8 +105,7 @@ fn bandwidth_utilization_tracks_validation_policy() {
     let preset = VideoPreset::StreetTraffic;
     for bu in [0.0, 0.5, 1.0] {
         let m = run_croesus(
-            &cfg(preset, ThresholdPair::new(0.4, 0.6))
-                .with_validation(ValidationPolicy::ForcedBu(bu)),
+            cfg(preset, ThresholdPair::new(0.4, 0.6)).validation(ValidationPolicy::ForcedBu(bu)),
         );
         assert!(
             (m.bandwidth_utilization - bu).abs() < 0.02,
@@ -133,7 +127,7 @@ fn evaluator_prediction_matches_pipeline_measurement() {
     let cloud_model = SimulatedModel::new(ModelProfile::yolov3_416(), seed ^ 0xC);
     let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
     let predicted = ev.evaluate(pair);
-    let measured = run_croesus(&cfg(preset, pair).with_seed(seed));
+    let measured = run_croesus(cfg(preset, pair).seed(seed));
     assert!(
         (predicted.bu - measured.bandwidth_utilization).abs() < 1e-9,
         "BU: predicted {} measured {}",
@@ -152,11 +146,11 @@ fn evaluator_prediction_matches_pipeline_measurement() {
 fn colocated_cloud_cuts_final_latency() {
     let preset = VideoPreset::StreetTraffic;
     let pair = ThresholdPair::new(0.2, 0.8);
-    let far = run_croesus(&cfg(preset, pair).with_setup(Setup {
+    let far = run_croesus(cfg(preset, pair).setup(Setup {
         edge: EdgeClass::Xlarge,
         colocation: Colocation::CrossCountry,
     }));
-    let near = run_croesus(&cfg(preset, pair).with_setup(Setup {
+    let near = run_croesus(cfg(preset, pair).setup(Setup {
         edge: EdgeClass::Xlarge,
         colocation: Colocation::SameLocation,
     }));
@@ -174,11 +168,11 @@ fn colocated_cloud_cuts_final_latency() {
 fn small_edge_slows_initial_commit_only() {
     let preset = VideoPreset::ParkDog;
     let pair = ThresholdPair::new(0.4, 0.6);
-    let small = run_croesus(&cfg(preset, pair).with_setup(Setup {
+    let small = run_croesus(cfg(preset, pair).setup(Setup {
         edge: EdgeClass::Small,
         colocation: Colocation::CrossCountry,
     }));
-    let regular = run_croesus(&cfg(preset, pair).with_setup(Setup {
+    let regular = run_croesus(cfg(preset, pair).setup(Setup {
         edge: EdgeClass::Xlarge,
         colocation: Colocation::CrossCountry,
     }));
@@ -196,12 +190,8 @@ fn small_edge_slows_initial_commit_only() {
 fn transfer_cost_scales_with_bu() {
     let preset = VideoPreset::StreetTraffic;
     let base = cfg(preset, ThresholdPair::new(0.4, 0.6));
-    let half = run_croesus(
-        &base
-            .clone()
-            .with_validation(ValidationPolicy::ForcedBu(0.5)),
-    );
-    let full = run_croesus(&base.with_validation(ValidationPolicy::ForcedBu(1.0)));
+    let half = run_croesus(base.clone().validation(ValidationPolicy::ForcedBu(0.5)));
+    let full = run_croesus(base.validation(ValidationPolicy::ForcedBu(1.0)));
     assert!(full.transfer_dollars > half.transfer_dollars * 1.8);
     assert!(full.bytes_sent > half.bytes_sent * 18 / 10);
 }

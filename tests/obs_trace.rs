@@ -7,17 +7,19 @@
 use std::sync::Arc;
 
 use croesus::core::{
-    Croesus, CroesusConfig, DurabilityMode, FaultPlan, ProtocolKind, ThresholdPair,
+    Croesus, CroesusBuilder, DurabilityMode, FaultPlan, ProtocolKind, ThresholdPair,
 };
 use croesus::obs::{check_obs, check_stream, Event, EventKind, HistKind, Obs};
 use croesus::video::VideoPreset;
 use croesus::wal::scratch_dir;
 use croesus_mcheck as mcheck;
 
-fn quickstart_config(frames: u64) -> CroesusConfig {
-    CroesusConfig::new(VideoPreset::StreetTraffic, ThresholdPair::new(0.3, 0.7))
-        .with_frames(frames)
-        .with_seed(42)
+fn quickstart_config(frames: u64) -> CroesusBuilder {
+    Croesus::builder()
+        .preset(VideoPreset::StreetTraffic)
+        .thresholds(ThresholdPair::new(0.3, 0.7))
+        .frames(frames)
+        .seed(42)
 }
 
 // ------------------------------------------------------------------
@@ -28,8 +30,7 @@ fn quickstart_config(frames: u64) -> CroesusConfig {
 fn quickstart_pipeline_trace_satisfies_the_ordering_contract() {
     let obs = Obs::shared();
     let frames = 60u64;
-    let m = Croesus::builder()
-        .config(quickstart_config(frames))
+    let m = quickstart_config(frames)
         .observe(Arc::clone(&obs))
         .build()
         .run();
@@ -67,13 +68,9 @@ fn quickstart_pipeline_trace_satisfies_the_ordering_contract() {
 #[test]
 fn unobserved_run_is_identical_to_observed_run_on_the_metrics() {
     let cfg = quickstart_config(40);
-    let plain = Croesus::builder().config(cfg.clone()).build().run();
+    let plain = cfg.clone().build().run();
     let obs = Obs::shared();
-    let observed = Croesus::builder()
-        .config(cfg)
-        .observe(Arc::clone(&obs))
-        .build()
-        .run();
+    let observed = cfg.observe(Arc::clone(&obs)).build().run();
     // Compare the simulation-deterministic fields (the golden pins); the
     // txn-section micro-timings are wall-clock measurements that jitter
     // between any two runs, observed or not.
@@ -177,8 +174,7 @@ fn reordered_stream_is_rejected_naming_the_invariant() {
     // stamps stay where they were, so only the *logical* order is
     // broken) — the checker must reject it and say which invariant.
     let obs = Obs::shared();
-    Croesus::builder()
-        .config(quickstart_config(30))
+    quickstart_config(30)
         .observe(Arc::clone(&obs))
         .build()
         .run();

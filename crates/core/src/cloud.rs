@@ -67,13 +67,17 @@ pub enum TailPoll {
 /// The cloud's replica of one edge's durable log.
 ///
 /// Tails a [`LogShipper`] with an LSN-style [`ShipCursor`] and validates
-/// every batch before accepting it: the candidate log must frame-parse
-/// with a clean tail *and* every payload must decode as a [`WalRecord`].
-/// The source only publishes synced whole frames, so anything less is
+/// every batch before accepting it: the batch must frame-parse with a
+/// clean tail *and* every payload must decode as a [`WalRecord`]. The
+/// source only publishes synced whole frames, so anything less is
 /// in-flight damage; rejecting without advancing the cursor makes the
 /// next poll an automatic refetch. The replica therefore holds, at all
 /// times, a valid prefix of the edge's durable log — exactly what crash
 /// recovery accepts.
+///
+/// Validating the batch alone is the whole-log rule, at the cost of the
+/// batch: the replica log already validates and ends on a frame
+/// boundary, so `log ∥ batch` validates exactly when `batch` does.
 pub struct ReplicaTailer {
     shipper: Arc<LogShipper>,
     cursor: ShipCursor,
@@ -102,23 +106,22 @@ impl ReplicaTailer {
         reader.tail() == TailState::Clean
     }
 
-    /// One tailing round: fetch from the cursor, validate, append.
+    /// One tailing round: fetch from the cursor, validate the batch, then
+    /// append it (or, for a restart batch, replace the log with it).
     pub fn poll(&mut self) -> TailPoll {
         match self.shipper.fetch(self.cursor) {
             ShipFetch::Offline => TailPoll::Offline,
             ShipFetch::UpToDate => TailPoll::UpToDate,
             ShipFetch::Batch(batch) => {
-                let mut candidate = if batch.restart {
-                    Vec::new()
-                } else {
-                    self.log.clone()
-                };
-                candidate.extend_from_slice(&batch.bytes);
-                if !Self::validates(&candidate) {
+                if !Self::validates(&batch.bytes) {
                     return TailPoll::Rejected;
                 }
                 let bytes = batch.bytes.len();
-                self.log = candidate;
+                if batch.restart {
+                    self.log = batch.bytes;
+                } else {
+                    self.log.extend_from_slice(&batch.bytes);
+                }
                 self.cursor = ShipCursor {
                     epoch: batch.epoch,
                     offset: self.log.len(),
@@ -201,7 +204,9 @@ mod tests {
 
     mod tailer {
         use super::super::*;
+        use croesus_sim::DetRng;
         use croesus_store::{TxnId, Value};
+        use croesus_wal::frame::write_frame;
         use croesus_wal::{StageFlags, StageRecord, Wal, WalConfig, WriteImage};
 
         fn shipped_wal() -> (Wal, Arc<LogShipper>) {
@@ -296,6 +301,144 @@ mod tests {
                 }
             ));
             assert_eq!(tailer.log(), &shipper.image()[..]);
+        }
+
+        /// The accept rule before batch-only validation, kept as the
+        /// oracle: append the batch to a copy of the whole replica log (or
+        /// start over for a restart) and validate all of it.
+        struct WholeLogTailer {
+            shipper: LogShipper,
+            cursor: ShipCursor,
+            log: Vec<u8>,
+        }
+
+        impl WholeLogTailer {
+            fn poll(&mut self) -> TailPoll {
+                match self.shipper.fetch(self.cursor) {
+                    ShipFetch::Offline => TailPoll::Offline,
+                    ShipFetch::UpToDate => TailPoll::UpToDate,
+                    ShipFetch::Batch(batch) => {
+                        let mut candidate = if batch.restart {
+                            Vec::new()
+                        } else {
+                            self.log.clone()
+                        };
+                        candidate.extend_from_slice(&batch.bytes);
+                        if !ReplicaTailer::validates(&candidate) {
+                            return TailPoll::Rejected;
+                        }
+                        self.log = candidate;
+                        self.cursor = ShipCursor {
+                            epoch: batch.epoch,
+                            offset: self.log.len(),
+                        };
+                        TailPoll::Advanced {
+                            bytes: batch.bytes.len(),
+                            restarted: batch.restart,
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A random run of framed records: decodable ones, and now and
+        /// then a CRC-clean frame whose payload is not a record.
+        fn random_frames(rng: &mut DetRng) -> Vec<u8> {
+            let mut out = Vec::new();
+            for _ in 0..rng.int_range(1, 5) {
+                let txn = TxnId(rng.int_range(0, 100));
+                let record = match rng.index(5) {
+                    0 => WalRecord::Settle,
+                    1 => WalRecord::TpcEnd { txn },
+                    2 => WalRecord::TpcDecision {
+                        txn,
+                        commit: rng.bernoulli(0.5),
+                    },
+                    _ => WalRecord::Stage(StageRecord {
+                        txn,
+                        stage: 0,
+                        total: 2,
+                        flags: StageFlags(StageFlags::COMMIT_POINT),
+                        reads: vec![],
+                        writes: vec!["k".into()],
+                        images: vec![WriteImage {
+                            key: "k".into(),
+                            pre: None,
+                            post: Some(Arc::new(Value::Int(txn.0 as i64))),
+                        }],
+                    }),
+                };
+                if rng.bernoulli(0.05) {
+                    write_frame(&mut out, &[250, 1, 2, 3]);
+                } else {
+                    write_frame(&mut out, &record.encode());
+                }
+            }
+            out
+        }
+
+        #[test]
+        fn batch_only_acceptance_equals_the_whole_log_rule() {
+            for seed in 0..64 {
+                let mut rng = DetRng::new(seed);
+                // Two shippers fed the same dialogue: the tailer under
+                // test on one, the oracle on the other (a fetch consumes
+                // a pending corruption, so they cannot share one).
+                let shipper = Arc::new(LogShipper::new());
+                let mut tailer = ReplicaTailer::new(Arc::clone(&shipper));
+                let mut oracle = WholeLogTailer {
+                    shipper: LogShipper::new(),
+                    cursor: ShipCursor::default(),
+                    log: Vec::new(),
+                };
+                let (mut accepted, mut rejected) = (0, 0);
+                for step in 0..200 {
+                    match rng.index(10) {
+                        // Publish frames, sometimes cut in two publishes
+                        // with a poll able to land between the halves.
+                        0..=2 => {
+                            let bytes = random_frames(&mut rng);
+                            let cut = rng.index(bytes.len() + 1);
+                            let (head, tail) = bytes.split_at(cut);
+                            shipper.publish(head);
+                            oracle.shipper.publish(head);
+                            if rng.bernoulli(0.5) {
+                                assert_eq!(tailer.poll(), oracle.poll(), "seed {seed} step {step}");
+                            }
+                            shipper.publish(tail);
+                            oracle.shipper.publish(tail);
+                        }
+                        // A checkpoint: the image restarts, whole or torn.
+                        3 => {
+                            let mut bytes = random_frames(&mut rng);
+                            if rng.bernoulli(0.2) {
+                                bytes.truncate(rng.index(bytes.len()));
+                            }
+                            shipper.restart_epoch(&bytes);
+                            oracle.shipper.restart_epoch(&bytes);
+                        }
+                        4 => {
+                            shipper.corrupt_next_fetch();
+                            oracle.shipper.corrupt_next_fetch();
+                        }
+                        _ => {
+                            let outcome = tailer.poll();
+                            assert_eq!(outcome, oracle.poll(), "seed {seed} step {step}");
+                            match outcome {
+                                TailPoll::Advanced { .. } => accepted += 1,
+                                TailPoll::Rejected => rejected += 1,
+                                _ => {}
+                            }
+                        }
+                    }
+                    assert_eq!(tailer.log(), &oracle.log[..], "seed {seed} step {step}");
+                    assert_eq!(tailer.cursor(), oracle.cursor, "seed {seed} step {step}");
+                }
+                assert!(
+                    accepted > 0 && rejected > 0,
+                    "seed {seed} exercised one rule only"
+                );
+            }
         }
 
         #[test]

@@ -143,14 +143,15 @@ impl KvStore {
 
     /// Snapshot every key-value pair (sorted by key, for deterministic
     /// comparisons in tests and checkers). Fills one preallocated buffer —
-    /// no per-shard intermediate `Vec`s — and clones only `Arc`s.
+    /// no per-shard intermediate `Vec`s — and clones only `Arc`s. Keys are
+    /// unique, so the unstable sort (no scratch buffer) gives the one order.
     pub fn snapshot(&self) -> Vec<(Key, Versioned)> {
         let mut all: Vec<(Key, Versioned)> = Vec::with_capacity(self.len());
         for s in &self.shards {
             let shard = s.read();
             all.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         all
     }
 }

@@ -4,9 +4,10 @@
 //! It runs in two places:
 //!
 //! * **live**, inside the [`Wal`](crate::Wal) writer, folding every
-//!   appended record with no store attached — so the writer always knows
-//!   exactly what its log contains and can serialize a checkpoint without
-//!   asking the executor anything beyond a store snapshot;
+//!   appended record into the writer's own *shadow store* — the committed
+//!   state a replay of the log would rebuild — so the writer always knows
+//!   exactly what its log contains and serializes a checkpoint from its
+//!   own state, never from the executor's live store;
 //! * **replay**, inside [`recover`], folding the decoded records of a log
 //!   byte stream into a fresh [`KvStore`].
 //!
@@ -102,9 +103,11 @@ impl RecoveryState {
         RecoveryState::default()
     }
 
-    /// Fold one record. With `store = Some(..)` (replay) the store
-    /// mutations are performed; with `None` (live shadow) only the
-    /// bookkeeping moves — the executor already mutated the real store.
+    /// Fold one record. With `store = Some(..)` the store mutations are
+    /// performed — replay, and the live writer folding into its shadow
+    /// store; with `None` only the bookkeeping moves, for a caller that
+    /// already mutated the store itself (apology-aware recovery mirroring
+    /// the retractions it ran).
     pub fn apply(&mut self, record: &WalRecord, store: Option<&KvStore>) {
         match record {
             WalRecord::Stage(s) => self.apply_stage(s, store),
@@ -333,6 +336,8 @@ impl RecoveryState {
                     .or_insert_with(|| w.pre.clone());
             }
         }
+        // The snapshot is sorted, and replacing or dropping its entries
+        // keeps it sorted.
         let mut pairs: Vec<(Key, Arc<Value>)> = Vec::new();
         for (key, versioned) in store.snapshot() {
             match overlay.remove(&key) {
@@ -342,13 +347,16 @@ impl RecoveryState {
             }
         }
         // Keys the pending writes deleted from the store but that existed
-        // before them.
+        // before them: only these can break the order.
+        let sorted = pairs.len();
         for (key, pre) in overlay {
             if let Some(pre) = pre {
                 pairs.push((key, pre));
             }
         }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        if pairs.len() > sorted {
+            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
 
         CheckpointRecord {
             store: pairs,
@@ -642,7 +650,7 @@ mod tests {
         store.put("a".into(), Value::Int(7)); // pre-existing
         let rec = stage(9, 0, 2, 0, vec![("a", Some(7), Some(100))]);
         store.put("a".into(), Value::Int(100)); // the live write
-        state.apply(&rec, None); // live shadow: no store mutation
+        state.apply(&rec, None); // the store already holds the write
         let cp = state.to_checkpoint(&store);
         assert_eq!(
             cp.store,
@@ -670,6 +678,25 @@ mod tests {
         state.apply(&rec, None);
         let cp = state.to_checkpoint(&store);
         assert!(cp.store.is_empty(), "pending insert is not committed state");
+    }
+
+    #[test]
+    fn checkpoint_restores_pending_deletes_in_key_order() {
+        // Pending deletes take keys out of the store; the checkpoint puts
+        // their pre-images back between the surviving keys.
+        let mut state = RecoveryState::new();
+        let store = KvStore::new();
+        for (k, v) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
+            store.put(k.into(), Value::Int(v));
+        }
+        let rec = stage(9, 0, 2, 0, vec![("b", Some(2), None), ("d", Some(4), None)]);
+        store.delete(&"b".into());
+        store.delete(&"d".into());
+        state.apply(&rec, None);
+        let cp = state.to_checkpoint(&store);
+        let keys: Vec<&str> = cp.store.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "c", "d", "e"]);
+        assert_eq!(*cp.store[3].1, Value::Int(4));
     }
 
     #[test]

@@ -32,8 +32,18 @@
 //! one record that *replaces* the log ([`Storage::reset`]) — truncation
 //! and checkpoint are one atomic step, consistent even while other
 //! threads are mid-stage on the live store. It restarts the on-device
-//! epoch, not the LSN space. [`Wal::maybe_checkpoint`] runs one every
-//! [`WalConfig::checkpoint_every`] commit points, from the commit path.
+//! epoch, not the LSN space.
+//!
+//! A checkpoint costs O(state) and replay starts from it, so it is
+//! scheduled by size, not by count: [`Wal::maybe_checkpoint`] (called
+//! from the commit path) takes one once [`WalConfig::checkpoint_every`]
+//! commit points have accumulated *and* the log has grown by at least
+//! the last checkpoint's framed length since it was taken. Each
+//! checkpoint is thereby paid for by at least its own size in appended
+//! log: the checkpoint bytes ever written are at most the bytes appended
+//! plus the latest checkpoint, a growing state is checkpointed a
+//! logarithmic number of times, and replay reads one checkpoint plus at
+//! most as many log bytes again.
 
 use std::collections::VecDeque;
 use std::io;
@@ -63,7 +73,10 @@ pub struct WalConfig {
     /// Commit points per sealed buffer, i.e. per durable sync (1 =
     /// strict).
     pub group_commit: usize,
-    /// Commit points between automatic checkpoints (0 = never).
+    /// The fewest commit points between automatic checkpoints (0 =
+    /// never). A floor, not a period: past it a checkpoint also waits
+    /// until the log has grown by the last checkpoint's length (see the
+    /// module docs).
     pub checkpoint_every: u64,
 }
 
@@ -412,6 +425,10 @@ struct WalInner {
     /// would rebuild. Values alias the live store's `Arc`s.
     shadow_store: KvStore,
     commits_since_checkpoint: u64,
+    /// Framed bytes appended since the last checkpoint.
+    bytes_since_checkpoint: u64,
+    /// Framed length of the last checkpoint (0 before the first).
+    checkpoint_len: u64,
     /// `syncs` is kept by `step` in [`PipeState`]; see [`Wal::stats`].
     stats: WalStats,
 }
@@ -423,6 +440,14 @@ impl WalInner {
         let mut framed = Vec::new();
         write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
         framed
+    }
+
+    /// The schedule: at least `every` commit points, and at least the
+    /// last checkpoint's length in appended log, since that checkpoint.
+    fn checkpoint_due(&self, every: u64) -> bool {
+        every > 0
+            && self.commits_since_checkpoint >= every
+            && self.bytes_since_checkpoint >= self.checkpoint_len
     }
 }
 
@@ -521,6 +546,7 @@ impl Wal {
             }
             inner.stats.checkpoints = 1;
             let framed = inner.checkpoint_frame();
+            inner.checkpoint_len = framed.len() as u64;
             let mut pstate = wal.shared.lock();
             let storage = pstate.storage.as_mut().expect("no step has run yet");
             storage.reset(&framed)?;
@@ -584,6 +610,7 @@ impl Wal {
         shadow.apply(record, Some(shadow_store));
         inner.stats.records += 1;
         inner.stats.bytes_appended += framed.len() as u64;
+        inner.bytes_since_checkpoint += framed.len() as u64;
         let mut state = self.shared.lock();
         Shared::io_error_locked(&state)?;
         state.active.extend_from_slice(&framed);
@@ -753,7 +780,12 @@ impl Wal {
     /// boundary jumps *forward* to `latest_lsn` and every waiter wakes
     /// durable.
     pub fn checkpoint(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
+        self.checkpoint_locked(&mut self.inner.lock())
+    }
+
+    /// [`Wal::checkpoint`] under a writer-mutex hold the caller already
+    /// has.
+    fn checkpoint_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         let framed = inner.checkpoint_frame();
         let shared = &*self.shared;
         let mut state = shared.lock();
@@ -772,6 +804,8 @@ impl Wal {
         state.epoch_len = framed.len() as u64;
         inner.stats.checkpoints += 1;
         inner.commits_since_checkpoint = 0;
+        inner.bytes_since_checkpoint = 0;
+        inner.checkpoint_len = framed.len() as u64;
         let lsn = state.latest_lsn;
         let epoch = state.epoch;
         state.obs.emit(EventKind::WalSync { lsn, epoch });
@@ -785,13 +819,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Checkpoint if [`WalConfig::checkpoint_every`] commit points
+    /// Checkpoint if at least [`WalConfig::checkpoint_every`] commit
+    /// points, and at least the last checkpoint's length in log bytes,
     /// accumulated since the last one (call from the commit path).
+    /// Decided and taken under one writer-mutex hold, so racing commit
+    /// points cannot both find it due.
     pub fn maybe_checkpoint(&self) -> io::Result<bool> {
-        let every = self.config.checkpoint_every;
-        let due = every > 0 && self.inner.lock().commits_since_checkpoint >= every;
+        let mut inner = self.inner.lock();
+        let due = inner.checkpoint_due(self.config.checkpoint_every);
         if due {
-            self.checkpoint()?;
+            self.checkpoint_locked(&mut inner)?;
         }
         Ok(due)
     }
@@ -968,6 +1005,130 @@ mod tests {
             wal.maybe_checkpoint().unwrap();
         }
         assert_eq!(wal.stats().checkpoints, 2, "commits 3 and 6 checkpoint");
+    }
+
+    #[test]
+    fn checkpoints_are_paid_for_by_their_own_size_in_appended_log() {
+        // Every record commits a fresh key, so each checkpoint is bigger
+        // than the last: the size rule, not the floor, sets the pace.
+        const N: u64 = 2048;
+        let config = WalConfig {
+            group_commit: 8,
+            checkpoint_every: 16,
+        };
+        let (wal, probe) = Wal::in_memory(config);
+        let mut checkpoint_lens = Vec::new();
+        let mut lsn_at_checkpoint = 0;
+        let mut checkpoints_at_n = 0;
+        let mut longest_record = 0;
+        for i in 0..2 * N {
+            let before = wal.latest_lsn();
+            wal.append_stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64))
+                .unwrap();
+            longest_record = longest_record.max(wal.latest_lsn() - before);
+            if wal.maybe_checkpoint().unwrap() {
+                let appended = wal.latest_lsn() - lsn_at_checkpoint;
+                let previous = checkpoint_lens.last().copied().unwrap_or(0);
+                assert!(appended >= previous, "checkpoint {i} was not paid for");
+                lsn_at_checkpoint = wal.latest_lsn();
+                checkpoint_lens.push(wal.log_len());
+            }
+            if i + 1 == N {
+                checkpoints_at_n = wal.stats().checkpoints;
+            }
+        }
+        let stats = wal.stats();
+        assert_eq!(stats.checkpoints, checkpoint_lens.len() as u64);
+        let all_but_last: u64 = checkpoint_lens[..checkpoint_lens.len() - 1].iter().sum();
+        assert!(
+            all_but_last <= stats.bytes_appended,
+            "{all_but_last} checkpoint bytes for {} appended",
+            stats.bytes_appended
+        );
+        assert!(
+            stats.checkpoints - checkpoints_at_n <= 3,
+            "doubling the stream took {checkpoints_at_n} → {} checkpoints",
+            stats.checkpoints
+        );
+        // Replay is one checkpoint plus at most as many log bytes again
+        // (the record that would have made the next one due aside).
+        wal.flush().unwrap();
+        let last = *checkpoint_lens.last().unwrap();
+        let tail = wal.latest_lsn() - lsn_at_checkpoint;
+        assert_eq!(probe.durable().len() as u64, last + tail);
+        assert!(
+            tail < last + longest_record,
+            "tail {tail}, checkpoint {last}"
+        );
+        assert_eq!(recover(&probe.durable()).store.len() as u64, 2 * N);
+    }
+
+    #[test]
+    fn no_checkpoint_fires_before_the_commit_point_floor() {
+        // One key: the checkpoint stays tiny, so only the floor holds it.
+        let config = WalConfig {
+            group_commit: 2,
+            checkpoint_every: 10,
+        };
+        let (wal, _) = Wal::in_memory(config);
+        let mut commits_since = 0;
+        for i in 0..100u64 {
+            // Every third record is not a commit point and does not count.
+            let commit_point = i % 3 != 0;
+            if commit_point {
+                wal.append_stage(stage_record(i, 0, CP | FIN, "k", i as i64))
+                    .unwrap();
+            } else {
+                wal.append_settle().unwrap();
+            }
+            commits_since += u64::from(commit_point);
+            if wal.maybe_checkpoint().unwrap() {
+                assert_eq!(commits_since, 10, "record {i}");
+                commits_since = 0;
+            }
+        }
+        assert_eq!(wal.stats().checkpoints, wal.stats().commit_points / 10);
+    }
+
+    #[test]
+    fn racing_commit_points_never_checkpoint_twice() {
+        // Concurrent committers (pooled waves) each call maybe_checkpoint
+        // after their commit point. One key per thread keeps the
+        // checkpoint tiny, so the floor alone sets the schedule.
+        const THREADS: u64 = 4;
+        const COMMITS: u64 = 2_000;
+        const EVERY: u64 = 8;
+        let config = WalConfig {
+            group_commit: 64,
+            checkpoint_every: EVERY,
+        };
+        for round in 0..50 {
+            let (wal, _) = Wal::in_memory(config);
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (wal, start) = (&wal, &start);
+                    s.spawn(move || {
+                        let key = format!("k{t}");
+                        start.wait();
+                        for i in 0..COMMITS {
+                            let txn = t * COMMITS + i;
+                            wal.append_stage(stage_record(txn, 0, CP | FIN, &key, 0))
+                                .unwrap();
+                            wal.maybe_checkpoint().unwrap();
+                        }
+                    });
+                }
+            });
+            let stats = wal.stats();
+            assert_eq!(stats.commit_points, THREADS * COMMITS);
+            assert!(
+                stats.checkpoints <= stats.commit_points / EVERY,
+                "round {round}: {} checkpoints for {} commit points, one per {EVERY} at most",
+                stats.checkpoints,
+                stats.commit_points
+            );
+        }
     }
 
     #[test]

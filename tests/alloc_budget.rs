@@ -4,9 +4,11 @@
 //! A counting `#[global_allocator]` (this test binary only) counts every
 //! `alloc`, `alloc_zeroed` and `realloc` made *by the calling thread* — the
 //! count lives in a `const` thread-local, so the harness's other test
-//! threads never leak into it. With `workers(1)` and durability disabled the
-//! whole run executes inline on the test thread, and the count is identical
-//! run to run, in debug and in release.
+//! threads never leak into it. With `workers(1)` and durability disabled or
+//! group commit (whose inline flush driver lands every buffer and takes
+//! every checkpoint on the committing thread) the whole run executes on the
+//! test thread, and the count is identical run to run, in debug and in
+//! release.
 //!
 //! The budgets are a ratchet. A change that lowers the count lowers the
 //! budget with it; a change that must raise it says why in `CHANGES.md`.
@@ -63,20 +65,39 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// One `run()` of 300 frames, seed 11, thresholds (0.3, 0.7), inline and
-/// without a WAL: `(allocations made by run(), transactions committed)`.
-fn count_run(protocol: ProtocolKind) -> (u64, u64) {
+/// Whether the run logs: not at all, or group commit (landed inline on the
+/// calling thread) into a fresh scratch directory.
+#[derive(Clone, Copy, Debug)]
+enum Logging {
+    Off,
+    GroupCommit,
+}
+
+/// One `run()` of 300 frames, seed 11, thresholds (0.3, 0.7), inline:
+/// `(allocations made by run(), transactions committed)`.
+fn count_run(protocol: ProtocolKind, logging: Logging) -> (u64, u64) {
+    let dir = match logging {
+        Logging::Off => None,
+        Logging::GroupCommit => Some(croesus::wal::scratch_dir("alloc-budget")),
+    };
+    let durability = match &dir {
+        None => DurabilityMode::Disabled,
+        Some(dir) => DurabilityMode::group_commit(dir),
+    };
     let deployment = Croesus::builder()
         .frames(300)
         .seed(11)
         .thresholds(ThresholdPair::new(0.3, 0.7))
         .protocol(protocol)
         .workers(1)
-        .durability(DurabilityMode::Disabled)
+        .durability(durability)
         .build();
     let before = allocations();
     let metrics = deployment.run();
     let made = allocations() - before;
+    if let Some(dir) = dir {
+        std::fs::remove_dir_all(dir).expect("scratch dir is removable");
+    }
     (made, metrics.transactions_committed)
 }
 
@@ -84,31 +105,41 @@ fn count_run(protocol: ProtocolKind) -> (u64, u64) {
 /// from one toolchain to the next.
 const MARGIN_PERCENT: u64 = 1;
 
-fn assert_within_budget(protocol: ProtocolKind, measured: u64) {
+fn assert_within_budget(protocol: ProtocolKind, logging: Logging, measured: u64) {
     let budget = measured + measured * MARGIN_PERCENT / 100;
-    let (made, committed) = count_run(protocol);
+    let (made, committed) = count_run(protocol, logging);
     println!(
-        "{protocol}: {made} allocations for {committed} committed transactions \
+        "{protocol} ({logging:?}): {made} allocations for {committed} committed transactions \
          ({:.1} per transaction; measured {measured}, budget {budget})",
         made as f64 / committed.max(1) as f64
     );
     assert!(
         made <= budget,
-        "{protocol}: {made} allocations exceed the budget of {budget}"
+        "{protocol} ({logging:?}): {made} allocations exceed the budget of {budget}"
     );
 }
 
 #[test]
 fn ms_ia_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, 96_134);
+    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 96_134);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsSr, 96_578);
+    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 96_578);
+}
+
+#[test]
+fn group_commit_run_stays_within_its_allocation_budget() {
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 166_856);
 }
 
 #[test]
 fn the_count_is_repeatable() {
-    assert_eq!(count_run(ProtocolKind::MsIa), count_run(ProtocolKind::MsIa));
+    for logging in [Logging::Off, Logging::GroupCommit] {
+        assert_eq!(
+            count_run(ProtocolKind::MsIa, logging),
+            count_run(ProtocolKind::MsIa, logging)
+        );
+    }
 }

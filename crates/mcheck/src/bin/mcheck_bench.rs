@@ -1,6 +1,8 @@
-//! Model-checker throughput snapshot: runs the standard scenario suite
-//! and reports schedules/sec, decision points, states pruned, and per-
-//! scenario interleaving counts.
+//! Model-checker throughput snapshot: runs every clean scenario
+//! `tests/mcheck.rs` runs and reports schedules/sec, decision points,
+//! states pruned, and per-scenario interleaving counts. The counts are
+//! exact, so two commits that explore identically print identical rows
+//! apart from `schedules_per_sec`.
 //!
 //! Usage:
 //!
@@ -13,9 +15,10 @@
 
 use croesus_mcheck::{
     explore, ms_sr_block_deadlock, ms_sr_commit_point, retract_self, three_txn_hot_key,
-    two_txn_two_stage, Config, Report, Scenario, TpcCoordinatorCrash,
+    two_txn_two_stage, wal_pipeline, wave_queue, Config, Report, Scenario, TpcCoordinatorCrash,
 };
 use croesus_txn::ProtocolKind;
+use croesus_wal::FlushDriver;
 
 fn run<S: Scenario>(scenario: &S, config: &Config, out: &mut Vec<Report>) {
     eprintln!("exploring {}...", scenario.name());
@@ -87,21 +90,9 @@ fn main() {
     };
 
     let mut reports = Vec::new();
-    run(
-        &two_txn_two_stage(ProtocolKind::MsSr),
-        &config,
-        &mut reports,
-    );
-    run(
-        &two_txn_two_stage(ProtocolKind::MsIa),
-        &config,
-        &mut reports,
-    );
-    run(
-        &two_txn_two_stage(ProtocolKind::Staged),
-        &config,
-        &mut reports,
-    );
+    for kind in [ProtocolKind::MsSr, ProtocolKind::MsIa, ProtocolKind::Staged] {
+        run(&two_txn_two_stage(kind), &config, &mut reports);
+    }
     run(&retract_self(ProtocolKind::MsIa), &config, &mut reports);
     run(&ms_sr_block_deadlock(), &config, &mut reports);
     run(&ms_sr_commit_point(false), &config, &mut reports);
@@ -111,6 +102,17 @@ fn main() {
         &sampled,
         &mut reports,
     );
+    run(
+        &wal_pipeline(FlushDriver::Manual, false),
+        &config,
+        &mut reports,
+    );
+    run(
+        &wal_pipeline(FlushDriver::Inline, false),
+        &config,
+        &mut reports,
+    );
+    run(&wave_queue(), &config, &mut reports);
 
     for r in &reports {
         if !r.violations.is_empty() {

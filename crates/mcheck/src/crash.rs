@@ -6,13 +6,19 @@
 //! The oracle deliberately shares no code with `croesus_wal::recover`: it
 //! applies decoded records to a `BTreeMap`, buffering a transaction's
 //! images until its first commit point, exactly as the commit-point table
-//! in DESIGN.md specifies.
+//! in DESIGN.md specifies. A checkpoint (the first frame of every log that
+//! has taken one) is read field by field from [`CheckpointRecord`]'s
+//! public fields.
+//!
+//! This is the one crash-boundary oracle: the mcheck scenarios sweep every
+//! explored schedule's log with it, and `tests/crash_recovery.rs` sweeps
+//! its seeded workloads' logs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use croesus_store::{KvStore, Value};
 use croesus_txn::recovery::{recover_edge, RecoveredEdge};
-use croesus_wal::{recover, FrameReader, RecoveryReport, WalRecord};
+use croesus_wal::{recover, CheckpointRecord, FrameReader, RecoveryReport, WalRecord};
 
 /// The prefix-interpreting oracle.
 #[derive(Default, Clone)]
@@ -29,7 +35,8 @@ pub struct Oracle {
     pub live_entries: BTreeMap<u64, usize>,
     /// 2PC decisions still live (decision seen, no matching end).
     pub tpc: BTreeMap<u64, bool>,
-    /// Every 2PC decision ever seen in the prefix (never expired).
+    /// Every 2PC decision seen in the prefix, never expired (after a
+    /// checkpoint: the ones it carried, then every later one).
     pub tpc_all: BTreeMap<u64, bool>,
 }
 
@@ -82,8 +89,44 @@ impl Oracle {
             WalRecord::TpcEnd { txn } => {
                 self.tpc.remove(&txn.0);
             }
-            WalRecord::Checkpoint(_) | WalRecord::Settle => {}
+            WalRecord::Checkpoint(cp) => *self = Oracle::from_checkpoint(cp),
+            WalRecord::Settle => {}
         }
+    }
+
+    /// The state a checkpoint restarts the log from: its committed store,
+    /// each transaction's pending images, commit flags and unretracted
+    /// entries, and its live 2PC decisions.
+    fn from_checkpoint(cp: &CheckpointRecord) -> Self {
+        let mut oracle = Oracle {
+            store: cp
+                .store
+                .iter()
+                .map(|(k, v)| (k.as_str().to_string(), (**v).clone()))
+                .collect(),
+            tpc: cp.tpc.iter().map(|(t, c)| (t.0, *c)).collect(),
+            ..Oracle::default()
+        };
+        oracle.tpc_all = oracle.tpc.clone();
+        for t in &cp.txns {
+            let txn = t.txn.0;
+            let pending = t
+                .pending
+                .iter()
+                .map(|w| (w.key.as_str().to_string(), w.post.as_deref().cloned()));
+            oracle.pending.insert(txn, pending.collect());
+            if t.initial_committed {
+                oracle.initial.insert(txn);
+            }
+            if t.finalized {
+                oracle.finalized.insert(txn);
+            }
+            let live = t.entries.iter().filter(|e| !e.retracted).count();
+            if live > 0 {
+                oracle.live_entries.insert(txn, live);
+            }
+        }
+        oracle
     }
 
     /// The transactions a recovering edge owes retractions for.

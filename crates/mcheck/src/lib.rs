@@ -20,7 +20,12 @@
 //!   §4.4 contract (unfinalized ⇒ retracted + apologized).
 //! * [`scenarios`] — MS-SR / MS-IA / staged scripts over the real
 //!   executors, the MS-SR commit-point mutation self-test, a Block-policy
-//!   deadlock demo, and a 2PC coordinator-crash scenario.
+//!   deadlock demo, a 2PC coordinator-crash scenario, the WAL's buffer
+//!   pipeline under the manual and inline flush drivers (with its
+//!   publish-before-sync mutation self-test), and the edge runtime's
+//!   bounded job queue (the wave queue). All four kinds of world share
+//!   one end-of-schedule verdict, store fingerprint, flush-and-sweep step
+//!   and trace check.
 //!
 //! Production builds are untouched: the instrumentation compiles to
 //! nothing unless the `mcheck` feature is enabled, and only this crate
@@ -35,8 +40,8 @@ pub use crash::{sweep, CrashCut, Oracle};
 pub use explore::{explore, replay, Config, Report, Scenario, Violation};
 pub use scenarios::{
     ms_sr_block_deadlock, ms_sr_commit_point, retract_self, three_txn_hot_key, two_txn_two_stage,
-    wal_pipeline, wave_queue, Ack, AnyProtocol, CutCheck, ProtoWorld, ProtocolScenario, StageOp,
-    StageScript, TpcCoordinatorCrash, TpcWorld, TxnScript, WalPipelineScenario, WalPipelineWorld,
+    wal_pipeline, wave_queue, Ack, CutCheck, ProtoWorld, ProtocolScenario, StageOp, StageScript,
+    TpcCoordinatorCrash, TpcWorld, TxnScript, WalPipelineScenario, WalPipelineWorld,
     WaveQueueScenario, WaveQueueWorld,
 };
 pub use scheduler::{advance, run_schedule, Decision, Mode, RunEnd, SchedStats, TaskFn, Trace};

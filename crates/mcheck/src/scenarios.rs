@@ -1,10 +1,12 @@
-//! Ready-made scenarios over the real protocol stack: scripted multi-stage
+//! Ready-made scenarios over the real stack: scripted multi-stage
 //! transactions racing through MS-SR / MS-IA / staged executors with a
-//! strict-sync in-memory WAL, plus a 2PC coordinator-crash scenario.
+//! strict-sync in-memory WAL, a 2PC coordinator crash, the WAL's buffer
+//! pipeline under both thread-free flush drivers, and the edge runtime's
+//! bounded job queue.
 //!
-//! Every scenario expresses the DESIGN.md commit-point table as invariant
-//! predicates checked at the end of **every schedule** and at **every
-//! WAL-record-boundary crash point** within it:
+//! The protocol and 2PC scenarios express the DESIGN.md commit-point table
+//! as invariant predicates checked at the end of **every schedule** and at
+//! **every WAL-record-boundary crash point** within it:
 //!
 //! * acked final commits survive any later crash point;
 //! * MS-SR transactions un-happen atomically (a commit point implies the
@@ -26,9 +28,9 @@ use croesus_obs::EdgeObs;
 use croesus_store::{Key, KvStore, LockManager, LockPolicy, PartitionMap, TxnId, Value};
 use croesus_txn::tpc::ParticipantWrites;
 use croesus_txn::{
-    Coordinator, ExecutorCore, HistoryRecorder, JobQueue, MsIaExecutor, MultiStageProtocol,
+    Coordinator, ExecutorCore, HistoryRecorder, JobQueue, MultiStageProtocol,
     MultiStageProtocolExt, Participant, PartitionParticipant, ProtocolKind, RwSet, StageCtx,
-    StagedExecutor, TpcOutcome, TsplExecutor, TxnError, TxnHandle,
+    TpcOutcome, TsplExecutor, TxnError, TxnHandle,
 };
 use croesus_wal::{FlushDriver, LogShipper, MemStorage, Wal, WalConfig};
 
@@ -86,45 +88,66 @@ pub struct Ack {
     pub aborted: bool,
 }
 
-/// Any of the three protocol executors, held concretely so tests can reach
-/// executor-specific switches (the MS-SR mutation flag).
-pub enum AnyProtocol {
-    /// Two-Stage 2PL.
-    MsSr(TsplExecutor),
-    /// Invariant-confluence + apologies.
-    MsIa(MsIaExecutor),
-    /// The m-stage generalization.
-    Staged(StagedExecutor),
-}
+// ---------------------------------------------------------------------------
+// Plumbing every scenario shares
+// ---------------------------------------------------------------------------
 
-impl AnyProtocol {
-    fn build(kind: ProtocolKind, core: ExecutorCore) -> Self {
-        match kind {
-            ProtocolKind::MsSr => AnyProtocol::MsSr(TsplExecutor::from_core(core)),
-            ProtocolKind::MsIa => AnyProtocol::MsIa(MsIaExecutor::from_core(core)),
-            ProtocolKind::Staged => AnyProtocol::Staged(StagedExecutor::from_core(core)),
-        }
-    }
-
-    /// The unified protocol view.
-    pub fn as_dyn(&self) -> &dyn MultiStageProtocol {
-        match self {
-            AnyProtocol::MsSr(p) => p,
-            AnyProtocol::MsIa(p) => p,
-            AnyProtocol::Staged(p) => p,
-        }
+/// The verdict on how a schedule ended: a panicking task is a violation,
+/// and so is a deadlock, reported as `deadlock` followed by the blocked
+/// tasks.
+fn completed(end: &RunEnd, deadlock: &str) -> Result<(), String> {
+    match end {
+        RunEnd::Complete => Ok(()),
+        RunEnd::Panic { message } => Err(format!("task panic: {message}")),
+        RunEnd::Deadlock { blocked } => Err(format!("{deadlock}: {blocked:?}")),
     }
 }
+
+/// Fold a store into a fingerprint in key order, so two schedules that
+/// reach the same contents hash alike.
+fn hash_store(store: &KvStore, h: &mut DefaultHasher) {
+    let mut snapshot = store.snapshot();
+    snapshot.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+    for (k, v) in snapshot {
+        k.as_str().hash(h);
+        format!("{:?}", v.value).hash(h);
+    }
+}
+
+/// Flush the schedule's WAL and crash at every frame boundary of what it
+/// logged ([`sweep`]), with `extra` as the scenario's per-cut predicate.
+/// Returns the swept log.
+fn flush_and_sweep(
+    wal: &Wal,
+    probe: &MemStorage,
+    extra: impl FnMut(&CrashCut<'_>) -> Result<(), String>,
+) -> Result<Vec<u8>, String> {
+    wal.flush()
+        .map_err(|e| format!("final flush failed: {e}"))?;
+    let log = wal.epoch_bytes(probe);
+    sweep(&log, extra)?;
+    Ok(log)
+}
+
+/// Replay the schedule's event stream through the executable ordering
+/// contract; a disabled stream passes.
+fn check_trace(obs: &EdgeObs) -> Result<(), String> {
+    if obs.is_enabled() {
+        croesus_obs::check_stream(&obs.events(), obs.dropped() > 0)
+            .map_err(|v| format!("event-ordering contract: {v}"))?;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Scripted transactions through one protocol executor
+// ---------------------------------------------------------------------------
 
 /// The world one schedule runs in: a fresh executor + store + strict-sync
 /// in-memory WAL, rebuilt per schedule.
 pub struct ProtoWorld {
-    /// The executor under test.
-    pub protocol: AnyProtocol,
-    /// Its store.
-    pub store: Arc<KvStore>,
-    /// Its lock manager.
-    pub locks: Arc<LockManager>,
+    /// The executor under test (its store and locks via `core()`).
+    pub protocol: Box<dyn MultiStageProtocol>,
     /// Its WAL (strict sync: every append is durable on return).
     pub wal: Arc<Wal>,
     /// The WAL's backing storage — `wal.epoch_bytes(&probe)` is the
@@ -147,13 +170,12 @@ pub struct ProtocolScenario {
     pub kind: ProtocolKind,
     /// Scenario label for reports.
     pub label: String,
-    /// Lock policy override (`None` = the protocol's default).
+    /// Lock policy override (`None` = the protocol's default). Under
+    /// `Some(LockPolicy::Block)` deadlocking schedules are legitimate
+    /// outcomes (the MS-SR Block-policy demo), not violations.
     pub policy: Option<LockPolicy>,
     /// The racing transactions, one task each.
     pub scripts: Vec<TxnScript>,
-    /// Whether deadlocking schedules are legitimate outcomes (the MS-SR
-    /// Block-policy demo) rather than violations.
-    pub deadlock_expected: bool,
     /// Arm the MS-SR log-final-after-release mutation (self-test).
     pub mutate_ms_sr: bool,
     /// Scenario-specific crash-cut predicate.
@@ -164,6 +186,20 @@ pub struct ProtocolScenario {
 }
 
 impl ProtocolScenario {
+    /// A scenario on the protocol's default lock policy, unmutated,
+    /// untraced and with no extra crash-cut predicate.
+    fn new(kind: ProtocolKind, label: &str, scripts: Vec<TxnScript>) -> Self {
+        ProtocolScenario {
+            kind,
+            label: label.into(),
+            policy: None,
+            scripts,
+            mutate_ms_sr: false,
+            extra_crash_check: None,
+            trace: false,
+        }
+    }
+
     /// Enable per-schedule event tracing + ordering-contract checking.
     #[must_use]
     pub fn with_trace(mut self) -> Self {
@@ -194,39 +230,26 @@ fn apply_ops(ctx: &mut StageCtx<'_>, ops: &[StageOp]) -> Result<(), TxnError> {
 
 fn run_script(world: &ProtoWorld, script: &TxnScript) {
     let rws: Vec<RwSet> = script.stages.iter().map(|s| s.rw.clone()).collect();
-    let mut handle: Option<TxnHandle> = Some(world.protocol.as_dyn().begin(script.txn, &rws));
+    let mut handle: Option<TxnHandle> = Some(world.protocol.begin(script.txn, &rws));
     for (i, s) in script.stages.iter().enumerate() {
         let h = handle
             .take()
             .expect("script length matches declared stages");
-        match world
+        let next = world
             .protocol
-            .as_dyn()
             .stage(h, &s.rw, |ctx| apply_ops(ctx, &s.ops))
-        {
-            Ok((_, next)) => {
-                world.acks.lock().push(Ack {
-                    txn: script.txn,
-                    stage: i,
-                    is_final: next.is_none(),
-                    records_at_ack: world.wal.stats().records,
-                    aborted: false,
-                });
-                handle = next;
-            }
-            Err(_) => {
-                // The protocol rolled everything back; the client sees an
-                // abort. No retry: keeps the schedule space finite.
-                world.acks.lock().push(Ack {
-                    txn: script.txn,
-                    stage: i,
-                    is_final: false,
-                    records_at_ack: world.wal.stats().records,
-                    aborted: true,
-                });
-                return;
-            }
-        }
+            .map(|(_, next)| next);
+        world.acks.lock().push(Ack {
+            txn: script.txn,
+            stage: i,
+            is_final: matches!(next, Ok(None)),
+            records_at_ack: world.wal.stats().records,
+            aborted: next.is_err(),
+        });
+        // An abort rolled everything back and the client sees it. No
+        // retry: keeps the schedule space finite.
+        let Ok(next) = next else { return };
+        handle = next;
     }
 }
 
@@ -241,8 +264,6 @@ impl Scenario for ProtocolScenario {
         let policy = self
             .policy
             .unwrap_or_else(|| self.kind.default_lock_policy());
-        let store = Arc::new(KvStore::new());
-        let locks = Arc::new(LockManager::new(policy));
         let history = HistoryRecorder::new();
         let (wal, probe) = Wal::in_memory(WalConfig::strict());
         let obs = if self.trace {
@@ -252,21 +273,20 @@ impl Scenario for ProtocolScenario {
         };
         wal.set_obs(obs.clone());
         let wal = Arc::new(wal);
-        let core = ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks))
+        let core = ExecutorCore::new(Arc::new(KvStore::new()), Arc::new(LockManager::new(policy)))
             .with_history(history.clone())
             .with_obs(obs.clone())
             .with_wal(Arc::clone(&wal));
-        let protocol = AnyProtocol::build(self.kind, core);
-        if self.mutate_ms_sr {
-            match &protocol {
-                AnyProtocol::MsSr(p) => p.enable_log_final_after_release_mutation(),
-                _ => panic!("the mutation self-test targets MS-SR"),
-            }
-        }
+        let protocol: Box<dyn MultiStageProtocol> = if self.mutate_ms_sr {
+            assert_eq!(self.kind, ProtocolKind::MsSr, "the mutation targets MS-SR");
+            let p = TsplExecutor::from_core(core);
+            p.enable_log_final_after_release_mutation();
+            Box::new(p)
+        } else {
+            self.kind.build(core)
+        };
         Arc::new(ProtoWorld {
             protocol,
-            store,
-            locks,
             wal,
             probe,
             history,
@@ -288,14 +308,9 @@ impl Scenario for ProtocolScenario {
 
     fn fingerprint(&self, world: &ProtoWorld) -> u64 {
         let mut h = DefaultHasher::new();
-        let mut snapshot = world.store.snapshot();
-        snapshot.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        for (k, v) in snapshot {
-            k.as_str().hash(&mut h);
-            format!("{:?}", v.value).hash(&mut h);
-        }
+        hash_store(world.protocol.store(), &mut h);
         world.wal.epoch_bytes(&world.probe).hash(&mut h);
-        world.locks.locked_keys().hash(&mut h);
+        world.protocol.core().locks().locked_keys().hash(&mut h);
         format!("{:?}", world.history.events()).hash(&mut h);
         for a in world.acks.lock().iter() {
             (a.txn.0, a.stage, a.is_final, a.records_at_ack, a.aborted).hash(&mut h);
@@ -304,32 +319,22 @@ impl Scenario for ProtocolScenario {
     }
 
     fn check(&self, world: &ProtoWorld, end: &RunEnd) -> Result<(), String> {
-        match end {
-            RunEnd::Panic { message } => return Err(format!("task panic: {message}")),
-            RunEnd::Deadlock { blocked } => {
-                return if self.deadlock_expected {
-                    Ok(())
-                } else {
-                    Err(format!("unexpected deadlock: {blocked:?}"))
-                };
-            }
-            RunEnd::Complete => {}
+        if self.policy == Some(LockPolicy::Block) && matches!(end, RunEnd::Deadlock { .. }) {
+            // The crossed-lock deadlock the Block-policy demo must find.
+            return Ok(());
         }
+        completed(end, "unexpected deadlock")?;
 
         // Every transaction finished (committed or aborted): no lock may
         // survive the schedule.
-        let leaked = world.locks.locked_keys();
+        let leaked = world.protocol.core().locks().locked_keys();
         if leaked != 0 {
             return Err(format!("{leaked} locks leaked after all txns finished"));
         }
 
         // The ordering contract holds on every explored interleaving, not
-        // just the fault-free fleet runs: replay this schedule's event
-        // stream through the executable checker.
-        if world.obs.is_enabled() {
-            croesus_obs::check_stream(&world.obs.events(), world.obs.dropped() > 0)
-                .map_err(|v| format!("event-ordering contract: {v}"))?;
-        }
+        // just the fault-free fleet runs.
+        check_trace(&world.obs)?;
 
         let checker = world.history.checker();
         match self.kind {
@@ -341,18 +346,12 @@ impl Scenario for ProtocolScenario {
                 .map_err(|e| format!("stage order: {e}"))?,
         }
 
-        world
-            .wal
-            .flush()
-            .map_err(|e| format!("final flush failed: {e}"))?;
-        let log = world.wal.epoch_bytes(&world.probe);
         let acks = world.acks.lock().clone();
-        let kind = self.kind;
-        let extra = self.extra_crash_check.clone();
-        sweep(&log, |cut| {
+        let ms_sr = self.kind == ProtocolKind::MsSr;
+        flush_and_sweep(&world.wal, &world.probe, |cut| {
             // MS-SR un-happens atomically: its only durable commit point is
             // the final one, so a replayed commit point implies FINAL.
-            if kind == ProtocolKind::MsSr {
+            if ms_sr {
                 for t in &cut.oracle.initial {
                     if !cut.oracle.finalized.contains(t) {
                         return Err(format!(
@@ -368,37 +367,35 @@ impl Scenario for ProtocolScenario {
                 if (a.records_at_ack as usize) > cut.frames {
                     continue;
                 }
-                match kind {
-                    ProtocolKind::MsSr => {
-                        if a.is_final && !cut.oracle.finalized.contains(&a.txn.0) {
-                            return Err(format!(
-                                "acked final commit of {} lost at this cut",
-                                a.txn
-                            ));
-                        }
-                    }
-                    ProtocolKind::MsIa | ProtocolKind::Staged => {
-                        // Every stage is a client-visible durable commit.
-                        if !cut.oracle.initial.contains(&a.txn.0) {
-                            return Err(format!(
-                                "acked stage {} of {} lost at this cut",
-                                a.stage, a.txn
-                            ));
-                        }
-                        if a.is_final && !cut.oracle.finalized.contains(&a.txn.0) {
-                            return Err(format!(
-                                "acked final commit of {} lost at this cut",
-                                a.txn
-                            ));
-                        }
-                    }
+                // Under MS-IA and staged every stage is a client-visible
+                // durable commit; under MS-SR only the final one is.
+                if !ms_sr && !cut.oracle.initial.contains(&a.txn.0) {
+                    return Err(format!(
+                        "acked stage {} of {} lost at this cut",
+                        a.stage, a.txn
+                    ));
+                }
+                if a.is_final && !cut.oracle.finalized.contains(&a.txn.0) {
+                    return Err(format!("acked final commit of {} lost at this cut", a.txn));
                 }
             }
-            if let Some(f) = &extra {
+            if let Some(f) = &self.extra_crash_check {
                 f(cut)?;
             }
             Ok(())
-        })
+        })?;
+        Ok(())
+    }
+}
+
+/// A two-stage script: each stage's declared footprint and body.
+fn script(txn: u64, stages: [(RwSet, Vec<StageOp>); 2]) -> TxnScript {
+    TxnScript {
+        txn: TxnId(txn),
+        stages: stages
+            .into_iter()
+            .map(|(rw, ops)| StageScript { rw, ops })
+            .collect(),
     }
 }
 
@@ -407,43 +404,29 @@ impl Scenario for ProtocolScenario {
 /// protocols.
 #[must_use]
 pub fn two_txn_two_stage(kind: ProtocolKind) -> ProtocolScenario {
-    ProtocolScenario {
+    ProtocolScenario::new(
         kind,
-        label: "2txn-2stage".into(),
-        policy: None,
-        scripts: vec![
-            TxnScript {
-                txn: TxnId(1),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("a"),
-                        ops: vec![StageOp::Write("a", 1)],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("a"),
-                        ops: vec![StageOp::Write("a", 10)],
-                    },
+        "2txn-2stage",
+        vec![
+            script(
+                1,
+                [
+                    (RwSet::new().write("a"), vec![StageOp::Write("a", 1)]),
+                    (RwSet::new().write("a"), vec![StageOp::Write("a", 10)]),
                 ],
-            },
-            TxnScript {
-                txn: TxnId(2),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().read("a").write("b"),
-                        ops: vec![StageOp::CopyFrom("a", "b")],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("b"),
-                        ops: vec![StageOp::Add("b", 100)],
-                    },
+            ),
+            script(
+                2,
+                [
+                    (
+                        RwSet::new().read("a").write("b"),
+                        vec![StageOp::CopyFrom("a", "b")],
+                    ),
+                    (RwSet::new().write("b"), vec![StageOp::Add("b", 100)]),
                 ],
-            },
+            ),
         ],
-        deadlock_expected: false,
-        mutate_ms_sr: false,
-        extra_crash_check: None,
-        trace: false,
-    }
+    )
 }
 
 /// MS-IA's apology path: t1 retracts itself in its final section while t2
@@ -451,46 +434,32 @@ pub fn two_txn_two_stage(kind: ProtocolKind) -> ProtocolScenario {
 /// apology coverage at every cut.
 #[must_use]
 pub fn retract_self(kind: ProtocolKind) -> ProtocolScenario {
-    ProtocolScenario {
+    ProtocolScenario::new(
         kind,
-        label: "retract-self".into(),
-        policy: None,
-        scripts: vec![
-            TxnScript {
-                txn: TxnId(1),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("a"),
-                        ops: vec![StageOp::Write("a", 1)],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("a"),
-                        ops: vec![
+        "retract-self",
+        vec![
+            script(
+                1,
+                [
+                    (RwSet::new().write("a"), vec![StageOp::Write("a", 1)]),
+                    (
+                        RwSet::new().write("a"),
+                        vec![
                             StageOp::RetractSelf("cloud disagreed"),
                             StageOp::Write("a", 2),
                         ],
-                    },
+                    ),
                 ],
-            },
-            TxnScript {
-                txn: TxnId(2),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("b"),
-                        ops: vec![StageOp::Write("b", 5)],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("b"),
-                        ops: vec![StageOp::Add("b", 1)],
-                    },
+            ),
+            script(
+                2,
+                [
+                    (RwSet::new().write("b"), vec![StageOp::Write("b", 5)]),
+                    (RwSet::new().write("b"), vec![StageOp::Add("b", 1)]),
                 ],
-            },
+            ),
         ],
-        deadlock_expected: false,
-        mutate_ms_sr: false,
-        extra_crash_check: None,
-        trace: false,
-    }
+    )
 }
 
 /// The MS-SR Block-policy hazard: crossing initial/later lock sets
@@ -498,42 +467,22 @@ pub fn retract_self(kind: ProtocolKind) -> ProtocolScenario {
 /// defaults to WaitDie. The checker must *find* the deadlocking schedule.
 #[must_use]
 pub fn ms_sr_block_deadlock() -> ProtocolScenario {
+    let crossed = |txn, first, then, v| {
+        script(
+            txn,
+            [
+                (RwSet::new().write(first), vec![StageOp::Write(first, v)]),
+                (RwSet::new().write(then), vec![StageOp::Write(then, v)]),
+            ],
+        )
+    };
     ProtocolScenario {
-        kind: ProtocolKind::MsSr,
-        label: "block-deadlock".into(),
         policy: Some(LockPolicy::Block),
-        scripts: vec![
-            TxnScript {
-                txn: TxnId(1),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("x"),
-                        ops: vec![StageOp::Write("x", 1)],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("y"),
-                        ops: vec![StageOp::Write("y", 1)],
-                    },
-                ],
-            },
-            TxnScript {
-                txn: TxnId(2),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("y"),
-                        ops: vec![StageOp::Write("y", 2)],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("x"),
-                        ops: vec![StageOp::Write("x", 2)],
-                    },
-                ],
-            },
-        ],
-        deadlock_expected: true,
-        mutate_ms_sr: false,
-        extra_crash_check: None,
-        trace: false,
+        ..ProtocolScenario::new(
+            ProtocolKind::MsSr,
+            "block-deadlock",
+            vec![crossed(1, "x", "y", 1), crossed(2, "y", "x", 2)],
+        )
     }
 }
 
@@ -544,43 +493,31 @@ pub fn ms_sr_block_deadlock() -> ProtocolScenario {
 /// predicate below catches exactly that.
 #[must_use]
 pub fn ms_sr_commit_point(mutate: bool) -> ProtocolScenario {
+    let scripts = vec![
+        script(
+            1,
+            [
+                (RwSet::new().write("x"), vec![]),
+                (RwSet::new().write("x"), vec![StageOp::Write("x", 1)]),
+            ],
+        ),
+        script(
+            2,
+            [
+                (
+                    RwSet::new().read("x").write("y"),
+                    vec![StageOp::CopyFrom("x", "y")],
+                ),
+                (RwSet::new(), vec![]),
+            ],
+        ),
+    ];
+    let label = if mutate {
+        "commit-point-mutated"
+    } else {
+        "commit-point"
+    };
     ProtocolScenario {
-        kind: ProtocolKind::MsSr,
-        label: if mutate {
-            "commit-point-mutated".into()
-        } else {
-            "commit-point".into()
-        },
-        policy: None,
-        scripts: vec![
-            TxnScript {
-                txn: TxnId(1),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().write("x"),
-                        ops: vec![],
-                    },
-                    StageScript {
-                        rw: RwSet::new().write("x"),
-                        ops: vec![StageOp::Write("x", 1)],
-                    },
-                ],
-            },
-            TxnScript {
-                txn: TxnId(2),
-                stages: vec![
-                    StageScript {
-                        rw: RwSet::new().read("x").write("y"),
-                        ops: vec![StageOp::CopyFrom("x", "y")],
-                    },
-                    StageScript {
-                        rw: RwSet::new(),
-                        ops: vec![],
-                    },
-                ],
-            },
-        ],
-        deadlock_expected: false,
         mutate_ms_sr: mutate,
         extra_crash_check: Some(Arc::new(|cut: &CrashCut<'_>| {
             // If t2's committed `y` carries t1's final value, t1's final
@@ -596,7 +533,7 @@ pub fn ms_sr_commit_point(mutate: bool) -> ProtocolScenario {
                 Ok(())
             }
         })),
-        trace: false,
+        ..ProtocolScenario::new(ProtocolKind::MsSr, label, scripts)
     }
 }
 
@@ -604,29 +541,22 @@ pub fn ms_sr_commit_point(mutate: bool) -> ProtocolScenario {
 /// a small DFS budget, exercising the seeded-sampling fallback.
 #[must_use]
 pub fn three_txn_hot_key(kind: ProtocolKind) -> ProtocolScenario {
-    let script = |id: u64| TxnScript {
-        txn: TxnId(id),
-        stages: vec![
-            StageScript {
-                rw: RwSet::new().read("hot").write("hot"),
-                ops: vec![StageOp::Add("hot", 1)],
-            },
-            StageScript {
-                rw: RwSet::new().write("hot").write("out"),
-                ops: vec![StageOp::Add("hot", 1), StageOp::CopyFrom("hot", "out")],
-            },
-        ],
+    let hot = |txn| {
+        script(
+            txn,
+            [
+                (
+                    RwSet::new().read("hot").write("hot"),
+                    vec![StageOp::Add("hot", 1)],
+                ),
+                (
+                    RwSet::new().write("hot").write("out"),
+                    vec![StageOp::Add("hot", 1), StageOp::CopyFrom("hot", "out")],
+                ),
+            ],
+        )
     };
-    ProtocolScenario {
-        kind,
-        label: "3txn-hot-key".into(),
-        policy: None,
-        scripts: vec![script(1), script(2), script(3)],
-        deadlock_expected: false,
-        mutate_ms_sr: false,
-        extra_crash_check: None,
-        trace: false,
-    }
+    ProtocolScenario::new(kind, "3txn-hot-key", vec![hot(1), hot(2), hot(3)])
 }
 
 // ---------------------------------------------------------------------------
@@ -654,28 +584,24 @@ pub struct WaveQueueWorld {
 /// handshake. Invariants: no schedule deadlocks (the close must wake every
 /// blocked waiter), every job executes exactly once, and the queue is
 /// drained when all tasks finish.
-pub struct WaveQueueScenario {
-    /// Producer tasks.
-    pub producers: usize,
-    /// Jobs each producer pushes.
-    pub jobs_per_producer: usize,
-    /// Consumer tasks.
-    pub consumers: usize,
-    /// Queue capacity (the admission-control bound).
-    pub capacity: usize,
+///
+/// 2 producers × 2 jobs through a capacity-2 queue into 2 consumers —
+/// small enough to enumerate exhaustively, large enough that pushes block
+/// on capacity and pops block on emptiness.
+pub struct WaveQueueScenario;
+
+impl WaveQueueScenario {
+    const PRODUCERS: usize = 2;
+    const JOBS_PER_PRODUCER: usize = 2;
+    const CONSUMERS: usize = 2;
+    /// The admission-control bound, below the total job count.
+    const CAPACITY: usize = 2;
 }
 
-/// The canonical instance: 2 producers × 2 jobs through a capacity-2
-/// queue into 2 consumers — small enough to enumerate exhaustively, large
-/// enough that pushes block on capacity and pops block on emptiness.
+/// The wave-queue scenario.
 #[must_use]
 pub fn wave_queue() -> WaveQueueScenario {
-    WaveQueueScenario {
-        producers: 2,
-        jobs_per_producer: 2,
-        consumers: 2,
-        capacity: 2,
-    }
+    WaveQueueScenario
 }
 
 impl Scenario for WaveQueueScenario {
@@ -684,15 +610,17 @@ impl Scenario for WaveQueueScenario {
     fn name(&self) -> String {
         format!(
             "runtime/wave-queue-{}x{}-cap{}",
-            self.producers, self.jobs_per_producer, self.capacity
+            Self::PRODUCERS,
+            Self::JOBS_PER_PRODUCER,
+            Self::CAPACITY
         )
     }
 
     fn build(&self) -> Arc<WaveQueueWorld> {
         Arc::new(WaveQueueWorld {
-            queue: JobQueue::new(self.capacity),
-            producers_left: AtomicUsize::new(self.producers),
-            ran: (0..self.producers * self.jobs_per_producer)
+            queue: JobQueue::new(Self::CAPACITY),
+            producers_left: AtomicUsize::new(Self::PRODUCERS),
+            ran: (0..Self::PRODUCERS * Self::JOBS_PER_PRODUCER)
                 .map(|_| AtomicUsize::new(0))
                 .collect(),
         })
@@ -700,12 +628,11 @@ impl Scenario for WaveQueueScenario {
 
     fn tasks(&self, world: &Arc<WaveQueueWorld>) -> Vec<TaskFn> {
         let mut tasks: Vec<TaskFn> = Vec::new();
-        for p in 0..self.producers {
+        for p in 0..Self::PRODUCERS {
             let world = Arc::clone(world);
-            let jobs = self.jobs_per_producer;
             tasks.push(Box::new(move || {
-                for j in 0..jobs {
-                    let idx = p * jobs + j;
+                for j in 0..Self::JOBS_PER_PRODUCER {
+                    let idx = p * Self::JOBS_PER_PRODUCER + j;
                     let w = Arc::clone(&world);
                     world.queue.push(Box::new(move || {
                         w.ran[idx].fetch_add(1, Ordering::SeqCst);
@@ -716,7 +643,7 @@ impl Scenario for WaveQueueScenario {
                 }
             }));
         }
-        for _ in 0..self.consumers {
+        for _ in 0..Self::CONSUMERS {
             let world = Arc::clone(world);
             tasks.push(Box::new(move || {
                 while let Some(job) = world.queue.pop() {
@@ -738,16 +665,10 @@ impl Scenario for WaveQueueScenario {
     }
 
     fn check(&self, world: &WaveQueueWorld, end: &RunEnd) -> Result<(), String> {
-        match end {
-            RunEnd::Panic { message } => return Err(format!("task panic: {message}")),
-            RunEnd::Deadlock { blocked } => {
-                return Err(format!(
-                    "the queue must never deadlock — close wakes every \
-                     blocked waiter: {blocked:?}"
-                ));
-            }
-            RunEnd::Complete => {}
-        }
+        completed(
+            end,
+            "the queue must never deadlock — close wakes every blocked waiter",
+        )?;
         for (i, r) in world.ran.iter().enumerate() {
             let n = r.load(Ordering::SeqCst);
             if n != 1 {
@@ -886,32 +807,16 @@ impl Scenario for TpcCoordinatorCrash {
         world.wal.epoch_bytes(&world.probe).hash(&mut h);
         for p in world.pm.partitions() {
             p.locks.locked_keys().hash(&mut h);
-            let mut snapshot = p.store.snapshot();
-            snapshot.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-            for (k, v) in snapshot {
-                k.as_str().hash(&mut h);
-                format!("{:?}", v.value).hash(&mut h);
-            }
+            hash_store(&p.store, &mut h);
         }
         format!("{:?} {:?}", *world.phase1.lock(), *world.raced.lock()).hash(&mut h);
         h.finish()
     }
 
     fn check(&self, world: &TpcWorld, end: &RunEnd) -> Result<(), String> {
-        match end {
-            RunEnd::Panic { message } => return Err(format!("task panic: {message}")),
-            RunEnd::Deadlock { blocked } => {
-                return Err(format!("2PC under NoWait must not deadlock: {blocked:?}"))
-            }
-            RunEnd::Complete => {}
-        }
-        world
-            .wal
-            .flush()
-            .map_err(|e| format!("final flush failed: {e}"))?;
-        let log = world.wal.epoch_bytes(&world.probe);
+        completed(end, "2PC under NoWait must not deadlock")?;
         let raced = world.raced.lock().expect("racing task finished");
-        sweep(&log, |cut| {
+        let log = flush_and_sweep(&world.wal, &world.probe, |cut| {
             // The racing txn's acked commit implies its durable decision:
             // any cut containing the records present at its return must
             // contain the commit decision (possibly already expired by the
@@ -1198,16 +1103,11 @@ impl Scenario for WalPipelineScenario {
     }
 
     fn check(&self, world: &WalPipelineWorld, end: &RunEnd) -> Result<(), String> {
-        match end {
-            RunEnd::Panic { message } => return Err(format!("task panic: {message}")),
-            RunEnd::Deadlock { blocked } => {
-                return Err(format!(
-                    "the pipeline must never deadlock — every landed buffer and \
-                     the shutdown wake every waiter: {blocked:?}"
-                ));
-            }
-            RunEnd::Complete => {}
-        }
+        completed(
+            end,
+            "the pipeline must never deadlock — every landed buffer and \
+             the shutdown wake every waiter",
+        )?;
         if let Some(breach) = world.ship_breach.lock().as_ref() {
             return Err(breach.clone());
         }
@@ -1244,10 +1144,9 @@ impl Scenario for WalPipelineScenario {
         // in *every* schedule's trace; the self-test is about the monitor
         // catching it through an interleaving, so only clean runs are
         // held to the trace.
-        if !self.mutate {
-            croesus_obs::check_stream(&world.obs.events(), world.obs.dropped() > 0)
-                .map_err(|v| format!("event-ordering contract: {v}"))?;
+        if self.mutate {
+            return Ok(());
         }
-        Ok(())
+        check_trace(&world.obs)
     }
 }

@@ -1,7 +1,5 @@
-//! Chaos tests: seeded fault schedules against the full fleet driver, plus
-//! a direct crash/failover oracle for the guarantee the fleet relies on —
-//! **no committed-and-acked write is ever lost**, and every retraction
-//! produces an apology.
+//! Chaos tests: seeded fault schedules against the full fleet driver, and
+//! the replication paths a failover stands on.
 //!
 //! Three layers:
 //!
@@ -11,28 +9,29 @@
 //!    takeover is explained by a kill or over-long stall and detected
 //!    within the heartbeat timeout, and recovery apologies are owed for
 //!    every takeover retraction.
-//! 2. **The crash oracle** — a concurrent two-account transfer workload
-//!    (the `concurrent_conformance` spec) over a protocol with a strict
-//!    WAL shipping to a cloud replica. Crash, recover *from the replica*,
-//!    and check: survivors linearize, money is conserved, acked-final
-//!    effects all survive, and the acked-but-unfinalized guess is
-//!    retracted with an apology.
+//! 2. **Replica equivalence** — recovering the cloud replica is
+//!    byte-for-byte and state-for-state the same as recovering the edge's
+//!    own log file.
 //! 3. **Cross-edge commits** — the 2PC coordinator path: in-doubt
 //!    resolution against the *shipped* decision log, and the regression
 //!    that the decision map stays bounded across 10k cross-edge
 //!    transactions.
+//!
+//! The crash/failover oracle — a concurrent transfer workload crashed and
+//! recovered from its replica, checked against the linearizability spec
+//! (`*_acked_writes_survive_crash_failover`) — lives in
+//! `tests/concurrent_conformance.rs`, beside that spec.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
-use std::thread;
 
 use croesus::core::{Croesus, DurabilityMode, FaultKind, FaultPlan, ReplicaTailer};
 use croesus::obs::{check_stream, EventKind, Obs};
 use croesus::store::{Key, KvStore, LockManager, LockPolicy, PartitionMap, TxnId, Value};
 use croesus::txn::{
-    recover_edge_file, Coordinator, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt,
-    Participant, PartitionParticipant, ProtocolKind, RecoveredEdge, RwSet, StageCtx, TxnError,
+    recover_edge_file, Coordinator, ExecutorCore, MultiStageProtocolExt, Participant,
+    PartitionParticipant, ProtocolKind, RecoveredEdge, RwSet, StageCtx,
 };
 use croesus::wal::{recover, scratch_dir, LogShipper, Wal, WalConfig};
 
@@ -160,247 +159,8 @@ fn seeded_chaos_preserves_fleet_invariants_across_protocols() {
 }
 
 // ------------------------------------------------------------------
-// Layer 2: the crash/failover oracle
+// Layer 2: replica-vs-in-place recovery equivalence
 // ------------------------------------------------------------------
-// Sequential spec + lincheck-style search, as in concurrent_conformance:
-// every stage atomically observes both balances and moves units a → b.
-
-const ACCT_A: &str = "acct/a";
-const ACCT_B: &str = "acct/b";
-const INIT_A: i64 = 100;
-const INIT_B: i64 = 0;
-
-#[derive(Clone, Copy, Debug)]
-struct AtomicOp {
-    observed: (i64, i64),
-    moved: i64,
-}
-
-/// Ops that must execute back-to-back (len 1 = one stage; len 2 = a whole
-/// MS-SR transaction).
-type Composite = Vec<AtomicOp>;
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct Accounts {
-    a: i64,
-    b: i64,
-}
-
-impl Accounts {
-    fn exec(mut self, comp: &Composite) -> Option<Accounts> {
-        for op in comp {
-            if (self.a, self.b) != op.observed {
-                return None;
-            }
-            self.a -= op.moved;
-            self.b += op.moved;
-        }
-        Some(self)
-    }
-}
-
-/// Memoized DFS over interleavings (program order preserved per thread).
-fn linearizable(threads: &[Vec<Composite>], init: Accounts) -> bool {
-    fn dfs(
-        threads: &[Vec<Composite>],
-        pos: &mut Vec<usize>,
-        state: Accounts,
-        dead: &mut HashSet<Vec<usize>>,
-    ) -> bool {
-        if pos.iter().zip(threads).all(|(&p, ops)| p == ops.len()) {
-            return true;
-        }
-        if dead.contains(pos) {
-            return false;
-        }
-        for t in 0..threads.len() {
-            if pos[t] < threads[t].len() {
-                if let Some(next) = state.exec(&threads[t][pos[t]]) {
-                    pos[t] += 1;
-                    if dfs(threads, pos, next, dead) {
-                        return true;
-                    }
-                    pos[t] -= 1;
-                }
-            }
-        }
-        dead.insert(pos.clone());
-        false
-    }
-    let mut pos = vec![0; threads.len()];
-    dfs(threads, &mut pos, init, &mut HashSet::new())
-}
-
-fn transfer_rw() -> RwSet {
-    RwSet::new().write(ACCT_A).write(ACCT_B)
-}
-
-fn transfer_stage(ctx: &mut StageCtx<'_>, moved: i64) -> Result<AtomicOp, TxnError> {
-    let a = ctx.read(ACCT_A)?.and_then(|v| v.as_int()).unwrap_or(0);
-    let b = ctx.read(ACCT_B)?.and_then(|v| v.as_int()).unwrap_or(0);
-    ctx.write(ACCT_A, a - moved)?;
-    ctx.write(ACCT_B, b + moved)?;
-    Ok(AtomicOp {
-        observed: (a, b),
-        moved,
-    })
-}
-
-/// A protocol over a strict in-memory WAL shipping to a cloud replica.
-fn shipped_protocol(kind: ProtocolKind) -> (Arc<Box<dyn MultiStageProtocol>>, Arc<LogShipper>) {
-    let store = Arc::new(KvStore::new());
-    store.put(ACCT_A.into(), Value::Int(INIT_A));
-    store.put(ACCT_B.into(), Value::Int(INIT_B));
-    let (wal, _) = Wal::in_memory(WalConfig::strict());
-    let shipper = Arc::new(LogShipper::new());
-    wal.attach_shipper(Arc::clone(&shipper));
-    let core = ExecutorCore::new(
-        store,
-        Arc::new(LockManager::new(kind.default_lock_policy())),
-    )
-    .with_wal(Arc::new(wal));
-    (Arc::new(kind.build(core)), shipper)
-}
-
-const THREADS: usize = 3;
-const TXNS_PER_THREAD: u64 = 3;
-// Each full transaction moves 1 + 2 units a → b.
-const MOVED_PER_TXN: i64 = 3;
-
-/// The oracle: run the concurrent transfer workload to completion (those
-/// transactions are acked-final), then one more transaction through its
-/// *initial* stage only (acked-initial, retractable) — and crash. Recover
-/// from the cloud replica and check every guarantee the chaos harness
-/// depends on.
-fn crash_and_check(kind: ProtocolKind, txn_granularity: bool) {
-    let (protocol, shipper) = shipped_protocol(kind);
-    let handles: Vec<_> = (0..THREADS as u64)
-        .map(|tid| {
-            let p = Arc::clone(&protocol);
-            thread::spawn(move || {
-                let mut history: Vec<Composite> = Vec::new();
-                for i in 0..TXNS_PER_THREAD {
-                    let txn = TxnId(tid * 100 + i);
-                    let rw = transfer_rw();
-                    let stages = [rw.clone(), rw.clone()];
-                    // Wait-die (MS-SR) can kill stage 0; retry the whole
-                    // transaction like the pipeline does.
-                    let (op0, pending) = loop {
-                        let h = p.begin(txn, &stages);
-                        match p.stage(h, &rw, |ctx| transfer_stage(ctx, 1)) {
-                            Ok((op, next)) => break (op, next.expect("two stages")),
-                            Err(_) => thread::yield_now(),
-                        }
-                    };
-                    let (op1, done) = p
-                        .stage(pending, &rw, |ctx| transfer_stage(ctx, 2))
-                        .expect("later stages cannot abort");
-                    assert!(done.is_none());
-                    if txn_granularity {
-                        history.push(vec![op0, op1]);
-                    } else {
-                        history.push(vec![op0]);
-                        history.push(vec![op1]);
-                    }
-                }
-                history
-            })
-        })
-        .collect();
-    let histories: Vec<Vec<Composite>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-    // One guess acked at its initial commit, never validated: the crash
-    // window the apology machinery exists for.
-    let guess = TxnId(900);
-    let rw = transfer_rw();
-    let h = protocol.begin(guess, &[rw.clone(), rw.clone()]);
-    let _pending = protocol
-        .stage(h, &rw, |ctx| transfer_stage(ctx, 1))
-        .expect("no contention after the threads joined");
-
-    // CRASH. The edge is gone; the cloud replica is all that's left.
-    drop(protocol);
-    let mut tailer = ReplicaTailer::new(shipper);
-    tailer.catch_up();
-    let rec: RecoveredEdge = tailer.recover();
-
-    // No acked-final write is lost, and the retracted guess un-happened:
-    // the balances are exactly the finalized transfers' net effect.
-    let moved: i64 = (THREADS as i64) * (TXNS_PER_THREAD as i64) * MOVED_PER_TXN;
-    let a = rec.store.get(&ACCT_A.into()).unwrap().as_int().unwrap();
-    let b = rec.store.get(&ACCT_B.into()).unwrap().as_int().unwrap();
-    assert_eq!(a + b, INIT_A + INIT_B, "{kind}: recovery conserves money");
-    assert_eq!(
-        b,
-        INIT_B + moved,
-        "{kind}: every acked-final transfer survived"
-    );
-
-    if kind == ProtocolKind::MsSr {
-        // MS-SR acks nothing before final commit — the guess simply never
-        // happened, so there is nothing to retract or apologize for.
-        assert!(rec.unfinalized.is_empty(), "MS-SR buffers until final");
-        assert!(rec.retractions.is_empty());
-    } else {
-        // The guess was acked (initial commit) and is now gone — the
-        // client MUST hold an apology for it.
-        assert_eq!(rec.unfinalized, vec![guess], "{kind}");
-        let retracted: BTreeSet<u64> = rec
-            .retractions
-            .iter()
-            .flat_map(|r| r.retracted.iter().map(|t| t.0))
-            .collect();
-        assert!(
-            retracted.contains(&guess.0),
-            "{kind}: the guess is retracted"
-        );
-        let apologized: BTreeSet<u64> = rec.apologies_owed().iter().map(|a| a.txn.0).collect();
-        assert_eq!(
-            retracted, apologized,
-            "{kind}: an apology for every retraction, and nothing else"
-        );
-    }
-
-    // The surviving (acked-final) history must linearize against the
-    // sequential spec — recovery may lose nothing *and* invent nothing.
-    assert!(
-        linearizable(
-            &histories,
-            Accounts {
-                a: INIT_A,
-                b: INIT_B
-            }
-        ),
-        "{kind}: surviving history does not linearize: {histories:?}"
-    );
-}
-
-#[test]
-fn ms_ia_acked_writes_survive_crash_failover() {
-    crash_and_check(ProtocolKind::MsIa, false);
-}
-
-#[test]
-fn staged_acked_writes_survive_crash_failover() {
-    crash_and_check(ProtocolKind::Staged, false);
-}
-
-#[test]
-fn ms_sr_acked_writes_survive_crash_failover() {
-    crash_and_check(ProtocolKind::MsSr, true);
-}
-
-// ------------------------------------------------------------------
-// Replica-vs-in-place recovery equivalence
-// ------------------------------------------------------------------
-
-fn snapshot_of(store: &KvStore) -> BTreeMap<String, Value> {
-    store
-        .snapshot()
-        .into_iter()
-        .map(|(k, v)| (k.as_str().to_string(), (*v.value).clone()))
-        .collect()
-}
 
 /// The failover correctness keystone: recovering the cloud replica must be
 /// indistinguishable from recovering the edge's own log file — starting
@@ -413,8 +173,8 @@ fn replica_recovery_is_byte_identical_to_in_place_recovery() {
     let shipper = Arc::new(LogShipper::new());
     wal.attach_shipper(Arc::clone(&shipper));
     let store = Arc::new(KvStore::new());
-    store.put(ACCT_A.into(), Value::Int(INIT_A));
-    store.put(ACCT_B.into(), Value::Int(INIT_B));
+    store.put("a".into(), Value::Int(100));
+    store.put("b".into(), Value::Int(0));
     let core = ExecutorCore::new(
         store,
         Arc::new(LockManager::new(ProtocolKind::MsIa.default_lock_policy())),
@@ -422,17 +182,22 @@ fn replica_recovery_is_byte_identical_to_in_place_recovery() {
     .with_wal(Arc::new(wal));
     let p = ProtocolKind::MsIa.build(core);
 
-    // Two finalized transfers and one dangling guess.
+    // Two finalized transfers a → b and one dangling guess.
+    let rw = RwSet::new().write("a").write("b");
+    let transfer = |ctx: &mut StageCtx<'_>, moved: i64| {
+        let a = ctx.read("a")?.and_then(|v| v.as_int()).unwrap_or(0);
+        let b = ctx.read("b")?.and_then(|v| v.as_int()).unwrap_or(0);
+        ctx.write("a", a - moved)?;
+        ctx.write("b", b + moved)
+    };
     for i in 0..2u64 {
-        let rw = transfer_rw();
         let h = p.begin(TxnId(i), &[rw.clone(), rw.clone()]);
-        let (_, pending) = p.stage(h, &rw, |ctx| transfer_stage(ctx, 1)).unwrap();
-        p.stage(pending.unwrap(), &rw, |ctx| transfer_stage(ctx, 2))
+        let (_, pending) = p.stage(h, &rw, |ctx| transfer(ctx, 1)).unwrap();
+        p.stage(pending.unwrap(), &rw, |ctx| transfer(ctx, 2))
             .unwrap();
     }
-    let rw = transfer_rw();
     let h = p.begin(TxnId(9), &[rw.clone(), rw.clone()]);
-    p.stage(h, &rw, |ctx| transfer_stage(ctx, 1)).unwrap();
+    p.stage(h, &rw, |ctx| transfer(ctx, 1)).unwrap();
     drop(p); // crash (strict mode: the file already holds every frame)
 
     let mut tailer = ReplicaTailer::new(shipper);
@@ -446,8 +211,8 @@ fn replica_recovery_is_byte_identical_to_in_place_recovery() {
     let from_replica = tailer.recover();
     let in_place = recover_edge_file(&path).unwrap();
     assert_eq!(
-        snapshot_of(&from_replica.store),
-        snapshot_of(&in_place.store),
+        from_replica.store.snapshot(),
+        in_place.store.snapshot(),
         "identical stores"
     );
     assert_eq!(from_replica.unfinalized, in_place.unfinalized);

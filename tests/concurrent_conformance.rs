@@ -20,21 +20,31 @@
 //!   serial order, so both stages form one *composite* operation — if the
 //!   executor wrongly released locks between stages, a foreign stage
 //!   could slip in between and the txn-granularity search would fail.
+//!
+//! The same spec is the crash/failover oracle: the workload runs over a
+//! strict WAL shipping to a cloud replica, the edge crashes with one guess
+//! acked at its initial commit, and recovery *from the replica* must keep
+//! every acked-final transfer, conserve money, linearize, and retract the
+//! guess with an apology.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::thread;
 
+use croesus::core::ReplicaTailer;
 use croesus::store::{KvStore, LockManager, TxnId, Value};
 use croesus::txn::{
-    current_worker, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, RwSet,
-    StageCtx, TxnError, WorkerPool,
+    current_worker, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind,
+    RecoveredEdge, RwSet, StageCtx, TxnError, WorkerPool,
 };
+use croesus::wal::{LogShipper, Wal, WalConfig};
 
 const ACCT_A: &str = "acct/a";
 const ACCT_B: &str = "acct/b";
 const INIT_A: i64 = 100;
 const INIT_B: i64 = 0;
+/// Each full transaction moves 1 + 2 units a → b.
+const MOVED_PER_TXN: i64 = 3;
 
 /// One atomic operation of the sequential spec: what the stage observed
 /// and the transfer it applied.
@@ -55,6 +65,11 @@ struct Accounts {
     a: i64,
     b: i64,
 }
+
+const INIT: Accounts = Accounts {
+    a: INIT_A,
+    b: INIT_B,
+};
 
 impl Accounts {
     /// Execute a composite against the spec: every op's observation must
@@ -123,27 +138,53 @@ fn transfer_stage(ctx: &mut StageCtx<'_>, moved: i64) -> Result<AtomicOp, TxnErr
     })
 }
 
-fn shared_protocol(kind: ProtocolKind) -> Arc<Box<dyn MultiStageProtocol>> {
+/// The two accounts under one protocol; with a `shipper`, over a strict
+/// in-memory WAL that ships to it (the cloud replica).
+fn shared_protocol(
+    kind: ProtocolKind,
+    shipper: Option<&Arc<LogShipper>>,
+) -> Arc<Box<dyn MultiStageProtocol>> {
     let store = Arc::new(KvStore::new());
     store.put(ACCT_A.into(), Value::Int(INIT_A));
     store.put(ACCT_B.into(), Value::Int(INIT_B));
-    let core = ExecutorCore::new(
+    let mut core = ExecutorCore::new(
         store,
         Arc::new(LockManager::new(kind.default_lock_policy())),
     );
+    if let Some(shipper) = shipper {
+        let (wal, _) = Wal::in_memory(WalConfig::strict());
+        wal.attach_shipper(Arc::clone(shipper));
+        core = core.with_wal(Arc::new(wal));
+    }
     Arc::new(kind.build(core))
+}
+
+/// The balances in `store` conserve money and carry exactly `txns` whole
+/// transfers.
+fn assert_balances(store: &KvStore, txns: i64, what: &str) {
+    let a = store.get(&ACCT_A.into()).unwrap().as_int().unwrap();
+    let b = store.get(&ACCT_B.into()).unwrap().as_int().unwrap();
+    assert_eq!(a + b, INIT_A + INIT_B, "{what}: transfers conserve money");
+    assert_eq!(
+        b,
+        INIT_B + txns * MOVED_PER_TXN,
+        "{what}: every transaction landed"
+    );
 }
 
 const THREADS: usize = 3;
 const TXNS_PER_THREAD: u64 = 3;
 
-/// Run the concurrent workload; returns per-thread observed histories at
-/// the granularity the protocol guarantees.
-fn run_history(kind: ProtocolKind, txn_granularity: bool) -> Vec<Vec<Composite>> {
-    let protocol = shared_protocol(kind);
+/// Run the concurrent workload to completion on `protocol`; returns
+/// per-thread observed histories at the granularity the protocol
+/// guarantees.
+fn run_history(
+    protocol: &Arc<Box<dyn MultiStageProtocol>>,
+    txn_granularity: bool,
+) -> Vec<Vec<Composite>> {
     let handles: Vec<_> = (0..THREADS as u64)
         .map(|tid| {
-            let p = Arc::clone(&protocol);
+            let p = Arc::clone(protocol);
             thread::spawn(move || {
                 let mut history: Vec<Composite> = Vec::new();
                 for i in 0..TXNS_PER_THREAD {
@@ -180,15 +221,9 @@ fn run_history(kind: ProtocolKind, txn_granularity: bool) -> Vec<Vec<Composite>>
 #[test]
 fn ms_ia_stages_linearize_against_the_sequential_spec() {
     for round in 0..5 {
-        let history = run_history(ProtocolKind::MsIa, false);
+        let history = run_history(&shared_protocol(ProtocolKind::MsIa, None), false);
         assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
+            linearizable(&history, INIT),
             "round {round}: no interleaving of atomic stages explains the observations: {history:?}"
         );
     }
@@ -197,32 +232,17 @@ fn ms_ia_stages_linearize_against_the_sequential_spec() {
 #[test]
 fn staged_stages_linearize_against_the_sequential_spec() {
     for round in 0..5 {
-        let history = run_history(ProtocolKind::Staged, false);
-        assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
-            "round {round}: {history:?}"
-        );
+        let history = run_history(&shared_protocol(ProtocolKind::Staged, None), false);
+        assert!(linearizable(&history, INIT), "round {round}: {history:?}");
     }
 }
 
 #[test]
 fn ms_sr_whole_transactions_linearize_back_to_back() {
     for round in 0..5 {
-        let history = run_history(ProtocolKind::MsSr, true);
+        let history = run_history(&shared_protocol(ProtocolKind::MsSr, None), true);
         assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
+            linearizable(&history, INIT),
             "round {round}: MS-SR must admit a serial order with both \
              sections adjacent: {history:?}"
         );
@@ -246,7 +266,7 @@ const POOL_WAVE_WIDTH: u64 = 4;
 /// transaction (both stages), retrying on a wait-die kill exactly like
 /// the pipeline does.
 fn run_pooled_history(kind: ProtocolKind, txn_granularity: bool) -> Vec<Vec<Composite>> {
-    let protocol = shared_protocol(kind);
+    let protocol = shared_protocol(kind, None);
     let pool = WorkerPool::new(POOL_WORKERS);
     let mut per_worker: Vec<Vec<Composite>> = vec![Vec::new(); POOL_WORKERS];
     for wave in 0..POOL_WAVES {
@@ -283,12 +303,8 @@ fn run_pooled_history(kind: ProtocolKind, txn_granularity: bool) -> Vec<Vec<Comp
         }
     }
     // The pool must conserve money just like hand-rolled threads.
-    let store = protocol.store();
-    let a = store.get(&ACCT_A.into()).unwrap().as_int().unwrap();
-    let b = store.get(&ACCT_B.into()).unwrap().as_int().unwrap();
-    assert_eq!(a + b, INIT_A + INIT_B, "{kind}: transfers conserve money");
-    let moved = (POOL_WAVES * POOL_WAVE_WIDTH) as i64 * 3;
-    assert_eq!(b, INIT_B + moved, "{kind}: every pooled transaction landed");
+    let pooled = (POOL_WAVES * POOL_WAVE_WIDTH) as i64;
+    assert_balances(protocol.store(), pooled, &format!("{kind} pooled"));
     per_worker
 }
 
@@ -297,13 +313,7 @@ fn pooled_ms_ia_stage_histories_linearize() {
     for round in 0..3 {
         let history = run_pooled_history(ProtocolKind::MsIa, false);
         assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
+            linearizable(&history, INIT),
             "round {round}: no interleaving of atomic stages explains the \
              pool-worker observations: {history:?}"
         );
@@ -314,16 +324,7 @@ fn pooled_ms_ia_stage_histories_linearize() {
 fn pooled_staged_stage_histories_linearize() {
     for round in 0..3 {
         let history = run_pooled_history(ProtocolKind::Staged, false);
-        assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
-            "round {round}: {history:?}"
-        );
+        assert!(linearizable(&history, INIT), "round {round}: {history:?}");
     }
 }
 
@@ -332,13 +333,7 @@ fn pooled_ms_sr_transactions_linearize_back_to_back() {
     for round in 0..3 {
         let history = run_pooled_history(ProtocolKind::MsSr, true);
         assert!(
-            linearizable(
-                &history,
-                Accounts {
-                    a: INIT_A,
-                    b: INIT_B
-                }
-            ),
+            linearizable(&history, INIT),
             "round {round}: MS-SR run on the worker pool must still admit \
              a serial order with both sections adjacent: {history:?}"
         );
@@ -348,37 +343,91 @@ fn pooled_ms_sr_transactions_linearize_back_to_back() {
 #[test]
 fn final_balances_conserve_the_total() {
     for kind in ProtocolKind::ALL {
-        let protocol = shared_protocol(kind);
-        let handles: Vec<_> = (0..THREADS as u64)
-            .map(|tid| {
-                let p = Arc::clone(&protocol);
-                thread::spawn(move || {
-                    for i in 0..TXNS_PER_THREAD {
-                        let txn = TxnId(tid * 100 + i);
-                        let rw = transfer_rw();
-                        let pending = loop {
-                            let h = p.begin(txn, &[rw.clone(), rw.clone()]);
-                            match p.stage(h, &rw, |ctx| transfer_stage(ctx, 1)) {
-                                Ok((_, next)) => break next.expect("two stages"),
-                                Err(_) => thread::yield_now(),
-                            }
-                        };
-                        p.stage(pending, &rw, |ctx| transfer_stage(ctx, 2))
-                            .expect("later stages cannot abort");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let store = protocol.store();
-        let a = store.get(&ACCT_A.into()).unwrap().as_int().unwrap();
-        let b = store.get(&ACCT_B.into()).unwrap().as_int().unwrap();
-        assert_eq!(a + b, INIT_A + INIT_B, "{kind}: transfers conserve money");
-        let moved = (THREADS as i64) * (TXNS_PER_THREAD as i64) * 3;
-        assert_eq!(b, INIT_B + moved, "{kind}: every committed stage moved");
+        let protocol = shared_protocol(kind, None);
+        run_history(&protocol, false);
+        let txns = (THREADS as i64) * (TXNS_PER_THREAD as i64);
+        assert_balances(protocol.store(), txns, &kind.to_string());
     }
+}
+
+// --- the crash/failover oracle: recovery from the cloud replica ---------
+
+/// Run the concurrent transfer workload to completion over a WAL shipping
+/// to a cloud replica (those transactions are acked-final), then one more
+/// transaction through its *initial* stage only (acked-initial,
+/// retractable) — and crash. Recover from the replica and check every
+/// guarantee the chaos harness depends on.
+fn crash_and_check(kind: ProtocolKind, txn_granularity: bool) {
+    let shipper = Arc::new(LogShipper::new());
+    let protocol = shared_protocol(kind, Some(&shipper));
+    let histories = run_history(&protocol, txn_granularity);
+
+    // One guess acked at its initial commit, never validated: the crash
+    // window the apology machinery exists for.
+    let guess = TxnId(900);
+    let rw = transfer_rw();
+    let h = protocol.begin(guess, &[rw.clone(), rw.clone()]);
+    let _pending = protocol
+        .stage(h, &rw, |ctx| transfer_stage(ctx, 1))
+        .expect("no contention after the threads joined");
+
+    // CRASH. The edge is gone; the cloud replica is all that's left.
+    drop(protocol);
+    let mut tailer = ReplicaTailer::new(shipper);
+    tailer.catch_up();
+    let rec: RecoveredEdge = tailer.recover();
+
+    // No acked-final write is lost, and the retracted guess un-happened:
+    // the balances are exactly the finalized transfers' net effect.
+    let txns = (THREADS as i64) * (TXNS_PER_THREAD as i64);
+    assert_balances(&rec.store, txns, &format!("{kind} recovered"));
+
+    if kind == ProtocolKind::MsSr {
+        // MS-SR acks nothing before final commit — the guess simply never
+        // happened, so there is nothing to retract or apologize for.
+        assert!(rec.unfinalized.is_empty(), "MS-SR buffers until final");
+        assert!(rec.retractions.is_empty());
+    } else {
+        // The guess was acked (initial commit) and is now gone — the
+        // client MUST hold an apology for it.
+        assert_eq!(rec.unfinalized, vec![guess], "{kind}");
+        let retracted: BTreeSet<u64> = rec
+            .retractions
+            .iter()
+            .flat_map(|r| r.retracted.iter().map(|t| t.0))
+            .collect();
+        assert!(
+            retracted.contains(&guess.0),
+            "{kind}: the guess is retracted"
+        );
+        let apologized: BTreeSet<u64> = rec.apologies_owed().iter().map(|a| a.txn.0).collect();
+        assert_eq!(
+            retracted, apologized,
+            "{kind}: an apology for every retraction, and nothing else"
+        );
+    }
+
+    // The surviving (acked-final) history must linearize against the
+    // sequential spec — recovery may lose nothing *and* invent nothing.
+    assert!(
+        linearizable(&histories, INIT),
+        "{kind}: surviving history does not linearize: {histories:?}"
+    );
+}
+
+#[test]
+fn ms_ia_acked_writes_survive_crash_failover() {
+    crash_and_check(ProtocolKind::MsIa, false);
+}
+
+#[test]
+fn staged_acked_writes_survive_crash_failover() {
+    crash_and_check(ProtocolKind::Staged, false);
+}
+
+#[test]
+fn ms_sr_acked_writes_survive_crash_failover() {
+    crash_and_check(ProtocolKind::MsSr, true);
 }
 
 // --- checker self-tests: the search must reject impossible histories ----

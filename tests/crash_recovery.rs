@@ -1,26 +1,32 @@
 //! Crash-at-every-record-boundary property tests for the durability
-//! subsystem.
+//! subsystem, on seeded workloads through the real executors.
 //!
-//! Strategy: drive a randomized interleaved multi-stage workload through a
-//! real protocol executor with an in-memory WAL, take the full log byte
-//! stream, then *crash at every frame boundary* — truncate the log there,
-//! recover, and check the rebuilt store against an independent oracle that
-//! interprets the same record prefix naively. Mid-frame cuts (torn writes)
-//! must recover exactly like the last whole-frame boundary before them.
-//!
-//! The oracle is deliberately dumb: a `BTreeMap` fed record-by-record,
-//! sharing no code with `croesus_wal::recover`'s state machine.
+//! One generator drives a randomized interleaved multi-stage workload
+//! through a protocol executor with an in-memory WAL: under the inline
+//! writer, with and without checkpoints, and under the pipelined writer in
+//! manual mode with seeded seals and flusher steps between stages. Each
+//! full log is then crashed at every frame boundary by
+//! `croesus_mcheck::sweep` — the one crash-boundary oracle, which the
+//! model checker also runs on every explored schedule: recover the
+//! prefix raw and apology-aware, compare it with a record-interpreting
+//! oracle that shares no code with `croesus_wal::recover`, and require
+//! every unfinalized transaction to be retracted and apologized for.
+//! Mid-frame cuts (torn writes) must recover exactly like the last
+//! whole-frame boundary before them. Two deterministic tests pin a
+//! cascade through a finalized dependent and global LSNs across
+//! checkpoints.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use croesus::store::{KvStore, LockManager, TxnId, Value};
+use croesus::store::{KvStore, LockManager, TxnId};
 use croesus::txn::{
-    recovery::recover_edge, ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet,
+    recovery::recover_edge, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind,
+    RwSet, TxnHandle,
 };
 use croesus::wal::{recover, FlushDriver, FrameReader, MemStorage, Wal, WalConfig, WalRecord};
+use croesus_mcheck::sweep;
 
 /// SplitMix64 — the test's own deterministic stream.
 struct Rng(u64);
@@ -43,102 +49,26 @@ impl Rng {
     }
 }
 
-/// The prefix-interpreting oracle: applies decoded records to a plain map.
-#[derive(Default, Clone)]
-struct Oracle {
-    store: BTreeMap<String, Value>,
-    pending: BTreeMap<u64, Vec<(String, Option<Value>)>>, // txn → buffered (key, post)
-    initial: BTreeSet<u64>,
-    finalized: BTreeSet<u64>,
-    live_entries: BTreeMap<u64, usize>, // txn → registered, unretracted entries
-}
-
-impl Oracle {
-    fn apply(&mut self, record: &WalRecord) {
-        match record {
-            WalRecord::Stage(s) => {
-                let pending = self.pending.entry(s.txn.0).or_default();
-                for w in &s.images {
-                    pending.push((w.key.as_str().to_string(), w.post.as_deref().cloned()));
-                }
-                if s.flags.commit_point() {
-                    for (key, post) in std::mem::take(pending) {
-                        match post {
-                            Some(v) => {
-                                self.store.insert(key, v);
-                            }
-                            None => {
-                                self.store.remove(&key);
-                            }
-                        }
-                    }
-                    self.initial.insert(s.txn.0);
-                    if s.flags.register() {
-                        *self.live_entries.entry(s.txn.0).or_default() += 1;
-                    }
-                    if s.flags.is_final() {
-                        self.finalized.insert(s.txn.0);
-                    }
-                }
-            }
-            WalRecord::Retract(r) => {
-                for (key, value) in &r.restores {
-                    match value {
-                        Some(v) => {
-                            self.store.insert(key.as_str().to_string(), (**v).clone());
-                        }
-                        None => {
-                            self.store.remove(key.as_str());
-                        }
-                    }
-                }
-                self.live_entries.remove(&r.txn.0);
-            }
-            WalRecord::TpcDecision { .. }
-            | WalRecord::TpcEnd { .. }
-            | WalRecord::Checkpoint(_)
-            | WalRecord::Settle => {
-                unreachable!("this workload emits none of these")
-            }
-        }
-    }
-
-    fn expected_unfinalized(&self) -> BTreeSet<u64> {
-        self.initial
-            .iter()
-            .filter(|t| {
-                !self.finalized.contains(t) && self.live_entries.get(t).copied().unwrap_or(0) > 0
-            })
-            .copied()
-            .collect()
-    }
-}
-
-fn snapshot_of(store: &KvStore) -> BTreeMap<String, Value> {
-    store
-        .snapshot()
-        .into_iter()
-        .map(|(k, v)| (k.as_str().to_string(), (*v.value).clone()))
-        .collect()
-}
-
-/// Drive a seeded interleaved workload; return the full log bytes.
-fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
-    let mut rng = Rng(seed);
-    let group = match rng.below(3) {
-        0 => WalConfig::strict(),
-        1 => WalConfig::group(3),
-        _ => WalConfig::group(64),
-    };
-    let (wal, probe): (Wal, MemStorage) = Wal::in_memory(group);
-    let wal = Arc::new(wal);
-    let core = ExecutorCore::new(
-        Arc::new(KvStore::new()),
-        Arc::new(LockManager::new(kind.default_lock_policy())),
+/// A protocol of `kind` on a fresh store, logging to `wal`.
+fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Box<dyn MultiStageProtocol> {
+    kind.build(
+        ExecutorCore::new(
+            Arc::new(KvStore::new()),
+            Arc::new(LockManager::new(kind.default_lock_policy())),
+        )
+        .with_wal(Arc::clone(wal)),
     )
-    .with_wal(Arc::clone(&wal));
-    let protocol = kind.build(core);
+}
 
+/// Drive a seeded interleaved two-stage workload through `protocol`,
+/// calling `step` after every stage the loop runs (an initial stage, or a
+/// final one).
+fn drive(
+    rng: &mut Rng,
+    kind: ProtocolKind,
+    protocol: &dyn MultiStageProtocol,
+    mut step: impl FnMut(&mut Rng),
+) {
     let n_txns = 6 + rng.below(6);
     // MS-SR holds every declared lock across its pending window, so give
     // it disjoint per-txn keys (the paper's hot-spot aborts are measured
@@ -152,7 +82,7 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
     };
 
     struct Active {
-        handle: croesus::txn::TxnHandle,
+        handle: TxnHandle,
         final_rw: RwSet,
         retract: bool,
     }
@@ -162,10 +92,10 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
         let start_new = started < n_txns && (active.is_empty() || rng.chance(55));
         if start_new {
             let txn = TxnId(started);
-            let k0 = key_for(&mut rng, started);
-            let k1 = key_for(&mut rng, started);
+            let k0 = key_for(rng, started);
+            let k1 = key_for(rng, started);
             let initial_rw = RwSet::new().write(k0.as_str()).write(k1.as_str());
-            let kf = key_for(&mut rng, started);
+            let kf = key_for(rng, started);
             let final_rw = if rng.chance(70) {
                 RwSet::new().write(kf.as_str())
             } else {
@@ -203,70 +133,53 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
                 })
                 .expect("final stages cannot abort");
         }
+        step(rng);
     }
+}
+
+/// Drive the seeded workload through the inline writer (strict, or group
+/// commit of 3 or 64) checkpointing every `checkpoint_every` commit points
+/// (0 = never); return the full log bytes.
+fn run_workload(seed: u64, kind: ProtocolKind, checkpoint_every: u64) -> Vec<u8> {
+    let mut rng = Rng(seed);
+    let config = WalConfig {
+        group_commit: [1, 3, 64][rng.below(3) as usize],
+        checkpoint_every,
+    };
+    let (wal, probe): (Wal, MemStorage) = Wal::in_memory(config);
+    let wal = Arc::new(wal);
+    drive(&mut rng, kind, &*protocol_on(kind, &wal), |_| {});
     // No flush: `epoch_bytes` is the every-byte-made-it view (durable,
     // then whatever still sits in the writer's buffers); the boundary
-    // sweep below is the crash simulation.
+    // sweep is the crash simulation.
     wal.epoch_bytes(&probe)
 }
 
-fn check_every_boundary(log: &[u8]) {
-    // Frame boundaries + per-frame oracle snapshots.
+/// Torn cuts sampled every `stride` bytes inside `log`'s frames: each
+/// must recover exactly the state of the last whole frame before the tear.
+fn check_torn_cuts(log: &[u8], stride: usize) {
     let mut boundaries = vec![0usize];
-    {
-        let mut reader = FrameReader::new(log);
-        while reader.next().is_some() {
-            boundaries.push(reader.offset());
-        }
-        assert_eq!(
-            *boundaries.last().unwrap(),
-            log.len(),
-            "the workload's own log must parse completely"
-        );
+    let mut reader = FrameReader::new(log);
+    while reader.next().is_some() {
+        boundaries.push(reader.offset());
     }
-    let mut oracle = Oracle::default();
-    let mut oracle_at: Vec<Oracle> = vec![oracle.clone()];
-    {
-        let reader = FrameReader::new(log);
-        for payload in reader {
-            oracle.apply(&WalRecord::decode(payload).expect("valid payload"));
-            oracle_at.push(oracle.clone());
-        }
-    }
-
-    for (frames, &cut) in boundaries.iter().enumerate() {
-        let report = recover(&log[..cut]);
-        assert_eq!(report.frames, frames, "cut at byte {cut}");
-        assert!(!report.torn_tail, "boundary cuts are clean");
-        let expected = &oracle_at[frames];
-        assert_eq!(
-            snapshot_of(&report.store),
-            expected.store,
-            "store mismatch after {frames} frames (cut at byte {cut})"
-        );
-        let unfinalized: BTreeSet<u64> = report.unfinalized.iter().map(|t| t.0).collect();
-        assert_eq!(
-            unfinalized,
-            expected.expected_unfinalized(),
-            "unfinalized mismatch after {frames} frames"
-        );
-
-        // Apology-aware recovery on the same prefix: every unfinalized
-        // transaction ends up retracted (not live) and apologized for.
-        let rec = recover_edge(&log[..cut]);
-        for txn in &report.unfinalized {
-            assert!(
-                !rec.apologies.is_live(*txn),
-                "unfinalized {txn} must be retracted during recovery"
+    let mut cut = 1usize;
+    while cut < log.len() {
+        if !boundaries.contains(&cut) {
+            let torn = recover(&log[..cut]);
+            prop_assert!(torn.torn_tail);
+            let base = *boundaries.iter().take_while(|&&b| b < cut).last().unwrap();
+            let clean = recover(&log[..base]);
+            prop_assert_eq!(
+                torn.store.snapshot(),
+                clean.store.snapshot(),
+                "torn cut at {} must equal boundary at {}",
+                cut,
+                base
             );
+            prop_assert_eq!(&torn.unfinalized, &clean.unfinalized);
         }
-        let apologized: BTreeSet<u64> = rec.apologies_owed().iter().map(|a| a.txn.0).collect();
-        for txn in &unfinalized {
-            assert!(
-                apologized.contains(txn),
-                "txn {txn} owes its users an apology"
-            );
-        }
+        cut += stride; // sample; exhaustive per-byte would be slow × 64 cases
     }
 }
 
@@ -295,13 +208,6 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     let group = WalConfig::group([1, 2, 3][rng.below(3) as usize]);
     let (wal, probe) = Wal::in_memory_with(group, FlushDriver::Manual);
     let wal = Arc::new(wal);
-    let core = ExecutorCore::new(
-        Arc::new(KvStore::new()),
-        Arc::new(LockManager::new(kind.default_lock_policy())),
-    )
-    .with_wal(Arc::clone(&wal));
-    let protocol = kind.build(core);
-
     let mut run = PipelinedRun {
         log: Vec::new(),
         flush_points: Vec::new(),
@@ -310,7 +216,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     };
     // The seeded appender/flusher interleaving: after every protocol op,
     // maybe seal the active buffer, pump the flusher, or wait on an ack.
-    let pump = |rng: &mut Rng, run: &mut PipelinedRun| {
+    drive(&mut rng, kind, &*protocol_on(kind, &wal), |rng| {
         for _ in 0..rng.below(3) {
             match rng.below(4) {
                 0 => {
@@ -331,70 +237,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
                 }
             }
         }
-    };
-
-    let n_txns = 6 + rng.below(6);
-    let key_for = |rng: &mut Rng, txn: u64| -> String {
-        if kind == ProtocolKind::MsSr {
-            format!("t{txn}/{}", rng.below(2))
-        } else {
-            format!("k/{}", rng.below(5))
-        }
-    };
-    struct Active {
-        handle: croesus::txn::TxnHandle,
-        final_rw: RwSet,
-        retract: bool,
-    }
-    let mut active: Vec<Active> = Vec::new();
-    let mut started = 0u64;
-    while started < n_txns || !active.is_empty() {
-        let start_new = started < n_txns && (active.is_empty() || rng.chance(55));
-        if start_new {
-            let txn = TxnId(started);
-            let k0 = key_for(&mut rng, started);
-            let k1 = key_for(&mut rng, started);
-            let initial_rw = RwSet::new().write(k0.as_str()).write(k1.as_str());
-            let kf = key_for(&mut rng, started);
-            let final_rw = if rng.chance(70) {
-                RwSet::new().write(kf.as_str())
-            } else {
-                RwSet::new()
-            };
-            let v = rng.below(1000) as i64;
-            let handle = protocol.begin(txn, &[initial_rw.clone(), final_rw.clone()]);
-            let (_, next) = protocol
-                .stage(handle, &initial_rw, |ctx| {
-                    ctx.write(k0.as_str(), v)?;
-                    ctx.write(k1.as_str(), v + 1)?;
-                    Ok(())
-                })
-                .expect("sequential initial stages cannot conflict");
-            let retract = kind != ProtocolKind::MsSr && rng.chance(25);
-            active.push(Active {
-                handle: next.expect("two stages declared"),
-                final_rw,
-                retract,
-            });
-            started += 1;
-        } else {
-            let idx = rng.below(active.len() as u64) as usize;
-            let a = active.remove(idx);
-            let v = rng.below(1000) as i64;
-            protocol
-                .stage(a.handle, &a.final_rw, |ctx| {
-                    if a.retract {
-                        ctx.retract_self("guessed wrong");
-                    }
-                    if let Some(k) = a.final_rw.writes.first().cloned() {
-                        ctx.write(k, v)?;
-                    }
-                    Ok(())
-                })
-                .expect("final stages cannot abort");
-        }
-        pump(&mut rng, &mut run);
-    }
+    });
     // Drain the pipeline: the final log is every appended byte.
     wal.flush().expect("in-memory pipeline io");
     run.log = wal.epoch_bytes(&probe);
@@ -413,7 +256,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
 /// acks never return below their requested LSN; and the full per-frame
 /// crash sweep matches the oracle.
 fn check_pipelined_run(run: &PipelinedRun) {
-    check_every_boundary(&run.log);
+    sweep(&run.log, |_| Ok(())).unwrap();
     for (image, lsn) in &run.flush_points {
         prop_assert_eq!(
             image.len() as u64,
@@ -443,50 +286,52 @@ fn check_pipelined_run(run: &PipelinedRun) {
     }
 }
 
+/// The checkpointed workload's log: at least 6 commit points against a
+/// floor of 4, so it always begins with a checkpoint.
+fn run_checkpointed(seed: u64, kind: ProtocolKind) -> Vec<u8> {
+    let log = run_workload(seed, kind, 4);
+    let first = FrameReader::new(&log).next().expect("a non-empty log");
+    assert!(
+        matches!(WalRecord::decode(first), Ok(WalRecord::Checkpoint(_))),
+        "the log must begin with a checkpoint"
+    );
+    log
+}
+
 proptest! {
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_ms_ia(seed in any::<u64>()) {
-        check_every_boundary(&run_workload(seed, ProtocolKind::MsIa));
+        sweep(&run_workload(seed, ProtocolKind::MsIa, 0), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_staged(seed in any::<u64>()) {
-        check_every_boundary(&run_workload(seed, ProtocolKind::Staged));
+        sweep(&run_workload(seed, ProtocolKind::Staged, 0), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_ms_sr(seed in any::<u64>()) {
-        check_every_boundary(&run_workload(seed, ProtocolKind::MsSr));
+        sweep(&run_workload(seed, ProtocolKind::MsSr, 0), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
+        sweep(&run_checkpointed(seed, ProtocolKind::MsIa), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_crash_sweep_matches_oracle_staged(seed in any::<u64>()) {
+        sweep(&run_checkpointed(seed, ProtocolKind::Staged), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_crash_sweep_matches_oracle_ms_sr(seed in any::<u64>()) {
+        sweep(&run_checkpointed(seed, ProtocolKind::MsSr), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn torn_mid_frame_cuts_recover_like_the_preceding_boundary(seed in any::<u64>()) {
-        let log = run_workload(seed, ProtocolKind::MsIa);
-        let mut boundaries = vec![0usize];
-        let mut reader = FrameReader::new(&log);
-        while reader.next().is_some() {
-            boundaries.push(reader.offset());
-        }
-        // Sample torn cuts inside frames; each must recover exactly the
-        // state of the last whole frame before the tear.
-        let mut cut = 1usize;
-        while cut < log.len() {
-            if !boundaries.contains(&cut) {
-                let torn = recover(&log[..cut]);
-                prop_assert!(torn.torn_tail);
-                let base = *boundaries.iter().take_while(|&&b| b < cut).last().unwrap();
-                let clean = recover(&log[..base]);
-                prop_assert_eq!(
-                    snapshot_of(&torn.store),
-                    snapshot_of(&clean.store),
-                    "torn cut at {} must equal boundary at {}",
-                    cut,
-                    base
-                );
-                prop_assert_eq!(&torn.unfinalized, &clean.unfinalized);
-            }
-            cut += 7; // sample; exhaustive per-byte would be slow × 64 cases
-        }
+        check_torn_cuts(&run_workload(seed, ProtocolKind::MsIa, 0), 7);
     }
 
     #[test]
@@ -504,36 +349,12 @@ proptest! {
         // Cuts *between* a flush boundary and the next — bytes that were
         // in flight inside the pipeline — behave exactly like torn tails:
         // recovery lands on the last whole frame at or before the cut.
-        let run = run_workload_pipelined(seed, ProtocolKind::MsIa);
-        let log = &run.log;
-        let mut boundaries = vec![0usize];
-        let mut reader = FrameReader::new(log);
-        while reader.next().is_some() {
-            boundaries.push(reader.offset());
-        }
-        let mut cut = 1usize;
-        while cut < log.len() {
-            if !boundaries.contains(&cut) {
-                let torn = recover(&log[..cut]);
-                prop_assert!(torn.torn_tail);
-                let base = *boundaries.iter().take_while(|&&b| b < cut).last().unwrap();
-                let clean = recover(&log[..base]);
-                prop_assert_eq!(
-                    snapshot_of(&torn.store),
-                    snapshot_of(&clean.store),
-                    "torn cut at {} must equal boundary at {}",
-                    cut,
-                    base
-                );
-                prop_assert_eq!(&torn.unfinalized, &clean.unfinalized);
-            }
-            cut += 11; // sample; exhaustive per-byte would be slow × 64 cases
-        }
+        check_torn_cuts(&run_workload_pipelined(seed, ProtocolKind::MsIa).log, 11);
     }
 
     #[test]
     fn corrupted_byte_never_panics_recovery(seed in any::<u64>(), flip in any::<u64>()) {
-        let mut log = run_workload(seed, ProtocolKind::Staged);
+        let mut log = run_workload(seed, ProtocolKind::Staged, 0);
         prop_assert!(!log.is_empty(), "every workload logs at least one stage");
         let pos = (flip % log.len() as u64) as usize;
         log[pos] ^= 0x5A;
@@ -549,12 +370,7 @@ proptest! {
 #[test]
 fn crash_mid_chain_cascades_through_finalized_dependents() {
     let (wal, probe) = Wal::in_memory(WalConfig::strict());
-    let core = ExecutorCore::new(
-        Arc::new(KvStore::new()),
-        Arc::new(LockManager::new(ProtocolKind::MsIa.default_lock_policy())),
-    )
-    .with_wal(Arc::new(wal));
-    let p = ProtocolKind::MsIa.build(core);
+    let p = protocol_on(ProtocolKind::MsIa, &Arc::new(wal));
 
     let rw1 = RwSet::new().write("b");
     let h1 = p.begin(TxnId(1), &[rw1.clone(), RwSet::new()]);
@@ -598,12 +414,7 @@ fn lsns_increase_across_checkpoints_and_acks_stay_below_the_boundary() {
         };
         let (wal, _probe) = Wal::in_memory_with(config, driver);
         let wal = Arc::new(wal);
-        let core = ExecutorCore::new(
-            Arc::new(KvStore::new()),
-            Arc::new(LockManager::new(ProtocolKind::MsIa.default_lock_policy())),
-        )
-        .with_wal(Arc::clone(&wal));
-        let p = ProtocolKind::MsIa.build(core);
+        let p = protocol_on(ProtocolKind::MsIa, &wal);
 
         let rw = RwSet::new().write("k");
         let mut last_lsn = 0;

@@ -154,6 +154,22 @@ impl KvStore {
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         all
     }
+
+    /// Every key-value pair in canonical order ([`Key::canonical_cmp`]:
+    /// ascending cached FNV-1a hash, ties by key text). Like
+    /// [`snapshot`](Self::snapshot)'s key order it depends only on the
+    /// contents, never on insertion history, but the sort compares the
+    /// hash cached inline in each [`Key`]. Clones only `Arc`s and leaves
+    /// versions out: this is what a checkpoint serializes.
+    pub fn canonical_pairs(&self) -> Vec<(Key, Arc<Value>)> {
+        let mut all: Vec<(Key, Arc<Value>)> = Vec::with_capacity(self.len());
+        for s in &self.shards {
+            let shard = s.read();
+            all.extend(shard.iter().map(|(k, v)| (k.clone(), Arc::clone(&v.value))));
+        }
+        all.sort_unstable_by(|a, b| a.0.canonical_cmp(&b.0));
+        all
+    }
 }
 
 impl Default for KvStore {
@@ -251,6 +267,24 @@ mod tests {
         assert_eq!(snap.len(), 3);
         let keys: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["k/1", "k/2", "k/3"]);
+    }
+
+    #[test]
+    fn canonical_pairs_are_hash_ordered_whatever_the_insertion_order() {
+        let keys: Vec<Key> = (0..2_000u64).map(|i| Key::indexed("k", i)).collect();
+        let (forward, backward) = (KvStore::new(), KvStore::new());
+        for (i, k) in keys.iter().enumerate() {
+            forward.put(k.clone(), Value::Int(i as i64));
+        }
+        for (i, k) in keys.iter().enumerate().rev() {
+            backward.put(k.clone(), Value::Int(i as i64));
+        }
+        let pairs = forward.canonical_pairs();
+        assert_eq!(pairs, backward.canonical_pairs());
+        assert_eq!(pairs.len(), keys.len());
+        assert!(pairs
+            .windows(2)
+            .all(|w| w[0].0.hash_u64() < w[1].0.hash_u64()));
     }
 
     #[test]

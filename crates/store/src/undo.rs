@@ -79,6 +79,11 @@ impl UndoLog {
         &self.records
     }
 
+    /// [`records`](Self::records) by value, for a caller that keeps them.
+    pub fn into_records(self) -> Vec<UndoRecord> {
+        self.records
+    }
+
     /// The recorded pre-image for `key`, if this log touched it.
     /// `Some(None)` means the key did not exist before.
     pub fn pre_image(&self, key: &Key) -> Option<&Option<Arc<Value>>> {

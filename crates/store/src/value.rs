@@ -86,6 +86,15 @@ impl Key {
         self.hash
     }
 
+    /// The canonical order: cached hash, then key text. Like the text
+    /// order it depends only on the keys, but it compares the inline hash
+    /// and reads text only on a collision. Checkpoints list their pairs
+    /// in it ([`KvStore::canonical_pairs`](crate::KvStore::canonical_pairs)).
+    #[inline]
+    pub fn canonical_cmp(&self, other: &Key) -> std::cmp::Ordering {
+        self.hash.cmp(&other.hash).then_with(|| self.cmp(other))
+    }
+
     /// Shard index in `[0, n)` for in-process sharded containers. Uses the
     /// *upper* bits of the mixed hash so it stays decorrelated from
     /// `HashMap` bucket indices (low mixed bits) and partition residues

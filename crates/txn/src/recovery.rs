@@ -152,7 +152,7 @@ pub fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
             // resumed from this state checkpoints the post-recovery world.
             for (victim, restores) in &r.restores {
                 state.apply(
-                    &WalRecord::Retract(RetractRecord {
+                    WalRecord::Retract(RetractRecord {
                         txn: *victim,
                         restores: restores.clone(),
                     }),

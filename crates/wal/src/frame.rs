@@ -84,16 +84,25 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Append one framed payload to `out`.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+/// The header that frames `payload`: its length, then its CRC.
+#[must_use]
+pub(crate) fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     assert!(
         payload.len() <= MAX_FRAME_LEN as usize,
         "WAL record of {} bytes exceeds the {} byte frame limit",
         payload.len(),
         MAX_FRAME_LEN
     );
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Append one framed payload to `out`. The writer frames in place
+/// instead; this is the reference its bytes are tested against.
+pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
 }
 

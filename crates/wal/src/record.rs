@@ -156,7 +156,8 @@ pub enum WalRecord {
 pub struct CheckpointRecord {
     /// Committed store contents at the checkpoint (pending uncommitted
     /// MS-SR writes are overlaid back to their pre-images before
-    /// snapshotting).
+    /// snapshotting), in canonical order: ascending cached FNV-1a key
+    /// hash, then key.
     pub store: Vec<(Key, Arc<Value>)>,
     /// Per-transaction replay state (settled transactions are pruned).
     pub txns: Vec<CheckpointTxn>,
@@ -406,66 +407,72 @@ impl WalRecord {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialize to one frame payload, appended to `out` — the writer
+    /// encodes into a buffer it reuses, so a record is written once.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Stage(s) => {
                 out.push(TAG_STAGE);
-                put_u64(&mut out, s.txn.0);
-                put_u32(&mut out, s.stage);
-                put_u32(&mut out, s.total);
+                put_u64(out, s.txn.0);
+                put_u32(out, s.stage);
+                put_u32(out, s.total);
                 out.push(s.flags.0);
-                put_keys(&mut out, &s.reads);
-                put_keys(&mut out, &s.writes);
-                put_images(&mut out, &s.images);
+                put_keys(out, &s.reads);
+                put_keys(out, &s.writes);
+                put_images(out, &s.images);
             }
             WalRecord::Retract(r) => {
                 out.push(TAG_RETRACT);
-                put_u64(&mut out, r.txn.0);
-                put_restores(&mut out, &r.restores);
+                put_u64(out, r.txn.0);
+                put_restores(out, &r.restores);
             }
             WalRecord::TpcDecision { txn, commit } => {
                 out.push(TAG_TPC);
-                put_u64(&mut out, txn.0);
+                put_u64(out, txn.0);
                 out.push(u8::from(*commit));
             }
             WalRecord::Checkpoint(cp) => {
                 out.push(TAG_CHECKPOINT);
-                put_u32(&mut out, cp.store.len() as u32);
+                put_u32(out, cp.store.len() as u32);
                 for (k, v) in &cp.store {
-                    put_key(&mut out, k);
-                    put_value(&mut out, v);
+                    put_key(out, k);
+                    put_value(out, v);
                 }
-                put_u32(&mut out, cp.txns.len() as u32);
+                put_u32(out, cp.txns.len() as u32);
                 for t in &cp.txns {
-                    put_u64(&mut out, t.txn.0);
+                    put_u64(out, t.txn.0);
                     out.push(u8::from(t.initial_committed) | u8::from(t.finalized) << 1);
-                    put_images(&mut out, &t.pending);
-                    put_u32(&mut out, t.entries.len() as u32);
+                    put_images(out, &t.pending);
+                    put_u32(out, t.entries.len() as u32);
                     for e in &t.entries {
-                        put_u64(&mut out, e.seq);
+                        put_u64(out, e.seq);
                         out.push(u8::from(e.retracted));
-                        put_keys(&mut out, &e.reads);
-                        put_keys(&mut out, &e.writes);
-                        put_restores(&mut out, &e.undo);
+                        put_keys(out, &e.reads);
+                        put_keys(out, &e.writes);
+                        put_restores(out, &e.undo);
                     }
                 }
-                put_u64(&mut out, cp.next_seq);
-                put_u64(&mut out, cp.finalized);
-                put_u32(&mut out, cp.tpc.len() as u32);
+                put_u64(out, cp.next_seq);
+                put_u64(out, cp.finalized);
+                put_u32(out, cp.tpc.len() as u32);
                 for (txn, commit) in &cp.tpc {
-                    put_u64(&mut out, txn.0);
+                    put_u64(out, txn.0);
                     out.push(u8::from(*commit));
                 }
-                put_u64(&mut out, cp.next_txn);
+                put_u64(out, cp.next_txn);
             }
             WalRecord::Settle => {
                 out.push(TAG_SETTLE);
             }
             WalRecord::TpcEnd { txn } => {
                 out.push(TAG_TPC_END);
-                put_u64(&mut out, txn.0);
+                put_u64(out, txn.0);
             }
         }
-        out
     }
 
     /// Deserialize one frame payload.

@@ -80,6 +80,30 @@ impl TxnState {
     fn has_live_entry(&self) -> bool {
         self.entries.iter().any(|e| !e.retracted)
     }
+
+    /// The inverse of one transaction in [`RecoveryState::to_checkpoint`].
+    fn from_checkpoint(t: CheckpointTxn) -> Self {
+        let txn = t.txn;
+        TxnState {
+            pending: t.pending,
+            entries: t
+                .entries
+                .into_iter()
+                .map(|e| EntryState {
+                    entry: RecoveredEntry {
+                        txn,
+                        seq: e.seq,
+                        reads: e.reads,
+                        writes: e.writes,
+                        undo: e.undo,
+                    },
+                    retracted: e.retracted,
+                })
+                .collect(),
+            initial_committed: t.initial_committed,
+            finalized: t.finalized,
+        }
+    }
 }
 
 /// The redo/undo state machine over a record stream.
@@ -108,29 +132,46 @@ impl RecoveryState {
     /// store; with `None` only the bookkeeping moves, for a caller that
     /// already mutated the store itself (apology-aware recovery mirroring
     /// the retractions it ran).
-    pub fn apply(&mut self, record: &WalRecord, store: Option<&KvStore>) {
+    ///
+    /// The record is folded by move: a commit point drains its images
+    /// into the store and the undo list without copying them, a
+    /// registered entry keeps the record's own read and write sets, and a
+    /// checkpoint moves its pairs into the store. The writer has already
+    /// encoded the record, so nothing reads it afterwards.
+    pub fn apply(&mut self, record: WalRecord, store: Option<&KvStore>) {
         match record {
             WalRecord::Stage(s) => self.apply_stage(s, store),
             WalRecord::Retract(r) => self.apply_retract(r, store),
             WalRecord::TpcDecision { txn, commit } => {
-                if let Some(slot) = self.tpc.iter_mut().find(|(t, _)| t == txn) {
-                    slot.1 = *commit;
+                if let Some(slot) = self.tpc.iter_mut().find(|(t, _)| *t == txn) {
+                    slot.1 = commit;
                 } else {
-                    self.tpc.push((*txn, *commit));
+                    self.tpc.push((txn, commit));
                 }
             }
             WalRecord::Checkpoint(cp) => {
-                *self = RecoveryState::from_checkpoint(cp);
+                let cp = *cp;
+                *self = RecoveryState {
+                    txns: cp
+                        .txns
+                        .into_iter()
+                        .map(|t| (t.txn.0, TxnState::from_checkpoint(t)))
+                        .collect(),
+                    next_seq: cp.next_seq,
+                    finalized_total: cp.finalized,
+                    tpc: cp.tpc,
+                    next_txn: cp.next_txn,
+                };
                 if let Some(store) = store {
                     store.clear();
-                    for (k, v) in &cp.store {
-                        store.put(k.clone(), Arc::clone(v));
+                    for (k, v) in cp.store {
+                        store.put(k, v);
                     }
                 }
             }
             WalRecord::Settle => self.settle(),
             WalRecord::TpcEnd { txn } => {
-                self.tpc.retain(|(t, _)| t != txn);
+                self.tpc.retain(|(t, _)| *t != txn);
             }
         }
     }
@@ -147,64 +188,66 @@ impl RecoveryState {
             .retain(|_, t| !t.pending.is_empty() || !t.finalized);
     }
 
-    fn apply_stage(&mut self, s: &StageRecord, store: Option<&KvStore>) {
-        self.next_txn = self.next_txn.max(s.txn.0 + 1);
-        let t = self.txns.entry(s.txn.0).or_default();
-        t.pending.extend(s.images.iter().cloned());
-        if !s.flags.commit_point() {
+    fn apply_stage(&mut self, s: StageRecord, store: Option<&KvStore>) {
+        let (txn, flags, images) = (s.txn, s.flags, s.images);
+        self.next_txn = self.next_txn.max(txn.0 + 1);
+        let t = self.txns.entry(txn.0).or_default();
+        if !flags.commit_point() {
+            t.pending.extend(images);
             return;
         }
-        let drained = std::mem::take(&mut t.pending);
-        if let Some(store) = store {
-            for w in &drained {
-                match &w.post {
-                    Some(v) => {
-                        store.put(w.key.clone(), Arc::clone(v));
-                    }
-                    None => {
-                        store.delete(&w.key);
-                    }
-                }
+        // The record's images follow whatever earlier stages buffered;
+        // with nothing buffered they are drained as they came.
+        let drained = if t.pending.is_empty() {
+            images
+        } else {
+            let mut buffered = std::mem::take(&mut t.pending);
+            buffered.extend(images);
+            buffered
+        };
+        t.initial_committed = true;
+        // The live executors dedupe through `UndoLog` (first write to a
+        // key keeps its pre-image); rebuild through the same type so the
+        // rule lives in exactly one place.
+        let mut undo = flags.register().then(UndoLog::new);
+        for w in drained {
+            if let Some(undo) = &mut undo {
+                undo.record(w.key.clone(), w.pre);
+            }
+            if let Some(store) = store {
+                store.restore(w.key, w.post); // put the post-image, or delete
             }
         }
-        t.initial_committed = true;
-        if s.flags.register() {
-            // The live executors dedupe through `UndoLog` (first write to
-            // a key keeps its pre-image); rebuild through the same type so
-            // the rule lives in exactly one place.
-            let mut undo = UndoLog::new();
-            for w in &drained {
-                undo.record(w.key.clone(), w.pre.clone());
-            }
+        if let Some(undo) = undo {
             t.entries.push(EntryState {
                 entry: RecoveredEntry {
-                    txn: s.txn,
+                    txn,
                     seq: self.next_seq,
-                    reads: s.reads.clone(),
-                    writes: s.writes.clone(),
+                    reads: s.reads,
+                    writes: s.writes,
                     undo: undo
-                        .records()
-                        .iter()
-                        .map(|r| (r.key.clone(), r.previous.clone()))
+                        .into_records()
+                        .into_iter()
+                        .map(|r| (r.key, r.previous))
                         .collect(),
                 },
                 retracted: false,
             });
             self.next_seq += 1;
         }
-        if s.flags.is_final() {
+        if flags.is_final() {
             if !t.finalized {
                 self.finalized_total += 1;
             }
             t.finalized = true;
         }
-        self.prune(s.txn);
+        self.prune(txn);
     }
 
-    fn apply_retract(&mut self, r: &RetractRecord, store: Option<&KvStore>) {
+    fn apply_retract(&mut self, r: RetractRecord, store: Option<&KvStore>) {
         if let Some(store) = store {
-            for (k, v) in &r.restores {
-                store.restore(k.clone(), v.clone());
+            for (k, v) in r.restores {
+                store.restore(k, v);
             }
         }
         if let Some(t) = self.txns.get_mut(&r.txn.0) {
@@ -336,26 +379,30 @@ impl RecoveryState {
                     .or_insert_with(|| w.pre.clone());
             }
         }
-        // The snapshot is sorted, and replacing or dropping its entries
-        // keeps it sorted.
-        let mut pairs: Vec<(Key, Arc<Value>)> = Vec::new();
-        for (key, versioned) in store.snapshot() {
-            match overlay.remove(&key) {
-                None => pairs.push((key, versioned.value)),
-                Some(Some(pre)) => pairs.push((key, pre)),
-                Some(None) => {} // key did not exist before the pending write
+        // Canonical order (hash, then key): it depends only on the state,
+        // so two writers with the same state write the same bytes.
+        let mut pairs = store.canonical_pairs();
+        if !overlay.is_empty() {
+            // Replacing or dropping entries keeps the order.
+            pairs.retain_mut(|(key, value)| match overlay.remove(key) {
+                None => true,
+                Some(Some(pre)) => {
+                    *value = pre;
+                    true
+                }
+                Some(None) => false, // key did not exist before the pending write
+            });
+            // Keys the pending writes deleted from the store but that
+            // existed before them: only these can break the order.
+            let ordered = pairs.len();
+            pairs.extend(
+                overlay
+                    .into_iter()
+                    .filter_map(|(key, pre)| Some((key, pre?))),
+            );
+            if pairs.len() > ordered {
+                pairs.sort_unstable_by(|a, b| a.0.canonical_cmp(&b.0));
             }
-        }
-        // Keys the pending writes deleted from the store but that existed
-        // before them: only these can break the order.
-        let sorted = pairs.len();
-        for (key, pre) in overlay {
-            if let Some(pre) = pre {
-                pairs.push((key, pre));
-            }
-        }
-        if pairs.len() > sorted {
-            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
 
         CheckpointRecord {
@@ -385,41 +432,6 @@ impl RecoveryState {
             finalized: self.finalized_total,
             tpc: self.tpc.clone(),
             next_txn: self.next_txn,
-        }
-    }
-
-    fn from_checkpoint(cp: &CheckpointRecord) -> Self {
-        let mut txns = BTreeMap::new();
-        for t in &cp.txns {
-            txns.insert(
-                t.txn.0,
-                TxnState {
-                    pending: t.pending.clone(),
-                    entries: t
-                        .entries
-                        .iter()
-                        .map(|e| EntryState {
-                            entry: RecoveredEntry {
-                                txn: t.txn,
-                                seq: e.seq,
-                                reads: e.reads.clone(),
-                                writes: e.writes.clone(),
-                                undo: e.undo.clone(),
-                            },
-                            retracted: e.retracted,
-                        })
-                        .collect(),
-                    initial_committed: t.initial_committed,
-                    finalized: t.finalized,
-                },
-            );
-        }
-        RecoveryState {
-            txns,
-            next_seq: cp.next_seq,
-            finalized_total: cp.finalized,
-            tpc: cp.tpc.clone(),
-            next_txn: cp.next_txn,
         }
     }
 }
@@ -468,7 +480,7 @@ pub fn recover(bytes: &[u8]) -> RecoveryReport {
     while let Some(payload) = reader.next() {
         match WalRecord::decode(payload) {
             Ok(record) => {
-                state.apply(&record, Some(&store));
+                state.apply(record, Some(&store));
                 frames += 1;
                 bytes_replayed = reader.offset() as u64;
             }
@@ -628,7 +640,7 @@ mod tests {
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         let rec = stage(1, 0, 2, CP | REG, vec![("a", None, Some(1))]);
-        state.apply(&rec, Some(&store));
+        state.apply(rec, Some(&store));
         let cp = state.to_checkpoint(&store);
         let log = log_of(&[
             WalRecord::Checkpoint(Box::new(cp)),
@@ -650,7 +662,7 @@ mod tests {
         store.put("a".into(), Value::Int(7)); // pre-existing
         let rec = stage(9, 0, 2, 0, vec![("a", Some(7), Some(100))]);
         store.put("a".into(), Value::Int(100)); // the live write
-        state.apply(&rec, None); // the store already holds the write
+        state.apply(rec, None); // the store already holds the write
         let cp = state.to_checkpoint(&store);
         assert_eq!(
             cp.store,
@@ -675,28 +687,31 @@ mod tests {
         let store = KvStore::new();
         let rec = stage(9, 0, 2, 0, vec![("fresh", None, Some(1))]);
         store.put("fresh".into(), Value::Int(1));
-        state.apply(&rec, None);
+        state.apply(rec, None);
         let cp = state.to_checkpoint(&store);
         assert!(cp.store.is_empty(), "pending insert is not committed state");
     }
 
     #[test]
-    fn checkpoint_restores_pending_deletes_in_key_order() {
+    fn checkpoint_restores_pending_deletes_in_canonical_order() {
         // Pending deletes take keys out of the store; the checkpoint puts
-        // their pre-images back between the surviving keys.
+        // their pre-images back between the surviving keys, in canonical
+        // order: ascending FNV-1a hash, then key.
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         for (k, v) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
             store.put(k.into(), Value::Int(v));
         }
+        let before = store.canonical_pairs();
         let rec = stage(9, 0, 2, 0, vec![("b", Some(2), None), ("d", Some(4), None)]);
         store.delete(&"b".into());
         store.delete(&"d".into());
-        state.apply(&rec, None);
+        state.apply(rec, None);
         let cp = state.to_checkpoint(&store);
         let keys: Vec<&str> = cp.store.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["a", "b", "c", "d", "e"]);
-        assert_eq!(*cp.store[3].1, Value::Int(4));
+        assert_eq!(keys, ["e", "d", "a", "c", "b"]);
+        assert_eq!(*cp.store[1].1, Value::Int(4));
+        assert_eq!(cp.store, before, "the store as it was before the deletes");
     }
 
     #[test]
@@ -789,7 +804,7 @@ mod tests {
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         state.apply(
-            &stage(3, 0, 2, 0, vec![("held", Some(7), Some(100))]),
+            stage(3, 0, 2, 0, vec![("held", Some(7), Some(100))]),
             Some(&store),
         );
         state.abandon_pending();
@@ -804,7 +819,7 @@ mod tests {
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         state.apply(
-            &stage(41, 0, 1, CP | FIN, vec![("a", None, Some(1))]),
+            stage(41, 0, 1, CP | FIN, vec![("a", None, Some(1))]),
             Some(&store),
         );
         let log = log_of(&[WalRecord::Checkpoint(Box::new(state.to_checkpoint(&store)))]);

@@ -4,7 +4,11 @@
 //! # One writer
 //!
 //! Every record is framed into an in-memory *active buffer* and gets a
-//! **global, never-resetting byte LSN**. Every
+//! **global, never-resetting byte LSN**. A record is encoded once, into
+//! a scratch buffer the writer reuses, and its frame (header, then those
+//! bytes) is written straight into the active buffer — the bytes of
+//! [`write_frame`](crate::frame::write_frame) over
+//! [`WalRecord::encode`], without their two intermediate copies. Every
 //! [`WalConfig::group_commit`] commit points the buffer is *sealed* onto
 //! a queue; one `step` lands the oldest sealed buffer — append + the
 //! fsync-equivalent [`Storage::sync`], state unlocked — and then, in one
@@ -27,12 +31,20 @@
 //! The writer mirrors its own log through the shared [`RecoveryState`]
 //! machine *with a shadow store attached* — the committed state a replay
 //! of the log would produce, maintained under the writer mutex (cheap:
-//! the shadow's `Arc<Value>`s alias the live store's). A checkpoint is
+//! the shadow's `Arc<Value>`s alias the live store's). Once encoded, a
+//! record is folded into the shadow *by move*
+//! ([`RecoveryState::apply`] takes it by value), so its images, key sets
+//! and values are never copied for the shadow's sake; a record refused
+//! by a poisoned writer is neither logged nor folded. A checkpoint is
 //! therefore a pure serialization of writer-internal state, written as
 //! one record that *replaces* the log ([`Storage::reset`]) — truncation
 //! and checkpoint are one atomic step, consistent even while other
 //! threads are mid-stage on the live store. It restarts the on-device
-//! epoch, not the LSN space.
+//! epoch, not the LSN space. Its store is written in canonical order
+//! ([`KvStore::canonical_pairs`]: cached key hash, then key), which
+//! depends only on the state, so any two writers with one state — however
+//! their shadows were filled — write the same checkpoint bytes. The
+//! checkpoint is encoded straight into its frame buffer.
 //!
 //! A checkpoint costs O(state) and replay starts from it, so it is
 //! scheduled by size, not by count: [`Wal::maybe_checkpoint`] (called
@@ -57,7 +69,7 @@ use croesus_obs::{EdgeObs, EventKind, HistKind};
 use croesus_store::{KvStore, TxnId};
 
 use crate::coalesce::SyncCoalescer;
-use crate::frame::write_frame;
+use crate::frame::{frame_header, FRAME_HEADER_LEN};
 use crate::record::{RetractRecord, StageRecord, WalRecord};
 use crate::recover::RecoveryState;
 use crate::ship::LogShipper;
@@ -431,14 +443,25 @@ struct WalInner {
     checkpoint_len: u64,
     /// `syncs` is kept by `step` in [`PipeState`]; see [`Wal::stats`].
     stats: WalStats,
+    /// Each appended record is encoded here, then framed into the active
+    /// buffer; reused, so an append allocates nothing for its bytes.
+    scratch: Vec<u8>,
 }
 
 impl WalInner {
-    /// The framed checkpoint record serializing the shadow state.
+    /// The framed checkpoint record serializing the shadow state, encoded
+    /// straight into its frame: the header is patched in once the payload
+    /// is known. A checkpoint holds nothing that was not in the last one
+    /// or in a record appended since, so their lengths together presize
+    /// the one buffer.
     fn checkpoint_frame(&self) -> Vec<u8> {
         let cp = self.shadow.to_checkpoint(&self.shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        let mut framed =
+            Vec::with_capacity((self.checkpoint_len + self.bytes_since_checkpoint) as usize);
+        framed.resize(FRAME_HEADER_LEN, 0);
+        WalRecord::Checkpoint(Box::new(cp)).encode_into(&mut framed);
+        let header = frame_header(&framed[FRAME_HEADER_LEN..]);
+        framed[..FRAME_HEADER_LEN].copy_from_slice(&header);
         framed
     }
 
@@ -541,8 +564,8 @@ impl Wal {
         {
             let mut inner = wal.inner.lock();
             inner.shadow = state;
-            for (key, versioned) in store.snapshot() {
-                inner.shadow_store.put(key, versioned.value);
+            for (key, value) in store.canonical_pairs() {
+                inner.shadow_store.put(key, value);
             }
             inner.stats.checkpoints = 1;
             let framed = inner.checkpoint_frame();
@@ -591,16 +614,39 @@ impl Wal {
 
     /// Frame `record` into the active buffer and fold it into the shadow,
     /// both under the writer mutex (log order == shadow order); storage
-    /// is never touched on this path. Returns the record's LSN and, for a
-    /// commit point, whether it filled its group.
+    /// is never touched on this path. The record is encoded once, into
+    /// the reused scratch buffer, and its frame is written straight into
+    /// the active buffer; the shadow then takes the record by move. A
+    /// poisoned writer refuses the record before it is logged, folded or
+    /// counted. Returns the record's LSN and, for a commit point, whether
+    /// it filled its group.
     fn append(
         &self,
         inner: &mut WalInner,
-        record: &WalRecord,
+        record: WalRecord,
         commit_point: bool,
     ) -> io::Result<(u64, bool)> {
-        let mut framed = Vec::with_capacity(64);
-        write_frame(&mut framed, &record.encode());
+        inner.scratch.clear();
+        record.encode_into(&mut inner.scratch);
+        let header = frame_header(&inner.scratch);
+        let framed_len = (FRAME_HEADER_LEN + inner.scratch.len()) as u64;
+        let mut state = self.shared.lock();
+        Shared::io_error_locked(&state)?;
+        state.active.extend_from_slice(&header);
+        state.active.extend_from_slice(&inner.scratch);
+        state.latest_lsn += framed_len;
+        let lsn = state.latest_lsn;
+        state.obs.emit(EventKind::WalAppend { lsn });
+        state.active_commits += usize::from(commit_point);
+        let filled = commit_point && state.active_commits >= self.config.group_commit;
+        drop(state);
+        inner.stats.records += 1;
+        inner.stats.bytes_appended += framed_len;
+        inner.bytes_since_checkpoint += framed_len;
+        if commit_point {
+            inner.stats.commit_points += 1;
+            inner.commits_since_checkpoint += 1;
+        }
         // Split-borrow: fold into the shadow state *and* shadow store.
         let WalInner {
             shadow,
@@ -608,21 +654,6 @@ impl Wal {
             ..
         } = inner;
         shadow.apply(record, Some(shadow_store));
-        inner.stats.records += 1;
-        inner.stats.bytes_appended += framed.len() as u64;
-        inner.bytes_since_checkpoint += framed.len() as u64;
-        let mut state = self.shared.lock();
-        Shared::io_error_locked(&state)?;
-        state.active.extend_from_slice(&framed);
-        state.latest_lsn += framed.len() as u64;
-        let lsn = state.latest_lsn;
-        state.obs.emit(EventKind::WalAppend { lsn });
-        if commit_point {
-            inner.stats.commit_points += 1;
-            inner.commits_since_checkpoint += 1;
-            state.active_commits += 1;
-        }
-        let filled = commit_point && state.active_commits >= self.config.group_commit;
         Ok((lsn, filled))
     }
 
@@ -635,7 +666,7 @@ impl Wal {
         crate::sched::yield_point("wal.append_stage");
         let commit_point = record.flags.commit_point();
         let record = WalRecord::Stage(record);
-        let (lsn, filled) = self.append(&mut self.inner.lock(), &record, commit_point)?;
+        let (lsn, filled) = self.append(&mut self.inner.lock(), record, commit_point)?;
         if filled {
             // Outside the writer mutex: landing (or the backpressure
             // wait) must not block other appenders.
@@ -653,7 +684,7 @@ impl Wal {
         crate::sched::yield_point("wal.append_retracts");
         let mut inner = self.inner.lock();
         for r in retracts {
-            self.append(&mut inner, &WalRecord::Retract(r), false)?;
+            self.append(&mut inner, WalRecord::Retract(r), false)?;
         }
         Ok(())
     }
@@ -665,7 +696,7 @@ impl Wal {
     pub fn append_tpc_decision(&self, txn: TxnId, commit: bool) -> io::Result<()> {
         crate::sched::yield_point("wal.append_tpc_decision");
         let record = WalRecord::TpcDecision { txn, commit };
-        let (lsn, _) = self.append(&mut self.inner.lock(), &record, false)?;
+        let (lsn, _) = self.append(&mut self.inner.lock(), record, false)?;
         self.shared.flush_lsn(lsn)
     }
 
@@ -675,7 +706,7 @@ impl Wal {
     /// idempotent phase 2 under presumed abort.
     pub fn append_tpc_end(&self, txn: TxnId) -> io::Result<()> {
         crate::sched::yield_point("wal.append_tpc_end");
-        self.append(&mut self.inner.lock(), &WalRecord::TpcEnd { txn }, false)?;
+        self.append(&mut self.inner.lock(), WalRecord::TpcEnd { txn }, false)?;
         Ok(())
     }
 
@@ -685,7 +716,7 @@ impl Wal {
     /// next sync — a lost settle only means some entries get re-dropped
     /// by the next one.
     pub fn append_settle(&self) -> io::Result<()> {
-        self.append(&mut self.inner.lock(), &WalRecord::Settle, false)?;
+        self.append(&mut self.inner.lock(), WalRecord::Settle, false)?;
         Ok(())
     }
 
@@ -883,6 +914,7 @@ impl Drop for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use crate::record::{StageFlags, WriteImage};
     use crate::recover::recover;
     use croesus_store::{Key, Value};
@@ -1296,10 +1328,142 @@ mod tests {
             // writer must stay poisoned rather than retry-and-succeed.
             fail.store(false, Ordering::SeqCst);
             assert!(wal.flush().is_err());
+            // Every append is refused, and a refused record is neither
+            // folded into the shadow nor counted.
+            let before = wal.stats();
             assert!(wal.append_stage(stage_record(2, 0, CP, "b", 2)).is_err());
+            assert!(wal.append_tpc_decision(TxnId(7), true).is_err());
+            assert_eq!(
+                wal.tpc_decision(TxnId(7)),
+                None,
+                "a refused decision must not read as a durable one"
+            );
+            let retract = RetractRecord {
+                txn: TxnId(1),
+                restores: vec![(Key::new("a"), None)],
+            };
+            assert!(wal.append_retracts([retract]).is_err());
+            assert!(wal.append_tpc_end(TxnId(7)).is_err());
+            assert!(wal.append_settle().is_err());
+            assert_eq!(wal.stats(), before, "refused appends are not counted");
+            assert!(!wal.inner.lock().shadow_store.contains(&"b".into()));
             assert_eq!(wal.last_flushed_lsn(), 0, "nothing was ever acked");
             assert_eq!(shipper.shipped_len(), 0, "nothing was ever published");
         }
+    }
+
+    /// A registered entry and a pending (uncommitted) image: the
+    /// checkpoint of a shadow that saw these carries both.
+    fn busy_records() -> [StageRecord; 2] {
+        [
+            stage_record(1, 0, CP | REG, "a", 1),
+            stage_record(2, 0, 0, "held", 5),
+        ]
+    }
+
+    #[test]
+    fn append_lands_exactly_the_reference_frame_of_every_record() {
+        // The reference is `write_frame` over `encode()`.
+        let (mut shadow, store) = (RecoveryState::new(), KvStore::new());
+        for r in busy_records() {
+            shadow.apply(WalRecord::Stage(r), Some(&store));
+        }
+        let checkpoint = shadow.to_checkpoint(&store);
+        assert!(checkpoint.txns.iter().any(|t| !t.pending.is_empty()));
+        assert!(checkpoint.txns.iter().any(|t| !t.entries.is_empty()));
+        let records = [
+            WalRecord::Stage(stage_record(3, 0, CP | FIN | REG, "b", 7)),
+            WalRecord::Retract(RetractRecord {
+                txn: TxnId(1),
+                restores: vec![
+                    (Key::new("a"), None),
+                    (Key::new("b"), Some(Arc::new(Value::Str("s".into())))),
+                ],
+            }),
+            WalRecord::TpcDecision {
+                txn: TxnId(4),
+                commit: true,
+            },
+            WalRecord::TpcEnd { txn: TxnId(4) },
+            WalRecord::Settle,
+            WalRecord::Checkpoint(Box::new(checkpoint)),
+        ];
+        // Exhaustive: a new record kind does not compile until it is here.
+        let kinds: std::collections::BTreeSet<u8> = records
+            .iter()
+            .map(|r| match r {
+                WalRecord::Stage(_) => 0,
+                WalRecord::Retract(_) => 1,
+                WalRecord::TpcDecision { .. } => 2,
+                WalRecord::Checkpoint(_) => 3,
+                WalRecord::Settle => 4,
+                WalRecord::TpcEnd { .. } => 5,
+            })
+            .collect();
+        assert_eq!(kinds.len(), 6, "one record of every kind");
+
+        let (wal, probe) = Wal::in_memory_with(WalConfig::group(64), FlushDriver::Manual);
+        let mut expected = Vec::new();
+        for record in records {
+            write_frame(&mut expected, &record.encode());
+            wal.append(&mut wal.inner.lock(), record, false).unwrap();
+        }
+        assert_eq!(wal.epoch_bytes(&probe), expected);
+
+        // A checkpoint frame is encoded into its own buffer, header
+        // patched in place; it too must equal the reference.
+        let (wal, probe) = Wal::in_memory(WalConfig::group(64));
+        for r in busy_records() {
+            wal.append_stage(r).unwrap();
+        }
+        let mut expected = Vec::new();
+        {
+            let inner = wal.inner.lock();
+            let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
+            write_frame(&mut expected, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        }
+        wal.checkpoint().unwrap();
+        assert_eq!(probe.durable(), expected);
+    }
+
+    #[test]
+    fn writers_with_one_state_write_one_checkpoint_whatever_the_key_order() {
+        // The same commits in opposite orders, and a writer resumed from
+        // the recovered store: three shadows that saw the keys inserted
+        // in different orders, one state, one checkpoint.
+        const N: u64 = 2_000;
+        let config = WalConfig::group(64);
+        let logged = |order: &mut dyn Iterator<Item = u64>| {
+            let (wal, probe) = Wal::in_memory(config);
+            for i in order {
+                wal.append_stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64))
+                    .unwrap();
+            }
+            (wal, probe)
+        };
+        let checkpoint_of = |(wal, probe): (Wal, MemStorage)| {
+            wal.checkpoint().unwrap();
+            probe.durable()
+        };
+        let forward = checkpoint_of(logged(&mut (0..N)));
+        let backward = checkpoint_of(logged(&mut (0..N).rev()));
+        assert_eq!(forward, backward);
+
+        let (wal, probe) = logged(&mut (0..N));
+        wal.flush().unwrap();
+        let r = recover(&probe.durable());
+        let device = MemStorage::new();
+        let driver = FlushDriver::Inline;
+        Wal::resume(
+            Box::new(device.clone()),
+            config,
+            driver,
+            r.state,
+            &r.store,
+            None,
+        )
+        .unwrap();
+        assert_eq!(device.durable(), forward);
     }
 
     #[test]

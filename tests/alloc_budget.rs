@@ -131,7 +131,7 @@ fn ms_sr_run_stays_within_its_allocation_budget() {
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 166_856);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 122_760);
 }
 
 #[test]

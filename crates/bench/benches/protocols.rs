@@ -1,5 +1,5 @@
 //! Microbenchmarks for the multi-stage transaction protocols, all driven
-//! through `dyn MultiStageProtocol`: the full commit path of each protocol
+//! through one `Executor`: the full commit path of each protocol
 //! (without the cloud wait — the protocol overhead itself) and the batch
 //! sequencer.
 
@@ -12,9 +12,7 @@ use std::hint::black_box;
 use croesus_core::HotspotWorkload;
 use croesus_sim::DetRng;
 use croesus_store::{KvStore, LockManager, LockPolicy, TxnId};
-use croesus_txn::{
-    ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, RwSet, Sequencer,
-};
+use croesus_txn::{ExecutorCore, ProtocolKind, RwSet, Sequencer};
 
 fn protocol_commit_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol");
@@ -36,7 +34,7 @@ fn protocol_commit_paths(c: &mut Criterion) {
         ("ms_ia_full_txn", ProtocolKind::MsIa),
         ("staged_full_txn", ProtocolKind::Staged),
     ] {
-        let ex: Box<dyn MultiStageProtocol> = kind.build(ExecutorCore::new(
+        let ex = kind.build(ExecutorCore::new(
             Arc::new(KvStore::new()),
             Arc::new(LockManager::new(LockPolicy::Block)),
         ));

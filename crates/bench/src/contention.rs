@@ -1,7 +1,7 @@
 //! The concurrency experiments behind Figure 6(a) and 6(b): genuinely
 //! concurrent execution of the real protocol implementations over a
-//! hot-spot workload, driven through `dyn`
-//! [`MultiStageProtocol`] so every protocol runs under the same harness.
+//! hot-spot workload, driven through one [`Executor`] so every protocol
+//! runs under the same harness.
 //!
 //! The edge→cloud round trip (≈1.25 s with YOLOv3-416) is replaced by a
 //! scaled-down real sleep; reported lock-hold times add back the unscaled
@@ -15,15 +15,12 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use croesus_core::HotspotWorkload;
 use croesus_sim::DetRng;
 use croesus_store::{KvStore, LockManager, LockPolicy, TxnId};
-use croesus_txn::{
-    ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, RwSet, Sequencer,
-    TxnHandle, WorkerPool,
-};
+use croesus_txn::{Executor, ExecutorCore, ProtocolKind, RwSet, Sequencer, TxnHandle, WorkerPool};
 
 /// Configuration of one contention run.
 #[derive(Clone, Copy, Debug)]
@@ -81,20 +78,6 @@ pub struct ContentionResult {
     /// Mean lock-hold time per transaction, corrected to the unscaled
     /// cloud wait, in milliseconds.
     pub avg_hold_ms: f64,
-    /// Wall-clock time of the whole run — the scaling-curve numerator.
-    pub elapsed: Duration,
-}
-
-impl ContentionResult {
-    /// Committed transactions per wall-clock second.
-    pub fn txn_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.commits as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 fn rwsets(cfg: &ContentionConfig) -> Vec<RwSet> {
@@ -106,7 +89,7 @@ fn rwsets(cfg: &ContentionConfig) -> Vec<RwSet> {
     (0..cfg.txns).map(|_| workload.rwset(&mut rng)).collect()
 }
 
-fn protocol(kind: ProtocolKind, policy: LockPolicy) -> Arc<Box<dyn MultiStageProtocol>> {
+fn protocol(kind: ProtocolKind, policy: LockPolicy) -> Arc<Executor> {
     Arc::new(kind.build(ExecutorCore::new(
         Arc::new(KvStore::new()),
         Arc::new(LockManager::new(policy)),
@@ -124,7 +107,6 @@ pub fn run_ms_sr_with_policy(cfg: &ContentionConfig, policy: LockPolicy) -> Cont
     let first_attempt_aborts = Arc::new(AtomicU64::new(0));
     let wait = cfg.scaled_cloud_wait;
     let work = cfg.section_work;
-    let started = Instant::now();
 
     let handles: Vec<_> = (0..cfg.threads)
         .map(|_| {
@@ -191,7 +173,6 @@ pub fn run_ms_sr_with_policy(cfg: &ContentionConfig, policy: LockPolicy) -> Cont
         first_attempt_aborts: first,
         abort_rate: first as f64 / cfg.txns.max(1) as f64,
         avg_hold_ms: snap.avg_lock_hold_ms + correction_ms,
-        elapsed: started.elapsed(),
     }
 }
 
@@ -205,77 +186,17 @@ pub fn run_ms_sr(cfg: &ContentionConfig) -> ContentionResult {
 /// transactions never overlap, so the abort rate is 0% and locks are held
 /// only for the duration of a section. The cloud wait happens between the
 /// stages, with no locks held — the whole point of MS-IA.
-pub fn run_released(kind: ProtocolKind, cfg: &ContentionConfig) -> ContentionResult {
-    assert!(
-        kind != ProtocolKind::MsSr,
-        "MS-SR holds locks across waits; use run_ms_sr"
-    );
-    let sets = rwsets(cfg);
-    let executor = kind.build(ExecutorCore::new(
-        Arc::new(KvStore::new()),
-        Arc::new(LockManager::new(LockPolicy::Block)),
-    ));
-    let work = cfg.section_work;
-    let started = Instant::now();
-
-    // Initial sections wave by wave, then final sections.
-    let mut pendings: Vec<Option<TxnHandle>> = (0..sets.len()).map(|_| None).collect();
-    Sequencer::run_batch::<croesus_txn::TxnError>(&sets, |idx| {
-        let rw = &sets[idx];
-        let h = executor.begin(TxnId(idx as u64), &[rw.clone(), rw.clone()]);
-        let (_, p) = executor.stage(h, rw, |ctx| {
-            thread::sleep(work);
-            for k in &rw.writes {
-                ctx.write(k.clone(), 1i64)?;
-            }
-            Ok(())
-        })?;
-        pendings[idx] = p;
-        Ok(())
-    })
-    .expect("sequenced initial sections cannot conflict");
-
-    for (idx, pending) in pendings.into_iter().enumerate() {
-        let rw = &sets[idx];
-        let p = pending.expect("every initial committed");
-        executor
-            .stage(p, rw, |ctx| {
-                thread::sleep(work);
-                for k in &rw.writes {
-                    ctx.write(k.clone(), 2i64)?;
-                }
-                Ok(())
-            })
-            .expect("final sections cannot abort");
-    }
-
-    let snap = executor.stats().snapshot();
-    ContentionResult {
-        commits: snap.commits,
-        total_aborts: snap.aborts,
-        first_attempt_aborts: snap.aborts,
-        abort_rate: snap.abort_rate(),
-        avg_hold_ms: snap.avg_lock_hold_ms,
-        elapsed: started.elapsed(),
-    }
-}
-
-/// MS-IA under the sequencer (the paper's 0%-abort configuration).
-pub fn run_ms_ia(cfg: &ContentionConfig) -> ContentionResult {
-    run_released(ProtocolKind::MsIa, cfg)
-}
-
-/// Run a lock-releasing protocol with the sequencer's waves executed on a
-/// [`WorkerPool`] — the wave-parallel edge runtime's harness, measured in
-/// isolation for the scaling curve.
 ///
-/// Both the initial *and* final sections run wave-parallel here. That is
-/// safe because the contention workload has no retraction cascades: a
-/// final section touches exactly its declared footprint, so wave-mates
-/// stay disjoint. (The edge pipeline must honour cascades that can
-/// restore keys outside any declared footprint, which is why it keeps
-/// finals sequential — see DESIGN.md.)
-pub fn run_released_pooled(
+/// Each sequencer wave runs on a [`WorkerPool`] of `workers` threads; one
+/// worker is the inline, thread-free path, and more give the
+/// wave-parallel edge runtime's scaling curve, measured in isolation.
+/// Both the initial *and* final sections run wave by wave. That is safe
+/// because the contention workload has no retraction cascades: a final
+/// section touches exactly its declared footprint, so wave-mates stay
+/// disjoint. (The edge pipeline must honour cascades that can restore
+/// keys outside any declared footprint, which is why it keeps finals
+/// sequential — see DESIGN.md.)
+pub fn run_released(
     kind: ProtocolKind,
     cfg: &ContentionConfig,
     workers: usize,
@@ -288,7 +209,6 @@ pub fn run_released_pooled(
     let executor = protocol(kind, LockPolicy::Block);
     let pool = WorkerPool::new(workers);
     let work = cfg.section_work;
-    let started = Instant::now();
 
     let waves = Sequencer::waves(&sets);
     let mut pendings: Vec<Option<TxnHandle>> = (0..sets.len()).map(|_| None).collect();
@@ -350,17 +270,12 @@ pub fn run_released_pooled(
         first_attempt_aborts: snap.aborts,
         abort_rate: snap.abort_rate(),
         avg_hold_ms: snap.avg_lock_hold_ms,
-        elapsed: started.elapsed(),
     }
 }
 
-/// Any protocol under its natural harness: MS-SR threaded with wait-die,
-/// the others sequenced.
-pub fn run_protocol(kind: ProtocolKind, cfg: &ContentionConfig) -> ContentionResult {
-    match kind {
-        ProtocolKind::MsSr => run_ms_sr(cfg),
-        _ => run_released(kind, cfg),
-    }
+/// MS-IA under the sequencer, inline (the paper's 0%-abort configuration).
+pub fn run_ms_ia(cfg: &ContentionConfig) -> ContentionResult {
+    run_released(ProtocolKind::MsIa, cfg, 1)
 }
 
 #[cfg(test)]
@@ -402,7 +317,7 @@ mod tests {
 
     #[test]
     fn staged_matches_ms_ia_under_the_sequencer() {
-        let r = run_protocol(ProtocolKind::Staged, &small(20));
+        let r = run_released(ProtocolKind::Staged, &small(20), 1);
         assert_eq!(r.commits, 60);
         assert_eq!(r.total_aborts, 0);
     }
@@ -451,20 +366,12 @@ mod tests {
     #[test]
     fn pooled_release_matches_the_sequential_harness() {
         for kind in [ProtocolKind::MsIa, ProtocolKind::Staged] {
-            let seq = run_released(kind, &small(20));
-            let pooled = run_released_pooled(kind, &small(20), 4);
+            let seq = run_released(kind, &small(20), 1);
+            let pooled = run_released(kind, &small(20), 4);
             assert_eq!(pooled.commits, seq.commits, "{kind}");
             assert_eq!(pooled.commits, 60, "{kind}");
             assert_eq!(pooled.total_aborts, 0, "{kind}: waves stay conflict-free");
             assert_eq!(pooled.abort_rate, 0.0, "{kind}");
         }
-    }
-
-    #[test]
-    fn pooled_single_worker_is_the_inline_path() {
-        let r = run_released_pooled(ProtocolKind::MsIa, &small(20), 1);
-        assert_eq!(r.commits, 60);
-        assert_eq!(r.total_aborts, 0);
-        assert!(r.txn_per_sec() > 0.0);
     }
 }

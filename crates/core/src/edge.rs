@@ -7,11 +7,10 @@
 //! arrive (or the frame is locally finalized when thresholding decides not
 //! to validate it).
 //!
-//! Transaction processing goes through `dyn`
-//! [`MultiStageProtocol`] — the edge node does not care whether the
-//! deployment runs MS-IA (the paper's default), MS-SR, or the staged
-//! discipline; swap the protocol at construction and every workload runs
-//! unchanged.
+//! Transaction processing goes through one [`Executor`] — the edge node
+//! does not care whether the deployment runs MS-IA (the paper's default),
+//! MS-SR, or the staged discipline; swap the protocol at construction and
+//! every workload runs unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,8 +23,8 @@ use croesus_detect::{Detection, DetectionModel, SimulatedModel};
 use croesus_sim::{DetRng, SimDuration};
 use croesus_store::{KvStore, LockManager, TxnId};
 use croesus_txn::{
-    ExecutorCore, MultiStageProtocol, ProtocolKind, RwSet, SectionOutput, Sequencer, StageOutcome,
-    TxnHandle, WorkerPool,
+    Executor, ExecutorCore, ProtocolKind, RwSet, SectionOutput, Sequencer, StageOutcome, TxnHandle,
+    WorkerPool,
 };
 use croesus_video::Frame;
 
@@ -64,7 +63,7 @@ pub struct FinalStage {
 /// The edge node.
 pub struct EdgeNode {
     model: SimulatedModel,
-    protocol: Arc<dyn MultiStageProtocol>,
+    protocol: Arc<Executor>,
     bank: Arc<TransactionsBank>,
     overlap_threshold: f64,
     txn_counter: AtomicU64,
@@ -100,11 +99,11 @@ impl EdgeNode {
         bank: Arc<TransactionsBank>,
         overlap_threshold: f64,
         seed: u64,
-        protocol: Box<dyn MultiStageProtocol>,
+        protocol: Executor,
     ) -> Self {
         EdgeNode {
             model,
-            protocol: Arc::from(protocol),
+            protocol: Arc::new(protocol),
             bank,
             overlap_threshold,
             txn_counter: AtomicU64::new(0),
@@ -135,8 +134,8 @@ impl EdgeNode {
     }
 
     /// The transaction protocol (stats, apologies, history).
-    pub fn protocol(&self) -> &dyn MultiStageProtocol {
-        &*self.protocol
+    pub fn protocol(&self) -> &Executor {
+        &self.protocol
     }
 
     fn next_txn(&self) -> TxnId {
@@ -157,7 +156,7 @@ impl EdgeNode {
     /// ids). A free function over the `Arc`'d protocol so pool jobs can
     /// own everything they touch.
     fn run_initial_txn(
-        protocol: &dyn MultiStageProtocol,
+        protocol: &Executor,
         txn: TxnId,
         label: Detection,
         inst: crate::bank::TxnInstance,
@@ -246,7 +245,7 @@ impl EdgeNode {
                     let (label, inst) = slots[idx].take().expect("each index runs once");
                     let txn = self.next_txn();
                     if let Some((output, ptxn)) =
-                        Self::run_initial_txn(&*self.protocol, txn, label, inst)
+                        Self::run_initial_txn(&self.protocol, txn, label, inst)
                     {
                         committed += 1;
                         responses.push(output);
@@ -262,7 +261,7 @@ impl EdgeNode {
                         // order — the same sequence the inline path sees.
                         let txn = self.next_txn();
                         let protocol = Arc::clone(&self.protocol);
-                        move || Self::run_initial_txn(&*protocol, txn, label, inst)
+                        move || Self::run_initial_txn(&protocol, txn, label, inst)
                     })
                     .collect();
                 for (output, ptxn) in self.pool.run_wave(jobs).into_iter().flatten() {
@@ -330,7 +329,7 @@ impl EdgeNode {
             };
             if let Some(inst) = inst {
                 let txn = self.next_txn();
-                if let Some((_, ptxn)) = Self::run_initial_txn(&*self.protocol, txn, label, inst) {
+                if let Some((_, ptxn)) = Self::run_initial_txn(&self.protocol, txn, label, inst) {
                     let input = FinalInput::correct(ptxn.edge_label.clone());
                     self.finalize_one(ptxn, &input);
                     committed += 1;

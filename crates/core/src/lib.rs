@@ -4,8 +4,8 @@
 //! A frame arrives at the [`edge`] node, which runs the small model,
 //! filters detections through the [`threshold`] bands (discard / validate /
 //! keep), triggers the matching transactions from the [`bank`], and commits
-//! their initial sections immediately — through whichever
-//! [`MultiStageProtocol`](croesus_txn::MultiStageProtocol) the deployment
+//! their initial sections immediately — through the
+//! [`Executor`](croesus_txn::Executor) of whichever protocol the deployment
 //! selected. Frames in the validate band travel to the [`cloud`] node; when
 //! the accurate labels return, [`matching`] pairs them with the edge labels
 //! and the final sections run — correcting, retracting and apologizing as

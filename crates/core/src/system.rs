@@ -428,7 +428,10 @@ impl Deployment {
 #[cfg(test)]
 pub(crate) fn durable_modes(dir: &std::path::Path) -> [DurabilityMode; 3] {
     [
-        DurabilityMode::Strict { dir: dir.into() },
+        DurabilityMode::GroupCommit {
+            dir: dir.into(),
+            group: 1,
+        },
         DurabilityMode::group_commit(dir),
         DurabilityMode::pipelined(dir),
     ]

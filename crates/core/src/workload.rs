@@ -182,14 +182,14 @@ mod tests {
     use crate::bank::TxnInstance;
     use crate::matching::FinalInput;
     use croesus_store::{KvStore, LockManager, LockPolicy, TxnId};
-    use croesus_txn::{ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind};
+    use croesus_txn::{Executor, ExecutorCore, ProtocolKind};
     use croesus_video::BoundingBox;
 
     fn det(class: &str) -> Detection {
         Detection::new(class.into(), 0.9, BoundingBox::new(0.4, 0.4, 0.2, 0.2))
     }
 
-    fn executor() -> Box<dyn MultiStageProtocol> {
+    fn executor() -> Executor {
         ProtocolKind::MsIa.build(ExecutorCore::new(
             Arc::new(KvStore::new()),
             Arc::new(LockManager::new(LockPolicy::Block)),
@@ -197,7 +197,7 @@ mod tests {
     }
 
     /// Run a bank instance's two sections through the protocol API.
-    fn run_instance(ex: &dyn MultiStageProtocol, inst: TxnInstance, input: &FinalInput) {
+    fn run_instance(ex: &Executor, inst: TxnInstance, input: &FinalInput) {
         let h = ex.begin(TxnId(1), &[inst.initial_rw.clone(), inst.final_rw.clone()]);
         let (_, h) = ex
             .stage(h, &inst.initial_rw, |ctx| (inst.initial)(ctx.section_mut()))
@@ -274,7 +274,7 @@ mod tests {
             edge_label: Some(det("bus")),
             verdict: LabelVerdict::Corrected(det("car")),
         };
-        run_instance(&*ex, inst, &input);
+        run_instance(&ex, inst, &input);
         for k in &keys {
             assert_eq!(ex.store().get(k).unwrap().as_str().unwrap(), "seen:car");
         }
@@ -291,7 +291,7 @@ mod tests {
             edge_label: Some(det("car")),
             verdict: LabelVerdict::Erroneous,
         };
-        run_instance(&*ex, inst, &input);
+        run_instance(&ex, inst, &input);
         for k in &keys {
             assert!(!ex.store().contains(k), "erroneous inserts removed");
         }

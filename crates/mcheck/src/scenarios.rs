@@ -28,9 +28,8 @@ use croesus_obs::EdgeObs;
 use croesus_store::{Key, KvStore, LockManager, LockPolicy, PartitionMap, TxnId, Value};
 use croesus_txn::tpc::ParticipantWrites;
 use croesus_txn::{
-    Coordinator, ExecutorCore, HistoryRecorder, JobQueue, MultiStageProtocol,
-    MultiStageProtocolExt, Participant, PartitionParticipant, ProtocolKind, RwSet, StageCtx,
-    TpcOutcome, TsplExecutor, TxnError, TxnHandle,
+    Coordinator, Executor, ExecutorCore, HistoryRecorder, JobQueue, Participant,
+    PartitionParticipant, ProtocolKind, RwSet, StageCtx, TpcOutcome, TxnError, TxnHandle,
 };
 use croesus_wal::{FlushDriver, LogShipper, MemStorage, Wal, WalConfig};
 
@@ -147,7 +146,7 @@ fn check_trace(obs: &EdgeObs) -> Result<(), String> {
 /// in-memory WAL, rebuilt per schedule.
 pub struct ProtoWorld {
     /// The executor under test (its store and locks via `core()`).
-    pub protocol: Box<dyn MultiStageProtocol>,
+    pub protocol: Executor,
     /// Its WAL (strict sync: every append is durable on return).
     pub wal: Arc<Wal>,
     /// The WAL's backing storage — `wal.epoch_bytes(&probe)` is the
@@ -277,14 +276,10 @@ impl Scenario for ProtocolScenario {
             .with_history(history.clone())
             .with_obs(obs.clone())
             .with_wal(Arc::clone(&wal));
-        let protocol: Box<dyn MultiStageProtocol> = if self.mutate_ms_sr {
-            assert_eq!(self.kind, ProtocolKind::MsSr, "the mutation targets MS-SR");
-            let p = TsplExecutor::from_core(core);
-            p.enable_log_final_after_release_mutation();
-            Box::new(p)
-        } else {
-            self.kind.build(core)
-        };
+        let protocol = self.kind.build(core);
+        if self.mutate_ms_sr {
+            protocol.enable_log_final_after_release_mutation();
+        }
         Arc::new(ProtoWorld {
             protocol,
             wal,

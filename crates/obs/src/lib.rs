@@ -29,7 +29,6 @@
 
 pub mod event;
 pub mod hist;
-pub mod json;
 pub mod ordering;
 pub mod sink;
 

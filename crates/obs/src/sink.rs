@@ -355,12 +355,6 @@ impl Obs {
         edges[edge].clone()
     }
 
-    /// How many edge streams exist.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.lock().len()
-    }
-
     /// All events, grouped by edge and in per-edge emission order.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
@@ -521,7 +515,6 @@ mod tests {
         let events = obs.edge_events(1);
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].seq, 1, "replacement continues the stream");
-        assert_eq!(obs.edge_count(), 2);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! section *must* commit — that guarantee is the crux of the model, and the
 //! consistency protocols differ in how they pay for it.
 //!
-//! All protocols implement one trait, [`MultiStageProtocol`], over shared
-//! [`ExecutorCore`] state, so any driver can run any protocol through
-//! `&dyn MultiStageProtocol`:
+//! Every protocol is one [`Executor`]: a [`ProtocolKind`]'s lock schedule
+//! over shared [`ExecutorCore`] state, so any driver runs any protocol
+//! through the same concrete type:
 //!
 //! * **MS-SR** ([`ms_sr`], [`ProtocolKind::MsSr`]) mimics serializability:
 //!   a transaction's sections appear back-to-back in the serial order. The
@@ -29,7 +29,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use croesus_store::{KvStore, LockManager, LockPolicy, TxnId};
-//! use croesus_txn::{ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet};
+//! use croesus_txn::{ExecutorCore, ProtocolKind, RwSet};
 //!
 //! for kind in ProtocolKind::ALL {
 //!     let protocol = kind.build(ExecutorCore::new(
@@ -79,15 +79,11 @@ pub use invariant::{
     merge_decision, FnInvariant, Invariant, InvariantViolation, MergeOutcome, NonNegativeInvariant,
 };
 pub use model::{RwSet, SectionCtx, SectionOutput, TxnError};
-pub use ms_ia::MsIaExecutor;
-pub use ms_sr::TsplExecutor;
 pub use protocol::{
-    ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, StageBody, StageCtx,
-    StageOutcome, TxnHandle,
+    Executor, ExecutorCore, ProtocolKind, StageBody, StageCtx, StageOutcome, TxnHandle,
 };
 pub use recovery::{recover_edge, recover_edge_file, RecoveredEdge};
 pub use runtime::{current_worker, JobQueue, WorkerPool};
 pub use sequencer::Sequencer;
-pub use staged::StagedExecutor;
 pub use stats::{ProtocolStats, StatsSnapshot};
 pub use tpc::{Coordinator, Participant, PartitionParticipant, RetryPolicy, TpcOutcome, Vote};

@@ -19,19 +19,20 @@
 //! retraction (via [`crate::StageCtx::retract_self`]) when the guess cannot
 //! be merged.
 //!
-//! The executor is one implementation of
-//! [`MultiStageProtocol`]; all the lock / undo /
+//! The schedule is [`ProtocolKind::MsIa`](crate::ProtocolKind::MsIa)'s arm
+//! of [`Executor::run_stage`](crate::Executor::run_stage): the lock-release
+//! discipline it shares with the staged protocol, with the final
+//! section's footprint left unregistered — the final section is the
+//! reconciliation itself and is never retracted. All the lock / undo /
 //! history / stats plumbing lives in the shared
-//! [`ExecutorCore`].
+//! [`ExecutorCore`](crate::ExecutorCore).
 //!
 //! ```
 //! use std::sync::Arc;
 //! use croesus_store::{KvStore, LockManager, LockPolicy, TxnId, Value};
-//! use croesus_txn::{
-//!     ExecutorCore, MsIaExecutor, MultiStageProtocol, MultiStageProtocolExt, RwSet,
-//! };
+//! use croesus_txn::{ExecutorCore, ProtocolKind, RwSet};
 //!
-//! let ex = MsIaExecutor::from_core(ExecutorCore::new(
+//! let ex = ProtocolKind::MsIa.build(ExecutorCore::new(
 //!     Arc::new(KvStore::new()),
 //!     Arc::new(LockManager::new(LockPolicy::Block)),
 //! ));
@@ -44,69 +45,17 @@
 //! assert_eq!(ex.store().get(&"x".into()).as_deref(), Some(&Value::Int(2)));
 //! ```
 
-use croesus_store::TxnId;
-
-use crate::model::{RwSet, TxnError};
-use crate::protocol::{
-    ExecutorCore, MultiStageProtocol, ProtocolKind, StageBody, StageOutcome, TxnHandle,
-};
-
-/// The MS-IA executor.
-pub struct MsIaExecutor {
-    core: ExecutorCore,
-}
-
-impl MsIaExecutor {
-    /// An MS-IA executor over shared core state.
-    #[must_use]
-    pub fn from_core(core: ExecutorCore) -> Self {
-        MsIaExecutor { core }
-    }
-}
-
-impl MultiStageProtocol for MsIaExecutor {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::MsIa
-    }
-
-    fn core(&self) -> &ExecutorCore {
-        &self.core
-    }
-
-    fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle {
-        self.core.note_begin(txn, stages.len());
-        TxnHandle::first(txn, stages.len())
-    }
-
-    /// Every stage acquires, executes, commits and releases immediately;
-    /// non-final stages register their footprint as a retractable guess.
-    /// Only stage 0 may abort — later stages retry lock acquisition until
-    /// granted, because the initial commit promised a final commit.
-    fn run_stage(
-        &self,
-        handle: TxnHandle,
-        rw: &RwSet,
-        body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError> {
-        self.core.run_released_stage(handle, rw, body, false)
-    }
-
-    fn abort(&self, handle: TxnHandle) {
-        self.core.abort_handle(&handle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::history::HistoryRecorder;
-    use crate::protocol::MultiStageProtocolExt;
-    use croesus_store::{KvStore, LockManager, LockPolicy, Value};
+    use crate::model::{RwSet, TxnError};
+    use crate::protocol::{Executor, ExecutorCore, ProtocolKind};
+    use croesus_store::{KvStore, LockManager, LockPolicy, TxnId, Value};
     use std::sync::Arc;
     use std::thread;
 
-    fn executor(policy: LockPolicy) -> MsIaExecutor {
-        MsIaExecutor::from_core(
+    fn executor(policy: LockPolicy) -> Executor {
+        ProtocolKind::MsIa.build(
             ExecutorCore::new(Arc::new(KvStore::new()), Arc::new(LockManager::new(policy)))
                 .with_history(HistoryRecorder::new()),
         )
@@ -148,7 +97,8 @@ mod tests {
     fn locks_released_after_initial() {
         let store = Arc::new(KvStore::new());
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = MsIaExecutor::from_core(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
+        let ex =
+            ProtocolKind::MsIa.build(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
         let rw = RwSet::new().write("x");
         let h = ex.begin(TxnId(1), &[rw.clone(), rw.clone()]);
         let (_, _pending) = ex.stage(h, &rw, |ctx| ctx.write("x", 1)).unwrap();
@@ -226,7 +176,7 @@ mod tests {
     #[test]
     fn history_satisfies_ms_ia_but_interleaving_breaks_ms_sr() {
         let history = HistoryRecorder::new();
-        let ex = MsIaExecutor::from_core(
+        let ex = ProtocolKind::MsIa.build(
             ExecutorCore::new(
                 Arc::new(KvStore::new()),
                 Arc::new(LockManager::new(LockPolicy::Block)),

@@ -20,13 +20,14 @@
 //! is where MS-SR's contention (Fig 6a) and aborts under hot spots
 //! (Fig 6b) come from.
 //!
-//! Under the unified [`MultiStageProtocol`] API the caller waits for the
-//! final input *between* `run_stage` calls; TSPL simply keeps all locks
-//! held across that gap (that is the point). Because later stages must not
-//! acquire anything new after initial commit, every stage's read/write set
-//! must be covered by the sets declared at [`begin`](TsplExecutor::begin).
+//! Under [`Executor::run_stage`](crate::Executor::run_stage) the caller
+//! waits for the final input *between* `run_stage` calls; TSPL simply
+//! keeps all locks held across that gap (that is the point). Because
+//! later stages must not acquire anything new after initial commit, every
+//! stage's read/write set must be covered by the sets declared at
+//! [`begin`](crate::Executor::begin).
 //!
-//! The executor is stateless: what a transaction will lock (the later
+//! The schedule is stateless: what a transaction will lock (the later
 //! stages' pairs, until the end of stage 0) and what it holds (keys and
 //! lock epoch, from there to final commit) ride in its [`TxnHandle`]. A
 //! stage is the shared lifecycle of [`ExecutorCore`] (`execute`,
@@ -39,211 +40,140 @@ use std::time::Instant;
 use croesus_store::{Key, LockMode, TxnId};
 
 use crate::model::{RwSet, TxnError};
-use crate::protocol::{
-    ExecutorCore, MultiStageProtocol, ProtocolKind, StageBody, StageOutcome, TxnHandle,
-};
+use crate::protocol::{ExecutorCore, StageBody, StageOutcome, TxnHandle};
 
-/// The Two-Stage 2PL executor (generalized to m stages: all locks are
-/// acquired by the end of stage 0 and held until the final stage commits).
-pub struct TsplExecutor {
-    core: ExecutorCore,
-    /// Mutation self-test flag (mcheck builds only): when set, the final
-    /// commit record is logged *after* the locks are released — a seeded
-    /// commit-point bug the model checker must be able to catch.
-    #[cfg(feature = "mcheck")]
-    mutate_log_final_after_release: std::sync::atomic::AtomicBool,
+/// The lock pairs of every stage after the first, taken (and then held)
+/// at the end of stage 0.
+pub(crate) fn later_pairs(later: &[RwSet]) -> Vec<(Key, LockMode)> {
+    later
+        .iter()
+        .fold(RwSet::new(), |acc, rw| acc.union(rw))
+        .lock_pairs()
 }
 
-impl TsplExecutor {
-    /// A TSPL executor over shared core state.
-    #[must_use]
-    pub fn from_core(core: ExecutorCore) -> Self {
-        TsplExecutor {
-            core,
-            #[cfg(feature = "mcheck")]
-            mutate_log_final_after_release: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Arm the deliberate commit-point bug (self-test for the model
-    /// checker — see `tests/mcheck.rs`). Never use outside tests.
-    #[cfg(feature = "mcheck")]
-    pub fn enable_log_final_after_release_mutation(&self) {
-        self.mutate_log_final_after_release
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Release what [`TxnHandle::take_held`] took out of a handle and
-    /// record how long it was held. A handle that held nothing (the
-    /// mutation below got there first) releases nothing and records
-    /// nothing.
-    fn release(&self, txn: TxnId, (held, lock_epoch): (Vec<Key>, Option<Instant>)) {
-        if let Some(epoch) = lock_epoch {
-            self.core.stats().record_lock_hold(epoch.elapsed());
-            self.core.locks().release_all(txn, held.iter());
-        }
-    }
-
-    /// Mutation self-test (mcheck builds only): when armed, release the
-    /// locks *before* the final commit record is appended — deliberately
-    /// breaking MS-SR's "log under locks, then release" discipline so a
-    /// checker run can prove it would catch such a bug.
-    #[cfg(feature = "mcheck")]
-    fn maybe_release_before_final_log(&self, handle: &mut TxnHandle) {
-        use std::sync::atomic::Ordering;
-        if handle.is_final() && self.mutate_log_final_after_release.load(Ordering::Relaxed) {
-            self.release(handle.txn(), handle.take_held());
-            crate::sched::yield_point("ms_sr.mutated.unlogged-window");
-        }
-    }
-
-    #[cfg(not(feature = "mcheck"))]
-    fn maybe_release_before_final_log(&self, _handle: &mut TxnHandle) {}
-
-    /// Stage 0: lock the initial items, execute, then lock every later
-    /// stage's declared items *before* initial commit — the acquisition
-    /// order that guarantees later stages cannot abort.
-    fn run_initial(
-        &self,
-        mut handle: TxnHandle,
-        rw: &RwSet,
-        body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError> {
-        let txn = handle.txn();
-        let core = &self.core;
-        let started = Instant::now();
-        let initial_pairs = rw.lock_pairs();
-        if let Err(e) = core.locks().acquire_all(txn, &initial_pairs, None) {
-            core.record_abort(txn);
-            return Err(TxnError::Aborted(e));
-        }
-        handle.lock_epoch = Some(Instant::now());
-        crate::sched::yield_point("ms_sr.initial.locked");
-        let (output, undo) = core
-            .execute(&handle, rw, body)
-            .inspect_err(|_| core.abort_locked(txn, &initial_pairs))?;
-
-        // Lock the later stages' items *before* initial commit: this is
-        // what guarantees the remaining stages cannot abort.
-        let later_pairs = std::mem::take(&mut handle.later_pairs);
-        if let Err(e) = core.locks().acquire_all(txn, &later_pairs, None) {
-            undo.rollback(core.store());
-            core.abort_locked(txn, &initial_pairs);
-            return Err(TxnError::Aborted(e));
-        }
-        crate::sched::yield_point("ms_sr.later.locked");
-
-        // MS-SR's durable commit point is *final* commit: log this stage's
-        // writes without the commit-point flag, so replay buffers them —
-        // the held locks guarantee no other transaction saw them, and a
-        // crash before final commit legitimately un-happens the whole txn.
-        core.commit_stage(&handle, rw, &undo, started, false, false);
-
-        // Remember everything held, deduplicated, for the final release.
-        handle.held = initial_pairs
-            .into_iter()
-            .chain(later_pairs)
-            .map(|(k, _)| k)
-            .collect();
-        handle.held.sort();
-        handle.held.dedup();
-        Ok(core.finish(handle, output, started))
-    }
-
-    /// Stages `1..`: every lock is already held; execute under them and
-    /// release everything at final commit. Errors here are application
-    /// bugs — the protocol guarantees commit, so the body must not fail.
-    fn run_held(
-        &self,
-        mut handle: TxnHandle,
-        rw: &RwSet,
-        body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError> {
-        let txn = handle.txn();
-        let core = &self.core;
-        let started = Instant::now();
-        // The declared sets at begin() are binding under MS-SR: acquiring
-        // anything new after initial commit could abort or block, which
-        // the guarantee forbids.
-        for (key, mode) in rw.lock_pairs() {
-            match core.locks().held_mode(txn, &key) {
-                Some(LockMode::Exclusive) => {}
-                Some(LockMode::Shared) if mode == LockMode::Shared => {}
-                held => panic!(
-                    "stage {} of {txn} accesses {key} ({mode:?}) but holds {held:?} — \
-                     MS-SR requires every stage's items to be declared at begin()",
-                    handle.stage()
-                ),
-            }
-        }
-        let (output, undo) = core.execute(&handle, rw, body)?;
-        self.maybe_release_before_final_log(&mut handle);
-
-        // Final commit is MS-SR's one durable commit point; intermediate
-        // stages keep buffering (replay applies everything at the final
-        // record).
-        core.commit_stage(&handle, rw, &undo, started, handle.is_final(), false);
-
-        // `finish` consumes the handle, and the final commit is recorded
-        // while the locks are still held — so take them out first.
-        let held = handle.is_final().then(|| handle.take_held());
-        let outcome = core.finish(handle, output, started);
-        if let Some(held) = held {
-            self.release(txn, held);
-        }
-        Ok(outcome)
+/// Release what [`TxnHandle::take_held`] took out of a handle and record
+/// how long it was held. A handle that held nothing (the mutation in
+/// [`run_held`] got there first) releases nothing and records nothing.
+fn release(core: &ExecutorCore, txn: TxnId, (held, lock_epoch): (Vec<Key>, Option<Instant>)) {
+    if let Some(epoch) = lock_epoch {
+        core.stats().record_lock_hold(epoch.elapsed());
+        core.locks().release_all(txn, held.iter());
     }
 }
 
-impl MultiStageProtocol for TsplExecutor {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::MsSr
+/// Stage 0: lock the initial items, execute, then lock every later
+/// stage's declared items *before* initial commit — the acquisition
+/// order that guarantees later stages cannot abort.
+pub(crate) fn run_initial(
+    core: &ExecutorCore,
+    mut handle: TxnHandle,
+    rw: &RwSet,
+    body: StageBody<'_>,
+) -> Result<StageOutcome, TxnError> {
+    let txn = handle.txn();
+    let started = Instant::now();
+    let initial_pairs = rw.lock_pairs();
+    if let Err(e) = core.locks().acquire_all(txn, &initial_pairs, None) {
+        core.record_abort(txn);
+        return Err(TxnError::Aborted(e));
     }
+    handle.lock_epoch = Some(Instant::now());
+    crate::sched::yield_point("ms_sr.initial.locked");
+    let (output, undo) = core
+        .execute(&handle, rw, body)
+        .inspect_err(|_| core.abort_locked(txn, &initial_pairs))?;
 
-    fn core(&self) -> &ExecutorCore {
-        &self.core
+    // Lock the later stages' items *before* initial commit: this is
+    // what guarantees the remaining stages cannot abort.
+    let later_pairs = std::mem::take(&mut handle.later_pairs);
+    if let Err(e) = core.locks().acquire_all(txn, &later_pairs, None) {
+        undo.rollback(core.store());
+        core.abort_locked(txn, &initial_pairs);
+        return Err(TxnError::Aborted(e));
     }
+    crate::sched::yield_point("ms_sr.later.locked");
 
-    fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle {
-        let mut handle = TxnHandle::first(txn, stages.len());
-        self.core.note_begin(txn, stages.len());
-        let later = stages[1..]
-            .iter()
-            .fold(RwSet::new(), |acc, rw| acc.union(rw));
-        handle.later_pairs = later.lock_pairs();
-        handle
-    }
+    // MS-SR's durable commit point is *final* commit: log this stage's
+    // writes without the commit-point flag, so replay buffers them —
+    // the held locks guarantee no other transaction saw them, and a
+    // crash before final commit legitimately un-happens the whole txn.
+    core.commit_stage(&handle, rw, &undo, started, false, false);
 
-    fn run_stage(
-        &self,
-        handle: TxnHandle,
-        rw: &RwSet,
-        body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError> {
-        if handle.stage() == 0 {
-            self.run_initial(handle, rw, body)
-        } else {
-            self.run_held(handle, rw, body)
+    // Remember everything held, deduplicated, for the final release.
+    handle.held = initial_pairs
+        .into_iter()
+        .chain(later_pairs)
+        .map(|(k, _)| k)
+        .collect();
+    handle.held.sort();
+    handle.held.dedup();
+    Ok(core.finish(handle, output, started))
+}
+
+/// Stages `1..`: every lock is already held; execute under them and
+/// release everything at final commit. Errors here are application
+/// bugs — the protocol guarantees commit, so the body must not fail.
+///
+/// `release_before_log` is the mcheck mutation self-test (always `false`
+/// otherwise): the final stage releases its locks *before* its commit
+/// record is appended — deliberately breaking "log under locks, then
+/// release" so a checker run can prove it would catch such a bug.
+pub(crate) fn run_held(
+    core: &ExecutorCore,
+    mut handle: TxnHandle,
+    rw: &RwSet,
+    body: StageBody<'_>,
+    release_before_log: bool,
+) -> Result<StageOutcome, TxnError> {
+    let txn = handle.txn();
+    let started = Instant::now();
+    // The declared sets at begin() are binding under MS-SR: acquiring
+    // anything new after initial commit could abort or block, which
+    // the guarantee forbids.
+    for (key, mode) in rw.lock_pairs() {
+        match core.locks().held_mode(txn, &key) {
+            Some(LockMode::Exclusive) => {}
+            Some(LockMode::Shared) if mode == LockMode::Shared => {}
+            held => panic!(
+                "stage {} of {txn} accesses {key} ({mode:?}) but holds {held:?} — \
+                 MS-SR requires every stage's items to be declared at begin()",
+                handle.stage()
+            ),
         }
     }
-
-    fn abort(&self, handle: TxnHandle) {
-        self.core.abort_handle(&handle);
+    let (output, undo) = core.execute(&handle, rw, body)?;
+    if release_before_log && handle.is_final() {
+        release(core, txn, handle.take_held());
+        crate::sched::yield_point("ms_sr.mutated.unlogged-window");
     }
+
+    // Final commit is MS-SR's one durable commit point; intermediate
+    // stages keep buffering (replay applies everything at the final
+    // record).
+    core.commit_stage(&handle, rw, &undo, started, handle.is_final(), false);
+
+    // `finish` consumes the handle, and the final commit is recorded
+    // while the locks are still held — so take them out first.
+    let held = handle.is_final().then(|| handle.take_held());
+    let outcome = core.finish(handle, output, started);
+    if let Some(held) = held {
+        release(core, txn, held);
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::HistoryRecorder;
-    use crate::protocol::{MultiStageProtocolExt, StageCtx};
+    use crate::protocol::{Executor, ProtocolKind, StageCtx};
     use croesus_store::{KvStore, LockManager, LockPolicy, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
 
-    fn executor(policy: LockPolicy) -> TsplExecutor {
-        TsplExecutor::from_core(
+    fn executor(policy: LockPolicy) -> Executor {
+        ProtocolKind::MsSr.build(
             ExecutorCore::new(Arc::new(KvStore::new()), Arc::new(LockManager::new(policy)))
                 .with_history(HistoryRecorder::new()),
         )
@@ -252,7 +182,7 @@ mod tests {
     /// The old `execute` shape, rebuilt on the unified API: both stages
     /// back-to-back with a wait in between.
     fn execute<TI, TF>(
-        ex: &TsplExecutor,
+        ex: &Executor,
         txn: TxnId,
         initial_rw: &RwSet,
         final_rw: &RwSet,
@@ -340,7 +270,8 @@ mod tests {
     fn lock_conflict_aborts_under_nowait() {
         let store = Arc::new(KvStore::new());
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = TsplExecutor::from_core(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
+        let ex =
+            ProtocolKind::MsSr.build(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
         // Hold "x" from outside.
         locks
             .lock(TxnId(99), &"x".into(), croesus_store::LockMode::Exclusive)
@@ -363,7 +294,8 @@ mod tests {
         let store = Arc::new(KvStore::new());
         store.put("y".into(), Value::Int(0));
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = TsplExecutor::from_core(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
+        let ex =
+            ProtocolKind::MsSr.build(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
         // Another holder blocks the *final* set only.
         locks
             .lock(TxnId(1), &"z".into(), croesus_store::LockMode::Exclusive)
@@ -405,9 +337,10 @@ mod tests {
         let store = Arc::new(KvStore::new());
         store.put("x".into(), Value::Int(0));
         let locks = Arc::new(LockManager::new(LockPolicy::Block));
-        let ex = Arc::new(TsplExecutor::from_core(
-            ExecutorCore::new(Arc::clone(&store), locks).with_history(history.clone()),
-        ));
+        let ex = Arc::new(
+            ProtocolKind::MsSr
+                .build(ExecutorCore::new(Arc::clone(&store), locks).with_history(history.clone())),
+        );
         // The §4.2 increment anomaly: read x in initial, write x+1 in final.
         let threads: Vec<_> = (0..4)
             .map(|i| {
@@ -470,10 +403,7 @@ mod tests {
     fn wait_die_aborts_on_hot_spot_and_retry_succeeds() {
         let store = Arc::new(KvStore::new());
         let locks = Arc::new(LockManager::new(LockPolicy::WaitDie));
-        let ex = Arc::new(TsplExecutor::from_core(ExecutorCore::new(
-            store,
-            Arc::clone(&locks),
-        )));
+        let ex = Arc::new(ProtocolKind::MsSr.build(ExecutorCore::new(store, Arc::clone(&locks))));
         let committed = Arc::new(AtomicU64::new(0));
         let rw = RwSet::new().write("hot");
         let threads: Vec<_> = (0..6)
@@ -509,7 +439,8 @@ mod tests {
     fn three_stage_tspl_holds_everything_to_the_end() {
         let store = Arc::new(KvStore::new());
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = TsplExecutor::from_core(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
+        let ex =
+            ProtocolKind::MsSr.build(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
         let a = RwSet::new().write("a");
         let b = RwSet::new().write("b");
         let c = RwSet::new().write("c");
@@ -532,7 +463,7 @@ mod tests {
     #[test]
     fn aborted_txn_id_can_begin_again() {
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = TsplExecutor::from_core(ExecutorCore::new(
+        let ex = ProtocolKind::MsSr.build(ExecutorCore::new(
             Arc::new(KvStore::new()),
             Arc::clone(&locks),
         ));
@@ -554,7 +485,7 @@ mod tests {
     #[test]
     fn the_handle_carries_what_is_held_and_releases_it_once() {
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
-        let ex = TsplExecutor::from_core(ExecutorCore::new(
+        let ex = ProtocolKind::MsSr.build(ExecutorCore::new(
             Arc::new(KvStore::new()),
             Arc::clone(&locks),
         ));

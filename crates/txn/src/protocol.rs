@@ -15,26 +15,25 @@
 //!   the stage lifecycle every protocol runs: `execute` (events, history,
 //!   undo log, contexts, the body, the one error policy), `commit_stage`
 //!   (WAL record, history commit, `StageEnd`, initial-commit bookkeeping)
-//!   and `finish` (final-commit bookkeeping, or the next handle). An
-//!   executor adds only its lock schedule around those three calls and
+//!   and `finish` (final-commit bookkeeping, or the next handle). A
+//!   protocol adds only its lock schedule around those three calls and
 //!   the `commit_point` / `register` flags it passes.
 //! * [`TxnHandle`] is the affine token threaded through the stages; it
 //!   carries the per-transaction protocol state (MS-SR's held locks), so
 //!   no executor keeps a table of in-flight transactions.
-//! * [`MultiStageProtocol`] is the object-safe trait all protocol
-//!   executors implement: [`begin`](MultiStageProtocol::begin) declares a
-//!   transaction and its per-stage read/write sets,
-//!   [`run_stage`](MultiStageProtocol::run_stage) executes one section and
-//!   returns a typed [`StageOutcome`], [`abort`](MultiStageProtocol::abort)
-//!   gives up before initial commit.
-//! * [`ProtocolKind`] names the three implementations and builds any of
-//!   them from a core, so pipelines, benches and tests can be parameterized
-//!   by protocol.
+//! * [`Executor`] is a [`ProtocolKind`] over a core:
+//!   [`begin`](Executor::begin) declares a transaction and its per-stage
+//!   read/write sets, [`run_stage`](Executor::run_stage) executes one
+//!   section and returns a typed [`StageOutcome`], and
+//!   [`abort`](Executor::abort) gives up before initial commit.
+//!   `run_stage`'s one `match` on the kind is the only place a lock
+//!   schedule is chosen, so pipelines, benches and tests are
+//!   parameterized by protocol with a value, not a type.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use croesus_store::{KvStore, LockManager, LockPolicy, TxnId, Value};
-//! use croesus_txn::{ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet};
+//! use croesus_txn::{ExecutorCore, ProtocolKind, RwSet};
 //!
 //! let core = ExecutorCore::new(
 //!     Arc::new(KvStore::new()),
@@ -70,18 +69,20 @@ use crate::stats::ProtocolStats;
 /// The three multi-stage consistency protocols of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
-    /// Multi-stage serializability via Two-Stage 2PL (Algorithm 1): later
-    /// stages' locks are acquired before initial commit and held to the
-    /// end, so sections of a transaction appear back-to-back in the serial
-    /// order.
+    /// Multi-stage serializability via Two-Stage 2PL (Algorithm 1, see
+    /// [`crate::ms_sr`]): later stages' locks are acquired before initial
+    /// commit and held to the end, so sections of a transaction appear
+    /// back-to-back in the serial order.
     MsSr,
-    /// Multi-stage invariant confluence with apologies (Algorithm 2):
-    /// every stage commits and releases its locks immediately; later
-    /// stages reconcile errors with retractions and apologies.
+    /// Multi-stage invariant confluence with apologies (Algorithm 2, see
+    /// [`crate::ms_ia`]): every stage commits and releases its locks
+    /// immediately; later stages reconcile errors with retractions and
+    /// apologies.
     MsIa,
-    /// The generalized m-stage discipline of §3.5: the MS-IA release
-    /// schedule, with every stage's footprint registered as a retractable
-    /// guess until the transaction's last stage confirms it.
+    /// The generalized m-stage discipline of §3.5 (see [`crate::staged`]):
+    /// the MS-IA release schedule, with every stage's footprint registered
+    /// as a retractable guess until the transaction's last stage confirms
+    /// it.
     Staged,
 }
 
@@ -114,13 +115,14 @@ impl ProtocolKind {
         }
     }
 
-    /// Build the executor implementing this protocol over `core`.
+    /// The executor running this protocol's lock schedule over `core`.
     #[must_use]
-    pub fn build(self, core: ExecutorCore) -> Box<dyn MultiStageProtocol> {
-        match self {
-            ProtocolKind::MsSr => Box::new(crate::ms_sr::TsplExecutor::from_core(core)),
-            ProtocolKind::MsIa => Box::new(crate::ms_ia::MsIaExecutor::from_core(core)),
-            ProtocolKind::Staged => Box::new(crate::staged::StagedExecutor::from_core(core)),
+    pub fn build(self, core: ExecutorCore) -> Executor {
+        Executor {
+            kind: self,
+            core,
+            #[cfg(feature = "mcheck")]
+            mutate_log_final_after_release: std::sync::atomic::AtomicBool::new(false),
         }
     }
 }
@@ -238,20 +240,6 @@ impl ExecutorCore {
         &self.obs
     }
 
-    /// Record the begin counter and emit the `TxnBegin` event (shared by
-    /// every protocol's `begin`, *before* any lock acquisition — so every
-    /// recorded commit/abort is preceded by its recorded begin, which the
-    /// consistent-snapshot invariant in [`ProtocolStats`] depends on).
-    pub(crate) fn note_begin(&self, txn: TxnId, stages: usize) {
-        self.stats.record_begin();
-        self.obs.emit_txn(
-            txn.0,
-            EventKind::TxnBegin {
-                stages: stages as u32,
-            },
-        );
-    }
-
     /// The shared durability hook: serialize one executed stage — its
     /// write images (pre + post) and commit metadata — into the WAL. Runs
     /// while the stage's locks are still held, so the log order equals the
@@ -320,21 +308,6 @@ impl ExecutorCore {
             h.record_abort(txn);
         }
         self.stats.record_abort();
-    }
-
-    /// Shared abort path for handles: only a transaction whose first stage
-    /// has not committed may abort — afterwards the multi-stage guarantee
-    /// forbids it.
-    pub(crate) fn abort_handle(&self, handle: &TxnHandle) {
-        assert_eq!(
-            handle.stage(),
-            0,
-            "{} cannot abort at stage {}: initially-committed transactions \
-             must finally commit (§4.1)",
-            handle.txn(),
-            handle.stage()
-        );
-        self.record_abort(handle.txn());
     }
 
     /// Abort stage 0 while it holds `pairs`: release them, then record the
@@ -443,8 +416,8 @@ impl ExecutorCore {
         }
     }
 
-    /// The lock-release stage discipline shared by MS-IA and the staged
-    /// executor: acquire the stage's locks (stage 0 may abort; later
+    /// The lock-release schedule shared by MS-IA (Algorithm 2) and the
+    /// staged discipline (§3.5): acquire the stage's locks (stage 0 may abort; later
     /// stages retry until granted, because committed earlier stages oblige
     /// the transaction to finish), execute, commit, register the footprint
     /// with the apology manager, release.
@@ -509,8 +482,8 @@ impl ExecutorCore {
 
 /// Permission to run the next stage of an in-flight transaction.
 ///
-/// Handles are not clonable and each [`MultiStageProtocol::run_stage`]
-/// call consumes one, so the type system enforces stage order: "the final
+/// Handles are not clonable and each [`Executor::run_stage`] call
+/// consumes one, so the type system enforces stage order: "the final
 /// section of a transaction cannot begin before the initial section"
 /// (§4.1), generalized to m stages.
 ///
@@ -718,13 +691,14 @@ impl DerefMut for StageCtx<'_> {
     }
 }
 
-/// A stage body as the object-safe trait sees it. Use
-/// [`MultiStageProtocolExt::stage`] for a typed-closure convenience.
+/// A stage body as [`Executor::run_stage`] takes it. Use
+/// [`Executor::stage`] for a typed-closure convenience.
 pub type StageBody<'b> = &'b mut dyn FnMut(&mut StageCtx<'_>) -> Result<SectionOutput, TxnError>;
 
-/// One multi-stage consistency protocol: MS-SR, MS-IA, or the generalized
-/// staged discipline. Object-safe, so pipelines hold `&dyn
-/// MultiStageProtocol` (or a `Box`) and swap protocols freely.
+/// One multi-stage consistency protocol — MS-SR, MS-IA, or the generalized
+/// staged discipline — over the shared [`ExecutorCore`]. Built by
+/// [`ProtocolKind::build`]; the kind is a value, so a pipeline swaps
+/// protocols without a type parameter or a vtable.
 ///
 /// The lifecycle: [`begin`](Self::begin) declares the transaction and its
 /// per-stage read/write sets, then each [`run_stage`](Self::run_stage)
@@ -732,66 +706,97 @@ pub type StageBody<'b> = &'b mut dyn FnMut(&mut StageCtx<'_>) -> Result<SectionO
 /// carrying the next one. Only stage 0 may fail with
 /// [`TxnError::Aborted`]; once it commits, the protocol guarantees every
 /// later stage commits too (the crux of the model, §4.1).
-pub trait MultiStageProtocol: Send + Sync {
-    /// Which protocol this executor implements.
-    fn kind(&self) -> ProtocolKind;
+pub struct Executor {
+    kind: ProtocolKind,
+    core: ExecutorCore,
+    /// Mutation self-test flag (mcheck builds only): when set, MS-SR logs
+    /// the final commit record *after* releasing the locks — a seeded
+    /// commit-point bug the model checker must be able to catch.
+    #[cfg(feature = "mcheck")]
+    mutate_log_final_after_release: std::sync::atomic::AtomicBool,
+}
+
+impl Executor {
+    /// Which protocol this executor runs.
+    pub fn kind(&self) -> ProtocolKind {
+        self.kind
+    }
 
     /// The shared executor state.
-    fn core(&self) -> &ExecutorCore;
+    pub fn core(&self) -> &ExecutorCore {
+        &self.core
+    }
 
     /// Declare a transaction with one read/write set per stage
-    /// (`stages.len()` is the stage count; panics unless ≥ 2).
+    /// (`stages.len()` is the stage count; panics unless ≥ 2). Records the
+    /// begin and emits `TxnBegin` *before* any lock acquisition, so every
+    /// recorded commit or abort is preceded by its recorded begin (the
+    /// consistent-snapshot invariant of [`ProtocolStats`]).
     ///
     /// MS-SR is the reason the sets are declared up front: it must lock
     /// *later* stages' items before initial commit — "the system can infer
     /// what data will be accessed (or potentially accessed) in the final
-    /// section" (§4.3). The lock-releasing protocols treat the declared
-    /// sets as advisory and lock whatever each `run_stage` call passes.
-    fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle;
+    /// section" (§4.3) — so its handle carries their lock pairs. The
+    /// lock-releasing protocols treat the declared sets as advisory and
+    /// lock whatever each `run_stage` call passes.
+    pub fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle {
+        let mut handle = TxnHandle::first(txn, stages.len());
+        self.core.stats.record_begin();
+        self.core.obs.emit_txn(
+            txn.0,
+            EventKind::TxnBegin {
+                stages: stages.len() as u32,
+            },
+        );
+        if self.kind == ProtocolKind::MsSr {
+            handle.later_pairs = crate::ms_sr::later_pairs(&stages[1..]);
+        }
+        handle
+    }
 
-    /// Run one stage: lock `rw` per the protocol's discipline, execute
-    /// `body`, commit, and release per the discipline. `rw` must be
-    /// covered by the set declared at [`begin`](Self::begin) under MS-SR.
-    fn run_stage(
+    /// Run one stage: lock `rw` per the protocol's schedule, execute
+    /// `body`, commit, and release per the schedule. `rw` must be covered
+    /// by the set declared at [`begin`](Self::begin) under MS-SR.
+    ///
+    /// This `match` is the one place a lock schedule is chosen: every arm
+    /// runs the same lifecycle of the core.
+    pub fn run_stage(
         &self,
         handle: TxnHandle,
         rw: &RwSet,
         body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError>;
+    ) -> Result<StageOutcome, TxnError> {
+        let core = &self.core;
+        match self.kind {
+            ProtocolKind::MsSr if handle.stage() == 0 => {
+                crate::ms_sr::run_initial(core, handle, rw, body)
+            }
+            ProtocolKind::MsSr => {
+                crate::ms_sr::run_held(core, handle, rw, body, self.log_final_after_release())
+            }
+            ProtocolKind::MsIa => core.run_released_stage(handle, rw, body, false),
+            ProtocolKind::Staged => core.run_released_stage(handle, rw, body, true),
+        }
+    }
 
     /// Abort a transaction that has not yet committed its first stage.
     /// Panics if any stage already committed — initially-committed
-    /// transactions must finally commit.
-    fn abort(&self, handle: TxnHandle);
-
-    /// The underlying store.
-    fn store(&self) -> &Arc<KvStore> {
-        self.core().store()
+    /// transactions must finally commit (§4.1).
+    pub fn abort(&self, handle: TxnHandle) {
+        assert_eq!(
+            handle.stage(),
+            0,
+            "{} cannot abort at stage {}: initially-committed transactions \
+             must finally commit (§4.1)",
+            handle.txn(),
+            handle.stage()
+        );
+        self.core.record_abort(handle.txn());
     }
 
-    /// The statistics collector.
-    fn stats(&self) -> &Arc<ProtocolStats> {
-        self.core().stats()
-    }
-
-    /// The apology manager (issued apologies, manual retraction).
-    fn apologies(&self) -> &Arc<ApologyManager> {
-        self.core().apologies()
-    }
-
-    /// The history recorder, if attached.
-    fn history(&self) -> Option<&HistoryRecorder> {
-        self.core().history()
-    }
-}
-
-/// Typed-closure convenience over the object-safe surface: the body
-/// returns any `T` and the stage result arrives as `(T, Option<TxnHandle>)`.
-/// Implemented for every protocol, including `dyn MultiStageProtocol`.
-pub trait MultiStageProtocolExt: MultiStageProtocol {
-    /// Run one stage with a typed body. See
-    /// [`MultiStageProtocol::run_stage`] for the protocol semantics.
-    fn stage<T>(
+    /// [`run_stage`](Self::run_stage) with a typed body: the body returns
+    /// any `T` and the stage result arrives as `(T, Option<TxnHandle>)`.
+    pub fn stage<T>(
         &self,
         handle: TxnHandle,
         rw: &RwSet,
@@ -806,9 +811,46 @@ pub trait MultiStageProtocolExt: MultiStageProtocol {
         })?;
         Ok((slot.expect("the stage body ran"), outcome.into_next()))
     }
-}
 
-impl<P: MultiStageProtocol + ?Sized> MultiStageProtocolExt for P {}
+    /// The underlying store.
+    pub fn store(&self) -> &Arc<KvStore> {
+        self.core.store()
+    }
+
+    /// The statistics collector.
+    pub fn stats(&self) -> &Arc<ProtocolStats> {
+        self.core.stats()
+    }
+
+    /// The apology manager (issued apologies, manual retraction).
+    pub fn apologies(&self) -> &Arc<ApologyManager> {
+        self.core.apologies()
+    }
+
+    /// The history recorder, if attached.
+    pub fn history(&self) -> Option<&HistoryRecorder> {
+        self.core.history()
+    }
+
+    /// Arm MS-SR's deliberate commit-point bug (self-test for the model
+    /// checker — see `tests/mcheck.rs`). Never use outside tests.
+    #[cfg(feature = "mcheck")]
+    pub fn enable_log_final_after_release_mutation(&self) {
+        assert_eq!(self.kind, ProtocolKind::MsSr, "the mutation targets MS-SR");
+        self.mutate_log_final_after_release
+            .store(true, Ordering::Relaxed);
+    }
+
+    #[cfg(feature = "mcheck")]
+    fn log_final_after_release(&self) -> bool {
+        self.mutate_log_final_after_release.load(Ordering::Relaxed)
+    }
+
+    #[cfg(not(feature = "mcheck"))]
+    fn log_final_after_release(&self) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -816,7 +858,7 @@ mod tests {
     use crate::history::SectionEvent;
     use croesus_store::{Key, LockMode, LockPolicy, Value};
 
-    fn protocol(kind: ProtocolKind) -> Box<dyn MultiStageProtocol> {
+    fn protocol(kind: ProtocolKind) -> Executor {
         let core = ExecutorCore::new(
             Arc::new(KvStore::new()),
             Arc::new(LockManager::new(LockPolicy::Block)),

@@ -179,14 +179,12 @@ pub fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
 mod tests {
     use super::*;
     use crate::model::RwSet;
-    use crate::protocol::{MultiStageProtocolExt, ProtocolKind};
+    use crate::protocol::{Executor, ProtocolKind};
     use croesus_store::{LockPolicy, Value};
     use croesus_wal::{MemStorage, Wal, WalConfig};
 
     /// A protocol executor with a fresh in-memory WAL attached.
-    fn durable_protocol(
-        kind: ProtocolKind,
-    ) -> (Box<dyn crate::protocol::MultiStageProtocol>, MemStorage) {
+    fn durable_protocol(kind: ProtocolKind) -> (Executor, MemStorage) {
         let (wal, probe) = Wal::in_memory(WalConfig::strict());
         let core = ExecutorCore::new(
             Arc::new(KvStore::new()),

@@ -19,7 +19,6 @@ use croesus_store::value::KeyHashBuilder;
 use croesus_store::Key;
 
 use crate::model::RwSet;
-use crate::runtime::WorkerPool;
 
 /// Orders batches of transactions by their declared read/write sets.
 ///
@@ -95,74 +94,6 @@ impl Sequencer {
             waves[wave].push(i);
         }
         waves
-    }
-
-    /// Execute a batch through a runner, wave by wave. The runner receives
-    /// the batch index of each transaction; within a wave the runner may
-    /// parallelize freely — this helper calls it sequentially, which is
-    /// behaviourally equivalent because waves are conflict-free.
-    ///
-    /// Error semantics (deterministic by construction, so the parallel
-    /// runner in [`Sequencer::run_batch_on`] can promise the same thing):
-    /// every transaction in the failing wave still runs — a wave's entries
-    /// are independent, and under parallel execution they would all be in
-    /// flight anyway — and the error reported is the one at the **lowest
-    /// batch index**. Waves after a failed wave do not run.
-    pub fn run_batch<E>(
-        rwsets: &[RwSet],
-        mut run: impl FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for wave in Self::waves(rwsets) {
-            let results: Vec<(usize, Result<(), E>)> =
-                wave.into_iter().map(|idx| (idx, run(idx))).collect();
-            Self::first_wave_error(results)?;
-        }
-        Ok(())
-    }
-
-    /// Execute a batch wave-by-wave on a [`WorkerPool`], with the same
-    /// deterministic error semantics as [`Sequencer::run_batch`]: the whole
-    /// wave completes, the lowest-batch-index error wins, later waves are
-    /// skipped. Waves are a barrier — wave *w + 1* never starts until every
-    /// job of wave *w* has finished.
-    pub fn run_batch_on<E>(
-        pool: &WorkerPool,
-        rwsets: &[RwSet],
-        run: impl Fn(usize) -> Result<(), E> + Send + Sync + 'static,
-    ) -> Result<(), E>
-    where
-        E: Send + 'static,
-    {
-        let run = std::sync::Arc::new(run);
-        for wave in Self::waves(rwsets) {
-            let results = pool.run_wave(
-                wave.iter()
-                    .map(|&idx| {
-                        let run = std::sync::Arc::clone(&run);
-                        move || (idx, run(idx))
-                    })
-                    .collect(),
-            );
-            Self::first_wave_error(results)?;
-        }
-        Ok(())
-    }
-
-    /// Deterministic failure selection: the error at the lowest batch
-    /// index, if any entry of the wave failed.
-    fn first_wave_error<E>(results: Vec<(usize, Result<(), E>)>) -> Result<(), E> {
-        let mut first: Option<(usize, E)> = None;
-        for (idx, r) in results {
-            if let Err(e) = r {
-                if first.as_ref().is_none_or(|(lowest, _)| idx < *lowest) {
-                    first = Some((idx, e));
-                }
-            }
-        }
-        match first {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -342,103 +273,6 @@ mod tests {
     #[test]
     fn empty_batch_yields_no_waves() {
         assert!(Sequencer::waves(&[]).is_empty());
-    }
-
-    #[test]
-    fn run_batch_executes_all_in_wave_order() {
-        let sets = vec![rw(&[], &["a"]), rw(&[], &["a"]), rw(&[], &["b"])];
-        let mut ran: Vec<usize> = Vec::new();
-        Sequencer::run_batch::<()>(&sets, |i| {
-            ran.push(i);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(ran.len(), 3);
-        // 0 must run before 1 (conflict); 2 is free.
-        let pos = |x: usize| ran.iter().position(|&i| i == x).unwrap();
-        assert!(pos(0) < pos(1));
-    }
-
-    #[test]
-    fn run_batch_propagates_errors() {
-        let sets = vec![rw(&[], &["a"]), rw(&[], &["a"])];
-        let r = Sequencer::run_batch(&sets, |i| if i == 1 { Err("boom") } else { Ok(()) });
-        assert_eq!(r, Err("boom"));
-    }
-
-    /// Satellite regression: two failures injected into ONE wave must
-    /// resolve deterministically to the lowest batch index — and the whole
-    /// wave still runs (a parallel runner would have every entry in flight
-    /// anyway), while waves after the failed one do not.
-    #[test]
-    fn two_failures_in_one_wave_report_the_lowest_batch_index() {
-        // 0..4 are disjoint (one wave); 5 conflicts with 0 (second wave).
-        let sets = vec![
-            rw(&[], &["a"]),
-            rw(&[], &["b"]),
-            rw(&[], &["c"]),
-            rw(&[], &["d"]),
-            rw(&[], &["e"]),
-            rw(&[], &["a"]),
-        ];
-        assert_eq!(Sequencer::waves(&sets).len(), 2);
-        let mut ran: Vec<usize> = Vec::new();
-        let r = Sequencer::run_batch(&sets, |i| {
-            ran.push(i);
-            // Failures at indices 3 and 1 of the same wave: 1 must win.
-            if i == 3 || i == 1 {
-                Err(format!("failed at {i}"))
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(r, Err("failed at 1".to_string()));
-        ran.sort_unstable();
-        assert_eq!(ran, vec![0, 1, 2, 3, 4], "wave completes, wave 2 skipped");
-    }
-
-    /// The pooled runner keeps the same deterministic error contract even
-    /// though wave entries genuinely race across worker threads.
-    #[test]
-    fn pooled_run_batch_is_deterministic_about_failures() {
-        let sets: Vec<RwSet> = (0..8).map(|i| rw(&[], &[&format!("k{i}")])).collect();
-        let pool = WorkerPool::new(4);
-        for _ in 0..25 {
-            let r = Sequencer::run_batch_on(&pool, &sets, |i| {
-                if i % 2 == 1 {
-                    // Odd indices all fail; 1 is the lowest.
-                    std::thread::yield_now();
-                    Err(i)
-                } else {
-                    Ok(())
-                }
-            });
-            assert_eq!(r, Err(1));
-        }
-    }
-
-    #[test]
-    fn pooled_run_batch_matches_sequential_on_success() {
-        let sets = vec![
-            rw(&[], &["a"]),
-            rw(&["a"], &["b"]),
-            rw(&[], &["c"]),
-            rw(&["b"], &[]),
-        ];
-        let pool = WorkerPool::new(3);
-        let ran = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let ran2 = std::sync::Arc::clone(&ran);
-        Sequencer::run_batch_on::<()>(&pool, &sets, move |i| {
-            ran2.lock().unwrap().push(i);
-            Ok(())
-        })
-        .unwrap();
-        let ran = ran.lock().unwrap();
-        assert_eq!(ran.len(), 4);
-        let pos = |x: usize| ran.iter().position(|&i| i == x).unwrap();
-        // Conflict order is preserved across waves.
-        assert!(pos(0) < pos(1));
-        assert!(pos(1) < pos(3));
     }
 
     #[test]

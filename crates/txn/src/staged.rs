@@ -1,4 +1,4 @@
-//! The generalized m-stage transaction executor (§3.5).
+//! The generalized m-stage transaction discipline (§3.5).
 //!
 //! "In a general multi-stage model, there are m stages s₀, …, s_{m−1}. …
 //! A transaction consists of m sections, each one (tᵢ) corresponding to a
@@ -9,76 +9,26 @@
 //! simply runs the remaining stages back-to-back.
 //!
 //! Stage progression is enforced by the type system: each committed stage
-//! returns a [`TxnHandle`] for the next one inside its
-//! [`StageOutcome`], and handles are not clonable.
+//! returns a [`TxnHandle`](crate::TxnHandle) for the next one inside its
+//! [`StageOutcome`](crate::StageOutcome), and handles are not clonable.
 //!
-//! The difference from [`MsIaExecutor`](crate::MsIaExecutor): *every*
-//! stage — including the last — registers its footprint with the apology
-//! manager, so any stage of a committed transaction remains a retractable
-//! guess until the application confirms it.
-
-use croesus_store::TxnId;
-
-use crate::model::{RwSet, TxnError};
-use crate::protocol::{
-    ExecutorCore, MultiStageProtocol, ProtocolKind, StageBody, StageOutcome, TxnHandle,
-};
-
-/// Executor for m-stage transactions.
-pub struct StagedExecutor {
-    core: ExecutorCore,
-}
-
-impl StagedExecutor {
-    /// A staged executor over shared core state.
-    #[must_use]
-    pub fn from_core(core: ExecutorCore) -> Self {
-        StagedExecutor { core }
-    }
-}
-
-impl MultiStageProtocol for StagedExecutor {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Staged
-    }
-
-    fn core(&self) -> &ExecutorCore {
-        &self.core
-    }
-
-    fn begin(&self, txn: TxnId, stages: &[RwSet]) -> TxnHandle {
-        self.core.note_begin(txn, stages.len());
-        TxnHandle::first(txn, stages.len())
-    }
-
-    /// Run one stage: lock its read/write set, execute, commit, release.
-    /// Like MS-IA, only the *first* stage may abort; later stages retry
-    /// lock acquisition until granted — once the initial stage commits,
-    /// every later stage must too.
-    fn run_stage(
-        &self,
-        handle: TxnHandle,
-        rw: &RwSet,
-        body: StageBody<'_>,
-    ) -> Result<StageOutcome, TxnError> {
-        self.core.run_released_stage(handle, rw, body, true)
-    }
-
-    fn abort(&self, handle: TxnHandle) {
-        self.core.abort_handle(&handle);
-    }
-}
+//! The schedule is [`ProtocolKind::Staged`](crate::ProtocolKind::Staged)'s
+//! arm of [`Executor::run_stage`](crate::Executor::run_stage), MS-IA's with
+//! one difference: *every* stage — including the last — registers its
+//! footprint with the apology manager, so any stage of a committed
+//! transaction remains a retractable guess until the application confirms
+//! it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::history::{HistoryRecorder, SectionKind};
-    use crate::protocol::MultiStageProtocolExt;
-    use croesus_store::{KvStore, LockManager, LockPolicy, Value};
+    use crate::model::{RwSet, TxnError};
+    use crate::protocol::{Executor, ExecutorCore, ProtocolKind};
+    use croesus_store::{KvStore, LockManager, LockPolicy, TxnId, Value};
     use std::sync::Arc;
 
-    fn executor() -> StagedExecutor {
-        StagedExecutor::from_core(
+    fn executor() -> Executor {
+        ProtocolKind::Staged.build(
             ExecutorCore::new(
                 Arc::new(KvStore::new()),
                 Arc::new(LockManager::new(LockPolicy::Block)),
@@ -152,7 +102,7 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let locks = Arc::new(LockManager::new(LockPolicy::NoWait));
         let ex =
-            StagedExecutor::from_core(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
+            ProtocolKind::Staged.build(ExecutorCore::new(Arc::clone(&store), Arc::clone(&locks)));
         let rw = RwSet::new().write("x");
         let t = ex.begin(TxnId(1), &[rw.clone(), rw.clone(), rw.clone()]);
         let (_, _t) = ex.stage(t, &rw, |ctx| ctx.write("x", 1)).unwrap();

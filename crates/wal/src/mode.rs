@@ -22,17 +22,13 @@ pub enum DurabilityMode {
     #[default]
     Disabled,
     /// Log with group commit: one durable sync per `group` commit points,
-    /// paid inline by the commit point that fills the group.
+    /// paid inline by the commit point that fills the group. `group: 1`
+    /// syncs at every commit point.
     GroupCommit {
         /// Directory holding the per-edge log files.
         dir: PathBuf,
         /// Commit points per sync (≥ 1).
         group: usize,
-    },
-    /// Log with a sync at every commit point (group size 1).
-    Strict {
-        /// Directory holding the per-edge log files.
-        dir: PathBuf,
     },
     /// Group commit with the sync moved off the commit path: every
     /// `group` commit points the buffer seals onto a dedicated flusher
@@ -94,9 +90,7 @@ impl DurabilityMode {
     pub fn edge_log_path(&self, edge: usize) -> Option<PathBuf> {
         let dir = match self {
             DurabilityMode::Disabled => return None,
-            DurabilityMode::GroupCommit { dir, .. }
-            | DurabilityMode::Strict { dir }
-            | DurabilityMode::Pipelined { dir, .. } => dir,
+            DurabilityMode::GroupCommit { dir, .. } | DurabilityMode::Pipelined { dir, .. } => dir,
         };
         Some(dir.join(format!("edge-{edge}.wal")))
     }
@@ -106,7 +100,6 @@ impl DurabilityMode {
     pub fn wal_config(&self) -> WalConfig {
         match self {
             DurabilityMode::Disabled => WalConfig::default(),
-            DurabilityMode::Strict { .. } => WalConfig::strict(),
             DurabilityMode::GroupCommit { group, .. } => WalConfig::group(*group),
             DurabilityMode::Pipelined { group, .. } => WalConfig::group(*group),
         }
@@ -158,7 +151,11 @@ mod tests {
     fn modes_map_to_configs() {
         let dir = PathBuf::from("/tmp/x");
         assert_eq!(
-            DurabilityMode::Strict { dir: dir.clone() }.wal_config(),
+            DurabilityMode::GroupCommit {
+                dir: dir.clone(),
+                group: 1
+            }
+            .wal_config(),
             WalConfig::strict()
         );
         assert_eq!(
@@ -187,7 +184,10 @@ mod tests {
     #[test]
     fn open_edge_wal_creates_the_file() {
         let dir = crate::storage::scratch_dir("mode-test");
-        let mode = DurabilityMode::Strict { dir: dir.clone() };
+        let mode = DurabilityMode::GroupCommit {
+            dir: dir.clone(),
+            group: 1,
+        };
         let wal = mode.open_edge_wal_with(2, None).unwrap().unwrap();
         wal.flush().unwrap();
         assert!(dir.join("edge-2.wal").exists());

@@ -25,7 +25,7 @@
 //! `croesus_txn::recovery` for the glue that feeds them through
 //! `ApologyManager::retract`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -351,7 +351,7 @@ impl RecoveryState {
     /// Forget writes that were logged but never reached a commit point.
     /// After a crash, the transactions that buffered them are dead — their
     /// locks died with the process, so the writes can never commit — but a
-    /// rebuilt writer must not overlay their stale pre-images onto future
+    /// rebuilt writer must not carry their stale images into future
     /// checkpoints. States left empty by the drop are removed.
     pub fn abandon_pending(&mut self) {
         for t in self.txns.values_mut() {
@@ -361,52 +361,18 @@ impl RecoveryState {
             .retain(|_, t| t.initial_committed || !t.entries.is_empty());
     }
 
-    /// Serialize into a checkpoint record. `store` is the *live* store;
+    /// Serialize into a checkpoint record. `store` is the store this
+    /// state was folded with ([`apply`](Self::apply)'s `store`, the
+    /// writer's shadow store): it holds only committed state, because
     /// writes still pending (logged without a commit point — MS-SR
-    /// transactions caught mid-flight) are overlaid back to their
-    /// pre-images so the checkpointed store contains only committed state,
-    /// exactly like a from-genesis replay would produce.
+    /// transactions caught mid-flight) stay buffered in the state and
+    /// never reach it. Pairs are in canonical order (hash, then key),
+    /// which depends only on the state, so two writers with the same
+    /// state write the same bytes.
     #[must_use]
     pub fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
-        // First pre-image per key wins, per transaction; concurrent
-        // pending transactions hold exclusive locks, so their write sets
-        // are disjoint and the union is order-independent.
-        let mut overlay: HashMap<Key, Option<Arc<Value>>> = HashMap::new();
-        for t in self.txns.values() {
-            for w in &t.pending {
-                overlay
-                    .entry(w.key.clone())
-                    .or_insert_with(|| w.pre.clone());
-            }
-        }
-        // Canonical order (hash, then key): it depends only on the state,
-        // so two writers with the same state write the same bytes.
-        let mut pairs = store.canonical_pairs();
-        if !overlay.is_empty() {
-            // Replacing or dropping entries keeps the order.
-            pairs.retain_mut(|(key, value)| match overlay.remove(key) {
-                None => true,
-                Some(Some(pre)) => {
-                    *value = pre;
-                    true
-                }
-                Some(None) => false, // key did not exist before the pending write
-            });
-            // Keys the pending writes deleted from the store but that
-            // existed before them: only these can break the order.
-            let ordered = pairs.len();
-            pairs.extend(
-                overlay
-                    .into_iter()
-                    .filter_map(|(key, pre)| Some((key, pre?))),
-            );
-            if pairs.len() > ordered {
-                pairs.sort_unstable_by(|a, b| a.0.canonical_cmp(&b.0));
-            }
-        }
-
         CheckpointRecord {
-            store: pairs,
+            store: store.canonical_pairs(),
             txns: self
                 .txns
                 .iter()
@@ -654,15 +620,14 @@ mod tests {
 
     #[test]
     fn checkpoint_excludes_pending_uncommitted_writes() {
-        // An MS-SR transaction logged stage 0 (no commit point) and the
-        // live store holds its lock-protected write. The checkpoint must
+        // An MS-SR transaction logged stage 0 (no commit point), folded
+        // through the store as the writer does. The checkpoint must
         // contain the pre-image, and replay must still finish the txn.
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         store.put("a".into(), Value::Int(7)); // pre-existing
         let rec = stage(9, 0, 2, 0, vec![("a", Some(7), Some(100))]);
-        store.put("a".into(), Value::Int(100)); // the live write
-        state.apply(rec, None); // the store already holds the write
+        state.apply(rec, Some(&store)); // buffered: the store keeps 7
         let cp = state.to_checkpoint(&store);
         assert_eq!(
             cp.store,
@@ -686,17 +651,16 @@ mod tests {
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         let rec = stage(9, 0, 2, 0, vec![("fresh", None, Some(1))]);
-        store.put("fresh".into(), Value::Int(1));
-        state.apply(rec, None);
+        state.apply(rec, Some(&store));
         let cp = state.to_checkpoint(&store);
         assert!(cp.store.is_empty(), "pending insert is not committed state");
     }
 
     #[test]
     fn checkpoint_restores_pending_deletes_in_canonical_order() {
-        // Pending deletes take keys out of the store; the checkpoint puts
-        // their pre-images back between the surviving keys, in canonical
-        // order: ascending FNV-1a hash, then key.
+        // Pending deletes stay buffered and never take keys out of the
+        // store, so the checkpoint keeps every key's committed value in
+        // canonical order: ascending FNV-1a hash, then key.
         let mut state = RecoveryState::new();
         let store = KvStore::new();
         for (k, v) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
@@ -704,9 +668,7 @@ mod tests {
         }
         let before = store.canonical_pairs();
         let rec = stage(9, 0, 2, 0, vec![("b", Some(2), None), ("d", Some(4), None)]);
-        store.delete(&"b".into());
-        store.delete(&"d".into());
-        state.apply(rec, None);
+        state.apply(rec, Some(&store));
         let cp = state.to_checkpoint(&store);
         let keys: Vec<&str> = cp.store.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["e", "d", "a", "c", "b"]);

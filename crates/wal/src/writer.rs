@@ -22,7 +22,7 @@
 //!
 //! | driver | the group-filling commit point | `step` runs on |
 //! |---|---|---|
-//! | `Inline` (Strict = group 1, GroupCommit) | seals, lands its own LSN, returns | the committing thread |
+//! | `Inline` (GroupCommit, group 1 = strict) | seals, lands its own LSN, returns | the committing thread |
 //! | `Thread` (Pipelined) | waits out the *previous* buffer, seals, returns | a flusher thread |
 //! | `Manual` (harnesses) | seals, returns | [`Wal::flusher_step`] callers |
 //!
@@ -549,7 +549,7 @@ impl Wal {
     /// truncated to it, so recover from it *first*. Writes the recovered
     /// transactions never committed are abandoned first: their owners
     /// died with their locks, so they can never finish, and their stale
-    /// pre-images must not overlay future checkpoints. With a shipper,
+    /// images must not ride into future checkpoints. With a shipper,
     /// the replica's tail restarts at the new epoch.
     pub fn resume(
         storage: Box<dyn Storage>,

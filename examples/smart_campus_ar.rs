@@ -20,9 +20,7 @@ use croesus::core::{
 use croesus::detect::Detection;
 use croesus::sim::DetRng;
 use croesus::store::{KvStore, LockManager, LockPolicy, TxnId, Value};
-use croesus::txn::{
-    ExecutorCore, MsIaExecutor, MultiStageProtocol, MultiStageProtocolExt, RwSet, SectionOutput,
-};
+use croesus::txn::{ExecutorCore, ProtocolKind, RwSet, SectionOutput};
 use croesus::video::BoundingBox;
 
 /// Task 1: display information about a detected building.
@@ -173,7 +171,7 @@ fn main() {
     store.put("rooms/engineering".into(), Value::Int(1));
     store.put("rooms/library".into(), Value::Int(5));
 
-    let executor = MsIaExecutor::from_core(ExecutorCore::new(
+    let executor = ProtocolKind::MsIa.build(ExecutorCore::new(
         store,
         Arc::new(LockManager::new(LockPolicy::Block)),
     ));

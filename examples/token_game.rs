@@ -15,10 +15,7 @@
 use std::sync::Arc;
 
 use croesus::store::{Key, KvStore, LockManager, LockPolicy, TxnId, Value};
-use croesus::txn::{
-    ExecutorCore, Invariant, MsIaExecutor, MultiStageProtocol, MultiStageProtocolExt,
-    NonNegativeInvariant, RwSet,
-};
+use croesus::txn::{ExecutorCore, Invariant, NonNegativeInvariant, ProtocolKind, RwSet};
 
 fn balance(store: &KvStore, player: &str) -> i64 {
     store
@@ -42,7 +39,7 @@ fn main() {
     for (p, v) in [("A", 50i64), ("B", 10), ("C", 0), ("D", 0)] {
         store.put(p.into(), Value::Int(v));
     }
-    let executor = MsIaExecutor::from_core(ExecutorCore::new(
+    let executor = ProtocolKind::MsIa.build(ExecutorCore::new(
         Arc::clone(&store),
         Arc::new(LockManager::new(LockPolicy::Block)),
     ));

@@ -12,15 +12,15 @@
 //! * [`store`] — key-value store, lock manager, undo log, partitions.
 //! * [`wal`] — per-edge write-ahead log: CRC-framed records, group
 //!   commit, checkpoints, crash recovery.
-//! * [`txn`] — the multi-stage transaction model behind one
-//!   `MultiStageProtocol` trait: MS-SR (TSPL), MS-IA and the generalized
-//!   staged discipline over a shared `ExecutorCore`, plus apologies,
+//! * [`txn`] — the multi-stage transaction model behind one `Executor`:
+//!   MS-SR (TSPL), MS-IA and the generalized staged discipline as three
+//!   lock schedules over a shared `ExecutorCore`, plus apologies,
 //!   sequencer, two-phase commit, history checkers, and apology-aware
 //!   crash recovery (`txn::recovery`).
 //! * [`net`] — edge-cloud network links, payload/compression models, cost.
 //! * [`obs`] — structured transaction tracing: a typed event stream on the
 //!   simulated frame clock, per-edge ring collectors with latency
-//!   histograms, a JSON exporter, and an executable event-ordering
+//!   histograms, and an executable event-ordering
 //!   contract (`obs::check_stream`). Off by default; attach with
 //!   `Croesus::builder().observe(..)`.
 //! * [`core`] — the Croesus system: the `Croesus` deployment builder

@@ -121,17 +121,17 @@ fn assert_within_budget(protocol: ProtocolKind, logging: Logging, measured: u64)
 
 #[test]
 fn ms_ia_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 96_134);
+    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 96_133);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 96_578);
+    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 96_577);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 122_760);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 122_759);
 }
 
 #[test]

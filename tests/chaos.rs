@@ -30,8 +30,8 @@ use croesus::core::{Croesus, DurabilityMode, FaultKind, FaultPlan, ReplicaTailer
 use croesus::obs::{check_stream, EventKind, Obs};
 use croesus::store::{Key, KvStore, LockManager, LockPolicy, PartitionMap, TxnId, Value};
 use croesus::txn::{
-    recover_edge_file, Coordinator, ExecutorCore, MultiStageProtocolExt, Participant,
-    PartitionParticipant, ProtocolKind, RecoveredEdge, RwSet, StageCtx,
+    recover_edge_file, Coordinator, ExecutorCore, Participant, PartitionParticipant, ProtocolKind,
+    RecoveredEdge, RwSet, StageCtx,
 };
 use croesus::wal::{recover, scratch_dir, LogShipper, Wal, WalConfig};
 
@@ -47,7 +47,10 @@ const TIMEOUT: u64 = 3;
 /// policy's too — a group-commit or pipelined edge loses a longer
 /// unsynced tail to a kill, never an acked-durable byte.
 const MODES: [fn(&Path) -> DurabilityMode; 3] = [
-    |dir| DurabilityMode::Strict { dir: dir.into() },
+    |dir| DurabilityMode::GroupCommit {
+        dir: dir.into(),
+        group: 1,
+    },
     |dir| DurabilityMode::group_commit(dir),
     |dir| DurabilityMode::pipelined(dir),
 ];

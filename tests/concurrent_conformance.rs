@@ -34,8 +34,8 @@ use std::thread;
 use croesus::core::ReplicaTailer;
 use croesus::store::{KvStore, LockManager, TxnId, Value};
 use croesus::txn::{
-    current_worker, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind,
-    RecoveredEdge, RwSet, StageCtx, TxnError, WorkerPool,
+    current_worker, Executor, ExecutorCore, ProtocolKind, RecoveredEdge, RwSet, StageCtx, TxnError,
+    WorkerPool,
 };
 use croesus::wal::{LogShipper, Wal, WalConfig};
 
@@ -140,10 +140,7 @@ fn transfer_stage(ctx: &mut StageCtx<'_>, moved: i64) -> Result<AtomicOp, TxnErr
 
 /// The two accounts under one protocol; with a `shipper`, over a strict
 /// in-memory WAL that ships to it (the cloud replica).
-fn shared_protocol(
-    kind: ProtocolKind,
-    shipper: Option<&Arc<LogShipper>>,
-) -> Arc<Box<dyn MultiStageProtocol>> {
+fn shared_protocol(kind: ProtocolKind, shipper: Option<&Arc<LogShipper>>) -> Arc<Executor> {
     let store = Arc::new(KvStore::new());
     store.put(ACCT_A.into(), Value::Int(INIT_A));
     store.put(ACCT_B.into(), Value::Int(INIT_B));
@@ -178,10 +175,7 @@ const TXNS_PER_THREAD: u64 = 3;
 /// Run the concurrent workload to completion on `protocol`; returns
 /// per-thread observed histories at the granularity the protocol
 /// guarantees.
-fn run_history(
-    protocol: &Arc<Box<dyn MultiStageProtocol>>,
-    txn_granularity: bool,
-) -> Vec<Vec<Composite>> {
+fn run_history(protocol: &Arc<Executor>, txn_granularity: bool) -> Vec<Vec<Composite>> {
     let handles: Vec<_> = (0..THREADS as u64)
         .map(|tid| {
             let p = Arc::clone(protocol);

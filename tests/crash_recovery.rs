@@ -22,8 +22,7 @@ use proptest::prelude::*;
 
 use croesus::store::{KvStore, LockManager, TxnId};
 use croesus::txn::{
-    recovery::recover_edge, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind,
-    RwSet, TxnHandle,
+    recovery::recover_edge, Executor, ExecutorCore, ProtocolKind, RwSet, TxnHandle,
 };
 use croesus::wal::{recover, FlushDriver, FrameReader, MemStorage, Wal, WalConfig, WalRecord};
 use croesus_mcheck::sweep;
@@ -50,7 +49,7 @@ impl Rng {
 }
 
 /// A protocol of `kind` on a fresh store, logging to `wal`.
-fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Box<dyn MultiStageProtocol> {
+fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Executor {
     kind.build(
         ExecutorCore::new(
             Arc::new(KvStore::new()),
@@ -63,12 +62,7 @@ fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Box<dyn MultiStageProtocol
 /// Drive a seeded interleaved two-stage workload through `protocol`,
 /// calling `step` after every stage the loop runs (an initial stage, or a
 /// final one).
-fn drive(
-    rng: &mut Rng,
-    kind: ProtocolKind,
-    protocol: &dyn MultiStageProtocol,
-    mut step: impl FnMut(&mut Rng),
-) {
+fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl FnMut(&mut Rng)) {
     let n_txns = 6 + rng.below(6);
     // MS-SR holds every declared lock across its pending window, so give
     // it disjoint per-txn keys (the paper's hot-spot aborts are measured
@@ -148,7 +142,7 @@ fn run_workload(seed: u64, kind: ProtocolKind, checkpoint_every: u64) -> Vec<u8>
     };
     let (wal, probe): (Wal, MemStorage) = Wal::in_memory(config);
     let wal = Arc::new(wal);
-    drive(&mut rng, kind, &*protocol_on(kind, &wal), |_| {});
+    drive(&mut rng, kind, &protocol_on(kind, &wal), |_| {});
     // No flush: `epoch_bytes` is the every-byte-made-it view (durable,
     // then whatever still sits in the writer's buffers); the boundary
     // sweep is the crash simulation.
@@ -216,7 +210,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     };
     // The seeded appender/flusher interleaving: after every protocol op,
     // maybe seal the active buffer, pump the flusher, or wait on an ack.
-    drive(&mut rng, kind, &*protocol_on(kind, &wal), |rng| {
+    drive(&mut rng, kind, &protocol_on(kind, &wal), |rng| {
         for _ in 0..rng.below(3) {
             match rng.below(4) {
                 0 => {

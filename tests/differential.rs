@@ -53,7 +53,10 @@ type Policy = (&'static str, fn(&Path) -> DurabilityMode);
 /// The durability axis: off first (the reference), then every flush policy.
 const DURABILITY: [Policy; 4] = [
     ("off", |_| DurabilityMode::Disabled),
-    ("strict", |dir| DurabilityMode::Strict { dir: dir.into() }),
+    ("strict", |dir| DurabilityMode::GroupCommit {
+        dir: dir.into(),
+        group: 1,
+    }),
     ("group", |dir| DurabilityMode::group_commit(dir)),
     ("pipelined", |dir| DurabilityMode::pipelined(dir)),
 ];
@@ -134,7 +137,7 @@ fn edge_logs(durability: &DurabilityMode, edges: usize) -> Vec<EdgeLog> {
         .collect()
 }
 
-/// Kinds whose counts the flush timing sets: under `Strict` two pooled
+/// Kinds whose counts the flush timing sets: at group 1 two pooled
 /// appenders can share one seal, and coalesced syncs vary even inline.
 fn flush_timed(kind: EventKind) -> bool {
     matches!(

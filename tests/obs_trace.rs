@@ -106,7 +106,10 @@ fn seeded_chaos_fleet_trace_satisfies_the_ordering_contract() {
             .protocol(ProtocolKind::MsIa)
             .frames(FRAMES)
             .edges(EDGES)
-            .durability(DurabilityMode::Strict { dir: dir.clone() })
+            .durability(DurabilityMode::GroupCommit {
+                dir: dir.clone(),
+                group: 1,
+            })
             .failover(true)
             .heartbeat_timeout(3)
             .faults(plan)

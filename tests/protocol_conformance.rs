@@ -1,5 +1,5 @@
 //! Protocol conformance suite: one shared scenario set executed against
-//! all three protocols through `&dyn MultiStageProtocol`.
+//! all three protocols through one `Executor`.
 //!
 //! The paper's claim is that MS-SR, MS-IA and the generalized staged
 //! discipline are *one* transaction model under interchangeable
@@ -13,16 +13,13 @@
 use std::sync::Arc;
 
 use croesus::store::{Key, KvStore, LockManager, LockMode, LockPolicy, PartitionMap, TxnId, Value};
-use croesus::txn::{
-    ExecutorCore, HistoryRecorder, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, RwSet,
-    TxnError,
-};
+use croesus::txn::{Executor, ExecutorCore, HistoryRecorder, ProtocolKind, RwSet, TxnError};
 
 struct Harness {
     kind: ProtocolKind,
     store: Arc<KvStore>,
     locks: Arc<LockManager>,
-    protocol: Box<dyn MultiStageProtocol>,
+    protocol: Executor,
 }
 
 fn harness(kind: ProtocolKind, policy: LockPolicy) -> Harness {

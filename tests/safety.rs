@@ -1,23 +1,20 @@
 //! Safety integration tests: the recorded histories of concurrent MS-SR and
 //! MS-IA executions must satisfy their respective §4 ordering conditions.
-//! Both protocols are driven through the unified `MultiStageProtocol` API.
+//! Both protocols are driven through the unified `Executor` API.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use croesus::store::{KvStore, LockManager, LockPolicy, TxnId, Value};
-use croesus::txn::{
-    ExecutorCore, HistoryRecorder, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind, RwSet,
-    Sequencer,
-};
+use croesus::txn::{Executor, ExecutorCore, HistoryRecorder, ProtocolKind, RwSet, Sequencer};
 
 fn protocol(
     kind: ProtocolKind,
     store: &Arc<KvStore>,
     policy: LockPolicy,
     history: &HistoryRecorder,
-) -> Arc<Box<dyn MultiStageProtocol>> {
+) -> Arc<Executor> {
     Arc::new(
         kind.build(
             ExecutorCore::new(Arc::clone(store), Arc::new(LockManager::new(policy)))
@@ -141,22 +138,22 @@ fn sequenced_ms_ia_batches_preserve_exactness() {
         })
         .collect();
     let mut pendings = Vec::new();
-    Sequencer::run_batch::<croesus::txn::TxnError>(&sets, |idx| {
+    for idx in Sequencer::waves(&sets).into_iter().flatten() {
         let rw = &sets[idx];
         let h = executor.begin(TxnId(idx as u64), &[rw.clone(), RwSet::new()]);
-        let (_, p) = executor.stage(h, rw, |ctx| {
-            if idx % 2 == 0 {
-                let v = ctx.read("acc")?.and_then(|v| v.as_int()).unwrap_or(0);
-                ctx.write("acc", v + 1)?;
-            } else {
-                ctx.write(format!("private/{idx}").as_str(), idx as i64)?;
-            }
-            Ok(())
-        })?;
+        let (_, p) = executor
+            .stage(h, rw, |ctx| {
+                if idx % 2 == 0 {
+                    let v = ctx.read("acc")?.and_then(|v| v.as_int()).unwrap_or(0);
+                    ctx.write("acc", v + 1)?;
+                } else {
+                    ctx.write(format!("private/{idx}").as_str(), idx as i64)?;
+                }
+                Ok(())
+            })
+            .unwrap();
         pendings.push(p.expect("two stages"));
-        Ok(())
-    })
-    .unwrap();
+    }
     for p in pendings {
         executor.stage(p, &RwSet::new(), |_| Ok(())).unwrap();
     }

@@ -1,9 +1,9 @@
 //! Golden pins for the inline durability modes.
 //!
-//! `DurabilityMode::Strict` and `GroupCommit` must stay *byte-identical*
-//! with the synchronous writer they were first implemented by: same
-//! `WalStats`, same durable bytes, same shipped image, same
-//! checkpoint/truncation behaviour. These tests drive a fixed workload
+//! `DurabilityMode::GroupCommit` — at group 1 (strict) and above — must
+//! stay *byte-identical* with the synchronous writer it was first
+//! implemented by: same `WalStats`, same durable bytes, same shipped
+//! image, same checkpoint/truncation behaviour. These tests drive a fixed workload
 //! through the writer and pin everything to values captured on that
 //! writer — any drift in what the inline flush driver lands, syncs or
 //! ships fails loudly here, independent of the behavioural test suites.

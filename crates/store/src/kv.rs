@@ -14,7 +14,11 @@
 //! * **Zero-copy reads** — values are stored as `Arc<Value>`, so `get`,
 //!   `get_versioned` and `snapshot` return refcount bumps, never deep
 //!   clones of string/byte payloads.
+//! * **One probe per write** — `put` bumps the version through the one
+//!   entry it finds or makes, and returns the pre-image it replaced, which
+//!   is what an [`UndoLog`](crate::UndoLog) records.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,18 +90,24 @@ impl KvStore {
         self.shard(key).read().get(key).cloned()
     }
 
-    /// Write a value; returns the previous versioned value if any.
+    /// Write a value; returns the previous versioned value if any. One
+    /// map probe: the entry found (or made) for the key takes the value
+    /// and the next version.
     pub fn put(&self, key: Key, value: impl Into<Arc<Value>>) -> Option<Versioned> {
         let value = value.into();
-        let mut shard = self.shard(&key).write();
-        let next_version = shard.get(&key).map_or(1, |v| v.version + 1);
-        shard.insert(
-            key,
-            Versioned {
-                value,
-                version: next_version,
-            },
-        )
+        match self.shard(&key).write().entry(key) {
+            Entry::Occupied(mut slot) => {
+                let version = slot.get().version + 1;
+                Some(std::mem::replace(
+                    slot.get_mut(),
+                    Versioned { value, version },
+                ))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Versioned { value, version: 1 });
+                None
+            }
+        }
     }
 
     /// Delete a key; returns the previous versioned value if any.

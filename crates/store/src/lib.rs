@@ -17,8 +17,10 @@
 //! # The hashing contract
 //!
 //! [`Key`] computes the **FNV-1a hash of its text exactly once, at
-//! construction**, and keeps it inline beside its one shared text
-//! allocation. Every consumer reuses it:
+//! construction**, and keeps it inline beside its text slot: a text of up
+//! to [`value::INLINE_KEY_BYTES`] bytes sits in the slot itself (no
+//! allocation, and a clone or drop is a plain copy), a longer one in one
+//! shared allocation. Every consumer reuses the hash:
 //!
 //! * `HashMap` probes go through [`value::KeyHashBuilder`], a pass-through
 //!   hasher that forwards the cached hash (finalized with a splitmix64
@@ -33,7 +35,8 @@
 //!   a data-migration story.
 //!
 //! The net effect: after a key is constructed, no store, lock-manager or
-//! routing operation hashes a single byte of key text.
+//! routing operation hashes a single byte of key text, and comparing two
+//! short keys follows no pointer.
 //!
 //! # The ownership contract
 //!
@@ -55,14 +58,28 @@
 //!
 //! # Lock batching
 //!
-//! [`LockManager::acquire_all`] / [`LockManager::release_all`] group lock
-//! pairs by shard and take each shard mutex once per *transaction* rather
-//! than once per key. Keys are granted incrementally along a global
-//! `(shard index, key)` order — the total order is what makes concurrent
-//! batched acquisition deadlock-free under [`LockPolicy::Block`] — and a
-//! prior-mode journal rolls failed acquisitions back to the exact
+//! A stage touches each key once on the lock path.
+//! [`LockManager::plan`] turns its declared writes and reads into one
+//! [`LockPlan`] — deduplicated, each key in its stronger mode, in the
+//! global `(shard index, key)` order, shard index cached — with one
+//! allocation and one sort, borrowing the keys.
+//! [`LockManager::acquire_plan`] and [`LockManager::release_plan`] walk
+//! that list, taking each shard mutex once per *transaction* rather than
+//! once per key, and the release neither collects nor sorts.
+//! [`LockManager::acquire_all`] / [`LockManager::release_all`] plan a
+//! caller's list and walk it the same way. Keys are granted incrementally
+//! along the global order — the total order is what makes concurrent
+//! batched acquisition deadlock-free under [`LockPolicy::Block`] — and the
+//! plan's prior-mode journal rolls failed acquisitions back to the exact
 //! pre-call state (pre-held locks and upgrade modes included); see the
 //! [`lock`] module docs for the full argument.
+//!
+//! # One probe per write
+//!
+//! A grant or an ungrant probes its shard's lock table once, and
+//! [`KvStore::put`] bumps the version through one entry lookup and
+//! returns the pre-image it replaced, which [`UndoLog::put`] records
+//! instead of reading it first.
 
 pub mod kv;
 pub mod lock;
@@ -88,7 +105,7 @@ pub mod undo;
 pub mod value;
 
 pub use kv::{KvStore, Versioned};
-pub use lock::{LockError, LockManager, LockMode, LockPolicy, TxnId};
+pub use lock::{LockError, LockManager, LockMode, LockPlan, LockPolicy, TxnId};
 pub use partition::{Partition, PartitionId, PartitionMap};
 pub use undo::{UndoLog, UndoRecord};
 pub use value::{IntoSharedValue, Key, Value};

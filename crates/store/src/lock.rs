@@ -26,26 +26,40 @@
 //! sole holder — the uncontended case — allocates nothing. A key with no
 //! holder has no table entry.
 //!
+//! # Lock plans
+//!
+//! A stage declares the keys it writes and reads; [`plan`](LockManager::plan)
+//! turns them into its [`LockPlan`] once: one list, deduplicated (a key
+//! both read and written is planned exclusive), in the global
+//! `(shard index, key)` order, each entry carrying its shard index. That
+//! is one allocation and one sort, and the plan borrows the declared keys.
+//! [`acquire_plan`](LockManager::acquire_plan) and
+//! [`release_plan`](LockManager::release_plan) walk the same list, taking
+//! each shard's mutex once per shard run, and the release neither collects
+//! nor sorts. [`acquire_all`](LockManager::acquire_all) and
+//! [`release_all`](LockManager::release_all) plan a caller's list and walk
+//! it the same way; single-key [`acquire`](LockManager::acquire) walks a
+//! one-entry list on the stack.
+//!
 //! # Batched acquisition
 //!
-//! [`acquire_all`](LockManager::acquire_all) groups a transaction's lock
-//! pairs by shard and acquires each shard's batch under a *single mutex
-//! hold per attempt*, walking a global `(shard index, key)` order. Grants
-//! are incremental: each grantable key is taken and *held* immediately,
-//! and the transaction waits only at the first conflicting key. The global
-//! total order makes concurrent batched acquisition deadlock-free under
-//! `Block` (the same ordered-resources argument as sorted per-key
-//! acquisition), and holding the granted prefix preserves wait-die's
-//! priority-based progress for the oldest transaction. The shard-sorted
-//! grant list is also the undo record: each entry stores the mode the
-//! transaction held before its grant, so a failed acquisition restores
-//! the granted prefix of the list and pre-held locks and modes survive
-//! untouched. Compared to per-key acquisition this takes each shard mutex
-//! once per *transaction* instead of once per *key*, and wakes waiters
-//! once per shard batch on release. [`release_all`](LockManager::release_all)
-//! is batched the same way; single-key [`acquire`](LockManager::acquire)
-//! runs the same path on a one-entry list.
+//! The acquisition walk takes each shard's run of the plan under a *single
+//! mutex hold per attempt*. Grants are incremental: each grantable key is
+//! taken and *held* immediately, and the transaction waits only at the
+//! first conflicting key. The global total order makes concurrent batched
+//! acquisition deadlock-free under `Block` (the same ordered-resources
+//! argument as sorted per-key acquisition), and holding the granted prefix
+//! preserves wait-die's priority-based progress for the oldest
+//! transaction. The plan is also the undo record: each entry stores the
+//! mode the transaction held before its grant, so a failed acquisition
+//! restores the granted prefix of the list and pre-held locks and modes
+//! survive untouched. Compared to per-key acquisition this takes each
+//! shard mutex once per *transaction* instead of once per *key*, and wakes
+//! waiters once per shard batch on release. A grant and an ungrant each
+//! probe the shard's table once.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -188,11 +202,82 @@ type LockTable = HashMap<Key, Owners, KeyHashBuilder>;
 /// A requested lock is held incompatibly by another transaction.
 struct Conflict;
 
-/// One entry of an acquisition's grant list: `(shard, key, requested mode,
-/// prior)`. `prior` is filled in when the entry is granted with the mode
-/// the transaction held before (`None` = not held) — what a rollback
-/// restores.
-type Grant<'a> = (usize, &'a Key, LockMode, Option<LockMode>);
+/// One entry of a [`LockPlan`]: a key with its cached shard index and the
+/// mode planned for it. `prior` is the grant journal: an acquisition fills
+/// it with the mode the transaction held before its grant (`None` = not
+/// held) — what a rollback restores.
+#[derive(Clone, Debug)]
+struct Planned<K> {
+    shard: usize,
+    key: K,
+    mode: LockMode,
+    prior: Option<LockMode>,
+}
+
+/// A stage's lock footprint, planned once by [`LockManager::plan`]: every
+/// key once, in the stronger of its requested modes, in the global
+/// `(shard index, key)` order, each with its shard index cached. The
+/// acquisition and the release walk this one list.
+///
+/// `K` is how the plan holds its keys: `&Key` borrows the declared sets
+/// for the span of a stage, `Key` owns them for a plan that outlives the
+/// call that built it (MS-SR's locks, held from initial to final commit).
+#[derive(Clone, Debug)]
+pub struct LockPlan<K> {
+    locks: Vec<Planned<K>>,
+}
+
+impl<K> Default for LockPlan<K> {
+    fn default() -> Self {
+        LockPlan { locks: Vec::new() }
+    }
+}
+
+impl<K: Borrow<Key>> LockPlan<K> {
+    /// Sort `locks` into the global order and merge duplicates into the
+    /// stronger mode.
+    fn sorted(mut locks: Vec<Planned<K>>) -> Self {
+        locks.sort_unstable_by(|a, b| {
+            a.shard
+                .cmp(&b.shard)
+                .then_with(|| a.key.borrow().cmp(b.key.borrow()))
+        });
+        locks.dedup_by(|later, kept| {
+            let same = later.key.borrow() == kept.key.borrow();
+            if same && later.mode == LockMode::Exclusive {
+                kept.mode = LockMode::Exclusive;
+            }
+            same
+        });
+        LockPlan { locks }
+    }
+
+    /// Number of planned keys.
+    pub fn len(&self) -> usize {
+        self.locks.len()
+    }
+
+    /// Whether the plan locks nothing.
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty()
+    }
+
+    /// How many entries the plan has room for; `0` for a plan that never
+    /// allocated.
+    pub fn capacity(&self) -> usize {
+        self.locks.capacity()
+    }
+
+    /// The planned `(key, mode)` pairs, in acquisition order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Key, LockMode)> + Clone + '_ {
+        self.locks.iter().map(|p| (p.key.borrow(), p.mode))
+    }
+
+    /// The mode planned for `key`, if the plan holds it.
+    pub fn mode_of(&self, key: &Key) -> Option<LockMode> {
+        self.iter().find(|&(k, _)| k == key).map(|(_, m)| m)
+    }
+}
 
 #[derive(Default)]
 struct Shard {
@@ -234,30 +319,47 @@ impl LockManager {
         key.shard_index(self.shards.len())
     }
 
+    /// `key` as a plan entry, its shard index cached.
+    fn planned<K: Borrow<Key>>(&self, key: K, mode: LockMode) -> Planned<K> {
+        Planned {
+            shard: self.shard_index(key.borrow()),
+            key,
+            mode,
+            prior: None,
+        }
+    }
+
     /// Grant `(key, mode)` to `txn` in `table` if it is compatible with the
     /// current holders. `Ok` carries the mode `txn` held *before* this
     /// grant (`None` = not held), so a failed multi-key acquisition can
     /// restore the exact prior state; `Err` means the key conflicts.
+    ///
+    /// One table probe: the entry found (or made) for the key.
     fn grant(
         table: &mut LockTable,
         txn: TxnId,
         key: &Key,
         mode: LockMode,
     ) -> Result<Option<LockMode>, Conflict> {
-        match table.get_mut(key) {
-            None => {
-                table.insert(key.clone(), Owners::sole(txn, mode));
+        match table.entry(key.clone()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Owners::sole(txn, mode));
                 Ok(None)
             }
-            Some(owners) if owners.grantable(txn, mode) => Ok(owners.grant(txn, mode)),
-            Some(_) => Err(Conflict),
+            Entry::Occupied(mut slot) if slot.get().grantable(txn, mode) => {
+                Ok(slot.get_mut().grant(txn, mode))
+            }
+            Entry::Occupied(_) => Err(Conflict),
         }
     }
 
-    /// Remove `txn` from `key`'s owner set in `table` (no-op if not held).
+    /// Remove `txn` from `key`'s owner set in `table` (no-op if not held),
+    /// and the entry with it once the set is empty — one table probe.
     fn ungrant(table: &mut LockTable, txn: TxnId, key: &Key) {
-        if table.get_mut(key).is_some_and(|owners| owners.remove(txn)) {
-            table.remove(key);
+        if let Entry::Occupied(mut slot) = table.entry(key.clone()) {
+            if slot.get_mut().remove(txn) {
+                slot.remove();
+            }
         }
     }
 
@@ -295,19 +397,19 @@ impl LockManager {
     /// failure this returns how many entries it granted, and the *caller*
     /// restores them, so a failed acquisition leaves pre-held locks and
     /// modes exactly as they were.
-    fn acquire_shard_batch(
+    fn acquire_shard_batch<K: Borrow<Key>>(
         &self,
         txn: TxnId,
-        batch: &mut [Grant<'_>],
+        batch: &mut [Planned<K>],
         timeout: Option<Duration>,
     ) -> Result<(), (LockError, usize)> {
-        let shard = &self.shards[batch[0].0];
+        let shard = &self.shards[batch[0].shard];
         let mut next = 0; // first batch entry not yet granted by this call
         let mut table = shard.table.lock();
         loop {
-            while let Some((_, key, mode, prior)) = batch.get_mut(next) {
-                match Self::grant(&mut table, txn, key, *mode) {
-                    Ok(held) => *prior = held,
+            while let Some(entry) = batch.get_mut(next) {
+                match Self::grant(&mut table, txn, entry.key.borrow(), entry.mode) {
+                    Ok(held) => entry.prior = held,
                     Err(Conflict) => break,
                 }
                 next += 1;
@@ -324,7 +426,7 @@ impl LockManager {
                     // conflicting holder is *older* (smaller id); wait only
                     // when every conflicting holder is younger.
                     let older_holder = table
-                        .get(batch[next].1)
+                        .get(batch[next].key.borrow())
                         .is_some_and(|owners| owners.iter().any(|(o, _)| o != txn && o < txn));
                     if older_holder {
                         return Err((LockError::Die, next));
@@ -355,25 +457,25 @@ impl LockManager {
         }
     }
 
-    /// Acquire a shard-sorted grant list shard by shard. On failure the
+    /// Acquire a planned list shard run by shard run. On failure the
     /// granted prefix is restored (see [`rollback`](Self::rollback)).
-    fn acquire_sorted(
+    fn acquire_planned<K: Borrow<Key>>(
         &self,
         txn: TxnId,
-        grants: &mut [Grant<'_>],
+        locks: &mut [Planned<K>],
         timeout: Option<Duration>,
     ) -> Result<(), LockError> {
         let mut start = 0;
-        while start < grants.len() {
-            let shard_idx = grants[start].0;
-            let end = grants[start..]
+        while start < locks.len() {
+            let shard = locks[start].shard;
+            let end = locks[start..]
                 .iter()
-                .position(|g| g.0 != shard_idx)
-                .map_or(grants.len(), |p| start + p);
+                .position(|p| p.shard != shard)
+                .map_or(locks.len(), |p| start + p);
             if let Err((e, granted)) =
-                self.acquire_shard_batch(txn, &mut grants[start..end], timeout)
+                self.acquire_shard_batch(txn, &mut locks[start..end], timeout)
             {
-                self.rollback(txn, &grants[..start + granted]);
+                self.rollback(txn, &locks[..start + granted]);
                 return Err(e);
             }
             start = end;
@@ -384,16 +486,66 @@ impl LockManager {
     /// Restore every grant in `granted` (reverse order), returning each key
     /// to its exact pre-call state. One mutex hold + one wakeup per shard
     /// touched; the list is shard-contiguous by construction.
-    fn rollback(&self, txn: TxnId, granted: &[Grant<'_>]) {
-        for batch in granted.chunk_by(|a, b| a.0 == b.0).rev() {
-            let shard = &self.shards[batch[0].0];
+    fn rollback<K: Borrow<Key>>(&self, txn: TxnId, granted: &[Planned<K>]) {
+        for batch in granted.chunk_by(|a, b| a.shard == b.shard).rev() {
+            let shard = &self.shards[batch[0].shard];
             let mut table = shard.table.lock();
-            for &(_, key, _, prior) in batch.iter().rev() {
-                Self::restore_grant(&mut table, txn, key, prior);
+            for entry in batch.iter().rev() {
+                Self::restore_grant(&mut table, txn, entry.key.borrow(), entry.prior);
             }
             drop(table);
             shard.released.notify_all();
             crate::sched::progress("store.lock.rollback");
+        }
+    }
+
+    /// Plan a stage's locks: every requested `(key, mode)` once, in the
+    /// stronger of its requested modes, in the global `(shard index, key)`
+    /// order, with its shard index cached. One allocation (the requests
+    /// are counted first) and one sort; `K` is `&Key` to borrow the
+    /// requested keys or `Key` to own them.
+    pub fn plan<K, I>(&self, requests: I) -> LockPlan<K>
+    where
+        K: Borrow<Key>,
+        I: IntoIterator<Item = (K, LockMode)>,
+        I::IntoIter: Clone,
+    {
+        let requests = requests.into_iter();
+        let mut locks = Vec::with_capacity(requests.clone().count());
+        locks.extend(requests.map(|(key, mode)| self.planned(key, mode)));
+        LockPlan::sorted(locks)
+    }
+
+    /// Acquire every lock of `plan` for `txn`, walking it in its global
+    /// order: one shard-mutex hold per shard run and attempt, waiting per
+    /// the policy, with an optional wall-clock timeout (re-armed per
+    /// wait).
+    ///
+    /// On failure, every grant made by this call is rolled back to its
+    /// exact prior state: locks the transaction already held before the
+    /// call (re-entrant grants, upgrades) keep their pre-call modes.
+    pub fn acquire_plan<K: Borrow<Key>>(
+        &self,
+        txn: TxnId,
+        plan: &mut LockPlan<K>,
+        timeout: Option<Duration>,
+    ) -> Result<(), LockError> {
+        self.acquire_planned(txn, &mut plan.locks, timeout)
+    }
+
+    /// Release every lock of `plan` held by `txn` (keys it does not hold
+    /// are skipped): one mutex hold and one condvar wakeup per shard run,
+    /// instead of one per key.
+    pub fn release_plan<K: Borrow<Key>>(&self, txn: TxnId, plan: &LockPlan<K>) {
+        for batch in plan.locks.chunk_by(|a, b| a.shard == b.shard) {
+            let shard = &self.shards[batch[0].shard];
+            let mut table = shard.table.lock();
+            for entry in batch {
+                Self::ungrant(&mut table, txn, entry.key.borrow());
+            }
+            drop(table);
+            shard.released.notify_all();
+            crate::sched::progress("store.lock.release");
         }
     }
 
@@ -410,8 +562,8 @@ impl LockManager {
         mode: LockMode,
         timeout: Option<Duration>,
     ) -> Result<(), LockError> {
-        let mut one = [(self.shard_index(key), key, mode, None)];
-        self.acquire_sorted(txn, &mut one, timeout)
+        let mut one = [self.planned(key, mode)];
+        self.acquire_planned(txn, &mut one, timeout)
     }
 
     /// Convenience: acquire with the policy's default (no timeout).
@@ -419,15 +571,12 @@ impl LockManager {
         self.acquire(txn, key, mode, None)
     }
 
-    /// Acquire a set of keys, batched by shard: one shard-mutex hold per
+    /// Acquire a set of keys: [`plan`](Self::plan) them, then
+    /// [`acquire_plan`](Self::acquire_plan) — one shard-mutex hold per
     /// shard (not per key), shards in increasing index order, keys in
-    /// ascending order within each shard — a global total order that makes
+    /// ascending order within each shard. That global total order makes
     /// concurrent batched acquisition deadlock-free under `Block` even for
-    /// overlapping sets.
-    ///
-    /// On failure, every grant made by this call is rolled back to its
-    /// exact prior state: locks the transaction already held before the
-    /// call (re-entrant grants, upgrades) keep their pre-call modes.
+    /// overlapping sets, and a failed call leaves every lock as it was.
     pub fn acquire_all(
         &self,
         txn: TxnId,
@@ -437,14 +586,8 @@ impl LockManager {
         if let [(key, mode)] = keys {
             return self.acquire(txn, key, *mode, timeout);
         }
-        // Shard-major, then key order: the global acquisition order that
-        // underpins deadlock freedom under Block.
-        let mut sorted: Vec<Grant<'_>> = keys
-            .iter()
-            .map(|(k, m)| (self.shard_index(k), k, *m, None))
-            .collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        self.acquire_sorted(txn, &mut sorted, timeout)
+        let mut plan = self.plan(keys.iter().map(|(k, m)| (k, *m)));
+        self.acquire_plan(txn, &mut plan, timeout)
     }
 
     /// Release `txn`'s lock on `key` (no-op if not held).
@@ -457,22 +600,15 @@ impl LockManager {
         crate::sched::progress("store.lock.release");
     }
 
-    /// Release a set of keys, batched by shard: one mutex hold and one
+    /// Release a set of keys: plan them and
+    /// [`release_plan`](Self::release_plan) — one mutex hold and one
     /// condvar wakeup per shard touched, instead of one per key.
     pub fn release_all<'a>(&self, txn: TxnId, keys: impl IntoIterator<Item = &'a Key>) {
-        let mut items: Vec<(usize, &Key)> =
-            keys.into_iter().map(|k| (self.shard_index(k), k)).collect();
-        items.sort_unstable_by_key(|e| e.0);
-        for batch in items.chunk_by(|a, b| a.0 == b.0) {
-            let shard = &self.shards[batch[0].0];
-            let mut table = shard.table.lock();
-            for &(_, key) in batch {
-                Self::ungrant(&mut table, txn, key);
-            }
-            drop(table);
-            shard.released.notify_all();
-            crate::sched::progress("store.lock.release");
-        }
+        let locks = keys
+            .into_iter()
+            .map(|key| self.planned(key, LockMode::Shared))
+            .collect();
+        self.release_plan(txn, &LockPlan::sorted(locks));
     }
 
     /// The mode `txn` holds on `key`, if any.
@@ -1059,6 +1195,156 @@ mod tests {
             .collect();
         for t in threads {
             assert_eq!(t.join().unwrap(), 50);
+        }
+    }
+}
+
+/// Property tests of [`LockManager::plan`] and the walks over it, against a
+/// reference built the way read/write sets were locked before plans: the
+/// sort-and-dedup of `lock_pairs`, then the `(shard, key)` sort of the
+/// acquisition.
+#[cfg(test)]
+mod plan_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A small key space, so lists repeat keys and keys are both read and
+    /// written; every fourth key is too long to sit inline.
+    fn key(n: u64) -> Key {
+        if n.is_multiple_of(4) {
+            Key::indexed("a-keyspace-past-the-inline-slot", n)
+        } else {
+            Key::indexed("k", n)
+        }
+    }
+
+    fn keys(ns: &[u64]) -> Vec<Key> {
+        ns.iter().map(|&n| key(n)).collect()
+    }
+
+    /// The pre-plan way: writes exclusive, reads not written shared, sorted
+    /// by key with the stronger mode kept, then sorted by `(shard, key)`.
+    fn reference(lm: &LockManager, writes: &[Key], reads: &[Key]) -> Vec<(Key, LockMode)> {
+        let mut pairs: Vec<(Key, LockMode)> = writes
+            .iter()
+            .map(|k| (k.clone(), LockMode::Exclusive))
+            .collect();
+        for k in reads {
+            if !writes.contains(k) {
+                pairs.push((k.clone(), LockMode::Shared));
+            }
+        }
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|a, b| {
+            if a.0 == b.0 {
+                if a.1 == LockMode::Exclusive {
+                    b.1 = LockMode::Exclusive;
+                }
+                true
+            } else {
+                false
+            }
+        });
+        pairs.sort_by(|a, b| {
+            lm.shard_index(&a.0)
+                .cmp(&lm.shard_index(&b.0))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        pairs
+    }
+
+    fn requests<'a>(
+        writes: &'a [Key],
+        reads: &'a [Key],
+    ) -> impl DoubleEndedIterator<Item = (&'a Key, LockMode)> + Clone {
+        let writes = writes.iter().map(|k| (k, LockMode::Exclusive));
+        writes.chain(reads.iter().map(|k| (k, LockMode::Shared)))
+    }
+
+    fn planned<K: Borrow<Key>>(plan: &LockPlan<K>) -> Vec<(Key, LockMode)> {
+        plan.iter().map(|(k, m)| (k.clone(), m)).collect()
+    }
+
+    /// `pairs` shuffled by a splitmix64 stream from `seed`.
+    fn permuted(pairs: &[(Key, LockMode)], seed: u64) -> Vec<(Key, LockMode)> {
+        let mut out = pairs.to_vec();
+        let mut state = seed;
+        for i in (1..out.len()).rev() {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let j = (mix_for_shuffle(state) % (i as u64 + 1)) as usize;
+            out.swap(i, j);
+        }
+        out
+    }
+
+    fn mix_for_shuffle(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #[test]
+        fn a_plan_is_the_deduplicated_pairs_in_shard_then_key_order(
+            writes in prop::collection::vec(0u64..12, 0..10),
+            reads in prop::collection::vec(0u64..12, 0..10),
+            shards in 1usize..6
+        ) {
+            let lm = LockManager::with_shards(LockPolicy::NoWait, shards);
+            let (writes, reads) = (keys(&writes), keys(&reads));
+            let expected = reference(&lm, &writes, &reads);
+            let borrowed = lm.plan(requests(&writes, &reads));
+            prop_assert_eq!(planned(&borrowed), expected.clone());
+            prop_assert_eq!(borrowed.capacity(), writes.len() + reads.len());
+            let owned = lm.plan(requests(&writes, &reads).map(|(k, m)| (k.clone(), m)));
+            prop_assert_eq!(planned(&owned), expected.clone());
+            // Reads first: the stronger mode wins whatever the order.
+            prop_assert_eq!(planned(&lm.plan(requests(&writes, &reads).rev())), expected);
+        }
+
+        #[test]
+        fn acquire_all_over_any_permutation_holds_the_same_modes(
+            requested in prop::collection::vec((0u64..12, prop::bool::ANY), 1..16),
+            seed in any::<u64>(),
+            shards in 1usize..6
+        ) {
+            // Duplicates in either mode, so some keys are read and written.
+            let pairs: Vec<(Key, LockMode)> = requested
+                .iter()
+                .map(|&(n, exclusive)| {
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    (key(n), mode)
+                })
+                .collect();
+            let txn = TxnId(1);
+            let orders = [pairs.clone(), permuted(&pairs, seed), permuted(&pairs, !seed)];
+            let held = |lm: &LockManager| -> Vec<Option<LockMode>> {
+                (0..12).map(|n| lm.held_mode(txn, &key(n))).collect()
+            };
+            let mut modes = Vec::new();
+            for order in &orders {
+                let lm = LockManager::with_shards(LockPolicy::NoWait, shards);
+                prop_assert!(lm.acquire_all(txn, order, None).is_ok());
+                modes.push(held(&lm));
+                let reversed: Vec<&Key> = order.iter().rev().map(|(k, _)| k).collect();
+                lm.release_all(txn, reversed);
+                prop_assert_eq!(lm.locked_keys(), 0);
+            }
+            let lm = LockManager::with_shards(LockPolicy::NoWait, shards);
+            let mut plan = lm.plan(pairs.iter().map(|(k, m)| (k, *m)));
+            prop_assert!(lm.acquire_plan(txn, &mut plan, None).is_ok());
+            modes.push(held(&lm));
+            lm.release_plan(txn, &plan);
+            prop_assert_eq!(lm.locked_keys(), 0);
+            let expected: Vec<Option<LockMode>> = (0..12)
+                .map(|n| {
+                    let requested = pairs.iter().filter(|(k, _)| *k == key(n)).map(|&(_, m)| m);
+                    requested.reduce(|a, b| if b == LockMode::Exclusive { b } else { a })
+                })
+                .collect();
+            for got in modes {
+                prop_assert_eq!(got, expected.clone());
+            }
         }
     }
 }

@@ -47,18 +47,18 @@ impl UndoLog {
         }
     }
 
-    /// Perform a write through the store, recording the pre-image.
+    /// Perform a write through the store, recording the pre-image the
+    /// store's `put` returns — the write is its own read.
     pub fn put(&mut self, store: &KvStore, key: Key, value: impl Into<Arc<Value>>) {
-        let prev = store.get(&key);
-        self.record(key.clone(), prev);
-        store.put(key, value);
+        let prev = store.put(key.clone(), value);
+        self.record(key, prev.map(|v| v.value));
     }
 
-    /// Perform a delete through the store, recording the pre-image.
+    /// Perform a delete through the store, recording the pre-image the
+    /// store's `delete` returns.
     pub fn delete(&mut self, store: &KvStore, key: &Key) {
-        let prev = store.get(key);
-        self.record(key.clone(), prev);
-        store.delete(key);
+        let prev = store.delete(key);
+        self.record(key.clone(), prev.map(|v| v.value));
     }
 
     /// Undo all recorded writes, in reverse order.

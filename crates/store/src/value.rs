@@ -1,12 +1,13 @@
 //! Keys and values.
 //!
-//! A [`Key`] is `{ hash: u64, text: Arc<str> }`: the FNV-1a hash of its
-//! text, computed once at construction, beside one shared allocation
-//! holding the text. The hot path (shard selection, `HashMap` lookup,
-//! partition routing) never re-hashes the key text, a probe compares the
-//! inline hash before it follows the pointer, and cloning a key allocates
-//! nothing. Every constructor allocates exactly once: [`Key::indexed`]
-//! assembles its text on the stack first.
+//! A [`Key`] is its FNV-1a hash, computed once at construction, beside a
+//! 24-byte text slot. A text of up to [`INLINE_KEY_BYTES`] bytes lives in
+//! the slot itself, so building, cloning and dropping a short key allocate
+//! nothing and touch no reference count; only a longer text is held in one
+//! shared `Arc<str>`, allocated once. The hot path (shard selection,
+//! `HashMap` lookup, partition routing) never re-hashes the key text, and a
+//! probe compares the inline hash, then the inline bytes, without following
+//! a pointer. [`Key::indexed`] assembles its text on the stack first.
 //!
 //! [`Value`]s are stored behind `Arc` so reads are refcount bumps, not deep
 //! clones, and one value may be stored under many keys; a write takes
@@ -46,23 +47,71 @@ pub(crate) fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Longest text [`Key::indexed`] builds on the stack before its one
-/// allocation: a 43-byte keyspace, the `/` and all 20 digits of `u64::MAX`.
+/// Longest text [`Key::indexed`] builds on the stack before it builds the
+/// key: a 43-byte keyspace, the `/` and all 20 digits of `u64::MAX`.
 const INDEXED_STACK_BYTES: usize = 64;
 
-/// A database key: its FNV-1a hash beside a shared text, 24 bytes in all.
+/// Longest key text held inline, without an allocation. It covers every
+/// key the workloads build: `item/<n>` is 11 bytes below 10⁶ items.
+pub const INLINE_KEY_BYTES: usize = 22;
+
+/// A key's text: inline when it fits, one shared allocation otherwise.
+/// The choice depends only on the length, so one text always has one
+/// representation and equal keys are always the same variant — which is
+/// what lets the derived equality compare variant by variant.
+#[derive(Clone, PartialEq)]
+enum Text {
+    /// `len` bytes of UTF-8 at the front of `bytes`; the rest are zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY_BYTES],
+    },
+    /// A text longer than [`INLINE_KEY_BYTES`].
+    Shared(Arc<str>),
+}
+
+impl Text {
+    fn new(s: &str) -> Self {
+        Self::inline(s).unwrap_or_else(|| Text::Shared(Arc::from(s)))
+    }
+
+    fn inline(s: &str) -> Option<Self> {
+        let len = s.len();
+        (len <= INLINE_KEY_BYTES).then(|| {
+            let mut bytes = [0u8; INLINE_KEY_BYTES];
+            bytes[..len].copy_from_slice(s.as_bytes());
+            Text::Inline {
+                len: len as u8,
+                bytes,
+            }
+        })
+    }
+
+    #[inline]
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Text::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Text::Shared(s) => s.as_bytes(),
+        }
+    }
+}
+
+/// A database key: its FNV-1a hash beside a 24-byte text slot, 32 bytes
+/// in all.
 ///
-/// The text is one `Arc<str>` allocation — keys are cloned freely into
-/// lock tables, undo logs and read/write sets, and a clone is a refcount
-/// bump. The hash is computed exactly once at construction and reused
+/// Keys are cloned freely into lock tables, undo logs and read/write sets.
+/// A text of up to [`INLINE_KEY_BYTES`] bytes sits in the slot, so such a
+/// key allocates nothing and a clone or drop is a plain copy; a longer
+/// text is one `Arc<str>`, allocated once, and a clone is a refcount bump.
+/// The hash is computed exactly once at construction and reused
 /// everywhere: equality checks, `HashMap` hashing (via [`KeyHashBuilder`]
 /// pass-through), store/lock-manager shard selection and partition
-/// routing. Because it sits inline, a map probe rejects a wrong key
-/// without dereferencing the text.
+/// routing. Because hash and short text sit inline, a map probe compares
+/// them without dereferencing anything.
 #[derive(Clone)]
 pub struct Key {
     hash: u64,
-    text: Arc<str>,
+    text: Text,
 }
 
 impl Key {
@@ -70,13 +119,25 @@ impl Key {
     pub fn new(s: &str) -> Self {
         Key {
             hash: fnv1a(s.as_bytes()),
-            text: Arc::from(s),
+            text: Text::new(s),
         }
     }
 
     /// Key text.
     pub fn as_str(&self) -> &str {
-        &self.text
+        match &self.text {
+            Text::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("an inline key holds a str's bytes")
+            }
+            Text::Shared(s) => s,
+        }
+    }
+
+    /// Key text as bytes, without the UTF-8 check [`as_str`](Self::as_str)
+    /// repeats for an inline text. Encoders and comparisons use this.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        self.text.as_bytes()
     }
 
     /// The cached FNV-1a hash of the key text. Stable across runs and
@@ -107,9 +168,10 @@ impl Key {
     /// A key in a numbered keyspace, e.g. `Key::indexed("user", 42)` →
     /// `"user/42"`. The workloads use this for YCSB-style key selection.
     ///
-    /// The text is assembled right to left in a stack buffer and allocated
-    /// once, at its final size; only a keyspace too long for the buffer
-    /// goes through a formatted `String` first.
+    /// The text is assembled right to left in a stack buffer, so a key
+    /// that fits inline allocates nothing and a longer one allocates once,
+    /// at its final size; only a keyspace too long for the buffer goes
+    /// through a formatted `String` first.
     pub fn indexed(space: &str, index: u64) -> Self {
         let mut buf = [0u8; INDEXED_STACK_BYTES];
         let mut start = buf.len();
@@ -135,10 +197,11 @@ impl PartialEq for Key {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
         // The cached hash rejects almost all unequal keys without touching
-        // the text; pointer equality then catches the common
-        // clone-of-same-key case without a byte scan.
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.text, &other.text) || *self.text == *other.text)
+        // the text. One text has one representation, so two inline texts
+        // compare as fixed-size arrays and an inline text never equals a
+        // shared one; `Arc`'s own equality catches a clone of one shared
+        // key by pointer before it scans bytes.
+        self.hash == other.hash && self.text == other.text
     }
 }
 
@@ -160,10 +223,12 @@ impl PartialOrd for Key {
 }
 
 impl Ord for Key {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Lexicographic by text — ordering is a user-visible contract
-        // (sorted snapshots, ordered lock acquisition).
-        self.text.cmp(&other.text)
+        // (sorted snapshots, ordered lock acquisition). A `str` orders by
+        // its bytes, so the bytes are compared directly.
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
@@ -177,7 +242,7 @@ impl From<String> for Key {
     fn from(s: String) -> Self {
         Key {
             hash: fnv1a(s.as_bytes()),
-            text: Arc::from(s),
+            text: Text::inline(&s).unwrap_or_else(|| Text::Shared(Arc::from(s))),
         }
     }
 }
@@ -421,8 +486,83 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_key_is_a_hash_beside_one_pointer() {
-        assert_eq!(std::mem::size_of::<Key>(), 24);
+    fn a_key_is_a_hash_beside_a_24_byte_text_slot() {
+        assert_eq!(std::mem::size_of::<Text>(), 24);
+        assert_eq!(std::mem::size_of::<Key>(), 32);
+    }
+
+    /// Texts of 21, 22 and 23 bytes: the last that fit inline with room
+    /// to spare, the longest inline text, and the shortest shared one.
+    fn boundary_texts() -> Vec<String> {
+        let mut texts = Vec::new();
+        for len in [INLINE_KEY_BYTES - 1, INLINE_KEY_BYTES, INLINE_KEY_BYTES + 1] {
+            for fill in ['a', 'b'] {
+                texts.push(fill.to_string().repeat(len));
+                texts.push(format!("{}{}", "a".repeat(len - 1), fill));
+            }
+        }
+        // Two bytes of one char ending exactly at the inline limit.
+        texts.push(format!("{}é", "a".repeat(INLINE_KEY_BYTES - 2)));
+        texts
+    }
+
+    #[test]
+    fn keys_across_the_inline_boundary_behave_like_their_text() {
+        let texts = boundary_texts();
+        for a in &texts {
+            let key = Key::new(a);
+            let inline = matches!(key.text, Text::Inline { .. });
+            assert_eq!(inline, a.len() <= INLINE_KEY_BYTES, "{a:?}");
+            assert_eq!(key.as_str(), a);
+            assert_eq!(key.as_bytes(), a.as_bytes());
+            assert_eq!(key.to_string(), *a);
+            assert_eq!(key.hash_u64(), fnv1a(a.as_bytes()));
+            assert_eq!(key, Key::from(a.clone()));
+            assert_eq!(key, key.clone());
+            for b in &texts {
+                let other = Key::from(b.clone());
+                assert_eq!(key == other, a == b, "{a:?} == {b:?}");
+                assert_eq!(key.cmp(&other), a.cmp(b), "{a:?} cmp {b:?}");
+                let canonical = fnv1a(a.as_bytes())
+                    .cmp(&fnv1a(b.as_bytes()))
+                    .then_with(|| a.cmp(b));
+                assert_eq!(key.canonical_cmp(&other), canonical, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_with_one_hash_still_compare_their_text() {
+        // A forced hash collision: only the text can tell these apart.
+        let collide = |s: &str| Key {
+            hash: 7,
+            text: Text::new(s),
+        };
+        let texts = boundary_texts();
+        for a in &texts {
+            for b in &texts {
+                let (x, y) = (collide(a), collide(b));
+                assert_eq!(x == y, a == b, "{a:?} == {b:?}");
+                assert_eq!(x.canonical_cmp(&y), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_keys_past_the_inline_slot_are_shared_and_equal_their_text() {
+        // 20 bytes of keyspace: indices below 10 still fit inline.
+        let space = "s".repeat(INLINE_KEY_BYTES - 2);
+        for i in [0u64, 9, 10, 12_345, u64::MAX] {
+            let key = Key::indexed(&space, i);
+            let text = format!("{space}/{i}");
+            assert_eq!(
+                matches!(key.text, Text::Shared(_)),
+                text.len() > INLINE_KEY_BYTES
+            );
+            assert_eq!(key.as_str(), text);
+            assert_eq!(key, Key::new(&text));
+            assert_eq!(key.hash_u64(), fnv1a(text.as_bytes()));
+        }
     }
 
     #[test]

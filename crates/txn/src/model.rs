@@ -49,6 +49,15 @@ impl RwSet {
         self
     }
 
+    /// Every declared access as the lock it requests, writes exclusive
+    /// and reads shared, duplicates included: what
+    /// [`LockManager::plan`](croesus_store::LockManager::plan) turns into
+    /// a stage's lock plan.
+    pub fn lock_requests(&self) -> impl Iterator<Item = (&Key, LockMode)> + Clone {
+        let writes = self.writes.iter().map(|k| (k, LockMode::Exclusive));
+        writes.chain(self.reads.iter().map(|k| (k, LockMode::Shared)))
+    }
+
     /// All keys with the lock mode each needs: writes exclusively, reads
     /// shared (a key both read and written needs exclusive only).
     pub fn lock_pairs(&self) -> Vec<(Key, LockMode)> {

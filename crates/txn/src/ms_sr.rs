@@ -37,27 +37,30 @@
 
 use std::time::Instant;
 
-use croesus_store::{Key, LockMode, TxnId};
+use croesus_store::{Key, LockManager, LockMode, LockPlan, TxnId};
 
 use crate::model::{RwSet, TxnError};
 use crate::protocol::{ExecutorCore, StageBody, StageOutcome, TxnHandle};
 
-/// The lock pairs of every stage after the first, taken (and then held)
-/// at the end of stage 0.
-pub(crate) fn later_pairs(later: &[RwSet]) -> Vec<(Key, LockMode)> {
-    later
-        .iter()
-        .fold(RwSet::new(), |acc, rw| acc.union(rw))
-        .lock_pairs()
+/// The lock plan of every stage after the first, taken (and then held)
+/// at the end of stage 0. It owns its keys: the handle carries it from
+/// `begin` to the end of stage 0.
+pub(crate) fn later_plan(locks: &LockManager, later: &[RwSet]) -> LockPlan<Key> {
+    locks.plan(
+        later
+            .iter()
+            .flat_map(RwSet::lock_requests)
+            .map(|(key, mode)| (key.clone(), mode)),
+    )
 }
 
 /// Release what [`TxnHandle::take_held`] took out of a handle and record
 /// how long it was held. A handle that held nothing (the mutation in
 /// [`run_held`] got there first) releases nothing and records nothing.
-fn release(core: &ExecutorCore, txn: TxnId, (held, lock_epoch): (Vec<Key>, Option<Instant>)) {
+fn release(core: &ExecutorCore, txn: TxnId, (held, lock_epoch): (LockPlan<Key>, Option<Instant>)) {
     if let Some(epoch) = lock_epoch {
         core.stats().record_lock_hold(epoch.elapsed());
-        core.locks().release_all(txn, held.iter());
+        core.locks().release_plan(txn, &held);
     }
 }
 
@@ -72,8 +75,8 @@ pub(crate) fn run_initial(
 ) -> Result<StageOutcome, TxnError> {
     let txn = handle.txn();
     let started = Instant::now();
-    let initial_pairs = rw.lock_pairs();
-    if let Err(e) = core.locks().acquire_all(txn, &initial_pairs, None) {
+    let mut initial = core.locks().plan(rw.lock_requests());
+    if let Err(e) = core.locks().acquire_plan(txn, &mut initial, None) {
         core.record_abort(txn);
         return Err(TxnError::Aborted(e));
     }
@@ -81,14 +84,14 @@ pub(crate) fn run_initial(
     crate::sched::yield_point("ms_sr.initial.locked");
     let (output, undo) = core
         .execute(&handle, rw, body)
-        .inspect_err(|_| core.abort_locked(txn, &initial_pairs))?;
+        .inspect_err(|_| core.abort_locked(txn, &initial))?;
 
     // Lock the later stages' items *before* initial commit: this is
     // what guarantees the remaining stages cannot abort.
-    let later_pairs = std::mem::take(&mut handle.later_pairs);
-    if let Err(e) = core.locks().acquire_all(txn, &later_pairs, None) {
+    let mut later = std::mem::take(&mut handle.later);
+    if let Err(e) = core.locks().acquire_plan(txn, &mut later, None) {
         undo.rollback(core.store());
-        core.abort_locked(txn, &initial_pairs);
+        core.abort_locked(txn, &initial);
         return Err(TxnError::Aborted(e));
     }
     crate::sched::yield_point("ms_sr.later.locked");
@@ -99,14 +102,11 @@ pub(crate) fn run_initial(
     // crash before final commit legitimately un-happens the whole txn.
     core.commit_stage(&handle, rw, &undo, started, false, false);
 
-    // Remember everything held, deduplicated, for the final release.
-    handle.held = initial_pairs
-        .into_iter()
-        .chain(later_pairs)
-        .map(|(k, _)| k)
-        .collect();
-    handle.held.sort();
-    handle.held.dedup();
+    // Everything held, as one plan, for the final release.
+    let everything = later.iter().chain(initial.iter());
+    handle.held = core
+        .locks()
+        .plan(everything.map(|(key, mode)| (key.clone(), mode)));
     Ok(core.finish(handle, output, started))
 }
 
@@ -130,8 +130,8 @@ pub(crate) fn run_held(
     // The declared sets at begin() are binding under MS-SR: acquiring
     // anything new after initial commit could abort or block, which
     // the guarantee forbids.
-    for (key, mode) in rw.lock_pairs() {
-        match core.locks().held_mode(txn, &key) {
+    for (key, mode) in rw.lock_requests() {
+        match handle.held.mode_of(key) {
             Some(LockMode::Exclusive) => {}
             Some(LockMode::Shared) if mode == LockMode::Shared => {}
             held => panic!(
@@ -496,13 +496,16 @@ mod tests {
             RwSet::new().write("c"),
         ];
         let h = ex.begin(TxnId(1), &stages);
-        assert_eq!(h.later_pairs.len(), 3);
+        assert_eq!(h.later.len(), 3);
         assert!(h.held.is_empty() && h.lock_epoch.is_none());
         let (_, h) = ex.stage(h, &stages[0], |ctx| ctx.write("a", 1)).unwrap();
         let h = h.unwrap();
         assert_eq!(locks.locked_keys(), 3);
-        assert_eq!(h.held, ["a".into(), "b".into(), "c".into()]);
-        assert!(h.later_pairs.is_empty() && h.lock_epoch.is_some());
+        let mut held: Vec<(&str, LockMode)> = h.held.iter().map(|(k, m)| (k.as_str(), m)).collect();
+        held.sort_by_key(|&(k, _)| k);
+        let exclusive = LockMode::Exclusive;
+        assert_eq!(held, [("a", exclusive), ("b", exclusive), ("c", exclusive)]);
+        assert!(h.later.is_empty() && h.lock_epoch.is_some());
         let (_, h) = ex.stage(h, &stages[1], |ctx| ctx.write("b", 2)).unwrap();
         let h = h.unwrap();
         assert_eq!(locks.locked_keys(), 3, "stage 1 releases nothing");

@@ -52,13 +52,14 @@
 //! assert_eq!(protocol.store().get(&"x".into()).as_deref(), Some(&Value::Int(2)));
 //! ```
 
+use std::borrow::Borrow;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use croesus_obs::{EdgeObs, EventKind, HistKind};
-use croesus_store::{Key, KvStore, LockManager, LockMode, TxnId, UndoLog};
+use croesus_store::{Key, KvStore, LockManager, LockPlan, TxnId, UndoLog};
 use croesus_wal::{RetractRecord, StageFlags, StageRecord, Wal, WriteImage};
 
 use crate::apology::{ApologyManager, RetractionReport};
@@ -310,10 +311,10 @@ impl ExecutorCore {
         self.stats.record_abort();
     }
 
-    /// Abort stage 0 while it holds `pairs`: release them, then record the
+    /// Abort stage 0 while it holds `plan`: release it, then record the
     /// abort. Whatever the body wrote is already rolled back.
-    pub(crate) fn abort_locked(&self, txn: TxnId, pairs: &[(Key, LockMode)]) {
-        self.locks.release_all(txn, pairs.iter().map(|(k, _)| k));
+    pub(crate) fn abort_locked<K: Borrow<Key>>(&self, txn: TxnId, plan: &LockPlan<K>) {
+        self.locks.release_plan(txn, plan);
         self.record_abort(txn);
     }
 
@@ -435,9 +436,9 @@ impl ExecutorCore {
     ) -> Result<StageOutcome, TxnError> {
         let txn = handle.txn();
         let started = Instant::now();
-        let pairs = rw.lock_pairs();
+        let mut plan = self.locks.plan(rw.lock_requests());
         if handle.stage() == 0 {
-            if let Err(e) = self.locks.acquire_all(txn, &pairs, None) {
+            if let Err(e) = self.locks.acquire_plan(txn, &mut plan, None) {
                 self.record_abort(txn);
                 return Err(TxnError::Aborted(e));
             }
@@ -445,7 +446,7 @@ impl ExecutorCore {
             // Committed earlier stages oblige us to finish: retry, with a
             // small backoff to let wait-die conflicts drain.
             let mut backoff = 0u32;
-            while self.locks.acquire_all(txn, &pairs, None).is_err() {
+            while self.locks.acquire_plan(txn, &mut plan, None).is_err() {
                 if crate::sched::active() {
                     // Model-checked run: the retry is a real blocking wait
                     // from the scheduler's point of view.
@@ -463,7 +464,7 @@ impl ExecutorCore {
         let lock_epoch = Instant::now();
         let (output, undo) = self
             .execute(&handle, rw, body)
-            .inspect_err(|_| self.abort_locked(txn, &pairs))?;
+            .inspect_err(|_| self.abort_locked(txn, &plan))?;
 
         // Under the lock-releasing disciplines every stage is a durable
         // commit point — stage 0 *is* the initial commit the client sees.
@@ -475,7 +476,7 @@ impl ExecutorCore {
                 .register(txn, rw.reads.clone(), rw.writes.clone(), undo);
         }
         self.stats.record_lock_hold(lock_epoch.elapsed());
-        self.locks.release_all(txn, pairs.iter().map(|(k, _)| k));
+        self.locks.release_plan(txn, &plan);
         Ok(self.finish(handle, output, started))
     }
 }
@@ -497,11 +498,11 @@ pub struct TxnHandle {
     txn: TxnId,
     stage: usize,
     total: usize,
-    /// MS-SR: union of the lock pairs declared for stages `1..`, taken
-    /// (and then held) at the end of stage 0.
-    pub(crate) later_pairs: Vec<(Key, LockMode)>,
-    /// MS-SR: the deduplicated keys held from initial to final commit.
-    pub(crate) held: Vec<Key>,
+    /// MS-SR: the lock plan of every stage after the first, taken (and
+    /// then held) at the end of stage 0.
+    pub(crate) later: LockPlan<Key>,
+    /// MS-SR: every lock held from initial to final commit, as one plan.
+    pub(crate) held: LockPlan<Key>,
     /// MS-SR: when the first lock was granted (for Fig-6a lock-hold
     /// times); `None` while — or once again when — nothing is held.
     pub(crate) lock_epoch: Option<Instant>,
@@ -520,8 +521,8 @@ impl TxnHandle {
             txn,
             stage: 0,
             total,
-            later_pairs: Vec::new(),
-            held: Vec::new(),
+            later: LockPlan::default(),
+            held: LockPlan::default(),
             lock_epoch: None,
         }
     }
@@ -535,7 +536,7 @@ impl TxnHandle {
     }
 
     /// Take what the handle holds out of it, leaving it holding nothing.
-    pub(crate) fn take_held(&mut self) -> (Vec<Key>, Option<Instant>) {
+    pub(crate) fn take_held(&mut self) -> (LockPlan<Key>, Option<Instant>) {
         (std::mem::take(&mut self.held), self.lock_epoch.take())
     }
 
@@ -749,7 +750,7 @@ impl Executor {
             },
         );
         if self.kind == ProtocolKind::MsSr {
-            handle.later_pairs = crate::ms_sr::later_pairs(&stages[1..]);
+            handle.later = crate::ms_sr::later_plan(self.core.locks(), &stages[1..]);
         }
         handle
     }
@@ -922,7 +923,7 @@ mod tests {
             let p = protocol(kind);
             let rw = RwSet::new().write("x");
             let empty = |h: &TxnHandle| {
-                h.later_pairs.capacity() == 0 && h.held.capacity() == 0 && h.lock_epoch.is_none()
+                h.later.capacity() == 0 && h.held.capacity() == 0 && h.lock_epoch.is_none()
             };
             let h = p.begin(TxnId(1), &[rw.clone(), rw.clone()]);
             assert!(empty(&h), "{kind}: begin allocates nothing");

@@ -57,14 +57,24 @@ impl Sequencer {
     /// wave that writes it and one past the latest wave that reads it. A
     /// transaction goes one wave past the latest wave it conflicts with
     /// (wave 0 if none), which is exactly where pairwise first-fit puts it,
-    /// at a cost linear in the declared keys.
-    pub fn waves_of<'a, T>(txns: impl IntoIterator<Item = T>) -> Vec<Vec<usize>>
+    /// at a cost linear in the declared keys. The map is sized up front for
+    /// every declared key, so it never rehashes as it fills.
+    pub fn waves_of<'a, T, I>(txns: I) -> Vec<Vec<usize>>
     where
         T: IntoIterator<Item = &'a RwSet> + Clone,
+        I: IntoIterator<Item = T>,
+        I::IntoIter: Clone,
     {
-        let mut latest: HashMap<&'a Key, (usize, usize), KeyHashBuilder> = HashMap::default();
+        let txns = txns.into_iter();
+        let declared: usize = txns
+            .clone()
+            .flatten()
+            .map(|rw| rw.writes.len() + rw.reads.len())
+            .sum();
+        let mut latest: HashMap<&'a Key, (usize, usize), KeyHashBuilder> =
+            HashMap::with_capacity_and_hasher(declared, KeyHashBuilder::default());
         let mut waves: Vec<Vec<usize>> = Vec::new();
-        for (i, stages) in txns.into_iter().enumerate() {
+        for (i, stages) in txns.enumerate() {
             let mut wave = 0;
             for rw in stages.clone() {
                 for key in &rw.writes {

@@ -296,7 +296,7 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 fn put_key(out: &mut Vec<u8>, key: &Key) {
-    put_bytes(out, key.as_str().as_bytes());
+    put_bytes(out, key.as_bytes());
 }
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {

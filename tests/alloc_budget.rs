@@ -22,6 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use croesus::core::{Croesus, ProtocolKind, ThresholdPair};
+use croesus::store::Key;
 use croesus::wal::DurabilityMode;
 
 struct Counting;
@@ -121,17 +122,40 @@ fn assert_within_budget(protocol: ProtocolKind, logging: Logging, measured: u64)
 
 #[test]
 fn ms_ia_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 96_133);
+    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 58_453);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 96_577);
+    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 55_338);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 122_759);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 85_079);
+}
+
+#[test]
+fn short_keys_allocate_nothing_and_a_long_key_allocates_once() {
+    let before = allocations();
+    for n in 0..1_000u64 {
+        let key = Key::indexed("item", n);
+        let copy = key.clone();
+        assert_eq!(copy, key);
+    }
+    assert_eq!(allocations() - before, 0, "item keys sit inline");
+
+    let before = allocations();
+    let long = Key::new("item/0123456789abcdefgh");
+    assert_eq!(long.as_str().len(), 23);
+    let copy = long.clone();
+    drop(long);
+    drop(copy);
+    assert_eq!(
+        allocations() - before,
+        1,
+        "a 23-byte key is one shared text"
+    );
 }
 
 #[test]

@@ -196,7 +196,7 @@ pub fn run_ms_sr(cfg: &ContentionConfig) -> ContentionResult {
 /// disjoint. (The edge pipeline must honour cascades that can restore
 /// keys outside any declared footprint, which is why it keeps finals
 /// sequential — see DESIGN.md.)
-pub fn run_released(
+pub(crate) fn run_released(
     kind: ProtocolKind,
     cfg: &ContentionConfig,
     workers: usize,

@@ -18,10 +18,11 @@ use crate::matching::FinalInput;
 use crate::workload::YcsbWorkload;
 
 /// An initial-section body.
-pub type InitialBody = Box<dyn FnOnce(&mut SectionCtx) -> Result<SectionOutput, TxnError> + Send>;
+pub(crate) type InitialBody =
+    Box<dyn FnOnce(&mut SectionCtx) -> Result<SectionOutput, TxnError> + Send>;
 
 /// A final-section body, fed the [`FinalInput`] produced by label matching.
-pub type FinalSectionBody =
+pub(crate) type FinalSectionBody =
     Box<dyn FnOnce(&mut SectionCtx, &FinalInput) -> Result<SectionOutput, TxnError> + Send>;
 
 /// A concrete transaction ready to run: declared read/write sets plus the
@@ -64,7 +65,7 @@ pub struct TriggerRule {
 
 impl TriggerRule {
     /// Whether `class` belongs to this rule's group.
-    pub fn matches_class(&self, class: &LabelClass) -> bool {
+    pub(crate) fn matches_class(&self, class: &LabelClass) -> bool {
         self.classes.is_empty() || self.classes.contains(class)
     }
 }
@@ -90,11 +91,6 @@ impl TransactionsBank {
     /// Register a rule.
     pub fn register(&mut self, rule: TriggerRule) {
         self.rules.push(rule);
-    }
-
-    /// All rules.
-    pub fn rules(&self) -> &[TriggerRule] {
-        &self.rules
     }
 
     /// Rules triggered by a detected label alone (no auxiliary input).
@@ -149,6 +145,14 @@ pub fn evaluation_bank() -> Arc<TransactionsBank> {
         requires_aux: None,
         template: Arc::new(YcsbWorkload::new()),
     }))
+}
+
+#[cfg(test)]
+impl TransactionsBank {
+    /// All rules.
+    pub(crate) fn rules(&self) -> &[TriggerRule] {
+        &self.rules
+    }
 }
 
 #[cfg(test)]

@@ -37,11 +37,6 @@ impl CloudNode {
         let latency = self.model.inference_latency(frame);
         (labels, latency)
     }
-
-    /// The model's name.
-    pub fn model_name(&self) -> &str {
-        self.model.name()
-    }
 }
 
 /// What one tailing round observed.
@@ -180,7 +175,6 @@ mod tests {
         assert!(!labels.is_empty() || v.frame(5).objects.is_empty());
         // YOLOv3-416 ≈ 1.12 s.
         assert!(latency.as_millis_f64() > 900.0 && latency.as_millis_f64() < 1400.0);
-        assert_eq!(node.model_name(), "YOLOv3-416");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum ValidationPolicy {
 impl ValidationPolicy {
     /// For [`ValidationPolicy::ForcedBu`], whether frame `index` is sent:
     /// a deterministic even spread hitting exactly `⌊n·bu⌋` of `n` frames.
-    pub fn forced_send(bu: f64, index: u64) -> bool {
+    pub(crate) fn forced_send(bu: f64, index: u64) -> bool {
         let bu = bu.clamp(0.0, 1.0);
         ((index + 1) as f64 * bu).floor() > (index as f64 * bu).floor()
     }

@@ -374,11 +374,6 @@ impl EdgeNode {
         }
     }
 
-    /// Number of frames with pending final sections.
-    pub fn pending_frames(&self) -> usize {
-        self.pending.lock().len()
-    }
-
     /// Settle-and-prune: when the edge is quiescent (no frame awaiting a
     /// final section), every registered transaction is finalized and can
     /// never become a retraction root; future cascades can only involve
@@ -405,8 +400,16 @@ impl EdgeNode {
     /// Start assigning transaction ids from `n` — a replacement node takes
     /// over from a recovered log's high-water mark so ids never collide
     /// with the dead node's.
-    pub fn set_txn_start(&self, n: u64) {
+    pub(crate) fn set_txn_start(&self, n: u64) {
         self.txn_counter.store(n, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl EdgeNode {
+    /// Number of frames with pending final sections.
+    pub(crate) fn pending_frames(&self) -> usize {
+        self.pending.lock().len()
     }
 }
 

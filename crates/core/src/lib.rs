@@ -57,8 +57,8 @@ pub use croesus_wal::DurabilityMode;
 pub use edge::{EdgeNode, FinalStage, InitialStage};
 pub use fleet::{FleetReport, Takeover};
 pub use matching::{match_edge_to_cloud, FinalInput, FrameMatch, LabelVerdict};
-pub use metrics::{CorrectionCounts, LatencyBreakdown, MetricsCollector, RunMetrics};
+pub use metrics::{CorrectionCounts, LatencyBreakdown, RunMetrics};
 pub use optimizer::{OptimalThresholds, ThresholdEvaluator, ThresholdOutcome};
-pub use system::{Croesus, CroesusBuilder, Deployment, DeploymentMode, EDGE_BASELINE_CONFIDENCE};
+pub use system::{Croesus, CroesusBuilder, Deployment, DeploymentMode};
 pub use threshold::{BandDecision, FrameDecision, ThresholdPair};
-pub use workload::{HotspotWorkload, YcsbWorkload};
+pub use workload::HotspotWorkload;

@@ -53,21 +53,6 @@ impl FinalInput {
     pub fn assumed_correct(edge: Detection) -> Self {
         FinalInput::correct(edge)
     }
-
-    /// The label the final section should act on, if any: the corrected
-    /// cloud label when there is one, otherwise the (confirmed) edge label.
-    pub fn effective_label(&self) -> Option<&Detection> {
-        match &self.verdict {
-            LabelVerdict::Correct => self.edge_label.as_ref(),
-            LabelVerdict::Corrected(cloud) => Some(cloud),
-            LabelVerdict::Erroneous => None,
-        }
-    }
-
-    /// Whether the initial section acted on a wrong trigger or input.
-    pub fn was_wrong(&self) -> bool {
-        !matches!(self.verdict, LabelVerdict::Correct)
-    }
 }
 
 /// The outcome of matching one frame's edge labels against cloud labels.
@@ -162,37 +147,6 @@ mod tests {
         // The person cloud label was never matched → fresh transaction.
         assert_eq!(m.missed.len(), 1);
         assert_eq!(m.missed[0].class, "person".into());
-    }
-
-    #[test]
-    fn effective_label_per_verdict() {
-        let e = det("car", 0.8, 0.1);
-        let c = det("bus", 0.9, 0.1);
-        assert_eq!(
-            FinalInput::correct(e.clone())
-                .effective_label()
-                .unwrap()
-                .class,
-            "car".into()
-        );
-        let corrected = FinalInput {
-            edge_label: Some(e.clone()),
-            verdict: LabelVerdict::Corrected(c),
-        };
-        assert_eq!(corrected.effective_label().unwrap().class, "bus".into());
-        assert!(corrected.was_wrong());
-        let err = FinalInput {
-            edge_label: Some(e),
-            verdict: LabelVerdict::Erroneous,
-        };
-        assert!(err.effective_label().is_none());
-        assert!(err.was_wrong());
-    }
-
-    #[test]
-    fn assumed_correct_is_not_wrong() {
-        let i = FinalInput::assumed_correct(det("car", 0.95, 0.1));
-        assert!(!i.was_wrong());
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct RunMetrics {
 
 /// Accumulates per-frame observations into a [`RunMetrics`].
 #[derive(Clone, Debug, Default)]
-pub struct MetricsCollector {
+pub(crate) struct MetricsCollector {
     edge_link: OnlineStats,
     edge_detect: OnlineStats,
     initial_txn: OnlineStats,
@@ -125,7 +125,7 @@ impl MetricsCollector {
     /// Record one frame. `cloud` is the `(link, detect)` time of the trip
     /// up and back for a frame that was sent, `None` for one that stayed
     /// at the edge — so the cloud means average over sent frames only.
-    pub fn record_frame(
+    pub(crate) fn record_frame(
         &mut self,
         edge_link: SimDuration,
         edge_detect: SimDuration,
@@ -151,12 +151,12 @@ impl MetricsCollector {
     }
 
     /// Record a frame's accuracy counts.
-    pub fn record_accuracy(&mut self, pr: croesus_sim::stats::PrecisionRecall) {
+    pub(crate) fn record_accuracy(&mut self, pr: croesus_sim::stats::PrecisionRecall) {
         self.pr.add(pr);
     }
 
     /// Record final-stage verdicts.
-    pub fn record_corrections(
+    pub(crate) fn record_corrections(
         &mut self,
         correct: u64,
         corrected: u64,
@@ -170,12 +170,12 @@ impl MetricsCollector {
     }
 
     /// Record committed transactions.
-    pub fn record_transactions(&mut self, n: u64) {
+    pub(crate) fn record_transactions(&mut self, n: u64) {
         self.transactions += n;
     }
 
     /// Record a validated frame whose cloud labels never arrived.
-    pub fn record_cloud_timeout(&mut self) {
+    pub(crate) fn record_cloud_timeout(&mut self) {
         self.cloud_timeouts += 1;
     }
 

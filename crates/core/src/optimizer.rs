@@ -135,7 +135,7 @@ impl ThresholdEvaluator {
 
     /// The default grid used by both searches and the Figure-5 heatmaps:
     /// thresholds 0.0, 0.1, …, 0.9 with `θL ≤ θU`.
-    pub fn grid(step: f64) -> Vec<ThresholdPair> {
+    pub(crate) fn grid(step: f64) -> Vec<ThresholdPair> {
         assert!(step > 0.0 && step < 1.0, "grid step must be in (0,1)");
         let n = (1.0 / step).round() as usize;
         let mut pairs = Vec::new();

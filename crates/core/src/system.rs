@@ -66,8 +66,8 @@ pub enum DeploymentMode {
     /// The edge baseline: "a performance-centric video analytics
     /// application where a compact model (Tiny YOLOv3) is deployed on the
     /// edge machine for lower latency." Labels are whatever the edge model
-    /// says above [`EDGE_BASELINE_CONFIDENCE`]; transactions commit in one
-    /// stage and nothing crosses the edge→cloud link.
+    /// says above the conventional 0.5 confidence; transactions commit in
+    /// one stage and nothing crosses the edge→cloud link.
     EdgeOnly,
     /// The cloud baseline: "an accuracy-centric video analytics
     /// application where a computationally expensive model (YOLOv3) is
@@ -80,7 +80,7 @@ pub enum DeploymentMode {
 /// Default edge-baseline confidence filter: detections below this are
 /// dropped (the conventional 0.5 deployment threshold; Figure 3 shows the
 /// (0.5, 0.5) Croesus pair matching this baseline's accuracy).
-pub const EDGE_BASELINE_CONFIDENCE: f64 = 0.5;
+pub(crate) const EDGE_BASELINE_CONFIDENCE: f64 = 0.5;
 
 /// The Croesus system. Start with [`Croesus::builder`].
 pub struct Croesus;
@@ -237,14 +237,6 @@ impl CroesusBuilder {
     #[must_use]
     pub fn codec(mut self, codec: PayloadCodec) -> Self {
         self.config.codec = codec;
-        self
-    }
-
-    /// Probability that a validated frame's cloud labels never arrive.
-    #[must_use]
-    pub fn cloud_loss(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
-        self.config.cloud_loss_rate = rate;
         self
     }
 
@@ -420,6 +412,17 @@ impl Deployment {
     /// attached: no WAL shipping, no fault plan, no timeline.
     pub fn run(&self) -> RunMetrics {
         self.drive(false).0
+    }
+}
+
+#[cfg(test)]
+impl CroesusBuilder {
+    /// Probability that a validated frame's cloud labels never arrive.
+    #[must_use]
+    pub(crate) fn cloud_loss(mut self, rate: f64) -> Self {
+        assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
+        self.config.cloud_loss_rate = rate;
+        self
     }
 }
 

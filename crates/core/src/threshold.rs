@@ -79,11 +79,6 @@ impl ThresholdPair {
             discarded,
         }
     }
-
-    /// The width of the validate interval.
-    pub fn validate_width(&self) -> f64 {
-        self.upper - self.lower
-    }
 }
 
 /// Which interval a single detection's confidence lies in.
@@ -148,7 +143,6 @@ mod tests {
         let t = ThresholdPair::new(0.5, 0.5);
         assert_eq!(t.classify(0.49), BandDecision::Discard);
         assert_eq!(t.classify(0.51), BandDecision::Keep);
-        assert_eq!(t.validate_width(), 0.0);
     }
 
     #[test]

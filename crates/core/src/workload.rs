@@ -21,7 +21,7 @@ use crate::bank::{TxnInstance, TxnTemplate};
 use crate::matching::LabelVerdict;
 
 /// The YCSB-A-style detection-triggered workload template.
-pub struct YcsbWorkload {
+pub(crate) struct YcsbWorkload {
     /// Monotonic item counter shared by all instances — "previously added
     /// items" are those with indices below the counter.
     next_item: Arc<AtomicU64>,
@@ -37,7 +37,7 @@ impl YcsbWorkload {
 
     /// Custom operation count (must be even and non-zero: half inserts,
     /// half reads).
-    pub fn with_ops(ops: usize) -> Self {
+    pub(crate) fn with_ops(ops: usize) -> Self {
         assert!(
             ops >= 2 && ops.is_multiple_of(2),
             "ops must be even and >= 2"
@@ -46,11 +46,6 @@ impl YcsbWorkload {
             next_item: Arc::new(AtomicU64::new(0)),
             ops,
         }
-    }
-
-    /// Items inserted so far.
-    pub fn items_inserted(&self) -> u64 {
-        self.next_item.load(Ordering::Relaxed)
     }
 }
 
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(inst.initial_rw.writes.len(), 3);
         assert_eq!(inst.initial_rw.reads.len(), 3);
         assert_eq!(inst.final_rw.writes.len(), 3);
-        assert_eq!(w.items_inserted(), 3);
     }
 
     #[test]
@@ -230,7 +224,6 @@ mod tests {
             .writes
             .iter()
             .all(|k| !b.initial_rw.writes.contains(k)));
-        assert_eq!(w.items_inserted(), 6);
     }
 
     #[test]

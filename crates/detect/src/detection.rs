@@ -30,18 +30,6 @@ impl Detection {
     }
 }
 
-/// Convenience: pick from a set of detections the one closest to the frame
-/// centre (used by the paper's "reserve a study room" task, which picks
-/// "the label that is closest to the center of the frame").
-pub fn closest_to_center(detections: &[Detection]) -> Option<&Detection> {
-    detections.iter().min_by(|a, b| {
-        a.bbox
-            .distance_to_frame_center()
-            .partial_cmp(&b.bbox.distance_to_frame_center())
-            .expect("bbox distances are never NaN")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,23 +46,5 @@ mod tests {
         let d = Detection::new("dog".into(), 0.8, BoundingBox::new(0.0, 0.0, 0.1, 0.1));
         assert!(d.is_class(&"dog".into()));
         assert!(!d.is_class(&"cat".into()));
-    }
-
-    #[test]
-    fn closest_to_center_picks_central_box() {
-        let center = Detection::new(
-            "building".into(),
-            0.9,
-            BoundingBox::centered(0.5, 0.5, 0.2, 0.2),
-        );
-        let corner = Detection::new("building".into(), 0.9, BoundingBox::new(0.0, 0.0, 0.2, 0.2));
-        let dets = [corner, center.clone()];
-        let picked = closest_to_center(&dets).unwrap();
-        assert_eq!(picked, &center);
-    }
-
-    #[test]
-    fn closest_to_center_empty_is_none() {
-        assert!(closest_to_center(&[]).is_none());
     }
 }

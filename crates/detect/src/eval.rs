@@ -17,9 +17,6 @@ use croesus_video::LabelClass;
 
 use crate::detection::Detection;
 
-/// Default overlap threshold from the paper: 10%.
-pub const DEFAULT_OVERLAP_THRESHOLD: f64 = 0.10;
-
 /// The outcome of matching one detection against the reference set.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MatchOutcome {

@@ -25,7 +25,6 @@ pub mod model;
 pub mod profile;
 
 pub use detection::Detection;
-pub use eval::DEFAULT_OVERLAP_THRESHOLD;
 pub use eval::{match_detections, score_against, MatchOutcome, Matching};
 pub use model::{DetectionModel, OracleModel, SimulatedModel};
-pub use profile::{ConfidenceModel, LatencyProfile, ModelKind, ModelProfile, Vocabulary};
+pub use profile::{ConfidenceModel, LatencyProfile, ModelKind, ModelProfile};

@@ -70,7 +70,7 @@ pub struct ConfidenceModel {
 
 impl ConfidenceModel {
     /// Confidence for a detection of a real object.
-    pub fn sample_real(&self, rng: &mut DetRng, quality: f64, correct: bool) -> f64 {
+    pub(crate) fn sample_real(&self, rng: &mut DetRng, quality: f64, correct: bool) -> f64 {
         let mean = if correct {
             self.correct_base + self.correct_gain * quality
         } else {
@@ -80,7 +80,7 @@ impl ConfidenceModel {
     }
 
     /// Confidence for a false positive.
-    pub fn sample_fp(&self, rng: &mut DetRng) -> f64 {
+    pub(crate) fn sample_fp(&self, rng: &mut DetRng) -> f64 {
         let k = Kumaraswamy::new(self.fp_shape.0, self.fp_shape.1);
         (k.sample(rng) * self.fp_scale).clamp(0.01, 0.995)
     }
@@ -156,17 +156,17 @@ pub struct ModelProfile {
 impl ModelProfile {
     /// Perceived quality of an object for this model: clarity plus
     /// model-specific noise, clamped to `[0, 1]`.
-    pub fn perceived_quality(&self, rng: &mut DetRng, clarity: f64) -> f64 {
+    pub(crate) fn perceived_quality(&self, rng: &mut DetRng, clarity: f64) -> f64 {
         (clarity + self.quality_noise * rng.standard_normal()).clamp(0.0, 1.0)
     }
 
     /// Detection probability at perceived quality `q`.
-    pub fn detection_probability(&self, q: f64) -> f64 {
+    pub(crate) fn detection_probability(&self, q: f64) -> f64 {
         (self.recall_floor + self.recall_slope * q).clamp(0.0, 1.0)
     }
 
     /// Probability of the correct label at perceived quality `q`.
-    pub fn label_accuracy(&self, q: f64) -> f64 {
+    pub(crate) fn label_accuracy(&self, q: f64) -> f64 {
         (self.label_acc_floor + self.label_acc_slope * q).clamp(0.0, 1.0)
     }
 
@@ -221,7 +221,7 @@ impl ModelProfile {
     }
 
     /// YOLOv3-320 — smallest cloud model (Table 2: 0.70 s detection).
-    pub fn yolov3_320() -> ModelProfile {
+    pub(crate) fn yolov3_320() -> ModelProfile {
         Self::yolov3(ModelKind::YoloV3_320.name(), 0.4, 700.0)
     }
 
@@ -240,7 +240,7 @@ impl ModelProfile {
 /// Misclassifications draw uniformly from the vocabulary minus the true
 /// class.
 #[derive(Clone, Debug)]
-pub struct Vocabulary {
+pub(crate) struct Vocabulary {
     classes: Vec<LabelClass>,
 }
 
@@ -254,7 +254,7 @@ impl Vocabulary {
 
     /// The standard vocabulary used in the experiments: the classes present
     /// in the paper's videos plus a few common COCO confusables.
-    pub fn standard() -> Vocabulary {
+    pub(crate) fn standard() -> Vocabulary {
         Vocabulary::new(
             [
                 "person",
@@ -274,13 +274,8 @@ impl Vocabulary {
         )
     }
 
-    /// All classes.
-    pub fn classes(&self) -> &[LabelClass] {
-        &self.classes
-    }
-
     /// A uniformly random class different from `not`.
-    pub fn confusable(&self, rng: &mut DetRng, not: &LabelClass) -> LabelClass {
+    pub(crate) fn confusable(&self, rng: &mut DetRng, not: &LabelClass) -> LabelClass {
         loop {
             let pick = rng.choose(&self.classes);
             if pick != not {

@@ -131,7 +131,7 @@ impl Oracle {
 
     /// The transactions a recovering edge owes retractions for.
     #[must_use]
-    pub fn expected_unfinalized(&self) -> BTreeSet<u64> {
+    pub(crate) fn expected_unfinalized(&self) -> BTreeSet<u64> {
         self.initial
             .iter()
             .filter(|t| {

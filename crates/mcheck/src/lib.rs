@@ -40,8 +40,8 @@ pub use crash::{sweep, CrashCut, Oracle};
 pub use explore::{explore, replay, Config, Report, Scenario, Violation};
 pub use scenarios::{
     ms_sr_block_deadlock, ms_sr_commit_point, retract_self, three_txn_hot_key, two_txn_two_stage,
-    wal_pipeline, wave_queue, Ack, CutCheck, ProtoWorld, ProtocolScenario, StageOp, StageScript,
+    wal_pipeline, wave_queue, Ack, ProtoWorld, ProtocolScenario, StageOp, StageScript,
     TpcCoordinatorCrash, TpcWorld, TxnScript, WalPipelineScenario, WalPipelineWorld,
     WaveQueueScenario, WaveQueueWorld,
 };
-pub use scheduler::{advance, run_schedule, Decision, Mode, RunEnd, SchedStats, TaskFn, Trace};
+pub use scheduler::{advance, Decision, RunEnd, SchedStats, Trace};

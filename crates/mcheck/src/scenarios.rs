@@ -161,7 +161,7 @@ pub struct ProtoWorld {
 }
 
 /// Extra per-cut predicate a scenario can attach to the crash sweep.
-pub type CutCheck = Arc<dyn Fn(&CrashCut<'_>) -> Result<(), String> + Send + Sync>;
+pub(crate) type CutCheck = Arc<dyn Fn(&CrashCut<'_>) -> Result<(), String> + Send + Sync>;
 
 /// Scripted transactions racing through one protocol executor.
 pub struct ProtocolScenario {

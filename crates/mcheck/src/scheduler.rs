@@ -23,7 +23,7 @@ use croesus_sim::DetRng;
 use croesus_store::sched::{self, SchedHook};
 
 /// A task body: runs to completion under the scheduler's control.
-pub type TaskFn = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type TaskFn = Box<dyn FnOnce() + Send + 'static>;
 
 /// One scheduling choice: at a point where `arity` continuations were
 /// considered branch-worthy, continuation `chosen` was taken. (`arity` is
@@ -91,7 +91,7 @@ pub struct SchedStats {
 }
 
 /// How the driver picks at decision points beyond the replayed prefix.
-pub enum Mode<'a> {
+pub(crate) enum Mode<'a> {
     /// Depth-first enumeration: first choice at new points, consulting the
     /// seen-state set to avoid re-branching on converged states.
     Dfs {
@@ -277,7 +277,7 @@ fn task_main(shared: Arc<Shared>, id: usize, f: TaskFn) {
 /// point past it appends a new entry according to `mode`. `fingerprint`
 /// hashes the world (store, log bytes, history) for state pruning; it runs
 /// with every task parked.
-pub fn run_schedule(
+pub(crate) fn run_schedule(
     tasks: Vec<TaskFn>,
     decisions: &mut Vec<Decision>,
     mut mode: Mode<'_>,

@@ -46,11 +46,6 @@ impl BandwidthMeter {
         self.frames_processed
     }
 
-    /// Total frames sent to the cloud.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
     /// Total bytes shipped edge→cloud.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
@@ -59,16 +54,6 @@ impl BandwidthMeter {
     /// Total transfer cost in dollars.
     pub fn dollars(&self) -> f64 {
         self.dollars
-    }
-
-    /// Dollar cost normalized per 1000 processed frames — the ablation
-    /// metric reported alongside Table 2.
-    pub fn dollars_per_1k_frames(&self) -> f64 {
-        if self.frames_processed == 0 {
-            0.0
-        } else {
-            self.dollars * 1000.0 / self.frames_processed as f64
-        }
     }
 
     /// Merge another meter into this one.
@@ -88,7 +73,6 @@ mod tests {
     fn empty_meter_is_zero() {
         let m = BandwidthMeter::new();
         assert_eq!(m.bandwidth_utilization(), 0.0);
-        assert_eq!(m.dollars_per_1k_frames(), 0.0);
         assert_eq!(m.bytes_sent(), 0);
     }
 
@@ -102,7 +86,6 @@ mod tests {
             }
         }
         assert!((m.bandwidth_utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(m.frames_sent(), 5);
         assert_eq!(m.bytes_sent(), 5000);
     }
 
@@ -114,7 +97,6 @@ mod tests {
         m.record_processed();
         m.record_sent(1_000_000_000, 0.09);
         assert!((m.dollars() - 0.18).abs() < 1e-12);
-        assert!((m.dollars_per_1k_frames() - 90.0).abs() < 1e-9);
     }
 
     #[test]

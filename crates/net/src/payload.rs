@@ -41,14 +41,6 @@ impl PayloadCodec {
         }
     }
 
-    /// Compression plus difference encoding.
-    pub fn compressed_difference() -> Self {
-        PayloadCodec {
-            compression: true,
-            difference: true,
-        }
-    }
-
     /// Label as Figure 6(c) prints it, suffixed to a system name.
     pub fn label(&self) -> &'static str {
         match (self.compression, self.difference) {
@@ -99,6 +91,17 @@ impl PayloadCodec {
             difference: true,
         },
     ];
+}
+
+#[cfg(test)]
+impl PayloadCodec {
+    /// Compression plus difference encoding.
+    pub(crate) fn compressed_difference() -> Self {
+        PayloadCodec {
+            compression: true,
+            difference: true,
+        }
+    }
 }
 
 #[cfg(test)]

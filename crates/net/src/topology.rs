@@ -32,14 +32,6 @@ impl EdgeClass {
             EdgeClass::Xlarge => 1.0,
         }
     }
-
-    /// The EC2 instance type name.
-    pub fn instance_name(&self) -> &'static str {
-        match self {
-            EdgeClass::Small => "t3a.small",
-            EdgeClass::Xlarge => "t3a.xlarge",
-        }
-    }
 }
 
 /// Where the cloud machine sits relative to the edge.
@@ -130,7 +122,7 @@ impl Topology {
     /// CA↔Virginia one-way is ~62 ms on AWS's backbone; co-located
     /// machines see ~1 ms. Cross-country transfers are billed at the
     /// standard $0.09/GB egress rate, intra-location at $0.01/GB.
-    pub fn for_setup(setup: Setup) -> Topology {
+    pub(crate) fn for_setup(setup: Setup) -> Topology {
         let client_edge = Link::new("client→edge", Normal::new(8.0, 1.5), 400e6, 0.0);
         let edge_cloud = match setup.colocation {
             Colocation::CrossCountry => {
@@ -206,7 +198,6 @@ mod tests {
         let d = Setup::default_paper();
         assert_eq!(d.edge, EdgeClass::Xlarge);
         assert_eq!(d.colocation, Colocation::CrossCountry);
-        assert_eq!(d.edge.instance_name(), "t3a.xlarge");
     }
 
     #[test]

@@ -174,10 +174,9 @@ impl AtomicHistogram {
     /// occupants are off-scale (anywhere in `[lower, u64::MAX]`), so any
     /// point inside a "nominal width" would be fabricated precision. A
     /// quantile that lands there reports the bucket's lower bound — a
-    /// truthful "at least this much" — and [`Self::is_saturated`] tells
-    /// readers the tail is clipped.
+    /// truthful "at least this much", where the tail is clipped.
     #[must_use]
-    pub fn quantile_ticks(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ticks(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;
@@ -205,22 +204,9 @@ impl AtomicHistogram {
         Self::lower(BUCKETS - 1) as f64
     }
 
-    /// Samples that saturated into the overflow bucket (off-scale values).
-    #[must_use]
-    pub fn saturated_count(&self) -> u64 {
-        self.buckets[BUCKETS - 1].load(Ordering::Relaxed)
-    }
-
-    /// Whether any recorded value was off-scale — quantiles that land in
-    /// the overflow bucket are clamped lower bounds, not measurements.
-    #[must_use]
-    pub fn is_saturated(&self) -> bool {
-        self.saturated_count() > 0
-    }
-
     /// The `q`-quantile interpreted as milliseconds (micro-ticks).
     #[must_use]
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         self.quantile_ticks(q) / 1_000.0
     }
 
@@ -237,7 +223,7 @@ impl AtomicHistogram {
 
     /// p50/p90/p99/p999 in raw ticks (for dimensionless histograms).
     #[must_use]
-    pub fn quantiles_value(&self) -> Quantiles {
+    pub(crate) fn quantiles_value(&self) -> Quantiles {
         Quantiles {
             p50: self.quantile_ticks(0.50),
             p90: self.quantile_ticks(0.90),
@@ -295,6 +281,22 @@ impl AtomicStat {
     #[must_use]
     pub fn max_ms(&self) -> f64 {
         self.max_ns.load(Ordering::Relaxed) as f64 / 1_000_000.0
+    }
+}
+
+#[cfg(test)]
+impl AtomicHistogram {
+    /// Samples that saturated into the overflow bucket (off-scale values).
+    #[must_use]
+    pub(crate) fn saturated_count(&self) -> u64 {
+        self.buckets[BUCKETS - 1].load(Ordering::Relaxed)
+    }
+
+    /// Whether any recorded value was off-scale — quantiles that land in
+    /// the overflow bucket are clamped lower bounds, not measurements.
+    #[must_use]
+    pub(crate) fn is_saturated(&self) -> bool {
+        self.saturated_count() > 0
     }
 }
 

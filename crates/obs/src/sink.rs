@@ -30,7 +30,7 @@ use crate::hist::{AtomicHistogram, Quantiles};
 /// budget is 5%), large enough to hold the last few hundred frames'
 /// worth of transactions for forensics. Counters and histograms never
 /// drop regardless; only the event window is bounded.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
 /// The named latency/lag histograms every edge stream keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl HistKind {
 
     /// Whether samples are durations (ms) rather than raw units.
     #[must_use]
-    pub fn is_duration(self) -> bool {
+    pub(crate) fn is_duration(self) -> bool {
         matches!(
             self,
             HistKind::InitialCommitMs | HistKind::FinalCommitMs | HistKind::WalSyncMs
@@ -366,13 +366,6 @@ impl Obs {
         out
     }
 
-    /// One edge's events (empty if the edge was never observed).
-    #[must_use]
-    pub fn edge_events(&self, edge: usize) -> Vec<Event> {
-        let edges = self.edges.lock();
-        edges.get(edge).map_or_else(Vec::new, EdgeObs::events)
-    }
-
     /// Total events dropped across all edge rings.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -409,6 +402,16 @@ impl Obs {
     pub fn hist_count(&self, hist: HistKind) -> u64 {
         let edges = self.edges.lock().clone();
         edges.iter().map(|e| e.hist_count(hist)).sum()
+    }
+}
+
+#[cfg(test)]
+impl Obs {
+    /// One edge's events (empty if the edge was never observed).
+    #[must_use]
+    pub(crate) fn edge_events(&self, edge: usize) -> Vec<Event> {
+        let edges = self.edges.lock();
+        edges.get(edge).map_or_else(Vec::new, EdgeObs::events)
     }
 }
 

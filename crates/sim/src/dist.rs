@@ -81,7 +81,7 @@ impl Distribution for Kumaraswamy {
 /// Natural log of the gamma function (Lanczos approximation, g=7, n=9).
 /// Accurate to ~1e-13 over the positive reals, which is far more than the
 /// simulators need.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     #[allow(clippy::excessive_precision)] // verbatim Lanczos constants
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_93,

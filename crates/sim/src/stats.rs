@@ -57,7 +57,7 @@ impl OnlineStats {
     }
 
     /// Population variance (0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

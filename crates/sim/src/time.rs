@@ -43,12 +43,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// The span from `earlier` to `self`, saturating to zero if `earlier`
-    /// is actually later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -95,12 +89,6 @@ impl SimDuration {
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Duration scaled by a non-negative factor (e.g. a slowdown factor for
-    /// a weaker edge machine).
-    pub fn scale(self, factor: f64) -> Self {
-        SimDuration::from_millis_f64(self.as_millis_f64() * factor.max(0.0))
     }
 
     /// Saturating subtraction.
@@ -236,10 +224,6 @@ mod tests {
         assert_eq!(t.as_micros(), 5_000);
         let d = (t + SimDuration::from_millis(7)) - t;
         assert_eq!(d, SimDuration::from_millis(7));
-        assert_eq!(
-            t.saturating_since(SimTime::from_micros(9_000)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -259,14 +243,6 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         let total: SimDuration = [a, b, b].into_iter().sum();
         assert_eq!(total, SimDuration::from_millis(18));
-    }
-
-    #[test]
-    fn duration_scaling() {
-        let d = SimDuration::from_millis(100);
-        assert_eq!(d.scale(2.0), SimDuration::from_millis(200));
-        assert_eq!(d.scale(0.5), SimDuration::from_millis(50));
-        assert_eq!(d.scale(-1.0), SimDuration::ZERO);
     }
 
     #[test]

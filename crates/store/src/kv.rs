@@ -54,7 +54,7 @@ pub struct KvStore {
 impl KvStore {
     /// Default shard count: enough to keep 8–16 worker threads from
     /// colliding on map locks.
-    pub const DEFAULT_SHARDS: usize = 32;
+    pub(crate) const DEFAULT_SHARDS: usize = 32;
 
     /// Create a store with the default shard count.
     pub fn new() -> Self {
@@ -165,9 +165,9 @@ impl KvStore {
         all
     }
 
-    /// Every key-value pair in canonical order ([`Key::canonical_cmp`]:
-    /// ascending cached FNV-1a hash, ties by key text). Like
-    /// [`snapshot`](Self::snapshot)'s key order it depends only on the
+    /// Every key-value pair in canonical order (ascending cached FNV-1a
+    /// hash, ties by key text). Like [`snapshot`](Self::snapshot)'s key
+    /// order it depends only on the
     /// contents, never on insertion history, but the sort compares the
     /// hash cached inline in each [`Key`]. Clones only `Arc`s and leaves
     /// versions out: this is what a checkpoint serializes.

@@ -18,8 +18,8 @@
 //!
 //! [`Key`] computes the **FNV-1a hash of its text exactly once, at
 //! construction**, and keeps it inline beside its text slot: a text of up
-//! to [`value::INLINE_KEY_BYTES`] bytes sits in the slot itself (no
-//! allocation, and a clone or drop is a plain copy), a longer one in one
+//! to 22 bytes sits in the slot itself (no allocation, and a clone or drop
+//! is a plain copy), a longer one in one
 //! shared allocation. Every consumer reuses the hash:
 //!
 //! * `HashMap` probes go through [`value::KeyHashBuilder`], a pass-through

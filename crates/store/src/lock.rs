@@ -293,7 +293,7 @@ pub struct LockManager {
 
 impl LockManager {
     /// Default shard count.
-    pub const DEFAULT_SHARDS: usize = 64;
+    pub(crate) const DEFAULT_SHARDS: usize = 64;
 
     /// Create a manager with the given policy and default sharding.
     pub fn new(policy: LockPolicy) -> Self {

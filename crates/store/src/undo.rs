@@ -84,15 +84,6 @@ impl UndoLog {
         self.records
     }
 
-    /// The recorded pre-image for `key`, if this log touched it.
-    /// `Some(None)` means the key did not exist before.
-    pub fn pre_image(&self, key: &Key) -> Option<&Option<Arc<Value>>> {
-        self.records
-            .iter()
-            .find(|r| r.key == *key)
-            .map(|r| &r.previous)
-    }
-
     /// Number of distinct keys recorded.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -101,6 +92,18 @@ impl UndoLog {
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl UndoLog {
+    /// The recorded pre-image for `key`, if this log touched it.
+    /// `Some(None)` means the key did not exist before.
+    pub(crate) fn pre_image(&self, key: &Key) -> Option<&Option<Arc<Value>>> {
+        self.records
+            .iter()
+            .find(|r| r.key == *key)
+            .map(|r| &r.previous)
     }
 }
 

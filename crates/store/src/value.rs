@@ -1,8 +1,8 @@
 //! Keys and values.
 //!
 //! A [`Key`] is its FNV-1a hash, computed once at construction, beside a
-//! 24-byte text slot. A text of up to [`INLINE_KEY_BYTES`] bytes lives in
-//! the slot itself, so building, cloning and dropping a short key allocate
+//! 24-byte text slot. A text of up to 22 bytes lives in the slot itself,
+//! so building, cloning and dropping a short key allocate
 //! nothing and touch no reference count; only a longer text is held in one
 //! shared `Arc<str>`, allocated once. The hot path (shard selection,
 //! `HashMap` lookup, partition routing) never re-hashes the key text, and a
@@ -53,7 +53,7 @@ const INDEXED_STACK_BYTES: usize = 64;
 
 /// Longest key text held inline, without an allocation. It covers every
 /// key the workloads build: `item/<n>` is 11 bytes below 10⁶ items.
-pub const INLINE_KEY_BYTES: usize = 22;
+pub(crate) const INLINE_KEY_BYTES: usize = 22;
 
 /// A key's text: inline when it fits, one shared allocation otherwise.
 /// The choice depends only on the length, so one text always has one
@@ -100,8 +100,8 @@ impl Text {
 /// in all.
 ///
 /// Keys are cloned freely into lock tables, undo logs and read/write sets.
-/// A text of up to [`INLINE_KEY_BYTES`] bytes sits in the slot, so such a
-/// key allocates nothing and a clone or drop is a plain copy; a longer
+/// A text of up to 22 bytes sits in the slot, so such a key allocates
+/// nothing and a clone or drop is a plain copy; a longer
 /// text is one `Arc<str>`, allocated once, and a clone is a refcount bump.
 /// The hash is computed exactly once at construction and reused
 /// everywhere: equality checks, `HashMap` hashing (via [`KeyHashBuilder`]
@@ -152,7 +152,7 @@ impl Key {
     /// and reads text only on a collision. Checkpoints list their pairs
     /// in it ([`KvStore::canonical_pairs`](crate::KvStore::canonical_pairs)).
     #[inline]
-    pub fn canonical_cmp(&self, other: &Key) -> std::cmp::Ordering {
+    pub(crate) fn canonical_cmp(&self, other: &Key) -> std::cmp::Ordering {
         self.hash.cmp(&other.hash).then_with(|| self.cmp(other))
     }
 
@@ -328,15 +328,6 @@ impl Value {
         match self {
             Value::Bytes(b) => Some(b),
             _ => None,
-        }
-    }
-
-    /// Approximate in-memory size, for store accounting.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            Value::Int(_) => 8,
-            Value::Str(s) => s.len(),
-            Value::Bytes(b) => b.len(),
         }
     }
 }
@@ -587,13 +578,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_str(), None);
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
-    }
-
-    #[test]
-    fn value_sizes() {
-        assert_eq!(Value::Int(0).size_bytes(), 8);
-        assert_eq!(Value::from("abc").size_bytes(), 3);
-        assert_eq!(Value::from(vec![0u8; 10]).size_bytes(), 10);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl fmt::Display for Apology {
 
 /// The `(key, restored value)` pairs one entry's rollback applied, in
 /// rollback order; `None` deletes the key.
-pub type EntryRestores = Vec<(Key, Option<Arc<Value>>)>;
+pub(crate) type EntryRestores = Vec<(Key, Option<Arc<Value>>)>;
 
 /// The result of one retraction request.
 #[derive(Clone, Debug, Default)]
@@ -54,13 +54,6 @@ pub struct RetractionReport {
     /// log serializes these so replay repeats the exact mutations instead
     /// of re-deriving the cascade.
     pub restores: Vec<(TxnId, EntryRestores)>,
-}
-
-impl RetractionReport {
-    /// Number of transactions retracted beyond the requested one.
-    pub fn cascade_size(&self) -> usize {
-        self.retracted.len().saturating_sub(1)
-    }
 }
 
 struct Entry {
@@ -270,7 +263,6 @@ mod tests {
         let report = mgr.retract(TxnId(1), &store, "wrong label");
         assert_eq!(store.get(&"a".into()).as_deref(), Some(&Value::Int(1)));
         assert_eq!(report.retracted, vec![TxnId(1)]);
-        assert_eq!(report.cascade_size(), 0);
         assert!(report.apologies[0].reason.contains("wrong label"));
     }
 
@@ -285,7 +277,6 @@ mod tests {
         assert_eq!(report.retracted, vec![TxnId(2), TxnId(1)], "reverse order");
         assert!(!store.contains(&"b".into()));
         assert!(!store.contains(&"c".into()));
-        assert_eq!(report.cascade_size(), 1);
     }
 
     #[test]

@@ -139,12 +139,12 @@ impl HistoryRecorder {
     }
 
     /// Record a section begin.
-    pub fn record_begin(&self, txn: TxnId, section: SectionKind) {
+    pub(crate) fn record_begin(&self, txn: TxnId, section: SectionKind) {
         self.push(|seq| SectionEvent::Begin { txn, section, seq });
     }
 
     /// Record a read.
-    pub fn record_read(&self, txn: TxnId, section: SectionKind, key: &Key) {
+    pub(crate) fn record_read(&self, txn: TxnId, section: SectionKind, key: &Key) {
         let key = key.clone();
         self.push(move |seq| SectionEvent::Read {
             txn,
@@ -155,7 +155,7 @@ impl HistoryRecorder {
     }
 
     /// Record a write.
-    pub fn record_write(&self, txn: TxnId, section: SectionKind, key: &Key) {
+    pub(crate) fn record_write(&self, txn: TxnId, section: SectionKind, key: &Key) {
         let key = key.clone();
         self.push(move |seq| SectionEvent::Write {
             txn,
@@ -166,12 +166,12 @@ impl HistoryRecorder {
     }
 
     /// Record a section commit.
-    pub fn record_commit(&self, txn: TxnId, section: SectionKind) {
+    pub(crate) fn record_commit(&self, txn: TxnId, section: SectionKind) {
         self.push(|seq| SectionEvent::Commit { txn, section, seq });
     }
 
     /// Record a transaction abort.
-    pub fn record_abort(&self, txn: TxnId) {
+    pub(crate) fn record_abort(&self, txn: TxnId) {
         self.push(|seq| SectionEvent::Abort { txn, seq });
     }
 
@@ -208,12 +208,14 @@ impl SectionInfo {
 /// Analyzes a recorded history against the multi-stage safety conditions.
 pub struct HistoryChecker {
     sections: Vec<SectionInfo>,
-    aborted: Vec<TxnId>,
+    /// Every abort, with its sequence number: an id may abort and begin
+    /// again, so an abort is placed by `seq`, not by its id.
+    aborted: Vec<(TxnId, u64)>,
 }
 
 impl HistoryChecker {
     /// Build from an event stream.
-    pub fn from_events(events: Vec<SectionEvent>) -> Self {
+    pub(crate) fn from_events(events: Vec<SectionEvent>) -> Self {
         let mut map: HashMap<(TxnId, SectionKind), SectionInfo> = HashMap::new();
         let mut aborted = Vec::new();
         for ev in &events {
@@ -246,7 +248,7 @@ impl HistoryChecker {
                         s.commit_seq = Some(*seq);
                     }
                 }
-                SectionEvent::Abort { txn, .. } => aborted.push(*txn),
+                SectionEvent::Abort { txn, seq } => aborted.push((*txn, *seq)),
             }
         }
         let mut sections: Vec<SectionInfo> = map.into_values().collect();
@@ -272,16 +274,13 @@ impl HistoryChecker {
         out
     }
 
-    /// Aborted transaction ids.
-    pub fn aborted_txns(&self) -> &[TxnId] {
-        &self.aborted
-    }
-
     /// The multi-stage base guarantee (also the whole of MS-IA's ordering
     /// condition): every transaction whose initial section committed has a
-    /// committed final section, committed after the initial. Transactions
-    /// in `still_pending` (final input not yet delivered) are exempt from
-    /// the "final committed" half.
+    /// committed final section, committed after the initial, and no abort
+    /// of it follows that initial commit (§4.1: an initially-committed
+    /// transaction must finally commit). Transactions in `still_pending`
+    /// (final input not yet delivered) are exempt from the "final
+    /// committed" half only.
     pub fn check_ms_ia(&self, still_pending: &[TxnId]) -> Result<(), String> {
         for s in &self.sections {
             if s.section != SectionKind::Initial {
@@ -290,6 +289,16 @@ impl HistoryChecker {
             let Some(init_seq) = s.commit_seq else {
                 continue;
             };
+            if let Some((_, abort_seq)) = self
+                .aborted
+                .iter()
+                .find(|&&(txn, seq)| txn == s.txn && seq > init_seq)
+            {
+                return Err(format!(
+                    "{}: aborted at {} after its initial section committed at {}",
+                    s.txn, abort_seq, init_seq
+                ));
+            }
             match self.committed(s.txn, SectionKind::Final) {
                 Some(f) => {
                     let f_seq = f.commit_seq.expect("committed() implies Some");
@@ -565,10 +574,42 @@ mod tests {
         h.record_begin(t, SectionKind::Initial);
         h.record_abort(t);
         let c = h.checker();
-        assert_eq!(c.aborted_txns(), &[t]);
+        assert_eq!(c.aborted, [(t, 1)]);
         // An aborted transaction never initially committed: no obligation.
         assert!(c.check_ms_ia(&[]).is_ok());
         assert!(c.committed_txns().is_empty());
+    }
+
+    #[test]
+    fn abort_after_initial_commit_fails_ms_ia_even_when_pending() {
+        let h = HistoryRecorder::new();
+        let t = TxnId(3);
+        h.record_begin(t, SectionKind::Initial);
+        h.record_write(t, SectionKind::Initial, &k("x"));
+        h.record_commit(t, SectionKind::Initial);
+        h.record_abort(t);
+        let c = h.checker();
+        assert!(
+            c.check_ms_ia(&[t]).is_err(),
+            "pending does not excuse an abort"
+        );
+        assert!(c.check_ms_ia(&[]).is_err());
+        assert!(c.check_ms_sr().is_err());
+    }
+
+    #[test]
+    fn an_id_aborted_then_begun_again_and_committed_passes() {
+        // MS-SR's wait-die may abort an id before its initial commit and
+        // begin it again; the earlier abort precedes the commit in `seq`.
+        let h = HistoryRecorder::new();
+        let t = TxnId(4);
+        h.record_begin(t, SectionKind::Initial);
+        h.record_abort(t);
+        record_txn(&h, 4, (&["x"], &[]), (&[], &["x"]));
+        let c = h.checker();
+        assert!(c.check_ms_ia(&[]).is_ok());
+        assert!(c.check_ms_sr().is_ok());
+        assert_eq!(c.committed_txns(), vec![t]);
     }
 
     #[test]

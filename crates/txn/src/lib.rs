@@ -79,9 +79,7 @@ pub use invariant::{
     merge_decision, FnInvariant, Invariant, InvariantViolation, MergeOutcome, NonNegativeInvariant,
 };
 pub use model::{RwSet, SectionCtx, SectionOutput, TxnError};
-pub use protocol::{
-    Executor, ExecutorCore, ProtocolKind, StageBody, StageCtx, StageOutcome, TxnHandle,
-};
+pub use protocol::{Executor, ExecutorCore, ProtocolKind, StageCtx, StageOutcome, TxnHandle};
 pub use recovery::{recover_edge, recover_edge_file, RecoveredEdge};
 pub use runtime::{current_worker, JobQueue, WorkerPool};
 pub use sequencer::Sequencer;

@@ -53,7 +53,7 @@ impl RwSet {
     /// and reads shared, duplicates included: what
     /// [`LockManager::plan`](croesus_store::LockManager::plan) turns into
     /// a stage's lock plan.
-    pub fn lock_requests(&self) -> impl Iterator<Item = (&Key, LockMode)> + Clone {
+    pub(crate) fn lock_requests(&self) -> impl Iterator<Item = (&Key, LockMode)> + Clone {
         let writes = self.writes.iter().map(|k| (k, LockMode::Exclusive));
         writes.chain(self.reads.iter().map(|k| (k, LockMode::Shared)))
     }

@@ -23,9 +23,9 @@
 //!   no executor keeps a table of in-flight transactions.
 //! * [`Executor`] is a [`ProtocolKind`] over a core:
 //!   [`begin`](Executor::begin) declares a transaction and its per-stage
-//!   read/write sets, [`run_stage`](Executor::run_stage) executes one
-//!   section and returns a typed [`StageOutcome`], and
-//!   [`abort`](Executor::abort) gives up before initial commit.
+//!   read/write sets, and [`run_stage`](Executor::run_stage) executes one
+//!   section and returns a typed [`StageOutcome`]; only stage 0 may fail,
+//!   and its failure aborts the transaction.
 //!   `run_stage`'s one `match` on the kind is the only place a lock
 //!   schedule is chosen, so pipelines, benches and tests are
 //!   parameterized by protocol with a value, not a type.
@@ -551,7 +551,7 @@ impl TxnHandle {
     }
 
     /// Total stages in the transaction.
-    pub fn total_stages(&self) -> usize {
+    pub(crate) fn total_stages(&self) -> usize {
         self.total
     }
 
@@ -563,7 +563,7 @@ impl TxnHandle {
 
     /// The history section kind this stage maps to.
     #[must_use]
-    pub fn section_kind(&self) -> SectionKind {
+    pub(crate) fn section_kind(&self) -> SectionKind {
         if self.stage == 0 {
             SectionKind::Initial
         } else if self.is_final() {
@@ -610,12 +610,6 @@ impl StageOutcome {
             StageOutcome::Committed { next, .. } => Some(next),
             StageOutcome::Complete { .. } => None,
         }
-    }
-
-    /// Whether the transaction finally committed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        matches!(self, StageOutcome::Complete { .. })
     }
 }
 
@@ -694,7 +688,8 @@ impl DerefMut for StageCtx<'_> {
 
 /// A stage body as [`Executor::run_stage`] takes it. Use
 /// [`Executor::stage`] for a typed-closure convenience.
-pub type StageBody<'b> = &'b mut dyn FnMut(&mut StageCtx<'_>) -> Result<SectionOutput, TxnError>;
+pub(crate) type StageBody<'b> =
+    &'b mut dyn FnMut(&mut StageCtx<'_>) -> Result<SectionOutput, TxnError>;
 
 /// One multi-stage consistency protocol — MS-SR, MS-IA, or the generalized
 /// staged discipline — over the shared [`ExecutorCore`]. Built by
@@ -780,21 +775,6 @@ impl Executor {
         }
     }
 
-    /// Abort a transaction that has not yet committed its first stage.
-    /// Panics if any stage already committed — initially-committed
-    /// transactions must finally commit (§4.1).
-    pub fn abort(&self, handle: TxnHandle) {
-        assert_eq!(
-            handle.stage(),
-            0,
-            "{} cannot abort at stage {}: initially-committed transactions \
-             must finally commit (§4.1)",
-            handle.txn(),
-            handle.stage()
-        );
-        self.core.record_abort(handle.txn());
-    }
-
     /// [`run_stage`](Self::run_stage) with a typed body: the body returns
     /// any `T` and the stage result arrives as `(T, Option<TxnHandle>)`.
     pub fn stage<T>(
@@ -850,6 +830,33 @@ impl Executor {
     #[cfg(not(feature = "mcheck"))]
     fn log_final_after_release(&self) -> bool {
         false
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// Abort a transaction that has not yet committed its first stage.
+    /// Panics if any stage already committed — initially-committed
+    /// transactions must finally commit (§4.1).
+    pub(crate) fn abort(&self, handle: TxnHandle) {
+        assert_eq!(
+            handle.stage(),
+            0,
+            "{} cannot abort at stage {}: initially-committed transactions \
+             must finally commit (§4.1)",
+            handle.txn(),
+            handle.stage()
+        );
+        self.core.record_abort(handle.txn());
+    }
+}
+
+#[cfg(test)]
+impl StageOutcome {
+    /// Whether the transaction finally committed.
+    #[must_use]
+    pub(crate) fn is_complete(&self) -> bool {
+        matches!(self, StageOutcome::Complete { .. })
     }
 }
 

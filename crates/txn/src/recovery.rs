@@ -14,12 +14,13 @@
 //! transaction through [`ApologyManager::retract`]. The result carries
 //! the store, the populated manager (apologies included, ready to render
 //! to clients) and the retraction reports, and can be turned into a
-//! working [`ExecutorCore`] to resume service.
+//! working [`ExecutorCore`](crate::ExecutorCore) to resume service.
 //!
 //! ```
 //! use croesus_store::{LockManager, LockPolicy, TxnId, Value};
 //! use croesus_wal::{StageFlags, StageRecord, Wal, WalConfig, WriteImage};
 //! use croesus_txn::recovery::recover_edge;
+//! use croesus_txn::ExecutorCore;
 //! use std::sync::Arc;
 //!
 //! // A log whose only transaction initially committed and then crashed.
@@ -37,7 +38,8 @@
 //! let recovered = recover_edge(&probe.durable());
 //! assert!(!recovered.store.contains(&"guess".into()), "retracted");
 //! assert_eq!(recovered.apologies.apologies().len(), 1, "and apologized for");
-//! let core = recovered.into_core(Arc::new(LockManager::new(LockPolicy::Block)));
+//! let locks = Arc::new(LockManager::new(LockPolicy::Block));
+//! let core = ExecutorCore::new(recovered.store, locks).with_apologies(recovered.apologies);
 //! assert_eq!(core.store().len(), 0);
 //! ```
 
@@ -45,11 +47,10 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use croesus_store::{KvStore, LockManager, TxnId, UndoLog};
+use croesus_store::{KvStore, TxnId, UndoLog};
 use croesus_wal::{RecoveryReport, RecoveryState, RetractRecord, WalRecord};
 
 use crate::apology::{ApologyManager, RetractionReport};
-use crate::protocol::ExecutorCore;
 
 /// A recovered edge: committed state, the rebuilt apology machinery, and
 /// what recovery had to retract.
@@ -83,14 +84,6 @@ pub struct RecoveredEdge {
 }
 
 impl RecoveredEdge {
-    /// Resume service: an [`ExecutorCore`] over the recovered store and
-    /// apology state. Attach a fresh WAL via
-    /// [`ExecutorCore::with_wal`] to log the new epoch.
-    #[must_use]
-    pub fn into_core(self, locks: Arc<LockManager>) -> ExecutorCore {
-        ExecutorCore::new(self.store, locks).with_apologies(self.apologies)
-    }
-
     /// Every apology the recovered edge owes its users.
     #[must_use]
     pub fn apologies_owed(&self) -> Vec<crate::apology::Apology> {
@@ -114,7 +107,7 @@ pub fn recover_edge_file(path: impl AsRef<Path>) -> io::Result<RecoveredEdge> {
 /// §4.4-consistent — re-register the surviving footprints, retract every
 /// initially-committed-but-unfinalized transaction, collect apologies.
 #[must_use]
-pub fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
+pub(crate) fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
     let RecoveryReport {
         store,
         entries,
@@ -179,8 +172,8 @@ pub fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
 mod tests {
     use super::*;
     use crate::model::RwSet;
-    use crate::protocol::{Executor, ProtocolKind};
-    use croesus_store::{LockPolicy, Value};
+    use crate::protocol::{Executor, ExecutorCore, ProtocolKind};
+    use croesus_store::{LockManager, LockPolicy, Value};
     use croesus_wal::{MemStorage, Wal, WalConfig};
 
     /// A protocol executor with a fresh in-memory WAL attached.
@@ -322,7 +315,8 @@ mod tests {
         p.stage(h.unwrap(), &rw, |ctx| ctx.write("x", 2)).unwrap();
 
         let rec = recover_edge(&probe.durable());
-        let core = rec.into_core(Arc::new(LockManager::new(LockPolicy::Block)));
+        let core = ExecutorCore::new(rec.store, Arc::new(LockManager::new(LockPolicy::Block)))
+            .with_apologies(rec.apologies);
         let p2 = ProtocolKind::MsIa.build(core);
         let rw2 = RwSet::new().read("x").write("y");
         let h = p2.begin(TxnId(100), &[rw2.clone(), rw2.clone()]);

@@ -12,9 +12,9 @@
 //! * **`workers == 1` is the inline path**: no threads, no queue, jobs run
 //!   on the caller in submission order — byte-identical with the historic
 //!   single-threaded pipeline (the golden-pin contract in ROADMAP.md).
-//! * **Admission control**: the queue is bounded (default
-//!   [`WorkerPool::DEFAULT_QUEUE_FACTOR`] jobs per worker); a submitter
-//!   facing a full queue blocks until a worker drains a slot, which is the
+//! * **Admission control**: the queue is bounded (by default four jobs
+//!   per worker); a submitter facing a full queue blocks until a worker
+//!   drains a slot, which is the
 //!   backpressure story for bursty client load — bursts queue at the edge
 //!   instead of growing unbounded buffers.
 //! * **Model-checkable waits**: every wait (queue full, queue empty, wave
@@ -190,7 +190,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Queue capacity per worker when none is given explicitly.
-    pub const DEFAULT_QUEUE_FACTOR: usize = 4;
+    pub(crate) const DEFAULT_QUEUE_FACTOR: usize = 4;
 
     /// A pool of `workers` threads (≥ 1); `workers == 1` is the inline,
     /// thread-free path.
@@ -205,7 +205,7 @@ impl WorkerPool {
     }
 
     /// A pool with an explicit admission-control bound.
-    pub fn with_queue_capacity(workers: usize, capacity: usize) -> Self {
+    pub(crate) fn with_queue_capacity(workers: usize, capacity: usize) -> Self {
         assert!(workers >= 1, "a worker pool needs at least one worker");
         if workers == 1 {
             return WorkerPool {

@@ -26,7 +26,7 @@ pub struct ProtocolStats {
 /// A point-in-time snapshot of [`ProtocolStats`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StatsSnapshot {
-    /// Transactions that have begun (see [`ProtocolStats::record_begin`]).
+    /// Transactions that have begun (counted when an executor begins one).
     pub begun: u64,
     /// Transactions that finally committed.
     pub commits: u64,
@@ -41,16 +41,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Transactions begun but not yet resolved at snapshot time.
-    ///
-    /// The consistent snapshot guarantees `commits + aborts <= begun`, so
-    /// this never wraps; the `saturating_sub` is belt-and-braces for
-    /// snapshots taken on collectors that never saw a begin (e.g. drivers
-    /// that bypass `begin`).
-    pub fn in_flight(&self) -> u64 {
-        self.begun.saturating_sub(self.commits + self.aborts)
-    }
-
     /// `aborts / (commits + aborts)`, or 0 when nothing ran.
     pub fn abort_rate(&self) -> f64 {
         let total = self.commits + self.aborts;
@@ -76,27 +66,27 @@ impl ProtocolStats {
     /// a transaction that apparently finished before it started. On
     /// x86-64 a `SeqCst` `fetch_add` compiles to the same `lock xadd` as
     /// `Relaxed`, so the hot path costs nothing extra.
-    pub fn record_begin(&self) {
+    pub(crate) fn record_begin(&self) {
         self.begun.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record a final commit.
-    pub fn record_commit(&self) {
+    pub(crate) fn record_commit(&self) {
         self.commits.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record an abort.
-    pub fn record_abort(&self) {
+    pub(crate) fn record_abort(&self) {
         self.aborts.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record how long one transaction held its locks.
-    pub fn record_lock_hold(&self, held: Duration) {
+    pub(crate) fn record_lock_hold(&self, held: Duration) {
         self.lock_hold.record(held);
     }
 
     /// Record the latency from transaction start to initial commit.
-    pub fn record_initial_latency(&self, latency: Duration) {
+    pub(crate) fn record_initial_latency(&self, latency: Duration) {
         self.initial_latency.record(latency);
     }
 
@@ -104,12 +94,11 @@ impl ProtocolStats {
     ///
     /// Loads are `SeqCst` and ordered outcomes-before-begun: in the
     /// sequentially-consistent total order, every commit/abort counted
-    /// here had its begin recorded first (executors call
-    /// [`record_begin`](Self::record_begin) before any outcome), and any
-    /// begins that landed between the two loads only *raise* `begun`. A
+    /// here had its begin recorded first (executors record a begin before
+    /// any outcome), and any begins that landed between the two loads only
+    /// *raise* `begun`. A
     /// mid-wave snapshot therefore always satisfies
-    /// `commits + aborts <= begun`, which
-    /// [`StatsSnapshot::in_flight`] relies on. (The previous independent
+    /// `commits + aborts <= begun`. (The previous independent
     /// `Relaxed` loads could observe an outcome whose begin was missing —
     /// `committed + aborted > begun`.)
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -229,8 +218,6 @@ mod tests {
                             snap.aborts,
                             snap.begun
                         );
-                        // in_flight is derived from the same invariant.
-                        let _ = snap.in_flight();
                         checked += 1;
                     }
                     checked
@@ -247,7 +234,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.begun, 200_000);
         assert_eq!(snap.commits + snap.aborts, 200_000);
-        assert_eq!(snap.in_flight(), 0);
     }
 
     /// Contention smoke: many threads hammering every record path at

@@ -32,7 +32,7 @@ impl BoundingBox {
     }
 
     /// Box area (0 for degenerate boxes).
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         self.w * self.h
     }
 
@@ -42,7 +42,7 @@ impl BoundingBox {
     }
 
     /// Centre point.
-    pub fn center(&self) -> (f64, f64) {
+    pub(crate) fn center(&self) -> (f64, f64) {
         (self.x + self.w / 2.0, self.y + self.h / 2.0)
     }
 
@@ -55,7 +55,7 @@ impl BoundingBox {
     }
 
     /// Area of the intersection with `other`.
-    pub fn intersection_area(&self, other: &BoundingBox) -> f64 {
+    pub(crate) fn intersection_area(&self, other: &BoundingBox) -> f64 {
         let ix = (self.x + self.w).min(other.x + other.w) - self.x.max(other.x);
         let iy = (self.y + self.h).min(other.y + other.h) - self.y.max(other.y);
         if ix <= 0.0 || iy <= 0.0 {
@@ -90,15 +90,9 @@ impl BoundingBox {
         }
     }
 
-    /// Whether the overlap fraction with `other` exceeds `threshold`
-    /// (a value in `[0, 1]`).
-    pub fn overlaps(&self, other: &BoundingBox, threshold: f64) -> bool {
-        self.overlap_fraction(other) > threshold
-    }
-
     /// A copy of this box translated by `(dx, dy)` and re-clamped to the
     /// frame.
-    pub fn translated(&self, dx: f64, dy: f64) -> BoundingBox {
+    pub(crate) fn translated(&self, dx: f64, dy: f64) -> BoundingBox {
         BoundingBox::new(self.x + dx, self.y + dy, self.w, self.h)
     }
 
@@ -157,7 +151,6 @@ mod tests {
         let b = BoundingBox::new(0.5, 0.5, 0.2, 0.2);
         assert_eq!(a.intersection_area(&b), 0.0);
         assert_eq!(a.iou(&b), 0.0);
-        assert!(!a.overlaps(&b, 0.1));
     }
 
     #[test]
@@ -182,10 +175,9 @@ mod tests {
     fn small_box_inside_large_box_has_full_overlap_fraction() {
         let small = BoundingBox::new(0.4, 0.4, 0.1, 0.1);
         let large = BoundingBox::new(0.2, 0.2, 0.6, 0.6);
+        // The paper's 10% overlap rule matches these; IoU would not.
         assert!((small.overlap_fraction(&large) - 1.0).abs() < 1e-12);
         assert!(small.iou(&large) < 0.1);
-        // The paper's 10% overlap rule matches these; IoU would not.
-        assert!(small.overlaps(&large, 0.10));
     }
 
     #[test]

@@ -49,32 +49,28 @@ impl fmt::Display for LabelClass {
 }
 
 /// Common classes used by the paper's workloads, provided for convenience.
-pub mod classes {
+pub(crate) mod classes {
     use super::LabelClass;
 
     /// "person" — mall surveillance / pedestrian queries.
-    pub fn person() -> LabelClass {
+    pub(crate) fn person() -> LabelClass {
         LabelClass::new("person")
     }
     /// "car" — street traffic query.
-    pub fn car() -> LabelClass {
+    pub(crate) fn car() -> LabelClass {
         LabelClass::new("car")
     }
     /// "bus" — the optimization-formulation example object.
-    pub fn bus() -> LabelClass {
+    pub(crate) fn bus() -> LabelClass {
         LabelClass::new("bus")
     }
     /// "airplane" — airport runway query.
-    pub fn airplane() -> LabelClass {
+    pub(crate) fn airplane() -> LabelClass {
         LabelClass::new("airplane")
     }
     /// "dog" — pet-in-the-park query.
-    pub fn dog() -> LabelClass {
+    pub(crate) fn dog() -> LabelClass {
         LabelClass::new("dog")
-    }
-    /// "building" — the smart-campus AR example (§2.1).
-    pub fn building() -> LabelClass {
-        LabelClass::new("building")
     }
 }
 

@@ -32,13 +32,13 @@ pub struct TrackedObject {
 
 impl TrackedObject {
     /// Whether the object is visible in `frame`.
-    pub fn visible_at(&self, frame: u64) -> bool {
+    pub(crate) fn visible_at(&self, frame: u64) -> bool {
         frame >= self.spawn_frame && frame < self.despawn_frame && !self.bbox_at(frame).is_empty()
     }
 
     /// The object's bounding box at `frame` (linear motion, clamped to the
     /// frame). Meaningful only when `visible_at(frame)`.
-    pub fn bbox_at(&self, frame: u64) -> BoundingBox {
+    pub(crate) fn bbox_at(&self, frame: u64) -> BoundingBox {
         let dt = frame.saturating_sub(self.spawn_frame) as f64;
         self.initial_bbox
             .translated(self.velocity.0 * dt, self.velocity.1 * dt)
@@ -52,11 +52,6 @@ impl TrackedObject {
             bbox: self.bbox_at(frame),
             clarity: self.clarity,
         }
-    }
-
-    /// Number of frames the object is visible for.
-    pub fn lifetime(&self) -> u64 {
-        self.despawn_frame.saturating_sub(self.spawn_frame)
     }
 }
 
@@ -97,7 +92,6 @@ mod tests {
         assert!(o.visible_at(10));
         assert!(o.visible_at(49));
         assert!(!o.visible_at(50));
-        assert_eq!(o.lifetime(), 40);
     }
 
     #[test]

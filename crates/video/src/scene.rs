@@ -99,16 +99,6 @@ pub struct Frame {
     pub bytes: u64,
 }
 
-impl Frame {
-    /// Ground-truth objects of the given class.
-    pub fn objects_of<'a>(
-        &'a self,
-        class: &'a LabelClass,
-    ) -> impl Iterator<Item = &'a GroundTruthObject> + 'a {
-        self.objects.iter().filter(move |o| &o.class == class)
-    }
-}
-
 /// A generated video: a deterministic function of `(SceneConfig, seed)`.
 #[derive(Clone, Debug)]
 pub struct Video {
@@ -223,11 +213,25 @@ impl Video {
     pub fn query_class(&self) -> &LabelClass {
         &self.config.query_class
     }
+}
 
+#[cfg(test)]
+impl Video {
     /// Total ground-truth instances of the query class over the video.
-    pub fn query_instance_count(&self) -> usize {
+    pub(crate) fn query_instance_count(&self) -> usize {
         let q = self.query_class().clone();
         self.frames.iter().map(|f| f.objects_of(&q).count()).sum()
+    }
+}
+
+#[cfg(test)]
+impl Frame {
+    /// Ground-truth objects of the given class.
+    pub(crate) fn objects_of<'a>(
+        &'a self,
+        class: &'a LabelClass,
+    ) -> impl Iterator<Item = &'a GroundTruthObject> + 'a {
+        self.objects.iter().filter(move |o| &o.class == class)
     }
 }
 

@@ -16,10 +16,10 @@
 
 /// Frames larger than this are rejected as corruption rather than read
 /// (a garbage length header must not trigger a multi-gigabyte read).
-pub const MAX_FRAME_LEN: u32 = 1 << 28;
+pub(crate) const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// Byte overhead of one frame header.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table.
 const CRC_TABLE: [u32; 256] = {

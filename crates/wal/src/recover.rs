@@ -330,7 +330,7 @@ impl RecoveryState {
 
     /// Count of transactions whose final commit this state has seen.
     #[must_use]
-    pub fn finalized_count(&self) -> usize {
+    pub(crate) fn finalized_count(&self) -> usize {
         self.finalized_total as usize
     }
 
@@ -341,19 +341,12 @@ impl RecoveryState {
         self.next_txn
     }
 
-    /// Count of registered entries still tracked (live or retracted) —
-    /// what settle-and-prune keeps bounded.
-    #[must_use]
-    pub fn tracked_entries(&self) -> usize {
-        self.txns.values().map(|t| t.entries.len()).sum()
-    }
-
     /// Forget writes that were logged but never reached a commit point.
     /// After a crash, the transactions that buffered them are dead — their
     /// locks died with the process, so the writes can never commit — but a
     /// rebuilt writer must not carry their stale images into future
     /// checkpoints. States left empty by the drop are removed.
-    pub fn abandon_pending(&mut self) {
+    pub(crate) fn abandon_pending(&mut self) {
         for t in self.txns.values_mut() {
             t.pending.clear();
         }
@@ -370,7 +363,7 @@ impl RecoveryState {
     /// which depends only on the state, so two writers with the same
     /// state write the same bytes.
     #[must_use]
-    pub fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
+    pub(crate) fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
         CheckpointRecord {
             store: store.canonical_pairs(),
             txns: self
@@ -483,6 +476,16 @@ pub fn recover_file(path: impl AsRef<Path>) -> io::Result<RecoveryReport> {
         Err(e) => return Err(e),
     };
     Ok(recover(&bytes))
+}
+
+#[cfg(test)]
+impl RecoveryState {
+    /// Count of registered entries still tracked (live or retracted) —
+    /// what settle-and-prune keeps bounded.
+    #[must_use]
+    pub(crate) fn tracked_entries(&self) -> usize {
+        self.txns.values().map(|t| t.entries.len()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -164,12 +164,6 @@ impl MemStorage {
     pub fn durable(&self) -> Vec<u8> {
         self.device.lock().durable.clone()
     }
-
-    /// Bytes appended since the last sync.
-    #[must_use]
-    pub fn unsynced_len(&self) -> usize {
-        self.device.lock().buffered.len()
-    }
 }
 
 impl Storage for MemStorage {
@@ -208,6 +202,15 @@ pub fn scratch_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("croesus-wal-{label}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     dir
+}
+
+#[cfg(test)]
+impl MemStorage {
+    /// Bytes appended since the last sync.
+    #[must_use]
+    pub(crate) fn unsynced_len(&self) -> usize {
+        self.device.lock().buffered.len()
+    }
 }
 
 #[cfg(test)]

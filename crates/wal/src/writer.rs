@@ -487,7 +487,11 @@ pub struct Wal {
 impl Wal {
     /// A log over any storage backend, landed by `driver`.
     #[must_use]
-    pub fn with_storage(storage: Box<dyn Storage>, config: WalConfig, driver: FlushDriver) -> Self {
+    pub(crate) fn with_storage(
+        storage: Box<dyn Storage>,
+        config: WalConfig,
+        driver: FlushDriver,
+    ) -> Self {
         let shared = Arc::new(Shared {
             state: StdMutex::new(PipeState {
                 storage: Some(storage),

@@ -681,8 +681,7 @@ impl Deployment {
                 if let Some(wal) = edge.protocol().core().wal() {
                     wal.flush().expect("WAL flush at shutdown failed");
                 }
-                report.apologies_owed +=
-                    edge.protocol().core().apologies().apologies().len() as u64;
+                report.apologies_owed += edge.protocol().core().apologies().apology_count() as u64;
             }
             if chaos && !slot.failed_over {
                 slot.shipper.set_offline(false);

@@ -152,7 +152,7 @@ impl Key {
     /// and reads text only on a collision. Checkpoints list their pairs
     /// in it ([`KvStore::canonical_pairs`](crate::KvStore::canonical_pairs)).
     #[inline]
-    pub(crate) fn canonical_cmp(&self, other: &Key) -> std::cmp::Ordering {
+    pub fn canonical_cmp(&self, other: &Key) -> std::cmp::Ordering {
         self.hash.cmp(&other.hash).then_with(|| self.cmp(other))
     }
 

@@ -226,6 +226,11 @@ impl ApologyManager {
     pub fn apologies(&self) -> Vec<Apology> {
         self.inner.lock().apologies.clone()
     }
+
+    /// How many apologies have been issued so far, without cloning them.
+    pub fn apology_count(&self) -> usize {
+        self.inner.lock().apologies.len()
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +347,7 @@ mod tests {
         assert_eq!(store.get(&"B".into()).as_deref(), Some(&Value::Int(10)));
         assert_eq!(store.get(&"C".into()).as_deref(), Some(&Value::Int(0)));
         assert_eq!(mgr.apologies().len(), 3);
+        assert_eq!(mgr.apology_count(), 3);
     }
 
     #[test]

@@ -402,6 +402,43 @@ fn get_restores(c: &mut Cursor<'_>) -> DecodeResult<Vec<(Key, Option<Arc<Value>>
     Ok(restores)
 }
 
+impl CheckpointRecord {
+    /// Serialize to one frame payload, appended to `out`: the bytes of
+    /// [`WalRecord::encode`] over this checkpoint. The writer encodes a
+    /// checkpoint straight into its frame buffer without boxing it into
+    /// a [`WalRecord`].
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(TAG_CHECKPOINT);
+        put_u32(out, self.store.len() as u32);
+        for (k, v) in &self.store {
+            put_key(out, k);
+            put_value(out, v);
+        }
+        put_u32(out, self.txns.len() as u32);
+        for t in &self.txns {
+            put_u64(out, t.txn.0);
+            out.push(u8::from(t.initial_committed) | u8::from(t.finalized) << 1);
+            put_images(out, &t.pending);
+            put_u32(out, t.entries.len() as u32);
+            for e in &t.entries {
+                put_u64(out, e.seq);
+                out.push(u8::from(e.retracted));
+                put_keys(out, &e.reads);
+                put_keys(out, &e.writes);
+                put_restores(out, &e.undo);
+            }
+        }
+        put_u64(out, self.next_seq);
+        put_u64(out, self.finalized);
+        put_u32(out, self.tpc.len() as u32);
+        for (txn, commit) in &self.tpc {
+            put_u64(out, txn.0);
+            out.push(u8::from(*commit));
+        }
+        put_u64(out, self.next_txn);
+    }
+}
+
 impl WalRecord {
     /// Serialize to one frame payload.
     #[must_use]
@@ -435,36 +472,7 @@ impl WalRecord {
                 put_u64(out, txn.0);
                 out.push(u8::from(*commit));
             }
-            WalRecord::Checkpoint(cp) => {
-                out.push(TAG_CHECKPOINT);
-                put_u32(out, cp.store.len() as u32);
-                for (k, v) in &cp.store {
-                    put_key(out, k);
-                    put_value(out, v);
-                }
-                put_u32(out, cp.txns.len() as u32);
-                for t in &cp.txns {
-                    put_u64(out, t.txn.0);
-                    out.push(u8::from(t.initial_committed) | u8::from(t.finalized) << 1);
-                    put_images(out, &t.pending);
-                    put_u32(out, t.entries.len() as u32);
-                    for e in &t.entries {
-                        put_u64(out, e.seq);
-                        out.push(u8::from(e.retracted));
-                        put_keys(out, &e.reads);
-                        put_keys(out, &e.writes);
-                        put_restores(out, &e.undo);
-                    }
-                }
-                put_u64(out, cp.next_seq);
-                put_u64(out, cp.finalized);
-                put_u32(out, cp.tpc.len() as u32);
-                for (txn, commit) in &cp.tpc {
-                    put_u64(out, txn.0);
-                    out.push(u8::from(*commit));
-                }
-                put_u64(out, cp.next_txn);
-            }
+            WalRecord::Checkpoint(cp) => cp.encode_into(out),
             WalRecord::Settle => {
                 out.push(TAG_SETTLE);
             }

@@ -4,12 +4,17 @@
 //! It runs in two places:
 //!
 //! * **live**, inside the [`Wal`](crate::Wal) writer, folding every
-//!   appended record into the writer's own *shadow store* — the committed
-//!   state a replay of the log would rebuild — so the writer always knows
-//!   exactly what its log contains and serializes a checkpoint from its
-//!   own state, never from the executor's live store;
+//!   appended record into the writer's own *shadow* — the committed state
+//!   a replay of the log would rebuild, kept as the last checkpoint's
+//!   pairs plus the changes since — so the writer always knows exactly
+//!   what its log contains and serializes a checkpoint from its own
+//!   state, never from the executor's live store;
 //! * **replay**, inside [`recover`], folding the decoded records of a log
 //!   byte stream into a fresh [`KvStore`].
+//!
+//! Both go through one crate-private [`FoldTarget`]: the state machine
+//! decides *what* committed (restore a key; reload from a checkpoint),
+//! the target only stores it.
 //!
 //! Redo discipline: a stage's write images are *buffered* per transaction
 //! until a record with [`StageFlags::COMMIT_POINT`](crate::StageFlags::COMMIT_POINT) arrives, then applied
@@ -81,7 +86,7 @@ impl TxnState {
         self.entries.iter().any(|e| !e.retracted)
     }
 
-    /// The inverse of one transaction in [`RecoveryState::to_checkpoint`].
+    /// The inverse of one transaction in [`RecoveryState::checkpoint_with`].
     fn from_checkpoint(t: CheckpointTxn) -> Self {
         let txn = t.txn;
         TxnState {
@@ -102,6 +107,28 @@ impl TxnState {
                 .collect(),
             initial_committed: t.initial_committed,
             finalized: t.finalized,
+        }
+    }
+}
+
+/// Where [`RecoveryState`] puts committed effects: a replayed
+/// [`KvStore`], or the writer's shadow.
+pub(crate) trait FoldTarget {
+    /// Put `value` under `key`, or delete the key (`None`).
+    fn restore(&mut self, key: Key, value: Option<Arc<Value>>);
+    /// Replace every pair with a checkpoint's.
+    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>);
+}
+
+impl FoldTarget for &KvStore {
+    fn restore(&mut self, key: Key, value: Option<Arc<Value>>) {
+        KvStore::restore(self, key, value);
+    }
+
+    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>) {
+        self.clear();
+        for (k, v) in pairs {
+            self.put(k, v);
         }
     }
 }
@@ -128,10 +155,9 @@ impl RecoveryState {
     }
 
     /// Fold one record. With `store = Some(..)` the store mutations are
-    /// performed — replay, and the live writer folding into its shadow
-    /// store; with `None` only the bookkeeping moves, for a caller that
-    /// already mutated the store itself (apology-aware recovery mirroring
-    /// the retractions it ran).
+    /// performed (replay); with `None` only the bookkeeping moves, for a
+    /// caller that already mutated the store itself (apology-aware
+    /// recovery mirroring the retractions it ran).
     ///
     /// The record is folded by move: a commit point drains its images
     /// into the store and the undo list without copying them, a
@@ -139,9 +165,15 @@ impl RecoveryState {
     /// checkpoint moves its pairs into the store. The writer has already
     /// encoded the record, so nothing reads it afterwards.
     pub fn apply(&mut self, record: WalRecord, store: Option<&KvStore>) {
+        self.fold(record, store);
+    }
+
+    /// [`apply`](Self::apply) into any [`FoldTarget`]: the live writer
+    /// folds into its shadow through here.
+    pub(crate) fn fold<T: FoldTarget>(&mut self, record: WalRecord, mut target: Option<T>) {
         match record {
-            WalRecord::Stage(s) => self.apply_stage(s, store),
-            WalRecord::Retract(r) => self.apply_retract(r, store),
+            WalRecord::Stage(s) => self.apply_stage(s, target.as_mut()),
+            WalRecord::Retract(r) => self.apply_retract(r, target.as_mut()),
             WalRecord::TpcDecision { txn, commit } => {
                 if let Some(slot) = self.tpc.iter_mut().find(|(t, _)| *t == txn) {
                     slot.1 = commit;
@@ -162,11 +194,8 @@ impl RecoveryState {
                     tpc: cp.tpc,
                     next_txn: cp.next_txn,
                 };
-                if let Some(store) = store {
-                    store.clear();
-                    for (k, v) in cp.store {
-                        store.put(k, v);
-                    }
+                if let Some(target) = &mut target {
+                    target.reload(cp.store);
                 }
             }
             WalRecord::Settle => self.settle(),
@@ -188,7 +217,7 @@ impl RecoveryState {
             .retain(|_, t| !t.pending.is_empty() || !t.finalized);
     }
 
-    fn apply_stage(&mut self, s: StageRecord, store: Option<&KvStore>) {
+    fn apply_stage<T: FoldTarget>(&mut self, s: StageRecord, mut target: Option<&mut T>) {
         let (txn, flags, images) = (s.txn, s.flags, s.images);
         self.next_txn = self.next_txn.max(txn.0 + 1);
         let t = self.txns.entry(txn.0).or_default();
@@ -214,8 +243,8 @@ impl RecoveryState {
             if let Some(undo) = &mut undo {
                 undo.record(w.key.clone(), w.pre);
             }
-            if let Some(store) = store {
-                store.restore(w.key, w.post); // put the post-image, or delete
+            if let Some(target) = &mut target {
+                target.restore(w.key, w.post); // put the post-image, or delete
             }
         }
         if let Some(undo) = undo {
@@ -244,10 +273,10 @@ impl RecoveryState {
         self.prune(txn);
     }
 
-    fn apply_retract(&mut self, r: RetractRecord, store: Option<&KvStore>) {
-        if let Some(store) = store {
+    fn apply_retract<T: FoldTarget>(&mut self, r: RetractRecord, target: Option<&mut T>) {
+        if let Some(target) = target {
             for (k, v) in r.restores {
-                store.restore(k, v);
+                target.restore(k, v);
             }
         }
         if let Some(t) = self.txns.get_mut(&r.txn.0) {
@@ -354,18 +383,17 @@ impl RecoveryState {
             .retain(|_, t| t.initial_committed || !t.entries.is_empty());
     }
 
-    /// Serialize into a checkpoint record. `store` is the store this
-    /// state was folded with ([`apply`](Self::apply)'s `store`, the
-    /// writer's shadow store): it holds only committed state, because
-    /// writes still pending (logged without a commit point — MS-SR
-    /// transactions caught mid-flight) stay buffered in the state and
-    /// never reach it. Pairs are in canonical order (hash, then key),
-    /// which depends only on the state, so two writers with the same
-    /// state write the same bytes.
+    /// Serialize into a checkpoint record over `store`, the pairs of the
+    /// target this state was folded into, taken by move. The target
+    /// holds only committed state, because writes still pending (logged
+    /// without a commit point — MS-SR transactions caught mid-flight)
+    /// stay buffered in the state and never reach it. `store` must be in
+    /// canonical order (hash, then key), which depends only on the
+    /// state, so two writers with the same state write the same bytes.
     #[must_use]
-    pub(crate) fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
+    pub(crate) fn checkpoint_with(&self, store: Vec<(Key, Arc<Value>)>) -> CheckpointRecord {
         CheckpointRecord {
-            store: store.canonical_pairs(),
+            store,
             txns: self
                 .txns
                 .iter()
@@ -480,6 +508,13 @@ pub fn recover_file(path: impl AsRef<Path>) -> io::Result<RecoveryReport> {
 
 #[cfg(test)]
 impl RecoveryState {
+    /// [`checkpoint_with`](Self::checkpoint_with) over a store this
+    /// state was folded with.
+    #[must_use]
+    pub(crate) fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
+        self.checkpoint_with(store.canonical_pairs())
+    }
+
     /// Count of registered entries still tracked (live or retracted) —
     /// what settle-and-prune keeps bounded.
     #[must_use]

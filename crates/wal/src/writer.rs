@@ -30,21 +30,31 @@
 //!
 //! The writer mirrors its own log through the shared [`RecoveryState`]
 //! machine *with a shadow store attached* — the committed state a replay
-//! of the log would produce, maintained under the writer mutex (cheap:
-//! the shadow's `Arc<Value>`s alias the live store's). Once encoded, a
-//! record is folded into the shadow *by move*
-//! ([`RecoveryState::apply`] takes it by value), so its images, key sets
-//! and values are never copied for the shadow's sake; a record refused
-//! by a poisoned writer is neither logged nor folded. A checkpoint is
-//! therefore a pure serialization of writer-internal state, written as
-//! one record that *replaces* the log ([`Storage::reset`]) — truncation
-//! and checkpoint are one atomic step, consistent even while other
-//! threads are mid-stage on the live store. It restarts the on-device
-//! epoch, not the LSN space. Its store is written in canonical order
-//! ([`KvStore::canonical_pairs`]: cached key hash, then key), which
-//! depends only on the state, so any two writers with one state — however
-//! their shadows were filled — write the same checkpoint bytes. The
-//! checkpoint is encoded straight into its frame buffer.
+//! of the log would produce, maintained under the writer mutex. The
+//! shadow is the last checkpoint plus the changes since: the last
+//! checkpoint's pairs (its *base*, already in canonical order) and a list
+//! of the puts and deletes folded since, in log order. Its `Arc<Value>`s
+//! alias the live store's. Once encoded, a record is folded into the
+//! shadow *by move* ([`RecoveryState::apply`] takes it by value), so its
+//! images, key sets and values are never copied for the shadow's sake,
+//! and folding an image only pushes it onto the change list; a record
+//! refused by a poisoned writer is neither logged nor folded. A
+//! checkpoint is therefore a pure serialization of writer-internal
+//! state, written as one record that *replaces* the log
+//! ([`Storage::reset`]) — truncation and checkpoint are one atomic step,
+//! consistent even while other threads are mid-stage on the live store.
+//! It restarts the on-device epoch, not the LSN space. Its store is
+//! written in canonical order ([`Key::canonical_cmp`]: cached key hash,
+//! then key), which depends only on the state, so any two writers with
+//! one state — however their shadows were filled — write the same
+//! checkpoint bytes. To write it, the changes are stable-sorted in that
+//! order, the last change per key is kept, and they are merged into the
+//! base in one linear pass; the merged base is encoded straight into the
+//! checkpoint's frame buffer by move and stays as the next base. Nothing
+//! is cloned and no store is re-sorted. Changes that come to outnumber
+//! the base are merged early, so even without checkpoints
+//! ([`WalConfig::checkpoint_every`] 0) the shadow stays within twice the
+//! state.
 //!
 //! A checkpoint costs O(state) and replay starts from it, so it is
 //! scheduled by size, not by count: [`Wal::maybe_checkpoint`] (called
@@ -66,12 +76,12 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use croesus_obs::{EdgeObs, EventKind, HistKind};
-use croesus_store::{KvStore, TxnId};
+use croesus_store::{Key, KvStore, TxnId, Value};
 
 use crate::coalesce::SyncCoalescer;
 use crate::frame::{frame_header, FRAME_HEADER_LEN};
 use crate::record::{RetractRecord, StageRecord, WalRecord};
-use crate::recover::RecoveryState;
+use crate::recover::{FoldTarget, RecoveryState};
 use crate::ship::LogShipper;
 use crate::storage::{FileStorage, MemStorage, Storage};
 
@@ -428,14 +438,75 @@ impl Shared {
     }
 }
 
+/// The committed store at the log tip — what replaying the log now would
+/// rebuild — kept as the last checkpoint plus the changes since. Folding
+/// a record only pushes its images; a checkpoint merges them into the
+/// base. Values alias the live store's `Arc`s.
+#[derive(Default)]
+struct ShadowStore {
+    /// The store as of the last merge: one pair per key, in canonical
+    /// order ([`Key::canonical_cmp`]).
+    base: Vec<(Key, Arc<Value>)>,
+    /// Puts (`Some`) and deletes (`None`) since, in log order.
+    changes: Vec<(Key, Option<Arc<Value>>)>,
+}
+
+impl ShadowStore {
+    /// Fold the changes into the base in one linear pass. The stable
+    /// sort keeps one key's changes in log order, so the last of them is
+    /// the one that counts; nothing is cloned.
+    fn merge(&mut self) {
+        if self.changes.is_empty() {
+            return;
+        }
+        self.changes.sort_by(|a, b| a.0.canonical_cmp(&b.0));
+        let base = std::mem::take(&mut self.base);
+        let mut merged = Vec::with_capacity(base.len() + self.changes.len());
+        let mut base = base.into_iter().peekable();
+        let mut changes = self.changes.drain(..).peekable();
+        while let Some((key, value)) = changes.next() {
+            if changes.peek().is_some_and(|(next, _)| *next == key) {
+                continue; // a later change to the key wins
+            }
+            while let Some(pair) = base.next_if(|(k, _)| k.canonical_cmp(&key).is_lt()) {
+                merged.push(pair);
+            }
+            base.next_if(|(k, _)| *k == key); // replaced or deleted
+            if let Some(value) = value {
+                merged.push((key, value));
+            }
+        }
+        merged.extend(base);
+        self.base = merged;
+    }
+}
+
+impl FoldTarget for &mut ShadowStore {
+    fn restore(&mut self, key: Key, value: Option<Arc<Value>>) {
+        self.changes.push((key, value));
+        // Without checkpoints the changes would grow with the stream.
+        // Merging once they outnumber the base keeps the shadow within
+        // twice the state, and doubling the interval keeps it amortized.
+        if self.changes.len() > self.base.len() {
+            self.merge();
+        }
+    }
+
+    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>) {
+        self.base.clear();
+        self.changes.clear();
+        self.changes
+            .extend(pairs.into_iter().map(|(k, v)| (k, Some(v))));
+        self.merge();
+    }
+}
+
 /// What the writer mutex orders: the shadow of the log, so that log
 /// order == shadow order.
 #[derive(Default)]
 struct WalInner {
     shadow: RecoveryState,
-    /// The committed state at the log tip — what replaying the log now
-    /// would rebuild. Values alias the live store's `Arc`s.
-    shadow_store: KvStore,
+    shadow_store: ShadowStore,
     commits_since_checkpoint: u64,
     /// Framed bytes appended since the last checkpoint.
     bytes_since_checkpoint: u64,
@@ -453,15 +524,20 @@ impl WalInner {
     /// straight into its frame: the header is patched in once the payload
     /// is known. A checkpoint holds nothing that was not in the last one
     /// or in a record appended since, so their lengths together presize
-    /// the one buffer.
-    fn checkpoint_frame(&self) -> Vec<u8> {
-        let cp = self.shadow.to_checkpoint(&self.shadow_store);
+    /// the one buffer. The merged base is encoded by move and becomes
+    /// the base the next changes are merged into.
+    fn checkpoint_frame(&mut self) -> Vec<u8> {
+        self.shadow_store.merge();
+        let cp = self
+            .shadow
+            .checkpoint_with(std::mem::take(&mut self.shadow_store.base));
         let mut framed =
             Vec::with_capacity((self.checkpoint_len + self.bytes_since_checkpoint) as usize);
         framed.resize(FRAME_HEADER_LEN, 0);
-        WalRecord::Checkpoint(Box::new(cp)).encode_into(&mut framed);
+        cp.encode_into(&mut framed);
         let header = frame_header(&framed[FRAME_HEADER_LEN..]);
         framed[..FRAME_HEADER_LEN].copy_from_slice(&header);
+        self.shadow_store.base = cp.store;
         framed
     }
 
@@ -549,8 +625,9 @@ impl Wal {
     /// Rebuild a writer over recovered state: the log restarts as a single
     /// durable checkpoint frame at epoch 1 serializing `state` (as
     /// recovered — see [`RecoveryReport::state`](crate::RecoveryReport))
-    /// over `store` (the recovered committed store); `storage` is
-    /// truncated to it, so recover from it *first*. Writes the recovered
+    /// over `store` (the recovered committed store, whose canonical pairs
+    /// become the shadow's base); `storage` is truncated to it, so
+    /// recover from it *first*. Writes the recovered
     /// transactions never committed are abandoned first: their owners
     /// died with their locks, so they can never finish, and their stale
     /// images must not ride into future checkpoints. With a shipper,
@@ -568,9 +645,7 @@ impl Wal {
         {
             let mut inner = wal.inner.lock();
             inner.shadow = state;
-            for (key, value) in store.canonical_pairs() {
-                inner.shadow_store.put(key, value);
-            }
+            inner.shadow_store.base = store.canonical_pairs();
             inner.stats.checkpoints = 1;
             let framed = inner.checkpoint_frame();
             inner.checkpoint_len = framed.len() as u64;
@@ -657,7 +732,7 @@ impl Wal {
             shadow_store,
             ..
         } = inner;
-        shadow.apply(record, Some(shadow_store));
+        shadow.fold(record, Some(shadow_store));
         Ok((lsn, filled))
     }
 
@@ -912,6 +987,15 @@ impl Drop for Wal {
         if let Some(flusher) = self.flusher.take() {
             let _ = flusher.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl ShadowStore {
+    /// Entries held, base and changes together — what the merge rule
+    /// keeps O(state) without checkpoints.
+    fn len(&self) -> usize {
+        self.base.len() + self.changes.len()
     }
 }
 
@@ -1335,6 +1419,7 @@ mod tests {
             // Every append is refused, and a refused record is neither
             // folded into the shadow nor counted.
             let before = wal.stats();
+            let shadow_entries = wal.inner.lock().shadow_store.len();
             assert!(wal.append_stage(stage_record(2, 0, CP, "b", 2)).is_err());
             assert!(wal.append_tpc_decision(TxnId(7), true).is_err());
             assert_eq!(
@@ -1350,7 +1435,7 @@ mod tests {
             assert!(wal.append_tpc_end(TxnId(7)).is_err());
             assert!(wal.append_settle().is_err());
             assert_eq!(wal.stats(), before, "refused appends are not counted");
-            assert!(!wal.inner.lock().shadow_store.contains(&"b".into()));
+            assert_eq!(wal.inner.lock().shadow_store.len(), shadow_entries);
             assert_eq!(wal.last_flushed_lsn(), 0, "nothing was ever acked");
             assert_eq!(shipper.shipped_len(), 0, "nothing was ever published");
         }
@@ -1420,12 +1505,16 @@ mod tests {
         for r in busy_records() {
             wal.append_stage(r).unwrap();
         }
-        let mut expected = Vec::new();
-        {
-            let inner = wal.inner.lock();
-            let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
-            write_frame(&mut expected, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        // The expected checkpoint comes from a reference store folded by
+        // replay's own `apply` over the same records, not from the shadow
+        // under test.
+        let (mut reference, store) = (RecoveryState::new(), KvStore::new());
+        for r in busy_records() {
+            reference.apply(WalRecord::Stage(r), Some(&store));
         }
+        let cp = reference.to_checkpoint(&store);
+        let mut expected = Vec::new();
+        write_frame(&mut expected, &WalRecord::Checkpoint(Box::new(cp)).encode());
         wal.checkpoint().unwrap();
         assert_eq!(probe.durable(), expected);
     }
@@ -1468,6 +1557,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(device.durable(), forward);
+    }
+
+    #[test]
+    fn without_checkpoints_the_shadow_stays_the_size_of_the_state() {
+        const KEYS: u64 = 16;
+        let config = WalConfig {
+            group_commit: 8,
+            checkpoint_every: 0,
+        };
+        let (wal, _) = Wal::in_memory(config);
+        for i in 0..10_000u64 {
+            let key = format!("k{}", i % KEYS);
+            wal.append_stage(stage_record(i, 0, CP | FIN, &key, i as i64))
+                .unwrap();
+            wal.maybe_checkpoint().unwrap();
+        }
+        assert_eq!(wal.stats().checkpoints, 0);
+        let entries = wal.inner.lock().shadow_store.len() as u64;
+        assert!(entries <= 2 * KEYS + 1, "{entries} entries for {KEYS} keys");
     }
 
     #[test]
@@ -1652,5 +1760,162 @@ mod tests {
         assert_eq!(wal.last_flushed_lsn(), wal.latest_lsn());
         let r = recover(&probe.durable());
         assert!(r.store.contains(&"a".into()));
+    }
+}
+
+/// The shadow's merge against an independent reference: a [`KvStore`]
+/// folded by replay's own [`RecoveryState::apply`] over the same records.
+#[cfg(test)]
+mod shadow_props {
+    use super::*;
+    use crate::frame::write_frame;
+    use crate::record::{StageFlags, WriteImage};
+    use crate::recover::recover;
+    use proptest::prelude::*;
+
+    const CP: u8 = StageFlags::COMMIT_POINT;
+    const FIN: u8 = StageFlags::FINAL;
+    const REG: u8 = StageFlags::REGISTER;
+
+    /// A small key space, so keys are overwritten, deleted and written
+    /// again; every third key is too long to sit inline.
+    fn key(n: u64) -> Key {
+        if n.is_multiple_of(3) {
+            Key::indexed("a-keyspace-past-the-inline-slot", n)
+        } else {
+            Key::indexed("k", n)
+        }
+    }
+
+    /// The writer under test and the reference it must match.
+    struct Rig {
+        wal: Wal,
+        device: MemStorage,
+        reference: RecoveryState,
+        store: KvStore,
+    }
+
+    const CONFIG: WalConfig = WalConfig {
+        group_commit: 4,
+        checkpoint_every: 0,
+    };
+
+    impl Rig {
+        /// Log `record` and fold it into the reference.
+        fn log(&mut self, record: WalRecord) {
+            match record.clone() {
+                WalRecord::Stage(s) => self.wal.append_stage(s).map(drop),
+                WalRecord::Retract(r) => self.wal.append_retracts([r]),
+                WalRecord::Settle => self.wal.append_settle(),
+                other => panic!("not generated: {other:?}"),
+            }
+            .unwrap();
+            self.reference.apply(record, Some(&self.store));
+        }
+
+        /// One stage writing `post` (or deleting) each of `keys`.
+        fn stage(&mut self, txn: u64, flags: u8, keys: &[(u64, Option<i64>)]) {
+            let images: Vec<WriteImage> = keys
+                .iter()
+                .map(|&(k, post)| WriteImage {
+                    key: key(k),
+                    pre: self.store.get(&key(k)),
+                    post: post.map(|v| Arc::new(Value::Int(v))),
+                })
+                .collect();
+            self.log(WalRecord::Stage(StageRecord {
+                txn: TxnId(txn),
+                stage: 0,
+                total: 2,
+                flags: StageFlags(flags),
+                reads: vec![],
+                writes: images.iter().map(|w| w.key.clone()).collect(),
+                images,
+            }));
+        }
+
+        /// The durable log is exactly the reference's checkpoint frame,
+        /// and replaying it rebuilds the reference store.
+        fn assert_checkpoint(&self) {
+            let mut expected = Vec::new();
+            let cp = self.reference.to_checkpoint(&self.store);
+            write_frame(&mut expected, &WalRecord::Checkpoint(Box::new(cp)).encode());
+            let durable = self.device.durable();
+            assert_eq!(durable, expected, "checkpoint bytes");
+            let recovered = recover(&durable).store.canonical_pairs();
+            assert_eq!(recovered, self.store.canonical_pairs(), "recovered store");
+        }
+
+        fn checkpoint(&mut self) {
+            self.wal.checkpoint().unwrap();
+            self.assert_checkpoint();
+        }
+
+        /// Crash with everything flushed, recover and resume a writer on
+        /// a fresh device; its first frame is the reference checkpoint
+        /// with the dead transactions' pending writes dropped.
+        fn resume(&mut self) {
+            self.wal.flush().unwrap();
+            let r = recover(&self.device.durable());
+            assert_eq!(r.store.canonical_pairs(), self.store.canonical_pairs());
+            self.device = MemStorage::new();
+            self.wal = Wal::resume(
+                Box::new(self.device.clone()),
+                CONFIG,
+                FlushDriver::Inline,
+                r.state,
+                &r.store,
+                None,
+            )
+            .unwrap();
+            self.reference.abandon_pending();
+            self.assert_checkpoint();
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn every_checkpoint_equals_the_reference_fold(
+            ops in prop::collection::vec((0u64..12, 0u64..6, 0u64..10, 0i64..5), 1..120)
+        ) {
+            let (wal, device) = Wal::in_memory(CONFIG);
+            let mut rig = Rig {
+                wal,
+                device,
+                reference: RecoveryState::new(),
+                store: KvStore::new(),
+            };
+            let mut resumed = false;
+            for (op, txn, k, v) in ops {
+                match op {
+                    // Insert or overwrite, as an initial commit.
+                    0..=2 => rig.stage(txn, CP | REG, &[(k, Some(v)), (k + 1, Some(v))]),
+                    3 => rig.stage(txn, CP | FIN, &[(k, None)]),
+                    // Buffered without a commit point (MS-SR mid-flight).
+                    4 => rig.stage(txn, 0, &[(k, Some(v)), (k + 2, None)]),
+                    // A final commit drains whatever the txn buffered.
+                    5 => rig.stage(txn, CP | FIN | REG, &[(k, Some(-v))]),
+                    6 => rig.log(WalRecord::Retract(RetractRecord {
+                        txn: TxnId(txn),
+                        restores: vec![
+                            (key(k), (v % 2 == 0).then(|| Arc::new(Value::Int(v)))),
+                            (key(k + 3), None),
+                        ],
+                    })),
+                    // Deleted, then inserted again, between two checkpoints.
+                    7 => {
+                        rig.stage(txn, CP, &[(k, None)]);
+                        rig.stage(txn, CP | FIN, &[(k, Some(v))]);
+                    }
+                    8 => rig.log(WalRecord::Settle),
+                    11 if !resumed => {
+                        rig.resume();
+                        resumed = true;
+                    }
+                    _ => rig.checkpoint(),
+                }
+            }
+            rig.checkpoint();
+        }
     }
 }

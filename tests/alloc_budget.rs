@@ -132,7 +132,7 @@ fn ms_sr_run_stays_within_its_allocation_budget() {
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 85_079);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 84_851);
 }
 
 #[test]

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use croesus_store::{Key, KvStore, TxnId, UndoLog, Value};
+use croesus_wal::CheckpointEntry;
 
 /// An apology owed to users affected by a retraction.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,15 +57,6 @@ pub struct RetractionReport {
     pub restores: Vec<(TxnId, EntryRestores)>,
 }
 
-struct Entry {
-    txn: TxnId,
-    seq: u64,
-    reads: Vec<Key>,
-    writes: Vec<Key>,
-    undo: UndoLog,
-    retracted: bool,
-}
-
 /// Tracks initially-committed transactions for possible retraction.
 #[derive(Default)]
 pub struct ApologyManager {
@@ -73,7 +65,10 @@ pub struct ApologyManager {
 
 #[derive(Default)]
 struct ManagerInner {
-    entries: Vec<Entry>,
+    /// Registered entries with their owning transactions, in sequence
+    /// order — the log's own entry type, so a checkpoint or a replay
+    /// hands entries over without a copy.
+    entries: Vec<(TxnId, CheckpointEntry)>,
     next_seq: u64,
     apologies: Vec<Apology>,
 }
@@ -84,20 +79,42 @@ impl ApologyManager {
         ApologyManager::default()
     }
 
+    /// A manager that takes over entries replayed from a log, in sequence
+    /// order. They keep their sequence numbers, and a new registration
+    /// orders after them.
+    #[must_use]
+    pub fn recovered(entries: Vec<(TxnId, CheckpointEntry)>) -> Self {
+        let next_seq = entries.last().map_or(0, |(_, e)| e.seq + 1);
+        ApologyManager {
+            inner: Mutex::new(ManagerInner {
+                entries,
+                next_seq,
+                apologies: Vec::new(),
+            }),
+        }
+    }
+
     /// Register an initial section at its commit: its footprint and undo
     /// log. Returns the commit sequence number.
     pub fn register(&self, txn: TxnId, reads: Vec<Key>, writes: Vec<Key>, undo: UndoLog) -> u64 {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.push(Entry {
-            txn,
+        // An undo record and a pair share a layout, so this collect
+        // reuses the log's allocation.
+        let undo = undo
+            .into_records()
+            .into_iter()
+            .map(|r| (r.key, r.previous))
+            .collect();
+        let entry = CheckpointEntry {
             seq,
+            retracted: false,
             reads,
             writes,
             undo,
-            retracted: false,
-        });
+        };
+        inner.entries.push((txn, entry));
         seq
     }
 
@@ -107,7 +124,7 @@ impl ApologyManager {
             .lock()
             .entries
             .iter()
-            .any(|e| e.txn == txn && !e.retracted)
+            .any(|(t, e)| *t == txn && !e.retracted)
     }
 
     /// Retract `txn`: undo its initial-section effects and those of every
@@ -128,7 +145,7 @@ impl ApologyManager {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.txn == txn && !e.retracted)
+            .filter(|(_, (t, e))| *t == txn && !e.retracted)
             .map(|(i, _)| i)
             .collect();
         if roots.is_empty() {
@@ -142,12 +159,12 @@ impl ApologyManager {
         loop {
             let mut grew = false;
             for i in 0..inner.entries.len() {
-                if affected.contains(&i) || inner.entries[i].retracted {
+                if affected.contains(&i) || inner.entries[i].1.retracted {
                     continue;
                 }
-                let later = &inner.entries[i];
+                let later = &inner.entries[i].1;
                 let depends = affected.iter().any(|&a| {
-                    let base = &inner.entries[a];
+                    let base = &inner.entries[a].1;
                     base.seq < later.seq
                         && base
                             .writes
@@ -166,31 +183,28 @@ impl ApologyManager {
 
         // Undo in reverse commit order.
         let mut order: Vec<usize> = affected.into_iter().collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(inner.entries[i].seq));
+        order.sort_by_key(|&i| std::cmp::Reverse(inner.entries[i].1.seq));
 
         let mut report = RetractionReport::default();
         for i in order {
-            let entry = &mut inner.entries[i];
+            let (owner, entry) = &mut inner.entries[i];
+            let owner = *owner;
             entry.retracted = true;
-            let undo = std::mem::take(&mut entry.undo);
             // Rollback restores pre-images in reverse record order.
-            report.restores.push((
-                entry.txn,
-                undo.records()
-                    .iter()
-                    .rev()
-                    .map(|r| (r.key.clone(), r.previous.clone()))
-                    .collect(),
-            ));
-            undo.rollback(store);
-            let why = if entry.txn == txn {
+            let mut restores = std::mem::take(&mut entry.undo);
+            restores.reverse();
+            for (key, value) in &restores {
+                store.restore(key.clone(), value.clone());
+            }
+            report.restores.push((owner, restores));
+            let why = if owner == txn {
                 reason.to_string()
             } else {
                 format!("cascading retraction (depended on {txn}): {reason}")
             };
-            report.retracted.push(entry.txn);
+            report.retracted.push(owner);
             report.apologies.push(Apology {
-                txn: entry.txn,
+                txn: owner,
                 reason: why,
             });
         }
@@ -387,6 +401,37 @@ mod tests {
         undo.put(&store, Key::new("c"), Value::Int(3));
         let seq = mgr.register(TxnId(3), vec![], vec![Key::new("c")], undo);
         assert_eq!(seq, 2);
+    }
+
+    #[test]
+    fn recovered_entries_keep_their_sequence_numbers() {
+        let entry = |seq, key: &str| CheckpointEntry {
+            seq,
+            retracted: false,
+            reads: vec![],
+            writes: vec![Key::new(key)],
+            undo: vec![(Key::new(key), None)],
+        };
+        let mgr =
+            ApologyManager::recovered(vec![(TxnId(4), entry(5, "a")), (TxnId(7), entry(9, "b"))]);
+        let seqs: Vec<u64> = mgr
+            .inner
+            .lock()
+            .entries
+            .iter()
+            .map(|(_, e)| e.seq)
+            .collect();
+        assert_eq!(seqs, [5, 9], "the log's sequence numbers");
+        let store = KvStore::new();
+        store.put("b".into(), Value::Int(1));
+        let mut undo = UndoLog::new();
+        undo.put(&store, Key::new("c"), Value::Int(2));
+        let seq = mgr.register(TxnId(8), vec![Key::new("b")], vec![Key::new("c")], undo);
+        assert_eq!(seq, 10, "a new registration orders after them");
+        let report = mgr.retract(TxnId(7), &store, "recovered guess");
+        assert_eq!(report.retracted, vec![TxnId(8), TxnId(7)]);
+        assert!(!store.contains(&"b".into()));
+        assert!(!store.contains(&"c".into()));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! final section gives a wrong guess: *retract the effects, cascade to
 //! dependents, apologize to the affected users*.
 //!
-//! [`recover_edge`] is that glue: replay the log, re-register every live
-//! footprint with a fresh [`ApologyManager`], then feed each unfinalized
-//! transaction through [`ApologyManager::retract`]. The result carries
+//! [`recover_edge`] is that glue: replay the log, hand every live entry
+//! to a fresh [`ApologyManager`] by move (replay and the manager share
+//! the log's entry type), then feed each unfinalized transaction through
+//! [`ApologyManager::retract`]. The result carries
 //! the store, the populated manager (apologies included, ready to render
 //! to clients) and the retraction reports, and can be turned into a
 //! working [`ExecutorCore`](crate::ExecutorCore) to resume service.
@@ -47,7 +48,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use croesus_store::{KvStore, TxnId, UndoLog};
+use croesus_store::{KvStore, TxnId};
 use croesus_wal::{RecoveryReport, RecoveryState, RetractRecord, WalRecord};
 
 use crate::apology::{ApologyManager, RetractionReport};
@@ -58,7 +59,7 @@ pub struct RecoveredEdge {
     /// The store as of the last durable commit point, with unfinalized
     /// transactions already retracted.
     pub store: Arc<KvStore>,
-    /// The apology manager, re-registered from the log; holds the
+    /// The apology manager, holding the log's live entries; holds the
     /// apologies issued for crash-retracted transactions.
     pub apologies: Arc<ApologyManager>,
     /// One report per unfinalized transaction retracted (cascades
@@ -104,7 +105,7 @@ pub fn recover_edge_file(path: impl AsRef<Path>) -> io::Result<RecoveredEdge> {
 }
 
 /// The second half of recovery: take a raw replay report and make it
-/// §4.4-consistent — re-register the surviving footprints, retract every
+/// §4.4-consistent — take over the surviving entries, retract every
 /// initially-committed-but-unfinalized transaction, collect apologies.
 #[must_use]
 pub(crate) fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
@@ -120,16 +121,9 @@ pub(crate) fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
         ..
     } = report;
     let store = Arc::new(store);
-    let apologies = Arc::new(ApologyManager::new());
-    // Registration order = log sequence order, so the manager's internal
-    // sequence numbers reproduce the pre-crash cascade ordering.
-    for entry in &entries {
-        let mut undo = UndoLog::new();
-        for (key, pre) in &entry.undo {
-            undo.record(key.clone(), pre.clone());
-        }
-        apologies.register(entry.txn, entry.reads.clone(), entry.writes.clone(), undo);
-    }
+    // The replayed entries keep their log sequence numbers, so the
+    // manager reproduces the pre-crash cascade ordering.
+    let apologies = Arc::new(ApologyManager::recovered(entries));
     let mut retractions = Vec::new();
     for txn in &unfinalized {
         let r = apologies.retract(

@@ -81,8 +81,11 @@ pub mod writer;
 pub use coalesce::{CoalesceStats, SyncCoalescer};
 pub use frame::{crc32, FrameReader, TailState};
 pub use mode::DurabilityMode;
-pub use record::{CheckpointRecord, RetractRecord, StageFlags, StageRecord, WalRecord, WriteImage};
-pub use recover::{recover, recover_file, RecoveredEntry, RecoveryReport, RecoveryState};
+pub use record::{
+    CheckpointEntry, CheckpointRecord, RetractRecord, StageFlags, StageRecord, WalRecord,
+    WriteImage,
+};
+pub use recover::{recover, recover_file, RecoveryReport, RecoveryState};
 pub use ship::{LogShipper, ShipBatch, ShipCursor, ShipFetch};
 pub use storage::{scratch_dir, FileStorage, MemStorage, Storage};
 pub use writer::{FlushDriver, Wal, WalConfig, WalStats};

@@ -40,74 +40,11 @@ use croesus_store::{Key, KvStore, TxnId, UndoLog, Value};
 use crate::frame::{FrameReader, TailState};
 use crate::record::{
     CheckpointEntry, CheckpointRecord, CheckpointTxn, RetractRecord, StageRecord, WalRecord,
-    WriteImage,
 };
 
-/// One registered (retractable) footprint rebuilt from the log — the
-/// durable mirror of an `ApologyManager` entry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveredEntry {
-    /// The owning transaction.
-    pub txn: TxnId,
-    /// Registration sequence number (cascade ordering).
-    pub seq: u64,
-    /// Declared reads of the registered stage.
-    pub reads: Vec<Key>,
-    /// Declared writes of the registered stage.
-    pub writes: Vec<Key>,
-    /// Undo pre-images (first write wins), in record order.
-    pub undo: Vec<(Key, Option<Arc<Value>>)>,
-}
-
-/// One registered entry plus its retraction bit. Retraction is per entry
-/// (not per transaction): a live retraction consumes the entries that
-/// existed at that moment, but a later stage of the same transaction may
-/// register fresh live entries afterwards — exactly the `ApologyManager`
-/// behaviour.
-#[derive(Clone, Debug)]
-struct EntryState {
-    entry: RecoveredEntry,
-    retracted: bool,
-}
-
-/// Per-transaction replay state.
-#[derive(Clone, Debug, Default)]
-struct TxnState {
-    /// Write images logged but not yet covered by a commit point.
-    pending: Vec<WriteImage>,
-    /// Registered entries, in registration order.
-    entries: Vec<EntryState>,
-    initial_committed: bool,
-    finalized: bool,
-}
-
-impl TxnState {
+impl CheckpointTxn {
     fn has_live_entry(&self) -> bool {
         self.entries.iter().any(|e| !e.retracted)
-    }
-
-    /// The inverse of one transaction in [`RecoveryState::checkpoint_with`].
-    fn from_checkpoint(t: CheckpointTxn) -> Self {
-        let txn = t.txn;
-        TxnState {
-            pending: t.pending,
-            entries: t
-                .entries
-                .into_iter()
-                .map(|e| EntryState {
-                    entry: RecoveredEntry {
-                        txn,
-                        seq: e.seq,
-                        reads: e.reads,
-                        writes: e.writes,
-                        undo: e.undo,
-                    },
-                    retracted: e.retracted,
-                })
-                .collect(),
-            initial_committed: t.initial_committed,
-            finalized: t.finalized,
-        }
     }
 }
 
@@ -136,7 +73,9 @@ impl FoldTarget for &KvStore {
 /// The redo/undo state machine over a record stream.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryState {
-    txns: BTreeMap<u64, TxnState>,
+    /// Per-transaction state, in the checkpoint's own type: a checkpoint
+    /// is these values, and its fold moves them back in.
+    txns: BTreeMap<u64, CheckpointTxn>,
     next_seq: u64,
     /// Running count of final commits (transactions themselves are pruned
     /// once settled, so this cannot be derived from `txns`).
@@ -184,11 +123,7 @@ impl RecoveryState {
             WalRecord::Checkpoint(cp) => {
                 let cp = *cp;
                 *self = RecoveryState {
-                    txns: cp
-                        .txns
-                        .into_iter()
-                        .map(|t| (t.txn.0, TxnState::from_checkpoint(t)))
-                        .collect(),
+                    txns: cp.txns.into_iter().map(|t| (t.txn.0, t)).collect(),
                     next_seq: cp.next_seq,
                     finalized_total: cp.finalized,
                     tpc: cp.tpc,
@@ -220,7 +155,13 @@ impl RecoveryState {
     fn apply_stage<T: FoldTarget>(&mut self, s: StageRecord, mut target: Option<&mut T>) {
         let (txn, flags, images) = (s.txn, s.flags, s.images);
         self.next_txn = self.next_txn.max(txn.0 + 1);
-        let t = self.txns.entry(txn.0).or_default();
+        let t = self.txns.entry(txn.0).or_insert_with(|| CheckpointTxn {
+            txn,
+            pending: Vec::new(),
+            entries: Vec::new(),
+            initial_committed: false,
+            finalized: false,
+        });
         if !flags.commit_point() {
             t.pending.extend(images);
             return;
@@ -248,19 +189,16 @@ impl RecoveryState {
             }
         }
         if let Some(undo) = undo {
-            t.entries.push(EntryState {
-                entry: RecoveredEntry {
-                    txn,
-                    seq: self.next_seq,
-                    reads: s.reads,
-                    writes: s.writes,
-                    undo: undo
-                        .into_records()
-                        .into_iter()
-                        .map(|r| (r.key, r.previous))
-                        .collect(),
-                },
+            t.entries.push(CheckpointEntry {
+                seq: self.next_seq,
                 retracted: false,
+                reads: s.reads,
+                writes: s.writes,
+                undo: undo
+                    .into_records()
+                    .into_iter()
+                    .map(|r| (r.key, r.previous))
+                    .collect(),
             });
             self.next_seq += 1;
         }
@@ -304,18 +242,19 @@ impl RecoveryState {
         }
     }
 
-    /// Live registered entries (not yet retracted), in sequence order —
-    /// the registration order a rebuilt `ApologyManager` must use.
+    /// Live registered entries (not yet retracted) with their owning
+    /// transactions, in sequence order — the entries a rebuilt
+    /// `ApologyManager` takes over.
     #[must_use]
-    pub fn live_entries(&self) -> Vec<RecoveredEntry> {
-        let mut entries: Vec<RecoveredEntry> = self
+    pub fn live_entries(&self) -> Vec<(TxnId, CheckpointEntry)> {
+        let mut entries: Vec<(TxnId, CheckpointEntry)> = self
             .txns
             .values()
-            .flat_map(|t| t.entries.iter())
-            .filter(|e| !e.retracted)
-            .map(|e| e.entry.clone())
+            .flat_map(|t| t.entries.iter().map(|e| (t.txn, e)))
+            .filter(|(_, e)| !e.retracted)
+            .map(|(txn, e)| (txn, e.clone()))
             .collect();
-        entries.sort_by_key(|e| e.seq);
+        entries.sort_by_key(|(_, e)| e.seq);
         entries
     }
 
@@ -334,7 +273,7 @@ impl RecoveryState {
                     .entries
                     .iter()
                     .find(|e| !e.retracted)
-                    .map_or(u64::MAX, |e| e.entry.seq);
+                    .map_or(u64::MAX, |e| e.seq);
                 (seq, TxnId(*id))
             })
             .collect();
@@ -394,27 +333,7 @@ impl RecoveryState {
     pub(crate) fn checkpoint_with(&self, store: Vec<(Key, Arc<Value>)>) -> CheckpointRecord {
         CheckpointRecord {
             store,
-            txns: self
-                .txns
-                .iter()
-                .map(|(id, t)| CheckpointTxn {
-                    txn: TxnId(*id),
-                    pending: t.pending.clone(),
-                    entries: t
-                        .entries
-                        .iter()
-                        .map(|e| CheckpointEntry {
-                            seq: e.entry.seq,
-                            retracted: e.retracted,
-                            reads: e.entry.reads.clone(),
-                            writes: e.entry.writes.clone(),
-                            undo: e.entry.undo.clone(),
-                        })
-                        .collect(),
-                    initial_committed: t.initial_committed,
-                    finalized: t.finalized,
-                })
-                .collect(),
+            txns: self.txns.values().cloned().collect(),
             next_seq: self.next_seq,
             finalized: self.finalized_total,
             tpc: self.tpc.clone(),
@@ -428,9 +347,10 @@ pub struct RecoveryReport {
     /// The rebuilt store: every committed effect, in commit order, as of
     /// the last valid frame.
     pub store: KvStore,
-    /// Live registered footprints, in registration order — feed these to
-    /// `ApologyManager::register` before retracting anything.
-    pub entries: Vec<RecoveredEntry>,
+    /// Live registered entries with their owning transactions, in
+    /// registration order — what `ApologyManager::recovered` takes over
+    /// before anything is retracted.
+    pub entries: Vec<(TxnId, CheckpointEntry)>,
     /// Initially-committed transactions whose final commit is missing:
     /// the set the recovering edge owes retractions and apologies for.
     pub unfinalized: Vec<TxnId>,
@@ -527,7 +447,7 @@ impl RecoveryState {
 mod tests {
     use super::*;
     use crate::frame::write_frame;
-    use crate::record::StageFlags;
+    use crate::record::{StageFlags, WriteImage};
 
     fn stage(
         txn: u64,
@@ -587,7 +507,7 @@ mod tests {
         assert_eq!(r.store.get(&"x".into()).as_deref(), Some(&Value::Int(10)));
         assert_eq!(r.unfinalized, vec![TxnId(7)]);
         assert_eq!(r.entries.len(), 1);
-        assert_eq!(r.entries[0].undo, vec![("x".into(), None)]);
+        assert_eq!(r.entries[0].1.undo, vec![("x".into(), None)]);
     }
 
     #[test]
@@ -760,8 +680,8 @@ mod tests {
         let r = recover(&log);
         assert!(r.unfinalized.is_empty());
         assert_eq!(r.entries.len(), 2);
-        assert_eq!(r.entries[0].seq, 0);
-        assert_eq!(r.entries[1].seq, 1);
+        assert_eq!(r.entries[0].1.seq, 0);
+        assert_eq!(r.entries[1].1.seq, 1);
     }
 
     #[test]

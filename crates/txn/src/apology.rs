@@ -136,80 +136,8 @@ impl ApologyManager {
     /// conflicting transaction is in flight).
     pub fn retract(&self, txn: TxnId, store: &KvStore, reason: &str) -> RetractionReport {
         let mut inner = self.inner.lock();
-
-        // Every live entry of `txn` is a root: the staged discipline (and
-        // m-stage MS-IA) registers one entry per stage, and stages with
-        // disjoint footprints would otherwise survive their own
-        // transaction's retraction.
-        let roots: Vec<usize> = inner
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (t, e))| *t == txn && !e.retracted)
-            .map(|(i, _)| i)
-            .collect();
-        if roots.is_empty() {
-            return RetractionReport::default();
-        }
-
-        // Transitive dependents: entry B depends on entry A (A.seq < B.seq)
-        // when B read or wrote a key A wrote.
-        let mut affected: HashSet<usize> = HashSet::new();
-        affected.extend(roots);
-        loop {
-            let mut grew = false;
-            for i in 0..inner.entries.len() {
-                if affected.contains(&i) || inner.entries[i].1.retracted {
-                    continue;
-                }
-                let later = &inner.entries[i].1;
-                let depends = affected.iter().any(|&a| {
-                    let base = &inner.entries[a].1;
-                    base.seq < later.seq
-                        && base
-                            .writes
-                            .iter()
-                            .any(|w| later.reads.contains(w) || later.writes.contains(w))
-                });
-                if depends {
-                    affected.insert(i);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-
-        // Undo in reverse commit order.
-        let mut order: Vec<usize> = affected.into_iter().collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(inner.entries[i].1.seq));
-
-        let mut report = RetractionReport::default();
-        for i in order {
-            let (owner, entry) = &mut inner.entries[i];
-            let owner = *owner;
-            entry.retracted = true;
-            // Rollback restores pre-images in reverse record order.
-            let mut restores = std::mem::take(&mut entry.undo);
-            restores.reverse();
-            for (key, value) in &restores {
-                store.restore(key.clone(), value.clone());
-            }
-            report.restores.push((owner, restores));
-            let why = if owner == txn {
-                reason.to_string()
-            } else {
-                format!("cascading retraction (depended on {txn}): {reason}")
-            };
-            report.retracted.push(owner);
-            report.apologies.push(Apology {
-                txn: owner,
-                reason: why,
-            });
-        }
-        inner.apologies.extend(report.apologies.iter().cloned());
-        report
+        let affected = cascade(&inner.entries, txn);
+        inner.undo(&affected, txn, store, reason)
     }
 
     /// Drop every tracked entry — live, retracted and finalized alike —
@@ -245,6 +173,106 @@ impl ApologyManager {
     pub fn apology_count(&self) -> usize {
         self.inner.lock().apologies.len()
     }
+}
+
+impl ManagerInner {
+    /// Roll back the `affected` entries (indices in sequence order) newest
+    /// first, so pre-images layer correctly, and apologize for each.
+    fn undo(
+        &mut self,
+        affected: &[usize],
+        txn: TxnId,
+        store: &KvStore,
+        reason: &str,
+    ) -> RetractionReport {
+        let mut report = RetractionReport::default();
+        for &i in affected.iter().rev() {
+            let (owner, entry) = &mut self.entries[i];
+            let owner = *owner;
+            entry.retracted = true;
+            // Rollback restores pre-images in reverse record order.
+            let mut restores = std::mem::take(&mut entry.undo);
+            restores.reverse();
+            for (key, value) in &restores {
+                store.restore(key.clone(), value.clone());
+            }
+            report.restores.push((owner, restores));
+            let why = if owner == txn {
+                reason.to_string()
+            } else {
+                format!("cascading retraction (depended on {txn}): {reason}")
+            };
+            report.retracted.push(owner);
+            report.apologies.push(Apology {
+                txn: owner,
+                reason: why,
+            });
+        }
+        self.apologies.extend(report.apologies.iter().cloned());
+        report
+    }
+}
+
+/// The live entries a retraction of `txn` undoes, as indices in sequence
+/// order. Every live entry of `txn` is a root: the staged discipline (and
+/// m-stage MS-IA) registers one entry per stage, and stages with disjoint
+/// footprints would otherwise survive their own transaction's retraction.
+/// A later live entry depends on an affected one when it read or wrote a
+/// key that entry wrote. Dependencies only point forward in sequence
+/// order, so one walk from the first root, carrying the affected entries'
+/// declared writes, finds the whole transitive set.
+fn cascade(entries: &[(TxnId, CheckpointEntry)], txn: TxnId) -> Vec<usize> {
+    let Some(first) = entries.iter().position(|(t, e)| *t == txn && !e.retracted) else {
+        return Vec::new();
+    };
+    let mut written: HashSet<&Key> = HashSet::new();
+    let mut affected = Vec::new();
+    for (i, (t, e)) in entries.iter().enumerate().skip(first) {
+        if e.retracted {
+            continue;
+        }
+        if *t == txn || e.reads.iter().chain(&e.writes).any(|k| written.contains(k)) {
+            written.extend(&e.writes);
+            affected.push(i);
+        }
+    }
+    affected
+}
+
+/// The reference [`cascade`]: grow the affected set from the roots until
+/// no live entry depends on it (entry B depends on entry A when A.seq <
+/// B.seq and B read or wrote a key A wrote), O(entries² × keys).
+#[cfg(test)]
+fn cascade_fixpoint(entries: &[(TxnId, CheckpointEntry)], txn: TxnId) -> Vec<usize> {
+    let mut affected: HashSet<usize> = (0..entries.len())
+        .filter(|&i| entries[i].0 == txn && !entries[i].1.retracted)
+        .collect();
+    loop {
+        let mut grew = false;
+        for (i, (_, later)) in entries.iter().enumerate() {
+            if affected.contains(&i) || later.retracted {
+                continue;
+            }
+            let depends = affected.iter().any(|&a| {
+                let base = &entries[a].1;
+                base.seq < later.seq
+                    && base
+                        .writes
+                        .iter()
+                        .any(|w| later.reads.contains(w) || later.writes.contains(w))
+            });
+            if depends {
+                affected.insert(i);
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
+    let mut order: Vec<usize> = affected.into_iter().collect();
+    order.sort_by_key(|&i| entries[i].1.seq);
+    order
 }
 
 #[cfg(test)]
@@ -432,6 +460,71 @@ mod tests {
         assert_eq!(report.retracted, vec![TxnId(8), TxnId(7)]);
         assert!(!store.contains(&"b".into()));
         assert!(!store.contains(&"c".into()));
+    }
+
+    /// Retract `txn` from `mgr` through the reference fixpoint.
+    fn retract_by_fixpoint(
+        mgr: &ApologyManager,
+        txn: TxnId,
+        store: &KvStore,
+        reason: &str,
+    ) -> RetractionReport {
+        let mut inner = mgr.inner.lock();
+        let affected = cascade_fixpoint(&inner.entries, txn);
+        inner.undo(&affected, txn, store, reason)
+    }
+
+    #[test]
+    fn forward_cascade_matches_the_fixpoint_on_random_histories() {
+        use croesus_sim::DetRng;
+        let keys = ["a", "b", "c", "d", "e"];
+        let mut cascaded = 0;
+        for seed in 0..300 {
+            let mut rng = DetRng::new(seed);
+            let pair = [
+                (ApologyManager::new(), KvStore::new()),
+                (ApologyManager::new(), KvStore::new()),
+            ];
+            for step in 0..12 + rng.index(12) {
+                // A handful of transactions, so most register several
+                // entries; now and then one is retracted mid-history.
+                let txn = TxnId(rng.index(5) as u64);
+                if rng.index(5) == 0 {
+                    let (fast, fast_store) = &pair[0];
+                    let (slow, slow_store) = &pair[1];
+                    let got = fast.retract(txn, fast_store, "why");
+                    let want = retract_by_fixpoint(slow, txn, slow_store, "why");
+                    assert_eq!(got.retracted, want.retracted, "seed {seed} step {step}");
+                    assert_eq!(got.apologies, want.apologies, "seed {seed} step {step}");
+                    assert_eq!(got.restores, want.restores, "seed {seed} step {step}");
+                    assert_eq!(fast_store.canonical_pairs(), slow_store.canonical_pairs());
+                    cascaded += got.retracted.len().saturating_sub(1);
+                    continue;
+                }
+                let pick = |rng: &mut DetRng| -> Vec<&str> {
+                    keys.iter().copied().filter(|_| rng.index(3) == 0).collect()
+                };
+                let reads = pick(&mut rng);
+                let writes = pick(&mut rng);
+                let value = rng.index(100) as i64;
+                for (mgr, store) in &pair {
+                    let mut undo = UndoLog::new();
+                    for k in &writes {
+                        undo.put(store, Key::new(k), Value::Int(value));
+                    }
+                    mgr.register(
+                        txn,
+                        reads.iter().map(|k| Key::new(k)).collect(),
+                        writes.iter().map(|k| Key::new(k)).collect(),
+                        undo,
+                    );
+                }
+            }
+        }
+        assert!(
+            cascaded > 100,
+            "the histories cascade ({cascaded} dependents)"
+        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct Oracle {
     pub initial: BTreeSet<u64>,
     /// Transactions whose final commit point was replayed.
     pub finalized: BTreeSet<u64>,
-    /// txn → registered, unretracted apology entries.
-    pub live_entries: BTreeMap<u64, usize>,
+    /// Registered, unretracted apology entries, as (txn, stage) pairs.
+    pub live_entries: BTreeSet<(u64, u32)>,
     /// 2PC decisions still live (decision seen, no matching end).
     pub tpc: BTreeMap<u64, bool>,
     /// Every 2PC decision seen in the prefix, never expired (after a
@@ -62,7 +62,7 @@ impl Oracle {
                     }
                     self.initial.insert(s.txn.0);
                     if s.flags.register() {
-                        *self.live_entries.entry(s.txn.0).or_default() += 1;
+                        self.live_entries.insert((s.txn.0, s.stage));
                     }
                     if s.flags.is_final() {
                         self.finalized.insert(s.txn.0);
@@ -80,7 +80,7 @@ impl Oracle {
                         }
                     }
                 }
-                self.live_entries.remove(&r.txn.0);
+                self.live_entries.remove(&(r.txn.0, r.stage));
             }
             WalRecord::TpcDecision { txn, commit } => {
                 self.tpc.insert(txn.0, *commit);
@@ -121,9 +121,8 @@ impl Oracle {
             if t.finalized {
                 oracle.finalized.insert(txn);
             }
-            let live = t.entries.iter().filter(|e| !e.retracted).count();
-            if live > 0 {
-                oracle.live_entries.insert(txn, live);
+            for e in t.entries.iter().filter(|e| !e.retracted) {
+                oracle.live_entries.insert((txn, e.stage));
             }
         }
         oracle
@@ -134,8 +133,13 @@ impl Oracle {
     pub(crate) fn expected_unfinalized(&self) -> BTreeSet<u64> {
         self.initial
             .iter()
-            .filter(|t| {
-                !self.finalized.contains(t) && self.live_entries.get(t).copied().unwrap_or(0) > 0
+            .filter(|&&t| {
+                !self.finalized.contains(&t)
+                    && self
+                        .live_entries
+                        .range((t, 0)..=(t, u32::MAX))
+                        .next()
+                        .is_some()
             })
             .copied()
             .collect()

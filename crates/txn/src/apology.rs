@@ -16,12 +16,11 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use croesus_store::{Key, KvStore, TxnId, UndoLog, Value};
-use croesus_wal::CheckpointEntry;
+use croesus_store::{Key, KvStore, TxnId, UndoLog};
+use croesus_wal::{CheckpointEntry, RetractRecord};
 
 /// An apology owed to users affected by a retraction.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,10 +37,6 @@ impl fmt::Display for Apology {
     }
 }
 
-/// The `(key, restored value)` pairs one entry's rollback applied, in
-/// rollback order; `None` deletes the key.
-pub(crate) type EntryRestores = Vec<(Key, Option<Arc<Value>>)>;
-
 /// The result of one retraction request.
 #[derive(Clone, Debug, Default)]
 pub struct RetractionReport {
@@ -50,11 +45,11 @@ pub struct RetractionReport {
     pub retracted: Vec<TxnId>,
     /// Apologies generated, one per retracted transaction.
     pub apologies: Vec<Apology>,
-    /// The store restores performed, one element per rolled-back entry in
-    /// rollback order, tagged with the owning transaction. The write-ahead
-    /// log serializes these so replay repeats the exact mutations instead
-    /// of re-deriving the cascade.
-    pub restores: Vec<(TxnId, EntryRestores)>,
+    /// The store restores performed, one record per rolled-back entry in
+    /// rollback order, naming the entry's transaction and stage. The
+    /// write-ahead log appends these as they are, so replay repeats the
+    /// exact mutations instead of re-deriving the cascade.
+    pub restores: Vec<RetractRecord>,
 }
 
 /// Tracks initially-committed transactions for possible retraction.
@@ -94,9 +89,16 @@ impl ApologyManager {
         }
     }
 
-    /// Register an initial section at its commit: its footprint and undo
-    /// log. Returns the commit sequence number.
-    pub fn register(&self, txn: TxnId, reads: Vec<Key>, writes: Vec<Key>, undo: UndoLog) -> u64 {
+    /// Register stage `stage` of `txn` at its commit: its footprint and
+    /// undo log. Returns the commit sequence number.
+    pub fn register(
+        &self,
+        txn: TxnId,
+        stage: u32,
+        reads: Vec<Key>,
+        writes: Vec<Key>,
+        undo: UndoLog,
+    ) -> u64 {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -109,6 +111,7 @@ impl ApologyManager {
             .collect();
         let entry = CheckpointEntry {
             seq,
+            stage,
             retracted: false,
             reads,
             writes,
@@ -196,7 +199,11 @@ impl ManagerInner {
             for (key, value) in &restores {
                 store.restore(key.clone(), value.clone());
             }
-            report.restores.push((owner, restores));
+            report.restores.push(RetractRecord {
+                txn: owner,
+                stage: entry.stage,
+                restores,
+            });
             let why = if owner == txn {
                 reason.to_string()
             } else {
@@ -294,6 +301,7 @@ mod tests {
         }
         mgr.register(
             txn,
+            0,
             reads.iter().map(|k| Key::new(k)).collect(),
             writes.iter().map(|(k, _)| Key::new(k)).collect(),
             undo,
@@ -372,6 +380,7 @@ mod tests {
             undo.put(&store, to.into(), Value::Int(t + amt));
             mgr.register(
                 TxnId(id),
+                0,
                 vec![from.into(), to.into()],
                 vec![from.into(), to.into()],
                 undo,
@@ -427,7 +436,7 @@ mod tests {
         // orders after everything that ever existed.
         let mut undo = UndoLog::new();
         undo.put(&store, Key::new("c"), Value::Int(3));
-        let seq = mgr.register(TxnId(3), vec![], vec![Key::new("c")], undo);
+        let seq = mgr.register(TxnId(3), 0, vec![], vec![Key::new("c")], undo);
         assert_eq!(seq, 2);
     }
 
@@ -435,6 +444,7 @@ mod tests {
     fn recovered_entries_keep_their_sequence_numbers() {
         let entry = |seq, key: &str| CheckpointEntry {
             seq,
+            stage: 0,
             retracted: false,
             reads: vec![],
             writes: vec![Key::new(key)],
@@ -454,7 +464,7 @@ mod tests {
         store.put("b".into(), Value::Int(1));
         let mut undo = UndoLog::new();
         undo.put(&store, Key::new("c"), Value::Int(2));
-        let seq = mgr.register(TxnId(8), vec![Key::new("b")], vec![Key::new("c")], undo);
+        let seq = mgr.register(TxnId(8), 0, vec![Key::new("b")], vec![Key::new("c")], undo);
         assert_eq!(seq, 10, "a new registration orders after them");
         let report = mgr.retract(TxnId(7), &store, "recovered guess");
         assert_eq!(report.retracted, vec![TxnId(8), TxnId(7)]);
@@ -485,6 +495,7 @@ mod tests {
                 (ApologyManager::new(), KvStore::new()),
                 (ApologyManager::new(), KvStore::new()),
             ];
+            let mut stages = [0u32; 5];
             for step in 0..12 + rng.index(12) {
                 // A handful of transactions, so most register several
                 // entries; now and then one is retracted mid-history.
@@ -507,6 +518,8 @@ mod tests {
                 let reads = pick(&mut rng);
                 let writes = pick(&mut rng);
                 let value = rng.index(100) as i64;
+                let stage = stages[txn.0 as usize];
+                stages[txn.0 as usize] += 1;
                 for (mgr, store) in &pair {
                     let mut undo = UndoLog::new();
                     for k in &writes {
@@ -514,6 +527,7 @@ mod tests {
                     }
                     mgr.register(
                         txn,
+                        stage,
                         reads.iter().map(|k| Key::new(k)).collect(),
                         writes.iter().map(|k| Key::new(k)).collect(),
                         undo,

@@ -60,7 +60,7 @@ use std::time::Instant;
 
 use croesus_obs::{EdgeObs, EventKind, HistKind};
 use croesus_store::{Key, KvStore, LockManager, LockPlan, TxnId, UndoLog};
-use croesus_wal::{RetractRecord, StageFlags, StageRecord, Wal, WriteImage};
+use croesus_wal::{StageFlags, StageRecord, Wal, WriteImage};
 
 use crate::apology::{ApologyManager, RetractionReport};
 use crate::history::{HistoryRecorder, SectionKind};
@@ -472,8 +472,13 @@ impl ExecutorCore {
         let register = !handle.is_final() || register_final_guess;
         self.commit_stage(&handle, rw, &undo, started, true, register);
         if register {
-            self.apologies
-                .register(txn, rw.reads.clone(), rw.writes.clone(), undo);
+            self.apologies.register(
+                txn,
+                handle.stage() as u32,
+                rw.reads.clone(),
+                rw.writes.clone(),
+                undo,
+            );
         }
         self.stats.record_lock_hold(lock_epoch.elapsed());
         self.locks.release_plan(txn, &plan);
@@ -646,11 +651,8 @@ impl<'a> StageCtx<'a> {
         let core = self.core;
         let report = core.apologies.retract(txn, &core.store, reason);
         if let Some(wal) = &core.wal {
-            wal.append_retracts(report.restores.iter().map(|(txn, restores)| RetractRecord {
-                txn: *txn,
-                restores: restores.clone(),
-            }))
-            .expect("WAL append failed — durability cannot be guaranteed");
+            wal.append_retracts(report.restores.iter().cloned())
+                .expect("WAL append failed — durability cannot be guaranteed");
         }
         for retracted in &report.retracted {
             core.obs.emit_txn(retracted.0, EventKind::Retract);

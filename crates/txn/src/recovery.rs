@@ -49,7 +49,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use croesus_store::{KvStore, TxnId};
-use croesus_wal::{RecoveryReport, RecoveryState, RetractRecord, WalRecord};
+use croesus_wal::{RecoveryReport, RecoveryState, WalRecord};
 
 use crate::apology::{ApologyManager, RetractionReport};
 
@@ -137,14 +137,8 @@ pub(crate) fn apology_aware(report: RecoveryReport) -> RecoveredEdge {
             // Mirror the retraction into the replay state (the store was
             // already rolled back by the manager above), so a writer
             // resumed from this state checkpoints the post-recovery world.
-            for (victim, restores) in &r.restores {
-                state.apply(
-                    WalRecord::Retract(RetractRecord {
-                        txn: *victim,
-                        restores: restores.clone(),
-                    }),
-                    None,
-                );
+            for record in &r.restores {
+                state.apply(WalRecord::Retract(record.clone()), None);
             }
             retractions.push(r);
         }

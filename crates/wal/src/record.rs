@@ -110,6 +110,10 @@ pub struct StageRecord {
 pub struct RetractRecord {
     /// The retracted transaction.
     pub txn: TxnId,
+    /// The stage that registered the retracted entry. A transaction has
+    /// one entry per registering stage, and a cascade may take some of
+    /// them and leave the others live.
+    pub stage: u32,
     /// `(key, restored value)` in the order the rollback applied them;
     /// `None` deletes the key.
     pub restores: Vec<(Key, Option<Arc<Value>>)>,
@@ -188,15 +192,18 @@ pub struct CheckpointTxn {
     pub finalized: bool,
 }
 
-/// One registered apology entry inside a checkpoint.
+/// One registered apology entry: the live `ApologyManager`, the replay
+/// state and a checkpoint all keep it in this one type.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointEntry {
     /// Registration sequence number (cascade ordering).
     pub seq: u64,
-    /// Whether this entry was already retracted (a later stage of the
-    /// same transaction may register *new* live entries afterwards, so
-    /// retraction is per entry, not per transaction — mirroring the
-    /// live `ApologyManager`).
+    /// The stage that registered the entry: one entry per (transaction,
+    /// stage), which a [`RetractRecord`] names.
+    pub stage: u32,
+    /// Whether this entry was retracted. Retraction is per entry, not per
+    /// transaction: a cascade may take one stage's entry and leave an
+    /// earlier one live, and a later stage may register a new live entry.
     pub retracted: bool,
     /// Declared reads.
     pub reads: Vec<Key>,
@@ -422,6 +429,7 @@ impl CheckpointRecord {
             put_u32(out, t.entries.len() as u32);
             for e in &t.entries {
                 put_u64(out, e.seq);
+                put_u32(out, e.stage);
                 out.push(u8::from(e.retracted));
                 put_keys(out, &e.reads);
                 put_keys(out, &e.writes);
@@ -465,6 +473,7 @@ impl WalRecord {
             WalRecord::Retract(r) => {
                 out.push(TAG_RETRACT);
                 put_u64(out, r.txn.0);
+                put_u32(out, r.stage);
                 put_restores(out, &r.restores);
             }
             WalRecord::TpcDecision { txn, commit } => {
@@ -498,6 +507,7 @@ impl WalRecord {
             }),
             TAG_RETRACT => WalRecord::Retract(RetractRecord {
                 txn: TxnId(c.u64()?),
+                stage: c.u32()?,
                 restores: get_restores(&mut c)?,
             }),
             TAG_TPC => WalRecord::TpcDecision {
@@ -521,6 +531,7 @@ impl WalRecord {
                     for _ in 0..en {
                         entries.push(CheckpointEntry {
                             seq: c.u64()?,
+                            stage: c.u32()?,
                             retracted: c.u8()? != 0,
                             reads: get_keys(&mut c)?,
                             writes: get_keys(&mut c)?,
@@ -600,6 +611,7 @@ mod tests {
     fn retract_and_tpc_roundtrip() {
         roundtrip(WalRecord::Retract(RetractRecord {
             txn: TxnId(7),
+            stage: 2,
             restores: vec![
                 ("x".into(), Some(Arc::new(Value::Bytes(vec![1, 2, 3])))),
                 ("y".into(), None),
@@ -631,6 +643,7 @@ mod tests {
                 }],
                 entries: vec![CheckpointEntry {
                     seq: 9,
+                    stage: 1,
                     retracted: true,
                     reads: vec!["r".into()],
                     writes: vec!["w".into()],

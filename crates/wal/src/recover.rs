@@ -191,6 +191,7 @@ impl RecoveryState {
         if let Some(undo) = undo {
             t.entries.push(CheckpointEntry {
                 seq: self.next_seq,
+                stage: s.stage,
                 retracted: false,
                 reads: s.reads,
                 writes: s.writes,
@@ -217,10 +218,11 @@ impl RecoveryState {
                 target.restore(k, v);
             }
         }
+        // The record names the stage whose entry the live retraction
+        // took: a cascade may reach a transaction's later stage and leave
+        // its earlier ones live.
         if let Some(t) = self.txns.get_mut(&r.txn.0) {
-            // The live retraction consumed every entry existing right now;
-            // entries registered by later stages stay live.
-            for e in &mut t.entries {
+            for e in t.entries.iter_mut().filter(|e| e.stage == r.stage) {
                 e.retracted = true;
             }
         }
@@ -537,6 +539,7 @@ mod tests {
             stage(1, 0, 2, CP | REG, vec![("a", Some(0), Some(9))]),
             WalRecord::Retract(RetractRecord {
                 txn: TxnId(1),
+                stage: 0,
                 restores: vec![("a".into(), Some(Arc::new(Value::Int(0))))],
             }),
         ]);
@@ -544,6 +547,24 @@ mod tests {
         assert_eq!(r.store.get(&"a".into()).as_deref(), Some(&Value::Int(0)));
         assert!(r.unfinalized.is_empty(), "retracted txns owe no apology");
         assert!(r.entries.is_empty(), "retracted entries are not live");
+    }
+
+    #[test]
+    fn retract_record_takes_only_the_stage_it_names() {
+        let log = log_of(&[
+            stage(1, 0, 3, CP | REG, vec![("t0", None, Some(1))]),
+            stage(1, 1, 3, CP | REG, vec![("t1", None, Some(2))]),
+            WalRecord::Retract(RetractRecord {
+                txn: TxnId(1),
+                stage: 1,
+                restores: vec![("t1".into(), None)],
+            }),
+        ]);
+        let r = recover(&log);
+        assert!(!r.store.contains(&"t1".into()));
+        assert_eq!(r.unfinalized, vec![TxnId(1)], "stage 0 is still owed");
+        assert_eq!(r.entries.len(), 1);
+        assert_eq!(r.entries[0].1.stage, 0);
     }
 
     #[test]

@@ -1429,6 +1429,7 @@ mod tests {
             );
             let retract = RetractRecord {
                 txn: TxnId(1),
+                stage: 0,
                 restores: vec![(Key::new("a"), None)],
             };
             assert!(wal.append_retracts([retract]).is_err());
@@ -1464,6 +1465,7 @@ mod tests {
             WalRecord::Stage(stage_record(3, 0, CP | FIN | REG, "b", 7)),
             WalRecord::Retract(RetractRecord {
                 txn: TxnId(1),
+                stage: 0,
                 restores: vec![
                     (Key::new("a"), None),
                     (Key::new("b"), Some(Arc::new(Value::Str("s".into())))),
@@ -1897,6 +1899,7 @@ mod shadow_props {
                     5 => rig.stage(txn, CP | FIN | REG, &[(k, Some(-v))]),
                     6 => rig.log(WalRecord::Retract(RetractRecord {
                         txn: TxnId(txn),
+                        stage: 0,
                         restores: vec![
                             (key(k), (v % 2 == 0).then(|| Arc::new(Value::Int(v)))),
                             (key(k + 3), None),

@@ -59,10 +59,18 @@ fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Executor {
     )
 }
 
-/// Drive a seeded interleaved two-stage workload through `protocol`,
-/// calling `step` after every stage the loop runs (an initial stage, or a
-/// final one).
-fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl FnMut(&mut Rng)) {
+/// Drive a seeded interleaved workload of `stages`-stage transactions (2
+/// or 3) through `protocol`, calling `step` after every stage the loop
+/// runs. A third stage sits between the initial and the final one: it
+/// reads one key and writes another, so a later retraction can cascade
+/// into it and leave the transaction's initial stage live.
+fn drive(
+    rng: &mut Rng,
+    kind: ProtocolKind,
+    stages: u32,
+    protocol: &Executor,
+    mut step: impl FnMut(&mut Rng),
+) {
     let n_txns = 6 + rng.below(6);
     // MS-SR holds every declared lock across its pending window, so give
     // it disjoint per-txn keys (the paper's hot-spot aborts are measured
@@ -77,6 +85,7 @@ fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl 
 
     struct Active {
         handle: TxnHandle,
+        middle_rw: Option<RwSet>,
         final_rw: RwSet,
         retract: bool,
     }
@@ -96,7 +105,18 @@ fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl 
                 RwSet::new()
             };
             let v = rng.below(1000) as i64;
-            let handle = protocol.begin(txn, &[initial_rw.clone(), final_rw.clone()]);
+            let middle_rw = (stages == 3).then(|| {
+                let read = key_for(rng, started);
+                RwSet::new()
+                    .read(read.as_str())
+                    .write(key_for(rng, started).as_str())
+            });
+            let declared: Vec<RwSet> = [Some(initial_rw.clone()), middle_rw.clone()]
+                .into_iter()
+                .flatten()
+                .chain([final_rw.clone()])
+                .collect();
+            let handle = protocol.begin(txn, &declared);
             let (_, next) = protocol
                 .stage(handle, &initial_rw, |ctx| {
                     ctx.write(k0.as_str(), v)?;
@@ -106,14 +126,28 @@ fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl 
                 .expect("sequential initial stages cannot conflict");
             let retract = kind != ProtocolKind::MsSr && rng.chance(25);
             active.push(Active {
-                handle: next.expect("two stages declared"),
+                handle: next.expect("at least two stages declared"),
+                middle_rw,
                 final_rw,
                 retract,
             });
             started += 1;
         } else {
             let idx = rng.below(active.len() as u64) as usize;
-            let a = active.remove(idx);
+            let mut a = active.remove(idx);
+            if let Some(rw) = a.middle_rw.take() {
+                let (read, write) = (rw.reads[0].clone(), rw.writes[0].clone());
+                let (_, next) = protocol
+                    .stage(a.handle, &rw, |ctx| {
+                        let seen = ctx.read(read.clone())?.and_then(|v| v.as_int());
+                        ctx.write(write.clone(), seen.unwrap_or(0) + 1)
+                    })
+                    .expect("middle stages cannot abort");
+                a.handle = next.expect("the final stage follows");
+                active.push(a);
+                step(rng);
+                continue;
+            }
             let v = rng.below(1000) as i64;
             protocol
                 .stage(a.handle, &a.final_rw, |ctx| {
@@ -131,10 +165,11 @@ fn drive(rng: &mut Rng, kind: ProtocolKind, protocol: &Executor, mut step: impl 
     }
 }
 
-/// Drive the seeded workload through the inline writer (strict, or group
-/// commit of 3 or 64) checkpointing every `checkpoint_every` commit points
-/// (0 = never); return the full log bytes.
-fn run_workload(seed: u64, kind: ProtocolKind, checkpoint_every: u64) -> Vec<u8> {
+/// Drive the seeded workload of `stages`-stage transactions through the
+/// inline writer (strict, or group commit of 3 or 64) checkpointing every
+/// `checkpoint_every` commit points (0 = never); return the full log
+/// bytes.
+fn run_workload(seed: u64, kind: ProtocolKind, stages: u32, checkpoint_every: u64) -> Vec<u8> {
     let mut rng = Rng(seed);
     let config = WalConfig {
         group_commit: [1, 3, 64][rng.below(3) as usize],
@@ -142,7 +177,7 @@ fn run_workload(seed: u64, kind: ProtocolKind, checkpoint_every: u64) -> Vec<u8>
     };
     let (wal, probe): (Wal, MemStorage) = Wal::in_memory(config);
     let wal = Arc::new(wal);
-    drive(&mut rng, kind, &protocol_on(kind, &wal), |_| {});
+    drive(&mut rng, kind, stages, &protocol_on(kind, &wal), |_| {});
     // No flush: `epoch_bytes` is the every-byte-made-it view (durable,
     // then whatever still sits in the writer's buffers); the boundary
     // sweep is the crash simulation.
@@ -210,7 +245,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
     };
     // The seeded appender/flusher interleaving: after every protocol op,
     // maybe seal the active buffer, pump the flusher, or wait on an ack.
-    drive(&mut rng, kind, &protocol_on(kind, &wal), |rng| {
+    drive(&mut rng, kind, 2, &protocol_on(kind, &wal), |rng| {
         for _ in 0..rng.below(3) {
             match rng.below(4) {
                 0 => {
@@ -282,8 +317,8 @@ fn check_pipelined_run(run: &PipelinedRun) {
 
 /// The checkpointed workload's log: at least 6 commit points against a
 /// floor of 4, so it always begins with a checkpoint.
-fn run_checkpointed(seed: u64, kind: ProtocolKind) -> Vec<u8> {
-    let log = run_workload(seed, kind, 4);
+fn run_checkpointed(seed: u64, kind: ProtocolKind, stages: u32) -> Vec<u8> {
+    let log = run_workload(seed, kind, stages, 4);
     let first = FrameReader::new(&log).next().expect("a non-empty log");
     assert!(
         matches!(WalRecord::decode(first), Ok(WalRecord::Checkpoint(_))),
@@ -295,37 +330,57 @@ fn run_checkpointed(seed: u64, kind: ProtocolKind) -> Vec<u8> {
 proptest! {
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_ms_ia(seed in any::<u64>()) {
-        sweep(&run_workload(seed, ProtocolKind::MsIa, 0), |_| Ok(())).unwrap();
+        sweep(&run_workload(seed, ProtocolKind::MsIa, 2, 0), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_staged(seed in any::<u64>()) {
-        sweep(&run_workload(seed, ProtocolKind::Staged, 0), |_| Ok(())).unwrap();
+        sweep(&run_workload(seed, ProtocolKind::Staged, 2, 0), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn crash_at_every_record_boundary_is_prefix_consistent_ms_sr(seed in any::<u64>()) {
-        sweep(&run_workload(seed, ProtocolKind::MsSr, 0), |_| Ok(())).unwrap();
+        sweep(&run_workload(seed, ProtocolKind::MsSr, 2, 0), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn checkpointed_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
-        sweep(&run_checkpointed(seed, ProtocolKind::MsIa), |_| Ok(())).unwrap();
+        sweep(&run_checkpointed(seed, ProtocolKind::MsIa, 2), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn checkpointed_crash_sweep_matches_oracle_staged(seed in any::<u64>()) {
-        sweep(&run_checkpointed(seed, ProtocolKind::Staged), |_| Ok(())).unwrap();
+        sweep(&run_checkpointed(seed, ProtocolKind::Staged, 2), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn checkpointed_crash_sweep_matches_oracle_ms_sr(seed in any::<u64>()) {
-        sweep(&run_checkpointed(seed, ProtocolKind::MsSr), |_| Ok(())).unwrap();
+        sweep(&run_checkpointed(seed, ProtocolKind::MsSr, 2), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn three_stage_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
+        sweep(&run_workload(seed, ProtocolKind::MsIa, 3, 0), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn three_stage_crash_sweep_matches_oracle_staged(seed in any::<u64>()) {
+        sweep(&run_workload(seed, ProtocolKind::Staged, 3, 0), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_three_stage_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
+        sweep(&run_checkpointed(seed, ProtocolKind::MsIa, 3), |_| Ok(())).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_three_stage_crash_sweep_matches_oracle_staged(seed in any::<u64>()) {
+        sweep(&run_checkpointed(seed, ProtocolKind::Staged, 3), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn torn_mid_frame_cuts_recover_like_the_preceding_boundary(seed in any::<u64>()) {
-        check_torn_cuts(&run_workload(seed, ProtocolKind::MsIa, 0), 7);
+        check_torn_cuts(&run_workload(seed, ProtocolKind::MsIa, 2, 0), 7);
     }
 
     #[test]
@@ -348,7 +403,7 @@ proptest! {
 
     #[test]
     fn corrupted_byte_never_panics_recovery(seed in any::<u64>(), flip in any::<u64>()) {
-        let mut log = run_workload(seed, ProtocolKind::Staged, 0);
+        let mut log = run_workload(seed, ProtocolKind::Staged, 2, 0);
         prop_assert!(!log.is_empty(), "every workload logs at least one stage");
         let pos = (flip % log.len() as u64) as usize;
         log[pos] ^= 0x5A;
@@ -387,6 +442,56 @@ fn crash_mid_chain_cascades_through_finalized_dependents() {
     assert!(!rec.store.contains(&"b".into()));
     assert!(!rec.store.contains(&"c".into()));
     assert_eq!(rec.apologies_owed().len(), 2, "both users get apologies");
+}
+
+/// A retraction names the stage it undid. T guesses `t0` at stage 0 and
+/// reads R's guess at stage 1; R's final section retracts R, and the
+/// cascade takes T's stage 1 but not its stage 0. A crash before T's
+/// final stage must still retract `t0` and apologize for T.
+#[test]
+fn a_cascade_into_one_stage_leaves_the_earlier_stage_owed() {
+    for kind in [ProtocolKind::MsIa, ProtocolKind::Staged] {
+        let (wal, probe) = Wal::in_memory(WalConfig::strict());
+        let wal = Arc::new(wal);
+        let p = protocol_on(kind, &wal);
+        let t0 = RwSet::new().write("t0");
+        let t1 = RwSet::new().read("r").write("t1");
+        let r = RwSet::new().write("r");
+
+        let ht = p.begin(TxnId(1), &[t0.clone(), t1.clone(), RwSet::new()]);
+        let (_, ht) = p.stage(ht, &t0, |ctx| ctx.write("t0", 1)).unwrap();
+        let hr = p.begin(TxnId(2), &[r.clone(), RwSet::new()]);
+        let (_, hr) = p.stage(hr, &r, |ctx| ctx.write("r", 2)).unwrap();
+        let (_, _ht) = p
+            .stage(ht.unwrap(), &t1, |ctx| {
+                let seen = ctx.read("r")?.and_then(|v| v.as_int()).unwrap_or(0);
+                ctx.write("t1", seen)
+            })
+            .unwrap();
+        let (report, _) = p
+            .stage(hr.unwrap(), &RwSet::new(), |ctx| {
+                Ok(ctx.retract_self("wrong guess"))
+            })
+            .unwrap();
+        assert_eq!(report.retracted, vec![TxnId(1), TxnId(2)], "{kind}");
+        assert!(
+            p.apologies().is_live(TxnId(1)),
+            "{kind}: T's stage 0 survives"
+        );
+        // Crash before T's final stage.
+        wal.flush().unwrap();
+        let log = probe.durable();
+
+        let rec = recover_edge(&log);
+        assert_eq!(rec.unfinalized, vec![TxnId(1)], "{kind}");
+        assert!(!rec.store.contains(&"t0".into()), "{kind}: t0 is retracted");
+        assert!(!rec.apologies.is_live(TxnId(1)), "{kind}");
+        assert!(
+            rec.apologies_owed().iter().any(|a| a.txn == TxnId(1)),
+            "{kind}: T's users get an apology"
+        );
+        sweep(&log, |_| Ok(())).unwrap();
+    }
 }
 
 /// LSNs are global under every flush driver: strictly increasing across

@@ -50,10 +50,12 @@ fn drive(wal: &Wal) {
     wal.append_retracts(vec![
         RetractRecord {
             txn: TxnId(3),
+            stage: 0,
             restores: vec![(Key::new("k0"), Some(Arc::new(Value::Int(7))))],
         },
         RetractRecord {
             txn: TxnId(3),
+            stage: 0,
             restores: vec![(Key::new("k1"), None)],
         },
     ])

@@ -114,14 +114,14 @@ fn strict_mode_is_pinned_to_the_pre_pipeline_writer() {
                 commit_points: 20,
                 syncs: 22,
                 checkpoints: 0,
-                bytes_appended: 1499,
+                bytes_appended: 1507,
             },
-            durable_len: 1499,
-            durable_crc: 1_675_171_600,
-            shipped_len: 1499,
-            shipped_crc: 1_675_171_600,
+            durable_len: 1507,
+            durable_crc: 1_505_187_504,
+            shipped_len: 1507,
+            shipped_crc: 1_505_187_504,
             ship_epoch: 0,
-            log_len: 1499,
+            log_len: 1507,
         }
     );
 }
@@ -137,14 +137,14 @@ fn group_commit_mode_is_pinned_to_the_pre_pipeline_writer() {
                 commit_points: 20,
                 syncs: 7,
                 checkpoints: 0,
-                bytes_appended: 1499,
+                bytes_appended: 1507,
             },
-            durable_len: 1499,
-            durable_crc: 1_675_171_600,
-            shipped_len: 1499,
-            shipped_crc: 1_675_171_600,
+            durable_len: 1507,
+            durable_crc: 1_505_187_504,
+            shipped_len: 1507,
+            shipped_crc: 1_505_187_504,
             ship_epoch: 0,
-            log_len: 1499,
+            log_len: 1507,
         }
     );
 }
@@ -160,14 +160,14 @@ fn checkpointed_group_commit_is_pinned_to_the_pre_pipeline_writer() {
                 commit_points: 24,
                 syncs: 9,
                 checkpoints: 1,
-                bytes_appended: 1755,
+                bytes_appended: 1763,
             },
-            durable_len: 1558,
-            durable_crc: 652_048_937,
-            shipped_len: 1558,
-            shipped_crc: 652_048_937,
+            durable_len: 1566,
+            durable_crc: 584_492_780,
+            shipped_len: 1566,
+            shipped_crc: 584_492_780,
             ship_epoch: 1,
-            log_len: 1558,
+            log_len: 1566,
         }
     );
 }

@@ -8,10 +8,15 @@
 //! procedure in the final section could retract the effects of t₁ and any
 //! other transactions that depended on it".
 //!
-//! [`ApologyManager`] records, per initially-committed transaction, its
-//! read/write footprint and its undo log, and computes the transitive
-//! dependent set when asked to retract. Every retracted transaction yields
-//! an [`Apology`] that the application can render to affected users ("e.g.,
+//! [`ApologyManager`] records one entry per registering stage — its
+//! read/write footprint and undo pre-images, in the log's own
+//! [`CheckpointEntry`] type — and computes the transitive dependent set
+//! when asked to retract, in one forward walk over the entries in
+//! sequence order. Each rolled-back entry yields a [`RetractRecord`]
+//! naming its transaction and stage, which the write-ahead log appends
+//! as it is; crash recovery hands replayed entries back through
+//! [`ApologyManager::recovered`]. Every retracted transaction yields an
+//! [`Apology`] that the application can render to affected users ("e.g.,
 //! a message is sent to both B and C, with a free game item").
 
 use std::collections::HashSet;
@@ -61,8 +66,8 @@ pub struct ApologyManager {
 #[derive(Default)]
 struct ManagerInner {
     /// Registered entries with their owning transactions, in sequence
-    /// order — the log's own entry type, so a checkpoint or a replay
-    /// hands entries over without a copy.
+    /// order — the log's own entry type, so recovery hands replayed
+    /// entries over without a copy.
     entries: Vec<(TxnId, CheckpointEntry)>,
     next_seq: u64,
     apologies: Vec<Apology>,
@@ -102,21 +107,7 @@ impl ApologyManager {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        // An undo record and a pair share a layout, so this collect
-        // reuses the log's allocation.
-        let undo = undo
-            .into_records()
-            .into_iter()
-            .map(|r| (r.key, r.previous))
-            .collect();
-        let entry = CheckpointEntry {
-            seq,
-            stage,
-            retracted: false,
-            reads,
-            writes,
-            undo,
-        };
+        let entry = CheckpointEntry::registered(seq, stage, reads, writes, undo);
         inner.entries.push((txn, entry));
         seq
     }

@@ -188,7 +188,7 @@ impl ExecutorCore {
     }
 
     /// Start from an already-populated apology manager (the crash-recovery
-    /// path re-registers the entries rebuilt from the log).
+    /// path hands it the entries replayed from the log).
     #[must_use]
     pub fn with_apologies(mut self, apologies: Arc<ApologyManager>) -> Self {
         self.apologies = apologies;

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use croesus_store::{Key, TxnId, Value};
+use croesus_store::{Key, TxnId, UndoLog, Value};
 
 /// Decoding failure: the payload did not parse as a record. Carries the
 /// reason for diagnostics; recovery treats any decode failure as
@@ -211,6 +211,30 @@ pub struct CheckpointEntry {
     pub writes: Vec<Key>,
     /// Undo pre-images, first-write-wins, in record order.
     pub undo: Vec<(Key, Option<Arc<Value>>)>,
+}
+
+impl CheckpointEntry {
+    /// The live entry stage `stage` registers at sequence number `seq`:
+    /// its declared footprint and its undo log's pairs. An undo record
+    /// and a pair share a layout, so the pairs reuse the log's allocation.
+    #[must_use]
+    pub fn registered(
+        seq: u64,
+        stage: u32,
+        reads: Vec<Key>,
+        writes: Vec<Key>,
+        undo: UndoLog,
+    ) -> Self {
+        let undo = undo.into_records().into_iter();
+        CheckpointEntry {
+            seq,
+            stage,
+            retracted: false,
+            reads,
+            writes,
+            undo: undo.map(|r| (r.key, r.previous)).collect(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

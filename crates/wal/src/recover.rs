@@ -12,9 +12,17 @@
 //! * **replay**, inside [`recover`], folding the decoded records of a log
 //!   byte stream into a fresh [`KvStore`].
 //!
-//! Both go through one crate-private [`FoldTarget`]: the state machine
+//! Both go through one crate-private `FoldTarget`: the state machine
 //! decides *what* committed (restore a key; reload from a checkpoint),
 //! the target only stores it.
+//!
+//! The state is the checkpoint's own: one [`CheckpointTxn`] per
+//! transaction, holding its registered [`CheckpointEntry`]s — the type
+//! the live `ApologyManager` keeps too. A checkpoint clones these values
+//! and its fold moves them back in; [`RecoveryState::live_entries`]
+//! hands them to a rebuilt manager. A [`RetractRecord`] names the
+//! transaction and stage whose entry it retracts, so a cascade that took
+//! only a later stage leaves the earlier ones live — and owed.
 //!
 //! Redo discipline: a stage's write images are *buffered* per transaction
 //! until a record with [`StageFlags::COMMIT_POINT`](crate::StageFlags::COMMIT_POINT) arrives, then applied
@@ -189,18 +197,9 @@ impl RecoveryState {
             }
         }
         if let Some(undo) = undo {
-            t.entries.push(CheckpointEntry {
-                seq: self.next_seq,
-                stage: s.stage,
-                retracted: false,
-                reads: s.reads,
-                writes: s.writes,
-                undo: undo
-                    .into_records()
-                    .into_iter()
-                    .map(|r| (r.key, r.previous))
-                    .collect(),
-            });
+            let entry =
+                CheckpointEntry::registered(self.next_seq, s.stage, s.reads, s.writes, undo);
+            t.entries.push(entry);
             self.next_seq += 1;
         }
         if flags.is_final() {

@@ -111,11 +111,9 @@ fn drive(
                     .read(read.as_str())
                     .write(key_for(rng, started).as_str())
             });
-            let declared: Vec<RwSet> = [Some(initial_rw.clone()), middle_rw.clone()]
-                .into_iter()
-                .flatten()
-                .chain([final_rw.clone()])
-                .collect();
+            let mut declared = vec![initial_rw.clone()];
+            declared.extend(middle_rw.clone());
+            declared.push(final_rw.clone());
             let handle = protocol.begin(txn, &declared);
             let (_, next) = protocol
                 .stage(handle, &initial_rw, |ctx| {

@@ -94,11 +94,13 @@ impl TransactionsBank {
     }
 
     /// Rules triggered by a detected label alone (no auxiliary input).
-    pub fn triggered_by_label(&self, detection: &Detection) -> Vec<&TriggerRule> {
+    pub fn triggered_by_label<'a, 'd>(
+        &'a self,
+        detection: &'d Detection,
+    ) -> impl Iterator<Item = &'a TriggerRule> + use<'a, 'd> {
         self.rules
             .iter()
             .filter(|r| r.requires_aux.is_none() && r.matches_class(&detection.class))
-            .collect()
     }
 
     /// Rules triggered by an auxiliary input of `kind`, paired with the
@@ -204,10 +206,11 @@ mod tests {
     #[test]
     fn label_triggers_matching_rule_only() {
         let b = bank();
-        let hits = b.triggered_by_label(&det("building", 0.4));
+        let hits: Vec<_> = b.triggered_by_label(&det("building", 0.4)).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].class_group, "Buildings");
-        assert!(b.triggered_by_label(&det("shuttle", 0.4)).is_empty());
+        let misses: Vec<_> = b.triggered_by_label(&det("shuttle", 0.4)).collect();
+        assert!(misses.is_empty());
     }
 
     #[test]

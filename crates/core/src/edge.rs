@@ -316,20 +316,20 @@ impl EdgeNode {
         }
 
         // Cloud labels with no edge counterpart trigger fresh initial+final
-        // pairs (§3.3.2, last paragraph).
+        // pairs (§3.3.2, last paragraph): every matching rule, in rule
+        // order, all drawing from the label's one rng fork.
         let missed = frame_match.missed.len() as u64;
-        for (mi, label) in frame_match.missed.into_iter().enumerate() {
-            let inst = {
-                let rng = self.rng.lock();
-                let mut lrng = rng.fork(frame_index << 20 | (1 << 19) | mi as u64);
-                self.bank
-                    .triggered_by_label(&label)
-                    .first()
-                    .map(|rule| rule.template.instantiate(&label, &mut lrng))
-            };
-            if let Some(inst) = inst {
+        for (mi, label) in frame_match.missed.iter().enumerate() {
+            let mut lrng = self
+                .rng
+                .lock()
+                .fork(frame_index << 20 | (1 << 19) | mi as u64);
+            for rule in self.bank.triggered_by_label(label) {
+                let inst = rule.template.instantiate(label, &mut lrng);
                 let txn = self.next_txn();
-                if let Some((_, ptxn)) = Self::run_initial_txn(&self.protocol, txn, label, inst) {
+                if let Some((_, ptxn)) =
+                    Self::run_initial_txn(&self.protocol, txn, label.clone(), inst)
+                {
                     let input = FinalInput::correct(ptxn.edge_label.clone());
                     self.finalize_one(ptxn, &input);
                     committed += 1;
@@ -508,6 +508,27 @@ mod tests {
         assert_eq!(stage.counts.3, 1, "one missed label");
         assert_eq!(stage.committed, 1, "fresh txn ran both sections");
         assert!(e.store().len() >= 3);
+    }
+
+    #[test]
+    fn missed_cloud_labels_run_every_matching_rule() {
+        let rule = || TriggerRule {
+            class_group: "any".into(),
+            classes: vec![],
+            requires_aux: None,
+            template: Arc::new(YcsbWorkload::new()),
+        };
+        let bank = TransactionsBank::new().with_rule(rule()).with_rule(rule());
+        let e = EdgeNode::new(
+            SimulatedModel::new(ModelProfile::tiny_yolov3(), 7),
+            Arc::new(bank),
+            0.10,
+            7,
+        );
+        e.run_initial_stage(5, &[]);
+        let stage = e.deliver_cloud_labels(5, &[det("car", 0.9, 0.7)]);
+        assert_eq!(stage.counts.3, 1, "one missed label");
+        assert_eq!(stage.committed, 2, "both rules ran both sections");
     }
 
     #[test]

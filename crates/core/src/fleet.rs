@@ -485,8 +485,10 @@ impl Deployment {
     /// is shipped.
     pub(crate) fn drive(&self, chaos: bool) -> (RunMetrics, FleetReport) {
         let config = &self.config;
-        let video = config.preset.generate(config.num_frames, config.seed);
-        let query: LabelClass = video.query_class().clone();
+        // The video streams: the loop holds its tracks and the current
+        // frame, never the frames it has finished.
+        let frames = config.preset.stream(config.num_frames, config.seed);
+        let query: LabelClass = config.preset.query();
         let bank = evaluation_bank();
         let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
         let topology = config.setup.topology();
@@ -509,7 +511,7 @@ impl Deployment {
         let mut collector = MetricsCollector::new();
         let mut report = FleetReport::default();
 
-        for frame in video.frames() {
+        for frame in frames {
             let now = frame.index;
             if chaos {
                 // The failure model's prologue, before the frame is routed.
@@ -561,8 +563,8 @@ impl Deployment {
                 // The cloud reference is always computed for scoring; its
                 // latency and bandwidth are only charged when the frame is
                 // actually sent.
-                let (cloud_labels, cloud_detect) = cloud.process(frame);
-                let (labels, edge_detect, goes_up) = policy(edge, frame, &cloud_labels);
+                let (cloud_labels, cloud_detect) = cloud.process(&frame);
+                let (labels, edge_detect, goes_up) = policy(edge, &frame, &cloud_labels);
 
                 // Initial stage: trigger transactions, commit initial sections.
                 let initial = edge.run_initial_stage(now, &labels);

@@ -12,10 +12,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use croesus_detect::Detection;
 use croesus_sim::DetRng;
 use croesus_store::{Key, Value};
 use croesus_txn::{RwSet, SectionOutput};
+use croesus_video::LabelClass;
 
 use crate::bank::{TxnInstance, TxnTemplate};
 use crate::matching::LabelVerdict;
@@ -27,6 +30,27 @@ pub(crate) struct YcsbWorkload {
     next_item: Arc<AtomicU64>,
     /// Operations per transaction (6 in the paper: 3 inserts + 3 reads).
     ops: usize,
+    /// The value every insert of a label stores, shared by all instances.
+    seen: Arc<SeenValues>,
+}
+
+/// One `seen:<label>` value per label class, filled on first use. The
+/// detector's vocabulary bounds it (ten classes), so a run's store holds
+/// one value per label rather than one per transaction.
+#[derive(Default)]
+struct SeenValues(Mutex<Vec<(LabelClass, Arc<Value>)>>);
+
+impl SeenValues {
+    /// The shared value for `class`.
+    fn of(&self, class: &LabelClass) -> Arc<Value> {
+        let mut table = self.0.lock();
+        if let Some((_, value)) = table.iter().find(|(c, _)| c == class) {
+            return Arc::clone(value);
+        }
+        let value = Arc::new(Value::Str(format!("seen:{class}")));
+        table.push((class.clone(), Arc::clone(&value)));
+        value
+    }
 }
 
 impl YcsbWorkload {
@@ -45,6 +69,7 @@ impl YcsbWorkload {
         YcsbWorkload {
             next_item: Arc::new(AtomicU64::new(0)),
             ops,
+            seen: Arc::default(),
         }
     }
 }
@@ -89,15 +114,15 @@ impl TxnTemplate for YcsbWorkload {
             writes: insert_keys,
         };
 
-        // The bodies walk the keys their section declared; each write set
-        // stores one value, shared by all of its keys.
-        let label = trigger.class.clone();
+        // The bodies walk the keys their section declared; every write
+        // stores its label's one shared value.
+        let seen = self.seen.of(&trigger.class);
+        let values = Arc::clone(&self.seen);
         TxnInstance {
             initial_rw,
             final_rw,
             initial: Box::new(move |ctx| {
                 let declared = ctx.declared();
-                let seen = Arc::new(Value::Str(format!("seen:{label}")));
                 for k in &declared.writes {
                     ctx.write(k.clone(), Arc::clone(&seen))?;
                 }
@@ -118,7 +143,7 @@ impl TxnTemplate for YcsbWorkload {
                     // under the corrected label (retain as much state as
                     // possible — the merge side of MS-IA).
                     LabelVerdict::Corrected(correct) => {
-                        let seen = Arc::new(Value::Str(format!("seen:{}", correct.class)));
+                        let seen = values.of(&correct.class);
                         for k in &declared.writes {
                             ctx.write(k.clone(), Arc::clone(&seen))?;
                         }
@@ -192,8 +217,8 @@ mod tests {
     }
 
     /// Run a bank instance's two sections through the protocol API.
-    fn run_instance(ex: &Executor, inst: TxnInstance, input: &FinalInput) {
-        let h = ex.begin(TxnId(1), &[inst.initial_rw.clone(), inst.final_rw.clone()]);
+    fn run_instance(ex: &Executor, txn: TxnId, inst: TxnInstance, input: &FinalInput) {
+        let h = ex.begin(txn, &[inst.initial_rw.clone(), inst.final_rw.clone()]);
         let (_, h) = ex
             .stage(h, &inst.initial_rw, |ctx| (inst.initial)(ctx.section_mut()))
             .unwrap();
@@ -267,7 +292,7 @@ mod tests {
             edge_label: Some(det("bus")),
             verdict: LabelVerdict::Corrected(det("car")),
         };
-        run_instance(&ex, inst, &input);
+        run_instance(&ex, TxnId(1), inst, &input);
         for k in &keys {
             assert_eq!(ex.store().get(k).unwrap().as_str().unwrap(), "seen:car");
         }
@@ -284,7 +309,7 @@ mod tests {
             edge_label: Some(det("car")),
             verdict: LabelVerdict::Erroneous,
         };
-        run_instance(&ex, inst, &input);
+        run_instance(&ex, TxnId(1), inst, &input);
         for k in &keys {
             assert!(!ex.store().contains(k), "erroneous inserts removed");
         }
@@ -300,6 +325,64 @@ mod tests {
             let idx: u64 = k.as_str().strip_prefix("item/").unwrap().parse().unwrap();
             assert!(idx < 3, "reads must target previously added items");
         }
+    }
+
+    #[test]
+    fn every_insert_of_a_label_shares_one_value() {
+        let w = YcsbWorkload::new();
+        let mut rng = DetRng::new(1);
+        let ex = executor();
+        let keep = FinalInput::correct(det("car"));
+        let mut car_keys = Vec::new();
+        for txn in 1..=2 {
+            let inst = w.instantiate(&det("car"), &mut rng);
+            car_keys.extend(inst.initial_rw.writes.clone());
+            run_instance(&ex, TxnId(txn), inst, &keep);
+        }
+        assert_eq!(car_keys.len(), 6);
+        let car = ex.store().get(&car_keys[0]).unwrap();
+        for k in &car_keys {
+            assert!(Arc::ptr_eq(&ex.store().get(k).unwrap(), &car), "{k:?}");
+        }
+
+        let bus = w.instantiate(&det("bus"), &mut rng);
+        let bus_keys = bus.initial_rw.writes.clone();
+        let h = ex.begin(TxnId(3), &[bus.initial_rw.clone(), bus.final_rw.clone()]);
+        let (_, pending) = ex
+            .stage(h, &bus.initial_rw, |ctx| (bus.initial)(ctx.section_mut()))
+            .unwrap();
+        let seen_bus = ex.store().get(&bus_keys[0]).unwrap();
+        assert!(!Arc::ptr_eq(&seen_bus, &car));
+        assert_eq!(seen_bus.as_str(), Some("seen:bus"));
+        for k in &bus_keys {
+            assert!(Arc::ptr_eq(&ex.store().get(k).unwrap(), &seen_bus));
+        }
+
+        // The cloud says the bus was a car: the rewrite stores the car's
+        // shared value, and the car keys keep it.
+        let corrected = FinalInput {
+            edge_label: Some(det("bus")),
+            verdict: LabelVerdict::Corrected(det("car")),
+        };
+        ex.stage(pending.unwrap(), &bus.final_rw, |ctx| {
+            (bus.final_section)(ctx.section_mut(), &corrected)
+        })
+        .unwrap();
+        for k in car_keys.iter().chain(&bus_keys) {
+            assert!(Arc::ptr_eq(&ex.store().get(k).unwrap(), &car), "{k:?}");
+        }
+        assert_eq!(car.as_str(), Some("seen:car"));
+    }
+
+    #[test]
+    fn the_value_table_holds_one_entry_per_label() {
+        let w = YcsbWorkload::new();
+        let mut rng = DetRng::new(1);
+        let labels = ["car", "bus", "person"];
+        for i in 0..1_000 {
+            let _ = w.instantiate(&det(labels[i % labels.len()]), &mut rng);
+        }
+        assert_eq!(w.seen.0.lock().len(), 3);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl TrackedObject {
 
 /// The per-frame snapshot of a tracked object: what a perfect detector
 /// would report, plus the latent clarity used by imperfect detectors.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GroundTruthObject {
     /// Identity of the underlying tracked object.
     pub id: ObjectId,

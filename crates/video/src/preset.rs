@@ -18,7 +18,7 @@
 //! * **Street traffic / park** — in between.
 
 use crate::label::{classes, LabelClass};
-use crate::scene::{SceneConfig, Video};
+use crate::scene::{Frame, SceneConfig, Video};
 
 /// One of the paper's five video types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -164,11 +164,21 @@ impl VideoPreset {
 
     /// Generate the video for this preset with a number of frames and seed.
     pub fn generate(&self, num_frames: u64, seed: u64) -> Video {
-        let config = SceneConfig {
+        Video::generate(self.scene(num_frames), seed)
+    }
+
+    /// The frames of [`generate`](Self::generate)`(num_frames, seed)`, made
+    /// one at a time: the stream holds the video's tracks and no frame it
+    /// has yielded.
+    pub fn stream(&self, num_frames: u64, seed: u64) -> impl Iterator<Item = Frame> {
+        Video::stream(self.scene(num_frames), seed)
+    }
+
+    fn scene(&self, num_frames: u64) -> SceneConfig {
+        SceneConfig {
             num_frames,
             ..self.config()
-        };
-        Video::generate(config, seed)
+        }
     }
 }
 

@@ -87,7 +87,7 @@ impl SceneConfig {
 }
 
 /// One frame of a video: index, timestamp, ground-truth objects, payload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Zero-based frame index.
     pub index: u64,
@@ -114,6 +114,20 @@ pub struct Video {
 impl Video {
     /// Generate a video from a configuration and seed.
     pub fn generate(config: SceneConfig, seed: u64) -> Video {
+        let tracks = Video::tracks(&config, seed);
+        let frames = (0..config.num_frames)
+            .map(|index| Video::make_frame(&config, &tracks, index))
+            .collect();
+        Video {
+            config,
+            seed,
+            tracks,
+            frames,
+        }
+    }
+
+    /// The track pass: every object of the scene, in spawn order.
+    fn tracks(config: &SceneConfig, seed: u64) -> Vec<TrackedObject> {
         assert!(config.num_frames > 0, "video must have at least one frame");
         assert!(!config.classes.is_empty(), "scene needs at least one class");
         let mut rng = DetRng::new(seed).fork_named("scene");
@@ -164,29 +178,32 @@ impl Video {
                 budget -= 1.0;
             }
         }
+        tracks
+    }
 
-        let frames = (0..config.num_frames)
-            .map(|index| {
-                let objects: Vec<GroundTruthObject> = tracks
-                    .iter()
-                    .filter(|t| t.visible_at(index))
-                    .map(|t| t.at(index))
-                    .collect();
-                Frame {
-                    index,
-                    timestamp_secs: index as f64 / config.fps,
-                    objects,
-                    bytes: config.frame_bytes,
-                }
-            })
+    /// Frame `index`: every track visible in it, in track order. A frame
+    /// is a pure function of the tracks; since they are in spawn order,
+    /// the scan stops at the first track not yet spawned.
+    fn make_frame(config: &SceneConfig, tracks: &[TrackedObject], index: u64) -> Frame {
+        let objects: Vec<GroundTruthObject> = tracks
+            .iter()
+            .take_while(|t| t.spawn_frame <= index)
+            .filter(|t| t.visible_at(index))
+            .map(|t| t.at(index))
             .collect();
-
-        Video {
-            config,
-            seed,
-            tracks,
-            frames,
+        Frame {
+            index,
+            timestamp_secs: index as f64 / config.fps,
+            objects,
+            bytes: config.frame_bytes,
         }
+    }
+
+    /// The frames of [`Video::generate`]`(config, seed)`, made one at a time:
+    /// the stream holds the tracks and no frame it has yielded.
+    pub(crate) fn stream(config: SceneConfig, seed: u64) -> impl Iterator<Item = Frame> {
+        let tracks = Video::tracks(&config, seed);
+        (0..config.num_frames).map(move |index| Video::make_frame(&config, &tracks, index))
     }
 
     /// All frames, in order.
@@ -364,6 +381,32 @@ mod tests {
         let q = LabelClass::new("person");
         let manual: usize = v.frames().iter().map(|f| f.objects_of(&q).count()).sum();
         assert_eq!(v.query_instance_count(), manual);
+    }
+
+    #[test]
+    fn a_stream_yields_the_generated_frames() {
+        for preset in crate::VideoPreset::ALL {
+            for seed in [3, 29] {
+                let video = preset.generate(150, seed);
+                let streamed: Vec<Frame> = preset.stream(150, seed).collect();
+                assert_eq!(streamed, video.frames(), "{preset:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shorter_video_is_a_prefix_of_a_longer_one() {
+        for preset in crate::VideoPreset::ALL {
+            for seed in [3, 29] {
+                let short = preset.generate(90, seed);
+                let long = preset.generate(240, seed);
+                assert_eq!(
+                    short.frames(),
+                    &long.frames()[..90],
+                    "{preset:?} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! The allocation ratchet: heap allocations per `Deployment::run()`, as an
-//! exact, gateable number.
+//! The allocation ratchet: heap allocations and peak live heap bytes per
+//! `Deployment::run()`, as exact, gateable numbers.
 //!
 //! A counting `#[global_allocator]` (this test binary only) counts every
-//! `alloc`, `alloc_zeroed` and `realloc` made *by the calling thread* — the
-//! count lives in a `const` thread-local, so the harness's other test
-//! threads never leak into it. With `workers(1)` and durability disabled or
-//! group commit (whose inline flush driver lands every buffer and takes
-//! every checkpoint on the committing thread) the whole run executes on the
-//! test thread, and the count is identical run to run, in debug and in
-//! release.
+//! `alloc`, `alloc_zeroed` and `realloc` made *by the calling thread*, and
+//! keeps that thread's live bytes and their high-water mark: `alloc` and
+//! `alloc_zeroed` add the block's size, `dealloc` subtracts it and
+//! `realloc` adds the difference. The tallies live in `const` thread-locals,
+//! so the harness's other test threads never leak into them. With
+//! `workers(1)` and durability disabled or group commit (whose inline flush
+//! driver lands every buffer and takes every checkpoint on the committing
+//! thread) the whole run executes on the test thread, and both numbers are
+//! identical run to run, in debug and in release. The live-bytes peak is
+//! the heap the run holds at its fullest, which a process's peak RSS
+//! follows only loosely (the allocator's mmap threshold and page reuse sit
+//! in between).
 //!
-//! The budgets are a ratchet. A change that lowers the count lowers the
+//! The budgets are a ratchet. A change that lowers a count lowers the
 //! budget with it; a change that must raise it says why in `CHANGES.md`.
 //!
-//! The count includes what std allocates on the run's behalf (map and
-//! vector growth, sort scratch, formatting), so a new toolchain can move it
-//! with no code change. Each budget is therefore the count measured with
-//! rustc 1.95.0 plus [`MARGIN_PERCENT`]; re-measure when the margin is spent.
+//! The counts include what std allocates on the run's behalf (map and
+//! vector growth, sort scratch, formatting), so a new toolchain can move
+//! them with no code change. Each budget is therefore the count measured
+//! with rustc 1.95.0 plus [`MARGIN_PERCENT`]; re-measure when the margin is
+//! spent.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,6 +35,10 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE`.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -36,25 +46,37 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn grow(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 // SAFETY: every call forwards to `System` unchanged; counting touches only
-// a `const`-initialized thread-local `Cell`, which never allocates.
+// `const`-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        grow(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        grow(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 }
@@ -66,6 +88,18 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Restart the live-bytes high-water mark at the current level, which it
+/// returns.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
+}
+
 /// Whether the run logs: not at all, or group commit (landed inline on the
 /// calling thread) into a fresh scratch directory.
 #[derive(Clone, Copy, Debug)]
@@ -74,9 +108,17 @@ enum Logging {
     GroupCommit,
 }
 
-/// One `run()` of 300 frames, seed 11, thresholds (0.3, 0.7), inline:
-/// `(allocations made by run(), transactions committed)`.
-fn count_run(protocol: ProtocolKind, logging: Logging) -> (u64, u64) {
+/// What one `run()` made on the calling thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RunCount {
+    allocations: u64,
+    /// The live-bytes high-water mark minus the level at the start.
+    peak_live_bytes: u64,
+    committed: u64,
+}
+
+/// One `run()` of 300 frames, seed 11, thresholds (0.3, 0.7), inline.
+fn count_run(protocol: ProtocolKind, logging: Logging) -> RunCount {
     let dir = match logging {
         Logging::Off => None,
         Logging::GroupCommit => Some(croesus::wal::scratch_dir("alloc-budget")),
@@ -94,21 +136,34 @@ fn count_run(protocol: ProtocolKind, logging: Logging) -> (u64, u64) {
         .durability(durability)
         .build();
     let before = allocations();
+    let start = reset_peak();
     let metrics = deployment.run();
-    let made = allocations() - before;
+    let count = RunCount {
+        allocations: allocations() - before,
+        peak_live_bytes: (peak() - start) as u64,
+        committed: metrics.transactions_committed,
+    };
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).expect("scratch dir is removable");
     }
-    (made, metrics.transactions_committed)
+    count
 }
 
 /// Headroom over the measured count for allocations std makes differently
 /// from one toolchain to the next.
 const MARGIN_PERCENT: u64 = 1;
 
+fn budget(measured: u64) -> u64 {
+    measured + measured * MARGIN_PERCENT / 100
+}
+
 fn assert_within_budget(protocol: ProtocolKind, logging: Logging, measured: u64) {
-    let budget = measured + measured * MARGIN_PERCENT / 100;
-    let (made, committed) = count_run(protocol, logging);
+    let budget = budget(measured);
+    let RunCount {
+        allocations: made,
+        committed,
+        ..
+    } = count_run(protocol, logging);
     println!(
         "{protocol} ({logging:?}): {made} allocations for {committed} committed transactions \
          ({:.1} per transaction; measured {measured}, budget {budget})",
@@ -120,19 +175,47 @@ fn assert_within_budget(protocol: ProtocolKind, logging: Logging, measured: u64)
     );
 }
 
+fn assert_within_live_budget(protocol: ProtocolKind, logging: Logging, measured: u64) {
+    let budget = budget(measured);
+    let peak = count_run(protocol, logging).peak_live_bytes;
+    println!(
+        "{protocol} ({logging:?}): {peak} peak live heap bytes \
+         (measured {measured}, budget {budget})"
+    );
+    assert!(
+        peak <= budget,
+        "{protocol} ({logging:?}): {peak} peak live heap bytes exceed the budget of {budget}"
+    );
+}
+
 #[test]
 fn ms_ia_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 58_453);
+    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 49_703);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 55_338);
+    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 46_623);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 84_851);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 76_101);
+}
+
+#[test]
+fn ms_ia_run_stays_within_its_live_heap_budget() {
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::Off, 877_332);
+}
+
+#[test]
+fn ms_sr_run_stays_within_its_live_heap_budget() {
+    assert_within_live_budget(ProtocolKind::MsSr, Logging::Off, 890_376);
+}
+
+#[test]
+fn group_commit_run_stays_within_its_live_heap_budget() {
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_851_782);
 }
 
 #[test]

@@ -442,6 +442,8 @@ mod tests {
             commit(&wal, 1, "a", 1);
             finalize(&wal, 1);
             tailer.catch_up();
+            // The store the checkpoint snapshots: replay's fold of the log.
+            wal.attach_store(Arc::new(croesus_wal::recover(&shipper.image()).store));
             wal.checkpoint().unwrap();
             commit(&wal, 2, "b", 2);
             assert!(matches!(

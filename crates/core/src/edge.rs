@@ -378,21 +378,24 @@ impl EdgeNode {
     /// final section), every registered transaction is finalized and can
     /// never become a retraction root; future cascades can only involve
     /// future transactions. Dropping the retractable entries here is what
-    /// keeps the apology manager and the WAL shadow state bounded over an
-    /// unbounded run. Returns the entries dropped (0 when not quiescent —
-    /// a pending transaction could still retract, so nothing is safe to
-    /// forget).
+    /// keeps the apology manager and the WAL's replay state bounded over
+    /// an unbounded run, and where the WAL checkpoints the live store when
+    /// due. Returns the entries dropped (0 when not quiescent — a pending
+    /// transaction could still retract, so nothing is safe to forget).
     pub fn settle(&self) -> usize {
         let pending = self.pending.lock();
         if !pending.is_empty() {
             return 0;
         }
-        let dropped = self.protocol.core().apologies().settle_all();
-        if dropped > 0 {
-            if let Some(wal) = self.protocol.core().wal() {
+        let core = self.protocol.core();
+        let dropped = core.apologies().settle_all();
+        if let Some(wal) = core.wal() {
+            if dropped > 0 {
                 wal.append_settle()
                     .expect("WAL append failed — durability cannot be guaranteed");
             }
+            wal.maybe_checkpoint()
+                .expect("WAL checkpoint failed — durability cannot be guaranteed");
         }
         dropped
     }
@@ -622,6 +625,65 @@ mod tests {
         assert!(e.settle() > 0, "quiescent: retractable entries dropped");
         assert_eq!(e.settle(), 0, "nothing left for a second settle");
         assert_eq!(e.protocol().core().apologies().tracked_count(), 0);
+    }
+
+    #[test]
+    fn checkpoints_wait_for_the_frame_boundary_on_a_pooled_edge() {
+        // Four workers run each frame's stages, and the WAL may checkpoint
+        // only in `settle`, where none is in flight: every checkpoint is
+        // the whole log right after a frame's last record, and replaying
+        // the log gives the live store after every frame.
+        use croesus_wal::{recover, FrameReader, Wal, WalConfig, WalRecord};
+        let config = WalConfig {
+            group_commit: 2,
+            checkpoint_every: 4,
+        };
+        let labels: Vec<Detection> = (0..12)
+            .map(|i| det("car", 0.6 + 0.03 * i as f64, 0.05 * i as f64))
+            .collect();
+        for kind in ProtocolKind::ALL {
+            let (wal, probe) = Wal::in_memory(config);
+            let wal = Arc::new(wal);
+            let core = ExecutorCore::new(
+                Arc::new(KvStore::new()),
+                Arc::new(LockManager::new(kind.default_lock_policy())),
+            )
+            .with_wal(Arc::clone(&wal));
+            let e = EdgeNode::with_protocol(
+                SimulatedModel::new(ModelProfile::tiny_yolov3(), 7),
+                bank(),
+                0.10,
+                7,
+                kind.build(core),
+            )
+            .with_worker_pool(WorkerPool::new(4));
+            for frame in 0..12u64 {
+                let before = wal.stats().checkpoints;
+                e.run_initial_stage(frame, &labels);
+                if frame % 2 == 0 {
+                    e.finalize_local(frame);
+                } else {
+                    // Half the labels confirmed, half erroneous: retractions.
+                    e.deliver_cloud_labels(frame, &labels[..6]);
+                }
+                assert_eq!(wal.stats().checkpoints, before, "{kind} frame {frame}");
+                e.settle();
+                let log = wal.epoch_bytes(&probe);
+                if wal.stats().checkpoints > before {
+                    let mut records = FrameReader::new(&log).map(WalRecord::decode);
+                    let first = records.next();
+                    assert!(matches!(first, Some(Ok(WalRecord::Checkpoint(_)))));
+                    assert!(records.next().is_none(), "{kind} frame {frame}");
+                }
+                assert_eq!(
+                    recover(&log).store.canonical_pairs(),
+                    e.store().canonical_pairs(),
+                    "{kind} frame {frame}: the log replays to the live store"
+                );
+            }
+            let checkpoints = wal.stats().checkpoints;
+            assert!(checkpoints >= 2, "{kind}: {checkpoints} checkpoints");
+        }
     }
 
     #[test]

@@ -648,11 +648,10 @@ impl Deployment {
             for slot in &mut slots {
                 // Settle-and-prune: every frame routed here is fully
                 // finalized, so at quiescence the retractable entries (and
-                // their WAL shadow mirror) are dropped — an unbounded run
-                // no longer accumulates apology state for transactions
-                // that can never be retraction roots again. A no-op on an
-                // edge the frame did not touch: with nothing dropped, no
-                // WAL record is appended.
+                // the WAL replay state's mirror of them) are dropped — an
+                // unbounded run no longer accumulates apology state for
+                // transactions that can never be retraction roots again.
+                // The WAL checkpoints here too, when due.
                 if let Some(edge) = &slot.node {
                     report.settled_entries += edge.settle() as u64;
                 }

@@ -862,8 +862,8 @@ mod tests {
     fn per_frame_settling_keeps_apology_state_bounded() {
         // The leak regression: without settling, every finalized txn with
         // live retractable entries stayed registered forever (manager and
-        // WAL shadow both). With per-frame settling, a clean run ends with
-        // zero tracked entries — the log replays to an empty registry.
+        // WAL replay state both). With per-frame settling, a clean run ends
+        // with zero tracked entries — the log replays to an empty registry.
         let dir = croesus_wal::scratch_dir("system-settle");
         for mode in durable_modes(&dir) {
             quick().durability(mode.clone()).build().run();

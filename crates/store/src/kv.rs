@@ -166,19 +166,22 @@ impl KvStore {
     }
 
     /// Every key-value pair in canonical order (ascending cached FNV-1a
-    /// hash, ties by key text). Like [`snapshot`](Self::snapshot)'s key
-    /// order it depends only on the
-    /// contents, never on insertion history, but the sort compares the
-    /// hash cached inline in each [`Key`]. Clones only `Arc`s and leaves
-    /// versions out: this is what a checkpoint serializes.
+    /// hash, ties by key text), which depends only on the contents, never
+    /// on insertion history. Clones only `Arc`s and leaves versions out.
     pub fn canonical_pairs(&self) -> Vec<(Key, Arc<Value>)> {
-        let mut all: Vec<(Key, Arc<Value>)> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            let shard = s.read();
-            all.extend(shard.iter().map(|(k, v)| (k.clone(), Arc::clone(&v.value))));
+        self.with_canonical_pairs(|p| p.iter().map(|&(k, v)| (k.clone(), Arc::clone(v))).collect())
+    }
+
+    /// Call `f` with every pair borrowed, in canonical order, under every
+    /// shard's read lock (writers wait): two pointers a pair, no clone.
+    pub fn with_canonical_pairs<R>(&self, f: impl FnOnce(&[(&Key, &Arc<Value>)]) -> R) -> R {
+        let shards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let mut all = Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
+        for shard in &shards {
+            all.extend(shard.iter().map(|(k, v)| (k, &v.value)));
         }
-        all.sort_unstable_by(|a, b| a.0.canonical_cmp(&b.0));
-        all
+        all.sort_unstable_by(|a, b| a.0.canonical_cmp(b.0));
+        f(&all)
     }
 }
 

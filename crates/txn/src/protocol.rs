@@ -178,11 +178,14 @@ impl ExecutorCore {
     /// Attach a write-ahead log: every protocol logs its stages through
     /// the same hook (the crate-internal `log_stage`), differing only in
     /// which stage carries the durable commit point — every stage under
-    /// the lock-releasing protocols, final commit only under MS-SR.
-    /// Without a WAL attached, execution is byte-identical with the
-    /// pre-durability system.
+    /// the lock-releasing protocols, final commit only under MS-SR. The
+    /// log is handed this core's store, which its checkpoints snapshot
+    /// (the edge takes them at the frame boundary). Without a WAL
+    /// attached, execution is byte-identical with the pre-durability
+    /// system.
     #[must_use]
     pub fn with_wal(mut self, wal: Arc<Wal>) -> Self {
+        wal.attach_store(Arc::clone(&self.store));
         self.wal = Some(wal);
         self
     }
@@ -245,9 +248,8 @@ impl ExecutorCore {
     /// write images (pre + post) and commit metadata — into the WAL. Runs
     /// while the stage's locks are still held, so the log order equals the
     /// commit order. At a commit point the group-commit policy decides
-    /// whether this call pays the sync, and the checkpoint schedule may
-    /// fold the log down to a snapshot (the commit path is the documented
-    /// quiescent point for checkpoints).
+    /// whether this call pays the sync. Checkpoints are not taken here:
+    /// other stages may be mid-flight on the store.
     fn log_stage(
         &self,
         handle: &TxnHandle,
@@ -289,8 +291,6 @@ impl ExecutorCore {
             .expect("WAL append failed — durability cannot be guaranteed");
         if commit_point {
             self.acked_lsn.fetch_max(lsn, Ordering::Relaxed);
-            wal.maybe_checkpoint()
-                .expect("WAL checkpoint failed — durability cannot be guaranteed");
         }
         Some(lsn)
     }

@@ -214,9 +214,9 @@ impl Coordinator {
     }
 
     /// Log that phase 2 finished: every participant acked, so the decision
-    /// entry may be expired from the shadow state. Unsynced on purpose —
-    /// losing the record only means a recovering coordinator re-runs an
-    /// idempotent phase 2.
+    /// entry may be expired from the writer's replay state. Unsynced on
+    /// purpose — losing the record only means a recovering coordinator
+    /// re-runs an idempotent phase 2.
     fn log_end(&self, txn: TxnId) {
         if let Some(wal) = &self.wal {
             wal.append_tpc_end(txn)

@@ -142,11 +142,12 @@ pub enum WalRecord {
     /// A settle point: the edge was quiescent (no frame in flight) and
     /// dropped every registered apology entry — finalized guesses included
     /// — because no retraction can reach back past a quiescent boundary.
-    /// Replay drops the same entries, so shadow state and checkpoints stay
-    /// bounded however long the run (the settle-and-prune pass).
+    /// Replay drops the same entries, so the writer's replay state and
+    /// checkpoints stay bounded however long the run (the settle-and-prune
+    /// pass).
     Settle,
     /// The 2PC coordinator finished phase 2 for `txn`: every participant
-    /// acked. The decision entry can be dropped from the shadow state —
+    /// acked. The decision entry can be dropped from the replay state —
     /// nobody can be in doubt about a transaction whose phase 2 completed.
     /// Not synced on its own: losing it re-runs an idempotent phase 2.
     TpcEnd {
@@ -433,42 +434,67 @@ fn get_restores(c: &mut Cursor<'_>) -> DecodeResult<Vec<(Key, Option<Arc<Value>>
     Ok(restores)
 }
 
-impl CheckpointRecord {
-    /// Serialize to one frame payload, appended to `out`: the bytes of
-    /// [`WalRecord::encode`] over this checkpoint. The writer encodes a
-    /// checkpoint straight into its frame buffer without boxing it into
-    /// a [`WalRecord`].
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(TAG_CHECKPOINT);
-        put_u32(out, self.store.len() as u32);
-        for (k, v) in &self.store {
-            put_key(out, k);
-            put_value(out, v);
-        }
-        put_u32(out, self.txns.len() as u32);
-        for t in &self.txns {
-            put_u64(out, t.txn.0);
-            out.push(u8::from(t.initial_committed) | u8::from(t.finalized) << 1);
-            put_images(out, &t.pending);
-            put_u32(out, t.entries.len() as u32);
-            for e in &t.entries {
-                put_u64(out, e.seq);
-                put_u32(out, e.stage);
-                out.push(u8::from(e.retracted));
-                put_keys(out, &e.reads);
-                put_keys(out, &e.writes);
-                put_restores(out, &e.undo);
-            }
-        }
-        put_u64(out, self.next_seq);
-        put_u64(out, self.finalized);
-        put_u32(out, self.tpc.len() as u32);
-        for (txn, commit) in &self.tpc {
-            put_u64(out, txn.0);
-            out.push(u8::from(*commit));
-        }
-        put_u64(out, self.next_txn);
+/// The encoded length of one checkpoint store pair.
+pub(crate) fn pair_len(key: &Key, value: &Value) -> usize {
+    let value = match value {
+        Value::Int(_) => 8,
+        Value::Str(s) => 4 + s.len(),
+        Value::Bytes(b) => 4 + b.len(),
+    };
+    4 + key.as_bytes().len() + 1 + value
+}
+
+/// The bytes a checkpoint payload holds before its pairs: tag and count.
+pub(crate) const CHECKPOINT_HEAD_LEN: usize = 5;
+
+/// A checkpoint payload's head and its `len` store pairs, appended to
+/// `out`. The writer encodes these straight from the live store, and
+/// [`put_checkpoint_state`] the rest from its replay state.
+pub(crate) fn put_checkpoint_store<'a>(
+    out: &mut Vec<u8>,
+    len: usize,
+    pairs: impl Iterator<Item = (&'a Key, &'a Value)>,
+) {
+    out.push(TAG_CHECKPOINT);
+    put_u32(out, len as u32);
+    for (k, v) in pairs {
+        put_key(out, k);
+        put_value(out, v);
     }
+}
+
+/// The rest of a checkpoint payload, after its store pairs.
+pub(crate) fn put_checkpoint_state<'a>(
+    out: &mut Vec<u8>,
+    txns: impl ExactSizeIterator<Item = &'a CheckpointTxn>,
+    next_seq: u64,
+    finalized: u64,
+    tpc: &[(TxnId, bool)],
+    next_txn: u64,
+) {
+    put_u32(out, txns.len() as u32);
+    for t in txns {
+        put_u64(out, t.txn.0);
+        out.push(u8::from(t.initial_committed) | u8::from(t.finalized) << 1);
+        put_images(out, &t.pending);
+        put_u32(out, t.entries.len() as u32);
+        for e in &t.entries {
+            put_u64(out, e.seq);
+            put_u32(out, e.stage);
+            out.push(u8::from(e.retracted));
+            put_keys(out, &e.reads);
+            put_keys(out, &e.writes);
+            put_restores(out, &e.undo);
+        }
+    }
+    put_u64(out, next_seq);
+    put_u64(out, finalized);
+    put_u32(out, tpc.len() as u32);
+    for (txn, commit) in tpc {
+        put_u64(out, txn.0);
+        out.push(u8::from(*commit));
+    }
+    put_u64(out, next_txn);
 }
 
 impl WalRecord {
@@ -505,7 +531,12 @@ impl WalRecord {
                 put_u64(out, txn.0);
                 out.push(u8::from(*commit));
             }
-            WalRecord::Checkpoint(cp) => cp.encode_into(out),
+            WalRecord::Checkpoint(cp) => {
+                let pairs = cp.store.iter().map(|(k, v)| (k, &**v));
+                put_checkpoint_store(out, cp.store.len(), pairs);
+                let txns = cp.txns.iter();
+                put_checkpoint_state(out, txns, cp.next_seq, cp.finalized, &cp.tpc, cp.next_txn);
+            }
             WalRecord::Settle => {
                 out.push(TAG_SETTLE);
             }

@@ -3,18 +3,13 @@
 //! [`RecoveryState`] is the one redo/undo state machine of the subsystem.
 //! It runs in two places:
 //!
-//! * **live**, inside the [`Wal`](crate::Wal) writer, folding every
-//!   appended record into the writer's own *shadow* — the committed state
-//!   a replay of the log would rebuild, kept as the last checkpoint's
-//!   pairs plus the changes since — so the writer always knows exactly
-//!   what its log contains and serializes a checkpoint from its own
-//!   state, never from the executor's live store;
+//! * **live**, inside the [`Wal`](crate::Wal) writer, folding the
+//!   bookkeeping of every appended record — registered entries, pending
+//!   images, 2PC decisions — but no store: the executor's live store is
+//!   the store, and a checkpoint taken where no stage is in flight
+//!   serializes it beside this state;
 //! * **replay**, inside [`recover`], folding the decoded records of a log
 //!   byte stream into a fresh [`KvStore`].
-//!
-//! Both go through one crate-private `FoldTarget`: the state machine
-//! decides *what* committed (restore a key; reload from a checkpoint),
-//! the target only stores it.
 //!
 //! The state is the checkpoint's own: one [`CheckpointTxn`] per
 //! transaction, holding its registered [`CheckpointEntry`]s — the type
@@ -47,34 +42,12 @@ use croesus_store::{Key, KvStore, TxnId, UndoLog, Value};
 
 use crate::frame::{FrameReader, TailState};
 use crate::record::{
-    CheckpointEntry, CheckpointRecord, CheckpointTxn, RetractRecord, StageRecord, WalRecord,
+    put_checkpoint_state, CheckpointEntry, CheckpointTxn, RetractRecord, StageRecord, WalRecord,
 };
 
 impl CheckpointTxn {
     fn has_live_entry(&self) -> bool {
         self.entries.iter().any(|e| !e.retracted)
-    }
-}
-
-/// Where [`RecoveryState`] puts committed effects: a replayed
-/// [`KvStore`], or the writer's shadow.
-pub(crate) trait FoldTarget {
-    /// Put `value` under `key`, or delete the key (`None`).
-    fn restore(&mut self, key: Key, value: Option<Arc<Value>>);
-    /// Replace every pair with a checkpoint's.
-    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>);
-}
-
-impl FoldTarget for &KvStore {
-    fn restore(&mut self, key: Key, value: Option<Arc<Value>>) {
-        KvStore::restore(self, key, value);
-    }
-
-    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>) {
-        self.clear();
-        for (k, v) in pairs {
-            self.put(k, v);
-        }
     }
 }
 
@@ -103,8 +76,8 @@ impl RecoveryState {
 
     /// Fold one record. With `store = Some(..)` the store mutations are
     /// performed (replay); with `None` only the bookkeeping moves, for a
-    /// caller that already mutated the store itself (apology-aware
-    /// recovery mirroring the retractions it ran).
+    /// caller whose store already holds them (the live writer, and
+    /// apology-aware recovery mirroring the retractions it ran).
     ///
     /// The record is folded by move: a commit point drains its images
     /// into the store and the undo list without copying them, a
@@ -112,15 +85,9 @@ impl RecoveryState {
     /// checkpoint moves its pairs into the store. The writer has already
     /// encoded the record, so nothing reads it afterwards.
     pub fn apply(&mut self, record: WalRecord, store: Option<&KvStore>) {
-        self.fold(record, store);
-    }
-
-    /// [`apply`](Self::apply) into any [`FoldTarget`]: the live writer
-    /// folds into its shadow through here.
-    pub(crate) fn fold<T: FoldTarget>(&mut self, record: WalRecord, mut target: Option<T>) {
         match record {
-            WalRecord::Stage(s) => self.apply_stage(s, target.as_mut()),
-            WalRecord::Retract(r) => self.apply_retract(r, target.as_mut()),
+            WalRecord::Stage(s) => self.apply_stage(s, store),
+            WalRecord::Retract(r) => self.apply_retract(r, store),
             WalRecord::TpcDecision { txn, commit } => {
                 if let Some(slot) = self.tpc.iter_mut().find(|(t, _)| *t == txn) {
                     slot.1 = commit;
@@ -137,8 +104,11 @@ impl RecoveryState {
                     tpc: cp.tpc,
                     next_txn: cp.next_txn,
                 };
-                if let Some(target) = &mut target {
-                    target.reload(cp.store);
+                if let Some(store) = store {
+                    store.clear();
+                    for (k, v) in cp.store {
+                        store.put(k, v);
+                    }
                 }
             }
             WalRecord::Settle => self.settle(),
@@ -160,7 +130,7 @@ impl RecoveryState {
             .retain(|_, t| !t.pending.is_empty() || !t.finalized);
     }
 
-    fn apply_stage<T: FoldTarget>(&mut self, s: StageRecord, mut target: Option<&mut T>) {
+    fn apply_stage(&mut self, s: StageRecord, store: Option<&KvStore>) {
         let (txn, flags, images) = (s.txn, s.flags, s.images);
         self.next_txn = self.next_txn.max(txn.0 + 1);
         let t = self.txns.entry(txn.0).or_insert_with(|| CheckpointTxn {
@@ -192,8 +162,8 @@ impl RecoveryState {
             if let Some(undo) = &mut undo {
                 undo.record(w.key.clone(), w.pre);
             }
-            if let Some(target) = &mut target {
-                target.restore(w.key, w.post); // put the post-image, or delete
+            if let Some(store) = store {
+                store.restore(w.key, w.post); // put the post-image, or delete
             }
         }
         if let Some(undo) = undo {
@@ -211,10 +181,10 @@ impl RecoveryState {
         self.prune(txn);
     }
 
-    fn apply_retract<T: FoldTarget>(&mut self, r: RetractRecord, target: Option<&mut T>) {
-        if let Some(target) = target {
+    fn apply_retract(&mut self, r: RetractRecord, store: Option<&KvStore>) {
+        if let Some(store) = store {
             for (k, v) in r.restores {
-                target.restore(k, v);
+                store.restore(k, v);
             }
         }
         // The record names the stage whose entry the live retraction
@@ -230,7 +200,7 @@ impl RecoveryState {
 
     /// Drop a transaction's state once nothing about it can matter again:
     /// finalized, nothing buffered, and no live entry a future cascade
-    /// could retract. Keeps the writer's shadow state (and checkpoints)
+    /// could retract. Keeps the writer's replay state (and checkpoints)
     /// from growing with every transaction ever executed. Finalized
     /// transactions that still hold live entries (MS-IA initial guesses)
     /// are retained — the live `ApologyManager` keeps those too; see the
@@ -323,23 +293,29 @@ impl RecoveryState {
             .retain(|_, t| t.initial_committed || !t.entries.is_empty());
     }
 
-    /// Serialize into a checkpoint record over `store`, the pairs of the
-    /// target this state was folded into, taken by move. The target
-    /// holds only committed state, because writes still pending (logged
-    /// without a commit point — MS-SR transactions caught mid-flight)
-    /// stay buffered in the state and never reach it. `store` must be in
-    /// canonical order (hash, then key), which depends only on the
-    /// state, so two writers with the same state write the same bytes.
-    #[must_use]
-    pub(crate) fn checkpoint_with(&self, store: Vec<(Key, Arc<Value>)>) -> CheckpointRecord {
-        CheckpointRecord {
-            store,
-            txns: self.txns.values().cloned().collect(),
-            next_seq: self.next_seq,
-            finalized: self.finalized_total,
-            tpc: self.tpc.clone(),
-            next_txn: self.next_txn,
-        }
+    /// What a live store held before the writes still pending (logged
+    /// without a commit point — MS-SR transactions caught mid-flight):
+    /// for every key they wrote, the first pending image's pre-image, in
+    /// canonical order. Each such key is X-locked by its pending
+    /// transaction, so nobody else wrote it since.
+    pub(crate) fn pending_pre_images(&self) -> Vec<(&Key, Option<&Arc<Value>>)> {
+        let mut pre: Vec<_> = self
+            .txns
+            .values()
+            .flat_map(|t| &t.pending)
+            .map(|w| (&w.key, w.pre.as_ref()))
+            .collect();
+        // Stable: a key's first image stays first, and `dedup` keeps it.
+        pre.sort_by(|a, b| a.0.canonical_cmp(b.0));
+        pre.dedup_by(|later, first| later.0 == first.0);
+        pre
+    }
+
+    /// Append the checkpoint payload's part after the store: this state.
+    pub(crate) fn encode_checkpoint_state(&self, out: &mut Vec<u8>) {
+        let txns = self.txns.values();
+        let (seq, finalized, next_txn) = (self.next_seq, self.finalized_total, self.next_txn);
+        put_checkpoint_state(out, txns, seq, finalized, &self.tpc, next_txn);
     }
 }
 
@@ -429,11 +405,19 @@ pub fn recover_file(path: impl AsRef<Path>) -> io::Result<RecoveryReport> {
 
 #[cfg(test)]
 impl RecoveryState {
-    /// [`checkpoint_with`](Self::checkpoint_with) over a store this
-    /// state was folded with.
+    /// The checkpoint of this state over `store`, a store replay folded
+    /// alongside it (committed writes only): the reference the writer's
+    /// checkpoints must equal byte for byte.
     #[must_use]
-    pub(crate) fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
-        self.checkpoint_with(store.canonical_pairs())
+    pub(crate) fn to_checkpoint(&self, store: &KvStore) -> crate::record::CheckpointRecord {
+        crate::record::CheckpointRecord {
+            store: store.canonical_pairs(),
+            txns: self.txns.values().cloned().collect(),
+            next_seq: self.next_seq,
+            finalized: self.finalized_total,
+            tpc: self.tpc.clone(),
+            next_txn: self.next_txn,
+        }
     }
 
     /// Count of registered entries still tracked (live or retracted) —
@@ -594,64 +578,6 @@ mod tests {
         assert_eq!(r.store.get(&"a".into()).as_deref(), Some(&Value::Int(5)));
         assert!(r.unfinalized.is_empty());
         assert_eq!(r.finalized, 1);
-    }
-
-    #[test]
-    fn checkpoint_excludes_pending_uncommitted_writes() {
-        // An MS-SR transaction logged stage 0 (no commit point), folded
-        // through the store as the writer does. The checkpoint must
-        // contain the pre-image, and replay must still finish the txn.
-        let mut state = RecoveryState::new();
-        let store = KvStore::new();
-        store.put("a".into(), Value::Int(7)); // pre-existing
-        let rec = stage(9, 0, 2, 0, vec![("a", Some(7), Some(100))]);
-        state.apply(rec, Some(&store)); // buffered: the store keeps 7
-        let cp = state.to_checkpoint(&store);
-        assert_eq!(
-            cp.store,
-            vec![(Key::new("a"), Arc::new(Value::Int(7)))],
-            "checkpoint holds the committed pre-image"
-        );
-        let log = log_of(&[
-            WalRecord::Checkpoint(Box::new(cp)),
-            stage(9, 1, 2, CP | FIN, vec![]),
-        ]);
-        let r = recover(&log);
-        assert_eq!(
-            r.store.get(&"a".into()).as_deref(),
-            Some(&Value::Int(100)),
-            "final commit applies the buffered stage-0 write"
-        );
-    }
-
-    #[test]
-    fn checkpoint_drops_keys_created_by_pending_writes() {
-        let mut state = RecoveryState::new();
-        let store = KvStore::new();
-        let rec = stage(9, 0, 2, 0, vec![("fresh", None, Some(1))]);
-        state.apply(rec, Some(&store));
-        let cp = state.to_checkpoint(&store);
-        assert!(cp.store.is_empty(), "pending insert is not committed state");
-    }
-
-    #[test]
-    fn checkpoint_restores_pending_deletes_in_canonical_order() {
-        // Pending deletes stay buffered and never take keys out of the
-        // store, so the checkpoint keeps every key's committed value in
-        // canonical order: ascending FNV-1a hash, then key.
-        let mut state = RecoveryState::new();
-        let store = KvStore::new();
-        for (k, v) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
-            store.put(k.into(), Value::Int(v));
-        }
-        let before = store.canonical_pairs();
-        let rec = stage(9, 0, 2, 0, vec![("b", Some(2), None), ("d", Some(4), None)]);
-        state.apply(rec, Some(&store));
-        let cp = state.to_checkpoint(&store);
-        let keys: Vec<&str> = cp.store.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["e", "d", "a", "c", "b"]);
-        assert_eq!(*cp.store[1].1, Value::Int(4));
-        assert_eq!(cp.store, before, "the store as it was before the deletes");
     }
 
     #[test]

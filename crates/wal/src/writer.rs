@@ -28,37 +28,41 @@
 //!
 //! # Checkpoints
 //!
-//! The writer mirrors its own log through the shared [`RecoveryState`]
-//! machine *with a shadow store attached* — the committed state a replay
-//! of the log would produce, maintained under the writer mutex. The
-//! shadow is the last checkpoint plus the changes since: the last
-//! checkpoint's pairs (its *base*, already in canonical order) and a list
-//! of the puts and deletes folded since, in log order. Its `Arc<Value>`s
-//! alias the live store's. Once encoded, a record is folded into the
-//! shadow *by move* ([`RecoveryState::apply`] takes it by value), so its
-//! images, key sets and values are never copied for the shadow's sake,
-//! and folding an image only pushes it onto the change list; a record
-//! refused by a poisoned writer is neither logged nor folded. A
-//! checkpoint is therefore a pure serialization of writer-internal
-//! state, written as one record that *replaces* the log
-//! ([`Storage::reset`]) — truncation and checkpoint are one atomic step,
-//! consistent even while other threads are mid-stage on the live store.
-//! It restarts the on-device epoch, not the LSN space. Its store is
-//! written in canonical order ([`Key::canonical_cmp`]: cached key hash,
-//! then key), which depends only on the state, so any two writers with
-//! one state — however their shadows were filled — write the same
-//! checkpoint bytes. To write it, the changes are stable-sorted in that
-//! order, the last change per key is kept, and they are merged into the
-//! base in one linear pass; the merged base is encoded straight into the
-//! checkpoint's frame buffer by move and stays as the next base. Nothing
-//! is cloned and no store is re-sorted. Changes that come to outnumber
-//! the base are merged early, so even without checkpoints
-//! ([`WalConfig::checkpoint_every`] 0) the shadow stays within twice the
-//! state.
+//! Under the writer mutex, every appended record's bookkeeping —
+//! registered entries, pending images, 2PC decisions — is folded through
+//! the shared [`RecoveryState`] machine, so log order == fold order. The
+//! record is folded by move once it is encoded, and a record refused by
+//! a poisoned writer is neither logged nor folded. The writer keeps no
+//! store of its own: the executor that owns the live [`KvStore`] hands it
+//! over once ([`Wal::attach_store`]). A checkpoint serializes that store
+//! beside the state as one record that *replaces* the log
+//! ([`Storage::reset`]) — truncation and checkpoint are one atomic step.
+//! It restarts the on-device epoch, not the LSN space. A writer never
+//! handed a store never truncates: its log stays whole, which is always
+//! safe.
+//!
+//! The live store is what a replay of the log rebuilds only where no
+//! stage is in flight; between a stage's writes and its record it runs
+//! ahead of the log. So a checkpoint is taken at a quiescent point — the
+//! frame boundary, where `EdgeNode::settle` runs, or between a harness's
+//! operations — and never from the commit path. One thing can still be
+//! open there: a transaction that logged writes without a commit point
+//! (MS-SR before its final stage). Its writes sit in the live store but
+//! not in a replay, so the snapshot puts back each such key's first
+//! pending pre-image; the transaction X-locks the key, so that is the
+//! committed value. (A logged stage never aborts: only stage 0 does, and
+//! before it logs.)
+//!
+//! The store is written in canonical order ([`Key::canonical_cmp`]:
+//! cached key hash, then key), which depends only on the state, so one
+//! state always writes the same checkpoint bytes. The pairs are sorted as
+//! a borrowed index under the store's shard read locks
+//! ([`KvStore::with_canonical_pairs`]) and encoded from it straight into
+//! one frame buffer of exactly the encoded length: no pair is cloned.
 //!
 //! A checkpoint costs O(state) and replay starts from it, so it is
-//! scheduled by size, not by count: [`Wal::maybe_checkpoint`] (called
-//! from the commit path) takes one once [`WalConfig::checkpoint_every`]
+//! scheduled by size, not by count: [`Wal::maybe_checkpoint`] (called at
+//! the frame boundary) takes one once [`WalConfig::checkpoint_every`]
 //! commit points have accumulated *and* the log has grown by at least
 //! the last checkpoint's framed length since it was taken. Each
 //! checkpoint is thereby paid for by at least its own size in appended
@@ -67,6 +71,7 @@
 //! logarithmic number of times, and replay reads one checkpoint plus at
 //! most as many log bytes again.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -80,8 +85,10 @@ use croesus_store::{Key, KvStore, TxnId, Value};
 
 use crate::coalesce::SyncCoalescer;
 use crate::frame::{frame_header, FRAME_HEADER_LEN};
-use crate::record::{RetractRecord, StageRecord, WalRecord};
-use crate::recover::{FoldTarget, RecoveryState};
+use crate::record::{
+    pair_len, put_checkpoint_store, RetractRecord, StageRecord, WalRecord, CHECKPOINT_HEAD_LEN,
+};
+use crate::recover::RecoveryState;
 use crate::ship::LogShipper;
 use crate::storage::{FileStorage, MemStorage, Storage};
 
@@ -438,75 +445,13 @@ impl Shared {
     }
 }
 
-/// The committed store at the log tip — what replaying the log now would
-/// rebuild — kept as the last checkpoint plus the changes since. Folding
-/// a record only pushes its images; a checkpoint merges them into the
-/// base. Values alias the live store's `Arc`s.
-#[derive(Default)]
-struct ShadowStore {
-    /// The store as of the last merge: one pair per key, in canonical
-    /// order ([`Key::canonical_cmp`]).
-    base: Vec<(Key, Arc<Value>)>,
-    /// Puts (`Some`) and deletes (`None`) since, in log order.
-    changes: Vec<(Key, Option<Arc<Value>>)>,
-}
-
-impl ShadowStore {
-    /// Fold the changes into the base in one linear pass. The stable
-    /// sort keeps one key's changes in log order, so the last of them is
-    /// the one that counts; nothing is cloned.
-    fn merge(&mut self) {
-        if self.changes.is_empty() {
-            return;
-        }
-        self.changes.sort_by(|a, b| a.0.canonical_cmp(&b.0));
-        let base = std::mem::take(&mut self.base);
-        let mut merged = Vec::with_capacity(base.len() + self.changes.len());
-        let mut base = base.into_iter().peekable();
-        let mut changes = self.changes.drain(..).peekable();
-        while let Some((key, value)) = changes.next() {
-            if changes.peek().is_some_and(|(next, _)| *next == key) {
-                continue; // a later change to the key wins
-            }
-            while let Some(pair) = base.next_if(|(k, _)| k.canonical_cmp(&key).is_lt()) {
-                merged.push(pair);
-            }
-            base.next_if(|(k, _)| *k == key); // replaced or deleted
-            if let Some(value) = value {
-                merged.push((key, value));
-            }
-        }
-        merged.extend(base);
-        self.base = merged;
-    }
-}
-
-impl FoldTarget for &mut ShadowStore {
-    fn restore(&mut self, key: Key, value: Option<Arc<Value>>) {
-        self.changes.push((key, value));
-        // Without checkpoints the changes would grow with the stream.
-        // Merging once they outnumber the base keeps the shadow within
-        // twice the state, and doubling the interval keeps it amortized.
-        if self.changes.len() > self.base.len() {
-            self.merge();
-        }
-    }
-
-    fn reload(&mut self, pairs: Vec<(Key, Arc<Value>)>) {
-        self.base.clear();
-        self.changes.clear();
-        self.changes
-            .extend(pairs.into_iter().map(|(k, v)| (k, Some(v))));
-        self.merge();
-    }
-}
-
-/// What the writer mutex orders: the shadow of the log, so that log
-/// order == shadow order.
+/// What the writer mutex orders: the fold of the log (log order == fold
+/// order), the store checkpoints snapshot, and the checkpoint schedule.
 #[derive(Default)]
 struct WalInner {
-    shadow: RecoveryState,
-    shadow_store: ShadowStore,
+    state: RecoveryState,
+    /// The live store, once handed over ([`Wal::attach_store`]).
+    store: Option<Arc<KvStore>>,
     commits_since_checkpoint: u64,
     /// Framed bytes appended since the last checkpoint.
     bytes_since_checkpoint: u64,
@@ -515,30 +460,35 @@ struct WalInner {
     /// `syncs` is kept by `step` in [`PipeState`]; see [`Wal::stats`].
     stats: WalStats,
     /// Each appended record is encoded here, then framed into the active
-    /// buffer; reused, so an append allocates nothing for its bytes.
+    /// buffer; reused, so an append allocates nothing for its bytes. A
+    /// checkpoint encodes its state part here too.
     scratch: Vec<u8>,
 }
 
 impl WalInner {
-    /// The framed checkpoint record serializing the shadow state, encoded
-    /// straight into its frame: the header is patched in once the payload
-    /// is known. A checkpoint holds nothing that was not in the last one
-    /// or in a record appended since, so their lengths together presize
-    /// the one buffer. The merged base is encoded by move and becomes
-    /// the base the next changes are merged into.
-    fn checkpoint_frame(&mut self) -> Vec<u8> {
-        self.shadow_store.merge();
-        let cp = self
-            .shadow
-            .checkpoint_with(std::mem::take(&mut self.shadow_store.base));
-        let mut framed =
-            Vec::with_capacity((self.checkpoint_len + self.bytes_since_checkpoint) as usize);
-        framed.resize(FRAME_HEADER_LEN, 0);
-        cp.encode_into(&mut framed);
-        let header = frame_header(&framed[FRAME_HEADER_LEN..]);
-        framed[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        self.shadow_store.base = cp.store;
-        framed
+    /// The framed checkpoint record of `store` and the replay state,
+    /// encoded straight into one buffer of exactly its length: the state
+    /// part goes to the scratch buffer first, the pairs are measured,
+    /// and the header is patched in once the payload is known.
+    fn checkpoint_frame(&mut self, store: &KvStore) -> Vec<u8> {
+        self.scratch.clear();
+        self.state.encode_checkpoint_state(&mut self.scratch);
+        let pending = self.state.pending_pre_images();
+        let state_part = &self.scratch;
+        store.with_canonical_pairs(|live| {
+            let pairs = || snapshot(live, &pending);
+            let (count, pairs_len) =
+                pairs().fold((0, 0), |(n, len), (k, v)| (n + 1, len + pair_len(k, v)));
+            let len = FRAME_HEADER_LEN + CHECKPOINT_HEAD_LEN + pairs_len + state_part.len();
+            let mut framed = Vec::with_capacity(len);
+            framed.resize(FRAME_HEADER_LEN, 0);
+            put_checkpoint_store(&mut framed, count, pairs());
+            framed.extend_from_slice(state_part);
+            debug_assert_eq!(framed.len(), len);
+            let header = frame_header(&framed[FRAME_HEADER_LEN..]);
+            framed[..FRAME_HEADER_LEN].copy_from_slice(&header);
+            framed
+        })
     }
 
     /// The schedule: at least `every` commit points, and at least the
@@ -548,6 +498,32 @@ impl WalInner {
             && self.commits_since_checkpoint >= every
             && self.bytes_since_checkpoint >= self.checkpoint_len
     }
+}
+
+/// The pairs a checkpoint holds: the `live` store's, with each `pending`
+/// key put back to its pre-image, or left out when it had none. Both
+/// inputs and the output are in canonical order.
+fn snapshot<'a>(
+    live: &'a [(&'a Key, &'a Arc<Value>)],
+    pending: &'a [(&'a Key, Option<&'a Arc<Value>>)],
+) -> impl Iterator<Item = (&'a Key, &'a Value)> {
+    let (mut live, mut pending) = (live.iter().peekable(), pending.iter().peekable());
+    std::iter::from_fn(move || loop {
+        let order = match (live.peek(), pending.peek()) {
+            (None, None) => return None,
+            (Some(l), Some(p)) => l.0.canonical_cmp(p.0),
+            (l, _) => l.map_or(Ordering::Greater, |_| Ordering::Less),
+        };
+        if order.is_lt() {
+            return live.next().map(|&(k, v)| (k, &**v));
+        }
+        if order.is_eq() {
+            live.next(); // the pre-image replaces it
+        }
+        if let Some(&(k, Some(pre))) = pending.next() {
+            return Some((k, &**pre));
+        }
+    })
 }
 
 /// A per-edge write-ahead log. Thread-safe; share via `Arc`.
@@ -625,9 +601,10 @@ impl Wal {
     /// Rebuild a writer over recovered state: the log restarts as a single
     /// durable checkpoint frame at epoch 1 serializing `state` (as
     /// recovered — see [`RecoveryReport::state`](crate::RecoveryReport))
-    /// over `store` (the recovered committed store, whose canonical pairs
-    /// become the shadow's base); `storage` is truncated to it, so
-    /// recover from it *first*. Writes the recovered
+    /// over `store` (the recovered committed store); `storage` is
+    /// truncated to it, so recover from it *first*. Later checkpoints
+    /// snapshot the store the executor hands over
+    /// ([`Wal::attach_store`]). Writes the recovered
     /// transactions never committed are abandoned first: their owners
     /// died with their locks, so they can never finish, and their stale
     /// images must not ride into future checkpoints. With a shipper,
@@ -644,10 +621,9 @@ impl Wal {
         let wal = Wal::with_storage(storage, config, driver);
         {
             let mut inner = wal.inner.lock();
-            inner.shadow = state;
-            inner.shadow_store.base = store.canonical_pairs();
+            inner.state = state;
             inner.stats.checkpoints = 1;
-            let framed = inner.checkpoint_frame();
+            let framed = inner.checkpoint_frame(store);
             inner.checkpoint_len = framed.len() as u64;
             let mut pstate = wal.shared.lock();
             let storage = pstate.storage.as_mut().expect("no step has run yet");
@@ -691,14 +667,23 @@ impl Wal {
         assert!(fresh, "attach the shipper before the first append");
     }
 
-    /// Frame `record` into the active buffer and fold it into the shadow,
-    /// both under the writer mutex (log order == shadow order); storage
-    /// is never touched on this path. The record is encoded once, into
-    /// the reused scratch buffer, and its frame is written straight into
-    /// the active buffer; the shadow then takes the record by move. A
-    /// poisoned writer refuses the record before it is logged, folded or
-    /// counted. Returns the record's LSN and, for a commit point, whether
-    /// it filled its group.
+    /// Hand the writer the live store its checkpoints snapshot — once, by
+    /// the executor that owns it. Checkpoints must then be taken where no
+    /// stage is in flight on it (see the module docs).
+    pub fn attach_store(&self, store: Arc<KvStore>) {
+        let mut inner = self.inner.lock();
+        assert!(inner.store.is_none(), "a writer checkpoints one store");
+        inner.store = Some(store);
+    }
+
+    /// Frame `record` into the active buffer and fold its bookkeeping into
+    /// the replay state, both under the writer mutex (log order == fold
+    /// order); storage is never touched on this path. The record is
+    /// encoded once, into the reused scratch buffer, and its frame is
+    /// written straight into the active buffer; the state then takes the
+    /// record by move. A poisoned writer refuses the record before it is
+    /// logged, folded or counted. Returns the record's LSN and, for a
+    /// commit point, whether it filled its group.
     fn append(
         &self,
         inner: &mut WalInner,
@@ -726,13 +711,7 @@ impl Wal {
             inner.stats.commit_points += 1;
             inner.commits_since_checkpoint += 1;
         }
-        // Split-borrow: fold into the shadow state *and* shadow store.
-        let WalInner {
-            shadow,
-            shadow_store,
-            ..
-        } = inner;
-        shadow.fold(record, Some(shadow_store));
+        inner.state.apply(record, None);
         Ok((lsn, filled))
     }
 
@@ -791,7 +770,7 @@ impl Wal {
 
     /// Log a settle point: the caller vouches the edge is quiescent (no
     /// frame in flight) and the apology manager dropped all its entries;
-    /// the shadow state drops its mirror of them. Durability rides the
+    /// the replay state drops its mirror of them. Durability rides the
     /// next sync — a lost settle only means some entries get re-dropped
     /// by the next one.
     pub fn append_settle(&self) -> io::Result<()> {
@@ -799,17 +778,17 @@ impl Wal {
         Ok(())
     }
 
-    /// The phase-1 decision the shadow state holds for `txn`, if it has
+    /// The phase-1 decision the replay state holds for `txn`, if it has
     /// not been expired by a [`WalRecord::TpcEnd`].
     #[must_use]
     pub fn tpc_decision(&self, txn: TxnId) -> Option<bool> {
-        self.inner.lock().shadow.tpc_decision(txn)
+        self.inner.lock().state.tpc_decision(txn)
     }
 
     /// Unexpired coordinator decisions currently tracked.
     #[must_use]
     pub fn tpc_decision_count(&self) -> usize {
-        self.inner.lock().shadow.tpc_decisions().len()
+        self.inner.lock().state.tpc_decisions().len()
     }
 
     /// Force the durable boundary forward over everything appended.
@@ -877,10 +856,10 @@ impl Wal {
         self.shared.lock().publish_before_sync = true;
     }
 
-    /// Take a checkpoint now: serialize the shadow store + replay state
-    /// into one record and truncate the log to it (atomically, synced).
-    /// Consistent under concurrency — the snapshot comes from the
-    /// writer's own shadow of the log, never from the live store.
+    /// Take a checkpoint now: serialize the attached store and the replay
+    /// state into one record and truncate the log to it (atomically,
+    /// synced). Call it only where no stage is in flight on the store
+    /// (see the module docs). Without a store it does nothing.
     ///
     /// The writer mutex fences appenders; the in-flight buffer — if any
     /// — is waited out, and then the truncation, the epoch bump, the
@@ -890,13 +869,16 @@ impl Wal {
     /// boundary jumps *forward* to `latest_lsn` and every waiter wakes
     /// durable.
     pub fn checkpoint(&self) -> io::Result<()> {
-        self.checkpoint_locked(&mut self.inner.lock())
+        self.checkpoint_locked(&mut self.inner.lock()).map(drop)
     }
 
     /// [`Wal::checkpoint`] under a writer-mutex hold the caller already
-    /// has.
-    fn checkpoint_locked(&self, inner: &mut WalInner) -> io::Result<()> {
-        let framed = inner.checkpoint_frame();
+    /// has. Returns whether one was taken: not without a store.
+    fn checkpoint_locked(&self, inner: &mut WalInner) -> io::Result<bool> {
+        let Some(store) = inner.store.clone() else {
+            return Ok(false);
+        };
+        let framed = inner.checkpoint_frame(&store);
         let shared = &*self.shared;
         let mut state = shared.lock();
         while state.storage.is_none() {
@@ -926,21 +908,21 @@ impl Wal {
         drop(state);
         shared.boundary_cv.notify_all();
         crate::sched::progress("wal.buffer.checkpoint");
-        Ok(())
+        Ok(true)
     }
 
     /// Checkpoint if at least [`WalConfig::checkpoint_every`] commit
     /// points, and at least the last checkpoint's length in log bytes,
-    /// accumulated since the last one (call from the commit path).
-    /// Decided and taken under one writer-mutex hold, so racing commit
-    /// points cannot both find it due.
+    /// accumulated since the last one. Call it where no stage is in
+    /// flight: the frame boundary. Decided and taken under one
+    /// writer-mutex hold, so racing callers cannot both find it due.
+    /// Returns whether one was taken.
     pub fn maybe_checkpoint(&self) -> io::Result<bool> {
         let mut inner = self.inner.lock();
-        let due = inner.checkpoint_due(self.config.checkpoint_every);
-        if due {
-            self.checkpoint_locked(&mut inner)?;
+        if !inner.checkpoint_due(self.config.checkpoint_every) {
+            return Ok(false);
         }
-        Ok(due)
+        self.checkpoint_locked(&mut inner)
     }
 
     /// Counters so far.
@@ -991,23 +973,47 @@ impl Drop for Wal {
 }
 
 #[cfg(test)]
-impl ShadowStore {
-    /// Entries held, base and changes together — what the merge rule
-    /// keeps O(state) without checkpoints.
-    fn len(&self) -> usize {
-        self.base.len() + self.changes.len()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
+    use crate::frame::{write_frame, FrameReader};
     use crate::record::{StageFlags, WriteImage};
     use crate::recover::recover;
     use croesus_store::{Key, Value};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    /// A writer over an in-memory device, handed a store that replay's
+    /// own [`RecoveryState::apply`] folds every record logged through
+    /// [`Folded::stage`] into: the committed state an executor's live
+    /// store holds where no stage is in flight.
+    struct Folded {
+        wal: Wal,
+        probe: MemStorage,
+        state: RecoveryState,
+        store: Arc<KvStore>,
+    }
+
+    fn folded(config: WalConfig, driver: FlushDriver) -> Folded {
+        let (wal, probe) = Wal::in_memory_with(config, driver);
+        let store = Arc::new(KvStore::new());
+        wal.attach_store(Arc::clone(&store));
+        let state = RecoveryState::new();
+        Folded {
+            wal,
+            probe,
+            state,
+            store,
+        }
+    }
+
+    impl Folded {
+        /// Fold `record` into the store, then log it.
+        fn stage(&mut self, record: StageRecord) -> u64 {
+            let folded = WalRecord::Stage(record.clone());
+            self.state.apply(folded, Some(&self.store));
+            self.wal.append_stage(record).unwrap()
+        }
+    }
 
     fn stage_record(txn: u64, stage: u32, flags: u8, key: &str, post: i64) -> StageRecord {
         StageRecord {
@@ -1085,27 +1091,23 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_and_recovery_continues_from_it() {
-        let (wal, probe) = Wal::in_memory(WalConfig::group(1));
-        wal.append_stage(stage_record(1, 0, CP, "a", 1)).unwrap();
-        wal.append_stage(StageRecord {
+        let mut f = folded(WalConfig::group(1), FlushDriver::Inline);
+        f.stage(stage_record(1, 0, CP, "a", 1));
+        f.stage(StageRecord {
             images: vec![WriteImage {
                 key: "a".into(),
                 pre: Some(Arc::new(Value::Int(1))),
                 post: Some(Arc::new(Value::Int(2))),
             }],
             ..stage_record(1, 1, CP | FIN, "a", 2)
-        })
-        .unwrap();
-        let before = wal.log_len();
-        // The checkpoint serializes the writer's own shadow of the log —
-        // no live store involved.
-        wal.checkpoint().unwrap();
-        assert!(wal.log_len() < before, "checkpoint shrank the log");
+        });
+        let before = f.wal.log_len();
+        f.wal.checkpoint().unwrap();
+        assert!(f.wal.log_len() < before, "checkpoint shrank the log");
         // More activity after the checkpoint. Stage 0 registers its
         // footprint, like every real lock-releasing initial commit.
-        wal.append_stage(stage_record(2, 0, CP | REG, "b", 9))
-            .unwrap();
-        let r = recover(&probe.durable());
+        f.stage(stage_record(2, 0, CP | REG, "b", 9));
+        let r = recover(&f.probe.durable());
         assert_eq!(r.store.get(&"a".into()).as_deref(), Some(&Value::Int(2)));
         assert_eq!(r.store.get(&"b".into()).as_deref(), Some(&Value::Int(9)));
         assert_eq!(r.unfinalized, vec![TxnId(2)]);
@@ -1118,13 +1120,34 @@ mod tests {
             group_commit: 1,
             checkpoint_every: 3,
         };
-        let (wal, _) = Wal::in_memory(config);
+        let mut f = folded(config, FlushDriver::Inline);
         for i in 0..7u64 {
-            wal.append_stage(stage_record(i, 0, CP | FIN, "k", 0))
-                .unwrap();
-            wal.maybe_checkpoint().unwrap();
+            f.stage(stage_record(i, 0, CP | FIN, "k", 0));
+            f.wal.maybe_checkpoint().unwrap();
         }
-        assert_eq!(wal.stats().checkpoints, 2, "commits 3 and 6 checkpoint");
+        assert_eq!(f.wal.stats().checkpoints, 2, "commits 3 and 6 checkpoint");
+    }
+
+    #[test]
+    fn a_writer_never_handed_a_store_never_truncates() {
+        let config = WalConfig {
+            group_commit: 1,
+            checkpoint_every: 1,
+        };
+        let (wal, probe) = Wal::in_memory(config);
+        for i in 0..4u64 {
+            wal.append_stage(stage_record(i, 0, CP | FIN, "k", i as i64))
+                .unwrap();
+            assert!(
+                !wal.maybe_checkpoint().unwrap(),
+                "due, but nothing to snapshot"
+            );
+        }
+        let log = probe.durable();
+        wal.checkpoint().unwrap();
+        assert_eq!(wal.stats().checkpoints, 0, "nothing was counted");
+        assert_eq!(probe.durable(), log, "the log stays whole");
+        assert_eq!(recover(&log).frames, 4);
     }
 
     #[test]
@@ -1136,15 +1159,15 @@ mod tests {
             group_commit: 8,
             checkpoint_every: 16,
         };
-        let (wal, probe) = Wal::in_memory(config);
+        let mut f = folded(config, FlushDriver::Inline);
         let mut checkpoint_lens = Vec::new();
         let mut lsn_at_checkpoint = 0;
         let mut checkpoints_at_n = 0;
         let mut longest_record = 0;
         for i in 0..2 * N {
-            let before = wal.latest_lsn();
-            wal.append_stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64))
-                .unwrap();
+            let before = f.wal.latest_lsn();
+            f.stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64));
+            let wal = &f.wal;
             longest_record = longest_record.max(wal.latest_lsn() - before);
             if wal.maybe_checkpoint().unwrap() {
                 let appended = wal.latest_lsn() - lsn_at_checkpoint;
@@ -1157,6 +1180,7 @@ mod tests {
                 checkpoints_at_n = wal.stats().checkpoints;
             }
         }
+        let (wal, probe) = (&f.wal, &f.probe);
         let stats = wal.stats();
         assert_eq!(stats.checkpoints, checkpoint_lens.len() as u64);
         let all_but_last: u64 = checkpoint_lens[..checkpoint_lens.len() - 1].iter().sum();
@@ -1190,31 +1214,31 @@ mod tests {
             group_commit: 2,
             checkpoint_every: 10,
         };
-        let (wal, _) = Wal::in_memory(config);
+        let mut f = folded(config, FlushDriver::Inline);
         let mut commits_since = 0;
         for i in 0..100u64 {
             // Every third record is not a commit point and does not count.
             let commit_point = i % 3 != 0;
             if commit_point {
-                wal.append_stage(stage_record(i, 0, CP | FIN, "k", i as i64))
-                    .unwrap();
+                f.stage(stage_record(i, 0, CP | FIN, "k", i as i64));
             } else {
-                wal.append_settle().unwrap();
+                f.wal.append_settle().unwrap();
             }
             commits_since += u64::from(commit_point);
-            if wal.maybe_checkpoint().unwrap() {
+            if f.wal.maybe_checkpoint().unwrap() {
                 assert_eq!(commits_since, 10, "record {i}");
                 commits_since = 0;
             }
         }
-        assert_eq!(wal.stats().checkpoints, wal.stats().commit_points / 10);
+        let stats = f.wal.stats();
+        assert_eq!(stats.checkpoints, stats.commit_points / 10);
     }
 
     #[test]
     fn racing_commit_points_never_checkpoint_twice() {
-        // Concurrent committers (pooled waves) each call maybe_checkpoint
-        // after their commit point. One key per thread keeps the
-        // checkpoint tiny, so the floor alone sets the schedule.
+        // Concurrent callers each call maybe_checkpoint after their commit
+        // point. The store stays empty, so the checkpoint stays tiny and
+        // the floor alone sets the schedule.
         const THREADS: u64 = 4;
         const COMMITS: u64 = 2_000;
         const EVERY: u64 = 8;
@@ -1224,6 +1248,7 @@ mod tests {
         };
         for round in 0..50 {
             let (wal, _) = Wal::in_memory(config);
+            wal.attach_store(Arc::new(KvStore::new()));
             let start = std::sync::Barrier::new(THREADS as usize);
             std::thread::scope(|s| {
                 for t in 0..THREADS {
@@ -1249,26 +1274,6 @@ mod tests {
                 stats.commit_points
             );
         }
-    }
-
-    #[test]
-    fn checkpoint_mid_stage_on_another_thread_stays_committed_only() {
-        // A concurrent thread has mutated the live store mid-stage (its
-        // record not yet appended). The checkpoint must not see it: the
-        // snapshot comes from the shadow store, which only moves at
-        // appended commit points.
-        let (wal, probe) = Wal::in_memory(WalConfig::group(1));
-        wal.append_stage(stage_record(1, 0, CP | FIN, "committed", 1))
-            .unwrap();
-        // (The live store — with some other thread's uncommitted write —
-        // is simply never consulted; there is nothing to pass in.)
-        wal.checkpoint().unwrap();
-        let r = recover(&probe.durable());
-        assert_eq!(
-            r.store.get(&"committed".into()).as_deref(),
-            Some(&Value::Int(1))
-        );
-        assert_eq!(r.store.len(), 1, "only logged commits reach checkpoints");
     }
 
     #[test]
@@ -1309,14 +1314,13 @@ mod tests {
 
     #[test]
     fn checkpoint_restarts_the_shipping_epoch() {
-        let (wal, probe) = Wal::in_memory(WalConfig::group(1));
+        let mut f = folded(WalConfig::group(1), FlushDriver::Inline);
         let shipper = Arc::new(LogShipper::new());
-        wal.attach_shipper(Arc::clone(&shipper));
-        wal.append_stage(stage_record(1, 0, CP | FIN, "a", 1))
-            .unwrap();
-        wal.checkpoint().unwrap();
+        f.wal.attach_shipper(Arc::clone(&shipper));
+        f.stage(stage_record(1, 0, CP | FIN, "a", 1));
+        f.wal.checkpoint().unwrap();
         assert_eq!(shipper.epoch(), 1);
-        assert_eq!(shipper.image(), probe.durable());
+        assert_eq!(shipper.image(), f.probe.durable());
         let r = recover(&shipper.image());
         assert_eq!(r.store.get(&"a".into()).as_deref(), Some(&Value::Int(1)));
     }
@@ -1417,9 +1421,13 @@ mod tests {
             fail.store(false, Ordering::SeqCst);
             assert!(wal.flush().is_err());
             // Every append is refused, and a refused record is neither
-            // folded into the shadow nor counted.
+            // folded nor counted.
             let before = wal.stats();
-            let shadow_entries = wal.inner.lock().shadow_store.len();
+            let folded = |wal: &Wal| {
+                let state = &wal.inner.lock().state;
+                (state.next_txn(), state.tracked_entries())
+            };
+            let folded_before = folded(&wal);
             assert!(wal.append_stage(stage_record(2, 0, CP, "b", 2)).is_err());
             assert!(wal.append_tpc_decision(TxnId(7), true).is_err());
             assert_eq!(
@@ -1436,14 +1444,112 @@ mod tests {
             assert!(wal.append_tpc_end(TxnId(7)).is_err());
             assert!(wal.append_settle().is_err());
             assert_eq!(wal.stats(), before, "refused appends are not counted");
-            assert_eq!(wal.inner.lock().shadow_store.len(), shadow_entries);
+            assert_eq!(folded(&wal), folded_before);
             assert_eq!(wal.last_flushed_lsn(), 0, "nothing was ever acked");
             assert_eq!(shipper.shipped_len(), 0, "nothing was ever published");
         }
     }
 
+    /// Log a stage of `txn` without a commit point (MS-SR before its final
+    /// stage) as an executor would: each write lands in `live` first, its
+    /// pre-image read from there.
+    fn log_pending(wal: &Wal, live: &KvStore, txn: u64, writes: &[(&str, Option<i64>)]) {
+        let images = writes
+            .iter()
+            .map(|&(k, post)| {
+                let post = post.map(|v| Arc::new(Value::Int(v)));
+                let pre = live.get(&k.into());
+                live.restore(k.into(), post.clone());
+                WriteImage {
+                    key: k.into(),
+                    pre,
+                    post,
+                }
+            })
+            .collect();
+        wal.append_stage(StageRecord {
+            writes: writes.iter().map(|&(k, _)| Key::new(k)).collect(),
+            images,
+            ..stage_record(txn, 0, 0, "", 0)
+        })
+        .unwrap();
+    }
+
+    /// Checkpoint `wal` and decode the checkpoint it wrote to `device`.
+    fn checkpoint_on(wal: &Wal, device: &MemStorage) -> crate::CheckpointRecord {
+        wal.checkpoint().unwrap();
+        let log = device.durable();
+        match WalRecord::decode(FrameReader::new(&log).next().unwrap()) {
+            Ok(WalRecord::Checkpoint(cp)) => *cp,
+            other => panic!("the log must begin with a checkpoint: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoint_excludes_pending_uncommitted_writes() {
+        // An MS-SR transaction logged stage 0 (no commit point): the live
+        // store holds its 100, the checkpoint the committed 7, and replay
+        // must still finish the txn.
+        let mut f = folded(WalConfig::group(1), FlushDriver::Inline);
+        f.stage(stage_record(1, 0, CP | FIN, "a", 7)); // pre-existing
+        log_pending(&f.wal, &f.store, 9, &[("a", Some(100))]);
+        assert_eq!(f.store.get(&"a".into()).as_deref(), Some(&Value::Int(100)));
+        assert_eq!(
+            checkpoint_on(&f.wal, &f.probe).store,
+            vec![(Key::new("a"), Arc::new(Value::Int(7)))],
+            "checkpoint holds the committed pre-image"
+        );
+        let fin = StageRecord {
+            writes: vec![],
+            images: vec![],
+            ..stage_record(9, 1, CP | FIN, "a", 0)
+        };
+        f.wal.append_stage(fin).unwrap();
+        let r = recover(&f.probe.durable());
+        assert_eq!(
+            r.store.get(&"a".into()).as_deref(),
+            Some(&Value::Int(100)),
+            "final commit applies the buffered stage-0 write"
+        );
+    }
+
+    #[test]
+    fn checkpoint_drops_keys_created_by_pending_writes() {
+        let (wal, probe) = Wal::in_memory(WalConfig::group(1));
+        let live = Arc::new(KvStore::new());
+        wal.attach_store(Arc::clone(&live));
+        log_pending(&wal, &live, 9, &[("fresh", Some(1))]);
+        assert!(live.contains(&"fresh".into()));
+        let cp = checkpoint_on(&wal, &probe);
+        assert!(cp.store.is_empty(), "pending insert is not committed state");
+    }
+
+    #[test]
+    fn checkpoint_restores_pending_deletes_in_canonical_order() {
+        // Pending deletes take keys out of the live store; the checkpoint
+        // puts every key's committed value back, in canonical order:
+        // ascending FNV-1a hash, then key. A key written twice takes its
+        // first image's pre-image.
+        let mut f = folded(WalConfig::group(1), FlushDriver::Inline);
+        for (txn, (k, v)) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]
+            .into_iter()
+            .enumerate()
+        {
+            f.stage(stage_record(txn as u64, 0, CP | FIN, k, v));
+        }
+        let before = f.store.canonical_pairs();
+        log_pending(&f.wal, &f.store, 9, &[("b", None), ("d", None)]);
+        log_pending(&f.wal, &f.store, 9, &[("b", Some(20))]);
+        assert_eq!(f.store.len(), 4);
+        let cp = checkpoint_on(&f.wal, &f.probe);
+        let keys: Vec<&str> = cp.store.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["e", "d", "a", "c", "b"]);
+        assert_eq!(*cp.store[1].1, Value::Int(4));
+        assert_eq!(cp.store, before, "the store as it was before the deletes");
+    }
+
     /// A registered entry and a pending (uncommitted) image: the
-    /// checkpoint of a shadow that saw these carries both.
+    /// checkpoint of a writer that logged these carries both.
     fn busy_records() -> [StageRecord; 2] {
         [
             stage_record(1, 0, CP | REG, "a", 1),
@@ -1454,11 +1560,11 @@ mod tests {
     #[test]
     fn append_lands_exactly_the_reference_frame_of_every_record() {
         // The reference is `write_frame` over `encode()`.
-        let (mut shadow, store) = (RecoveryState::new(), KvStore::new());
+        let (mut state, store) = (RecoveryState::new(), KvStore::new());
         for r in busy_records() {
-            shadow.apply(WalRecord::Stage(r), Some(&store));
+            state.apply(WalRecord::Stage(r), Some(&store));
         }
-        let checkpoint = shadow.to_checkpoint(&store);
+        let checkpoint = state.to_checkpoint(&store);
         assert!(checkpoint.txns.iter().any(|t| !t.pending.is_empty()));
         assert!(checkpoint.txns.iter().any(|t| !t.entries.is_empty()));
         let records = [
@@ -1501,19 +1607,23 @@ mod tests {
         }
         assert_eq!(wal.epoch_bytes(&probe), expected);
 
-        // A checkpoint frame is encoded into its own buffer, header
-        // patched in place; it too must equal the reference.
+        // A checkpoint frame is encoded from the live store into its own
+        // buffer, header patched in place; it too must equal the
+        // reference: a checkpoint of replay's own `apply` over the same
+        // records. The live store holds the pending write as well, as an
+        // executor's does, and the checkpoint leaves it out.
         let (wal, probe) = Wal::in_memory(WalConfig::group(64));
-        for r in busy_records() {
-            wal.append_stage(r).unwrap();
-        }
-        // The expected checkpoint comes from a reference store folded by
-        // replay's own `apply` over the same records, not from the shadow
-        // under test.
+        let live = Arc::new(KvStore::new());
+        wal.attach_store(Arc::clone(&live));
         let (mut reference, store) = (RecoveryState::new(), KvStore::new());
         for r in busy_records() {
-            reference.apply(WalRecord::Stage(r), Some(&store));
+            for w in &r.images {
+                live.restore(w.key.clone(), w.post.clone());
+            }
+            reference.apply(WalRecord::Stage(r.clone()), Some(&store));
+            wal.append_stage(r).unwrap();
         }
+        assert!(live.contains(&"held".into()) && !store.contains(&"held".into()));
         let cp = reference.to_checkpoint(&store);
         let mut expected = Vec::new();
         write_frame(&mut expected, &WalRecord::Checkpoint(Box::new(cp)).encode());
@@ -1524,29 +1634,28 @@ mod tests {
     #[test]
     fn writers_with_one_state_write_one_checkpoint_whatever_the_key_order() {
         // The same commits in opposite orders, and a writer resumed from
-        // the recovered store: three shadows that saw the keys inserted
-        // in different orders, one state, one checkpoint.
+        // the recovered store: three stores that saw the keys inserted in
+        // different orders, one state, one checkpoint.
         const N: u64 = 2_000;
         let config = WalConfig::group(64);
         let logged = |order: &mut dyn Iterator<Item = u64>| {
-            let (wal, probe) = Wal::in_memory(config);
+            let mut f = folded(config, FlushDriver::Inline);
             for i in order {
-                wal.append_stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64))
-                    .unwrap();
+                f.stage(stage_record(i, 0, CP | FIN, &format!("k{i}"), i as i64));
             }
-            (wal, probe)
+            f
         };
-        let checkpoint_of = |(wal, probe): (Wal, MemStorage)| {
-            wal.checkpoint().unwrap();
-            probe.durable()
+        let checkpoint_of = |f: Folded| {
+            f.wal.checkpoint().unwrap();
+            f.probe.durable()
         };
         let forward = checkpoint_of(logged(&mut (0..N)));
         let backward = checkpoint_of(logged(&mut (0..N).rev()));
         assert_eq!(forward, backward);
 
-        let (wal, probe) = logged(&mut (0..N));
-        wal.flush().unwrap();
-        let r = recover(&probe.durable());
+        let f = logged(&mut (0..N));
+        f.wal.flush().unwrap();
+        let r = recover(&f.probe.durable());
         let device = MemStorage::new();
         let driver = FlushDriver::Inline;
         Wal::resume(
@@ -1562,22 +1671,29 @@ mod tests {
     }
 
     #[test]
-    fn without_checkpoints_the_shadow_stays_the_size_of_the_state() {
+    fn without_checkpoints_the_writer_holds_no_pairs() {
+        // The store is the executor's: all the writer keeps of a stream
+        // is its bookkeeping, which settling bounds.
         const KEYS: u64 = 16;
+        const SETTLE_EVERY: u64 = 64;
         let config = WalConfig {
             group_commit: 8,
             checkpoint_every: 0,
         };
-        let (wal, _) = Wal::in_memory(config);
+        let mut f = folded(config, FlushDriver::Inline);
         for i in 0..10_000u64 {
             let key = format!("k{}", i % KEYS);
-            wal.append_stage(stage_record(i, 0, CP | FIN, &key, i as i64))
-                .unwrap();
-            wal.maybe_checkpoint().unwrap();
+            f.stage(stage_record(i, 0, CP | FIN | REG, &key, i as i64));
+            if i % SETTLE_EVERY == 0 {
+                f.wal.append_settle().unwrap();
+            }
+            f.wal.maybe_checkpoint().unwrap();
         }
-        assert_eq!(wal.stats().checkpoints, 0);
-        let entries = wal.inner.lock().shadow_store.len() as u64;
-        assert!(entries <= 2 * KEYS + 1, "{entries} entries for {KEYS} keys");
+        assert_eq!(f.wal.stats().checkpoints, 0);
+        let inner = f.wal.inner.lock();
+        assert!(inner.state.pending_pre_images().is_empty());
+        let entries = inner.state.tracked_entries() as u64;
+        assert!(entries <= SETTLE_EVERY, "{entries} entries tracked");
     }
 
     #[test]
@@ -1656,20 +1772,17 @@ mod tests {
 
     #[test]
     fn pipelined_checkpoint_discards_queue_and_restarts_epoch() {
-        let (wal, probe) = Wal::in_memory_with(WalConfig::group(2), FlushDriver::Manual);
+        let mut f = folded(WalConfig::group(2), FlushDriver::Manual);
         let shipper = Arc::new(LogShipper::new());
-        wal.attach_shipper(Arc::clone(&shipper));
-        wal.append_stage(stage_record(1, 0, CP | REG, "a", 1))
-            .unwrap();
-        wal.append_stage(stage_record(1, 1, CP | FIN, "a", 2))
-            .unwrap();
-        wal.flusher_step().unwrap();
+        f.wal.attach_shipper(Arc::clone(&shipper));
+        f.stage(stage_record(1, 0, CP | REG, "a", 1));
+        f.stage(stage_record(1, 1, CP | FIN, "a", 2));
+        f.wal.flusher_step().unwrap();
         // Sealed-but-unsynced work racing the checkpoint: its effects ride
         // in the checkpoint image instead of the discarded buffer.
-        wal.append_stage(stage_record(2, 0, CP | REG, "b", 9))
-            .unwrap();
-        wal.append_stage(stage_record(3, 0, CP | REG, "c", 7))
-            .unwrap(); // seals
+        f.stage(stage_record(2, 0, CP | REG, "b", 9));
+        f.stage(stage_record(3, 0, CP | REG, "c", 7)); // seals
+        let (wal, probe) = (&f.wal, &f.probe);
         let tail = wal.latest_lsn();
         wal.checkpoint().unwrap();
         assert_eq!(shipper.epoch(), 1, "checkpoint bumped the shipping epoch");
@@ -1765,15 +1878,17 @@ mod tests {
     }
 }
 
-/// The shadow's merge against an independent reference: a [`KvStore`]
-/// folded by replay's own [`RecoveryState::apply`] over the same records.
+/// Every checkpoint of the live store against an independent reference:
+/// a [`KvStore`] folded by replay's own [`RecoveryState::apply`] over the
+/// same records.
 #[cfg(test)]
-mod shadow_props {
+mod checkpoint_props {
     use super::*;
     use crate::frame::write_frame;
     use crate::record::{StageFlags, WriteImage};
     use crate::recover::recover;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const CP: u8 = StageFlags::COMMIT_POINT;
     const FIN: u8 = StageFlags::FINAL;
@@ -1789,10 +1904,20 @@ mod shadow_props {
         }
     }
 
-    /// The writer under test and the reference it must match.
+    /// Not a transaction: a retraction may touch no locked key.
+    const NOBODY: u64 = u64::MAX;
+
+    /// The writer under test, the live store it is handed, and the
+    /// reference it must match.
     struct Rig {
         wal: Wal,
         device: MemStorage,
+        /// Mutated as an executor's store is: every write lands here as
+        /// its stage runs, pending ones included.
+        live: Arc<KvStore>,
+        /// The keys a pending transaction X-locks until its next commit
+        /// point. Writes by anyone else are not generated.
+        locks: BTreeMap<Key, u64>,
         reference: RecoveryState,
         store: KvStore,
     }
@@ -1803,6 +1928,26 @@ mod shadow_props {
     };
 
     impl Rig {
+        fn new() -> Self {
+            let (wal, device) = Wal::in_memory(CONFIG);
+            let live = Arc::new(KvStore::new());
+            wal.attach_store(Arc::clone(&live));
+            Rig {
+                wal,
+                device,
+                live,
+                locks: BTreeMap::new(),
+                reference: RecoveryState::new(),
+                store: KvStore::new(),
+            }
+        }
+
+        /// Whether `txn` may write every one of `keys`.
+        fn free(&self, txn: u64, keys: &[Key]) -> bool {
+            keys.iter()
+                .all(|k| self.locks.get(k).is_none_or(|&owner| owner == txn))
+        }
+
         /// Log `record` and fold it into the reference.
         fn log(&mut self, record: WalRecord) {
             match record.clone() {
@@ -1815,24 +1960,57 @@ mod shadow_props {
             self.reference.apply(record, Some(&self.store));
         }
 
-        /// One stage writing `post` (or deleting) each of `keys`.
+        /// One stage writing `post` (or deleting) each of `keys`, run on
+        /// the live store first; skipped when another transaction holds
+        /// one of them.
         fn stage(&mut self, txn: u64, flags: u8, keys: &[(u64, Option<i64>)]) {
+            let writes: Vec<Key> = keys.iter().map(|&(k, _)| key(k)).collect();
+            if !self.free(txn, &writes) {
+                return;
+            }
             let images: Vec<WriteImage> = keys
                 .iter()
-                .map(|&(k, post)| WriteImage {
-                    key: key(k),
-                    pre: self.store.get(&key(k)),
-                    post: post.map(|v| Arc::new(Value::Int(v))),
+                .map(|&(k, post)| {
+                    let post = post.map(|v| Arc::new(Value::Int(v)));
+                    let pre = self.live.get(&key(k));
+                    self.live.restore(key(k), post.clone());
+                    WriteImage {
+                        key: key(k),
+                        pre,
+                        post,
+                    }
                 })
                 .collect();
+            if StageFlags(flags).commit_point() {
+                self.locks.retain(|_, owner| *owner != txn);
+            } else {
+                self.locks.extend(writes.iter().map(|k| (k.clone(), txn)));
+            }
             self.log(WalRecord::Stage(StageRecord {
                 txn: TxnId(txn),
                 stage: 0,
                 total: 2,
                 flags: StageFlags(flags),
                 reads: vec![],
-                writes: images.iter().map(|w| w.key.clone()).collect(),
+                writes,
                 images,
+            }));
+        }
+
+        /// A retraction of `txn`'s stage 0, restored on the live store
+        /// first; skipped over a locked key.
+        fn retract(&mut self, txn: u64, restores: Vec<(Key, Option<Arc<Value>>)>) {
+            let keys: Vec<Key> = restores.iter().map(|(k, _)| k.clone()).collect();
+            if !self.free(NOBODY, &keys) {
+                return;
+            }
+            for (k, v) in &restores {
+                self.live.restore(k.clone(), v.clone());
+            }
+            self.log(WalRecord::Retract(RetractRecord {
+                txn: TxnId(txn),
+                stage: 0,
+                restores,
             }));
         }
 
@@ -1846,6 +2024,10 @@ mod shadow_props {
             assert_eq!(durable, expected, "checkpoint bytes");
             let recovered = recover(&durable).store.canonical_pairs();
             assert_eq!(recovered, self.store.canonical_pairs(), "recovered store");
+            if self.locks.is_empty() {
+                let live = self.live.canonical_pairs();
+                assert_eq!(live, recovered, "nothing pending: live == committed");
+            }
         }
 
         fn checkpoint(&mut self) {
@@ -1855,7 +2037,9 @@ mod shadow_props {
 
         /// Crash with everything flushed, recover and resume a writer on
         /// a fresh device; its first frame is the reference checkpoint
-        /// with the dead transactions' pending writes dropped.
+        /// with the dead transactions' pending writes dropped. The dead
+        /// transactions' locks go with them, and the resumed executor's
+        /// store is the recovered one.
         fn resume(&mut self) {
             self.wal.flush().unwrap();
             let r = recover(&self.device.durable());
@@ -1870,6 +2054,9 @@ mod shadow_props {
                 None,
             )
             .unwrap();
+            self.live = Arc::new(r.store);
+            self.wal.attach_store(Arc::clone(&self.live));
+            self.locks.clear();
             self.reference.abandon_pending();
             self.assert_checkpoint();
         }
@@ -1880,13 +2067,7 @@ mod shadow_props {
         fn every_checkpoint_equals_the_reference_fold(
             ops in prop::collection::vec((0u64..12, 0u64..6, 0u64..10, 0i64..5), 1..120)
         ) {
-            let (wal, device) = Wal::in_memory(CONFIG);
-            let mut rig = Rig {
-                wal,
-                device,
-                reference: RecoveryState::new(),
-                store: KvStore::new(),
-            };
+            let mut rig = Rig::new();
             let mut resumed = false;
             for (op, txn, k, v) in ops {
                 match op {
@@ -1897,14 +2078,13 @@ mod shadow_props {
                     4 => rig.stage(txn, 0, &[(k, Some(v)), (k + 2, None)]),
                     // A final commit drains whatever the txn buffered.
                     5 => rig.stage(txn, CP | FIN | REG, &[(k, Some(-v))]),
-                    6 => rig.log(WalRecord::Retract(RetractRecord {
-                        txn: TxnId(txn),
-                        stage: 0,
-                        restores: vec![
+                    6 => rig.retract(
+                        txn,
+                        vec![
                             (key(k), (v % 2 == 0).then(|| Arc::new(Value::Int(v)))),
                             (key(k + 3), None),
                         ],
-                    })),
+                    ),
                     // Deleted, then inserted again, between two checkpoints.
                     7 => {
                         rig.stage(txn, CP, &[(k, None)]);

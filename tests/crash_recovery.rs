@@ -59,11 +59,20 @@ fn protocol_on(kind: ProtocolKind, wal: &Arc<Wal>) -> Executor {
     )
 }
 
+/// Between two operations no stage is in flight: the harness's quiescent
+/// point, where the writer checkpoints the live store when one is due.
+fn quiescent(protocol: &Executor) {
+    if let Some(wal) = protocol.core().wal() {
+        wal.maybe_checkpoint().expect("in-memory checkpoint");
+    }
+}
+
 /// Drive a seeded interleaved workload of `stages`-stage transactions (2
 /// or 3) through `protocol`, calling `step` after every stage the loop
-/// runs. A third stage sits between the initial and the final one: it
-/// reads one key and writes another, so a later retraction can cascade
-/// into it and leave the transaction's initial stage live.
+/// runs, once the writer has had its checkpoint there. A third stage sits
+/// between the initial and the final one: it reads one key and writes
+/// another, so a later retraction can cascade into it and leave the
+/// transaction's initial stage live.
 fn drive(
     rng: &mut Rng,
     kind: ProtocolKind,
@@ -143,6 +152,7 @@ fn drive(
                     .expect("middle stages cannot abort");
                 a.handle = next.expect("the final stage follows");
                 active.push(a);
+                quiescent(protocol);
                 step(rng);
                 continue;
             }
@@ -159,6 +169,7 @@ fn drive(
                 })
                 .expect("final stages cannot abort");
         }
+        quiescent(protocol);
         step(rng);
     }
 }
@@ -493,7 +504,8 @@ fn a_cascade_into_one_stage_leaves_the_earlier_stage_owed() {
 }
 
 /// LSNs are global under every flush driver: strictly increasing across
-/// checkpoints, so the high-water mark a core acked its commit points at
+/// checkpoints (taken between stages, where nothing is in flight), so the
+/// high-water mark a core acked its commit points at
 /// stays comparable with the writer's durable boundary. (Epoch-relative
 /// LSNs restart at every checkpoint: this workload then acks up to 1069
 /// against a final boundary of 565.)
@@ -518,10 +530,12 @@ fn lsns_increase_across_checkpoints_and_acks_stay_below_the_boundary() {
         for txn in 0..20u64 {
             let h = p.begin(TxnId(txn), &[rw.clone(), rw.clone()]);
             let (_, h) = p.stage(h, &rw, |ctx| ctx.write("k", txn as i64)).unwrap();
+            wal.maybe_checkpoint().unwrap();
             assert!(wal.latest_lsn() > last_lsn, "group {group}, txn {txn}");
             last_lsn = wal.latest_lsn();
             p.stage(h.unwrap(), &rw, |ctx| ctx.write("k", -(txn as i64)))
                 .unwrap();
+            wal.maybe_checkpoint().unwrap();
             assert!(wal.latest_lsn() > last_lsn, "group {group}, txn {txn}");
             last_lsn = wal.latest_lsn();
             assert_eq!(p.core().acked_lsn(), last_lsn, "every stage is a commit");

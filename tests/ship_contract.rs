@@ -12,11 +12,11 @@
 use proptest::prelude::*;
 
 use croesus::core::{ReplicaTailer, TailPoll};
-use croesus::store::TxnId;
+use croesus::store::{KvStore, TxnId};
 use croesus::wal::frame::write_frame;
 use croesus::wal::{
-    FlushDriver, FrameReader, LogShipper, MemStorage, StageFlags, StageRecord, TailState, Wal,
-    WalConfig, WalRecord, WalStats,
+    FlushDriver, FrameReader, LogShipper, MemStorage, RecoveryState, StageFlags, StageRecord,
+    TailState, Wal, WalConfig, WalRecord, WalStats,
 };
 use std::sync::Arc;
 
@@ -219,6 +219,35 @@ fn commit_stage(txn: u64, val: i64) -> StageRecord {
     }
 }
 
+/// The store a writer's checkpoints snapshot: replay's own fold of every
+/// commit the dialogue logs.
+struct Folded {
+    state: RecoveryState,
+    store: Arc<KvStore>,
+    txn: u64,
+}
+
+impl Folded {
+    fn attached_to(wal: &Wal) -> Self {
+        let store = Arc::new(KvStore::new());
+        wal.attach_store(Arc::clone(&store));
+        Folded {
+            state: RecoveryState::new(),
+            store,
+            txn: 0,
+        }
+    }
+
+    /// Fold the next transaction's commit into the store, then log it.
+    fn commit(&mut self, wal: &Wal, val: i64) {
+        self.txn += 1;
+        let record = commit_stage(self.txn, val);
+        let folded = WalRecord::Stage(record.clone());
+        self.state.apply(folded, Some(&self.store));
+        wal.append_stage(record).unwrap();
+    }
+}
+
 /// The writer-side events of a dialogue through one driver: what ends up
 /// durable and shipped after the final flush, and the counters that must
 /// not depend on who lands the buffers (`syncs` does).
@@ -230,13 +259,10 @@ fn drive_writer(
     let (wal, probe) = Wal::in_memory_with(WalConfig::group(group), driver);
     let shipper = Arc::new(LogShipper::new());
     wal.attach_shipper(Arc::clone(&shipper));
-    let mut txn = 0u64;
+    let mut folded = Folded::attached_to(&wal);
     for ev in events {
         match ev {
-            PipeEv::Commit(val) => {
-                txn += 1;
-                wal.append_stage(commit_stage(txn, *val)).unwrap();
-            }
+            PipeEv::Commit(val) => folded.commit(&wal, *val),
             PipeEv::FlushAll => wal.flush().unwrap(),
             PipeEv::Checkpoint => wal.checkpoint().unwrap(),
             _ => {}
@@ -266,14 +292,11 @@ proptest! {
         let shipper = Arc::new(LogShipper::new());
         wal.attach_shipper(Arc::clone(&shipper));
         let mut tailer = ReplicaTailer::new(Arc::clone(&shipper));
-        let mut txn = 0u64;
+        let mut folded = Folded::attached_to(&wal);
 
         for ev in &events {
             match ev {
-                PipeEv::Commit(val) => {
-                    txn += 1;
-                    wal.append_stage(commit_stage(txn, *val)).unwrap();
-                }
+                PipeEv::Commit(val) => folded.commit(&wal, *val),
                 PipeEv::Seal => wal.seal_active(),
                 PipeEv::Step => { wal.flusher_step().unwrap(); }
                 PipeEv::FlushAll => wal.flush().unwrap(),

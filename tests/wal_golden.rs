@@ -10,9 +10,10 @@
 
 use std::sync::Arc;
 
-use croesus_store::{Key, TxnId, Value};
+use croesus_store::{Key, KvStore, TxnId, Value};
 use croesus_wal::{
-    crc32, LogShipper, RetractRecord, StageFlags, StageRecord, Wal, WalConfig, WalStats, WriteImage,
+    crc32, LogShipper, RecoveryState, RetractRecord, StageFlags, StageRecord, Wal, WalConfig,
+    WalRecord, WalStats, WriteImage,
 };
 
 const CP: u8 = StageFlags::COMMIT_POINT;
@@ -83,9 +84,14 @@ fn run(config: WalConfig, checkpoint_midway: bool) -> Fingerprint {
     let shipper = Arc::new(LogShipper::new());
     wal.attach_shipper(Arc::clone(&shipper));
     if checkpoint_midway {
+        // The store the checkpoint snapshots: replay's own fold of the
+        // records logged before it.
+        let (mut state, store) = (RecoveryState::new(), Arc::new(KvStore::new()));
+        wal.attach_store(Arc::clone(&store));
         for i in 0..4u64 {
-            wal.append_stage(stage(i, 0, CP | FIN, "c", i as i64))
-                .unwrap();
+            let record = stage(i, 0, CP | FIN, "c", i as i64);
+            state.apply(WalRecord::Stage(record.clone()), Some(&store));
+            wal.append_stage(record).unwrap();
         }
         wal.checkpoint().unwrap();
     }

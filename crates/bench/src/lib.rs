@@ -143,7 +143,7 @@ mod tests {
             .collect();
         let expected: BTreeSet<String> = HARNESSES
             .iter()
-            .chain(&["all", "obs_bench"])
+            .chain(&["all"])
             .map(|h| h.to_string())
             .collect();
         assert_eq!(bins, expected);

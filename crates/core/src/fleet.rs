@@ -76,7 +76,9 @@ pub struct FleetReport {
     /// Validated-band frames finalized locally because the uplink was
     /// partitioned (graceful degradation, not failover).
     pub degraded_frames: u64,
-    /// Initial sections committed across the fleet.
+    /// Transactions whose initial sections the edges' initial stages
+    /// committed, across the fleet. The fresh transactions run at the final
+    /// stage for labels only the cloud saw are not counted.
     pub transactions_committed: u64,
     /// Completed failovers, in detection order.
     pub takeovers: Vec<Takeover>,

@@ -88,7 +88,10 @@ pub struct RunMetrics {
     pub bytes_sent: u64,
     /// Transfer cost in dollars.
     pub transfer_dollars: f64,
-    /// Multi-stage transactions committed.
+    /// Transactions whose initial sections the edge's initial stage
+    /// committed. The fresh transactions run at the final stage for labels
+    /// only the cloud saw are not counted, though an observed trace shows
+    /// their `InitialCommit`s too.
     pub transactions_committed: u64,
     /// Validated frames whose cloud labels never arrived (finalized
     /// locally after the timeout).

@@ -3,7 +3,6 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use croesus_sim::DetRng;
 
@@ -17,12 +16,6 @@ pub struct Config {
     pub max_schedules: usize,
     /// Sampled schedules to run when the DFS did not exhaust the space.
     pub samples: usize,
-    /// Seed for the sampling RNG (each sample forks its own stream).
-    pub seed: u64,
-    /// Stop after this many violations (1 = first counterexample wins).
-    pub max_violations: usize,
-    /// Collapse states already seen (hash of world + task positions).
-    pub prune: bool,
 }
 
 impl Default for Config {
@@ -30,22 +23,6 @@ impl Default for Config {
         Config {
             max_schedules: 50_000,
             samples: 500,
-            seed: 0xC805_B10C,
-            max_violations: 1,
-            prune: true,
-        }
-    }
-}
-
-impl Config {
-    /// A small budget for CI smoke runs: enough DFS for 2-txn scenarios,
-    /// a thin sampling tail.
-    #[must_use]
-    pub fn smoke() -> Self {
-        Config {
-            max_schedules: 20_000,
-            samples: 100,
-            ..Config::default()
         }
     }
 }
@@ -76,23 +53,9 @@ pub struct Report {
     pub deadlocks: u64,
     /// Schedules that panicked inside the system under test.
     pub panics: u64,
-    /// Invariant violations found (with replayable traces).
+    /// The invariant violation found, if any (the first one stops the
+    /// search), with its replayable trace.
     pub violations: Vec<Violation>,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
-}
-
-impl Report {
-    /// Schedules per second, for the bench report.
-    #[must_use]
-    pub fn schedules_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.schedules as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A model-checking scenario: builds a fresh world per schedule, describes
@@ -143,10 +106,12 @@ fn run_one<S: Scenario>(
     (world, end)
 }
 
-/// Explore a scenario: exhaustive DFS first, seeded sampling if the DFS
-/// budget runs out. Stops early at `max_violations`.
+/// Seed for the sampling RNG (each sample forks its own stream).
+const SEED: u64 = 0xC805_B10C;
+
+/// Explore a scenario: exhaustive DFS with state-hash pruning first, seeded
+/// sampling if the DFS budget runs out. Stops at the first violation.
 pub fn explore<S: Scenario>(scenario: &S, config: &Config) -> Report {
-    let start = Instant::now();
     let mut report = Report {
         name: scenario.name(),
         ..Report::default()
@@ -163,7 +128,7 @@ pub fn explore<S: Scenario>(scenario: &S, config: &Config) -> Report {
             &mut decisions,
             Mode::Dfs {
                 seen: &mut seen,
-                prune: config.prune,
+                prune: true,
             },
             &mut report,
         );
@@ -175,10 +140,7 @@ pub fn explore<S: Scenario>(scenario: &S, config: &Config) -> Report {
                 },
                 message,
             });
-            if report.violations.len() >= config.max_violations {
-                report.elapsed = start.elapsed();
-                return report;
-            }
+            return report;
         }
         if !advance(&mut decisions) {
             report.exhaustive = true;
@@ -190,7 +152,7 @@ pub fn explore<S: Scenario>(scenario: &S, config: &Config) -> Report {
         // The space was too large to enumerate: sample seeded random
         // schedules instead. Each sample forks its own RNG stream so a
         // violating sample is replayable from (seed, stream) alone.
-        let base = DetRng::new(config.seed);
+        let base = DetRng::new(SEED);
         for stream in 0..config.samples as u64 {
             let mut rng = base.fork(stream);
             let mut decisions = Vec::new();
@@ -203,19 +165,16 @@ pub fn explore<S: Scenario>(scenario: &S, config: &Config) -> Report {
             if let Err(message) = scenario.check(&world, &end) {
                 report.violations.push(Violation {
                     trace: Trace {
-                        seed: Some(config.seed),
+                        seed: Some(SEED),
                         decisions,
                     },
                     message,
                 });
-                if report.violations.len() >= config.max_violations {
-                    break;
-                }
+                break;
             }
         }
     }
 
-    report.elapsed = start.elapsed();
     report
 }
 

@@ -25,11 +25,12 @@ use crate::hist::{AtomicHistogram, Quantiles};
 
 /// Default per-edge ring capacity (events kept per edge).
 ///
-/// 16Ki events ≈ 1 MiB per edge — small enough that the ring's cache
-/// footprint stays out of the pipeline's way (the enabled-path overhead
-/// budget is 5%), large enough to hold the last few hundred frames'
-/// worth of transactions for forensics. Counters and histograms never
-/// drop regardless; only the event window is bounded.
+/// 16Ki events ≈ 1 MiB per edge, allocated whole with the stream, so that
+/// observing a run costs a fixed heap and no allocation per event (the
+/// allocation-budget test pins the bytes); large enough to hold the last
+/// couple of hundred frames' worth of transactions for forensics.
+/// Counters and histograms never drop regardless; only the event window
+/// is bounded.
 pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
 /// The named latency/lag histograms every edge stream keeps.
@@ -268,19 +269,6 @@ impl EdgeObs {
         self.inner
             .as_ref()
             .map_or(0, |i| i.ring.lock().counters[kind.index()])
-    }
-
-    /// Quantiles of one of the edge's histograms.
-    #[must_use]
-    pub fn quantiles(&self, hist: HistKind) -> Quantiles {
-        self.inner.as_ref().map_or_else(Quantiles::default, |i| {
-            let h = &i.hists[hist.index()];
-            if hist.is_duration() {
-                h.quantiles_ms()
-            } else {
-                h.quantiles_value()
-            }
-        })
     }
 
     /// Samples recorded into one of the edge's histograms.

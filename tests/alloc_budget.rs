@@ -16,6 +16,11 @@
 //! follows only loosely (the allocator's mmap threshold and page reuse sit
 //! in between).
 //!
+//! Observing a run is costed the same way, but exactly rather than as a
+//! ratchet: what an observed run makes beyond the unobserved one is pinned
+//! at two lengths, so a cost per transaction cannot hide in it, and the
+//! run's event counts per kind are pinned beside it.
+//!
 //! The budgets are a ratchet. A change that lowers a count lowers the
 //! budget with it; a change that must raise it says why in `CHANGES.md`.
 //!
@@ -27,8 +32,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use croesus::core::{Croesus, ProtocolKind, ThresholdPair};
+use croesus::obs::{Event, EventKind, Obs};
 use croesus::store::Key;
 use croesus::wal::DurabilityMode;
 
@@ -120,6 +127,17 @@ struct RunCount {
 
 /// One `run()` of 300 frames, seed 11, thresholds (0.3, 0.7), inline.
 fn count_run(protocol: ProtocolKind, logging: Logging) -> RunCount {
+    measure(protocol, logging, 300, None)
+}
+
+/// One `run()` of `frames` frames, seed 11, thresholds (0.3, 0.7), inline,
+/// observed into `obs` when one is given.
+fn measure(
+    protocol: ProtocolKind,
+    logging: Logging,
+    frames: u64,
+    obs: Option<&Arc<Obs>>,
+) -> RunCount {
     let dir = match logging {
         Logging::Off => None,
         Logging::GroupCommit => Some(croesus::wal::scratch_dir("alloc-budget")),
@@ -128,14 +146,17 @@ fn count_run(protocol: ProtocolKind, logging: Logging) -> RunCount {
         None => DurabilityMode::Disabled,
         Some(dir) => DurabilityMode::group_commit(dir),
     };
-    let deployment = Croesus::builder()
-        .frames(300)
+    let mut builder = Croesus::builder()
+        .frames(frames)
         .seed(11)
         .thresholds(ThresholdPair::new(0.3, 0.7))
         .protocol(protocol)
         .workers(1)
-        .durability(durability)
-        .build();
+        .durability(durability);
+    if let Some(obs) = obs {
+        builder = builder.observe(Arc::clone(obs));
+    }
+    let deployment = builder.build();
     let before = allocations();
     let start = reset_peak();
     let metrics = deployment.run();
@@ -217,6 +238,100 @@ fn ms_sr_run_stays_within_its_live_heap_budget() {
 #[test]
 fn group_commit_run_stays_within_its_live_heap_budget() {
     assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_276_726);
+}
+
+/// What observing adds to one run with durability off: (allocations, peak
+/// live bytes), the observed run's counts minus the unobserved run's.
+fn obs_cost(protocol: ProtocolKind, frames: u64) -> (i64, i64) {
+    let plain = measure(protocol, Logging::Off, frames, None);
+    let observed = measure(protocol, Logging::Off, frames, Some(&Obs::shared()));
+    (
+        observed.allocations as i64 - plain.allocations as i64,
+        observed.peak_live_bytes as i64 - plain.peak_live_bytes as i64,
+    )
+}
+
+#[test]
+fn observing_a_run_costs_one_fixed_stream_and_nothing_per_transaction() {
+    // The edge's stream is allocated whole when the run first asks for it:
+    // the 16 Ki-event ring, the five histograms and the shared state
+    // around them. Nothing an emission does allocates, so the cost is the
+    // same at 150 frames as at 300.
+    let ring = 16_384 * std::mem::size_of::<Event>() as i64;
+    let stream = (8, ring + 19_616);
+    for protocol in [ProtocolKind::MsIa, ProtocolKind::MsSr] {
+        let short = obs_cost(protocol, 150);
+        let long = obs_cost(protocol, 300);
+        println!("{protocol}: observing adds {short:?} at 150 frames, {long:?} at 300");
+        assert_eq!(short, long, "{protocol}: a per-frame cost");
+        assert_eq!(long, stream, "{protocol}: (allocations, peak live bytes)");
+    }
+}
+
+#[test]
+fn an_observed_run_counts_every_event_kind() {
+    // `Obs::count` never drops, while the ring keeps only the last 16 Ki
+    // events: this run emits 23 787, so `events()` is a window of it.
+    let obs = Obs::shared();
+    measure(ProtocolKind::MsIa, Logging::Off, 300, Some(&obs));
+    let kinds = [
+        EventKind::FrameIngest,
+        EventKind::TxnBegin { stages: 0 },
+        EventKind::StageStart { stage: 0 },
+        EventKind::StageEnd { stage: 0 },
+        EventKind::InitialCommit,
+        EventKind::FinalCommit,
+        EventKind::WalAppend { lsn: 0 },
+        EventKind::WalSync { lsn: 0, epoch: 0 },
+        EventKind::WalBufferSeal { lsn: 0 },
+        EventKind::WalCoalescedSync { requests: 0 },
+        EventKind::ShipPublish { lsn: 0, epoch: 0 },
+        EventKind::ShipAccept { bytes: 0 },
+        EventKind::ShipReject,
+        EventKind::CloudVerdict {
+            correct: 0,
+            corrected: 0,
+            erroneous: 0,
+            missed: 0,
+        },
+        EventKind::Retract,
+        EventKind::Apology,
+        EventKind::HeartbeatMiss,
+        EventKind::TakeoverStart,
+        EventKind::TakeoverEnd { retractions: 0 },
+        EventKind::Fence,
+        EventKind::TpcDecision { commit: false },
+    ];
+    let counts: Vec<(&str, u64)> = kinds.iter().map(|&k| (k.name(), obs.count(k))).collect();
+    assert_eq!(
+        counts,
+        [
+            ("frame_ingest", 300),
+            ("txn_begin", 3_318),
+            ("stage_start", 6_636),
+            ("stage_end", 6_636),
+            ("initial_commit", 3_318),
+            ("final_commit", 3_318),
+            ("wal_append", 0),
+            ("wal_sync", 0),
+            ("wal_buffer_seal", 0),
+            ("wal_coalesced_sync", 0),
+            ("ship_publish", 0),
+            ("ship_accept", 0),
+            ("ship_reject", 0),
+            ("cloud_verdict", 261),
+            ("retract", 0),
+            ("apology", 0),
+            ("heartbeat_miss", 0),
+            ("takeover_start", 0),
+            ("takeover_end", 0),
+            ("fence", 0),
+            ("tpc_decision", 0),
+        ]
+    );
+    let emitted: u64 = counts.iter().map(|&(_, n)| n).sum();
+    assert_eq!(emitted, 23_787);
+    assert_eq!(obs.dropped(), emitted - 16_384, "the ring keeps 16 Ki");
 }
 
 #[test]

@@ -8,12 +8,26 @@
 
 use croesus_mcheck::{
     explore, ms_sr_block_deadlock, ms_sr_commit_point, replay, retract_self, three_txn_hot_key,
-    two_txn_two_stage, wal_pipeline, wave_queue, Config, TpcCoordinatorCrash,
+    two_txn_two_stage, wal_pipeline, wave_queue, Config, Report, TpcCoordinatorCrash,
 };
 use croesus_txn::ProtocolKind;
 use croesus_wal::FlushDriver;
 
-fn assert_clean_and_exhaustive(report: &croesus_mcheck::Report) {
+/// The exploration's shape: (schedules, completes, deadlocks, decision
+/// points, pruned points). A recorded decision list identifies an
+/// execution, so the DFS repeats exactly and these are pinned as literals:
+/// a scheduler point added to or removed from a scenario's path moves them.
+fn counts(report: &Report) -> (u64, u64, u64, u64, u64) {
+    (
+        report.schedules,
+        report.completes,
+        report.deadlocks,
+        report.stats.decision_points,
+        report.stats.pruned_points,
+    )
+}
+
+fn assert_clean_and_exhaustive(report: &Report) {
     assert!(
         report.exhaustive,
         "{}: schedule space not exhausted within budget ({} schedules)",
@@ -35,6 +49,7 @@ fn ms_sr_two_txn_two_stage_is_exhaustively_clean() {
     let report = explore(&two_txn_two_stage(ProtocolKind::MsSr), &Config::default());
     assert_clean_and_exhaustive(&report);
     assert_eq!(report.deadlocks, 0, "WaitDie must not deadlock");
+    assert_eq!(counts(&report), (19, 19, 0, 27, 9));
 }
 
 #[test]
@@ -42,18 +57,21 @@ fn ms_ia_two_txn_two_stage_is_exhaustively_clean() {
     let report = explore(&two_txn_two_stage(ProtocolKind::MsIa), &Config::default());
     assert_clean_and_exhaustive(&report);
     assert_eq!(report.deadlocks, 0, "per-stage locking must not deadlock");
+    assert_eq!(counts(&report), (917, 917, 0, 2568, 1652));
 }
 
 #[test]
 fn staged_two_txn_two_stage_is_exhaustively_clean() {
     let report = explore(&two_txn_two_stage(ProtocolKind::Staged), &Config::default());
     assert_clean_and_exhaustive(&report);
+    assert_eq!(counts(&report), (917, 917, 0, 2568, 1652));
 }
 
 #[test]
 fn ms_ia_retract_self_is_exhaustively_clean() {
     let report = explore(&retract_self(ProtocolKind::MsIa), &Config::default());
     assert_clean_and_exhaustive(&report);
+    assert_eq!(counts(&report), (5169, 5169, 0, 10428, 5260));
 }
 
 #[test]
@@ -73,6 +91,7 @@ fn ms_sr_block_policy_deadlock_is_found() {
         "deadlock is the expected hazard here, not a violation: {:?}",
         report.violations[0]
     );
+    assert_eq!(counts(&report), (23, 20, 3, 37, 15));
 }
 
 #[test]
@@ -84,12 +103,14 @@ fn wave_queue_runs_every_job_exactly_once_in_every_interleaving() {
     let report = explore(&wave_queue(), &Config::default());
     assert_clean_and_exhaustive(&report);
     assert_eq!(report.deadlocks, 0, "close must wake every blocked waiter");
+    assert_eq!(counts(&report), (10155, 10155, 0, 32872, 25699));
 }
 
 #[test]
 fn tpc_coordinator_crash_never_contradicts_the_durable_decision() {
     let report = explore(&TpcCoordinatorCrash, &Config::default());
     assert_clean_and_exhaustive(&report);
+    assert_eq!(counts(&report), (61, 61, 0, 128, 68));
 }
 
 #[test]
@@ -97,7 +118,6 @@ fn three_txn_hot_key_falls_back_to_seeded_sampling() {
     let config = Config {
         max_schedules: 200,
         samples: 50,
-        ..Config::default()
     };
     let report = explore(&three_txn_hot_key(ProtocolKind::MsIa), &config);
     assert!(
@@ -105,6 +125,7 @@ fn three_txn_hot_key_falls_back_to_seeded_sampling() {
         "3-txn space must exceed the tiny DFS budget"
     );
     assert_eq!(report.schedules, 250, "DFS budget + sampling tail both ran");
+    assert_eq!(counts(&report), (250, 250, 0, 1753, 400));
     assert!(
         report.violations.is_empty(),
         "sampled violation on {}: {}",
@@ -118,6 +139,7 @@ fn mutation_self_test_checker_catches_the_broken_commit_point() {
     // The clean executor survives exhaustive exploration...
     let clean = explore(&ms_sr_commit_point(false), &Config::default());
     assert_clean_and_exhaustive(&clean);
+    assert_eq!(counts(&clean), (19, 19, 0, 27, 9));
 
     // ...and the mutated one (final commit logged *after* lock release)
     // is caught with a replayable counterexample.
@@ -162,10 +184,13 @@ fn wal_pipeline_is_exhaustively_clean() {
     // flush_lsn acks below it, shipped ⊆ durable at every observation,
     // the trace obeys the ordering contract, and the pipeline drains in
     // every interleaving.
-    for driver in [FlushDriver::Manual, FlushDriver::Inline] {
+    for (driver, pinned) in [
+        (FlushDriver::Manual, (3610, 3610, 0, 7390, 4617)),
+        (FlushDriver::Inline, (891, 891, 0, 1528, 850)),
+    ] {
         let report = explore(&wal_pipeline(driver, false), &Config::default());
         assert_clean_and_exhaustive(&report);
-        assert_eq!(report.deadlocks, 0, "{}", report.name);
+        assert_eq!(counts(&report), pinned, "{}", report.name);
     }
 }
 

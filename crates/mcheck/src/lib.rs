@@ -20,12 +20,13 @@
 //!   §4.4 contract (unfinalized ⇒ retracted + apologized).
 //! * [`scenarios`] — MS-SR / MS-IA / staged scripts over the real
 //!   executors, the MS-SR commit-point mutation self-test, a Block-policy
-//!   deadlock demo, a 2PC coordinator-crash scenario, the WAL's buffer
+//!   deadlock demo, a 2PC coordinator-crash scenario, and the WAL's buffer
 //!   pipeline under the manual and inline flush drivers (with its
-//!   publish-before-sync mutation self-test), and the edge runtime's
-//!   bounded job queue (the wave queue). All four kinds of world share
-//!   one end-of-schedule verdict, store fingerprint, flush-and-sweep step
-//!   and trace check.
+//!   publish-before-sync mutation self-test). All three kinds of world
+//!   share one end-of-schedule verdict, store fingerprint, flush-and-sweep
+//!   step and trace check. The edge runtime's worker pool is not among
+//!   them: std channels carry all its handoffs, so it has no wait of its
+//!   own to explore.
 //!
 //! Production builds are untouched: the instrumentation compiles to
 //! nothing unless the `mcheck` feature is enabled, and only this crate
@@ -40,8 +41,7 @@ pub use crash::{sweep, CrashCut, Oracle};
 pub use explore::{explore, replay, Config, Report, Scenario, Violation};
 pub use scenarios::{
     ms_sr_block_deadlock, ms_sr_commit_point, retract_self, three_txn_hot_key, two_txn_two_stage,
-    wal_pipeline, wave_queue, Ack, ProtoWorld, ProtocolScenario, StageOp, StageScript,
-    TpcCoordinatorCrash, TpcWorld, TxnScript, WalPipelineScenario, WalPipelineWorld,
-    WaveQueueScenario, WaveQueueWorld,
+    wal_pipeline, Ack, ProtoWorld, ProtocolScenario, StageOp, StageScript, TpcCoordinatorCrash,
+    TpcWorld, TxnScript, WalPipelineScenario, WalPipelineWorld,
 };
 pub use scheduler::{advance, Decision, RunEnd, SchedStats, Trace};

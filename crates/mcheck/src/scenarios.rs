@@ -1,8 +1,7 @@
 //! Ready-made scenarios over the real stack: scripted multi-stage
 //! transactions racing through MS-SR / MS-IA / staged executors with a
-//! strict-sync in-memory WAL, a 2PC coordinator crash, the WAL's buffer
-//! pipeline under both thread-free flush drivers, and the edge runtime's
-//! bounded job queue.
+//! strict-sync in-memory WAL, a 2PC coordinator crash, and the WAL's
+//! buffer pipeline under both thread-free flush drivers.
 //!
 //! The protocol and 2PC scenarios express the DESIGN.md commit-point table
 //! as invariant predicates checked at the end of **every schedule** and at
@@ -19,7 +18,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -28,8 +26,8 @@ use croesus_obs::EdgeObs;
 use croesus_store::{Key, KvStore, LockManager, LockPolicy, PartitionMap, TxnId, Value};
 use croesus_txn::tpc::ParticipantWrites;
 use croesus_txn::{
-    Coordinator, Executor, ExecutorCore, HistoryRecorder, JobQueue, Participant,
-    PartitionParticipant, ProtocolKind, RwSet, StageCtx, TpcOutcome, TxnError, TxnHandle,
+    Coordinator, Executor, ExecutorCore, HistoryRecorder, Participant, PartitionParticipant,
+    ProtocolKind, RwSet, StageCtx, TpcOutcome, TxnError, TxnHandle,
 };
 use croesus_wal::{FlushDriver, LogShipper, MemStorage, Wal, WalConfig};
 
@@ -552,132 +550,6 @@ pub fn three_txn_hot_key(kind: ProtocolKind) -> ProtocolScenario {
         )
     };
     ProtocolScenario::new(kind, "3txn-hot-key", vec![hot(1), hot(2), hot(3)])
-}
-
-// ---------------------------------------------------------------------------
-// Wave-queue runtime
-// ---------------------------------------------------------------------------
-
-/// The world of the wave-queue scenario: the edge runtime's bounded
-/// [`JobQueue`] driven by virtual producer/consumer tasks.
-pub struct WaveQueueWorld {
-    /// The queue under test; capacity below the total job count so
-    /// admission control genuinely blocks in some schedules.
-    pub queue: JobQueue,
-    /// Producers still running — the last one to finish closes the queue.
-    pub producers_left: AtomicUsize,
-    /// Per-job execution counts: every job must run exactly once.
-    pub ran: Vec<AtomicUsize>,
-}
-
-/// The edge runtime's job queue under the model checker.
-///
-/// Producers push jobs through the bounded queue while consumers drain it,
-/// exploring every interleaving of the `runtime.queue.*` yield and block
-/// points: [`JobQueue::push`]'s admission-control wait on a full queue,
-/// [`JobQueue::pop`]'s wait on an empty one, and the close-drain
-/// handshake. Invariants: no schedule deadlocks (the close must wake every
-/// blocked waiter), every job executes exactly once, and the queue is
-/// drained when all tasks finish.
-///
-/// 2 producers × 2 jobs through a capacity-2 queue into 2 consumers —
-/// small enough to enumerate exhaustively, large enough that pushes block
-/// on capacity and pops block on emptiness.
-pub struct WaveQueueScenario;
-
-impl WaveQueueScenario {
-    const PRODUCERS: usize = 2;
-    const JOBS_PER_PRODUCER: usize = 2;
-    const CONSUMERS: usize = 2;
-    /// The admission-control bound, below the total job count.
-    const CAPACITY: usize = 2;
-}
-
-/// The wave-queue scenario.
-#[must_use]
-pub fn wave_queue() -> WaveQueueScenario {
-    WaveQueueScenario
-}
-
-impl Scenario for WaveQueueScenario {
-    type World = WaveQueueWorld;
-
-    fn name(&self) -> String {
-        format!(
-            "runtime/wave-queue-{}x{}-cap{}",
-            Self::PRODUCERS,
-            Self::JOBS_PER_PRODUCER,
-            Self::CAPACITY
-        )
-    }
-
-    fn build(&self) -> Arc<WaveQueueWorld> {
-        Arc::new(WaveQueueWorld {
-            queue: JobQueue::new(Self::CAPACITY),
-            producers_left: AtomicUsize::new(Self::PRODUCERS),
-            ran: (0..Self::PRODUCERS * Self::JOBS_PER_PRODUCER)
-                .map(|_| AtomicUsize::new(0))
-                .collect(),
-        })
-    }
-
-    fn tasks(&self, world: &Arc<WaveQueueWorld>) -> Vec<TaskFn> {
-        let mut tasks: Vec<TaskFn> = Vec::new();
-        for p in 0..Self::PRODUCERS {
-            let world = Arc::clone(world);
-            tasks.push(Box::new(move || {
-                for j in 0..Self::JOBS_PER_PRODUCER {
-                    let idx = p * Self::JOBS_PER_PRODUCER + j;
-                    let w = Arc::clone(&world);
-                    world.queue.push(Box::new(move || {
-                        w.ran[idx].fetch_add(1, Ordering::SeqCst);
-                    }));
-                }
-                if world.producers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    world.queue.close();
-                }
-            }));
-        }
-        for _ in 0..Self::CONSUMERS {
-            let world = Arc::clone(world);
-            tasks.push(Box::new(move || {
-                while let Some(job) = world.queue.pop() {
-                    job();
-                }
-            }));
-        }
-        tasks
-    }
-
-    fn fingerprint(&self, world: &WaveQueueWorld) -> u64 {
-        let mut h = DefaultHasher::new();
-        for r in &world.ran {
-            r.load(Ordering::SeqCst).hash(&mut h);
-        }
-        world.queue.len().hash(&mut h);
-        world.producers_left.load(Ordering::SeqCst).hash(&mut h);
-        h.finish()
-    }
-
-    fn check(&self, world: &WaveQueueWorld, end: &RunEnd) -> Result<(), String> {
-        completed(
-            end,
-            "the queue must never deadlock — close wakes every blocked waiter",
-        )?;
-        for (i, r) in world.ran.iter().enumerate() {
-            let n = r.load(Ordering::SeqCst);
-            if n != 1 {
-                return Err(format!("job {i} executed {n} times (want exactly 1)"));
-            }
-        }
-        if !world.queue.is_empty() {
-            return Err(format!(
-                "{} jobs left queued after the close-drain handshake",
-                world.queue.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ pub use invariant::{
 pub use model::{RwSet, SectionCtx, SectionOutput, TxnError};
 pub use protocol::{Executor, ExecutorCore, ProtocolKind, StageCtx, StageOutcome, TxnHandle};
 pub use recovery::{recover_edge, recover_edge_file, RecoveredEdge};
-pub use runtime::{current_worker, JobQueue, WorkerPool};
+pub use runtime::{current_worker, WorkerPool};
 pub use sequencer::Sequencer;
 pub use stats::{ProtocolStats, StatsSnapshot};
 pub use tpc::{Coordinator, Participant, PartitionParticipant, RetryPolicy, TpcOutcome, Vote};

@@ -37,6 +37,7 @@ use std::sync::Arc;
 use croesus::core::{Croesus, ProtocolKind, ThresholdPair};
 use croesus::obs::{Event, EventKind, Obs};
 use croesus::store::Key;
+use croesus::txn::WorkerPool;
 use croesus::wal::DurabilityMode;
 
 struct Counting;
@@ -355,6 +356,54 @@ fn short_keys_allocate_nothing_and_a_long_key_allocates_once() {
         1,
         "a 23-byte key is one shared text"
     );
+}
+
+/// What one pooled wave of `width` jobs allocates on the submitting thread
+/// at most, over a few waves on a fresh pool of `workers`, after one
+/// uncounted wave (the thread's first wait on a channel sets up its wait
+/// context once).
+///
+/// The jobs only return their index, except the last one, which sleeps.
+/// It sits in a pool thread's chunk, so the submitter waits for its
+/// report, and that wait registers the submitter with the wave's channel,
+/// which allocates once. A wave whose reports all came back before the
+/// submitter asked would skip that allocation; the maximum ignores it.
+fn pooled_wave_allocations(workers: usize, width: usize) -> u64 {
+    let pool = WorkerPool::new(workers);
+    let mut most = 0;
+    for wave in 0..=8 {
+        let jobs: Vec<_> = (0..width)
+            .map(|i| {
+                move || {
+                    if i == width - 1 {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    i
+                }
+            })
+            .collect();
+        let before = allocations();
+        let out = pool.run_wave(jobs);
+        if wave > 0 {
+            most = most.max(allocations() - before);
+        }
+        assert_eq!(out, (0..width).collect::<Vec<_>>());
+    }
+    most
+}
+
+#[test]
+fn a_pooled_wave_allocates_per_worker_not_per_job() {
+    // Compared across widths rather than pinned: std's channels allocate
+    // a block per 31 sends, and each pool thread gets one send per wave,
+    // so the two pools' counts move together.
+    for workers in [2, 4] {
+        assert_eq!(
+            pooled_wave_allocations(workers, 8),
+            pooled_wave_allocations(workers, 32),
+            "workers({workers}): a wider wave must not allocate more"
+        );
+    }
 }
 
 #[test]

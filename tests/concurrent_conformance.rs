@@ -254,11 +254,11 @@ const POOL_WAVE_WIDTH: u64 = 4;
 /// return the observed history grouped per *worker thread*.
 ///
 /// Program order per worker is what the checker needs, and the grouping
-/// delivers it: a worker pops queue jobs in FIFO order, so within a wave
-/// its jobs appear in submission order, and `run_wave` is a barrier, so
-/// ordering across waves is real time. Each job runs one whole
-/// transaction (both stages), retrying on a wait-die kill exactly like
-/// the pipeline does.
+/// delivers it: a worker runs its contiguous chunk in submission order,
+/// so within a wave its jobs appear in submission order, and `run_wave`
+/// is a barrier, so ordering across waves is real time. Each job runs one
+/// whole transaction (both stages), retrying on a wait-die kill exactly
+/// like the pipeline does.
 fn run_pooled_history(kind: ProtocolKind, txn_granularity: bool) -> Vec<Vec<Composite>> {
     let protocol = shared_protocol(kind, None);
     let pool = WorkerPool::new(POOL_WORKERS);

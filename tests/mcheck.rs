@@ -8,7 +8,7 @@
 
 use croesus_mcheck::{
     explore, ms_sr_block_deadlock, ms_sr_commit_point, replay, retract_self, three_txn_hot_key,
-    two_txn_two_stage, wal_pipeline, wave_queue, Config, Report, TpcCoordinatorCrash,
+    two_txn_two_stage, wal_pipeline, Config, Report, TpcCoordinatorCrash,
 };
 use croesus_txn::ProtocolKind;
 use croesus_wal::FlushDriver;
@@ -92,18 +92,6 @@ fn ms_sr_block_policy_deadlock_is_found() {
         report.violations[0]
     );
     assert_eq!(counts(&report), (23, 20, 3, 37, 15));
-}
-
-#[test]
-fn wave_queue_runs_every_job_exactly_once_in_every_interleaving() {
-    // The edge runtime's bounded job queue: every interleaving of the
-    // runtime.queue.* yield/block points — admission-control waits on a
-    // full queue, pop waits on an empty one, the close-drain handshake —
-    // must complete with each job executed exactly once.
-    let report = explore(&wave_queue(), &Config::default());
-    assert_clean_and_exhaustive(&report);
-    assert_eq!(report.deadlocks, 0, "close must wake every blocked waiter");
-    assert_eq!(counts(&report), (10155, 10155, 0, 32872, 25699));
 }
 
 #[test]

@@ -170,12 +170,6 @@ impl FaultInjector {
         }
         self.events[start..self.cursor].to_vec()
     }
-
-    /// Events not yet fired.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +216,6 @@ mod tests {
         let due = inj.take_due(6);
         assert_eq!(due.len(), 2, "both frame-5 events fire together");
         assert_eq!(due[0].edge, 1, "stable order preserves script order");
-        assert_eq!(inj.remaining(), 0);
     }
 
     #[test]

@@ -1,24 +1,26 @@
-//! A sharded, versioned, thread-safe key-value store.
+//! A sharded, thread-safe key-value store.
 //!
 //! Concurrency control lives *above* this store (in the lock manager and
 //! the transaction protocols); the store itself only guarantees that each
-//! individual operation is atomic and that versions increase monotonically
-//! per key. Sharding by key hash keeps unrelated operations from contending
-//! on one map lock.
+//! individual operation is atomic. Sharding by key hash keeps unrelated
+//! operations from contending on one map lock.
+//!
+//! Each key maps to its value and nothing else: the write-ahead log
+//! rebuilds a store by replaying values, so a recovered store equals the
+//! live one key for key.
 //!
 //! Hot-path properties (see the crate docs for the full contract):
 //!
 //! * **Zero rehashing** — shard selection and the shard `HashMap` both
 //!   reuse the FNV-1a hash cached inside [`Key`]; no byte of key text is
 //!   hashed after key construction.
-//! * **Zero-copy reads** — values are stored as `Arc<Value>`, so `get`,
-//!   `get_versioned` and `snapshot` return refcount bumps, never deep
-//!   clones of string/byte payloads.
-//! * **One probe per write** — `put` bumps the version through the one
-//!   entry it finds or makes, and returns the pre-image it replaced, which
-//!   is what an [`UndoLog`](crate::UndoLog) records.
+//! * **Zero-copy reads** — values are stored as `Arc<Value>`, so `get`
+//!   and `snapshot` return refcount bumps, never deep clones of
+//!   string/byte payloads.
+//! * **One probe per write** — `put` is one map insert and returns the
+//!   pre-image it replaced, which is what an [`UndoLog`](crate::UndoLog)
+//!   records.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,17 +28,14 @@ use parking_lot::RwLock;
 
 use crate::value::{Key, KeyHashBuilder, Value};
 
-/// A value with its per-key version. Versions start at 1 for the first
-/// write and increase by 1 with every subsequent write to the same key.
+/// A stored value, as [`KvStore::snapshot`] yields it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Versioned {
+pub struct Stored {
     /// The stored value (shared, never deep-cloned on read).
     pub value: Arc<Value>,
-    /// Monotonic per-key version.
-    pub version: u64,
 }
 
-type ShardMap = HashMap<Key, Versioned, KeyHashBuilder>;
+type ShardMap = HashMap<Key, Arc<Value>, KeyHashBuilder>;
 
 /// The sharded store.
 ///
@@ -45,7 +44,6 @@ type ShardMap = HashMap<Key, Versioned, KeyHashBuilder>;
 /// let store = KvStore::new();
 /// store.put("balance/alice".into(), Value::Int(50));
 /// assert_eq!(store.get(&"balance/alice".into()).as_deref(), Some(&Value::Int(50)));
-/// assert_eq!(store.get_versioned(&"balance/alice".into()).unwrap().version, 1);
 /// ```
 pub struct KvStore {
     shards: Vec<RwLock<ShardMap>>,
@@ -79,39 +77,17 @@ impl KvStore {
     /// Read a value. Cheap: a shard read-lock, one hash-free map probe and
     /// an `Arc` clone.
     pub fn get(&self, key: &Key) -> Option<Arc<Value>> {
-        self.shard(key)
-            .read()
-            .get(key)
-            .map(|v| Arc::clone(&v.value))
-    }
-
-    /// Read a value with its version.
-    pub fn get_versioned(&self, key: &Key) -> Option<Versioned> {
         self.shard(key).read().get(key).cloned()
     }
 
-    /// Write a value; returns the previous versioned value if any. One
-    /// map probe: the entry found (or made) for the key takes the value
-    /// and the next version.
-    pub fn put(&self, key: Key, value: impl Into<Arc<Value>>) -> Option<Versioned> {
-        let value = value.into();
-        match self.shard(&key).write().entry(key) {
-            Entry::Occupied(mut slot) => {
-                let version = slot.get().version + 1;
-                Some(std::mem::replace(
-                    slot.get_mut(),
-                    Versioned { value, version },
-                ))
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Versioned { value, version: 1 });
-                None
-            }
-        }
+    /// Write a value; returns the value it replaced, if any. One map
+    /// probe.
+    pub fn put(&self, key: Key, value: impl Into<Arc<Value>>) -> Option<Arc<Value>> {
+        self.shard(&key).write().insert(key, value.into())
     }
 
-    /// Delete a key; returns the previous versioned value if any.
-    pub fn delete(&self, key: &Key) -> Option<Versioned> {
+    /// Delete a key; returns the value it held, if any.
+    pub fn delete(&self, key: &Key) -> Option<Arc<Value>> {
         self.shard(key).write().remove(key)
     }
 
@@ -121,8 +97,7 @@ impl KvStore {
     }
 
     /// Restore a key to a previous state: `Some(value)` reinstates the
-    /// value (bumping the version — history is linear, not rewound),
-    /// `None` deletes the key. The undo machinery uses this.
+    /// value, `None` deletes the key. The undo machinery uses this.
     pub fn restore(&self, key: Key, previous: Option<Arc<Value>>) {
         match previous {
             Some(value) => {
@@ -155,11 +130,14 @@ impl KvStore {
     /// comparisons in tests and checkers). Fills one preallocated buffer —
     /// no per-shard intermediate `Vec`s — and clones only `Arc`s. Keys are
     /// unique, so the unstable sort (no scratch buffer) gives the one order.
-    pub fn snapshot(&self) -> Vec<(Key, Versioned)> {
-        let mut all: Vec<(Key, Versioned)> = Vec::with_capacity(self.len());
+    pub fn snapshot(&self) -> Vec<(Key, Stored)> {
+        let mut all: Vec<(Key, Stored)> = Vec::with_capacity(self.len());
         for s in &self.shards {
             let shard = s.read();
-            all.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
+            all.extend(shard.iter().map(|(k, v)| {
+                let value = Arc::clone(v);
+                (k.clone(), Stored { value })
+            }));
         }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         all
@@ -167,7 +145,7 @@ impl KvStore {
 
     /// Every key-value pair in canonical order (ascending cached FNV-1a
     /// hash, ties by key text), which depends only on the contents, never
-    /// on insertion history. Clones only `Arc`s and leaves versions out.
+    /// on insertion history. Clones only `Arc`s.
     pub fn canonical_pairs(&self) -> Vec<(Key, Arc<Value>)> {
         self.with_canonical_pairs(|p| p.iter().map(|&(k, v)| (k.clone(), Arc::clone(v))).collect())
     }
@@ -178,7 +156,7 @@ impl KvStore {
         let shards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let mut all = Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
         for shard in &shards {
-            all.extend(shard.iter().map(|(k, v)| (k, &v.value)));
+            all.extend(shard.iter());
         }
         all.sort_unstable_by(|a, b| a.0.canonical_cmp(b.0));
         f(&all)
@@ -217,25 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn versions_increase_monotonically() {
-        let s = KvStore::new();
-        s.put("k".into(), Value::Int(1));
-        assert_eq!(s.get_versioned(&"k".into()).unwrap().version, 1);
-        s.put("k".into(), Value::Int(2));
-        assert_eq!(s.get_versioned(&"k".into()).unwrap().version, 2);
-        s.delete(&"k".into());
-        s.put("k".into(), Value::Int(3));
-        // Deletion resets history for the key.
-        assert_eq!(s.get_versioned(&"k".into()).unwrap().version, 1);
-    }
-
-    #[test]
     fn put_returns_previous() {
         let s = KvStore::new();
         assert!(s.put("k".into(), Value::Int(1)).is_none());
         let prev = s.put("k".into(), Value::Int(2)).unwrap();
-        assert_eq!(prev.value, Value::Int(1));
-        assert_eq!(prev.version, 1);
+        assert_eq!(*prev, Value::Int(1));
     }
 
     #[test]
@@ -243,7 +207,7 @@ mod tests {
         let s = KvStore::new();
         s.put("k".into(), Value::Int(1));
         let prev = s.delete(&"k".into()).unwrap();
-        assert_eq!(prev.value, Value::Int(1));
+        assert_eq!(*prev, Value::Int(1));
         assert!(!s.contains(&"k".into()));
         assert!(s.delete(&"k".into()).is_none());
     }
@@ -334,21 +298,35 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_versioning_on_one_key_is_gapless() {
+    fn concurrent_puts_on_one_key_replace_every_write_exactly_once() {
+        const THREADS: i64 = 4;
+        const PUTS: i64 = 250;
         let s = Arc::new(KvStore::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    for _ in 0..250 {
-                        s.put("hot".into(), Value::Int(0));
-                    }
+                    (0..PUTS)
+                        .map(|i| s.put("hot".into(), Value::Int(t * PUTS + i)))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
+        let mut replaced = Vec::new();
         for t in threads {
-            t.join().unwrap();
+            replaced.extend(t.join().unwrap());
         }
-        assert_eq!(s.get_versioned(&"hot".into()).unwrap().version, 1000);
+        // The undo log records what `put` returns: exactly one put found
+        // the key absent, and every other write's pre-image is a value some
+        // other put wrote, each replaced once.
+        assert_eq!(replaced.iter().filter(|p| p.is_none()).count(), 1);
+        let mut seen: Vec<i64> = replaced
+            .iter()
+            .flatten()
+            .filter_map(|v| v.as_int())
+            .collect();
+        seen.extend(s.get(&"hot".into()).and_then(|v| v.as_int()));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..THREADS * PUTS).collect::<Vec<_>>());
     }
 }

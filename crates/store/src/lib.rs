@@ -6,7 +6,7 @@
 //! concurrency-control protocols (in `croesus-txn`) are built on:
 //!
 //! * [`value`] — keys and typed values.
-//! * [`kv`] — a sharded, versioned, thread-safe key-value store.
+//! * [`kv`] — a sharded, thread-safe key-value store.
 //! * [`lock`] — a shared/exclusive lock manager with pluggable conflict
 //!   policies (block, no-wait, wait-die) and deadlock-free waiting.
 //! * [`undo`] — per-transaction undo logs, the mechanism behind MS-IA's
@@ -41,14 +41,14 @@
 //! # The ownership contract
 //!
 //! Stored values live behind `Arc<Value>`. Reads ([`KvStore::get`],
-//! [`KvStore::get_versioned`], [`KvStore::snapshot`], undo pre-images)
+//! [`KvStore::snapshot`], the pre-images `put` and `delete` return)
 //! return refcount bumps that *alias the stored allocation*:
 //!
 //! * `Value`s are immutable once stored — there is no `&mut` path to a
 //!   stored value, so aliasing is safe by construction;
 //! * a reader's `Arc<Value>` stays valid (and unchanged) even if the key
 //!   is overwritten or deleted afterwards — it simply keeps the old
-//!   version alive, snapshot-style;
+//!   value alive, snapshot-style;
 //! * responses alias stored values: a client response (`SectionOutput` in
 //!   `croesus-txn`) holds the `Arc<Value>` its read returned;
 //! * one value may be stored under several keys: writes take any
@@ -77,9 +77,8 @@
 //! # One probe per write
 //!
 //! A grant or an ungrant probes its shard's lock table once, and
-//! [`KvStore::put`] bumps the version through one entry lookup and
-//! returns the pre-image it replaced, which [`UndoLog::put`] records
-//! instead of reading it first.
+//! [`KvStore::put`] is one map insert that returns the pre-image it
+//! replaced, which [`UndoLog::put`] records instead of reading it first.
 
 pub mod kv;
 pub mod lock;
@@ -104,7 +103,7 @@ pub mod sched {
 pub mod undo;
 pub mod value;
 
-pub use kv::{KvStore, Versioned};
+pub use kv::{KvStore, Stored};
 pub use lock::{LockError, LockManager, LockMode, LockPlan, LockPolicy, TxnId};
 pub use partition::{Partition, PartitionId, PartitionMap};
 pub use undo::{UndoLog, UndoRecord};

@@ -51,14 +51,14 @@ impl UndoLog {
     /// store's `put` returns — the write is its own read.
     pub fn put(&mut self, store: &KvStore, key: Key, value: impl Into<Arc<Value>>) {
         let prev = store.put(key.clone(), value);
-        self.record(key, prev.map(|v| v.value));
+        self.record(key, prev);
     }
 
     /// Perform a delete through the store, recording the pre-image the
     /// store's `delete` returns.
     pub fn delete(&mut self, store: &KvStore, key: &Key) {
         let prev = store.delete(key);
-        self.record(key.clone(), prev.map(|v| v.value));
+        self.record(key.clone(), prev);
     }
 
     /// Undo all recorded writes, in reverse order.

@@ -12,7 +12,7 @@
 //! * **Section serializability** (assumed by both levels): the conflict
 //!   graph over committed *sections* is acyclic.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -192,13 +192,17 @@ struct SectionInfo {
     txn: TxnId,
     section: SectionKind,
     commit_seq: Option<u64>,
-    reads: Vec<Key>,
-    writes: Vec<Key>,
+    /// Each read's key and sequence number.
+    reads: Vec<(Key, u64)>,
+    /// Each write's key and sequence number.
+    writes: Vec<(Key, u64)>,
 }
 
 impl SectionInfo {
     fn conflicts_with(&self, other: &SectionInfo) -> bool {
-        let hits = |a: &[Key], b: &[Key]| a.iter().any(|k| b.contains(k));
+        let hits = |a: &[(Key, u64)], b: &[(Key, u64)]| {
+            a.iter().any(|(k, _)| b.iter().any(|(other, _)| other == k))
+        };
         hits(&self.writes, &other.writes)
             || hits(&self.writes, &other.reads)
             || hits(&self.reads, &other.writes)
@@ -221,26 +225,32 @@ impl HistoryChecker {
         for ev in &events {
             match ev {
                 SectionEvent::Begin { txn, section, .. } => {
-                    map.entry((*txn, *section)).or_insert_with(|| SectionInfo {
+                    let s = map.entry((*txn, *section)).or_insert_with(|| SectionInfo {
                         txn: *txn,
                         section: *section,
                         commit_seq: None,
                         reads: Vec::new(),
                         writes: Vec::new(),
                     });
+                    // Beginning an uncommitted section again retries an
+                    // aborted attempt, whose operations were rolled back.
+                    if s.commit_seq.is_none() {
+                        s.reads.clear();
+                        s.writes.clear();
+                    }
                 }
                 SectionEvent::Read {
                     txn, section, key, ..
                 } => {
                     if let Some(s) = map.get_mut(&(*txn, *section)) {
-                        s.reads.push(key.clone());
+                        s.reads.push((key.clone(), ev.seq()));
                     }
                 }
                 SectionEvent::Write {
                     txn, section, key, ..
                 } => {
                     if let Some(s) = map.get_mut(&(*txn, *section)) {
-                        s.writes.push(key.clone());
+                        s.writes.push((key.clone(), ev.seq()));
                     }
                 }
                 SectionEvent::Commit { txn, section, seq } => {
@@ -397,53 +407,67 @@ impl HistoryChecker {
         Ok(())
     }
 
-    /// Conflict-serializability of *sections*: the conflict graph whose
-    /// edges follow commit order must be acyclic. Both safety levels assume
+    /// Conflict-serializability of *sections*: both safety levels assume
     /// "each section is serializable relative to other transactions'
-    /// sections" (§4.2).
+    /// sections" (§4.2). Over the committed sections, an edge a→b means
+    /// a's operation on a key preceded b's conflicting operation on it
+    /// (different transactions, at least one of the two a write); the
+    /// history serializes iff that graph is acyclic. Quadratic in the
+    /// operations per key: a checker for test-sized histories.
     pub fn check_section_serializability(&self) -> Result<(), String> {
         let committed: Vec<&SectionInfo> = self
             .sections
             .iter()
             .filter(|s| s.commit_seq.is_some())
             .collect();
-        // Edge u→v when u committed before v and they conflict. Since edges
-        // always point from earlier commit to later commit, the graph is a
-        // DAG by construction *unless* operations interleaved so that a
-        // later-committing section's op preceded an earlier-committing
-        // section's conflicting op. Our recorder logs op seqs, so detect
-        // that: for conflicting sections, all of u's ops on shared keys must
-        // precede v's commit consistently. We approximate by checking op
-        // windows: max op seq of the earlier-committed section on conflicting
-        // keys must be < commit seq of the later, and the later's first
-        // conflicting op must be > the earlier's commit... which is exactly
-        // section-atomicity under locking. Simpler and sufficient: verify
-        // that sections' operation windows on conflicting keys do not
-        // interleave.
-        for (a_idx, a) in committed.iter().enumerate() {
-            for b in committed.iter().skip(a_idx + 1) {
-                if a.txn == b.txn || !a.conflicts_with(b) {
-                    continue;
-                }
-                // Windows from the raw events are not retained here; the
-                // executors guarantee atomicity by holding locks during
-                // execution. This checker validates the *commit order*
-                // consistency instead: conflicting sections must have
-                // distinct commit seqs (they do, globally ordered) — nothing
-                // further to verify at this granularity.
-                let (sa, sb) = (
-                    a.commit_seq.expect("committed"),
-                    b.commit_seq.expect("committed"),
-                );
-                if sa == sb {
-                    return Err(format!(
-                        "sections of {} and {} share a commit seq",
-                        a.txn, b.txn
-                    ));
+        // Per key, every operation as (seq, section index, is a write).
+        let mut ops: HashMap<&Key, Vec<(u64, usize, bool)>> = HashMap::new();
+        for (i, s) in committed.iter().enumerate() {
+            for (key, seq) in &s.reads {
+                ops.entry(key).or_default().push((*seq, i, false));
+            }
+            for (key, seq) in &s.writes {
+                ops.entry(key).or_default().push((*seq, i, true));
+            }
+        }
+        let mut succ = vec![BTreeSet::new(); committed.len()];
+        for key_ops in ops.values_mut() {
+            key_ops.sort_unstable();
+            for (j, &(_, b, b_writes)) in key_ops.iter().enumerate() {
+                for &(_, a, a_writes) in &key_ops[..j] {
+                    if committed[a].txn != committed[b].txn && (a_writes || b_writes) {
+                        succ[a].insert(b);
+                    }
                 }
             }
         }
-        Ok(())
+        // Peel off sections nothing unpeeled precedes; whatever is left
+        // lies on a cycle or behind one.
+        let mut preds = vec![0usize; committed.len()];
+        for &b in succ.iter().flatten() {
+            preds[b] += 1;
+        }
+        let mut ready: Vec<usize> = (0..committed.len()).filter(|&i| preds[i] == 0).collect();
+        while let Some(a) = ready.pop() {
+            for &b in &succ[a] {
+                preds[b] -= 1;
+                if preds[b] == 0 {
+                    ready.push(b);
+                }
+            }
+        }
+        let stuck: Vec<String> = (0..committed.len())
+            .filter(|&i| preds[i] > 0)
+            .map(|i| format!("{} {}", committed[i].txn, committed[i].section))
+            .collect();
+        if stuck.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "conflict cycle among sections: {}",
+                stuck.join(", ")
+            ))
+        }
     }
 }
 
@@ -492,6 +516,43 @@ mod tests {
         assert!(c.check_ms_sr().is_ok());
         assert!(c.check_section_serializability().is_ok());
         assert_eq!(c.committed_txns(), vec![TxnId(1), TxnId(2)]);
+    }
+
+    #[test]
+    fn interleaved_conflicting_sections_fail_serializability() {
+        // t1 reads x, t2 writes x and y, t1 writes y: t1 precedes t2 on x
+        // and follows it on y, so no serial order of the two exists.
+        let h = HistoryRecorder::new();
+        let (t1, t2) = (TxnId(1), TxnId(2));
+        h.record_begin(t1, SectionKind::Initial);
+        h.record_read(t1, SectionKind::Initial, &k("x"));
+        h.record_begin(t2, SectionKind::Initial);
+        h.record_write(t2, SectionKind::Initial, &k("x"));
+        h.record_write(t2, SectionKind::Initial, &k("y"));
+        h.record_write(t1, SectionKind::Initial, &k("y"));
+        h.record_commit(t2, SectionKind::Initial);
+        h.record_commit(t1, SectionKind::Initial);
+        let err = h.checker().check_section_serializability().unwrap_err();
+        assert!(err.contains("cycle"), "{err}");
+    }
+
+    #[test]
+    fn a_retried_section_forgets_its_aborted_attempt() {
+        // t1's first attempt reads x and aborts; t2 then writes x; t1's
+        // retry reads x after t2. Only the retry's read orders t1.
+        let h = HistoryRecorder::new();
+        let (t1, t2) = (TxnId(1), TxnId(2));
+        h.record_begin(t1, SectionKind::Initial);
+        h.record_read(t1, SectionKind::Initial, &k("x"));
+        h.record_abort(t1);
+        h.record_begin(t2, SectionKind::Initial);
+        h.record_write(t2, SectionKind::Initial, &k("x"));
+        h.record_commit(t2, SectionKind::Initial);
+        h.record_begin(t1, SectionKind::Initial);
+        h.record_read(t1, SectionKind::Initial, &k("x"));
+        h.record_write(t1, SectionKind::Initial, &k("y"));
+        h.record_commit(t1, SectionKind::Initial);
+        assert!(h.checker().check_section_serializability().is_ok());
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub(crate) fn run_initial(
     body: StageBody<'_>,
 ) -> Result<StageOutcome, TxnError> {
     let txn = handle.txn();
-    let started = Instant::now();
+    let started = core.stage_clock();
     let mut initial = core.locks().plan(rw.lock_requests());
     if let Err(e) = core.locks().acquire_plan(txn, &mut initial, None) {
         core.record_abort(txn);
@@ -126,7 +126,7 @@ pub(crate) fn run_held(
     release_before_log: bool,
 ) -> Result<StageOutcome, TxnError> {
     let txn = handle.txn();
-    let started = Instant::now();
+    let started = core.stage_clock();
     // The declared sets at begin() are binding under MS-SR: acquiring
     // anything new after initial commit could abort or block, which
     // the guarantee forbids.

@@ -244,6 +244,13 @@ impl ExecutorCore {
         &self.obs
     }
 
+    /// A stage's start time, read only when the obs stream will record
+    /// the commit latencies measured from it: an unobserved stage never
+    /// reads the clock for them.
+    pub(crate) fn stage_clock(&self) -> Option<Instant> {
+        self.obs.is_enabled().then(Instant::now)
+    }
+
     /// The shared durability hook: serialize one executed stage — its
     /// write images (pre + post) and commit metadata — into the WAL. Runs
     /// while the stage's locks are still held, so the log order equals the
@@ -371,7 +378,7 @@ impl ExecutorCore {
         handle: &TxnHandle,
         rw: &RwSet,
         undo: &UndoLog,
-        started: Instant,
+        started: Option<Instant>,
         commit_point: bool,
         register: bool,
     ) {
@@ -388,10 +395,11 @@ impl ExecutorCore {
             },
         );
         if handle.stage() == 0 {
-            let latency = started.elapsed();
-            self.stats.record_initial_latency(latency);
             self.obs.emit_txn(txn.0, EventKind::InitialCommit);
-            self.obs.record_duration(HistKind::InitialCommitMs, latency);
+            if let Some(started) = started {
+                self.obs
+                    .record_duration(HistKind::InitialCommitMs, started.elapsed());
+            }
         }
     }
 
@@ -401,13 +409,15 @@ impl ExecutorCore {
         &self,
         handle: TxnHandle,
         output: SectionOutput,
-        started: Instant,
+        started: Option<Instant>,
     ) -> StageOutcome {
         if handle.is_final() {
             self.stats.record_commit();
             self.obs.emit_txn(handle.txn().0, EventKind::FinalCommit);
-            self.obs
-                .record_duration(HistKind::FinalCommitMs, started.elapsed());
+            if let Some(started) = started {
+                self.obs
+                    .record_duration(HistKind::FinalCommitMs, started.elapsed());
+            }
             StageOutcome::Complete { output }
         } else {
             StageOutcome::Committed {
@@ -435,7 +445,7 @@ impl ExecutorCore {
         register_final_guess: bool,
     ) -> Result<StageOutcome, TxnError> {
         let txn = handle.txn();
-        let started = Instant::now();
+        let started = self.stage_clock();
         let mut plan = self.locks.plan(rw.lock_requests());
         if handle.stage() == 0 {
             if let Err(e) = self.locks.acquire_plan(txn, &mut plan, None) {

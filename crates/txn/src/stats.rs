@@ -20,7 +20,6 @@ pub struct ProtocolStats {
     commits: AtomicU64,
     aborts: AtomicU64,
     lock_hold: AtomicStat,
-    initial_latency: AtomicStat,
 }
 
 /// A point-in-time snapshot of [`ProtocolStats`].
@@ -36,8 +35,6 @@ pub struct StatsSnapshot {
     pub avg_lock_hold_ms: f64,
     /// Maximum lock-hold time observed, milliseconds.
     pub max_lock_hold_ms: f64,
-    /// Mean latency to initial commit, milliseconds.
-    pub avg_initial_latency_ms: f64,
 }
 
 impl StatsSnapshot {
@@ -85,11 +82,6 @@ impl ProtocolStats {
         self.lock_hold.record(held);
     }
 
-    /// Record the latency from transaction start to initial commit.
-    pub(crate) fn record_initial_latency(&self, latency: Duration) {
-        self.initial_latency.record(latency);
-    }
-
     /// Current counters and means — a *consistent* snapshot.
     ///
     /// Loads are `SeqCst` and ordered outcomes-before-begun: in the
@@ -111,7 +103,6 @@ impl ProtocolStats {
             aborts,
             avg_lock_hold_ms: self.lock_hold.mean_ms(),
             max_lock_hold_ms: self.lock_hold.max_ms(),
-            avg_initial_latency_ms: self.initial_latency.mean_ms(),
         }
     }
 }
@@ -148,14 +139,6 @@ mod tests {
         let snap = s.snapshot();
         assert!((snap.avg_lock_hold_ms - 20.0).abs() < 0.5);
         assert!((snap.max_lock_hold_ms - 30.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn initial_latency_statistics() {
-        let s = ProtocolStats::new();
-        s.record_initial_latency(Duration::from_millis(4));
-        s.record_initial_latency(Duration::from_millis(6));
-        assert!((s.snapshot().avg_initial_latency_ms - 5.0).abs() < 0.5);
     }
 
     #[test]
@@ -258,7 +241,7 @@ mod tests {
                         s.record_commit();
                         s.record_abort();
                         s.record_lock_hold(Duration::from_micros(t as u64 * 100 + i % 50));
-                        s.record_initial_latency(Duration::from_micros(i % 100));
+                        s.record_lock_hold(Duration::from_micros(i % 100));
                     }
                 })
             })

@@ -619,22 +619,13 @@ impl Wal {
     ) -> io::Result<Self> {
         state.abandon_pending();
         let wal = Wal::with_storage(storage, config, driver);
+        if let Some(shipper) = shipper {
+            wal.attach_shipper(shipper);
+        }
         {
             let mut inner = wal.inner.lock();
             inner.state = state;
-            inner.stats.checkpoints = 1;
-            let framed = inner.checkpoint_frame(store);
-            inner.checkpoint_len = framed.len() as u64;
-            let mut pstate = wal.shared.lock();
-            let storage = pstate.storage.as_mut().expect("no step has run yet");
-            storage.reset(&framed)?;
-            pstate.syncs = 1;
-            pstate.epoch = 1;
-            pstate.epoch_len = framed.len() as u64;
-            if let Some(shipper) = &shipper {
-                shipper.restart_epoch(&framed);
-            }
-            pstate.shipper = shipper;
+            wal.checkpoint_locked(&mut inner, store)?;
         }
         Ok(wal)
     }
@@ -869,16 +860,17 @@ impl Wal {
     /// boundary jumps *forward* to `latest_lsn` and every waiter wakes
     /// durable.
     pub fn checkpoint(&self) -> io::Result<()> {
-        self.checkpoint_locked(&mut self.inner.lock()).map(drop)
+        let mut inner = self.inner.lock();
+        match inner.store.clone() {
+            Some(store) => self.checkpoint_locked(&mut inner, &store),
+            None => Ok(()),
+        }
     }
 
-    /// [`Wal::checkpoint`] under a writer-mutex hold the caller already
-    /// has. Returns whether one was taken: not without a store.
-    fn checkpoint_locked(&self, inner: &mut WalInner) -> io::Result<bool> {
-        let Some(store) = inner.store.clone() else {
-            return Ok(false);
-        };
-        let framed = inner.checkpoint_frame(&store);
+    /// A checkpoint of `store` under a writer-mutex hold the caller
+    /// already has.
+    fn checkpoint_locked(&self, inner: &mut WalInner, store: &KvStore) -> io::Result<()> {
+        let framed = inner.checkpoint_frame(store);
         let shared = &*self.shared;
         let mut state = shared.lock();
         while state.storage.is_none() {
@@ -908,7 +900,7 @@ impl Wal {
         drop(state);
         shared.boundary_cv.notify_all();
         crate::sched::progress("wal.buffer.checkpoint");
-        Ok(true)
+        Ok(())
     }
 
     /// Checkpoint if at least [`WalConfig::checkpoint_every`] commit
@@ -922,7 +914,11 @@ impl Wal {
         if !inner.checkpoint_due(self.config.checkpoint_every) {
             return Ok(false);
         }
-        self.checkpoint_locked(&mut inner)
+        let Some(store) = inner.store.clone() else {
+            return Ok(false);
+        };
+        self.checkpoint_locked(&mut inner, &store)?;
+        Ok(true)
     }
 
     /// Counters so far.

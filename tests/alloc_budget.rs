@@ -228,17 +228,17 @@ fn group_commit_run_stays_within_its_allocation_budget() {
 
 #[test]
 fn ms_ia_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsIa, Logging::Off, 877_332);
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::Off, 744_172);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsSr, Logging::Off, 890_376);
+    assert_within_live_budget(ProtocolKind::MsSr, Logging::Off, 757_216);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_276_726);
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_145_614);
 }
 
 /// What observing adds to one run with durability off: (allocations, peak

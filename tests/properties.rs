@@ -173,14 +173,12 @@ proptest! {
     }
 
     #[test]
-    fn kv_versions_count_writes(n in 1usize..50) {
+    fn kv_put_returns_the_previous_write(n in 1usize..50) {
         let store = KvStore::new();
         for i in 0..n {
-            store.put("k".into(), Value::Int(i as i64));
+            let prev = store.put("k".into(), Value::Int(i as i64));
+            let expected = i.checked_sub(1).map(|p| Value::Int(p as i64));
+            prop_assert_eq!(prev.as_deref(), expected.as_ref());
         }
-        prop_assert_eq!(
-            store.get_versioned(&"k".into()).unwrap().version,
-            n as u64
-        );
     }
 }

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use croesus_detect::{score_against, Detection, ModelProfile, SimulatedModel};
 use croesus_net::BandwidthMeter;
-use croesus_obs::{EdgeObs, Event, EventKind, HistKind};
+use croesus_obs::{EdgeObs, Event, EventKind};
 use croesus_sim::{DetRng, FaultEvent, FaultInjector, FaultKind, SimDuration};
 use croesus_store::{KvStore, LockManager};
 use croesus_txn::recovery::{recover_edge_file, RecoveredEdge};
@@ -323,17 +323,8 @@ impl Deployment {
     }
 
     /// The cloud takes over a dead edge's partition from its replica.
-    fn take_over(
-        &self,
-        i: usize,
-        now: u64,
-        silence_frames: u64,
-        slot: &mut EdgeSlot,
-        report: &mut FleetReport,
-    ) {
+    fn take_over(&self, i: usize, now: u64, slot: &mut EdgeSlot, report: &mut FleetReport) {
         slot.obs.emit(EventKind::TakeoverStart);
-        slot.obs
-            .record_value(HistKind::DetectToTakeoverFrames, silence_frames);
         if slot.node.take().is_some() {
             // The node was stalled, not dead: it gets deposed now and
             // fenced when it wakes. Deposed before the tail, so a pipelined
@@ -537,7 +528,7 @@ impl Deployment {
                 for (i, slot) in slots.iter_mut().enumerate() {
                     let silence = now.saturating_sub(slot.last_seen);
                     if self.failover && !slot.failed_over && silence > self.heartbeat_timeout {
-                        self.take_over(i, now, silence, slot, &mut report);
+                        self.take_over(i, now, slot, &mut report);
                         slot.last_seen = now;
                     }
                 }
@@ -658,15 +649,6 @@ impl Deployment {
                     report.settled_entries += edge.settle() as u64;
                 }
                 if chaos && !slot.failed_over {
-                    // Replication lag, sampled before this frame's tail
-                    // round: durable-but-unreplicated bytes at the source.
-                    if slot.obs.is_enabled() {
-                        let lag = slot
-                            .shipper
-                            .shipped_len()
-                            .saturating_sub(slot.tailer.log().len());
-                        slot.obs.record_value(HistKind::ShipLagBytes, lag as u64);
-                    }
                     // Stop at the first reject: next frame's poll refetches.
                     slot.tail(0, &mut report);
                 }
@@ -1075,7 +1057,7 @@ mod tests {
         wal.seal_active();
         drop(wal);
 
-        d.take_over(0, 5, 4, &mut slot, &mut FleetReport::default());
+        d.take_over(0, 5, &mut slot, &mut FleetReport::default());
         let replica = slot.node.as_ref().expect("the replacement serves");
         assert!(
             replica.protocol().core().store().contains(&key),

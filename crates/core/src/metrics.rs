@@ -1,5 +1,5 @@
 //! Run metrics: the per-run quantities the paper's figures report, plus
-//! the latency tail the obs exporter surfaces.
+//! the commit-latency tail.
 //!
 //! The figure-facing numbers (means, F-score, bandwidth, correction
 //! counts) are unchanged from the paper's reporting. On top of them the
@@ -101,7 +101,7 @@ pub struct RunMetrics {
 }
 
 /// Accumulates per-frame observations into a [`RunMetrics`].
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct MetricsCollector {
     edge_link: OnlineStats,
     edge_detect: OnlineStats,

@@ -254,7 +254,7 @@ impl CroesusBuilder {
 
     /// Attach an observability collector: every edge's executor, WAL and
     /// the fleet loop emit typed [`croesus_obs::Event`]s into the
-    /// collector's per-edge streams, and the latency histograms fill in.
+    /// collector's per-edge streams, and its per-kind counters count them.
     /// Off by default — an unobserved run takes the exact same code paths
     /// with a single `Option`-is-`None` branch at each emission site, so
     /// the golden pins stay byte-identical.

@@ -1,14 +1,13 @@
 //! Fixed-bucket atomic latency histograms and exact mean/max
 //! accumulators — the hot-path recording primitives.
 //!
-//! [`AtomicHistogram`] is an HDR-lite design: values are quantized to
-//! integer "ticks" (microseconds for latencies, raw units otherwise)
-//! and bucketed with a linear region for small values followed by
-//! base-2 groups of 16 sub-buckets each, giving a bounded
-//! relative error (< 1/SUB_BUCKETS) across the full range. Every bucket
-//! is an `AtomicU64`, so recording is a couple of relaxed atomic adds —
-//! no locks, no allocation, safe from any thread. Values past the top
-//! bucket saturate into it rather than being dropped.
+//! [`AtomicHistogram`] is an HDR-lite design: latencies are quantized
+//! to integer microsecond "ticks" and bucketed with a linear region for
+//! small values followed by base-2 groups of 16 sub-buckets each, giving
+//! a bounded relative error (< 1/SUB_BUCKETS) across the full range.
+//! Every bucket is an `AtomicU64`, so recording is a couple of relaxed
+//! atomic adds — no locks, no allocation, safe from any thread. Values
+//! past the top bucket saturate into it rather than being dropped.
 //!
 //! [`AtomicStat`] keeps the exact running count/sum/max that
 //! `StatsSnapshot`-style mean/max reporting needs, again with only
@@ -44,8 +43,7 @@ pub struct Quantiles {
 /// Recording is wait-free (two relaxed atomic adds); reading takes a
 /// racy-but-consistent-enough snapshot, which is fine for end-of-run
 /// summaries. Latencies are recorded in milliseconds and quantized to
-/// microsecond ticks internally; dimensionless values (bytes, frames)
-/// use one tick per unit via [`AtomicHistogram::record_value`].
+/// microsecond ticks internally.
 pub struct AtomicHistogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -54,15 +52,6 @@ pub struct AtomicHistogram {
 impl Default for AtomicHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for AtomicHistogram {
-    /// A snapshot copy (racy-but-consistent-enough, like every read).
-    fn clone(&self) -> Self {
-        let copy = AtomicHistogram::new();
-        copy.merge(self);
-        copy
     }
 }
 
@@ -130,16 +119,6 @@ impl AtomicHistogram {
         self.record_ticks(ticks);
     }
 
-    /// Record a duration (quantized to microseconds).
-    pub fn record_duration(&self, d: Duration) {
-        self.record_ticks(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Record a dimensionless value (bytes, frames): one tick per unit.
-    pub fn record_value(&self, value: u64) {
-        self.record_ticks(value);
-    }
-
     fn record_ticks(&self, ticks: u64) {
         self.buckets[Self::index(ticks)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -149,18 +128,6 @@ impl AtomicHistogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Fold another histogram's buckets into this one.
-    pub fn merge(&self, other: &AtomicHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`) in *ticks*, with linear
@@ -218,17 +185,6 @@ impl AtomicHistogram {
             p90: self.quantile_ms(0.90),
             p99: self.quantile_ms(0.99),
             p999: self.quantile_ms(0.999),
-        }
-    }
-
-    /// p50/p90/p99/p999 in raw ticks (for dimensionless histograms).
-    #[must_use]
-    pub(crate) fn quantiles_value(&self) -> Quantiles {
-        Quantiles {
-            p50: self.quantile_ticks(0.50),
-            p90: self.quantile_ticks(0.90),
-            p99: self.quantile_ticks(0.99),
-            p999: self.quantile_ticks(0.999),
         }
     }
 }
@@ -424,35 +380,20 @@ mod tests {
     }
 
     /// Regression: interpolating inside a one-tick-wide bucket reported
-    /// values above the maximum recorded — a takeover detected after 3
-    /// silent frames showed up as 4.0 in `DetectToTakeoverFrames`.
+    /// values above the maximum recorded — 3 µs read back as 4 µs.
     #[test]
     fn exact_buckets_report_the_recorded_value() {
-        for (value, samples) in [(3, 1), (5, 100), (31, 7)] {
+        for (micros, samples) in [(3, 1), (5, 100), (31, 7)] {
+            let ms = micros as f64 / 1_000.0;
             let h = AtomicHistogram::new();
             for _ in 0..samples {
-                h.record_value(value);
+                h.record_ms(ms);
             }
-            let q = h.quantiles_value();
-            for got in [q.p50, q.p90, q.p99, q.p999, h.quantile_ticks(1.0)] {
-                assert_eq!(got, value as f64, "{samples} x record_value({value})");
+            let q = h.quantiles_ms();
+            for got in [q.p50, q.p90, q.p99, q.p999, h.quantile_ms(1.0)] {
+                assert_eq!(got, ms, "{samples} x record_ms({ms})");
             }
         }
-    }
-
-    #[test]
-    fn merge_sums_counts_and_mass() {
-        let a = AtomicHistogram::new();
-        let b = AtomicHistogram::new();
-        for t in 0..100 {
-            a.record_ticks(t);
-            b.record_ticks(t + 50);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        // Median of the merged mass sits between the two medians.
-        let p50 = a.quantile_ticks(0.5);
-        assert!(p50 > 40.0 && p50 < 120.0, "merged p50={p50}");
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Low-overhead structured observability for the Croesus stack: typed
 //! lifecycle [`Event`]s collected into per-edge bounded rings with
-//! atomic counters and fixed-bucket latency histograms, plus an
-//! [`ordering`] checker that replays a collected stream against the
-//! system's happens-before contract and rejects any trace that breaks
-//! it.
+//! per-kind counters, plus an [`ordering`] checker that replays a
+//! collected stream against the system's happens-before contract and
+//! rejects any trace that breaks it.
 //!
 //! Three design rules hold everywhere:
 //!
@@ -16,8 +15,7 @@
 //! 2. **Sim clock, not wall clock.** Events are stamped with the
 //!    simulation frame number and a per-edge sequence number, never
 //!    wall time, so traces are deterministic, `Eq`-comparable, and
-//!    valid under the mcheck scheduler. (Histograms *do* measure wall
-//!    time — they are performance telemetry, not part of the trace.)
+//!    valid under the mcheck scheduler. The crate reads no wall clock.
 //! 3. **The trace is checkable.** [`ordering::check_stream`] is the
 //!    contract-as-code: shipped ⊆ durable, begin-before-lifecycle,
 //!    retract ⇒ apology, heartbeat-miss ≺ takeover ≺ fence.
@@ -35,4 +33,4 @@ pub mod sink;
 pub use event::{Event, EventKind};
 pub use hist::{AtomicHistogram, AtomicStat, Quantiles};
 pub use ordering::{check_obs, check_stream, OrderingReport, Violation};
-pub use sink::{EdgeObs, HistKind, Obs};
+pub use sink::{EdgeObs, Obs};

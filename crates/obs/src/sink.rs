@@ -1,5 +1,5 @@
-//! The collector: per-edge bounded ring buffers, per-kind counters and
-//! named latency histograms behind a cheap handle.
+//! The collector: per-edge bounded ring buffers and per-kind counters
+//! behind a cheap handle.
 //!
 //! [`Obs`] owns one [`EdgeObs`] stream per edge. An `EdgeObs` is the
 //! handle threaded through executors, WAL writers and the fleet loop;
@@ -9,19 +9,16 @@
 //! disabled build stays byte-identical on the golden pins.
 //!
 //! Events go into a bounded ring (oldest dropped first, with a drop
-//! counter so the ordering checker knows the stream was truncated);
-//! per-kind counters (kept under the same lock as the ring, so one
-//! critical section covers the whole emission) and the atomic
-//! histograms never drop.
+//! counter so the ordering checker knows the stream was truncated); the
+//! per-kind counters are kept under the same lock as the ring, so one
+//! critical section covers the whole emission, and they never drop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::event::{Event, EventKind};
-use crate::hist::{AtomicHistogram, Quantiles};
 
 /// Default per-edge ring capacity (events kept per edge).
 ///
@@ -29,73 +26,8 @@ use crate::hist::{AtomicHistogram, Quantiles};
 /// observing a run costs a fixed heap and no allocation per event (the
 /// allocation-budget test pins the bytes); large enough to hold the last
 /// couple of hundred frames' worth of transactions for forensics.
-/// Counters and histograms never drop regardless; only the event window
-/// is bounded.
+/// Counters never drop regardless; only the event window is bounded.
 pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 14;
-
-/// The named latency/lag histograms every edge stream keeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HistKind {
-    /// Frame-ingest → initial (stage-0) commit, milliseconds.
-    InitialCommitMs,
-    /// Final-stage execution → final commit, milliseconds.
-    FinalCommitMs,
-    /// One WAL fsync (group commit), milliseconds.
-    WalSyncMs,
-    /// Source durable bytes minus replica-consumed bytes, sampled per
-    /// frame (dimensionless ticks = bytes).
-    ShipLagBytes,
-    /// Heartbeat-silence frames observed at the moment a takeover
-    /// started (dimensionless ticks = frames).
-    DetectToTakeoverFrames,
-}
-
-impl HistKind {
-    /// Stable display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            HistKind::InitialCommitMs => "initial_commit_ms",
-            HistKind::FinalCommitMs => "final_commit_ms",
-            HistKind::WalSyncMs => "wal_sync_ms",
-            HistKind::ShipLagBytes => "ship_lag_bytes",
-            HistKind::DetectToTakeoverFrames => "detect_to_takeover_frames",
-        }
-    }
-
-    /// Whether samples are durations (ms) rather than raw units.
-    #[must_use]
-    pub(crate) fn is_duration(self) -> bool {
-        matches!(
-            self,
-            HistKind::InitialCommitMs | HistKind::FinalCommitMs | HistKind::WalSyncMs
-        )
-    }
-
-    const COUNT: usize = 5;
-
-    fn index(self) -> usize {
-        match self {
-            HistKind::InitialCommitMs => 0,
-            HistKind::FinalCommitMs => 1,
-            HistKind::WalSyncMs => 2,
-            HistKind::ShipLagBytes => 3,
-            HistKind::DetectToTakeoverFrames => 4,
-        }
-    }
-
-    /// All kinds, in index order.
-    #[must_use]
-    pub fn all() -> [HistKind; HistKind::COUNT] {
-        [
-            HistKind::InitialCommitMs,
-            HistKind::FinalCommitMs,
-            HistKind::WalSyncMs,
-            HistKind::ShipLagBytes,
-            HistKind::DetectToTakeoverFrames,
-        ]
-    }
-}
 
 /// Bounded event ring: oldest events are dropped first. The next
 /// sequence number lives inside the ring (not a separate atomic) so that
@@ -127,7 +59,6 @@ struct EdgeInner {
     edge: u32,
     frame: AtomicU64,
     ring: Mutex<Ring>,
-    hists: [AtomicHistogram; HistKind::COUNT],
 }
 
 impl EdgeInner {
@@ -144,7 +75,6 @@ impl EdgeInner {
                 dropped: 0,
                 counters: [0; EventKind::COUNT],
             }),
-            hists: std::array::from_fn(|_| AtomicHistogram::new()),
         }
     }
 }
@@ -235,20 +165,6 @@ impl EdgeObs {
         });
     }
 
-    /// Record a duration sample into one of the edge's histograms.
-    pub fn record_duration(&self, hist: HistKind, d: Duration) {
-        if let Some(inner) = &self.inner {
-            inner.hists[hist.index()].record_duration(d);
-        }
-    }
-
-    /// Record a dimensionless sample (bytes, frames).
-    pub fn record_value(&self, hist: HistKind, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.hists[hist.index()].record_value(value);
-        }
-    }
-
     /// Snapshot of this edge's event stream, in emission order.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
@@ -269,18 +185,6 @@ impl EdgeObs {
         self.inner
             .as_ref()
             .map_or(0, |i| i.ring.lock().counters[kind.index()])
-    }
-
-    /// Samples recorded into one of the edge's histograms.
-    #[must_use]
-    pub fn hist_count(&self, hist: HistKind) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.hists[hist.index()].count())
-    }
-
-    fn inner_hist(&self, hist: HistKind) -> Option<&AtomicHistogram> {
-        self.inner.as_ref().map(|i| &i.hists[hist.index()])
     }
 }
 
@@ -367,30 +271,6 @@ impl Obs {
         let edges = self.edges.lock().clone();
         edges.iter().map(|e| e.count(kind)).sum()
     }
-
-    /// Fleet-wide merged quantiles for one histogram kind.
-    #[must_use]
-    pub fn quantiles(&self, hist: HistKind) -> Quantiles {
-        let edges = self.edges.lock().clone();
-        let merged = AtomicHistogram::new();
-        for e in &edges {
-            if let Some(h) = e.inner_hist(hist) {
-                merged.merge(h);
-            }
-        }
-        if hist.is_duration() {
-            merged.quantiles_ms()
-        } else {
-            merged.quantiles_value()
-        }
-    }
-
-    /// Fleet-wide sample count for one histogram kind.
-    #[must_use]
-    pub fn hist_count(&self, hist: HistKind) -> u64 {
-        let edges = self.edges.lock().clone();
-        edges.iter().map(|e| e.hist_count(hist)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -414,11 +294,9 @@ mod tests {
         obs.set_frame(7);
         obs.emit(EventKind::FrameIngest);
         obs.emit_txn(1, EventKind::InitialCommit);
-        obs.record_duration(HistKind::WalSyncMs, Duration::from_millis(1));
         assert_eq!(obs.frame(), 0);
         assert!(obs.events().is_empty());
         assert_eq!(obs.count(EventKind::FrameIngest), 0);
-        assert_eq!(obs.hist_count(HistKind::WalSyncMs), 0);
     }
 
     #[test]
@@ -506,17 +384,5 @@ mod tests {
         let events = obs.edge_events(1);
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].seq, 1, "replacement continues the stream");
-    }
-
-    #[test]
-    fn fleet_quantiles_merge_edge_histograms() {
-        let obs = Obs::new();
-        obs.edge(0)
-            .record_duration(HistKind::WalSyncMs, Duration::from_millis(2));
-        obs.edge(1)
-            .record_duration(HistKind::WalSyncMs, Duration::from_millis(8));
-        assert_eq!(obs.hist_count(HistKind::WalSyncMs), 2);
-        let q = obs.quantiles(HistKind::WalSyncMs);
-        assert!(q.p999 > 7.0, "merged p999={}", q.p999);
     }
 }

@@ -84,4 +84,4 @@ pub use recovery::{recover_edge, recover_edge_file, RecoveredEdge};
 pub use runtime::{current_worker, WorkerPool};
 pub use sequencer::Sequencer;
 pub use stats::{ProtocolStats, StatsSnapshot};
-pub use tpc::{Coordinator, Participant, PartitionParticipant, RetryPolicy, TpcOutcome, Vote};
+pub use tpc::{Coordinator, Participant, PartitionParticipant, TpcOutcome, Vote};

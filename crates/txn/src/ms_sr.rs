@@ -74,7 +74,6 @@ pub(crate) fn run_initial(
     body: StageBody<'_>,
 ) -> Result<StageOutcome, TxnError> {
     let txn = handle.txn();
-    let started = core.stage_clock();
     let mut initial = core.locks().plan(rw.lock_requests());
     if let Err(e) = core.locks().acquire_plan(txn, &mut initial, None) {
         core.record_abort(txn);
@@ -100,14 +99,14 @@ pub(crate) fn run_initial(
     // writes without the commit-point flag, so replay buffers them —
     // the held locks guarantee no other transaction saw them, and a
     // crash before final commit legitimately un-happens the whole txn.
-    core.commit_stage(&handle, rw, &undo, started, false, false);
+    core.commit_stage(&handle, rw, &undo, false, false);
 
     // Everything held, as one plan, for the final release.
     let everything = later.iter().chain(initial.iter());
     handle.held = core
         .locks()
         .plan(everything.map(|(key, mode)| (key.clone(), mode)));
-    Ok(core.finish(handle, output, started))
+    Ok(core.finish(handle, output))
 }
 
 /// Stages `1..`: every lock is already held; execute under them and
@@ -126,7 +125,6 @@ pub(crate) fn run_held(
     release_before_log: bool,
 ) -> Result<StageOutcome, TxnError> {
     let txn = handle.txn();
-    let started = core.stage_clock();
     // The declared sets at begin() are binding under MS-SR: acquiring
     // anything new after initial commit could abort or block, which
     // the guarantee forbids.
@@ -150,12 +148,12 @@ pub(crate) fn run_held(
     // Final commit is MS-SR's one durable commit point; intermediate
     // stages keep buffering (replay applies everything at the final
     // record).
-    core.commit_stage(&handle, rw, &undo, started, handle.is_final(), false);
+    core.commit_stage(&handle, rw, &undo, handle.is_final(), false);
 
     // `finish` consumes the handle, and the final commit is recorded
     // while the locks are still held — so take them out first.
     let held = handle.is_final().then(|| handle.take_held());
-    let outcome = core.finish(handle, output, started);
+    let outcome = core.finish(handle, output);
     if let Some(held) = held {
         release(core, txn, held);
     }

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use croesus_obs::{EdgeObs, EventKind, HistKind};
+use croesus_obs::{EdgeObs, EventKind};
 use croesus_store::{Key, KvStore, LockManager, LockPlan, TxnId, UndoLog};
 use croesus_wal::{StageFlags, StageRecord, Wal, WriteImage};
 
@@ -199,10 +199,10 @@ impl ExecutorCore {
     }
 
     /// Attach a structured-observability stream: every stage lifecycle
-    /// transition is emitted as a typed event and commit latencies feed
-    /// the per-edge histograms. The default is the disabled handle, so
-    /// unobserved execution takes a single branch per emission site and
-    /// stays byte-identical with the uninstrumented system.
+    /// transition is emitted as a typed event. The default is the
+    /// disabled handle, so unobserved execution takes a single branch per
+    /// emission site and stays byte-identical with the uninstrumented
+    /// system.
     #[must_use]
     pub fn with_obs(mut self, obs: EdgeObs) -> Self {
         self.obs = obs;
@@ -242,13 +242,6 @@ impl ExecutorCore {
     /// The observability stream handle (disabled unless attached).
     pub fn obs(&self) -> &EdgeObs {
         &self.obs
-    }
-
-    /// A stage's start time, read only when the obs stream will record
-    /// the commit latencies measured from it: an unobserved stage never
-    /// reads the clock for them.
-    pub(crate) fn stage_clock(&self) -> Option<Instant> {
-        self.obs.is_enabled().then(Instant::now)
     }
 
     /// The shared durability hook: serialize one executed stage — its
@@ -378,7 +371,6 @@ impl ExecutorCore {
         handle: &TxnHandle,
         rw: &RwSet,
         undo: &UndoLog,
-        started: Option<Instant>,
         commit_point: bool,
         register: bool,
     ) {
@@ -396,28 +388,15 @@ impl ExecutorCore {
         );
         if handle.stage() == 0 {
             self.obs.emit_txn(txn.0, EventKind::InitialCommit);
-            if let Some(started) = started {
-                self.obs
-                    .record_duration(HistKind::InitialCommitMs, started.elapsed());
-            }
         }
     }
 
     /// Turn a committed stage into its outcome: the final-commit
     /// bookkeeping after the last stage, the next stage's handle otherwise.
-    pub(crate) fn finish(
-        &self,
-        handle: TxnHandle,
-        output: SectionOutput,
-        started: Option<Instant>,
-    ) -> StageOutcome {
+    pub(crate) fn finish(&self, handle: TxnHandle, output: SectionOutput) -> StageOutcome {
         if handle.is_final() {
             self.stats.record_commit();
             self.obs.emit_txn(handle.txn().0, EventKind::FinalCommit);
-            if let Some(started) = started {
-                self.obs
-                    .record_duration(HistKind::FinalCommitMs, started.elapsed());
-            }
             StageOutcome::Complete { output }
         } else {
             StageOutcome::Committed {
@@ -445,7 +424,6 @@ impl ExecutorCore {
         register_final_guess: bool,
     ) -> Result<StageOutcome, TxnError> {
         let txn = handle.txn();
-        let started = self.stage_clock();
         let mut plan = self.locks.plan(rw.lock_requests());
         if handle.stage() == 0 {
             if let Err(e) = self.locks.acquire_plan(txn, &mut plan, None) {
@@ -480,7 +458,7 @@ impl ExecutorCore {
         // commit point — stage 0 *is* the initial commit the client sees.
         crate::sched::yield_point("txn.stage.executed");
         let register = !handle.is_final() || register_final_guess;
-        self.commit_stage(&handle, rw, &undo, started, true, register);
+        self.commit_stage(&handle, rw, &undo, true, register);
         if register {
             self.apologies.register(
                 txn,
@@ -492,7 +470,7 @@ impl ExecutorCore {
         }
         self.stats.record_lock_hold(lock_epoch.elapsed());
         self.locks.release_plan(txn, &plan);
-        Ok(self.finish(handle, output, started))
+        Ok(self.finish(handle, output))
     }
 }
 

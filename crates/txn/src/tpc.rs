@@ -108,56 +108,6 @@ impl Participant for PartitionParticipant {
 /// A participant paired with the writes routed to it.
 pub type ParticipantWrites<'a> = (&'a dyn Participant, &'a [(Key, Value)]);
 
-/// Bounded-backoff retry for the coordinator path. Cross-edge commits
-/// contend on remote locks (and remote edges stall); rather than failing
-/// the client on the first `No` vote, the coordinator retries with
-/// exponential backoff up to a cap, then degrades gracefully by reporting
-/// the abort.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (≥ 1); 1 means no retry.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt, in microseconds; doubles per
-    /// attempt.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling, in microseconds.
-    pub max_backoff_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff_us: 50,
-            max_backoff_us: 800,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all — the pre-retry behaviour.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The backoff before attempt `attempt` (1-based; attempt 0 is the
-    /// first try and waits nothing).
-    #[must_use]
-    pub fn backoff_us(&self, attempt: u32) -> u64 {
-        if attempt == 0 {
-            return 0;
-        }
-        self.base_backoff_us
-            .checked_shl(attempt - 1)
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff_us)
-    }
-}
-
 /// The coordinator: runs 2PC over the partitions owning a write set.
 pub struct Coordinator {
     partitions: Arc<PartitionMap>,
@@ -338,33 +288,6 @@ impl Coordinator {
                 TpcOutcome::Aborted { voted }
             }
         }
-    }
-
-    /// Retry [`commit_writes`](Self::commit_writes) under a bounded
-    /// exponential backoff, for write sets that contend with remote
-    /// partitions. Returns the final outcome and the attempts spent. An
-    /// abort after `max_attempts` is the graceful-degradation signal: the
-    /// caller keeps serving edge-local reads and surfaces the abort to the
-    /// client instead of wedging.
-    pub fn commit_writes_with_retry(
-        &self,
-        txn: TxnId,
-        writes: &[(Key, Value)],
-        policy: RetryPolicy,
-    ) -> (TpcOutcome, u32) {
-        assert!(policy.max_attempts >= 1, "at least one attempt");
-        let mut outcome = TpcOutcome::Aborted { voted: 0 };
-        for attempt in 0..policy.max_attempts {
-            let backoff = policy.backoff_us(attempt);
-            if backoff > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(backoff));
-            }
-            outcome = self.commit_writes(txn, writes);
-            if matches!(outcome, TpcOutcome::Committed { .. }) {
-                return (outcome, attempt + 1);
-            }
-        }
-        (outcome, policy.max_attempts)
     }
 
     /// Resolve an in-doubt transaction against this coordinator's **own
@@ -628,72 +551,6 @@ mod tests {
         let coord = Coordinator::new(pm);
         let outcome = coord.commit_writes(TxnId(1), &[]);
         assert_eq!(outcome, TpcOutcome::Committed { participants: 0 });
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_backoff_us: 50,
-            max_backoff_us: 800,
-        };
-        assert_eq!(p.backoff_us(0), 0, "the first try waits nothing");
-        assert_eq!(p.backoff_us(1), 50);
-        assert_eq!(p.backoff_us(2), 100);
-        assert_eq!(p.backoff_us(5), 800, "capped");
-        assert_eq!(p.backoff_us(63), 800, "shift overflow saturates at the cap");
-    }
-
-    #[test]
-    fn retry_commits_once_the_contending_lock_clears() {
-        let pm = map();
-        let coord = Coordinator::new(Arc::clone(&pm));
-        let ws = writes(8);
-        let victim = ws[3].0.clone();
-        pm.partition_of(&victim)
-            .locks
-            .lock(TxnId(99), &victim, croesus_store::LockMode::Exclusive)
-            .unwrap();
-        // The contender releases while the coordinator is backing off.
-        let pm2 = Arc::clone(&pm);
-        let v2 = victim.clone();
-        let holder = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_micros(2_000));
-            pm2.partition_of(&v2).locks.release(TxnId(99), &v2);
-        });
-        let policy = RetryPolicy {
-            max_attempts: 200,
-            base_backoff_us: 100,
-            max_backoff_us: 1_000,
-        };
-        let (outcome, attempts) = coord.commit_writes_with_retry(TxnId(1), &ws, policy);
-        holder.join().unwrap();
-        assert!(matches!(outcome, TpcOutcome::Committed { .. }));
-        assert!(attempts >= 2, "the first attempt hit the held lock");
-    }
-
-    #[test]
-    fn exhausted_retries_degrade_to_a_reported_abort() {
-        let pm = map();
-        let coord = Coordinator::new(Arc::clone(&pm));
-        let ws = writes(8);
-        let victim = &ws[3].0;
-        pm.partition_of(victim)
-            .locks
-            .lock(TxnId(99), victim, croesus_store::LockMode::Exclusive)
-            .unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_us: 10,
-            max_backoff_us: 20,
-        };
-        let (outcome, attempts) = coord.commit_writes_with_retry(TxnId(1), &ws, policy);
-        assert!(matches!(outcome, TpcOutcome::Aborted { .. }));
-        assert_eq!(attempts, 3);
-        // Nothing leaked anywhere despite three rounds of prepare/abort.
-        for (k, _) in &ws {
-            assert_eq!(pm.partition_of(k).store.get(k), None);
-        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use croesus_obs::{EdgeObs, EventKind, HistKind};
+use croesus_obs::{EdgeObs, EventKind};
 use croesus_store::{Key, KvStore, TxnId, Value};
 
 use crate::coalesce::SyncCoalescer;
@@ -359,7 +359,7 @@ impl Shared {
     fn step(&self, wait_for_work: bool) -> io::Result<bool> {
         #[cfg_attr(not(feature = "mcheck"), allow(unused_mut))]
         let mut pre_published = false;
-        let (mut storage, buf, lsn, obs_enabled) = {
+        let (mut storage, buf, lsn) = {
             let mut state = self.lock();
             loop {
                 let busy = state.storage.is_none();
@@ -372,7 +372,7 @@ impl Shared {
                         Self::publish_locked(&mut state, &buf, lsn);
                         pre_published = true;
                     }
-                    break (storage, buf, lsn, state.obs.is_enabled());
+                    break (storage, buf, lsn);
                 }
                 if !wait_for_work || (state.shutdown && !busy) {
                     return Ok(false);
@@ -387,7 +387,6 @@ impl Shared {
         // The I/O runs with the state unlocked: appends keep landing in
         // the next buffer while this one syncs.
         crate::sched::yield_point("wal.buffer.sync");
-        let timer = obs_enabled.then(std::time::Instant::now);
         let mut windows_led = Vec::new();
         let io_result = match storage.append(&buf) {
             Err(e) => Err(e),
@@ -412,9 +411,6 @@ impl Shared {
                 state.last_flushed_lsn = lsn;
                 state.syncs += 1;
                 state.epoch_len += buf.len() as u64;
-                if let Some(t0) = timer {
-                    state.obs.record_duration(HistKind::WalSyncMs, t0.elapsed());
-                }
                 for window in windows_led {
                     state.obs.emit(EventKind::WalCoalescedSync {
                         requests: window as u64,
@@ -638,9 +634,8 @@ impl Wal {
     }
 
     /// Attach an observability stream: appends, seals, syncs and
-    /// publishes are emitted as typed events, and sync latency feeds the
-    /// per-edge histogram. Safe to call at any point; the default is
-    /// disabled.
+    /// publishes are emitted as typed events. Safe to call at any point;
+    /// the default is disabled.
     pub fn set_obs(&self, obs: EdgeObs) {
         self.shared.lock().obs = obs;
     }

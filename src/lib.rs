@@ -19,9 +19,9 @@
 //!   crash recovery (`txn::recovery`).
 //! * [`net`] — edge-cloud network links, payload/compression models, cost.
 //! * [`obs`] — structured transaction tracing: a typed event stream on the
-//!   simulated frame clock, per-edge ring collectors with latency
-//!   histograms, and an executable event-ordering
-//!   contract (`obs::check_stream`). Off by default; attach with
+//!   simulated frame clock, per-edge ring collectors with per-kind
+//!   counters, and an executable event-ordering contract
+//!   (`obs::check_stream`). Off by default; attach with
 //!   `Croesus::builder().observe(..)`.
 //! * [`core`] — the Croesus system: the `Croesus` deployment builder
 //!   (pipeline + baselines, any protocol, any edge-fleet size), edge/cloud

@@ -255,11 +255,11 @@ fn obs_cost(protocol: ProtocolKind, frames: u64) -> (i64, i64) {
 #[test]
 fn observing_a_run_costs_one_fixed_stream_and_nothing_per_transaction() {
     // The edge's stream is allocated whole when the run first asks for it:
-    // the 16 Ki-event ring, the five histograms and the shared state
-    // around them. Nothing an emission does allocates, so the cost is the
-    // same at 150 frames as at 300.
+    // the 16 Ki-event ring and the shared state around it. Nothing an
+    // emission does allocates, so the cost is the same at 150 frames as at
+    // 300.
     let ring = 16_384 * std::mem::size_of::<Event>() as i64;
-    let stream = (8, ring + 19_616);
+    let stream = (3, ring + 296);
     for protocol in [ProtocolKind::MsIa, ProtocolKind::MsSr] {
         let short = obs_cost(protocol, 150);
         let long = obs_cost(protocol, 300);

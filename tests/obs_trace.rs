@@ -9,7 +9,7 @@ use std::sync::Arc;
 use croesus::core::{
     Croesus, CroesusBuilder, DurabilityMode, FaultPlan, ProtocolKind, ThresholdPair,
 };
-use croesus::obs::{check_obs, check_stream, Event, EventKind, HistKind, Obs};
+use croesus::obs::{check_obs, check_stream, Event, EventKind, Obs};
 use croesus::video::VideoPreset;
 use croesus::wal::scratch_dir;
 use croesus_mcheck as mcheck;
@@ -53,18 +53,6 @@ fn quickstart_pipeline_trace_satisfies_the_ordering_contract() {
         report.finalized,
         m.transactions_committed
     );
-    // One histogram sample per commit event: the emission sites are one
-    // and the same.
-    assert_eq!(
-        obs.hist_count(HistKind::InitialCommitMs),
-        obs.count(EventKind::InitialCommit)
-    );
-    assert_eq!(
-        obs.hist_count(HistKind::FinalCommitMs),
-        obs.count(EventKind::FinalCommit)
-    );
-    let q = obs.quantiles(HistKind::InitialCommitMs);
-    assert!(q.p50 <= q.p999, "quantiles are ordered");
 }
 
 #[test]

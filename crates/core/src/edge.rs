@@ -67,7 +67,7 @@ pub struct EdgeNode {
     bank: Arc<TransactionsBank>,
     overlap_threshold: f64,
     txn_counter: AtomicU64,
-    rng: Mutex<DetRng>,
+    rng: DetRng,
     pending: Mutex<HashMap<u64, Vec<PendingTxn>>>,
     /// Wave-parallel runtime: initial sections of one sequencer wave run
     /// across this pool's workers. The default inline pool (1 worker) is
@@ -107,7 +107,7 @@ impl EdgeNode {
             bank,
             overlap_threshold,
             txn_counter: AtomicU64::new(0),
-            rng: Mutex::new(DetRng::new(seed).fork_named("edge-node")),
+            rng: DetRng::new(seed).fork_named("edge-node"),
             pending: Mutex::new(HashMap::new()),
             pool: WorkerPool::inline_pool(),
         }
@@ -221,13 +221,10 @@ impl EdgeNode {
         obs.emit(croesus_obs::EventKind::FrameIngest);
         // Instantiate all triggered transactions.
         let mut instances = Vec::new();
-        {
-            let rng = self.rng.lock();
-            for (li, label) in labels.iter().enumerate() {
-                let mut lrng = rng.fork(frame_index << 20 | li as u64);
-                for rule in self.bank.triggered_by_label(label) {
-                    instances.push((label.clone(), rule.template.instantiate(label, &mut lrng)));
-                }
+        for (li, label) in labels.iter().enumerate() {
+            let mut lrng = self.rng.fork(frame_index << 20 | li as u64);
+            for rule in self.bank.triggered_by_label(label) {
+                instances.push((label.clone(), rule.template.instantiate(label, &mut lrng)));
             }
         }
         // Sequence by merged footprint, read in place, and execute wave by
@@ -320,10 +317,7 @@ impl EdgeNode {
         // order, all drawing from the label's one rng fork.
         let missed = frame_match.missed.len() as u64;
         for (mi, label) in frame_match.missed.iter().enumerate() {
-            let mut lrng = self
-                .rng
-                .lock()
-                .fork(frame_index << 20 | (1 << 19) | mi as u64);
+            let mut lrng = self.rng.fork(frame_index << 20 | (1 << 19) | mi as u64);
             for rule in self.bank.triggered_by_label(label) {
                 let inst = rule.template.instantiate(label, &mut lrng);
                 let txn = self.next_txn();

@@ -1,15 +1,11 @@
-//! Run metrics: the per-run quantities the paper's figures report, plus
-//! the commit-latency tail.
+//! Run metrics: the per-run quantities the paper's figures report.
 //!
-//! The figure-facing numbers (means, F-score, bandwidth, correction
-//! counts) are unchanged from the paper's reporting. On top of them the
-//! collector feeds [`croesus_obs::AtomicHistogram`]s for the initial- and
-//! final-commit paths, so [`RunMetrics`] carries full p50/p90/p99/p999
-//! [`Quantiles`] — the histogram is the only place a percentile comes
-//! from; every mean is a Welford [`OnlineStats`].
+//! Figures 2 and 4 report means (component latencies, initial and final
+//! commit), F-score, bandwidth and correction counts; every mean is a
+//! Welford [`OnlineStats`]. No percentile is kept here: the one place a
+//! percentile comes from is the acceptance benchmark's own statistics.
 
 use croesus_net::BandwidthMeter;
-use croesus_obs::{AtomicHistogram, Quantiles};
 use croesus_sim::{OnlineStats, SimDuration};
 
 /// Mean per-frame latency of each pipeline component, in milliseconds —
@@ -70,12 +66,6 @@ pub struct RunMetrics {
     pub initial_commit_ms: f64,
     /// Mean latency to final commit, ms.
     pub final_commit_ms: f64,
-    /// Initial-commit latency tail (histogram-derived, bounded relative
-    /// error).
-    pub initial_commit_quantiles: Quantiles,
-    /// Final-commit latency tail (histogram-derived, bounded relative
-    /// error).
-    pub final_commit_quantiles: Quantiles,
     /// F-score of the client-observed labels against the cloud reference.
     pub f_score: f64,
     /// Precision component.
@@ -111,8 +101,6 @@ pub(crate) struct MetricsCollector {
     final_txn: OnlineStats,
     initial_commit: OnlineStats,
     final_commit: OnlineStats,
-    initial_commit_hist: AtomicHistogram,
-    final_commit_hist: AtomicHistogram,
     pr: croesus_sim::stats::PrecisionRecall,
     corrections: CorrectionCounts,
     transactions: u64,
@@ -148,9 +136,7 @@ impl MetricsCollector {
             fin += cloud_link + cloud_detect;
         }
         self.initial_commit.push_duration(initial);
-        self.initial_commit_hist.record_ms(initial.as_millis_f64());
         self.final_commit.push_duration(fin);
-        self.final_commit_hist.record_ms(fin.as_millis_f64());
     }
 
     /// Record a frame's accuracy counts.
@@ -196,8 +182,6 @@ impl MetricsCollector {
             },
             initial_commit_ms: self.initial_commit.mean(),
             final_commit_ms: self.final_commit.mean(),
-            initial_commit_quantiles: self.initial_commit_hist.quantiles_ms(),
-            final_commit_quantiles: self.final_commit_hist.quantiles_ms(),
             f_score: self.pr.f_score(),
             precision: self.pr.precision(),
             recall: self.pr.recall(),
@@ -280,37 +264,6 @@ mod tests {
         assert_eq!(m.corrections.correct, 6);
         assert_eq!(m.corrections.total(), 12);
         assert_eq!(m.transactions_committed, 7);
-    }
-
-    #[test]
-    fn commit_quantiles_track_the_recorded_tail() {
-        let mut c = MetricsCollector::new();
-        // 99 fast edge frames and one slow validated frame: the final-
-        // commit p99/p999 must land on the slow one, p50 on the fast path.
-        for _ in 0..99 {
-            c.record_frame(ms(10), ms(190), ms(0), None, ms(0));
-        }
-        c.record_frame(ms(10), ms(190), ms(0), Some((ms(130), ms(1120))), ms(0));
-        let m = c.finish("tail".into(), &BandwidthMeter::new());
-        let q = m.final_commit_quantiles;
-        assert!((q.p50 - 200.0).abs() / 200.0 < 0.1, "p50={}", q.p50);
-        // One slow frame in a hundred: p99 still rides the fast path,
-        // p999 must land on the outlier.
-        assert!((q.p99 - 200.0).abs() / 200.0 < 0.1, "p99={}", q.p99);
-        assert!((q.p999 - 1450.0).abs() / 1450.0 < 0.1, "p999={}", q.p999);
-        assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.p999);
-        // The exact nearest-rank p99 of these hundred samples is 200 ms:
-        // the histogram agrees within its 1/16 bucket error.
-        assert!((q.p99 - 200.0).abs() / 200.0 < 1.0 / 16.0, "p99={}", q.p99);
-        // Initial commit never includes the cloud leg.
-        assert!(m.initial_commit_quantiles.p999 < 250.0);
-    }
-
-    #[test]
-    fn empty_run_has_zero_quantiles() {
-        let m = MetricsCollector::new().finish("empty".into(), &BandwidthMeter::new());
-        assert_eq!(m.final_commit_quantiles, croesus_obs::Quantiles::default());
-        assert_eq!(m.initial_commit_quantiles.p50, 0.0);
     }
 
     #[test]

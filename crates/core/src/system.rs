@@ -681,7 +681,7 @@ mod tests {
     /// commit *before* the four frame loops became one, so any drift here
     /// is a behaviour change of the shared driver. `breakdown.edge_link_ms`
     /// and `cloud_link_ms` pin the `"links"` RNG draw order. The wall-clock
-    /// fields (`*_txn_ms`, the commit means and quantiles) are not pinned.
+    /// fields (`*_txn_ms` and the commit means) are not pinned.
     #[test]
     fn pins_every_simulated_run_metric_per_mode() {
         // (f_score, precision, recall, bandwidth_utilization,

@@ -6,6 +6,10 @@
 //! collected stream against the system's happens-before contract and
 //! rejects any trace that breaks it.
 //!
+//! It keeps events and counts only, no histogram or latency statistic:
+//! the figures' means are `croesus_sim::OnlineStats` and the lock-hold
+//! mean is `croesus_txn::ProtocolStats`'s.
+//!
 //! Three design rules hold everywhere:
 //!
 //! 1. **Disabled is free.** Every emission handle is an [`EdgeObs`]
@@ -26,11 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod hist;
 pub mod ordering;
 pub mod sink;
 
 pub use event::{Event, EventKind};
-pub use hist::{AtomicHistogram, AtomicStat, Quantiles};
 pub use ordering::{check_obs, check_stream, OrderingReport, Violation};
 pub use sink::{EdgeObs, Obs};

@@ -1,29 +1,20 @@
-//! Online mean/variance accumulation and precision/recall counts for
-//! experiment reporting. Percentiles are not computed here: the one
-//! place a tail comes from is `croesus_obs::AtomicHistogram`.
+//! Online mean accumulation and precision/recall counts for experiment
+//! reporting. The paper's figures report means; no spread or percentile
+//! is kept here.
 
 use crate::time::SimDuration;
 
-/// Welford online mean/variance accumulator; O(1) memory.
+/// Welford online mean accumulator; O(1) memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// An empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Add one observation.
@@ -32,9 +23,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Add a duration observation, in milliseconds.
@@ -49,55 +37,7 @@ impl OnlineStats {
 
     /// Running mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than two observations).
-    pub(crate) fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.mean
     }
 }
 
@@ -165,13 +105,8 @@ mod tests {
         for &v in &values {
             o.push(v);
         }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!((o.mean() - mean).abs() < 1e-12);
-        assert!((o.std() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(o.min(), Some(1.0));
-        assert_eq!(o.max(), Some(9.0));
         assert_eq!(o.count(), 8);
     }
 
@@ -179,43 +114,6 @@ mod tests {
     fn online_empty_defaults() {
         let o = OnlineStats::new();
         assert_eq!(o.mean(), 0.0);
-        assert_eq!(o.std(), 0.0);
-        assert_eq!(o.min(), None);
-        assert_eq!(o.max(), None);
-    }
-
-    #[test]
-    fn online_merge_matches_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &v in &all[..40] {
-            a.push(v);
-        }
-        for &v in &all[40..] {
-            b.push(v);
-        }
-        a.merge(&b);
-        let mut seq = OnlineStats::new();
-        for &v in &all {
-            seq.push(v);
-        }
-        assert!((a.mean() - seq.mean()).abs() < 1e-9);
-        assert!((a.variance() - seq.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), 100);
-    }
-
-    #[test]
-    fn online_merge_with_empty_sides() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 5.0);
-        let empty = OnlineStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]

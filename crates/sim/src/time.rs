@@ -1,7 +1,7 @@
 //! Virtual time.
 //!
-//! All simulated experiments in the workspace use a virtual clock with
-//! microsecond resolution. Microseconds comfortably cover the dynamic range
+//! All simulated experiments in the workspace measure virtual time in
+//! microseconds. Microseconds comfortably cover the dynamic range
 //! of the paper's measurements (sub-millisecond transaction commits up to
 //! multi-second cloud detections) while keeping arithmetic in `u64`.
 
@@ -9,41 +9,9 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// A point in virtual time, measured in microseconds since the start of the
-/// simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
-
 /// A span of virtual time, measured in microseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
-
-impl SimTime {
-    /// The origin of simulated time.
-    pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; useful as an "infinite" horizon.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
-    /// Construct from raw microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us)
-    }
-
-    /// Microseconds since the simulation origin.
-    pub const fn as_micros(self) -> u64 {
-        self.0
-    }
-
-    /// Fractional milliseconds since the origin.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Fractional seconds since the origin.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-}
 
 impl SimDuration {
     /// The empty span.
@@ -97,30 +65,6 @@ impl SimDuration {
     }
 }
 
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimTime subtraction underflow: rhs is later than lhs"),
-        )
-    }
-}
-
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
@@ -171,18 +115,6 @@ impl Sum for SimDuration {
     }
 }
 
-impl fmt::Debug for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t+{:.3}ms", self.as_millis_f64())
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
-    }
-}
-
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}ms", self.as_millis_f64())
@@ -209,7 +141,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_micros(), 250_000);
-        assert_eq!(SimTime::from_micros(42).as_micros(), 42);
     }
 
     #[test]
@@ -219,17 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn time_arithmetic() {
-        let t = SimTime::ZERO + SimDuration::from_millis(5);
-        assert_eq!(t.as_micros(), 5_000);
-        let d = (t + SimDuration::from_millis(7)) - t;
-        assert_eq!(d, SimDuration::from_millis(7));
-    }
-
-    #[test]
     #[should_panic(expected = "underflow")]
-    fn time_subtraction_underflow_panics() {
-        let _ = SimTime::ZERO - SimTime::from_micros(1);
+    fn duration_subtraction_underflow_panics() {
+        let _ = SimDuration::ZERO - SimDuration::from_micros(1);
     }
 
     #[test]
@@ -249,7 +172,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", SimDuration::from_millis(250)), "250.00ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.00s");
-        assert_eq!(format!("{}", SimTime::from_micros(1_500)), "1.500ms");
     }
 
     #[test]
@@ -257,7 +179,5 @@ mod tests {
         let d = SimDuration::from_micros(1_234_567);
         assert!((d.as_secs_f64() - 1.234567).abs() < 1e-9);
         assert!((d.as_millis_f64() - 1234.567).abs() < 1e-9);
-        let t = SimTime::from_micros(2_000_000);
-        assert!((t.as_secs_f64() - 2.0).abs() < 1e-12);
     }
 }

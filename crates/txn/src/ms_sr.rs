@@ -512,9 +512,9 @@ mod tests {
         let (_, done) = ex.stage(h, &stages[2], |ctx| ctx.write("c", 3)).unwrap();
         assert!(done.is_none());
         assert_eq!(locks.locked_keys(), 0);
-        // One sample on a fresh collector: the mean is the max.
+        // One hold spans the 2 ms sleep between stages 1 and 2: a hold
+        // recorded per stage would average below it.
         let snap = ex.stats().snapshot();
-        assert!(snap.max_lock_hold_ms > 0.0);
-        assert_eq!(snap.avg_lock_hold_ms, snap.max_lock_hold_ms);
+        assert!(snap.avg_lock_hold_ms >= 2.0, "{}", snap.avg_lock_hold_ms);
     }
 }

@@ -213,32 +213,32 @@ fn assert_within_live_budget(protocol: ProtocolKind, logging: Logging, measured:
 
 #[test]
 fn ms_ia_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 49_703);
+    assert_within_budget(ProtocolKind::MsIa, Logging::Off, 49_701);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 46_623);
+    assert_within_budget(ProtocolKind::MsSr, Logging::Off, 46_621);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_allocation_budget() {
-    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 75_873);
+    assert_within_budget(ProtocolKind::MsIa, Logging::GroupCommit, 75_871);
 }
 
 #[test]
 fn ms_ia_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsIa, Logging::Off, 744_172);
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::Off, 736_476);
 }
 
 #[test]
 fn ms_sr_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsSr, Logging::Off, 757_216);
+    assert_within_live_budget(ProtocolKind::MsSr, Logging::Off, 749_520);
 }
 
 #[test]
 fn group_commit_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_145_614);
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_137_916);
 }
 
 /// What observing adds to one run with durability off: (allocations, peak

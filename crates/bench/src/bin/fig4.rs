@@ -1,19 +1,17 @@
 //! Figure 4: latency of Croesus at the optimal thresholds across the four
 //! deployment setups ({small, regular edge} × {same, different location}).
 
-use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{ThresholdEvaluator, ThresholdPair};
-use croesus_detect::{ModelProfile, SimulatedModel};
+use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU};
+use croesus_core::ThresholdPair;
 use croesus_net::Setup;
 use croesus_video::VideoPreset;
 
 /// Find the optimal pair for a video (independent of setup: thresholds
 /// concern detection quality, not deployment).
 fn optimal(preset: VideoPreset) -> ThresholdPair {
-    let video = preset.generate(FRAMES, SEED);
-    let edge = SimulatedModel::new(ModelProfile::tiny_yolov3(), SEED ^ 0xE);
-    let cloud = SimulatedModel::new(ModelProfile::yolov3_416(), SEED ^ 0xC);
-    let ev = ThresholdEvaluator::build(&video, &edge, &cloud, 0.10);
+    let ev = builder(preset, ThresholdPair::new(0.4, 0.6))
+        .build()
+        .threshold_evaluator();
     ev.brute_force(DEFAULT_MU, 0.1).pair
 }
 

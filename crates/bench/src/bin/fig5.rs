@@ -4,16 +4,14 @@
 //! (a) street traffic querying "person", µ = 0.90;
 //! (b) mall surveillance querying "person", µ = 0.80.
 
-use croesus_bench::{banner, FRAMES, SEED};
-use croesus_core::{ThresholdEvaluator, ThresholdPair};
-use croesus_detect::{ModelProfile, SimulatedModel};
+use croesus_bench::{banner, builder};
+use croesus_core::ThresholdPair;
 use croesus_video::VideoPreset;
 
 fn heatmaps(preset: VideoPreset, mu: f64) {
-    let video = preset.generate(FRAMES, SEED);
-    let edge = SimulatedModel::new(ModelProfile::tiny_yolov3(), SEED ^ 0xE);
-    let cloud = SimulatedModel::new(ModelProfile::yolov3_416(), SEED ^ 0xC);
-    let ev = ThresholdEvaluator::build(&video, &edge, &cloud, 0.10);
+    let ev = builder(preset, ThresholdPair::new(0.4, 0.6))
+        .build()
+        .threshold_evaluator();
 
     let brute = ev.brute_force(mu, 0.1);
     let grad = ev.gradient(mu, 0.1);

@@ -2,9 +2,9 @@
 //! communication — applied to the cloud baseline and to Croesus, on the
 //! park video (v1) with the larger YOLOv3-608 cloud model.
 
-use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{DeploymentMode, ThresholdEvaluator, ThresholdPair};
-use croesus_detect::{ModelKind, ModelProfile, SimulatedModel};
+use croesus_bench::{banner, builder, f2, ms, pct, Table, DEFAULT_MU};
+use croesus_core::{DeploymentMode, ThresholdPair};
+use croesus_detect::ModelKind;
 use croesus_net::PayloadCodec;
 use croesus_video::VideoPreset;
 
@@ -12,11 +12,12 @@ fn main() {
     banner("Figure 6(c): hybrid techniques (v1, YOLOv3-608)");
     let preset = VideoPreset::ParkDog;
 
+    let base = builder(preset, ThresholdPair::new(0.4, 0.6)).cloud_model(ModelKind::YoloV3_608);
     // Optimal thresholds for v1 under the 608 cloud model.
-    let video = preset.generate(FRAMES, SEED);
-    let edge_model = SimulatedModel::new(ModelProfile::tiny_yolov3(), SEED ^ 0xE);
-    let cloud_model = SimulatedModel::new(ModelProfile::yolov3_608(), SEED ^ 0xC);
-    let pair = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10)
+    let pair = base
+        .clone()
+        .build()
+        .threshold_evaluator()
         .brute_force(DEFAULT_MU, 0.1)
         .pair;
 
@@ -28,8 +29,8 @@ fn main() {
         "BU",
     ]);
     for codec in PayloadCodec::FIG6C {
-        let m = builder(preset, ThresholdPair::new(0.4, 0.6))
-            .cloud_model(ModelKind::YoloV3_608)
+        let m = base
+            .clone()
             .codec(codec)
             .mode(DeploymentMode::CloudOnly)
             .build()
@@ -43,11 +44,7 @@ fn main() {
         ]);
     }
     for codec in PayloadCodec::FIG6C {
-        let m = builder(preset, pair)
-            .cloud_model(ModelKind::YoloV3_608)
-            .codec(codec)
-            .build()
-            .run();
+        let m = base.clone().thresholds(pair).codec(codec).build().run();
         t.row(vec![
             format!("croesus{}", codec.label()),
             ms(m.final_commit_ms),

@@ -5,9 +5,8 @@
 //! convention); Croesus latency shows the final commit with the initial
 //! commit in parentheses, as in the paper.
 
-use croesus_bench::{banner, builder, pct, Table, DEFAULT_MU, FRAMES, SEED};
-use croesus_core::{DeploymentMode, ThresholdEvaluator, ThresholdPair};
-use croesus_detect::{ModelProfile, SimulatedModel};
+use croesus_bench::{banner, builder, pct, Table, DEFAULT_MU};
+use croesus_core::{DeploymentMode, ThresholdPair};
 use croesus_video::VideoPreset;
 
 fn main() {
@@ -24,19 +23,17 @@ fn main() {
         "BU",
     ]);
     for preset in VideoPreset::FIG2 {
-        let video = preset.generate(FRAMES, SEED);
-        let edge_model = SimulatedModel::new(ModelProfile::tiny_yolov3(), SEED ^ 0xE);
-        let cloud_model = SimulatedModel::new(ModelProfile::yolov3_416(), SEED ^ 0xC);
-        let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
-        let opt = ev.brute_force(DEFAULT_MU, 0.1);
-
-        let base = builder(preset, opt.pair);
-        let croesus = base.clone().build().run();
-        let edge = base.mode(DeploymentMode::EdgeOnly).build().run();
-        let cloud = builder(preset, ThresholdPair::new(0.4, 0.6))
-            .mode(DeploymentMode::CloudOnly)
+        let base = builder(preset, ThresholdPair::new(0.4, 0.6));
+        let opt = base
+            .clone()
             .build()
-            .run();
+            .threshold_evaluator()
+            .brute_force(DEFAULT_MU, 0.1);
+
+        let tuned = base.clone().thresholds(opt.pair);
+        let croesus = tuned.clone().build().run();
+        let edge = tuned.mode(DeploymentMode::EdgeOnly).build().run();
+        let cloud = base.mode(DeploymentMode::CloudOnly).build().run();
 
         t.row(vec![
             preset.paper_id().to_string(),

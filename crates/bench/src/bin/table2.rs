@@ -5,17 +5,15 @@
 //! Ablation beyond the paper: the edge→cloud transfer cost per 1000
 //! frames (§3.4 motivates thresholding with monetary cost).
 
-use croesus_bench::{banner, builder, f2, pct, Table, FRAMES, SEED};
-use croesus_core::ThresholdEvaluator;
-use croesus_detect::{ModelKind, ModelProfile, SimulatedModel};
+use croesus_bench::{banner, builder, f2, pct, Table, FRAMES};
+use croesus_core::ThresholdPair;
+use croesus_detect::ModelKind;
 use croesus_video::VideoPreset;
 
 fn main() {
     banner("Table 2: effect of the cloud model size (µ = 0.8, park video)");
     let mu = 0.8;
     let preset = VideoPreset::ParkDog;
-    let video = preset.generate(FRAMES, SEED);
-    let edge_model = SimulatedModel::new(ModelProfile::tiny_yolov3(), SEED ^ 0xE);
 
     let mut t = Table::new(&[
         "cloud model",
@@ -26,10 +24,13 @@ fn main() {
         "$/1k frames",
     ]);
     for kind in ModelKind::CLOUD_SIZES {
-        let cloud_model = SimulatedModel::new(kind.profile(), SEED ^ 0xC);
-        let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
-        let opt = ev.brute_force(mu, 0.1);
-        let m = builder(preset, opt.pair).cloud_model(kind).build().run();
+        let base = builder(preset, ThresholdPair::new(0.4, 0.6)).cloud_model(kind);
+        let opt = base
+            .clone()
+            .build()
+            .threshold_evaluator()
+            .brute_force(mu, 0.1);
+        let m = base.thresholds(opt.pair).build().run();
         let dollars_per_1k = m.transfer_dollars * 1000.0 / FRAMES as f64;
         t.row(vec![
             kind.name().to_string(),

@@ -88,11 +88,6 @@ impl TransactionsBank {
         self
     }
 
-    /// Register a rule.
-    pub fn register(&mut self, rule: TriggerRule) {
-        self.rules.push(rule);
-    }
-
     /// Rules triggered by a detected label alone (no auxiliary input).
     pub fn triggered_by_label<'a, 'd>(
         &'a self,

@@ -20,7 +20,7 @@ use croesus_wal::{FrameReader, LogShipper, ShipCursor, ShipFetch, TailState, Wal
 
 /// The cloud node: a wrapper around the accurate (slow) model.
 pub struct CloudNode {
-    model: SimulatedModel,
+    pub(crate) model: SimulatedModel,
 }
 
 impl CloudNode {

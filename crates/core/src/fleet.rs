@@ -51,6 +51,7 @@ use crate::cloud::{CloudNode, ReplicaTailer, TailPoll};
 use crate::config::ValidationPolicy;
 use crate::edge::EdgeNode;
 use crate::metrics::{MetricsCollector, RunMetrics};
+use crate::optimizer::ThresholdEvaluator;
 use crate::system::{Deployment, DeploymentMode, EDGE_BASELINE_CONFIDENCE};
 
 /// One completed failover.
@@ -232,25 +233,57 @@ impl Deployment {
         core
     }
 
+    /// The deployed edge model. Every edge runs it (same seed → identical
+    /// detections however frames are routed). The setup's edge machine
+    /// class applies to inference latency — except in the cloud baseline,
+    /// where detection happens at the cloud and the edge model is only a
+    /// datastore placeholder.
+    fn edge_model(&self) -> SimulatedModel {
+        let model = SimulatedModel::new(ModelProfile::tiny_yolov3(), self.config.seed ^ 0xE);
+        if self.mode == DeploymentMode::CloudOnly {
+            model
+        } else {
+            model.with_hardware_factor(self.config.setup.edge.hardware_factor())
+        }
+    }
+
+    /// The cloud node, running the configured cloud model.
+    fn cloud(&self) -> CloudNode {
+        CloudNode::new(self.config.cloud_model, self.config.seed ^ 0xC)
+    }
+
+    /// The bandwidth optimizer of §3.4 for this deployment: both of its
+    /// models over its own frames, scored with its label overlap. What
+    /// [`ThresholdEvaluator::evaluate`] predicts for a pair is what
+    /// [`run`](Deployment::run) measures with that pair's thresholds.
+    ///
+    /// ```
+    /// use croesus_core::Croesus;
+    ///
+    /// let base = Croesus::builder().frames(60);
+    /// let optimal = base.clone().build().threshold_evaluator().brute_force(0.8, 0.1);
+    /// let metrics = base.thresholds(optimal.pair).build().run();
+    /// assert!((metrics.bandwidth_utilization - optimal.outcome.bu).abs() < 1e-9);
+    /// ```
+    pub fn threshold_evaluator(&self) -> ThresholdEvaluator {
+        let cfg = &self.config;
+        // `generate` yields exactly the frames `drive` streams.
+        let video = cfg.preset.generate(cfg.num_frames, cfg.seed);
+        let (edge, cloud) = (self.edge_model(), self.cloud());
+        ThresholdEvaluator::build(&video, &edge, &cloud.model, cfg.overlap_threshold)
+    }
+
     /// Edge node `i` over `core` — the one place an [`EdgeNode`] is built,
     /// whether fresh, restarted in place or standing in at the cloud.
     fn node(&self, i: usize, bank: &Arc<TransactionsBank>, core: ExecutorCore) -> EdgeNode {
         let cfg = &self.config;
-        // Every edge runs the same deployed model (same seed → identical
-        // detections however frames are routed); only the workload RNG is
-        // salted per edge. Edge 0 keeps the historical seeds so single-edge
-        // runs are byte-identical with the pre-builder pipeline.
+        // Only the workload RNG is salted per edge. Edge 0 keeps the
+        // historical seeds so single-edge runs are byte-identical with the
+        // pre-builder pipeline.
         let salt = (i as u64) << 48;
-        let mut model = SimulatedModel::new(ModelProfile::tiny_yolov3(), cfg.seed ^ 0xE);
-        // The setup's edge machine class applies to inference latency —
-        // except in the cloud baseline, where detection happens at the
-        // cloud and the edge model is only a datastore placeholder.
-        if self.mode != DeploymentMode::CloudOnly {
-            model = model.with_hardware_factor(cfg.setup.edge.hardware_factor());
-        }
         let protocol = self.protocol.build(core);
         EdgeNode::with_protocol(
-            model,
+            self.edge_model(),
             Arc::clone(bank),
             cfg.overlap_threshold,
             cfg.seed ^ salt,
@@ -483,7 +516,7 @@ impl Deployment {
         let frames = config.preset.stream(config.num_frames, config.seed);
         let query: LabelClass = config.preset.query();
         let bank = evaluation_bank();
-        let cloud = CloudNode::new(config.cloud_model, config.seed ^ 0xC);
+        let cloud = self.cloud();
         let topology = config.setup.topology();
         let mut link_rng = DetRng::new(config.seed).fork_named("links");
         let (label, policy) = self.policy(&query);

@@ -4,6 +4,10 @@
 //! minimum F-score `µ`, find `(θL, θU)` minimizing the sent-frame ratio
 //! `δ(θL, θU)` subject to `f(θL, θU) ≥ µ`.
 //!
+//! A deployment's evaluator comes from the deployment:
+//! [`Deployment::threshold_evaluator`](crate::Deployment::threshold_evaluator)
+//! runs that deployment's edge and cloud models over its own frames, so a
+//! pair is tuned on exactly the models and video it will run. The
 //! [`ThresholdEvaluator`] precomputes both models' detections once (they
 //! are deterministic per frame), making each threshold-pair evaluation a
 //! cheap filter-and-match pass — the same trick lets the brute-force and
@@ -56,8 +60,9 @@ pub struct ThresholdEvaluator {
 
 impl ThresholdEvaluator {
     /// Run both models over the video once and keep the query-class
-    /// detections.
-    pub fn build(
+    /// detections. A deployment builds its own with
+    /// [`Deployment::threshold_evaluator`](crate::Deployment::threshold_evaluator).
+    pub(crate) fn build(
         video: &Video,
         edge_model: &SimulatedModel,
         cloud_model: &SimulatedModel,
@@ -82,44 +87,23 @@ impl ThresholdEvaluator {
         }
     }
 
-    /// The query class.
-    pub fn query(&self) -> &LabelClass {
-        &self.query
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the evaluator has no frames.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
     /// Evaluate one `(θL, θU)` pair: δ and the F-score of what the client
-    /// would observe (cloud labels for validated frames, keep-interval edge
-    /// labels otherwise).
+    /// would observe — the cloud's labels for a validated frame, else the
+    /// edge's keep band. Each frame is decided by
+    /// [`ThresholdPair::decide_frame`], as the frame loop decides it.
     pub fn evaluate(&self, pair: ThresholdPair) -> ThresholdOutcome {
         let mut sent = 0usize;
         let mut pr = PrecisionRecall::default();
         for fd in &self.frames {
-            let send = fd
-                .edge_query
-                .iter()
-                .any(|d| pair.lower <= d.confidence && d.confidence <= pair.upper);
-            let final_labels: Vec<Detection> = if send {
+            let decision = pair.decide_frame(&fd.edge_query, &self.query);
+            let final_labels = if decision.send {
                 sent += 1;
-                fd.cloud_query.clone()
+                &fd.cloud_query
             } else {
-                fd.edge_query
-                    .iter()
-                    .filter(|d| d.confidence > pair.upper)
-                    .cloned()
-                    .collect()
+                &decision.kept
             };
             pr.add(score_against(
-                &final_labels,
+                final_labels,
                 &fd.cloud_query,
                 &self.query,
                 self.overlap,

@@ -389,16 +389,6 @@ impl Deployment {
         &self.durability
     }
 
-    /// Frames without a heartbeat before an edge is declared dead.
-    pub fn heartbeat_timeout(&self) -> u64 {
-        self.heartbeat_timeout
-    }
-
-    /// The attached observability collector, if any.
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
-    }
-
     /// The emission handle for edge `i`: the collector's persistent
     /// per-edge stream when observing, the no-op handle otherwise.
     pub(crate) fn edge_obs(&self, i: usize) -> EdgeObs {

@@ -88,11 +88,6 @@ impl SimulatedModel {
         self
     }
 
-    /// The model profile.
-    pub fn profile(&self) -> &ModelProfile {
-        &self.profile
-    }
-
     fn frame_rng(&self, frame: &Frame) -> DetRng {
         DetRng::new(self.seed).fork(frame.index)
     }

@@ -58,11 +58,6 @@ impl DetRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent child generator identified by `stream`.
     ///
     /// Forking does not consume randomness from `self`, so the set of forks

@@ -4,7 +4,7 @@
 
 use crate::time::SimDuration;
 
-/// Welford online mean accumulator; O(1) memory.
+/// Welford online mean accumulator; O(1) memory. Start from `Default`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
@@ -12,11 +12,6 @@ pub struct OnlineStats {
 }
 
 impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats::default()
-    }
-
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         assert!(!x.is_nan(), "OnlineStats observation is NaN");
@@ -28,11 +23,6 @@ impl OnlineStats {
     /// Add a duration observation, in milliseconds.
     pub fn push_duration(&mut self, d: SimDuration) {
         self.push(d.as_millis_f64());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Running mean (0 when empty).
@@ -101,18 +91,17 @@ mod tests {
     #[test]
     fn online_matches_batch() {
         let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut o = OnlineStats::new();
+        let mut o = OnlineStats::default();
         for &v in &values {
             o.push(v);
         }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!((o.mean() - mean).abs() < 1e-12);
-        assert_eq!(o.count(), 8);
     }
 
     #[test]
     fn online_empty_defaults() {
-        let o = OnlineStats::new();
+        let o = OnlineStats::default();
         assert_eq!(o.mean(), 0.0);
     }
 

@@ -309,11 +309,6 @@ impl LockManager {
         }
     }
 
-    /// The conflict policy.
-    pub fn policy(&self) -> LockPolicy {
-        self.policy
-    }
-
     #[inline]
     fn shard_index(&self, key: &Key) -> usize {
         key.shard_index(self.shards.len())

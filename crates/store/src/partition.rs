@@ -77,16 +77,6 @@ impl PartitionMap {
         &self.partitions
     }
 
-    /// Number of partitions.
-    pub fn len(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Whether there are no partitions (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.partitions.is_empty()
-    }
-
     /// Group keys by owning partition — the first step of any
     /// multi-partition operation. Single pass: keys are dropped into a
     /// bucket per partition (the partition count is fixed and small), so

@@ -613,16 +613,11 @@ impl StageOutcome {
 pub struct StageCtx<'a> {
     section: SectionCtx<'a>,
     core: &'a ExecutorCore,
-    reports: Vec<RetractionReport>,
 }
 
 impl<'a> StageCtx<'a> {
     pub(crate) fn new(section: SectionCtx<'a>, core: &'a ExecutorCore) -> Self {
-        StageCtx {
-            section,
-            core,
-            reports: Vec::new(),
-        }
+        StageCtx { section, core }
     }
 
     /// The plain section context (for code written against [`SectionCtx`]).
@@ -635,7 +630,7 @@ impl<'a> StageCtx<'a> {
     /// durability on, the store restores are logged (one record per
     /// rolled-back entry, in rollback order) so replay repeats them
     /// byte-for-byte; their durability rides this stage's commit flush.
-    pub fn retract(&mut self, txn: TxnId, reason: &str) -> RetractionReport {
+    pub fn retract(&self, txn: TxnId, reason: &str) -> RetractionReport {
         let core = self.core;
         let report = core.apologies.retract(txn, &core.store, reason);
         if let Some(wal) = &core.wal {
@@ -646,20 +641,14 @@ impl<'a> StageCtx<'a> {
             core.obs.emit_txn(retracted.0, EventKind::Retract);
             core.obs.emit_txn(retracted.0, EventKind::Apology);
         }
-        self.reports.push(report.clone());
         report
     }
 
     /// Retract this transaction's own earlier stages:
     /// `ctx.retract_self("detected the wrong building")`.
-    pub fn retract_self(&mut self, reason: &str) -> RetractionReport {
+    pub fn retract_self(&self, reason: &str) -> RetractionReport {
         let txn = self.section.txn();
         self.retract(txn, reason)
-    }
-
-    /// Retraction reports accumulated by this stage.
-    pub fn reports(&self) -> &[RetractionReport] {
-        &self.reports
     }
 }
 

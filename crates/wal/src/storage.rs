@@ -86,12 +86,6 @@ impl FileStorage {
             len: 0,
         })
     }
-
-    /// The log file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl Storage for FileStorage {
@@ -194,12 +188,15 @@ impl Storage for MemStorage {
 
 /// A unique scratch path under the system temp dir (no external tempfile
 /// crate in this workspace). The directory is created; the caller removes
-/// it when done — or leaves it, temp dirs are scratch by definition.
+/// it when done — or leaves it, temp dirs are scratch by definition. The
+/// pid and the counter are zero-padded to their types' widths, so under
+/// one temp dir a label's paths all have one length, whatever the process.
 pub fn scratch_dir(label: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("croesus-wal-{label}-{}-{n}", std::process::id()));
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("croesus-wal-{label}-{pid:010}-{n:020}"));
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     dir
 }

@@ -10,8 +10,7 @@
 //! protocols, and compare against the edge-only and cloud-only baselines —
 //! all through the same builder.
 
-use croesus::core::{Croesus, DeploymentMode, ProtocolKind, ThresholdEvaluator};
-use croesus::detect::{ModelProfile, SimulatedModel};
+use croesus::core::{Croesus, DeploymentMode, ProtocolKind};
 use croesus::video::VideoPreset;
 
 fn main() {
@@ -30,10 +29,10 @@ fn main() {
     );
 
     // 2. Tune (θL, θU) for an F-score floor of 0.85: minimize the fraction
-    //    of frames that must travel to the cloud.
-    let edge_model = SimulatedModel::new(ModelProfile::tiny_yolov3(), seed ^ 0xE);
-    let cloud_model = SimulatedModel::new(ModelProfile::yolov3_416(), seed ^ 0xC);
-    let evaluator = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
+    //    of frames that must travel to the cloud. The deployment tunes
+    //    itself: its evaluator runs its own models over its own frames.
+    let base = Croesus::builder().preset(preset).frames(frames).seed(seed);
+    let evaluator = base.clone().build().threshold_evaluator();
     let optimal = evaluator.brute_force(0.85, 0.1);
     println!(
         "optimal thresholds: ({:.1}, {:.1}) → predicted BU {:.0}%, F {:.2} ({} evaluations)",
@@ -47,11 +46,7 @@ fn main() {
     // 3. Build deployments from one builder, cloned per run: the
     //    multi-stage pipeline (MS-IA, the paper's default) and both
     //    baselines.
-    let base = Croesus::builder()
-        .preset(preset)
-        .thresholds(optimal.pair)
-        .frames(frames)
-        .seed(seed);
+    let base = base.thresholds(optimal.pair);
     let croesus = base.clone().build().run();
     let edge = base.clone().mode(DeploymentMode::EdgeOnly).build().run();
     let cloud = base.clone().mode(DeploymentMode::CloudOnly).build().run();

@@ -5,8 +5,7 @@
 //! cargo run --release --example threshold_tuning -- [mall|traffic|airport|park|pedestrians] [mu]
 //! ```
 
-use croesus::core::{ThresholdEvaluator, ThresholdPair};
-use croesus::detect::{ModelProfile, SimulatedModel};
+use croesus::core::{Croesus, ThresholdPair};
 use croesus::video::VideoPreset;
 
 fn main() {
@@ -25,10 +24,12 @@ fn main() {
         preset.description(),
         preset.query()
     );
-    let video = preset.generate(300, 42);
-    let edge = SimulatedModel::new(ModelProfile::tiny_yolov3(), 42 ^ 0xE);
-    let cloud = SimulatedModel::new(ModelProfile::yolov3_416(), 42 ^ 0xC);
-    let ev = ThresholdEvaluator::build(&video, &edge, &cloud, 0.10);
+    let ev = Croesus::builder()
+        .preset(preset)
+        .frames(300)
+        .seed(42)
+        .build()
+        .threshold_evaluator();
 
     // A few interpretable operating points.
     println!(

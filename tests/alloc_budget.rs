@@ -238,7 +238,7 @@ fn ms_sr_run_stays_within_its_live_heap_budget() {
 
 #[test]
 fn group_commit_run_stays_within_its_live_heap_budget() {
-    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_137_916);
+    assert_within_live_budget(ProtocolKind::MsIa, Logging::GroupCommit, 1_137_966);
 }
 
 /// What observing adds to one run with durability off: (allocations, peak

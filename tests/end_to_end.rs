@@ -2,10 +2,10 @@
 //! baselines, across the paper's video presets.
 
 use croesus::core::{
-    Croesus, CroesusBuilder, DeploymentMode, ProtocolKind, RunMetrics, ThresholdEvaluator,
-    ThresholdPair, ValidationPolicy,
+    Croesus, CroesusBuilder, DeploymentMode, ProtocolKind, RunMetrics, ThresholdPair,
+    ValidationPolicy,
 };
-use croesus::detect::{ModelProfile, SimulatedModel};
+use croesus::detect::ModelKind;
 use croesus::net::{Colocation, EdgeClass, Setup};
 use croesus::video::VideoPreset;
 
@@ -118,28 +118,42 @@ fn bandwidth_utilization_tracks_validation_policy() {
 #[test]
 fn evaluator_prediction_matches_pipeline_measurement() {
     // The optimizer's fast surface evaluation and the full pipeline must
-    // agree: they share detections by determinism.
-    let preset = VideoPreset::MallSurveillance;
-    let pair = ThresholdPair::new(0.3, 0.7);
-    let seed = 42;
-    let video = preset.generate(FRAMES, seed);
-    let edge_model = SimulatedModel::new(ModelProfile::tiny_yolov3(), seed ^ 0xE);
-    let cloud_model = SimulatedModel::new(ModelProfile::yolov3_416(), seed ^ 0xC);
-    let ev = ThresholdEvaluator::build(&video, &edge_model, &cloud_model, 0.10);
-    let predicted = ev.evaluate(pair);
-    let measured = run_croesus(cfg(preset, pair).seed(seed));
-    assert!(
-        (predicted.bu - measured.bandwidth_utilization).abs() < 1e-9,
-        "BU: predicted {} measured {}",
-        predicted.bu,
-        measured.bandwidth_utilization
-    );
-    assert!(
-        (predicted.f_score - measured.f_score).abs() < 1e-9,
-        "F: predicted {} measured {}",
-        predicted.f_score,
-        measured.f_score
-    );
+    // agree: a deployment's evaluator runs its own models over its own
+    // frames and decides each frame as the frame loop does. Every Figure 2
+    // video × every Figure 3 pair × two cloud models.
+    let pairs = [
+        (0.5, 0.5),
+        (0.5, 0.6),
+        (0.5, 0.7),
+        (0.6, 0.7),
+        (0.4, 0.6),
+        (0.3, 0.7),
+        (0.2, 0.8),
+        (0.1, 0.9),
+    ];
+    for preset in VideoPreset::FIG2 {
+        for kind in [ModelKind::YoloV3_416, ModelKind::YoloV3_608] {
+            for (lo, hi) in pairs {
+                let pair = ThresholdPair::new(lo, hi);
+                let d = cfg(preset, pair).cloud_model(kind).build();
+                let predicted = d.threshold_evaluator().evaluate(pair);
+                let measured = d.run();
+                let at = format!("{preset:?} {kind:?} ({lo}, {hi})");
+                assert!(
+                    (predicted.bu - measured.bandwidth_utilization).abs() < 1e-9,
+                    "{at} BU: predicted {} measured {}",
+                    predicted.bu,
+                    measured.bandwidth_utilization
+                );
+                assert!(
+                    (predicted.f_score - measured.f_score).abs() < 1e-9,
+                    "{at} F: predicted {} measured {}",
+                    predicted.f_score,
+                    measured.f_score
+                );
+            }
+        }
+    }
 }
 
 #[test]
